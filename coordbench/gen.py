@@ -19,7 +19,7 @@ import numpy as np
 
 from workloads import SIZES, WORKLOADS
 
-RHO = 0.8  # correlation of the log-values of one item across instances
+RHO = 0.8  # weight of the shared factor; log-values correlate by RHO**2
 SIGMA = 1.0  # spread of the log-values
 ZERO_SHARE = 0.25
 

@@ -19,7 +19,7 @@ from pathlib import Path
 WORKLOADS = ("single-salt", "mc-sweep", "analysis")
 
 # (items, instances) per workload
-SIZES = {"single-salt": (4000, 2), "mc-sweep": (2000, 4), "analysis": (80, 3)}
+SIZES = {"single-salt": (4000, 2), "mc-sweep": (2000, 4), "analysis": (120, 3)}
 
 TAU = 4.0
 INLINE_SCHEME = f"pps:tau={TAU:g}"
@@ -156,10 +156,10 @@ def round_ops(workload: str, ids: list[str]) -> list[Op]:
     elif workload == "analysis":
         for tag, f in FUNCTIONS.items():
             for scheme in ("inline", "file"):
-                # analyze rg:p=2 is left out: on about 2 % of seeds one of the
-                # 80 vectors is judged unbounded through a one-ulp gap between
-                # evaluate() and the closed-form bound, and its record then
-                # carries a NaN j_tail_bound, which is not JSON
+                # analyze rg:p=2 is left out: on about 2 % of seeds (with 80
+                # vectors) a vector is judged unbounded through a one-ulp gap
+                # between evaluate() and the closed-form bound, and its record
+                # then carries a NaN j_tail_bound, which is not JSON
                 if tag != "rg2":
                     ops.append(Op(f"analyze-{tag}-{scheme}", "analyze", function=f, scheme=scheme))
                 ops.append(Op(f"characterize-{tag}-{scheme}", "characterize", function=f, scheme=scheme))
