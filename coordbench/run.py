@@ -2,6 +2,9 @@
 
     python3 coordbench/run.py --workload single-salt --seed 1 --seconds 15 --trace 0
 
+``--workload all`` runs every workload in turn, printing one result line
+each, and exits 1 when any output check failed.
+
 Run from the root of a coordest checkout; the package is imported from
 ``src/`` as it stands, nothing is installed.  A run:
 
@@ -122,8 +125,8 @@ def per_layer(summary: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="Run one coordest benchmark workload.")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap = argparse.ArgumentParser(description="Run one coordest benchmark workload, or all in turn.")
+    ap.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -134,21 +137,28 @@ def main(argv=None) -> int:
         print("coordbench: src/coordest not found; run from the root of a coordest checkout",
               file=sys.stderr)
         return 2
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    return max(run_one(root, workload, args) for workload in workloads)
+
+
+def run_one(root: Path, workload: str, args: argparse.Namespace) -> int:
+    """One run of one workload; prints its result line, returns 1 when an
+    output check failed."""
     bench_dir = root / ".bench_run"
-    run_dir = bench_dir / f"{args.workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
-    trace_path = bench_dir / "traces" / f"{args.workload}-seed{args.seed}.json"
+    run_dir = bench_dir / f"{workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
+    trace_path = bench_dir / "traces" / f"{workload}-seed{args.seed}.json"
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     env = child_env(root)
     try:
-        X = gen.workload_matrix(args.workload, args.seed)
+        X = gen.workload_matrix(workload, args.seed)
         csv_path, scheme_file = gen.write_inputs(X, run_dir / "inputs")
         ids = gen.item_ids(len(X))
-        ops = round_ops(args.workload, ids)
+        ops = round_ops(workload, ids)
         inp = Inputs(csv_path, scheme_file, salt=args.seed % (1 << 32))
         setup = [] if args.trace else measure_setup(
             csv_path, scheme_file if any(op.scheme == "file" for op in ops) else None, env)
         plan = {
-            "workload": args.workload, "csv": str(inp.csv), "scheme_file": str(inp.scheme_file),
+            "workload": workload, "csv": str(inp.csv), "scheme_file": str(inp.scheme_file),
             "salt": inp.salt, "ops": [op.to_dict() for op in ops], "seconds": args.seconds,
             "trace": args.trace, "outdir": str(run_dir / "out"), "trace_path": str(trace_path),
         }
@@ -161,7 +171,7 @@ def main(argv=None) -> int:
         print(f"coordbench: check failed: {err}", file=sys.stderr)
     for rnd, name, rc in summary["failed"][:20]:
         print(f"coordbench: round {rnd} op {name} failed with exit code {rc}", file=sys.stderr)
-    record = bench_dir / "runs" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+    record = bench_dir / "runs" / f"{workload}-seed{args.seed}-trace{args.trace}.json"
     record.parent.mkdir(exist_ok=True)
     record.write_text(json.dumps({"setup": setup, **summary}))
     if not args.trace:
