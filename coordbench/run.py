@@ -3,7 +3,7 @@
     python3 coordbench/run.py --workload single-salt --seed 1 --seconds 15 --trace 0
 
 ``--workload all`` runs every workload in turn, printing one result line
-each, and exits 1 when any output check failed.
+each, and exits 1 when any run was not correct.
 
 Run from the root of a coordest checkout; the package is imported from
 ``src/`` as it stands, nothing is installed.  A run:
@@ -18,7 +18,9 @@ Run from the root of a coordest checkout; the package is imported from
    end-to-end metrics (``--trace 0``) or the per-layer metrics
    (``--trace 1``, whose spans go to ``.bench_run/traces/``).
 
-It exits 1 when an output check fails, and 2 when it cannot run at all.
+A run is correct when every operation exited 0 and every output check
+passed.  It exits 1 when the run is not correct, and 2 when it cannot run
+at all.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 
 import checks
 import gen
-from workloads import INLINE_SCHEME, LAYERS, RATE_OF_KIND, WORKLOADS, Inputs, round_ops
+from tracer import TRACED
+from workloads import INLINE_SCHEME, RATE_OF_KIND, WORKLOADS, Inputs, round_ops
 
 HERE = Path(__file__).resolve().parent
 SETUP_PROBES = 5  # timed fresh interpreters; one more runs first, untimed, to warm caches
@@ -83,19 +86,20 @@ def end_to_end(summary: dict, setup: list[dict], scaled: bool = True) -> dict:
     time is multiplied by ``REFERENCE_S`` over the median reference-kernel
     time of the ``REF_WINDOW`` kernels around it, which takes out the CPU's
     changing speed on a shared host; set-up times are scaled by the kernel
-    time measured in the same fresh interpreter.  Each rate is the kind's work over the
-    sum, across its ops, of each op's median time over its executions
-    (repeats and rounds)."""
+    time measured in the same fresh interpreter.  Each rate is the kind's
+    work over the sum, across its ops, of each op's median time over its
+    executions (repeats and rounds).  Failed executions are left out of
+    every rate and of ``ops_per_s``."""
     refs = summary["refs"]
     execs = []
-    for i, (kind, op, seconds, n) in enumerate(summary["execs"]):
+    for i, (kind, op, seconds, n, ok) in enumerate(summary["execs"]):
         around = refs[max(0, i - REF_WINDOW // 2 + 1): i + REF_WINDOW // 2 + 1]
-        execs.append((kind, op, seconds * (REFERENCE_S / statistics.median(around) if scaled else 1.0), n))
-    ok = summary["attempted"] - len(summary["failed"])
+        if ok:  # a failed execution did not do the op's work
+            execs.append((kind, op, seconds * (REFERENCE_S / statistics.median(around) if scaled else 1.0), n))
     metrics = {
         "setup_s": (statistics.median(
             p["setup_s"] * (REFERENCE_S / p["reference_s"] if scaled else 1.0) for p in setup), "s"),
-        "ops_per_s": (ok / sum(e[2] for e in execs), "ops/s"),
+        "ops_per_s": (len(execs) / sum(e[2] for e in execs), "ops/s"),
         "peak_rss_mb": (summary["peak_rss_kb"] / 1024.0, "MB"),
     }
     for kind, name in RATE_OF_KIND.items():
@@ -105,6 +109,8 @@ def end_to_end(summary: dict, setup: list[dict], scaled: bool = True) -> dict:
             if k == kind:
                 times.setdefault(op, []).append(seconds)
                 units[op] = n
+        if not times:  # every execution of the kind failed: no rate
+            continue
         rate = sum(units.values()) / sum(statistics.median(t) for t in times.values())
         unit = {"mc": "item-salts/s", "analyze": "vectors/s", "characterize": "vectors/s"}.get(kind, "items/s")
         metrics[name] = (rate, unit)
@@ -116,7 +122,7 @@ def per_layer(summary: dict) -> dict:
     ``cli.import`` happens once per process and is reported as measured."""
     rounds = summary["rounds"]
     out = {}
-    for name in LAYERS:
+    for name in ("cli.import", *TRACED):
         seconds, count = summary["layers"].get(name, (0.0, 0))
         per = 1 if name == "cli.import" else rounds
         out[f"{name}_s"] = {"value": seconds / per, "unit": "s"}
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
 
 def run_one(root: Path, workload: str, args: argparse.Namespace) -> int:
     """One run of one workload; prints its result line, returns 1 when an
-    output check failed."""
+    output check failed or an operation raised or exited nonzero."""
     bench_dir = root / ".bench_run"
     run_dir = bench_dir / f"{workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
     trace_path = bench_dir / "traces" / f"{workload}-seed{args.seed}.json"
@@ -159,7 +165,8 @@ def run_one(root: Path, workload: str, args: argparse.Namespace) -> int:
             csv_path, scheme_file if any(op.scheme == "file" for op in ops) else None, env)
         plan = {
             "workload": workload, "csv": str(inp.csv), "scheme_file": str(inp.scheme_file),
-            "salt": inp.salt, "ops": [op.to_dict() for op in ops], "seconds": args.seconds,
+            "salt": inp.salt, "instances": X.shape[1], "ops": [op.to_dict() for op in ops],
+            "seconds": args.seconds,
             "trace": args.trace, "outdir": str(run_dir / "out"), "trace_path": str(trace_path),
         }
         summary = run_workload(plan, run_dir / "plan.json", env)
@@ -178,14 +185,15 @@ def run_one(root: Path, workload: str, args: argparse.Namespace) -> int:
         raw = end_to_end(summary, setup, scaled=False)
         print("coordbench: unscaled CPU-time metrics: "
               + json.dumps({k: v["value"] for k, v in raw.items()}), file=sys.stderr)
+    correct = not errors and not summary["failed"]
     result = {
-        "correct": not errors,
+        "correct": correct,
         "attempted": summary["attempted"],
         "failed": len(summary["failed"]),
         "metrics": per_layer(summary) if args.trace else end_to_end(summary, setup),
     }
     print(json.dumps(result))
-    return 0 if not errors else 1
+    return 0 if correct else 1
 
 
 def verify(summary: dict, ops, ids, X: np.ndarray, outroot: Path) -> list[str]:

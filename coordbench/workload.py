@@ -2,8 +2,11 @@
 
 Runs whole rounds of a workload's operations back to back (a closed loop)
 until the run length (wall time) has passed, then prints one JSON summary
-line.  Untraced, each operation is ``coordest.cli.main(argv)``; traced, it
-is the replay of :mod:`replay`, and the spans go to the trace file.
+line.  Each operation is ``coordest.cli.main(argv)``.  Traced, the public
+functions of the package's layers are wrapped first (:mod:`tracer`), each
+operation runs under a root span ``op.<kind>``, each ``sample`` output is
+read back through ``samplers.read_samples`` as the round-trip check does,
+and the spans go to the trace file.
 
 Operations are timed in process CPU time.  They are single-threaded and
 CPU-bound, so on an idle machine that equals their wall time; on a shared
@@ -31,15 +34,12 @@ import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from workloads import Inputs, Op, argv_for, reference_kernel  # noqa: E402
+from workloads import INLINE_SCHEME, Inputs, Op, argv_for, output_paths, reference_kernel  # noqa: E402
 
 
-def run_op(op: Op, inp: Inputs, outdir: Path, tracer, trace_id: str) -> int:
+def run_op(op: Op, inp: Inputs, outdir: Path) -> int:
     """Exit code of one op; an exception or argparse exit is a failure."""
     try:
-        if tracer is not None:
-            tracer.replay(op, inp, outdir, trace_id)
-            return 0
         return cli.main(argv_for(op, inp, outdir))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) and exc.code else 2
@@ -55,12 +55,15 @@ def main() -> None:
     root = Path(plan["outdir"])
     tracer = None
     if plan["trace"]:
-        import replay
+        import tracer as tracing
+        from coordest import samplers
 
-        tracer = replay.Tracer()
+        tracer = tracing.Tracer()
         tracer.record("cli.import", _t0, _t1, count=1)
+        tracing.install(tracer)
+        scheme = cli.parse_scheme(INLINE_SCHEME, plan["instances"])
 
-    execs: list[list] = []  # [kind, name, cpu seconds, units] per op execution
+    execs: list[list] = []  # [kind, name, cpu seconds, units, ok] per op execution
     refs: list[float] = []  # reference kernel before each execution, and after the last
     failed: list[list] = []
     rounds = 0
@@ -72,10 +75,17 @@ def main() -> None:
             gc.collect()
             refs.append(reference_kernel())
             t = time.process_time()
-            rc = run_op(op, inp, outdir, tracer, f"round{rounds}.{op.tag}")
-            execs.append([op.kind, op.name, time.process_time() - t, op.units])
+            if tracer is None:
+                rc = run_op(op, inp, outdir)
+            else:
+                tracer.trace_id = f"round{rounds}.{op.tag}"
+                rc = tracer.call(f"op.{op.kind}", run_op, (op, inp, outdir), {})
+            execs.append([op.kind, op.name, time.process_time() - t, op.units, rc == 0])
             if rc != 0:
                 failed.append([rounds, op.tag, rc])
+            elif tracer is not None and op.kind == "sample":
+                with output_paths(op, outdir)["out"].open() as fp:
+                    samplers.read_samples(fp, scheme)  # the round-trip check's read, traced
         rounds += 1
         if time.perf_counter() - start >= plan["seconds"]:
             break
@@ -98,6 +108,7 @@ def main() -> None:
             "rounds": rounds,
             "loop_s": loop_s,
             "self_s_and_count": summary["layers"],
+            "span_fields": tracer.FIELDS,
             "spans": tracer.spans,
         }))
     print(json.dumps(summary))

@@ -31,38 +31,6 @@ SINGLE_HT = ("maxsum", "minsum", "distinct")
 FUNCTIONS = {"rg2": "rg:p=2", "rg1": "rg:p=1", "max": "max", "min": "min",
              "osrg": "one_sided_rg:p=1,hi=3,lo=1"}
 
-# public functions timed by the traced replay, one ``<name>_s`` and
-# ``<name>_n`` per-layer metric each
-LAYERS = (
-    "cli.import",
-    "cli.ingest",
-    "model.seeds_for_items",
-    "model.seeds_for_salts",
-    "model.instance_vector",
-    "samplers.sample_instances",
-    "samplers.write_samples",
-    "samplers.read_samples",
-    "samplers.bottomk_sample",
-    "functions.lower_bound",
-    "functions.lower_bound_from_vector",
-    "functions.lb_function",
-    "estimators.j_estimate",
-    "estimators.ht_estimate",
-    "estimators.estimate_query",
-    "estimators.exact_query",
-    "estimators.bottomk_estimate",
-    "estimators.mc_query_estimates",
-    "estimators.j_piece_values",
-    "estimators.v_optimal_estimates",
-    "hull.lower_hull",
-    "hull.integrate_square",
-    "analysis.competitiveness_ratio",
-    "analysis.check_estimable",
-    "analysis.check_bounded",
-    "analysis.check_finite_variance",
-    "analysis.curve_table",
-)
-
 # end-to-end rate metric fed by each operation kind (voptimal feeds only ops_per_s)
 RATE_OF_KIND = {
     "sample": "sample_items_per_s",
