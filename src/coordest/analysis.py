@@ -373,9 +373,9 @@ def competitiveness_ratio(
         slope = max(slope, bd_check.value)
         tail = 256.0 * slope * slope * 2.0**-depth
     else:
-        tail = math.nan
+        tail = None  # no certified bound; written as JSON null
     diagnostics["j_tail_bound"] = tail
-    sq_j_total = sq_j + (tail if math.isfinite(tail) else 0.0)
+    sq_j_total = sq_j + (tail or 0.0)
 
     opt = v_optimal_estimates(lbf, grid_n)
     sq_opt = integrate_square(opt)

@@ -58,8 +58,8 @@ from .samplers import (
 def ingest(path: str | Path) -> InstanceSet:
     """Read an instance CSV with header ``item,v1,...,vr``.
 
-    Rejects duplicate item ids, malformed rows, and negative values, naming
-    the offending cell.  An empty data section is a valid empty set.
+    Rejects duplicate item ids, malformed rows, and non-finite or negative
+    values, naming the offending cell.  An empty data section is a valid empty set.
     """
     path = Path(path)
     with path.open(newline="") as fp:
@@ -73,6 +73,7 @@ def ingest(path: str | Path) -> InstanceSet:
             raise ValueError(f"{path}: header must be item,v1,...,vr")
         r = len(header) - 1
         ids: list[str] = []
+        seen: set[str] = set()
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -80,7 +81,7 @@ def ingest(path: str | Path) -> InstanceSet:
             if len(row) != r + 1:
                 raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {r + 1}")
             item = row[0].strip()
-            if item in ids:
+            if item in seen:
                 raise ValueError(f"{path}: row {lineno}: duplicate item id {item!r}")
             values = []
             for col, cell in enumerate(row[1:], start=1):
@@ -90,12 +91,17 @@ def ingest(path: str | Path) -> InstanceSet:
                     raise ValueError(
                         f"{path}: row {lineno}, column {header[col]}: bad number {cell!r}"
                     ) from None
+                if not math.isfinite(x):
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {header[col]}: non-finite value {cell!r}"
+                    )
                 if x < 0:
                     raise ValueError(
                         f"{path}: row {lineno}, column {header[col]}: negative value {cell}"
                     )
                 values.append(x)
             ids.append(item)
+            seen.add(item)
             rows.append(values)
     matrix = np.array(rows, dtype=float) if rows else np.empty((0, r))
     return InstanceSet(tuple(ids), matrix)
@@ -282,7 +288,8 @@ def run_query(cfg: RunConfig) -> dict:
         record["value"] = res.value
         record.update({k: v for k, v in res.extras})
         return record
-    salts = np.arange(cfg.salt, cfg.salt + cfg.reps, dtype=np.uint64)
+    # salts are taken mod 2^64, as hash_seed takes a single salt
+    salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
     if cfg.estimator in ("j", "ht"):
         estimates = mc_query_estimates(
             data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator,
@@ -344,7 +351,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     record = run_query(cfg)
     fp = _open_out(cfg.out)
     try:
-        fp.write(json.dumps(record) + "\n")
+        fp.write(json.dumps(record, allow_nan=False) + "\n")
     finally:
         _close_out(fp)
     return 0
@@ -363,7 +370,7 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
         v = data.vector(item)
         report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
         rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
-        fp.write(json.dumps(rec) + "\n")
+        fp.write(json.dumps(rec, allow_nan=False) + "\n")
         if not report.competitive_ok or not report.chain_ok:
             failed = True
     return 1 if failed else 0
@@ -410,7 +417,8 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
                         "bounded_slope": bd.value,
                         "finite_variance": fv.ok,
                         "chain_ok": chain,
-                    }
+                    },
+                    allow_nan=False,
                 )
                 + "\n"
             )

@@ -29,19 +29,21 @@ from .functions import (
     ItemFunction,
     LowerBoundFn,
     evaluate,
+    evaluate_many,
     lb_function,
-    lower_bound,
     lower_bound_from_vector,
+    lower_bounds,
     max_fn,
     min_fn,
     or_fn,
     rg_fn,
 )
 from .hull import EstimateFn, EstimatePiece, lower_hull
-from .model import Domain, InstanceSet, Known, Outcome, TauScheme, Unknown, seeds_for_salts
+from .model import Domain, InstanceSet, Outcome, TauScheme, outcome_columns, seeds_for_salts
 from .samplers import (
     BottomKSample,
     PPS_RANK_KIND,
+    Samples,
     inclusion_probability,
     sample_item,
 )
@@ -50,10 +52,47 @@ HULL_LEFT_ANCHOR = 1e-12
 
 
 def dyadic_index(rho: float) -> int:
-    """Index i with ``rho`` in ``(2^-i-1, 2^-i]``."""
+    """Index i with ``rho`` in ``(2^-i-1, 2^-i]``.
+
+    Read off the binary exponent, ``rho = m * 2^e`` with m in [0.5, 1):
+    exact, where ``floor(-log2 rho)`` is one too large just above a power of
+    two.
+    """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"seed must lie in (0, 1], got {rho}")
-    return int(math.floor(-math.log2(rho)))
+    m, e = math.frexp(rho)
+    return -e + (m == 0.5)
+
+
+def dyadic_indices(us: np.ndarray) -> np.ndarray:
+    """:func:`dyadic_index` of every seed in ``us``."""
+    m, e = np.frexp(us)
+    return -e + (m == 0.5)
+
+
+def j_estimates(
+    f: ItemFunction,
+    seeds: np.ndarray,
+    revealed: np.ndarray,
+    values: np.ndarray,
+    scheme: TauScheme,
+    domain: Domain | None = None,
+) -> np.ndarray:
+    """Dyadic estimate of every outcome given as columns: seeds ``(n,)``, the
+    revealed mask ``(n, r)`` and each revealed value or else its bound
+    ``(n, r)``.
+
+    With ``i`` the dyadic index of the seed the estimate is
+    ``2^(i+1) * (lb(2^-i) - lb(2^-i+1))``, clamped at 0, where the
+    subtrahend is 0 when i = 0.
+    """
+    i = dyadic_indices(seeds)
+    # (r, n) rows in C order keep the reductions over instances contiguous
+    values, revealed = np.ascontiguousarray(values.T), np.ascontiguousarray(revealed.T)
+    head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme, domain)
+    prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme, domain)
+    d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
+    return np.where(d > 0.0, d, 0.0)
 
 
 def j_estimate(outcome: Outcome, f: ItemFunction, domain: Domain | None = None) -> float:
@@ -62,11 +101,7 @@ def j_estimate(outcome: Outcome, f: ItemFunction, domain: Domain | None = None) 
     Identical for every data vector consistent with the outcome, since the
     lower bound at seeds above the observed one is outcome-determined.
     """
-    i = dyadic_index(outcome.seed)
-    hi = 2.0 ** (-i)
-    head = lower_bound(f, outcome, hi, domain=domain)
-    prev = 0.0 if i == 0 else lower_bound(f, outcome, 2.0 ** (-i + 1), domain=domain)
-    return max(0.0, 2.0 ** (i + 1) * (head - prev))
+    return float(j_estimates(f, *outcome_columns([outcome]), outcome.scheme, domain)[0])
 
 
 def j_cumulative(
@@ -143,9 +178,9 @@ def _common_pps_tau(scheme: TauScheme) -> float:
     return tau
 
 
-def ht_estimate(outcome: Outcome, f: ItemFunction) -> float:
-    """Inverse-probability estimate when the outcome certifies the function
-    value; 0 otherwise.
+def ht_estimates(f: ItemFunction, revealed: np.ndarray, values: np.ndarray, scheme: TauScheme) -> np.ndarray:
+    """Inverse-probability estimate of every outcome given as columns (see
+    :func:`j_estimates`) when it certifies the function value; 0 otherwise.
 
     For max (and the presence indicator) the value is certified once some
     entry is revealed and every unrevealed bound sits at or below the largest
@@ -153,23 +188,27 @@ def ht_estimate(outcome: Outcome, f: ItemFunction) -> float:
     ``min(1, m/tau*)``.  For min the certifying event is all entries
     revealed, with probability ``min_i min(1, v_i/tau*)``.
     """
-    tau_star = _common_pps_tau(outcome.scheme)
+    tau_star = _common_pps_tau(scheme)
     if f.kind in ("max", "or"):
-        known = [s.value for s in outcome.slots if isinstance(s, Known)]
-        if not known:
-            return 0.0
-        m = max(known)
-        if any(s.bound > m for s in outcome.slots if isinstance(s, Unknown)):
-            return 0.0
-        p = min(1.0, m / tau_star)
-        return (m if f.kind == "max" else 1.0) / p
-    if f.kind == "min":
-        if not all(isinstance(s, Known) for s in outcome.slots):
-            return 0.0
-        values = [s.value for s in outcome.slots]
-        p = min(min(1.0, x / tau_star) for x in values)
-        return min(values) / p
-    raise ValueError(f"inverse-probability estimation not applicable to {f.kind!r}")
+        m = np.where(revealed, values, -np.inf).max(axis=1)
+        above = ~revealed & (values > m[:, None])
+        certified = revealed.any(axis=1) & ~above.any(axis=1)
+        p = np.minimum(1.0, m / tau_star)
+        top = m if f.kind == "max" else 1.0
+    elif f.kind == "min":
+        certified = revealed.all(axis=1)
+        p = np.minimum(1.0, values / tau_star).min(axis=1)
+        top = values.min(axis=1)
+    else:
+        raise ValueError(f"inverse-probability estimation not applicable to {f.kind!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(certified, top / p, 0.0)
+
+
+def ht_estimate(outcome: Outcome, f: ItemFunction) -> float:
+    """Inverse-probability estimate of one outcome (see :func:`ht_estimates`)."""
+    _, revealed, values = outcome_columns([outcome])
+    return float(ht_estimates(f, revealed, values, outcome.scheme)[0])
 
 
 def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:
@@ -321,24 +360,6 @@ def query_function(query: str, r: int, p: float | None = None) -> ItemFunction:
     raise ValueError(f"no single item function for query {query!r}")
 
 
-def _per_item_estimate(
-    outcome: Outcome,
-    f: ItemFunction,
-    estimator: str,
-    true_vector: Sequence[float] | None,
-    grid_n: int,
-) -> float:
-    if estimator == "j":
-        return j_estimate(outcome, f)
-    if estimator == "ht":
-        return ht_estimate(outcome, f)
-    if estimator == "voptimal-oracle":
-        if true_vector is None:
-            raise ValueError("the hull-derivative oracle needs the true data")
-        return v_optimal_estimate_at(true_vector, f, outcome.scheme, outcome.seed, grid_n)
-    raise ValueError(f"unknown estimator {estimator!r}")
-
-
 def sum_estimate(
     samples: Mapping[str, Outcome],
     f: ItemFunction,
@@ -349,18 +370,38 @@ def sum_estimate(
     subset_label: str = "all",
     grid_n: int = 256,
 ) -> QueryResult:
-    """Sum of per-item estimates of ``f`` over the selected items."""
+    """Sum of per-item estimates of ``f`` over the selected items.
+
+    J and HT take one kernel call over the selected rows of the samples; the
+    hull-derivative oracle needs the true data and runs item by item.
+    """
     ids = list(samples) if item_ids is None else [str(i) for i in item_ids]
-    contributions = []
-    for item in ids:
-        outcome = samples[item]
-        tv = data.vector(item) if data is not None else None
-        contributions.append((item, _per_item_estimate(outcome, f, estimator, tv, grid_n)))
-    total = float(sum(c for _, c in contributions))
+    if estimator == "voptimal-oracle":
+        if data is None:
+            raise ValueError("the hull-derivative oracle needs the true data")
+        estimates = []
+        for item in ids:
+            outcome = samples[item]
+            estimates.append(
+                v_optimal_estimate_at(data.vector(item), f, outcome.scheme, outcome.seed, grid_n)
+            )
+    elif estimator not in ("j", "ht"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    elif not ids:
+        estimates = []
+    else:
+        s = Samples.from_outcomes(samples)
+        rows = s.indices(ids)
+        if estimator == "j":
+            est = j_estimates(f, s.seeds[rows], s.revealed[rows], s.values[rows], s.scheme)
+        else:
+            est = ht_estimates(f, s.revealed[rows], s.values[rows], s.scheme)
+        estimates = est.tolist()
+    total = float(sum(estimates))
     return QueryResult(
         query=f"sum[{f.describe()}]",
         value=total,
-        per_item=tuple(contributions),
+        per_item=tuple(zip(ids, estimates)),
         subset=subset_label,
     )
 
@@ -386,11 +427,11 @@ def exact_query(
             extras=(("minsum", lo.value), ("maxsum", hi.value)),
         )
     f = query_function(query, data.r, p)
-    contributions = [(item, evaluate(f, data.vector(item))) for item in ids]
-    total = float(sum(c for _, c in contributions))
+    values = evaluate_many(f, data.matrix[data.indices(ids)]).tolist()
+    total = float(sum(values))
     if query == LP:
         total = total ** (1.0 / float(p))
-    return QueryResult(query=query, value=total, per_item=tuple(contributions), subset=subset_label)
+    return QueryResult(query=query, value=total, per_item=tuple(zip(ids, values)), subset=subset_label)
 
 
 def estimate_query(
@@ -530,8 +571,7 @@ def mc_query_estimates(
         us = seeds_for_salts(item, salts)
         if estimator == "j":
             table = dyadic_value_table(v, f, scheme, depth)
-            idx = np.floor(-np.log2(us)).astype(int)
-            idx = np.clip(idx, 0, depth)
+            idx = np.clip(dyadic_indices(us), 0, depth)
             total += table[idx]
         elif estimator == "ht":
             est = ht_estimate_fn(v, f, scheme)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Domain, Known, Outcome, PiecewiseLinearMap, PpsMap, TauScheme
+from .model import Domain, Known, Outcome, PiecewiseLinearMap, PpsMap, TauScheme, outcome_columns
 
 MAX = "max"
 MIN = "min"
@@ -124,19 +124,12 @@ def parse_function(spec: str, arity: int) -> ItemFunction:
 
 
 def evaluate(f: ItemFunction, v: Sequence[float]) -> float:
-    """Exact function value at a data vector."""
+    """Exact function value at a data vector: one row of
+    :func:`evaluate_many`, so that f(v) and the closed-form lower bounds
+    share one formula and agree to the last bit where they coincide."""
     if len(v) != f.arity:
         raise ValueError(f"vector arity {len(v)} != function arity {f.arity}")
-    if f.kind == MAX:
-        return float(max(v))
-    if f.kind == MIN:
-        return float(min(v))
-    if f.kind == OR:
-        return 1.0 if any(x > 0 for x in v) else 0.0
-    if f.kind == RG:
-        return float(abs(max(v) - min(v)) ** f.p)
-    hi, lo = f.direction
-    return float(max(v[hi] - v[lo], 0.0) ** f.p)
+    return float(evaluate_many(f, np.asarray(v, dtype=float).reshape(1, -1))[0])
 
 
 def evaluate_many(f: ItemFunction, z: np.ndarray) -> np.ndarray:
@@ -172,41 +165,38 @@ def _lb_from_bounds(f: ItemFunction, lows: np.ndarray, highs: np.ndarray) -> np.
     return np.clip(lows[hi] - highs[lo], 0.0, None) ** f.p
 
 
-def _outcome_bounds(outcome: Outcome, xs: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate intervals implied by the outcome's information at seeds
-    ``xs``; entries whose value drops below threshold at a larger seed revert
-    to unknown there."""
-    r = outcome.r
-    n = xs.shape[0]
-    lows = np.empty((r, n))
-    highs = np.empty((r, n))
-    for i, slot in enumerate(outcome.slots):
-        taus = np.asarray(outcome.scheme.maps[i].value(xs), dtype=float)
-        lo = domain.lows[i]
-        if isinstance(slot, Known):
-            known = slot.value >= taus
-            lows[i] = np.where(known, slot.value, lo)
-            highs[i] = np.where(known, slot.value, taus)
-        else:
-            lows[i] = lo
-            highs[i] = taus
+def _box_bounds(
+    values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme, domain: Domain
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate intervals at seeds ``xs`` of outcomes given as (r, n)
+    columns of values (the revealed value, else the bound) and revealed
+    flags, broadcast against ``xs``.
+
+    A revealed entry is a point while it stays at or above its threshold and
+    reverts to unknown, ``[domain_low, tau_i(x))``, at larger seeds where it
+    drops below; an unrevealed entry is unknown throughout.  A data vector
+    is a column with every entry revealed: the curve a sweeping analysis
+    sees at every seed.
+    """
+    taus = scheme.thresholds(xs)
+    known = revealed & (values >= taus)
+    lows = np.where(known, values, np.array(domain.lows, dtype=float)[:, None])
+    highs = np.where(known, values, taus)
     return lows, highs
 
 
-def _vector_bounds(v: Sequence[float], scheme: TauScheme, xs: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Same as :func:`_outcome_bounds` but derived directly from a full data
-    vector; this is the curve a sweeping analysis sees at every seed."""
-    r = len(v)
-    n = xs.shape[0]
-    lows = np.empty((r, n))
-    highs = np.empty((r, n))
-    for i, vi in enumerate(v):
-        taus = np.asarray(scheme.maps[i].value(xs), dtype=float)
-        lo = domain.lows[i]
-        known = vi >= taus
-        lows[i] = np.where(known, vi, lo)
-        highs[i] = np.where(known, vi, taus)
-    return lows, highs
+def lower_bounds(
+    f: ItemFunction,
+    values: np.ndarray,
+    revealed,
+    xs: np.ndarray,
+    scheme: TauScheme,
+    domain: Domain | None = None,
+) -> np.ndarray:
+    """Lower bound of ``f`` per column of :func:`_box_bounds`: each outcome
+    (or data vector) at its seed in ``xs``."""
+    domain = domain if domain is not None else scheme.domain
+    return _lb_from_bounds(f, *_box_bounds(values, revealed, xs, scheme, domain))
 
 
 def lower_bound(f: ItemFunction, outcome: Outcome, x: float, domain: Domain | None = None) -> float:
@@ -220,10 +210,13 @@ def lower_bound(f: ItemFunction, outcome: Outcome, x: float, domain: Domain | No
         raise ValueError(f"x={x} below outcome seed {outcome.seed}")
     if x > 1.0:
         raise ValueError("seeds beyond 1 carry no information; use domain_infimum")
-    domain = domain if domain is not None else outcome.scheme.domain
+    _, revealed, values = outcome_columns([outcome])
     xs = np.array([x], dtype=float)
-    lows, highs = _outcome_bounds(outcome, xs, domain)
-    return float(_lb_from_bounds(f, lows, highs)[0])
+    return float(lower_bounds(f, values.T, revealed.T, xs, outcome.scheme, domain)[0])
+
+
+def _column(v: Sequence[float]) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(-1, 1)
 
 
 def lower_bound_from_vector(
@@ -231,11 +224,9 @@ def lower_bound_from_vector(
 ):
     """Lower-bound value(s) at seed(s) ``x`` for the outcome a given data
     vector would produce; accepts a scalar or an array of seeds."""
-    domain = domain if domain is not None else scheme.domain
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lows, highs = _vector_bounds(v, scheme, xs, domain)
-    out = _lb_from_bounds(f, lows, highs)
+    out = lower_bounds(f, _column(v), True, xs, scheme, domain)
     return float(out[0]) if scalar else out
 
 
@@ -397,9 +388,10 @@ def lb_breakpoints(f: ItemFunction, outcome: Outcome, domain: Domain | None = No
     pts = _scheme_breakpoints(outcome.scheme, sorted(levels), outcome.seed)
     bps = tuple(sorted(pts | {1.0}))
 
+    _, revealed, values = outcome_columns([outcome])
+
     def value_fn(xs: np.ndarray) -> np.ndarray:
-        lows, highs = _outcome_bounds(outcome, np.asarray(xs, dtype=float), domain)
-        return _lb_from_bounds(f, lows, highs)
+        return lower_bounds(f, values.T, revealed.T, np.asarray(xs, dtype=float), outcome.scheme, domain)
 
     flags = _classify_pieces(value_fn, bps, outcome.seed)
     return LowerBoundFn(bps, outcome.seed, value_fn, flags)
@@ -417,9 +409,10 @@ def lb_function(
     pts = _scheme_breakpoints(scheme, sorted(levels), 0.0)
     bps = tuple(sorted(pts | {1.0}))
 
+    column = _column(v)
+
     def value_fn(xs: np.ndarray) -> np.ndarray:
-        lows, highs = _vector_bounds(v, scheme, np.asarray(xs, dtype=float), domain)
-        return _lb_from_bounds(f, lows, highs)
+        return lower_bounds(f, column, True, np.asarray(xs, dtype=float), scheme, domain)
 
     flags = _classify_pieces(value_fn, bps, 0.0)
     return LowerBoundFn(bps, 0.0, value_fn, flags)

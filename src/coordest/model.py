@@ -249,6 +249,12 @@ class TauScheme:
             stars = tuple(float(t) for t in tau_stars)
         return TauScheme(tuple(PpsMap(t) for t in stars), domain=domain)
 
+    def thresholds(self, us) -> np.ndarray:
+        """``tau_i(u)`` for every instance (rows) and every seed in ``us``
+        (columns)."""
+        us = np.asarray(us, dtype=float)
+        return np.stack([np.asarray(m.value(us), dtype=float) for m in self.maps])
+
     def common_pps_tau(self) -> float | None:
         """The shared tau_star if every map is PPS with the same threshold."""
         if all(isinstance(m, PpsMap) for m in self.maps):
@@ -320,6 +326,19 @@ class Outcome:
         return tuple(i for i, s in enumerate(self.slots) if isinstance(s, Known))
 
 
+def outcome_columns(outcomes: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columnar form of one or more outcomes of one arity: seeds
+    ``(n,)``, the revealed mask ``(n, r)`` and each revealed value or else
+    the bound ``tau_i(u)`` ``(n, r)``."""
+    seeds = np.array([o.seed for o in outcomes], dtype=float)
+    revealed = np.array([[isinstance(s, Known) for s in o.slots] for o in outcomes], dtype=bool)
+    values = np.array(
+        [[s.value if isinstance(s, Known) else s.bound for s in o.slots] for o in outcomes],
+        dtype=float,
+    )
+    return seeds, revealed, values
+
+
 def is_consistent(outcome: Outcome, candidate: Sequence[float], scheme: TauScheme | None = None) -> bool:
     """Whether ``candidate`` could have produced ``outcome``.
 
@@ -356,13 +375,19 @@ class InstanceSet:
             m = m.reshape(len(ids), -1)
         if m.shape[0] != len(ids):
             raise ValueError("matrix row count does not match item count")
-        if len(set(ids)) != len(ids):
+        row = {item: j for j, item in enumerate(ids)}
+        if len(row) != len(ids):
             raise ValueError("item ids must be unique")
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            j, i = bad[0]
+            raise ValueError(f"item {ids[j]!r}, instance {i + 1}: non-finite value {m[j, i]}")
         if m.size and (m < 0).any():
             raise ValueError("item values must be nonnegative")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_row", row)
 
     @property
     def r(self) -> int:
@@ -372,9 +397,18 @@ class InstanceSet:
     def n_items(self) -> int:
         return len(self.item_ids)
 
+    def _index(self, item_id) -> int:
+        try:
+            return self._row[str(item_id)]
+        except KeyError:
+            raise ValueError(f"unknown item id {item_id!r}") from None
+
+    def indices(self, item_ids: Iterable) -> np.ndarray:
+        """Matrix row of each item; an unknown id raises ``ValueError``."""
+        return np.array([self._index(i) for i in item_ids], dtype=np.intp)
+
     def vector(self, item_id) -> tuple[float, ...]:
-        idx = self.item_ids.index(str(item_id))
-        return tuple(float(x) for x in self.matrix[idx])
+        return tuple(self.matrix[self._index(item_id)].tolist())
 
     def rows(self) -> Iterable[tuple[str, tuple[float, ...]]]:
         for i, item in enumerate(self.item_ids):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .model import (
     Outcome,
     TauScheme,
     Unknown,
-    hash_seed,
+    outcome_columns,
+    seeds_for_items,
     validate_seed,
 )
 
@@ -105,15 +107,72 @@ def sample_item(v: Sequence[float], u: float, scheme: TauScheme) -> Outcome:
     return Outcome(u, tuple(slots), scheme)
 
 
-def sample_instances(data: InstanceSet, scheme: TauScheme, salt: int) -> dict[str, Outcome]:
+class Samples(Mapping[str, Outcome]):
+    """Coordinated samples of many items under one scheme, held as columns:
+    item ids and seeds ``(n,)``, the revealed mask ``(n, r)`` and a matrix
+    holding each revealed value or else the bound ``tau_i(u)``.
+
+    It reads as a mapping from item id to :class:`Outcome`; an outcome is
+    built only when it is looked up.
+    """
+
+    def __init__(self, item_ids, seeds, revealed, values, scheme: TauScheme):
+        self.item_ids = tuple(item_ids)
+        self._row = {item: j for j, item in enumerate(self.item_ids)}
+        if len(self._row) != len(self.item_ids):
+            raise ValueError("item ids must be unique")
+        n, r = len(self.item_ids), scheme.r
+        self.seeds = np.array(seeds, dtype=float).reshape(n)
+        self.revealed = np.array(revealed, dtype=bool).reshape(n, r)
+        self.values = np.array(values, dtype=float).reshape(n, r)
+        for a in (self.seeds, self.revealed, self.values):
+            a.setflags(write=False)
+        self.scheme = scheme
+
+    @staticmethod
+    def from_outcomes(outcomes: Mapping[str, Outcome]) -> "Samples":
+        """Columns of outcomes that share one scheme."""
+        if isinstance(outcomes, Samples):
+            return outcomes
+        if not outcomes:
+            raise ValueError("need at least one outcome to know the scheme")
+        schemes = {o.scheme for o in outcomes.values()}
+        if len(schemes) != 1:
+            raise ValueError("outcomes must share one scheme")
+        return Samples(outcomes, *outcome_columns(list(outcomes.values())), schemes.pop())
+
+    def indices(self, item_ids: Iterable[str]) -> np.ndarray:
+        """Row of each item; ``KeyError`` names an unknown id."""
+        return np.array([self._row[i] for i in item_ids], dtype=np.intp)
+
+    def __getitem__(self, item_id: str) -> Outcome:
+        j = self._row[item_id]
+        slots = tuple(
+            Known(x) if k else Unknown(x)
+            for k, x in zip(self.revealed[j].tolist(), self.values[j].tolist())
+        )
+        return Outcome(float(self.seeds[j]), slots, self.scheme)
+
+    def __iter__(self):
+        return iter(self.item_ids)
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+
+def sample_instances(data: InstanceSet, scheme: TauScheme, salt: int) -> Samples:
     """Coordinated samples for every item: seed each item by hashing
-    ``(salt, item_id)``, then sample its vector."""
+    ``(salt, item_id)``, then reveal entry ``i`` iff ``v_i >= tau_i(u)``."""
     if data.r != scheme.r:
         raise ValueError("data and scheme instance counts differ")
-    out: dict[str, Outcome] = {}
-    for item, v in data.rows():
-        out[item] = sample_item(v, hash_seed(item, salt), scheme)
-    return out
+    outside = np.argwhere(data.matrix < np.array(scheme.domain.lows))
+    if outside.size:
+        j, i = outside[0]
+        raise ValueError(f"item {data.item_ids[j]!r}, instance {i + 1}: value below the declared domain")
+    seeds = seeds_for_items(data.item_ids, salt)
+    taus = scheme.thresholds(seeds).T
+    revealed = data.matrix >= taus
+    return Samples(data.item_ids, seeds, revealed, np.where(revealed, data.matrix, taus), scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +210,8 @@ class BottomKSample:
 
 
 def conditional_threshold(ranks: Mapping[str, float], item_id: str, k: int) -> float:
-    """k-th largest rank value with ``item_id`` excluded."""
+    """k-th largest rank value with ``item_id`` excluded (the reference
+    definition; :func:`bottomk_sample` reads it off one sort)."""
     others = sorted((r for i, r in ranks.items() if i != item_id), reverse=True)
     if len(others) < k:
         raise ValueError("not enough other items to form a threshold")
@@ -164,7 +224,11 @@ def bottomk_sample(
     rf: RankFunction,
     salt: int,
 ) -> BottomKSample:
-    """Draw a bottom-k sample (k highest ranks, ties broken by item id)."""
+    """Draw a bottom-k sample (k highest ranks, ties broken by item id).
+
+    A member's threshold, the k-th largest rank among the other items, is
+    the (k+1)-th largest rank overall, the same for every member.
+    """
     values = dict(instance_values)
     if k < 1:
         raise ValueError("k must be positive")
@@ -173,21 +237,22 @@ def bottomk_sample(
     n_positive = sum(1 for v in values.values() if v > 0)
     if k >= n_positive:
         raise ValueError(f"k={k} must be smaller than the positive-item count {n_positive}")
-    seeds = {item: hash_seed(item, salt) for item in values}
-    ranks = {item: rank_value(rf, seeds[item], values[item]) for item in values}
-    order = sorted(values, key=lambda item: (-ranks[item], str(item)))
-    members = []
-    for item in order[:k]:
-        members.append(
-            BottomKMember(
-                item_id=str(item),
-                value=float(values[item]),
-                seed=seeds[item],
-                rank=ranks[item],
-                threshold=conditional_threshold(ranks, item, k),
-            )
+    items = list(values)
+    seeds = seeds_for_items(items, salt).tolist()
+    ranks = [rank_value(rf, u, values[item]) for item, u in zip(items, seeds)]
+    order = sorted(range(len(items)), key=lambda j: (-ranks[j], str(items[j])))
+    threshold = ranks[order[k]]
+    members = tuple(
+        BottomKMember(
+            item_id=str(items[j]),
+            value=float(values[items[j]]),
+            seed=seeds[j],
+            rank=ranks[j],
+            threshold=threshold,
         )
-    return BottomKSample(k=k, rank_fn=rf, members=tuple(members))
+        for j in order[:k]
+    )
+    return BottomKSample(k=k, rank_fn=rf, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +260,58 @@ def bottomk_sample(
 # round-trip precision so records reload bit-exactly
 
 
-def outcome_record(item_id: str, outcome: Outcome) -> str:
-    slots = []
-    for slot in outcome.slots:
-        if isinstance(slot, Known):
-            slots.append({"known": slot.value})
-        else:
-            slots.append({"unknown_ub": slot.bound})
-    return json.dumps({"item": item_id, "seed": outcome.seed, "slots": slots})
-
-
 def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
-    for item, outcome in outcomes.items():
-        fp.write(outcome_record(item, outcome) + "\n")
+    """One record per item, written from the columns."""
+    if not outcomes:
+        return
+    s = Samples.from_outcomes(outcomes)
+    rows = zip(s.item_ids, s.seeds.tolist(), s.revealed.tolist(), s.values.tolist())
+    for item, seed, revealed, values in rows:
+        slots = [{"known": x} if k else {"unknown_ub": x} for k, x in zip(revealed, values)]
+        fp.write(_encode_record({"item": item, "seed": seed, "slots": slots}) + "\n")
 
 
-def read_samples(fp: IO[str], scheme: TauScheme) -> dict[str, Outcome]:
-    out: dict[str, Outcome] = {}
-    for line in fp:
+_encode_record = json.JSONEncoder(allow_nan=False).encode
+
+
+def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
+    """Samples from records written by :func:`write_samples`.
+
+    Each record must be an outcome of ``scheme``: its seed lies in (0, 1], a
+    known value is at least ``tau_i(seed)`` and an unknown bound equals it.
+    The error names the line that fails.
+    """
+    ids, lines, seeds, revealed, values = [], [], [], [], []
+    seen = set()
+    for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         rec = json.loads(line)
-        slots = []
-        for s in rec["slots"]:
-            if "known" in s:
-                slots.append(Known(float(s["known"])))
-            else:
-                slots.append(Unknown(float(s["unknown_ub"])))
-        out[rec["item"]] = Outcome(float(rec["seed"]), tuple(slots), scheme)
-    return out
+        slots = rec["slots"]
+        if len(slots) != scheme.r:
+            raise ValueError(f"line {lineno}: {len(slots)} slots for {scheme.r} instances")
+        if rec["item"] in seen:
+            raise ValueError(f"line {lineno}: duplicate item {rec['item']!r}")
+        seen.add(rec["item"])
+        ids.append(rec["item"])
+        lines.append(lineno)
+        seeds.append(float(rec["seed"]))
+        revealed.append(["known" in s for s in slots])
+        values.append([float(s["known"]) if "known" in s else float(s["unknown_ub"]) for s in slots])
+    u = np.array(seeds, dtype=float)
+    known = np.array(revealed, dtype=bool).reshape(-1, scheme.r)
+    x = np.array(values, dtype=float).reshape(-1, scheme.r)
+    bad_seed = ~((0.0 < u) & (u <= 1.0))
+    taus = scheme.thresholds(np.where(bad_seed, 1.0, u)).T
+    bad_slot = np.where(known, ~(x >= taus), x != taus)
+    bad = np.flatnonzero(bad_seed | bad_slot.any(axis=1))
+    if bad.size:
+        j = bad[0]
+        if bad_seed[j]:
+            raise ValueError(f"line {lines[j]}: seed must lie in (0, 1], got {u[j]!r}")
+        i = int(np.argmax(bad_slot[j]))
+        if known[j, i]:
+            raise ValueError(f"line {lines[j]}: slot {i}: known value {x[j, i]} below threshold {taus[j, i]}")
+        raise ValueError(f"line {lines[j]}: slot {i}: unknown bound {x[j, i]} != tau({u[j]}) = {taus[j, i]}")
+    return Samples(ids, u, known, x, scheme)

@@ -20,6 +20,10 @@ from coordest.samplers import read_samples
 DEMO_CSV = Path(__file__).resolve().parent.parent / "data" / "demo_two_instances.csv"
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in output")
+
+
 @pytest.fixture()
 def demo_csv(tmp_path) -> Path:
     return DEMO_CSV
@@ -60,6 +64,24 @@ class TestIngest:
         p.write_text("item,v1\na,abc\n")
         with pytest.raises(ValueError, match="bad number"):
             ingest(p)
+
+
+    def test_non_finite_values_name_the_cell(self, tmp_path):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("item,v1,v2\na,1.0,nan\nb,2.0,inf\nc,0.5,1.5\n")
+        with pytest.raises(ValueError, match=r"row 2, column v2: non-finite value 'nan'"):
+            ingest(p)
+        p.write_text("item,v1,v2\nb,2.0,inf\nc,0.5,1.5\n")
+        with pytest.raises(ValueError, match=r"row 2, column v2: non-finite value 'inf'"):
+            ingest(p)
+
+    @pytest.mark.parametrize("estimator", ["j", "exact"])
+    def test_non_finite_input_never_answers(self, tmp_path, capsys, estimator):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("item,v1,v2\na,1.0,nan\nb,2.0,inf\nc,0.5,1.5\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            main(["estimate", "--input", str(p), "--query", "l1", "--estimator", estimator])
+        assert capsys.readouterr().out == ""
 
 
 class TestSchemeParsing:
@@ -153,6 +175,18 @@ class TestEstimateCommand:
         assert rec["reps"] == 2000
         assert abs(rec["value"] - 5.0) <= 3.0 * rec["stderr"]
 
+    def test_negative_salt_is_taken_mod_2_64(self, capsys):
+        values = []
+        for salt in ("-5", str(2**64 - 5)):
+            argv = [
+                "estimate", "--input", str(DEMO_CSV), "--query", "l1", "--estimator", "j",
+                "--salt", salt, "--reps", "10",
+            ]
+            assert main(argv) == 0
+            rec = json.loads(capsys.readouterr().out)
+            values.append((rec["value"], rec["stderr"]))
+        assert values[0] == values[1]
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -232,6 +266,30 @@ class TestAnalyzeCommand:
             rec = json.loads(line)
             assert rec["ratio"] <= 84.0
             assert rec["estimable"] and rec["finite_variance"] and rec["bounded"]
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            (7.433925184252898, 2.684900432076494),
+            # item71 of the benchmark's seed-10 analysis input
+            (2.3005325524500364, 0.6823893055074188, 0.30909706399061476),
+        ],
+    )
+    def test_bounded_when_f_and_bound_differ_by_one_ulp(self, tmp_path, vector):
+        # f(v) = d ** 2 and the closed-form bound d * d once differed in
+        # the last bit here, which made (f(v) - lb(u)) / u grow without bound
+        p = tmp_path / "one.csv"
+        header = ",".join(f"v{i + 1}" for i in range(len(vector)))
+        p.write_text(f"item,{header}\nx,{','.join(repr(x) for x in vector)}\n")
+        out = tmp_path / "report.jsonl"
+        argv = [
+            "analyze", "--input", str(p), "--scheme", "pps:tau=4",
+            "--function", "rg:p=2", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        rec = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert rec["bounded"] is True
+        assert rec["diagnostics"]["j_tail_bound"] == 0.0
 
     def test_schema_round_trip(self, tmp_path):
         from coordest.analysis import AnalysisReport

@@ -8,6 +8,7 @@ import pytest
 from coordest.estimators import (
     bottomk_estimate,
     dyadic_index,
+    dyadic_indices,
     dyadic_value_table,
     estimate_query,
     exact_query,
@@ -62,6 +63,33 @@ class TestDyadicEstimate:
         assert dyadic_index(0.5) == 1
         assert dyadic_index(0.25) == 2
         assert dyadic_index(0.26) == 1
+
+    def test_dyadic_index_exact_next_to_powers_of_two(self):
+        # floor(-log2(rho)) is one too large one ulp above 2^-i for i >= 5
+        us, want = [], []
+        for i in range(61):
+            for u, idx in (
+                (math.ldexp(1.0, -i), i),
+                (math.ldexp(1.0 - 2.0**-52, -i), i),
+                (math.ldexp(1.0 + 2.0**-52, -i), i - 1),
+            ):
+                if u > 1.0:
+                    continue
+                assert dyadic_index(u) == idx, (i, u)
+                us.append(u)
+                want.append(idx)
+        assert dyadic_indices(np.array(us)).tolist() == want
+
+    def test_seed_one_ulp_above_a_power_of_two(self, scheme1):
+        # such seeds occur: (h + 1) / 2^64 can be exactly this value
+        u = math.ldexp(1.0 + 2.0**-52, -8)
+        assert u == (2**56 + 2**4) / 2.0**64
+        v = (0.004, 0.0)
+        out = sample_item(v, u, scheme1)
+        table = dyadic_value_table(v, ONE_SIDED, scheme1, depth=20)
+        assert j_estimate(out, ONE_SIDED) == pytest.approx(table[7], rel=1e-12)
+        samples = {"a": out}
+        assert estimate_query(samples, 2, "lpp", "j", p=2).value >= 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(21)

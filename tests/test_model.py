@@ -187,3 +187,15 @@ class TestInstanceSet:
         assert demo_data.vector("3") == (4.0, 1.0)
         assert demo_data.r == 2
         assert demo_data.n_items == 8
+
+    def test_unknown_id_named(self, demo_data):
+        with pytest.raises(ValueError, match="unknown item id '42'"):
+            demo_data.vector("42")
+        with pytest.raises(ValueError, match="unknown item id '9'"):
+            demo_data.indices(["1", "9"])
+        assert demo_data.indices(["8", "1"]).tolist() == [7, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"item 'b', instance 2: non-finite"):
+            InstanceSet(("a", "b"), np.array([[1.0, 2.0], [0.5, bad]]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
@@ -143,6 +144,22 @@ class TestBottomK:
                 # (k+1)-st largest overall
                 assert m.threshold == sorted(ranks.values(), reverse=True)[3]
 
+    @pytest.mark.parametrize("rf", [PPS_RANK, EXP_RANK])
+    def test_thresholds_match_reference_bit_for_bit(self, rf):
+        # every member's threshold read off the one sort equals the
+        # k-th largest rank among the other items, ties and zeros included
+        rng = np.random.default_rng(41)
+        raw = rng.choice([0.0, 0.5, 1.0, 2.5, *rng.uniform(0, 5, 40)], size=400)
+        values = {f"id{j}": float(x) for j, x in enumerate(raw)}
+        for salt in (0, 3, 2**63 + 5):
+            ranks = {i: rank_value(rf, hash_seed(i, salt), v) for i, v in values.items()}
+            for k in (1, 7, 150):
+                sample = bottomk_sample(values, k, rf, salt)
+                for m in sample.members:
+                    assert m.seed == hash_seed(m.item_id, salt)
+                    assert m.rank == ranks[m.item_id]
+                    assert m.threshold == conditional_threshold(ranks, m.item_id, k)
+
     def test_k_too_large(self):
         values = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(ValueError):
@@ -194,6 +211,44 @@ class TestSerialization:
         write_samples({"x": out}, buf)
         buf.seek(0)
         assert read_samples(buf, scheme) == {"x": out}
+
+    def test_columns_write_the_per_outcome_records(self, demo_data, scheme4):
+        samples = sample_instances(demo_data, scheme4, salt=8)
+        buf = io.StringIO()
+        write_samples(samples, buf)
+        want = ""
+        for item in demo_data.item_ids:
+            o = sample_item(demo_data.vector(item), hash_seed(item, 8), scheme4)
+            slots = [{"known": s.value} if isinstance(s, Known) else {"unknown_ub": s.bound} for s in o.slots]
+            want += json.dumps({"item": item, "seed": o.seed, "slots": slots}) + "\n"
+        assert buf.getvalue() == want
+
+    def test_samples_read_as_a_mapping(self, demo_data, scheme4):
+        samples = sample_instances(demo_data, scheme4, salt=2)
+        assert len(samples) == 8 and list(samples) == list(demo_data.item_ids)
+        assert samples == {i: samples[i] for i in demo_data.item_ids}
+        assert "9" not in samples
+        with pytest.raises(KeyError):
+            samples["9"]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"item": "b", "seed": 0.0, "slots": [{"known": 3.0}, {"unknown_ub": 0.0}]}',
+             r"line 3: seed must lie in \(0, 1\]"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": 1.5}, {"unknown_ub": 2.0}]}',
+             r"line 3: slot 0: known value 1.5 below threshold 2.0"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 1.9}]}',
+             r"line 3: slot 1: unknown bound 1.9 != tau\(0.5\) = 2.0"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": 3.0}]}', r"line 3: 1 slots for 2 instances"),
+            ('{"item": "a", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
+             r"line 3: duplicate item 'a'"),
+        ],
+    )
+    def test_read_names_the_failing_line(self, scheme4, record, message):
+        good = '{"item": "a", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}'
+        with pytest.raises(ValueError, match=message):
+            read_samples(io.StringIO(f"{good}\n\n{record}\n"), scheme4)
 
     def test_record_shape(self, scheme4):
         out = sample_item((1.0, 3.0), 0.5, scheme4)
