@@ -260,6 +260,9 @@ def bottomk_sample(
 # round-trip precision so records reload bit-exactly
 
 
+_encode_record = json.JSONEncoder(allow_nan=False).encode
+
+
 def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
     """One record per item, written from the columns."""
     if not outcomes:
@@ -269,9 +272,6 @@ def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
     for item, seed, revealed, values in rows:
         slots = [{"known": x} if k else {"unknown_ub": x} for k, x in zip(revealed, values)]
         fp.write(_encode_record({"item": item, "seed": seed, "slots": slots}) + "\n")
-
-
-_encode_record = json.JSONEncoder(allow_nan=False).encode
 
 
 def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
@@ -309,7 +309,7 @@ def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
     if bad.size:
         j = bad[0]
         if bad_seed[j]:
-            raise ValueError(f"line {lines[j]}: seed must lie in (0, 1], got {u[j]!r}")
+            raise ValueError(f"line {lines[j]}: seed must lie in (0, 1], got {u[j]}")
         i = int(np.argmax(bad_slot[j]))
         if known[j, i]:
             raise ValueError(f"line {lines[j]}: slot {i}: known value {x[j, i]} below threshold {taus[j, i]}")
