@@ -65,9 +65,10 @@ def dyadic_index(rho: float) -> int:
 
 
 def dyadic_indices(us: np.ndarray) -> np.ndarray:
-    """:func:`dyadic_index` of every seed in ``us``."""
+    """:func:`dyadic_index` of every seed in ``us``, as ``intp`` (indexing
+    with the int32 exponents of ``frexp`` is about three times slower)."""
     m, e = np.frexp(us)
-    return -e + (m == 0.5)
+    return (m == 0.5) - e.astype(np.intp)
 
 
 def j_estimates(
