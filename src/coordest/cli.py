@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--rank", default="pps", choices=("pps", "exp"))
     p_est.add_argument("--instance", type=int, default=1, help="bottom-k mode: 1-based instance")
     p_est.add_argument("--grid-n", type=int, default=256)
-    p_est.add_argument("--depth", type=int, default=40)
 
     p_an = sub.add_parser("analyze", help="competitiveness reports per item")
     common(p_an)
@@ -518,5 +517,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def console_main(argv: Sequence[str] | None = None) -> int:
+    """Entry point of ``coordest`` and ``python -m coordest``: :func:`main`,
+    with bad input reported as one ``coordest: error:`` line on stderr and
+    exit code 2, the code argparse gives a usage error.  :func:`main` itself
+    raises the ``ValueError``."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        print(f"coordest: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -39,7 +39,18 @@ from .functions import (
     rg_fn,
 )
 from .hull import EstimateFn, EstimatePiece, lower_hull
-from .model import Domain, InstanceSet, Outcome, TauScheme, outcome_columns, seeds_for_salts
+from .model import (
+    Domain,
+    InstanceSet,
+    Outcome,
+    TauScheme,
+    item_key,
+    key_hashes,
+    key_seeds,
+    mixed_salts,
+    outcome_columns,
+    seed_cut,
+)
 from .samplers import (
     BottomKSample,
     PPS_RANK_KIND,
@@ -135,6 +146,27 @@ def j_cumulative(
     return total
 
 
+def j_piece_tables(
+    rows: np.ndarray,
+    f: ItemFunction,
+    scheme: TauScheme,
+    depth: int,
+    domain: Domain | None = None,
+) -> np.ndarray:
+    """Constant dyadic values ``tables[k, j]`` on ``(2^-j-1, 2^-j]`` for
+    ``j = 0..depth``, for each data vector ``rows[k]`` of an (n, r) array:
+    one :func:`lower_bounds` call over the n * (depth + 1) columns."""
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    xs = np.tile(2.0 ** -np.arange(depth + 1, dtype=float), n)
+    values = np.repeat(rows.T, depth + 1, axis=1)
+    lbs = lower_bounds(f, values, True, xs, scheme, domain).reshape(n, depth + 1)
+    vals = np.empty_like(lbs)
+    vals[:, 0] = 2.0 * lbs[:, 0]
+    vals[:, 1:] = 2.0 ** (np.arange(1, depth + 1) + 1) * (lbs[:, 1:] - lbs[:, :-1])
+    return np.clip(vals, 0.0, None)
+
+
 def j_piece_values(
     v: Sequence[float],
     f: ItemFunction,
@@ -143,13 +175,8 @@ def j_piece_values(
     domain: Domain | None = None,
 ) -> np.ndarray:
     """Constant dyadic values ``values[j]`` on ``(2^-j-1, 2^-j]`` for
-    ``j = 0..depth``."""
-    xs = 2.0 ** -np.arange(depth + 1, dtype=float)
-    lbs = lower_bound_from_vector(f, v, scheme, xs, domain)
-    vals = np.empty(depth + 1)
-    vals[0] = 2.0 * lbs[0]
-    vals[1:] = 2.0 ** (np.arange(1, depth + 1) + 1) * (lbs[1:] - lbs[:-1])
-    return np.clip(vals, 0.0, None)
+    ``j = 0..depth``: one row of :func:`j_piece_tables`."""
+    return j_piece_tables(np.asarray(v, dtype=float).reshape(1, -1), f, scheme, depth, domain)[0]
 
 
 def j_estimate_fn(
@@ -212,20 +239,34 @@ def ht_estimate(outcome: Outcome, f: ItemFunction) -> float:
     return float(ht_estimates(f, revealed, values, outcome.scheme)[0])
 
 
+def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-probability estimates of each data vector in an (n, r) array
+    as a function of the seed: ``value`` on the certifying seeds ``(0, p]``
+    and 0 above, with ``value = f(v)/p``; ``value`` is 0 where f(v) is.
+
+    The certifying probability is ``min(1, m/tau*)`` with ``m`` the largest
+    entry for max and the presence indicator, and the smallest (f(v)
+    itself) for min.
+    """
+    tau_star = _common_pps_tau(scheme)
+    if f.kind not in ("max", "min", "or"):
+        raise ValueError(f"inverse-probability estimation not applicable to {f.kind!r}")
+    rows = np.asarray(rows, dtype=float)
+    fv = evaluate_many(f, rows)
+    m = evaluate_many(max_fn(f.arity), rows) if f.kind == "or" else fv
+    p = np.minimum(1.0, m / tau_star)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(fv == 0.0, 0.0, fv / p), p
+
+
 def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:
     """Inverse-probability estimates as a function of the seed for data
-    ``v``: a single constant block on the certifying seeds."""
-    tau_star = _common_pps_tau(scheme)
-    fv = evaluate(f, v)
-    if fv == 0.0:
+    ``v``: a single constant block on the certifying seeds (one row of
+    :func:`ht_blocks`)."""
+    value, p = (float(a[0]) for a in ht_blocks(f, np.asarray(v, dtype=float).reshape(1, -1), scheme))
+    if value == 0.0:
         return EstimateFn("ht", (EstimatePiece(0.0, 1.0, 0.0),))
-    if f.kind in ("max", "or"):
-        p = min(1.0, max(v) / tau_star)
-    elif f.kind == "min":
-        p = min(min(1.0, x / tau_star) for x in v)
-    else:
-        raise ValueError(f"inverse-probability estimation not applicable to {f.kind!r}")
-    pieces = [EstimatePiece(0.0, p, fv / p)]
+    pieces = [EstimatePiece(0.0, p, value)]
     if p < 1.0:
         pieces.append(EstimatePiece(p, 1.0, 0.0))
     return EstimateFn("ht", tuple(pieces))
@@ -361,6 +402,16 @@ def query_function(query: str, r: int, p: float | None = None) -> ItemFunction:
     raise ValueError(f"no single item function for query {query!r}")
 
 
+def _sequential_sum(xs: Sequence[float]) -> float:
+    """Left-to-right float sum (``sum`` compensates from Python 3.12 on):
+    the order a Monte Carlo sweep adds items in, so that its per-salt sums
+    equal single-salt query sums bit for bit on every Python."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def sum_estimate(
     samples: Mapping[str, Outcome],
     f: ItemFunction,
@@ -398,7 +449,7 @@ def sum_estimate(
         else:
             est = ht_estimates(f, s.revealed[rows], s.values[rows], s.scheme)
         estimates = est.tolist()
-    total = float(sum(estimates))
+    total = _sequential_sum(estimates)
     return QueryResult(
         query=f"sum[{f.describe()}]",
         value=total,
@@ -526,20 +577,86 @@ def bottomk_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo sweeps over salts (vectorised via the dyadic piece table)
+# Monte Carlo sweeps over salts
 
 
-def dyadic_value_table(
-    v: Sequence[float],
-    f: ItemFunction,
+# A hashed seed (h + 1) / 2^64 is at least 2^-64, so its dyadic index lies
+# in 0..64 and a table of 65 pieces covers every seed exactly.
+MC_DEPTH = 64
+# Items whose tables are built in one kernel call: memory stays flat in n.
+MC_ITEM_BLOCK = 32
+# Salts hashed and looked up in one array pass.
+MC_SALT_CHUNK = 16384
+
+
+def _dyadic_slots(seeds: np.ndarray) -> np.ndarray:
+    """``1022 - dyadic_index(u)`` for hashed seeds, read off the float bits:
+    the biased exponent of the float just below ``u``, so that ``2^-i``
+    falls with the seeds of ``(2^-i-1, 2^-i]``.  Exact for normal floats,
+    which every seed of at least 2^-64 is."""
+    bits = seeds.view(np.uint64) - np.uint64(1)
+    return (bits >> np.uint64(52)).view(np.int64)
+
+
+def _slot_table(table: np.ndarray) -> np.ndarray:
+    """A dyadic table indexed by :func:`_dyadic_slots` instead of the index."""
+    out = np.zeros(1023)
+    out[1022 - MC_DEPTH:] = table[::-1]
+    return out
+
+
+def _mc_sums(
+    data: InstanceSet,
     scheme: TauScheme,
-    depth: int = 60,
-    domain: Domain | None = None,
+    fs: Sequence[ItemFunction],
+    item_ids: Sequence[str],
+    salts: np.ndarray,
+    estimator: str,
 ) -> np.ndarray:
-    """Dyadic estimates indexed by ``floor(-log2 seed)``; the estimate is
-    constant on each dyadic seed interval, so sampling reduces to a table
-    lookup."""
-    return j_piece_values(v, f, scheme, depth, domain)
+    """Sum over the items of each function's estimate, per salt: an
+    ``(len(fs), len(salts))`` array.
+
+    The salts are mixed once; each item costs one seed hash per salt and
+    one lookup per salt and function.  An item whose estimates are all zero
+    would add exactly +0.0 to every sum and is skipped.  Every other item
+    is added in item order, so each sum equals the single-salt query sum
+    at its salt, bit for bit.
+    """
+    rows = data.indices(item_ids)
+    mixed = mixed_salts(salts)
+    totals = np.zeros((len(fs), mixed.shape[0]))
+    for start in range(0, rows.shape[0], MC_ITEM_BLOCK):
+        block = rows[start:start + MC_ITEM_BLOCK]
+        vectors = data.matrix[block]
+        if estimator == "j":
+            tables = np.stack([j_piece_tables(vectors, f, scheme, MC_DEPTH) for f in fs], axis=1)
+            live = tables.any(axis=2)
+        else:
+            values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
+            live = values > 0.0
+        for k in np.flatnonzero(live.any(axis=1)).tolist():
+            key = item_key(data.item_ids[block[k]])
+            fk = np.flatnonzero(live[k]).tolist()
+            if estimator == "j":
+                slot_tables = [(j, _slot_table(tables[k, j])) for j in fk]
+            else:
+                # a cut of -1 (p below every seed) certifies no salt
+                cuts = [
+                    (j, np.uint64(cut), values[k, j])
+                    for j in fk
+                    if (cut := seed_cut(float(probs[k, j]))) >= 0
+                ]
+            for lo in range(0, mixed.shape[0], MC_SALT_CHUNK):
+                hi = lo + MC_SALT_CHUNK
+                if estimator == "j":
+                    slots = _dyadic_slots(key_seeds(key, mixed[lo:hi]))
+                    for j, table in slot_tables:
+                        totals[j, lo:hi] += table[slots]
+                else:
+                    hashes = key_hashes(key, mixed[lo:hi])
+                    for j, cut, value in cuts:
+                        totals[j, lo:hi] += np.where(hashes <= cut, value, 0.0)
+    return totals
 
 
 def mc_query_estimates(
@@ -550,36 +667,26 @@ def mc_query_estimates(
     salts: np.ndarray,
     p: float | None = None,
     estimator: str = "j",
-    depth: int = 60,
 ) -> np.ndarray:
-    """Query estimate per salt, vectorised.
+    """Query estimate per salt, vectorised over salts (see :func:`_mc_sums`).
 
     Dyadic estimates are looked up from per-item tables; inverse-probability
-    estimates from their single certifying block.  Jaccard combines the two
-    sums salt-by-salt.
+    estimates from their single certifying block.  Jaccard combines the
+    min-sum and max-sum, taken over one set of seeds, salt by salt.
     """
+    if estimator not in ("j", "ht"):
+        raise ValueError(f"Monte Carlo sweeps support 'j' and 'ht', not {estimator!r}")
     salts = np.asarray(salts, dtype=np.uint64)
+    queries = (MIN_SUM, MAX_SUM) if query == JACCARD else (query,)
+    fs = [query_function(q, data.r, p) for q in queries]
+    totals = _mc_sums(data, scheme, fs, item_ids, salts, estimator)
     if query == JACCARD:
-        lo = mc_query_estimates(data, scheme, MIN_SUM, item_ids, salts, estimator=estimator, depth=depth)
-        hi = mc_query_estimates(data, scheme, MAX_SUM, item_ids, salts, estimator=estimator, depth=depth)
+        lo, hi = totals
         out = np.zeros_like(lo)
         np.divide(lo, hi, out=out, where=hi > 0)
         return np.clip(out, 0.0, 1.0)
-    f = query_function(query, data.r, p)
-    total = np.zeros(salts.shape[0])
-    for item in item_ids:
-        v = data.vector(item)
-        us = seeds_for_salts(item, salts)
-        if estimator == "j":
-            table = dyadic_value_table(v, f, scheme, depth)
-            idx = np.clip(dyadic_indices(us), 0, depth)
-            total += table[idx]
-        elif estimator == "ht":
-            est = ht_estimate_fn(v, f, scheme)
-            block = est.pieces[0]
-            total += np.where(us <= block.hi, block.value, 0.0)
-        else:
-            raise ValueError(f"Monte Carlo sweeps support 'j' and 'ht', not {estimator!r}")
     if query == LP:
-        total = total ** (1.0 / float(p))
-    return total
+        # Python's pow, as estimate_query takes it: numpy's array pow can
+        # differ in the last bit
+        return np.array([x ** (1.0 / float(p)) for x in totals[0].tolist()])
+    return totals[0]

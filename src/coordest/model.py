@@ -33,11 +33,16 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(_GAMMA)) & np.uint64(MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+def _mix64_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_mix64` over a uint64 array (uint64 arithmetic wraps mod
+    2^64), into ``out`` if given, which may be ``x`` itself."""
+    x = np.add(x, np.uint64(_GAMMA), out=out)
+    t = np.empty_like(x)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mul)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -56,9 +61,11 @@ def _unit_interval(h: int) -> float:
 def _unit_interval_np(h: np.ndarray) -> np.ndarray:
     # Correctly-rounded (h + 1) / 2^64 without losing low bits in the
     # uint64 -> float64 conversion; bit-identical to the scalar path.
-    # Both addends are exact, so h + 1 incurs exactly one rounding.
-    hi = (h >> np.uint64(11)).astype(np.float64)
-    lo = (h & np.uint64(0x7FF)).astype(np.float64)
+    # Both addends are exact, so h + 1 incurs exactly one rounding.  Both
+    # halves fit in 53 bits, and converting them as int64 is several times
+    # faster than as uint64.
+    hi = (h >> np.uint64(11)).view(np.int64).astype(np.float64)
+    lo = (h & np.uint64(0x7FF)).view(np.int64).astype(np.float64)
     return (hi * 2048.0 + (lo + 1.0)) * 2.0**-64
 
 
@@ -72,11 +79,44 @@ def hash_seed(item_id, salt: int) -> float:
     return _unit_interval(h)
 
 
+def mixed_salts(salts: np.ndarray) -> np.ndarray:
+    """The salt half of :func:`hash_seed` for every salt: a sweep over salts
+    mixes them once and hashes each item against them (:func:`key_seeds`)."""
+    return _mix64_np(np.asarray(salts, dtype=np.uint64))
+
+
+def key_hashes(key: int, mixed: np.ndarray) -> np.ndarray:
+    """The 64-bit hashes behind :func:`key_seeds`."""
+    h = np.bitwise_xor(mixed, np.uint64(key))
+    return _mix64_np(h, out=h)
+
+
+def key_seeds(key: int, mixed: np.ndarray) -> np.ndarray:
+    """Seeds of the item with :func:`item_key` ``key`` at the salts whose
+    :func:`mixed_salts` are ``mixed``."""
+    return _unit_interval_np(key_hashes(key, mixed))
+
+
+def seed_cut(p: float) -> int:
+    """The largest hash whose seed is at most ``p``, or -1 if there is none.
+
+    The seed ``(h + 1) / 2^64`` rounds monotonically in ``h``, so a seed is
+    at most ``p`` exactly when its hash is at most the cut: one integer
+    comparison per hash, with no float conversion.
+    """
+    lo, hi = -1, 2**64  # seed(lo) <= p < seed(hi), at the virtual ends too
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _unit_interval(mid) <= p:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def seeds_for_salts(item_id, salts: np.ndarray) -> np.ndarray:
     """Vectorised :func:`hash_seed` over an array of salts."""
-    salts = np.asarray(salts, dtype=np.uint64)
-    h = _mix64_np(np.uint64(item_key(item_id)) ^ _mix64_np(salts))
-    return _unit_interval_np(h)
+    return key_seeds(item_key(item_id), mixed_salts(salts))
 
 
 def seeds_for_items(item_ids: Iterable, salt: int) -> np.ndarray:

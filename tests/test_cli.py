@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coordest
 from coordest.cli import (
     RunConfig,
+    console_main,
     ingest,
     main,
     parse_scheme,
@@ -82,6 +87,28 @@ class TestIngest:
         with pytest.raises(ValueError, match="non-finite"):
             main(["estimate", "--input", str(p), "--query", "l1", "--estimator", estimator])
         assert capsys.readouterr().out == ""
+
+
+class TestErrorReporting:
+    def test_module_prints_one_error_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("item,v1,v2\na,1.0,nan\nb,2.0,inf\nc,0.5,1.5\n")
+        src = str(Path(coordest.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["estimate", "--input", str(p), "--query", "l1", "--estimator", "j"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordest", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"coordest: error: {p}: row 2, column v2: non-finite value 'nan'\n"
+
+    def test_console_main_returns_usage_code(self, capsys):
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "median", "--estimator", "exact"]
+        assert console_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "coordest: error: unknown query 'median'\n"
 
 
 class TestSchemeParsing:
@@ -219,6 +246,19 @@ class TestEstimateCommand:
         argv = ["estimate", "--input", str(p), "--query", "maxsum", "--estimator", "exact"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    def test_depth_belongs_to_analysis_commands(self, capsys):
+        # Monte Carlo tables cover every seed exactly; estimate has no depth
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--estimator", "j",
+                "--reps", "10", "--depth", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --depth 8" in capsys.readouterr().err
+        for command in ("analyze", "characterize"):
+            argv = [command, "--input", str(DEMO_CSV), "--function", "max", "--items", "1",
+                    "--depth", "8"]
+            assert main(argv) == 0
 
     def test_voptimal_oracle_estimator(self, tmp_path):
         out = tmp_path / "vo.json"

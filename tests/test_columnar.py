@@ -1,22 +1,41 @@
 """The columnar estimation path against per-item references.
 
 The reference bodies below are the per-item dyadic and inverse-probability
-estimators, and the slot-by-slot interval box under them, as they were before
-estimation became columnar.  The batch kernels must reproduce them bit for
-bit on random (data, scheme, salt) triples.
+estimators, the slot-by-slot interval box under them, and the per-item
+Monte Carlo sweep over salts, as they were before estimation became
+columnar.  The batch kernels must reproduce them bit for bit on random
+(data, scheme, salt) triples.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordest.estimators import dyadic_index, ht_estimates, j_estimates, sum_estimate
-from coordest.functions import _lb_from_bounds
+from coordest import estimators
+from coordest.estimators import (
+    JACCARD,
+    LP,
+    MAX_SUM,
+    MIN_SUM,
+    QUERY_KINDS,
+    dyadic_index,
+    dyadic_indices,
+    estimate_query,
+    ht_estimates,
+    j_estimates,
+    j_piece_tables,
+    j_piece_values,
+    mc_query_estimates,
+    query_function,
+    sum_estimate,
+)
+from coordest.functions import _lb_from_bounds, evaluate, lower_bound_from_vector
 from coordest.model import (
     InstanceSet,
     Known,
@@ -24,6 +43,7 @@ from coordest.model import (
     PpsMap,
     TauScheme,
     Unknown,
+    _unit_interval_np,
     hash_seed,
     outcome_columns,
 )
@@ -172,3 +192,124 @@ def test_kernels_at_ties_and_block_edges(scheme4, v, u):
         if f.kind in ("max", "min", "or"):
             got = ht_estimates(f, revealed, values, scheme4)
             assert _bits(got) == _bits([_ref_ht_estimate(outcome, f)])
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo sweeps over salts
+
+
+def _ref_j_piece_values(v, f, scheme, depth):
+    xs = 2.0 ** -np.arange(depth + 1, dtype=float)
+    lbs = lower_bound_from_vector(f, v, scheme, xs)
+    vals = np.empty(depth + 1)
+    vals[0] = 2.0 * lbs[0]
+    vals[1:] = 2.0 ** (np.arange(1, depth + 1) + 1) * (lbs[1:] - lbs[:-1])
+    return np.clip(vals, 0.0, None)
+
+
+def _ref_ht_block(v, f, scheme):
+    """(upper seed, value) of the certifying block of the per-item HT
+    estimate."""
+    tau_star = scheme.common_pps_tau()
+    fv = evaluate(f, v)
+    if fv == 0.0:
+        return 1.0, 0.0
+    if f.kind in ("max", "or"):
+        p = min(1.0, max(v) / tau_star)
+    else:
+        p = min(min(1.0, x / tau_star) for x in v)
+    return p, fv / p
+
+
+def _ref_mc_query_estimates(data, scheme, query, item_ids, salts, p=None, estimator="j", depth=60):
+    """The per-item sweep: hash, table and lookup one item at a time.  The
+    Lp root is taken per salt with Python's pow, as both query paths take
+    it now."""
+    if query == JACCARD:
+        lo = _ref_mc_query_estimates(data, scheme, MIN_SUM, item_ids, salts, estimator=estimator)
+        hi = _ref_mc_query_estimates(data, scheme, MAX_SUM, item_ids, salts, estimator=estimator)
+        out = np.zeros_like(lo)
+        np.divide(lo, hi, out=out, where=hi > 0)
+        return np.clip(out, 0.0, 1.0)
+    f = query_function(query, data.r, p)
+    total = np.zeros(len(salts))
+    for item in item_ids:
+        v = data.vector(item)
+        us = np.array([hash_seed(item, s) for s in salts])
+        if estimator == "j":
+            table = _ref_j_piece_values(v, f, scheme, depth)
+            total += table[np.clip(dyadic_indices(us), 0, depth)]
+        else:
+            hi, value = _ref_ht_block(v, f, scheme)
+            total += np.where(us <= hi, value, 0.0)
+    if query == LP:
+        total = np.array([x ** (1.0 / float(p)) for x in total.tolist()])
+    return total
+
+
+@st.composite
+def sweeps(draw):
+    data, scheme, _ = draw(triples())
+    ids = draw(st.lists(st.sampled_from(data.item_ids), unique=True, max_size=data.n_items))
+    # the CLI's salts: consecutive mod 2^64, some wrapping past it
+    start = draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 12, 2**64 - 1)))
+    salts = np.uint64(start) + np.arange(draw(st.integers(1, 24)), dtype=np.uint64)
+    return data, scheme, ids, salts
+
+
+@given(sweeps(), st.integers(1, 5), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_mc_sweep_matches_per_item_reference(sweep, item_block, salt_chunk):
+    data, scheme, ids, salts = sweep
+    cases = [(q, "j") for q in QUERY_KINDS]
+    if scheme.common_pps_tau() is not None:
+        cases += [(q, "ht") for q in (MAX_SUM, MIN_SUM, "distinct", JACCARD)]
+    # small blocks and chunks put their edges inside the drawn sizes
+    with mock.patch.object(estimators, "MC_ITEM_BLOCK", item_block), \
+            mock.patch.object(estimators, "MC_SALT_CHUNK", salt_chunk):
+        got = {c: mc_query_estimates(data, scheme, c[0], ids, salts, p=2.0, estimator=c[1]) for c in cases}
+    for (query, estimator), sums in got.items():
+        ref = _ref_mc_query_estimates(data, scheme, query, ids, salts.tolist(), p=2.0, estimator=estimator)
+        assert _bits(sums) == _bits(ref), (query, estimator)
+    for k, salt in enumerate(salts.tolist()):
+        samples = sample_instances(data, scheme, salt)
+        for (query, estimator), sums in got.items():
+            single = estimate_query(samples, data.r, query, estimator, ids, p=2.0)
+            assert _bits([sums[k]]) == _bits([single.value]), (query, estimator, salt)
+
+
+def test_mc_tables_cover_every_hashed_seed(scheme4):
+    # the smallest hashed seed, h = 0, is 2^-64: dyadic index 64, the last
+    # slot of the sweep's table, with no clipping; the second entry is
+    # revealed at 2^-64 and not at 2^-63, so max puts mass in that slot
+    assert _unit_interval_np(np.zeros(1, dtype=np.uint64))[0] == 2.0**-64
+    assert dyadic_index(2.0**-64) == estimators.MC_DEPTH == 64
+    v = (0.0, 6.0 * 2.0**-64)
+    i = np.arange(65)
+    seeds = np.concatenate([np.ldexp(1.0, -i), np.ldexp(1.0 + 2.0**-52, -i - 1)])
+    outcomes = [sample_item(v, float(u), scheme4) for u in seeds]
+    for f in builtin_functions(2):
+        table = j_piece_tables(np.array([v]), f, scheme4, estimators.MC_DEPTH)[0]
+        assert _bits(table) == _bits(j_piece_values(v, f, scheme4, estimators.MC_DEPTH))
+        lookup = estimators._slot_table(table)[estimators._dyadic_slots(seeds)]
+        want = j_estimates(f, *outcome_columns(outcomes), scheme4)
+        assert _bits(lookup) == _bits(want)
+        assert table[64] == want[64] and (f.kind != "max" or table[64] == 12.0)
+
+
+def test_mc_ht_certifies_a_seed_equal_to_its_probability():
+    # with tau* = 1 and both entries equal to the item's seed at salt 5, the
+    # certifying probability is exactly that seed: the block (0, p] is closed
+    salts = np.arange(3, 8, dtype=np.uint64)
+    u = hash_seed("a", 5)
+    data = InstanceSet(("a",), np.array([[u, u]]))
+    scheme = TauScheme.pps(1.0, r=2)
+    for query in (MAX_SUM, MIN_SUM, "distinct"):
+        sums = mc_query_estimates(data, scheme, query, ["a"], salts, estimator="ht")
+        single = estimate_query(sample_instances(data, scheme, 5), 2, query, "ht", ["a"])
+        assert single.value > 0.0
+        assert sums[2] == single.value
+    # entries so small that p lies below every seed: certified at no salt
+    tiny = InstanceSet(("b",), np.array([[1e-300, 1e-300]]))
+    for query in (MAX_SUM, MIN_SUM, "distinct"):
+        assert mc_query_estimates(tiny, scheme, query, ["b"], salts, estimator="ht").tolist() == [0.0] * 5

@@ -13,8 +13,14 @@ from coordest.model import (
     PpsMap,
     TauScheme,
     Unknown,
+    _unit_interval,
+    _unit_interval_np,
     hash_seed,
     is_consistent,
+    key_hashes,
+    key_seeds,
+    mixed_salts,
+    seed_cut,
     seeds_for_items,
     seeds_for_salts,
     tau_at,
@@ -56,6 +62,36 @@ class TestHashSeed:
         by_salts = seeds_for_salts("i0", salts)
         for s in range(200):
             assert by_salts[s] == hash_seed("i0", s)
+
+
+    def test_unit_interval_matches_scalar_at_rounding_edges(self):
+        hs = {0, 1, 2046, 2047, 2048, 2**53 - 1, 2**53, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1}
+        for k in range(53, 65):
+            # h + 1 one below, at and one above the midpoint above 2^(k-1)
+            mid = 2 ** (k - 1) + 2 ** (k - 1 - 53)
+            hs.update(h for h in (mid - 2, mid - 1, mid) if h < 2**64)
+        hs = sorted(hs)
+        got = _unit_interval_np(np.array(hs, dtype=np.uint64))
+        assert got.tolist() == [_unit_interval(h) for h in hs]
+
+    def test_hashes_and_seeds_against_mixed_salts(self):
+        salts = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        mixed = mixed_salts(salts)
+        assert salts.tolist() == [0, 5, 2**64 - 1]  # mixing copies
+        h = key_hashes(12345, mixed)
+        assert key_seeds(12345, mixed).tolist() == [_unit_interval(x) for x in h.tolist()]
+
+    def test_seed_cut_splits_hashes_at_p(self):
+        rng = np.random.default_rng(3)
+        edge = [_unit_interval(h) for h in (0, 2**53, 2**63, 2**64 - 1025, 2**64 - 1)]
+        ps = [1.0, 0.5, 2.0**-64, 2.0**-65, 0.0, *edge, *rng.random(20).tolist()]
+        for p in ps:
+            cut = seed_cut(p)
+            assert -1 <= cut <= 2**64 - 1
+            assert cut == -1 or _unit_interval(cut) <= p
+            assert cut == 2**64 - 1 or _unit_interval(cut + 1) > p
+        assert seed_cut(1.0) == 2**64 - 1
+        assert seed_cut(2.0**-64) == 0 and seed_cut(2.0**-65) == -1
 
 
 class TestTauMaps:
