@@ -64,10 +64,13 @@ class CheckResult:
         return self.ok
 
 
-def _as_curve(lb: LowerBoundFn | Callable[[float], float]) -> Callable:
+def _curve_at(lb: LowerBoundFn | Callable[[float], float], us) -> list[float]:
+    """The curve at each seed of ``us``: one call for a :class:`LowerBoundFn`,
+    whose value at a seed does not depend on the other seeds of the call,
+    and one call per seed for a plain callable."""
     if isinstance(lb, LowerBoundFn):
-        return lb.value
-    return lb
+        return lb.value(np.asarray(us, dtype=float)).tolist()
+    return [float(lb(u)) for u in us]
 
 
 def check_estimable_curve(
@@ -84,12 +87,11 @@ def check_estimable_curve(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    curve = _as_curve(lb)
     if isinstance(lb, LowerBoundFn):
         head = lb.constant_head()
         if head is not None and head == f_value:
             return CheckResult(True, 0.0, (0.0, 0.0, 0.0))
-    gaps = tuple(float(f_value - curve(eps * 4.0**-t)) for t in range(3))
+    gaps = tuple(float(f_value - c) for c in _curve_at(lb, [eps * 4.0**-t for t in range(3)]))
     residual = gaps[-1]
     if residual <= GAP_TOLERANCE:
         return CheckResult(True, max(residual, 0.0), gaps)
@@ -110,9 +112,8 @@ def check_bounded_curve(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    curve = _as_curve(lb)
     us = eps * 4.0 ** -np.arange(9, dtype=float)
-    ratios = tuple(float((f_value - curve(u)) / u) for u in us)
+    ratios = tuple(float((f_value - c) / u) for c, u in zip(_curve_at(lb, us), us.tolist()))
     sup = max(ratios)
     ok = ratios[-1] <= max(1.01 * ratios[-2], ratios[-2] + 1e-12)
     return CheckResult(ok, sup, ratios)
@@ -142,7 +143,7 @@ def check_finite_variance_curve(
     floor = max(4.0 * est.support_left, 1e-300)
     steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
     cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
-    partials = tuple(float(integrate_square(est, lo=c)) for c in cutoffs)
+    partials = tuple(integrate_square(est, lo=cutoffs).tolist())
     last = partials[-1]
     if last == 0.0:
         return CheckResult(True, last, partials)
@@ -328,9 +329,13 @@ def competitiveness_ratio(
     reported ratio is therefore conservative.
     """
     fv = evaluate(f, v)
-    est_check = check_estimable(v, f, scheme, domain=domain)
-    bd_check = check_bounded(v, f, scheme, domain=domain)
-    fv_check = check_finite_variance(v, f, scheme, grid_n=max(grid_n, 64), domain=domain)
+    # one curve serves every check: the same ones check_estimable,
+    # check_bounded and check_finite_variance make from it
+    lbf = lb_function(f, v, scheme, domain)
+    eps = 1e-3 * _head_scale(lbf)
+    est_check = check_estimable_curve(lbf, fv, eps)
+    bd_check = check_bounded_curve(lbf, fv, eps)
+    fv_check = check_finite_variance_curve(lbf, grid_n=max(grid_n, 64))
     diagnostics: dict = {
         "f_value": fv,
         "estimable_gap": est_check.value,
@@ -356,7 +361,6 @@ def competitiveness_ratio(
             f"data {tuple(v)} fails the estimability limit (gap {est_check.value}); "
             "competitiveness is undefined"
         )
-    lbf = lb_function(f, v, scheme, domain)
     # keep summing dyadic blocks well past the curve's smallest breakpoint,
     # otherwise the worst-case tail bound dwarfs the actual deep mass for
     # data revealed only at tiny seeds
@@ -431,9 +435,5 @@ def curve_table(
             ]
         )
     )
-    lbs = np.asarray(lbf.value(us), dtype=float)
-    rows = []
-    for u, lb_u in zip(us.tolist(), lbs.tolist()):
-        hull_u = opt.integral(lo=u)
-        rows.append((u, lb_u, hull_u, j_fn.value_at(u), opt.value_at(u)))
-    return rows
+    columns = (us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us))
+    return list(zip(*(c.tolist() for c in columns)))

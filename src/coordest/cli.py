@@ -423,8 +423,8 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
                 + "\n"
             )
             if writer is not None:
-                for row in curve_table(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth):
-                    writer.writerow([item, *row])
+                rows = curve_table(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
+                writer.writerows((item, *row) for row in rows)
     finally:
         _close_out(fp)
         if curves_fp is not None:
@@ -519,12 +519,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``coordest`` and ``python -m coordest``: :func:`main`,
-    with bad input reported as one ``coordest: error:`` line on stderr and
-    exit code 2, the code argparse gives a usage error.  :func:`main` itself
-    raises the ``ValueError``."""
+    with bad input or a file that cannot be opened reported as one
+    ``coordest: error:`` line on stderr and exit code 2, the code argparse
+    gives a usage error.  :func:`main` itself raises the ``ValueError`` or
+    ``OSError``."""
     try:
         return main(argv)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"coordest: error: {exc}", file=sys.stderr)
         return 2
 

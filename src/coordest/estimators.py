@@ -306,16 +306,14 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
         )
     )
     us = us[(us > anchor) & (us <= 1.0)]
-    points = [(anchor, lb.value(anchor))]
-    points.extend(zip(us.tolist(), np.asarray(lb.value(us), dtype=float).tolist()))
     # The curve is left-continuous and may jump down across a breakpoint; the
     # cumulative estimate is continuous and capped at every seed beyond the
     # jump as well, so the binding value AT a breakpoint is the right limit.
-    for b in lb.breakpoints:
-        if b < 1.0:
-            points.append((b, lb.value(np.nextafter(b, np.inf))))
-    points.append((1.0, 0.0))
-    hull = lower_hull(points)
+    # One curve call serves the anchor, the grid and the right limits.
+    bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
+    xs = np.concatenate(([anchor], us, bs, [1.0]))
+    ys = np.append(lb.value(np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))), 0.0)
+    hull = lower_hull(np.column_stack((xs, ys)))
     pieces = []
     for (u1, y1), (u2, y2) in zip(hull.vertices, hull.vertices[1:]):
         pieces.append(EstimatePiece(u1, u2, max(0.0, (y1 - y2) / (u2 - u1))))

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Domain, Known, Outcome, PiecewiseLinearMap, PpsMap, TauScheme, outcome_columns
+from .model import Domain, Known, Outcome, PiecewiseLinearMap, TauScheme, outcome_columns
 
 MAX = "max"
 MIN = "min"
@@ -324,53 +324,44 @@ class LowerBoundFn:
 
 
 def _classify_pieces(value_fn, breakpoints, domain_left) -> tuple[bool, ...]:
-    flags = []
-    left = domain_left
-    for right in breakpoints:
-        if right <= left:
-            flags.append(True)
-            left = right
-            continue
-        span = right - left
-        probes = np.array([left + 0.25 * span, left + 0.5 * span, left + 0.75 * span])
-        vals = np.asarray(value_fn(probes), dtype=float)
-        flags.append(bool(vals[0] == vals[1] == vals[2]))
-        left = right
-    return tuple(flags)
+    """Flag each piece ``(breakpoints[k-1], breakpoints[k]]`` (the first
+    starting at ``domain_left``) whose values at its quarter points agree;
+    an empty piece counts as flat.  All probes go through one ``value_fn``
+    call, which is sound because the lower bound at a seed does not depend
+    on the other seeds of the call."""
+    rights = np.asarray(breakpoints, dtype=float)
+    lefts = np.concatenate(([float(domain_left)], rights[:-1]))
+    live = rights > lefts
+    flags = np.ones(len(rights), dtype=bool)
+    if live.any():
+        left, span = lefts[live][:, None], (rights - lefts)[live][:, None]
+        probes = left + np.array([0.25, 0.5, 0.75]) * span
+        vals = np.asarray(value_fn(probes.ravel()), dtype=float).reshape(-1, 3)
+        flags[live] = (vals[:, 0] == vals[:, 1]) & (vals[:, 1] == vals[:, 2])
+    return tuple(flags.tolist())
 
 
 def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float) -> set[float]:
     """Candidate seeds where any map crosses a fixed level, plus joints and
-    pairwise intersections of piecewise-linear maps."""
+    pairwise intersections of maps, at least one of them piecewise-linear
+    (two pps maps meet only at 0)."""
     pts: set[float] = set()
     for m in scheme.maps:
         for lvl in levels:
             pts.update(m.crossings(lvl))
         pts.update(m.joints())
-    pwl = [m for m in scheme.maps if isinstance(m, PiecewiseLinearMap)]
-    for a, b in itertools.combinations(pwl, 2):
-        # crossings of two piecewise-linear maps: compare on merged joints
-        us = sorted({0.0, 1.0, *a.joints(), *b.joints()})
-        for ua, ub in zip(us, us[1:]):
-            fa, fb = a.value(ua) - b.value(ua), a.value(ub) - b.value(ub)
+    for a, b in itertools.combinations(scheme.maps, 2):
+        if not (isinstance(a, PiecewiseLinearMap) or isinstance(b, PiecewiseLinearMap)):
+            continue
+        # compare on merged joints, between which both maps are linear
+        us = np.array(sorted({0.0, 1.0, *a.joints(), *b.joints()}))
+        gaps = (a.value(us) - b.value(us)).tolist()
+        for ua, ub, fa, fb in zip(us.tolist(), us[1:].tolist(), gaps, gaps[1:]):
             if fa == 0.0:
                 pts.add(ua)
             if fa * fb < 0.0:
                 t = fa / (fa - fb)
                 pts.add(ua + t * (ub - ua))
-    if pwl and any(isinstance(m, PpsMap) for m in scheme.maps):
-        for a in pwl:
-            for b in scheme.maps:
-                if isinstance(b, PpsMap):
-                    us = sorted({0.0, 1.0, *a.joints()})
-                    for ua, ub in zip(us, us[1:]):
-                        fa = a.value(ua) - b.value(ua)
-                        fb = a.value(ub) - b.value(ub)
-                        if fa == 0.0 and ua > 0.0:
-                            pts.add(ua)
-                        if fa * fb < 0.0:
-                            t = fa / (fa - fb)
-                            pts.add(ua + t * (ub - ua))
     return {p for p in pts if left < p < 1.0}
 
 

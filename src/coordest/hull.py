@@ -8,13 +8,10 @@ drive both the optimal-variance baseline and the characterization checks.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -50,105 +47,121 @@ class LowerHull:
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
-
-
 def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     """Monotone-chain lower hull.
 
     Duplicate u-coordinates keep their minimum value first; collinear interior
     points are dropped, so every input point lies on or above the returned
-    chain.  Requires at least two distinct u values.
+    chain.  Requires at least two distinct u values.  ``points`` may be an
+    (n, 2) array.
     """
-    best: dict[float, float] = {}
-    for u, y in points:
-        u = float(u)
-        y = float(y)
-        if u not in best or y < best[u]:
-            best[u] = y
-    if len(best) < 2:
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    us, ys = pts[order, 0], pts[order, 1]
+    first = np.ones(len(us), dtype=bool)
+    first[1:] = us[1:] != us[:-1]
+    us, ys = us[first].tolist(), ys[first].tolist()
+    if len(us) < 2:
         raise ValueError("need at least two points with distinct u")
-    pts = sorted(best.items())
-    chain: list[tuple[float, float]] = []
-    for p in pts:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
-            chain.pop()
-        chain.append(p)
-    return LowerHull(tuple(chain))
+    # the chain as two float lists, its last two points also held as
+    # o = (ou, oy) and a = (au, ay); a goes while o -> a -> (u, y) does not
+    # turn counter-clockwise, i.e. while cross(o, a, (u, y)) <= 0
+    cu, cy = us[:2], ys[:2]
+    ou, oy, au, ay = us[0], ys[0], us[1], ys[1]
+    for u, y in zip(us[2:], ys[2:]):
+        while (au - ou) * (y - oy) - (u - ou) * (ay - oy) <= 0.0:
+            cu.pop()
+            cy.pop()
+            au, ay = ou, oy
+            if len(cu) < 2:
+                break
+            ou, oy = cu[-2], cy[-2]
+        ou, oy, au, ay = au, ay, u, y
+        cu.append(u)
+        cy.append(y)
+    return LowerHull(tuple(zip(cu, cy)))
 
 
 @dataclass(frozen=True)
 class EstimatePiece:
-    """Constant or callable estimate over the seed interval ``(lo, hi]``."""
+    """Constant estimate over the seed interval ``(lo, hi]``."""
 
     lo: float
     hi: float
-    value: float | Callable[[float], float]
+    value: float
 
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ValueError(f"bad piece interval ({self.lo}, {self.hi}]")
-        if isinstance(self.value, (int, float)) and self.value < 0:
+        if not isinstance(self.value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"piece value must be a number, not {type(self.value).__name__}")
+        if self.value < 0:
             raise ValueError("estimates must be nonnegative")
 
 
 @dataclass(frozen=True)
 class EstimateFn:
-    """Piecewise estimator values over seeds, tagged by construction kind."""
+    """Piecewise-constant estimator values over seeds, tagged by
+    construction kind; ``los``, ``his`` and ``values`` hold the pieces as
+    float arrays.  :meth:`value_at`, :meth:`integral` and
+    :func:`integrate_square` take a scalar or an array of seeds or cutoffs
+    and return a float or an array to match."""
 
     kind: str  # "j_dyadic", "v_optimal", or "ht"
     pieces: tuple[EstimatePiece, ...]
+    los: np.ndarray = field(init=False, repr=False, compare=False)
+    his: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.pieces, self.pieces[1:]):
             if b.lo != a.hi:
                 raise ValueError("pieces must be contiguous and ordered")
+        object.__setattr__(self, "los", np.array([p.lo for p in self.pieces], dtype=float))
+        object.__setattr__(self, "his", np.array([p.hi for p in self.pieces], dtype=float))
+        object.__setattr__(self, "values", np.array([p.value for p in self.pieces], dtype=float))
 
     @property
     def support_left(self) -> float:
         return self.pieces[0].lo if self.pieces else 1.0
 
-    def value_at(self, u: float) -> float:
-        if not self.pieces or u <= self.support_left or u > self.pieces[-1].hi:
-            return 0.0
-        his = [p.hi for p in self.pieces]
-        idx = bisect_left(his, u)
-        p = self.pieces[idx]
-        return float(p.value(u)) if callable(p.value) else float(p.value)
+    def value_at(self, u):
+        """Value of the piece holding each seed; 0 at or below
+        :attr:`support_left` and above the last piece."""
+        us = np.asarray(u, dtype=float)
+        out = np.zeros(us.shape)
+        if self.pieces:
+            idx = np.minimum(np.searchsorted(self.his, us, side="left"), len(self.his) - 1)
+            out = np.where((us > self.support_left) & (us <= self.his[-1]), self.values[idx], 0.0)
+        return float(out) if out.ndim == 0 else out
 
-    def integral(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        total = 0.0
-        for p in self.pieces:
-            a, b = max(p.lo, lo), min(p.hi, hi)
-            if b <= a:
-                continue
-            if callable(p.value):
-                val, _ = integrate.quad(p.value, a, b, epsabs=1e-9, epsrel=1e-9)
-                total += val
-            else:
-                total += p.value * (b - a)
-        return total
+    def integral(self, lo=0.0, hi=1.0):
+        """Integral of the estimate over ``(lo, hi]``."""
+        return _ordered_sum(self, self.values.tolist(), lo, hi)
 
 
-def integrate_square(e: EstimateFn, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Integral of the squared estimate over ``(lo, hi]``.
+def _ordered_sum(e: EstimateFn, values: list[float], lo, hi):
+    """Sum of ``value * overlap`` over the pieces of ``e`` for each window
+    ``(lo, hi]`` (broadcast), added piece by piece from the left so that
+    every entry has the bits of the scalar left-to-right sum.  A piece that
+    misses the window adds nothing, even where its value is infinite."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    total = np.zeros(np.broadcast_shapes(lo.shape, hi.shape))
+    with np.errstate(invalid="ignore"):
+        for plo, phi, v in zip(e.los.tolist(), e.his.tolist(), values):
+            w = np.minimum(phi, hi) - np.maximum(plo, lo)
+            total += np.where(w > 0.0, v * w, 0.0)
+    return float(total) if total.ndim == 0 else total
 
-    Exact for constant pieces; callable pieces use adaptive quadrature at
-    1e-9 tolerance.  Any infinite piece value makes the result infinite.
+
+def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
+    """Integral of the squared estimate over ``(lo, hi]``, for a scalar or
+    an array of windows.
+
+    Exact for the constant pieces, up to the rounding of the ordered sum.
+    Any infinite piece value inside the window makes the result infinite.
     Divergence below the materialised support is the business of the
     refinement checks in :mod:`coordest.analysis`, not of this sum.
     """
-    total = 0.0
-    for p in e.pieces:
-        a, b = max(p.lo, lo), min(p.hi, hi)
-        if b <= a:
-            continue
-        if callable(p.value):
-            val, _ = integrate.quad(lambda x: p.value(x) ** 2, a, b, epsabs=1e-9, epsrel=1e-9)
-            total += val
-        else:
-            if math.isinf(p.value):
-                return math.inf
-            total += p.value * p.value * (b - a)
-    return total
+    return _ordered_sum(e, [v * v for v in e.values.tolist()], lo, hi)

@@ -89,19 +89,37 @@ class TestIngest:
         assert capsys.readouterr().out == ""
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's coordest."""
+    src = str(Path(coordest.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestErrorReporting:
     def test_module_prints_one_error_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("item,v1,v2\na,1.0,nan\nb,2.0,inf\nc,0.5,1.5\n")
-        src = str(Path(coordest.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = ["estimate", "--input", str(p), "--query", "l1", "--estimator", "j"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "coordest", *argv], capture_output=True, text=True, env=env
-        )
+        proc = _python("-m", "coordest", "estimate", "--input", str(p), "--query", "l1", "--estimator", "j")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"coordest: error: {p}: row 2, column v2: non-finite value 'nan'\n"
+
+    def test_missing_input_prints_one_error_line(self, tmp_path):
+        p = tmp_path / "missing.csv"
+        proc = _python("-m", "coordest", "estimate", "--input", str(p), "--query", "l1", "--estimator", "j")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"coordest: error: [Errno 2] No such file or directory: '{p}'\n"
+
+    def test_main_raises_on_missing_input(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            main(["estimate", "--input", str(tmp_path / "missing.csv"), "--query", "l1", "--estimator", "j"])
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = _python("-c", "import sys, coordest.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_main_returns_usage_code(self, capsys):
         argv = ["estimate", "--input", str(DEMO_CSV), "--query", "median", "--estimator", "exact"]

@@ -1,20 +1,23 @@
-"""The columnar estimation path against per-item references.
+"""The columnar estimation and analysis paths against per-item references.
 
 The reference bodies below are the per-item dyadic and inverse-probability
-estimators, the slot-by-slot interval box under them, and the per-item
-Monte Carlo sweep over salts, as they were before estimation became
+estimators, the slot-by-slot interval box under them, the per-item Monte
+Carlo sweep over salts, and the scalar piece loops, hull chain and per-row
+curve table of the analysis layer, as they were before these paths became
 columnar.  The batch kernels must reproduce them bit for bit on random
 (data, scheme, salt) triples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordest import estimators
@@ -35,7 +38,23 @@ from coordest.estimators import (
     query_function,
     sum_estimate,
 )
-from coordest.functions import _lb_from_bounds, evaluate, lower_bound_from_vector
+from coordest.analysis import (
+    check_bounded,
+    check_estimable,
+    check_finite_variance,
+    check_finite_variance_curve,
+    competitiveness_ratio,
+    curve_table,
+)
+from coordest.estimators import j_estimate_fn, v_optimal_estimates
+from coordest.functions import (
+    _lb_from_bounds,
+    _scheme_breakpoints,
+    evaluate,
+    lb_function,
+    lower_bound_from_vector,
+)
+from coordest.hull import EstimateFn, EstimatePiece, integrate_square, lower_hull
 from coordest.model import (
     InstanceSet,
     Known,
@@ -218,7 +237,8 @@ def _ref_ht_block(v, f, scheme):
         p = min(1.0, max(v) / tau_star)
     else:
         p = min(min(1.0, x / tau_star) for x in v)
-    return p, fv / p
+    # p underflows to 0 for entries near 5e-324: no seed is certified
+    return p, (fv / p if p > 0.0 else math.inf)
 
 
 def _ref_mc_query_estimates(data, scheme, query, item_ids, salts, p=None, estimator="j", depth=60):
@@ -313,3 +333,269 @@ def test_mc_ht_certifies_a_seed_equal_to_its_probability():
     tiny = InstanceSet(("b",), np.array([[1e-300, 1e-300]]))
     for query in (MAX_SUM, MIN_SUM, "distinct"):
         assert mc_query_estimates(tiny, scheme, query, ["b"], salts, estimator="ht").tolist() == [0.0] * 5
+
+
+# ---------------------------------------------------------------------------
+# the analysis path: piecewise estimates, hulls and curve tables
+
+
+def _ref_value_at(e, u):
+    if not e.pieces or u <= e.support_left or u > e.pieces[-1].hi:
+        return 0.0
+    his = [p.hi for p in e.pieces]
+    return float(e.pieces[bisect_left(his, u)].value)
+
+
+def _ref_integral(e, lo=0.0, hi=1.0):
+    total = 0.0
+    for p in e.pieces:
+        a, b = max(p.lo, lo), min(p.hi, hi)
+        if b <= a:
+            continue
+        total += p.value * (b - a)
+    return total
+
+
+def _ref_integrate_square(e, lo=0.0, hi=1.0):
+    total = 0.0
+    for p in e.pieces:
+        a, b = max(p.lo, lo), min(p.hi, hi)
+        if b <= a:
+            continue
+        if math.isinf(p.value):
+            return math.inf
+        total += p.value * p.value * (b - a)
+    return total
+
+
+def _ref_lower_hull(points):
+    best = {}
+    for u, y in points:
+        u, y = float(u), float(y)
+        if u not in best or y < best[u]:
+            best[u] = y
+    chain = []
+    for p in sorted(best.items()):
+        while len(chain) >= 2 and (
+            (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+            - (p[0] - chain[-2][0]) * (chain[-1][1] - chain[-2][1])
+        ) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return tuple(chain)
+
+
+def _ref_v_optimal_estimates(lb, grid_n):
+    """Hull slopes with one curve call per anchor and breakpoint limit, and
+    the hull taken by the dict-and-tuples chain."""
+    min_bp = min((b for b in lb.breakpoints if b > 0.0), default=1.0)
+    anchor = min(estimators.HULL_LEFT_ANCHOR, 1e-3 * min_bp)
+    decades = math.log10(1.0 / anchor)
+    us = np.unique(np.concatenate([
+        np.linspace(1.0 / grid_n, 1.0, grid_n),
+        np.geomspace(anchor, 1.0, int(max(grid_n, 128, 12 * decades))),
+        np.array(lb.breakpoints, dtype=float),
+    ]))
+    us = us[(us > anchor) & (us <= 1.0)]
+    points = [(anchor, lb.value(anchor))]
+    points.extend(zip(us.tolist(), np.asarray(lb.value(us), dtype=float).tolist()))
+    for b in lb.breakpoints:
+        if b < 1.0:
+            points.append((b, lb.value(np.nextafter(b, np.inf))))
+    points.append((1.0, 0.0))
+    vs = _ref_lower_hull(points)
+    return [(u1, u2, max(0.0, (y1 - y2) / (u2 - u1))) for (u1, y1), (u2, y2) in zip(vs, vs[1:])]
+
+
+def _ref_classify_pieces(value_fn, breakpoints, domain_left):
+    flags = []
+    left = domain_left
+    for right in breakpoints:
+        if right <= left:
+            flags.append(True)
+        else:
+            span = right - left
+            probes = np.array([left + 0.25 * span, left + 0.5 * span, left + 0.75 * span])
+            vals = np.asarray(value_fn(probes), dtype=float)
+            flags.append(bool(vals[0] == vals[1] == vals[2]))
+        left = right
+    return tuple(flags)
+
+
+def _ref_scheme_breakpoints(scheme, levels, left):
+    """The two pair loops, PWL x PWL and PWL x PPS, before they were merged."""
+    pts = set()
+    for m in scheme.maps:
+        for lvl in levels:
+            pts.update(m.crossings(lvl))
+        pts.update(m.joints())
+    pwl = [m for m in scheme.maps if isinstance(m, PiecewiseLinearMap)]
+    for a, b in itertools.combinations(pwl, 2):
+        us = sorted({0.0, 1.0, *a.joints(), *b.joints()})
+        for ua, ub in zip(us, us[1:]):
+            fa, fb = a.value(ua) - b.value(ua), a.value(ub) - b.value(ub)
+            if fa == 0.0:
+                pts.add(ua)
+            if fa * fb < 0.0:
+                t = fa / (fa - fb)
+                pts.add(ua + t * (ub - ua))
+    if pwl and any(isinstance(m, PpsMap) for m in scheme.maps):
+        for a in pwl:
+            for b in scheme.maps:
+                if isinstance(b, PpsMap):
+                    us = sorted({0.0, 1.0, *a.joints()})
+                    for ua, ub in zip(us, us[1:]):
+                        fa = a.value(ua) - b.value(ua)
+                        fb = a.value(ub) - b.value(ub)
+                        if fa == 0.0 and ua > 0.0:
+                            pts.add(ua)
+                        if fa * fb < 0.0:
+                            t = fa / (fa - fb)
+                            pts.add(ua + t * (ub - ua))
+    return {p for p in pts if left < p < 1.0}
+
+
+def _ref_curve_table(v, f, scheme, grid_n=256, depth=40):
+    """One row at a time through the scalar piece loops."""
+    lbf = lb_function(f, v, scheme)
+    opt = v_optimal_estimates(lbf, grid_n)
+    j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
+    us = np.unique(np.concatenate([
+        np.linspace(1.0 / grid_n, 1.0, grid_n),
+        np.geomspace(1e-6, 1.0, grid_n // 2),
+        np.array(lbf.breakpoints),
+    ]))
+    lbs = np.asarray(lbf.value(us), dtype=float)
+    return [
+        (u, lb_u, _ref_integral(opt, lo=u), _ref_value_at(j_fn, u), _ref_value_at(opt, u))
+        for u, lb_u in zip(us.tolist(), lbs.tolist())
+    ]
+
+
+@st.composite
+def estimate_fns(draw):
+    edges = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=41))))
+    piece_value = st.one_of(
+        st.floats(0.0, 1e3), st.just(0.0), st.just(math.inf), st.floats(0.0, 1e-300)
+    )
+    pieces = tuple(EstimatePiece(a, b, draw(piece_value)) for a, b in zip(edges, edges[1:]))
+    return EstimateFn("v_optimal", pieces)
+
+
+def _probes(e, extra):
+    """Seeds at and one ulp either side of every piece edge, at and below
+    the support, above the last piece and outside [0, 1]."""
+    edges = np.array([e.support_left, *(p.hi for p in e.pieces)], dtype=float)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.concatenate([near, [-0.5, -0.0, 0.0, 1.0, 1.5, 5e-324], np.asarray(extra, dtype=float)])
+
+
+def _many_pieces(n: int = 40) -> EstimateFn:
+    rng = np.random.default_rng(5)
+    edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(n - 1)])).tolist()
+    values = rng.exponential(100.0, len(edges) - 1).tolist()
+    return EstimateFn("v_optimal", tuple(map(EstimatePiece, edges, edges[1:], values)))
+
+
+@given(estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
+@example(_many_pieces(), np.linspace(-0.1, 1.1, 25).tolist())
+@settings(max_examples=200, deadline=None)
+def test_estimate_fn_batches_match_scalar_loops(e, extra):
+    us = _probes(e, extra)
+    assert _bits(e.value_at(us)) == _bits([_ref_value_at(e, u) for u in us.tolist()])
+    assert _bits(e.integral(lo=us)) == _bits([_ref_integral(e, lo=u) for u in us.tolist()])
+    assert _bits(integrate_square(e, lo=us)) == _bits([_ref_integrate_square(e, lo=u) for u in us.tolist()])
+    his = us[::-1]
+    pairs = list(zip(us.tolist(), his.tolist()))
+    assert _bits(e.integral(lo=us, hi=his)) == _bits([_ref_integral(e, a, b) for a, b in pairs])
+    assert _bits(integrate_square(e, lo=us, hi=his)) == _bits([_ref_integrate_square(e, a, b) for a, b in pairs])
+    # a scalar in, a float out, with the same bits
+    for u in us.tolist()[:6]:
+        for got, want in ((e.value_at(u), _ref_value_at(e, u)),
+                          (e.integral(lo=u), _ref_integral(e, lo=u)),
+                          (integrate_square(e, hi=u), _ref_integrate_square(e, hi=u))):
+            assert type(got) is float and _bits([got]) == _bits([want])
+
+
+def test_empty_estimate_fn_is_zero_everywhere():
+    e = EstimateFn("ht", ())
+    us = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    assert e.value_at(us).tolist() == [0.0] * 5
+    assert e.integral(lo=us).tolist() == [0.0] * 5
+    assert integrate_square(e, lo=us).tolist() == [0.0] * 5
+    assert e.value_at(0.5) == e.integral() == integrate_square(e) == 0.0
+
+
+def test_infinite_piece_integrates_to_inf_not_nan():
+    e = EstimateFn("ht", (EstimatePiece(0.0, 0.5, math.inf), EstimatePiece(0.5, 1.0, 1.0)))
+    cutoffs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert integrate_square(e, lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
+    assert e.integral(lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0)), min_size=2, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_lower_hull_matches_the_tuple_chain(pts):
+    # duplicated u values and collinear runs exercise the tie rules
+    pts = pts + [(u, y + 1.0) for u, y in pts[:3]] + [(0.5 * (pts[0][0] + pts[1][0]), 0.0)]
+    if len({u for u, _ in pts}) < 2:
+        return
+    assert lower_hull(pts).vertices == _ref_lower_hull(pts)
+    assert lower_hull(np.array(pts)).vertices == _ref_lower_hull(pts)
+
+
+FILE_SCHEME = TauScheme((
+    PpsMap(4.0),
+    PiecewiseLinearMap(((0.0, 0.0), (0.25, 1.0), (0.6, 2.5), (1.0, 5.0))),
+    PiecewiseLinearMap(((0.0, 0.0), (0.5, 3.0), (1.0, 4.0))),
+))
+ANALYSIS_SCHEMES = {"pps:tau=4": TauScheme.pps(4.0, r=3), "pwl+pps": FILE_SCHEME}
+
+
+@given(st.sampled_from(sorted(ANALYSIS_SCHEMES)), st.lists(values_st, min_size=3, max_size=3),
+       st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
+    scheme = ANALYSIS_SCHEMES[scheme_name]
+    f = builtin_functions(3)[k]
+    lbf = lb_function(f, v, scheme)
+    assert lbf.piece_constant == _ref_classify_pieces(lbf.value_fn, lbf.breakpoints, 0.0)
+    try:
+        _ref_v_optimal_estimates(lbf, 64)
+    except OverflowError:
+        # a value below about 1e-305 puts the hull's left anchor so near 0
+        # that its reciprocal overflows; both paths fail alike, and the
+        # fault is not this test's subject
+        with pytest.raises(OverflowError):
+            v_optimal_estimates(lbf, 64)
+        return
+    for grid_n in (64, 512):
+        est = v_optimal_estimates(lbf, grid_n)
+        want = _ref_v_optimal_estimates(lbf, grid_n)
+        assert _bits([x for p in est.pieces for x in (p.lo, p.hi, p.value)]) == _bits(np.ravel(want))
+    got = curve_table(v, f, scheme, grid_n=64)
+    want = _ref_curve_table(v, f, scheme, grid_n=64)
+    assert len(got) == len(want)
+    assert _bits(np.array(got)) == _bits(np.array(want))
+    # the partial square integrals of the finite-variance check, one row each
+    check = check_finite_variance_curve(lbf, grid_n=64)
+    est = v_optimal_estimates(lbf, 512)
+    floor = max(4.0 * est.support_left, 1e-300)
+    steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
+    cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
+    assert _bits(check.probes) == _bits([_ref_integrate_square(est, lo=c) for c in cutoffs.tolist()])
+    # one curve per vector gives the reports the public checks give
+    report = competitiveness_ratio(v, f, scheme, grid_n=64)
+    assert report.estimable == check_estimable(v, f, scheme).ok
+    assert report.bounded == check_bounded(v, f, scheme).ok
+    assert report.finite_variance == check_finite_variance(v, f, scheme, grid_n=64).ok
+    assert _bits([report.diagnostics["estimable_gap"], report.diagnostics["bounded_slope"]]) == _bits(
+        [check_estimable(v, f, scheme).value, check_bounded(v, f, scheme).value])
+
+
+@given(st.integers(1, 4).flatmap(schemes), st.lists(st.floats(0.0, 10.0), max_size=4),
+       st.sampled_from([0.0, 0.1, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_scheme_breakpoints_match_the_two_pair_loops(scheme, levels, left):
+    got = _scheme_breakpoints(scheme, sorted(levels), left)
+    assert sorted(got) == sorted(_ref_scheme_breakpoints(scheme, sorted(levels), left))

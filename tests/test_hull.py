@@ -87,9 +87,9 @@ class TestIntegrateSquare:
         e = EstimateFn("ht", (EstimatePiece(0.0, 1.0, 3.0),))
         assert integrate_square(e) == 9.0
 
-    def test_callable_piece(self):
-        e = EstimateFn("v_optimal", (EstimatePiece(0.0, 1.0, lambda u: 2.0 * (1.0 - u)),))
-        assert integrate_square(e) == pytest.approx(4.0 / 3.0, abs=1e-9)
+    def test_callable_piece_rejected(self):
+        with pytest.raises(ValueError, match="number"):
+            EstimatePiece(0.0, 1.0, lambda u: 2.0 * (1.0 - u))
 
     def test_dyadic_terms_of_worked_example(self, scheme1):
         vals = j_piece_values((1.0, 0.0), ONE_SIDED, scheme1, depth=6)
