@@ -12,10 +12,10 @@ from .analysis import (
     check_estimable_curve,
     check_finite_variance,
     check_finite_variance_curve,
+    clamped_variance,
     competitiveness_ratio,
     curve_table,
     implication_chain_ok,
-    variance,
 )
 from .estimators import (
     EstimateFn,

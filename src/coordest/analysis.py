@@ -22,7 +22,6 @@ the optimum's square mass on a 3-fold cover of nearby seeds).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -31,7 +30,6 @@ import numpy as np
 from .estimators import (
     j_estimate_fn,
     j_piece_values,
-    ht_estimate_fn,
     v_optimal_estimates,
 )
 from .functions import (
@@ -41,7 +39,7 @@ from .functions import (
     lb_function,
     lower_bound_from_vector,
 )
-from .hull import EstimateFn, integrate_square
+from .hull import integrate_square
 from .model import Domain, TauScheme
 
 RATIO_BOUND = 84.0
@@ -207,56 +205,6 @@ def implication_chain_ok(bounded: bool, finite_variance: bool, estimable: bool) 
 # variance and competitiveness
 
 
-def _estimate_fn(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    kind: str,
-    grid_n: int,
-    depth: int,
-    domain: Domain | None,
-) -> EstimateFn:
-    if kind == "j":
-        return j_estimate_fn(v, f, scheme, depth=depth, domain=domain)
-    if kind == "ht":
-        return ht_estimate_fn(v, f, scheme)
-    if kind in ("voptimal", "v_optimal"):
-        return v_optimal_estimates(lb_function(f, v, scheme, domain), grid_n)
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
-def variance(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    estimator: str,
-    grid_n: int = 512,
-    depth: int = 40,
-    domain: Domain | None = None,
-) -> float:
-    """Estimator variance on data ``v``: the squared-estimate integral minus
-    ``f(v)^2``.  Tiny negative results (within 1e-9) are rounding and clamp
-    to 0 with a warning."""
-    fv = evaluate(f, v)
-    est = _estimate_fn(v, f, scheme, estimator, grid_n, depth, domain)
-    second_moment = integrate_square(est)
-    if math.isinf(second_moment):
-        return math.inf
-    var = second_moment - fv * fv
-    if var < 0.0:
-        if var < -1e-9:
-            raise AnalysisError(f"variance {var} below the rounding tolerance")
-        warnings.warn(f"clamping tiny negative variance {var} to 0", stacklevel=2)
-        var = 0.0
-    return var
-
-
-def variance_of(est: EstimateFn, f_value: float) -> float:
-    """Variance of a materialised estimator with known expectation."""
-    second = integrate_square(est)
-    return math.inf if math.isinf(second) else second - f_value * f_value
-
-
 @dataclass
 class AnalysisReport:
     """Per-(data, function, scheme) analysis record."""
@@ -307,7 +255,10 @@ class AnalysisReport:
         )
 
 
-def _clamped_variance(second_moment: float, f_value: float) -> float:
+def clamped_variance(second_moment: float, f_value: float) -> float:
+    """Variance of an unbiased estimator from its square integral: the
+    second moment minus ``f_value^2``, with a rounding deficit of at most
+    1e-9 clamped to 0."""
     var = second_moment - f_value * f_value
     return 0.0 if -1e-9 <= var < 0.0 else var
 
@@ -396,8 +347,8 @@ def competitiveness_ratio(
         square_integral_j=sq_j_total,
         square_integral_opt=sq_opt,
         ratio=ratio,
-        variance_j=_clamped_variance(sq_j_total, fv),
-        variance_opt=_clamped_variance(sq_opt, fv),
+        variance_j=clamped_variance(sq_j_total, fv),
+        variance_opt=clamped_variance(sq_opt, fv),
         estimable=est_check.ok,
         finite_variance=fv_check.ok,
         bounded=bd_check.ok,

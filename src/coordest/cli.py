@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -60,6 +61,10 @@ def ingest(path: str | Path) -> InstanceSet:
 
     Rejects duplicate item ids, malformed rows, and non-finite or negative
     values, naming the offending cell.  An empty data section is a valid empty set.
+
+    Every value column is parsed in one pass with Python's ``float`` and
+    checked as an array; when a check fails, :func:`_ingest_error` walks
+    the rows to name the first bad cell.
     """
     path = Path(path)
     with path.open(newline="") as fp:
@@ -71,100 +76,136 @@ def ingest(path: str | Path) -> InstanceSet:
         header = [h.strip() for h in header]
         if not header or header[0] != "item" or len(header) < 2:
             raise ValueError(f"{path}: header must be item,v1,...,vr")
-        r = len(header) - 1
-        ids: list[str] = []
-        seen: set[str] = set()
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != r + 1:
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {r + 1}")
-            item = row[0].strip()
-            if item in seen:
-                raise ValueError(f"{path}: row {lineno}: duplicate item id {item!r}")
-            values = []
-            for col, cell in enumerate(row[1:], start=1):
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {header[col]}: bad number {cell!r}"
-                    ) from None
-                if not math.isfinite(x):
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {header[col]}: non-finite value {cell!r}"
-                    )
-                if x < 0:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {header[col]}: negative value {cell}"
-                    )
-                values.append(x)
-            ids.append(item)
-            seen.add(item)
-            rows.append(values)
-    matrix = np.array(rows, dtype=float) if rows else np.empty((0, r))
+        body = list(reader)
+    r = len(header) - 1
+    # a row whose cells are all blank is skipped; the id test decides most rows
+    rows = [row for row in body if row and (row[0].strip() or any(map(str.strip, row)))]
+    ids = [row[0].strip() for row in rows]
+    matrix = np.empty((len(rows), r))
+    try:
+        if not {r + 1}.issuperset(map(len, rows)) or len(set(ids)) != len(ids):
+            raise ValueError
+        for col, cells in enumerate(list(zip(*rows))[1:]):
+            matrix[:, col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+        if not np.isfinite(matrix).all() or (matrix < 0).any():
+            raise ValueError
+    except ValueError:
+        raise _ingest_error(path, header, body) from None
     return InstanceSet(tuple(ids), matrix)
+
+
+def _ingest_error(path: Path, header: list[str], body: list[list[str]]) -> ValueError:
+    """The error naming the first bad row or cell of a CSV body that
+    :func:`ingest` rejected."""
+    r = len(header) - 1
+    seen: set[str] = set()
+    for lineno, row in enumerate(body, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != r + 1:
+            return ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {r + 1}")
+        item = row[0].strip()
+        if item in seen:
+            return ValueError(f"{path}: row {lineno}: duplicate item id {item!r}")
+        for col, cell in enumerate(row[1:], start=1):
+            try:
+                x = float(cell)
+            except ValueError:
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: bad number {cell!r}")
+            if not math.isfinite(x):
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: non-finite value {cell!r}")
+            if x < 0:
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: negative value {cell}")
+        seen.add(item)
+    raise AssertionError(f"{path}: rejected, but no row is bad")
+
+
+@contextmanager
+def _error_source(where: str):
+    """Prefix the message of a ``ValueError`` raised inside with ``where``:
+    the flag, or the file and line, that the bad text came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return x
 
 
 def parse_scheme(spec: str, r: int) -> TauScheme:
     """Parse an inline scheme spec: ``pps:tau=4`` (shared threshold) or
-    ``pps:tau=4,2`` (one threshold per instance)."""
-    name, _, argstr = spec.partition(":")
-    if name.strip().lower() != "pps":
-        raise ValueError(f"unknown inline scheme {spec!r}; use a scheme file for piecewise maps")
-    key, _, rest = argstr.partition("=")
-    if key.strip() != "tau" or not rest:
-        raise ValueError(f"scheme spec {spec!r} needs tau=<t> or tau=<t1>,...,<tr>")
-    taus = [float(c) for c in rest.split(",") if c.strip()]
-    if len(taus) == 1:
-        return TauScheme.pps(taus[0], r=r)
-    if len(taus) != r:
-        raise ValueError(f"scheme has {len(taus)} thresholds for {r} instances")
-    return TauScheme.pps(taus)
+    ``pps:tau=4,2`` (one threshold per instance).  Errors name the
+    ``--scheme`` flag."""
+    with _error_source(f"--scheme {spec!r}"):
+        name, _, argstr = spec.partition(":")
+        if name.strip().lower() != "pps":
+            raise ValueError("unknown inline scheme; use a scheme file for piecewise maps")
+        key, _, rest = argstr.partition("=")
+        if key.strip() != "tau" or not rest:
+            raise ValueError("needs tau=<t> or tau=<t1>,...,<tr>")
+        taus = [_finite(c) for c in rest.split(",") if c.strip()]
+        if len(taus) == 1:
+            return TauScheme.pps(taus[0], r=r)
+        if len(taus) != r:
+            raise ValueError(f"{len(taus)} thresholds for {r} instances")
+        return TauScheme.pps(taus)
 
 
-def parse_scheme_file(text: str, r: int) -> TauScheme:
+def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauScheme:
     """Key-value scheme config: one ``tau.<i> = pps:<t>`` or
-    ``tau.<i> = pwl:u0:t0,u1:t1,...`` line per instance."""
-    entries: dict[int, str] = {}
-    for raw in text.splitlines():
+    ``tau.<i> = pwl:u0:t0,u1:t1,...`` line per instance.  Errors name
+    ``source`` and the line."""
+    entries: dict[int, tuple[int, str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if not key.startswith("tau."):
-            raise ValueError(f"unknown scheme config key {key!r}")
-        entries[int(key[4:])] = value.strip()
+        with _error_source(f"{source}: line {lineno}"):
+            key, _, value = line.partition("=")
+            key = key.strip().lower()
+            if not key.startswith("tau."):
+                raise ValueError(f"unknown scheme config key {key!r}")
+            try:
+                i = int(key[4:])
+            except ValueError:
+                raise ValueError(f"bad instance number {key[4:]!r}") from None
+        entries[i] = (lineno, value.strip())
     if sorted(entries) != list(range(1, r + 1)):
-        raise ValueError(f"scheme config must define tau.1..tau.{r}")
+        raise ValueError(f"{source}: scheme config must define tau.1..tau.{r}")
     maps = []
     for i in range(1, r + 1):
-        kind, _, rest = entries[i].partition(":")
-        kind = kind.strip().lower()
-        if kind == "pps":
-            maps.append(PpsMap(float(rest)))
-        elif kind == "pwl":
-            nums = [float(x) for x in rest.replace(":", ",").split(",") if x.strip()]
-            if len(nums) % 2:
-                raise ValueError(f"tau.{i}: joint list must pair seeds with values")
-            pts = tuple((nums[k], nums[k + 1]) for k in range(0, len(nums), 2))
-            maps.append(PiecewiseLinearMap(pts))
-        else:
-            raise ValueError(f"tau.{i}: unknown map kind {kind!r}")
+        lineno, value = entries[i]
+        with _error_source(f"{source}: line {lineno}: tau.{i}"):
+            kind, _, rest = value.partition(":")
+            kind = kind.strip().lower()
+            if kind == "pps":
+                maps.append(PpsMap(_finite(rest)))
+            elif kind == "pwl":
+                nums = [_finite(x) for x in rest.replace(":", ",").split(",") if x.strip()]
+                if len(nums) % 2:
+                    raise ValueError("joint list must pair seeds with values")
+                maps.append(PiecewiseLinearMap(tuple(zip(nums[::2], nums[1::2]))))
+            else:
+                raise ValueError(f"unknown map kind {kind!r}")
     return TauScheme(tuple(maps))
 
 
 def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
     """Split a query spec like ``lpp:p=2`` (or ``lp:2``) into kind and
-    exponent; an explicit ``--p`` flag wins over the embedded form."""
+    exponent; an explicit ``--p`` flag wins over the embedded form.  A bad
+    exponent names the ``--query`` flag."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if rest:
         value = rest.partition("=")[2] if "=" in rest else rest
         if p is None:
-            p = float(value)
+            with _error_source(f"--query {spec!r}"):
+                p = float(value)
     return kind, p
 
 
@@ -175,14 +216,15 @@ def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
     if spec == "all":
         return list(data.item_ids), "all"
     if spec == "both-positive":
-        ids = [item for item, v in data.rows() if all(x > 0 for x in v)]
-        return ids, "both-positive"
+        keep = (data.matrix > 0).all(axis=1)
+        return [item for item, ok in zip(data.item_ids, keep.tolist()) if ok], "both-positive"
     if spec.startswith("positive-in:"):
-        k = int(spec.split(":", 1)[1]) - 1
+        with _error_source(f"--items {spec!r}"):
+            k = int(spec.split(":", 1)[1]) - 1
         if not 0 <= k < data.r:
             raise ValueError(f"instance index out of range in {spec!r}")
-        ids = [item for item, v in data.rows() if v[k] > 0]
-        return ids, spec
+        keep = data.matrix[:, k] > 0
+        return [item for item, ok in zip(data.item_ids, keep.tolist()) if ok], spec
     ids = [s.strip() for s in spec.split(",") if s.strip()]
     known = set(data.item_ids)
     missing = [i for i in ids if i not in known]
@@ -224,7 +266,7 @@ class RunConfig:
     def load(self) -> tuple[InstanceSet, TauScheme]:
         data = ingest(self.input)
         if self.scheme_file is not None:
-            scheme = parse_scheme_file(Path(self.scheme_file).read_text(), data.r)
+            scheme = parse_scheme_file(Path(self.scheme_file).read_text(), data.r, str(self.scheme_file))
         else:
             scheme = parse_scheme(self.scheme_spec, data.r)
         return data, scheme
@@ -320,7 +362,7 @@ def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str], subset
     inst = cfg.instance - 1
     if not 0 <= inst < data.r:
         raise ValueError(f"--instance {cfg.instance} out of range")
-    values = {item: v[inst] for item, v in data.rows()}
+    values = dict(zip(data.item_ids, data.matrix[:, inst].tolist()))
     sample = bottomk_sample(values, cfg.k, rank_fn, cfg.salt)
     estimator = "ht" if cfg.estimator in ("exact", "ht") else cfg.estimator
     res = bottomk_estimate(sample, cfg.query, estimator, ids, subset_label=subset)

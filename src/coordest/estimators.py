@@ -28,7 +28,6 @@ import numpy as np
 from .functions import (
     ItemFunction,
     LowerBoundFn,
-    evaluate,
     evaluate_many,
     lb_function,
     lower_bound_from_vector,
@@ -56,7 +55,6 @@ from .samplers import (
     PPS_RANK_KIND,
     Samples,
     inclusion_probability,
-    sample_item,
 )
 
 HULL_LEFT_ANCHOR = 1e-12
@@ -294,8 +292,10 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     # is tiny (values revealed only with tiny probability) keeps its mass
     # below the default anchor; scale the anchor under the first breakpoint
     min_bp = min((b for b in lb.breakpoints if b > 0.0), default=1.0)
-    anchor = min(HULL_LEFT_ANCHOR, 1e-3 * min_bp)
-    decades = math.log10(1.0 / anchor)
+    # below a subnormal breakpoint the anchor may underflow to 0 and its
+    # reciprocal overflow; 324 decades reach from the smallest float to 1
+    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * min_bp), math.ulp(0.0))
+    decades = min(math.log10(1.0 / anchor), 324.0)
     us = np.unique(
         np.concatenate(
             [
@@ -359,9 +359,6 @@ class QueryResult:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("query estimates are nonnegative by construction")
-
-    def extras_dict(self) -> dict[str, float]:
-        return dict(self.extras)
 
     def to_dict(self) -> dict:
         return {
@@ -524,13 +521,6 @@ def estimate_query(
 # bottom-k estimation via rank conditioning
 
 
-def bottomk_member_outcome(value: float, seed: float, threshold: float) -> Outcome:
-    """Single-entry outcome equivalent to a member's conditional inclusion
-    rule under PPS ranks: rank >= T is the same as value >= T * seed."""
-    scheme = TauScheme.pps(threshold, r=1)
-    return sample_item((value,), seed, scheme)
-
-
 def bottomk_estimate(
     sample: BottomKSample,
     query: str,
@@ -541,35 +531,42 @@ def bottomk_estimate(
     """Subset-sum or distinct-count estimate from a bottom-k sample.
 
     Members behave as independently sampled entries once conditioned on
-    their threshold; items outside the sample contribute 0.
+    their threshold; items outside the sample contribute 0.  Under PPS
+    ranks, rank >= T is the same rule as value >= T * seed, so the dyadic
+    estimates of the members are one :func:`j_estimates` call under the
+    one-instance scheme ``pps:tau=T``.
     """
     if query not in (MAX_SUM, MIN_SUM, L1, DISTINCT, "sum"):
         raise ValueError(f"query {query!r} not supported on bottom-k samples")
+    if estimator not in ("ht", "j"):
+        raise ValueError(f"unknown bottom-k estimator {estimator!r}")
+    if estimator == "j" and sample.rank_fn.kind != PPS_RANK_KIND:
+        raise ValueError(
+            "dyadic estimation of bottom-k members needs PPS ranks; "
+            "exponential-rank thresholds do not invert to a monotone map"
+        )
     wanted = None if item_ids is None else {str(i) for i in item_ids}
-    contributions = []
-    for m in sample.members:
-        if wanted is not None and m.item_id not in wanted:
-            continue
-        weight = 1.0 if query == DISTINCT else m.value
-        if estimator == "ht":
+    members = [m for m in sample.members if wanted is None or m.item_id in wanted]
+    if estimator == "ht":
+        estimates = []
+        for m in members:
+            weight = 1.0 if query == DISTINCT else m.value
             p = inclusion_probability(sample.rank_fn, m.value, m.threshold)
-            contributions.append((m.item_id, weight / p if p > 0 else 0.0))
-        elif estimator == "j":
-            if sample.rank_fn.kind != PPS_RANK_KIND:
-                raise ValueError(
-                    "dyadic estimation of bottom-k members needs PPS ranks; "
-                    "exponential-rank thresholds do not invert to a monotone map"
-                )
-            outcome = bottomk_member_outcome(m.value, m.seed, m.threshold)
-            f = or_fn(1) if query == DISTINCT else max_fn(1)
-            contributions.append((m.item_id, j_estimate(outcome, f)))
-        else:
-            raise ValueError(f"unknown bottom-k estimator {estimator!r}")
-    total = float(sum(c for _, c in contributions))
+            estimates.append(weight / p if p > 0 else 0.0)
+    elif members:
+        scheme = TauScheme.pps(members[0].threshold, r=1)
+        seeds = np.array([m.seed for m in members])
+        values = np.array([[m.value] for m in members])
+        taus = scheme.thresholds(seeds).T
+        revealed = values >= taus
+        f = or_fn(1) if query == DISTINCT else max_fn(1)
+        estimates = j_estimates(f, seeds, revealed, np.where(revealed, values, taus), scheme).tolist()
+    else:
+        estimates = []
     return QueryResult(
         query=f"bottomk-{query}",
-        value=total,
-        per_item=tuple(contributions),
+        value=_sequential_sum(estimates),
+        per_item=tuple(zip((m.item_id for m in members), estimates)),
         subset=subset_label,
     )
 

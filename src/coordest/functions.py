@@ -298,12 +298,6 @@ class LowerBoundFn:
         out = np.asarray(self.value_fn(xs), dtype=float)
         return float(out[0]) if scalar else out
 
-    def limit_left(self, eps: float = 1e-12) -> float:
-        """Value just right of the left edge; for a full curve this is the
-        limit toward seed 0, which equals f(v) exactly when the function is
-        estimable."""
-        return self.value(self.domain_left + eps)
-
     def constant_head(self) -> float | None:
         """Value of the leftmost piece if it is exactly constant."""
         if self.piece_constant and self.piece_constant[0]:

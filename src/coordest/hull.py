@@ -8,6 +8,7 @@ drive both the optimal-variance baseline and the characterization checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -60,7 +61,12 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     us, ys = pts[order, 0], pts[order, 1]
     first = np.ones(len(us), dtype=bool)
     first[1:] = us[1:] != us[:-1]
-    us, ys = us[first].tolist(), ys[first].tolist()
+    us, ys = us[first], ys[first]
+    # the cross products of a curve below about 1e-154 underflow to 0 and
+    # would drop every vertex; a power-of-two scale up is exact
+    top = max(ys.max(initial=0.0), -ys.min(initial=0.0))
+    shift = -math.frexp(top)[1] if 0.0 < top < 2.0**-500 else 0
+    us, ys = us.tolist(), (np.ldexp(ys, shift) if shift else ys).tolist()
     if len(us) < 2:
         raise ValueError("need at least two points with distinct u")
     # the chain as two float lists, its last two points also held as
@@ -79,6 +85,8 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
         ou, oy, au, ay = au, ay, u, y
         cu.append(u)
         cy.append(y)
+    if shift:
+        cy = [math.ldexp(y, -shift) for y in cy]
     return LowerHull(tuple(zip(cu, cy)))
 
 

@@ -134,33 +134,17 @@ def validate_seed(u: float) -> float:
 
 @dataclass(frozen=True)
 class Domain:
-    """Bounding box for data vectors: coordinate-wise lower bounds, and
-    optional upper caps used only for validating ingested data."""
+    """Coordinate-wise lower bounds of the data vectors."""
 
     lows: tuple[float, ...]
-    highs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if any(lo < 0.0 for lo in self.lows):
             raise ValueError("domain lower bounds must be nonnegative")
-        if self.highs is not None:
-            if len(self.highs) != len(self.lows):
-                raise ValueError("domain highs/lows length mismatch")
-            if any(h < lo for lo, h in zip(self.lows, self.highs)):
-                raise ValueError("domain upper bound below lower bound")
 
     @staticmethod
     def default(r: int) -> "Domain":
         return Domain(lows=(0.0,) * r)
-
-    def contains(self, v: Sequence[float]) -> bool:
-        if len(v) != len(self.lows):
-            return False
-        if any(x < lo for x, lo in zip(v, self.lows)):
-            return False
-        if self.highs is not None and any(x > h for x, h in zip(v, self.highs)):
-            return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import IO
@@ -204,6 +205,8 @@ class BottomKSample:
     def __post_init__(self):
         if len(self.members) != self.k:
             raise ValueError("member count must equal k")
+        if len({m.threshold for m in self.members}) > 1:
+            raise ValueError("members must share one threshold")
 
     def member_ids(self) -> tuple[str, ...]:
         return tuple(m.item_id for m in self.members)
@@ -227,30 +230,37 @@ def bottomk_sample(
     """Draw a bottom-k sample (k highest ranks, ties broken by item id).
 
     A member's threshold, the k-th largest rank among the other items, is
-    the (k+1)-th largest rank overall, the same for every member.
+    the (k+1)-th largest rank overall, the same for every member.  Ranks
+    are taken as arrays with the bits of :func:`rank_value` (an exp rank
+    keeps ``math.log``); only the items ranked at or above the threshold
+    are sorted.
     """
     values = dict(instance_values)
     if k < 1:
         raise ValueError("k must be positive")
     if k >= len(values):
         raise ValueError(f"k={k} must be smaller than the item count {len(values)}")
-    n_positive = sum(1 for v in values.values() if v > 0)
+    items = list(values)
+    v = np.fromiter(values.values(), dtype=float, count=len(items))
+    n_positive = int(np.count_nonzero(v > 0.0))
     if k >= n_positive:
         raise ValueError(f"k={k} must be smaller than the positive-item count {n_positive}")
-    items = list(values)
-    seeds = seeds_for_items(items, salt).tolist()
-    ranks = [rank_value(rf, u, values[item]) for item, u in zip(items, seeds)]
-    order = sorted(range(len(items)), key=lambda j: (-ranks[j], str(items[j])))
-    threshold = ranks[order[k]]
+    if not (v >= 0.0).all():
+        raise ValueError("values must be nonnegative")
+    seeds = seeds_for_items(items, salt)
+    if rf.kind == PPS_RANK_KIND:
+        ranks = v / seeds
+    else:
+        logs = np.fromiter(map(math.log, seeds.tolist()), dtype=float, count=len(items))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ranks = np.where(seeds == 1.0, np.inf, -v / logs)
+    ranks = np.where(v == 0.0, 0.0, ranks)
+    threshold = float(np.partition(ranks, len(items) - k - 1)[len(items) - k - 1])
+    top = np.flatnonzero(ranks >= threshold)
+    candidates = zip(ranks[top].tolist(), [str(items[j]) for j in top.tolist()], v[top].tolist(), seeds[top].tolist())
     members = tuple(
-        BottomKMember(
-            item_id=str(items[j]),
-            value=float(values[items[j]]),
-            seed=seeds[j],
-            rank=ranks[j],
-            threshold=threshold,
-        )
-        for j in order[:k]
+        BottomKMember(item_id=item, value=x, seed=u, rank=rank, threshold=threshold)
+        for rank, item, x, u in sorted(candidates, key=lambda c: (-c[0], c[1]))[:k]
     )
     return BottomKSample(k=k, rank_fn=rf, members=members)
 
@@ -260,18 +270,23 @@ def bottomk_sample(
 # round-trip precision so records reload bit-exactly
 
 
-_encode_record = json.JSONEncoder(allow_nan=False).encode
-
-
 def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
-    """One record per item, written from the columns."""
+    """One record per item, formatted from the columns with the pieces
+    ``json`` writes: ``float.__repr__`` for numbers, its ASCII escape for
+    the id and its ``", "`` and ``": "`` separators."""
     if not outcomes:
         return
     s = Samples.from_outcomes(outcomes)
-    rows = zip(s.item_ids, s.seeds.tolist(), s.revealed.tolist(), s.values.tolist())
-    for item, seed, revealed, values in rows:
-        slots = [{"known": x} if k else {"unknown_ub": x} for k, x in zip(revealed, values)]
-        fp.write(_encode_record({"item": item, "seed": seed, "slots": slots}) + "\n")
+    if not (np.isfinite(s.seeds).all() and np.isfinite(s.values).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    columns = [
+        [f'{{"known": {x!r}}}' if k else f'{{"unknown_ub": {x!r}}}' for k, x in zip(known, xs)]
+        for known, xs in zip(s.revealed.T.tolist(), s.values.T.tolist())
+    ]
+    fp.writelines(
+        f'{{"item": {encode_basestring_ascii(item)}, "seed": {seed!r}, "slots": [{", ".join(slots)}]}}\n'
+        for item, seed, slots in zip(s.item_ids, s.seeds.tolist(), zip(*columns))
+    )
 
 
 def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:

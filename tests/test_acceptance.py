@@ -20,8 +20,8 @@ from coordest.analysis import (
     check_estimable_curve,
     check_finite_variance,
     check_finite_variance_curve,
+    clamped_variance,
     competitiveness_ratio,
-    variance_of,
 )
 from coordest.estimators import (
     j_cumulative,
@@ -41,7 +41,7 @@ from coordest.functions import (
     rg_fn,
 )
 from coordest.estimators import exact_query, j_piece_values
-from coordest.hull import lower_hull
+from coordest.hull import integrate_square, lower_hull
 from coordest.model import InstanceSet, TauScheme, hash_seed, seeds_for_salts
 from coordest.samplers import (
     EXP_RANK,
@@ -199,7 +199,7 @@ def test_criterion_05_hull_derivative_correctness():
         for u in (piece.lo + 1e-13, 0.5 * (piece.lo + piece.hi), piece.hi):
             max_err = max(max_err, abs(est.value_at(u) - 2.0 * (1.0 - u)))
     integral = est.integral()
-    var = variance_of(est, 1.0)
+    var = clamped_variance(integrate_square(est), 1.0)
     ok = max_err <= 4.0 / grid_n
     ok &= abs(integral - 1.0) <= 1e-6
     ok &= abs(var - 1.0 / 3.0) <= 1e-4

@@ -158,6 +158,38 @@ class TestSchemeParsing:
             parse_scheme_file("tau.1 = pps:4", r=2)
 
 
+class TestParseErrorsNameTheirSource:
+    def test_scheme_flag(self, capsys):
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--scheme", "pps:tau=abc"]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "coordest: error: --scheme 'pps:tau=abc': could not convert string to float: 'abc'\n"
+        )
+
+    def test_query_flag(self, capsys):
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "lpp:p=x", "--estimator", "j"]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "coordest: error: --query 'lpp:p=x': could not convert string to float: 'x'\n"
+        )
+
+    def test_scheme_file_line(self, tmp_path, capsys):
+        path = tmp_path / "scheme.txt"
+        path.write_text("# maps\ntau.1 = pps:4\ntau.x = pps:4\n")
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--scheme-file", str(path)]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == f"coordest: error: {path}: line 3: bad instance number 'x'\n"
+
+    def test_items_flag(self):
+        with pytest.raises(ValueError, match=r"^--items 'positive-in:x': invalid literal"):
+            resolve_items("positive-in:x", ingest(DEMO_CSV))
+
+    def test_scheme_file_map_names_its_line(self):
+        text = "tau.2 = pwl:0:0,1\ntau.1 = pps:4\n"
+        with pytest.raises(ValueError, match=r"^scheme file: line 1: tau\.2: joint list must pair"):
+            parse_scheme_file(text, r=2)
+
+
 class TestResolveItems:
     def test_modes(self):
         data = ingest(DEMO_CSV)
@@ -348,6 +380,17 @@ class TestAnalyzeCommand:
         rec = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert rec["bounded"] is True
         assert rec["diagnostics"]["j_tail_bound"] == 0.0
+
+    def test_subnormal_breakpoint(self, tmp_path):
+        # the first breakpoint 1e-308 / 4 is subnormal; the hull's anchor
+        # below it once overflowed the grid size (OverflowError)
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2\na,1e-308,0.5\n")
+        out = tmp_path / "report.jsonl"
+        assert main(["analyze", "--input", str(p), "--function", "max", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert rec["estimable"] and rec["bounded"] and rec["finite_variance"]
+        assert 1.0 <= rec["ratio"] <= 84.0
 
     def test_schema_round_trip(self, tmp_path):
         from coordest.analysis import AnalysisReport

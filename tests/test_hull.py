@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +16,15 @@ from coordest.analysis import (
     check_estimable_curve,
     check_finite_variance,
     check_finite_variance_curve,
+    clamped_variance,
     competitiveness_ratio,
     curve_table,
     implication_chain_ok,
-    variance,
-    variance_of,
 )
-from coordest.estimators import j_piece_values, v_optimal_estimates
+from coordest.estimators import ht_estimate_fn, j_piece_values, v_optimal_estimates
 from coordest.functions import (
     LowerBoundFn,
+    evaluate,
     lb_function,
     max_fn,
     min_fn,
@@ -108,24 +107,50 @@ class TestVariance:
     def test_hull_derivative_variance_for_parabola(self):
         lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
         est = v_optimal_estimates(lb, grid_n=512)
-        assert variance_of(est, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
+        assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     def test_constant_estimator_has_zero_variance(self):
         est = EstimateFn("ht", (EstimatePiece(0.0, 1.0, 2.0),))
-        assert variance_of(est, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert clamped_variance(integrate_square(est), 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_probability_variance(self, scheme4):
-        got = variance((1.0, 3.0), max_fn(2), scheme4, "ht")
+        est = ht_estimate_fn((1.0, 3.0), max_fn(2), scheme4)
+        got = clamped_variance(integrate_square(est), evaluate(max_fn(2), (1.0, 3.0)))
         assert got == pytest.approx(3.0, abs=1e-12)
 
-    def test_tiny_negative_clamped_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = EstimateFn("ht", (EstimatePiece(0.0, 1.0, 2.0),))
-            second = integrate_square(est)
-            # emulate the clamp through the public surface
-            v = second - 4.0
-            assert abs(v) < 1e-12
+    def test_tiny_negative_clamped(self):
+        assert clamped_variance(4.0 - 1e-12, 2.0) == 0.0
+        assert clamped_variance(4.0 - 1e-6, 2.0) == pytest.approx(-1e-6)
+
+    def test_infinite_second_moment_is_infinite(self):
+        assert math.isinf(clamped_variance(math.inf, 2.0))
+
+
+class TestTinyValues:
+    # v = (0, 0, x) under tau = 4 puts the curve's one breakpoint at x / 4;
+    # below x = 1e-305 the hull's left anchor, 1e-3 times lower, made
+    # math.log10(1 / anchor) infinite and the grid size an OverflowError
+    NEIGHBOURS = (1e-310, 1.1e-308, 2.3e-308, 1e-306, 1e-300)
+
+    @pytest.mark.parametrize("x", NEIGHBOURS)
+    def test_hull_estimate_keeps_the_mass(self, x):
+        scheme = TauScheme.pps(4.0, r=3)
+        est = v_optimal_estimates(lb_function(max_fn(3), (0.0, 0.0, x), scheme), grid_n=256)
+        assert est.integral() == pytest.approx(x, rel=1e-12)
+
+    @pytest.mark.parametrize("x", NEIGHBOURS)
+    def test_verdicts_match_the_neighbours(self, x):
+        scheme = TauScheme.pps(4.0, r=3)
+        for f in builtin_functions(3):
+            rep = competitiveness_ratio((0.0, 0.0, x), f, scheme)
+            assert (rep.estimable, rep.bounded, rep.finite_variance, rep.chain_ok) == (True,) * 4, f.describe()
+
+    def test_hull_of_a_tiny_curve_is_the_scaled_hull(self):
+        # cross products of about 2^-1100 underflowed to 0 and dropped
+        # every interior vertex
+        pts = [(0.1, 2.0), (0.2, 1.9), (0.3, 0.5), (0.6, 0.4), (1.0, 0.0)]
+        scaled = lambda vs: tuple((math.ldexp(u, -300), math.ldexp(y, -800)) for u, y in vs)
+        assert lower_hull(scaled(pts)).vertices == scaled(lower_hull(pts).vertices)
 
 
 class TestCharacterizationChecks:
