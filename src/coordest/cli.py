@@ -21,7 +21,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -56,15 +57,21 @@ from .samplers import (
 )
 
 
+# Rows parsed in one pass: the cell strings held at once stay flat in the
+# row count.
+INGEST_BLOCK = 1024
+
+
 def ingest(path: str | Path) -> InstanceSet:
     """Read an instance CSV with header ``item,v1,...,vr``.
 
     Rejects duplicate item ids, malformed rows, and non-finite or negative
     values, naming the offending cell.  An empty data section is a valid empty set.
 
-    Every value column is parsed in one pass with Python's ``float`` and
-    checked as an array; when a check fails, :func:`_ingest_error` walks
-    the rows to name the first bad cell.
+    Rows are read in blocks; each value column of a block is parsed in one
+    pass with Python's ``float`` and checked as an array.  When a check
+    fails, :func:`_ingest_error` walks the block's rows to name the first
+    bad cell.
     """
     path = Path(path)
     with path.open(newline="") as fp:
@@ -76,30 +83,42 @@ def ingest(path: str | Path) -> InstanceSet:
         header = [h.strip() for h in header]
         if not header or header[0] != "item" or len(header) < 2:
             raise ValueError(f"{path}: header must be item,v1,...,vr")
-        body = list(reader)
-    r = len(header) - 1
-    # a row whose cells are all blank is skipped; the id test decides most rows
-    rows = [row for row in body if row and (row[0].strip() or any(map(str.strip, row)))]
-    ids = [row[0].strip() for row in rows]
-    matrix = np.empty((len(rows), r))
-    try:
-        if not {r + 1}.issuperset(map(len, rows)) or len(set(ids)) != len(ids):
-            raise ValueError
-        for col, cells in enumerate(list(zip(*rows))[1:]):
-            matrix[:, col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
-        if not np.isfinite(matrix).all() or (matrix < 0).any():
-            raise ValueError
-    except ValueError:
-        raise _ingest_error(path, header, body) from None
-    return InstanceSet(tuple(ids), matrix)
+        r = len(header) - 1
+        ids: list[str] = []
+        seen: set[str] = set()
+        blocks = [np.empty((0, r))]
+        lineno = 2
+        for body in iter(lambda: list(islice(reader, INGEST_BLOCK)), []):
+            # a row whose cells are all blank is skipped; the id test decides most rows
+            rows = [row for row in body if row and (row[0].strip() or any(map(str.strip, row)))]
+            block_ids = [row[0].strip() for row in rows]
+            block = np.empty((len(rows), r))
+            try:
+                if not {r + 1}.issuperset(map(len, rows)):
+                    raise ValueError
+                seen.update(block_ids)
+                if len(seen) != len(ids) + len(block_ids):
+                    raise ValueError
+                columns = zip(*rows)
+                next(columns, None)  # the ids
+                for col, cells in enumerate(columns):
+                    block[:, col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+                if not np.isfinite(block).all() or (block < 0).any():
+                    raise ValueError
+            except ValueError:
+                raise _ingest_error(path, header, body, lineno, set(ids)) from None
+            ids += block_ids
+            blocks.append(block)
+            lineno += len(body)
+    return InstanceSet(tuple(ids), np.concatenate(blocks))
 
 
-def _ingest_error(path: Path, header: list[str], body: list[list[str]]) -> ValueError:
-    """The error naming the first bad row or cell of a CSV body that
-    :func:`ingest` rejected."""
+def _ingest_error(path: Path, header: list[str], body: list[list[str]], lineno: int, seen: set[str]) -> ValueError:
+    """The error naming the first bad row or cell of a block of CSV rows
+    that :func:`ingest` rejected; the block starts at row ``lineno``, and
+    ``seen`` holds the ids of the rows before it."""
     r = len(header) - 1
-    seen: set[str] = set()
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in enumerate(body, start=lineno):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != r + 1:
@@ -524,25 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        scheme_spec=getattr(args, "scheme", "pps:tau=4"),
-        scheme_file=getattr(args, "scheme_file", None),
-        function_spec=getattr(args, "function", None),
-        estimator=getattr(args, "estimator", "exact"),
-        query=getattr(args, "query", None),
-        p=getattr(args, "p", None),
-        items=getattr(args, "items", "all"),
-        salt=args.salt,
-        reps=getattr(args, "reps", 1),
-        out=args.out,
-        grid_n=getattr(args, "grid_n", 256),
-        depth=getattr(args, "depth", 40),
-        eps=getattr(args, "eps", 1e-3),
-        k=getattr(args, "k", None),
-        rank=getattr(args, "rank", "pps"),
-        instance=getattr(args, "instance", 1),
-    )
+    """The run config of the parsed flags; a field whose flag the
+    subcommand lacks keeps its ``RunConfig`` default."""
+    flags = {{"scheme": "scheme_spec", "function": "function_spec"}.get(k, k): v for k, v in vars(args).items()}
+    return RunConfig(**{f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

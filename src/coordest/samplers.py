@@ -69,16 +69,19 @@ def rank_value(rf: RankFunction, u: float, v: float) -> float:
     return -v / math.log(u)
 
 
-def rank_values(rf: RankFunction, us: np.ndarray, v: float) -> np.ndarray:
-    """Vectorised :func:`rank_value` for one value over many seeds."""
+def rank_values(rf: RankFunction, us: np.ndarray, v) -> np.ndarray:
+    """Vectorised :func:`rank_value` over a 1-d array of seeds, for one
+    value or one value per seed, with its bits: an exp rank divides by
+    ``math.log`` of each seed (``np.log`` may differ in the last bit)."""
     us = np.asarray(us, dtype=float)
-    if v == 0.0:
-        return np.zeros_like(us)
+    v = np.broadcast_to(np.asarray(v, dtype=float), us.shape)
     if rf.kind == PPS_RANK_KIND:
-        return v / us
-    with np.errstate(divide="ignore"):
-        out = np.where(us == 1.0, np.inf, -v / np.log(us))
-    return out
+        ranks = v / us
+    else:
+        logs = np.fromiter(map(math.log, us.tolist()), dtype=float, count=len(us))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ranks = np.where(us == 1.0, np.inf, -v / logs)
+    return np.where(v == 0.0, 0.0, ranks)
 
 
 def inclusion_probability(rf: RankFunction, v: float, threshold: float) -> float:
@@ -230,10 +233,8 @@ def bottomk_sample(
     """Draw a bottom-k sample (k highest ranks, ties broken by item id).
 
     A member's threshold, the k-th largest rank among the other items, is
-    the (k+1)-th largest rank overall, the same for every member.  Ranks
-    are taken as arrays with the bits of :func:`rank_value` (an exp rank
-    keeps ``math.log``); only the items ranked at or above the threshold
-    are sorted.
+    the (k+1)-th largest rank overall, the same for every member.  Only
+    the items ranked at or above it are sorted.
     """
     values = dict(instance_values)
     if k < 1:
@@ -248,13 +249,7 @@ def bottomk_sample(
     if not (v >= 0.0).all():
         raise ValueError("values must be nonnegative")
     seeds = seeds_for_items(items, salt)
-    if rf.kind == PPS_RANK_KIND:
-        ranks = v / seeds
-    else:
-        logs = np.fromiter(map(math.log, seeds.tolist()), dtype=float, count=len(items))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ranks = np.where(seeds == 1.0, np.inf, -v / logs)
-    ranks = np.where(v == 0.0, 0.0, ranks)
+    ranks = rank_values(rf, seeds, v)
     threshold = float(np.partition(ranks, len(items) - k - 1)[len(items) - k - 1])
     top = np.flatnonzero(ranks >= threshold)
     candidates = zip(ranks[top].tolist(), [str(items[j]) for j in top.tolist()], v[top].tolist(), seeds[top].tolist())
@@ -270,6 +265,10 @@ def bottomk_sample(
 # round-trip precision so records reload bit-exactly
 
 
+# Records formatted in one pass: memory stays flat in the item count.
+WRITE_BLOCK = 1024
+
+
 def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
     """One record per item, formatted from the columns with the pieces
     ``json`` writes: ``float.__repr__`` for numbers, its ASCII escape for
@@ -279,14 +278,16 @@ def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
     s = Samples.from_outcomes(outcomes)
     if not (np.isfinite(s.seeds).all() and np.isfinite(s.values).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    columns = [
-        [f'{{"known": {x!r}}}' if k else f'{{"unknown_ub": {x!r}}}' for k, x in zip(known, xs)]
-        for known, xs in zip(s.revealed.T.tolist(), s.values.T.tolist())
-    ]
-    fp.writelines(
-        f'{{"item": {encode_basestring_ascii(item)}, "seed": {seed!r}, "slots": [{", ".join(slots)}]}}\n'
-        for item, seed, slots in zip(s.item_ids, s.seeds.tolist(), zip(*columns))
-    )
+    for lo in range(0, len(s), WRITE_BLOCK):
+        rows = slice(lo, lo + WRITE_BLOCK)
+        columns = [
+            [f'{{"known": {x!r}}}' if k else f'{{"unknown_ub": {x!r}}}' for k, x in zip(known, xs)]
+            for known, xs in zip(s.revealed[rows].T.tolist(), s.values[rows].T.tolist())
+        ]
+        fp.writelines(
+            f'{{"item": {encode_basestring_ascii(item)}, "seed": {seed!r}, "slots": [{", ".join(slots)}]}}\n'
+            for item, seed, slots in zip(s.item_ids[rows], s.seeds[rows].tolist(), zip(*columns))
+        )
 
 
 def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:

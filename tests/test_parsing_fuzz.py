@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordest import cli
 from coordest.cli import ingest, parse_query, parse_scheme, parse_scheme_file
 from coordest.model import TauScheme
 
@@ -125,23 +128,40 @@ def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-@given(csv_files(malformed=False))
+@contextmanager
+def _block_size(rows: int):
+    """``ingest`` reading ``rows`` rows per block, so that small files
+    cross block boundaries too."""
+    saved = cli.INGEST_BLOCK
+    cli.INGEST_BLOCK = rows
+    try:
+        yield
+    finally:
+        cli.INGEST_BLOCK = saved
+
+
+block_sizes = st.sampled_from([1, 2, 3, 1024])
+
+
+@given(csv_files(malformed=False), block_sizes)
 @settings(max_examples=150, deadline=None)
-def test_ingest_matches_the_row_loop_on_well_formed_files(tmp_path_factory, text):
+def test_ingest_matches_the_row_loop_on_well_formed_files(tmp_path_factory, text, block):
     path = _write(tmp_path_factory, text)
     want_ids, want = _row_loop_ingest(path)
-    data = ingest(path)
+    with _block_size(block):
+        data = ingest(path)
     assert data.item_ids == want_ids
     assert data.matrix.shape == want.shape
     assert _bits(data.matrix) == _bits(want)
 
 
-@given(st.one_of(csv_files(malformed=True), st.text(max_size=80)))
+@given(st.one_of(csv_files(malformed=True), st.text(max_size=80)), block_sizes)
 @settings(max_examples=300, deadline=None)
-def test_ingest_errors_are_the_row_loop_errors(tmp_path_factory, text):
+def test_ingest_errors_are_the_row_loop_errors(tmp_path_factory, text, block):
     path = _write(tmp_path_factory, text)
     want = _outcome(_row_loop_ingest, path)
-    got = _outcome(ingest, path)
+    with _block_size(block):
+        got = _outcome(ingest, path)
     assert got[0] == want[0]
     if want[0] == "error":
         assert got[1] == want[1]
@@ -160,9 +180,9 @@ def test_ingest_error_kinds_name_the_cell(tmp_path):
         "item,v1,v2\na,1\n": "row 2 has 2 fields, expected 3",
     }
     path = tmp_path / "bad.csv"
-    for text, message in cases.items():
+    for (text, message), block in itertools.product(cases.items(), (1, 1024)):
         path.write_text(text)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError) as got, _block_size(block):
             ingest(path)
         with pytest.raises(ValueError) as want:
             _row_loop_ingest(path)
