@@ -11,9 +11,13 @@ the upper bound ``tau_i(u)``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -437,3 +441,85 @@ class InstanceSet:
     def rows(self) -> Iterable[tuple[str, tuple[float, ...]]]:
         for i, item in enumerate(self.item_ids):
             yield item, tuple(float(x) for x in self.matrix[i])
+
+
+# Rows parsed in one pass: the cell strings held at once stay flat in the
+# row count.
+INGEST_BLOCK = 256
+
+
+def ingest(path: str | Path) -> InstanceSet:
+    """Read an instance CSV with header ``item,v1,...,vr``.
+
+    Rejects duplicate item ids, malformed rows, and non-finite or negative
+    values, naming the offending cell.  An empty data section is a valid empty set.
+
+    Rows are read in blocks; each value column of a block is parsed in one
+    pass with Python's ``float`` and checked as an array.  When a check
+    fails, :func:`_ingest_error` walks the block's rows to name the first
+    bad cell.
+    """
+    path = Path(path)
+    with path.open(newline="") as fp:
+        reader = csv.reader(fp)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: missing header") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != "item" or len(header) < 2:
+            raise ValueError(f"{path}: header must be item,v1,...,vr")
+        r = len(header) - 1
+        ids: list[str] = []
+        seen: set[str] = set()
+        blocks = [np.empty((0, r))]
+        lineno = 2
+        for body in iter(lambda: list(islice(reader, INGEST_BLOCK)), []):
+            # a row whose cells are all blank is skipped; the id test decides most rows
+            rows = [row for row in body if row and (row[0].strip() or any(map(str.strip, row)))]
+            block_ids = [row[0].strip() for row in rows]
+            block = np.empty((len(rows), r))
+            try:
+                if not {r + 1}.issuperset(map(len, rows)):
+                    raise ValueError
+                seen.update(block_ids)
+                if len(seen) != len(ids) + len(block_ids):
+                    raise ValueError
+                columns = zip(*rows)
+                next(columns, None)  # the ids
+                for col, cells in enumerate(columns):
+                    block[:, col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+                if not np.isfinite(block).all() or (block < 0).any():
+                    raise ValueError
+            except ValueError:
+                raise _ingest_error(path, header, body, lineno, set(ids)) from None
+            ids += block_ids
+            blocks.append(block)
+            lineno += len(body)
+    return InstanceSet(tuple(ids), np.concatenate(blocks))
+
+
+def _ingest_error(path: Path, header: list[str], body: list[list[str]], lineno: int, seen: set[str]) -> ValueError:
+    """The error naming the first bad row or cell of a block of CSV rows
+    that :func:`ingest` rejected; the block starts at row ``lineno``, and
+    ``seen`` holds the ids of the rows before it."""
+    r = len(header) - 1
+    for lineno, row in enumerate(body, start=lineno):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != r + 1:
+            return ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {r + 1}")
+        item = row[0].strip()
+        if item in seen:
+            return ValueError(f"{path}: row {lineno}: duplicate item id {item!r}")
+        for col, cell in enumerate(row[1:], start=1):
+            try:
+                x = float(cell)
+            except ValueError:
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: bad number {cell!r}")
+            if not math.isfinite(x):
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: non-finite value {cell!r}")
+            if x < 0:
+                return ValueError(f"{path}: row {lineno}, column {header[col]}: negative value {cell}")
+        seen.add(item)
+    raise AssertionError(f"{path}: rejected, but no row is bad")

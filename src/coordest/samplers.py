@@ -266,7 +266,7 @@ def bottomk_sample(
 
 
 # Records formatted in one pass: memory stays flat in the item count.
-WRITE_BLOCK = 1024
+WRITE_BLOCK = 256
 
 
 def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:

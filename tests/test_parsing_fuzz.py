@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordest import cli
+from coordest import model
 from coordest.cli import ingest, parse_query, parse_scheme, parse_scheme_file
 from coordest.model import TauScheme
 
@@ -132,12 +132,12 @@ def _bits(a: np.ndarray) -> bytes:
 def _block_size(rows: int):
     """``ingest`` reading ``rows`` rows per block, so that small files
     cross block boundaries too."""
-    saved = cli.INGEST_BLOCK
-    cli.INGEST_BLOCK = rows
+    saved = model.INGEST_BLOCK
+    model.INGEST_BLOCK = rows
     try:
         yield
     finally:
-        cli.INGEST_BLOCK = saved
+        model.INGEST_BLOCK = saved
 
 
 block_sizes = st.sampled_from([1, 2, 3, 1024])

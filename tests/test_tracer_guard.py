@@ -80,8 +80,7 @@ def calls(tmp_path_factory):
 def test_every_work_count_binds_on_the_real_signature(tracer, calls):
     assert set(calls) == set(tracer.COUNTS), "a counted layer has no example call here"
     for layer in tracer.COUNTS:
-        targets = {(f"coordest.{modname}", attr) for modname, attr in tracer.TRACED[layer]}
-        assert {(fn.__module__, fn.__qualname__) for fn, _ in calls[layer]} == targets, layer
+        assert {fn for fn, _ in calls[layer]} == {_resolve(*target) for target in tracer.TRACED[layer]}, layer
         for fn, args in calls[layer]:
             t = tracer.Tracer()
             tracer._wrap(t, layer, fn)(*args)
