@@ -46,6 +46,12 @@ RATIO_BOUND = 84.0
 
 GAP_TOLERANCE = 1e-9
 
+# deepest dyadic block competitiveness_ratio sums (data down to about
+# 1e-316): 2^-(MAX_DEPTH + 1) is the smallest subnormal float
+MAX_DEPTH = 1073
+
+_PROBE_STEPS = 4.0 ** -np.arange(9.0)  # 4^-t of the limit probes
+
 
 class AnalysisError(RuntimeError):
     """An internal inconsistency that should be impossible for correct
@@ -71,6 +77,17 @@ def _curve_at(lb: LowerBoundFn | Callable[[float], float], us) -> list[float]:
     return [float(lb(u)) for u in us]
 
 
+def _probes(eps: float, n: int) -> np.ndarray:
+    """The limit probes ``eps * 4^-t`` for t = 0..n-1; a probe that
+    underflows to 0 (data below about 1e-316) is an error, not a seed."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    us = eps * _PROBE_STEPS[:n]
+    if us[-1] == 0.0:
+        raise ValueError(f"limit probe eps * 4^-{n - 1} underflows to 0 (eps = {eps!r})")
+    return us
+
+
 def check_estimable_curve(
     lb: LowerBoundFn | Callable[[float], float],
     f_value: float,
@@ -83,13 +100,12 @@ def check_estimable_curve(
     the two refinements).  A plateau strictly above 0 means mass near seed 0
     is unreachable and no unbiased nonnegative estimator exists.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    us = _probes(eps, 3)
     if isinstance(lb, LowerBoundFn):
         head = lb.constant_head()
         if head is not None and head == f_value:
             return CheckResult(True, 0.0, (0.0, 0.0, 0.0))
-    gaps = tuple(float(f_value - c) for c in _curve_at(lb, [eps * 4.0**-t for t in range(3)]))
+    gaps = tuple(float(f_value - c) for c in _curve_at(lb, us))
     residual = gaps[-1]
     if residual <= GAP_TOLERANCE:
         return CheckResult(True, max(residual, 0.0), gaps)
@@ -108,9 +124,7 @@ def check_bounded_curve(
     final refinement no longer grows (beyond 1%); the observed supremum is
     reported.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    us = eps * 4.0 ** -np.arange(9, dtype=float)
+    us = _probes(eps, 9)
     ratios = tuple(float((f_value - c) / u) for c, u in zip(_curve_at(lb, us), us.tolist()))
     sup = max(ratios)
     ok = ratios[-1] <= max(1.01 * ratios[-2], ratios[-2] + 1e-12)
@@ -162,6 +176,15 @@ def _head_scale(lbf: LowerBoundFn) -> float:
     which branch is active, not the limit.
     """
     return min((b for b in lbf.breakpoints if b > 0.0), default=1.0)
+
+
+def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) -> tuple[CheckResult, ...]:
+    """The three checks of one curve, with the limit probes at ``eps`` times
+    its head scale: those check_estimable, check_bounded and
+    check_finite_variance make from it."""
+    eps *= _head_scale(lbf)
+    return (check_estimable_curve(lbf, f_value, eps), check_bounded_curve(lbf, f_value, eps),
+            check_finite_variance_curve(lbf, grid_n=grid_n))
 
 
 def check_estimable(
@@ -228,31 +251,14 @@ class AnalysisReport:
         return implication_chain_ok(self.bounded, self.finite_variance, self.estimable)
 
     def to_dict(self) -> dict:
-        return {
-            "square_integral_j": self.square_integral_j,
-            "square_integral_opt": self.square_integral_opt,
-            "ratio": self.ratio,
-            "variance_j": self.variance_j,
-            "variance_opt": self.variance_opt,
-            "estimable": self.estimable,
-            "finite_variance": self.finite_variance,
-            "bounded": self.bounded,
-            "diagnostics": dict(self.diagnostics),
-        }
+        return {**vars(self), "diagnostics": dict(self.diagnostics)}
 
     @staticmethod
     def from_dict(d: Mapping) -> "AnalysisReport":
-        return AnalysisReport(
-            square_integral_j=float(d["square_integral_j"]),
-            square_integral_opt=float(d["square_integral_opt"]),
-            ratio=float(d["ratio"]),
-            variance_j=float(d["variance_j"]),
-            variance_opt=float(d["variance_opt"]),
-            estimable=bool(d["estimable"]),
-            finite_variance=bool(d["finite_variance"]),
-            bounded=bool(d["bounded"]),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
+        floats = ("square_integral_j", "square_integral_opt", "ratio", "variance_j", "variance_opt")
+        flags = ("estimable", "finite_variance", "bounded")
+        return AnalysisReport(**{k: float(d[k]) for k in floats}, **{k: bool(d[k]) for k in flags},
+                              diagnostics=dict(d.get("diagnostics", {})))
 
 
 def clamped_variance(second_moment: float, f_value: float) -> float:
@@ -280,13 +286,8 @@ def competitiveness_ratio(
     reported ratio is therefore conservative.
     """
     fv = evaluate(f, v)
-    # one curve serves every check: the same ones check_estimable,
-    # check_bounded and check_finite_variance make from it
     lbf = lb_function(f, v, scheme, domain)
-    eps = 1e-3 * _head_scale(lbf)
-    est_check = check_estimable_curve(lbf, fv, eps)
-    bd_check = check_bounded_curve(lbf, fv, eps)
-    fv_check = check_finite_variance_curve(lbf, grid_n=max(grid_n, 64))
+    est_check, bd_check, fv_check = _curve_checks(lbf, fv, 1e-3, max(grid_n, 64))
     diagnostics: dict = {
         "f_value": fv,
         "estimable_gap": est_check.value,
@@ -297,15 +298,8 @@ def competitiveness_ratio(
     if fv == 0.0:
         # the zero function on zero-valued data: both estimators vanish
         return AnalysisReport(
-            square_integral_j=0.0,
-            square_integral_opt=0.0,
-            ratio=1.0,
-            variance_j=0.0,
-            variance_opt=0.0,
-            estimable=est_check.ok,
-            finite_variance=fv_check.ok,
-            bounded=bd_check.ok,
-            diagnostics=diagnostics,
+            square_integral_j=0.0, square_integral_opt=0.0, ratio=1.0, variance_j=0.0, variance_opt=0.0,
+            estimable=est_check.ok, finite_variance=fv_check.ok, bounded=bd_check.ok, diagnostics=diagnostics,
         )
     if not est_check.ok:
         raise AnalysisError(
@@ -315,8 +309,7 @@ def competitiveness_ratio(
     # keep summing dyadic blocks well past the curve's smallest breakpoint,
     # otherwise the worst-case tail bound dwarfs the actual deep mass for
     # data revealed only at tiny seeds
-    min_bp = min((b for b in lbf.breakpoints if b > 0.0), default=1.0)
-    depth = max(depth, min(int(math.ceil(-math.log2(min_bp))) + 20, 300))
+    depth = max(depth, min(int(math.ceil(-math.log2(_head_scale(lbf)))) + 20, MAX_DEPTH))
     diagnostics["depth"] = depth
     vals = j_piece_values(v, f, scheme, depth, domain)
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
@@ -374,7 +367,13 @@ def curve_table(
     exceed the lower bound (on 120 generated vectors under ``rg:p=2`` and
     ``pps:tau=4``, by up to 4.8e-5, and by up to 0.14 % of f(v)).
     """
-    lbf = lb_function(f, v, scheme, domain)
+    columns = _curve_columns(lb_function(f, v, scheme, domain), v, f, scheme, grid_n, depth, domain)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _curve_columns(lbf: LowerBoundFn, v, f, scheme, grid_n, depth, domain=None) -> tuple[np.ndarray, ...]:
+    """The five columns of :func:`curve_table`, from the curve ``lbf`` of
+    ``v``."""
     opt = v_optimal_estimates(lbf, grid_n)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40), domain=domain)
     us = np.unique(
@@ -386,5 +385,4 @@ def curve_table(
             ]
         )
     )
-    columns = (us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us))
-    return list(zip(*(c.tolist() for c in columns)))
+    return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -27,14 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .analysis import (
-    check_bounded,
-    check_estimable,
-    check_finite_variance,
-    competitiveness_ratio,
-    curve_table,
-    implication_chain_ok,
-)
+from .analysis import _curve_checks, _curve_columns, competitiveness_ratio, implication_chain_ok
 from .estimators import (
     LP,
     LPP,
@@ -44,7 +38,7 @@ from .estimators import (
     exact_query,
     mc_query_estimates,
 )
-from .functions import parse_function
+from .functions import evaluate, lb_function, parse_function
 from .model import InstanceSet, PiecewiseLinearMap, PpsMap, TauScheme, ingest
 from .samplers import (
     EXP_RANK,
@@ -110,6 +104,8 @@ def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauSche
                 i = int(key[4:])
             except ValueError:
                 raise ValueError(f"bad instance number {key[4:]!r}") from None
+            if i in entries:
+                raise ValueError(f"tau.{i} is already defined on line {entries[i][0]}")
         entries[i] = (lineno, value.strip())
     if sorted(entries) != list(range(1, r + 1)):
         raise ValueError(f"{source}: scheme config must define tau.1..tau.{r}")
@@ -346,7 +342,8 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
     failed = False
     for item in ids:
         v = data.vector(item)
-        report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
+        with _error_source(f"item {item!r}"):
+            report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
         rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
         fp.write(json.dumps(rec, allow_nan=False) + "\n")
         if not report.competitive_ok or not report.chain_ok:
@@ -362,6 +359,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
         _close_out(fp)
 
 
+def _curve_row_format(item: str) -> str:
+    """``%``-format of one ``--curves`` row of ``item``: the id quoted as
+    ``csv.writer`` quotes it, then the five floats as ``repr``, which is how
+    ``csv.writer`` writes a float."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((item, ""))
+    return buf.getvalue()[:-3].replace("%", "%%") + ",%r,%r,%r,%r,%r\r\n"
+
+
 def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     data, scheme = cfg.load()
     if cfg.function_spec is None:
@@ -370,39 +376,26 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     ids, _ = resolve_items(cfg.items, data)
     fp = _open_out(cfg.out)
     curves_fp = open(curves, "w", newline="") if curves is not None else None
-    writer = None
     if curves_fp is not None:
-        writer = csv.writer(curves_fp)
-        writer.writerow(["item", "u", "lower_bound", "hull", "j_estimate", "v_optimal"])
+        curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
     failed = False
     try:
         for item in ids:
             v = data.vector(item)
-            est = check_estimable(v, f, scheme, eps=cfg.eps)
-            bd = check_bounded(v, f, scheme, eps=cfg.eps)
-            fv = check_finite_variance(v, f, scheme, grid_n=cfg.grid_n)
+            # one curve per vector serves the three checks and the curve rows
+            with _error_source(f"item {item!r}"):
+                lbf = lb_function(f, v, scheme)
+                est, bd, fv = _curve_checks(lbf, evaluate(f, v), cfg.eps, cfg.grid_n)
             chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
             failed = failed or not chain
-            fp.write(
-                json.dumps(
-                    {
-                        "item": item,
-                        "vector": list(v),
-                        "function": f.describe(),
-                        "estimable": est.ok,
-                        "estimable_gap": est.value,
-                        "bounded": bd.ok,
-                        "bounded_slope": bd.value,
-                        "finite_variance": fv.ok,
-                        "chain_ok": chain,
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )
-            if writer is not None:
-                rows = curve_table(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
-                writer.writerows((item, *row) for row in rows)
+            rec = {"item": item, "vector": list(v), "function": f.describe(),
+                   "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
+                   "bounded_slope": bd.value, "finite_variance": fv.ok, "chain_ok": chain}
+            fp.write(json.dumps(rec, allow_nan=False) + "\n")
+            if curves_fp is not None:
+                columns = _curve_columns(lbf, v, f, scheme, cfg.grid_n, cfg.depth)
+                rows = zip(*(c.tolist() for c in columns))
+                curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
     finally:
         _close_out(fp)
         if curves_fp is not None:
@@ -416,13 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coordinated shared-seed sampling and multi-instance estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every default is RunConfig's
+    default = {f.name: f.default for f in fields(RunConfig)}
 
     def common(p: argparse.ArgumentParser, scheme: bool = True):
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
         if scheme:
-            p.add_argument("--scheme", default="pps:tau=4", help="inline scheme, e.g. pps:tau=4")
+            p.add_argument("--scheme", default=default["scheme_spec"], help="inline scheme, e.g. pps:tau=4")
             p.add_argument("--scheme-file", type=Path, default=None, help="key-value scheme config")
-        p.add_argument("--salt", type=int, default=0)
+        p.add_argument("--salt", type=int, default=default["salt"])
         p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
 
     p_sample = sub.add_parser("sample", help="draw coordinated samples")
@@ -432,28 +427,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_est)
     p_est.add_argument("--query", required=True, help="l1|lpp:p|lp:p|maxsum|minsum|jaccard|distinct (bottom-k mode adds sum)")
     p_est.add_argument("--p", type=float, default=None, help="exponent for lpp/lp queries")
-    p_est.add_argument("--estimator", default="exact", choices=("exact", "j", "ht", "voptimal-oracle"))
-    p_est.add_argument("--items", default="all")
-    p_est.add_argument("--reps", type=int, default=1, help="Monte Carlo repetitions over salts")
+    p_est.add_argument("--estimator", default=default["estimator"], choices=("exact", "j", "ht", "voptimal-oracle"))
+    p_est.add_argument("--items", default=default["items"])
+    p_est.add_argument("--reps", type=int, default=default["reps"], help="Monte Carlo repetitions over salts")
     p_est.add_argument("--k", type=int, default=None, help="bottom-k mode: sample size")
-    p_est.add_argument("--rank", default="pps", choices=("pps", "exp"))
-    p_est.add_argument("--instance", type=int, default=1, help="bottom-k mode: 1-based instance")
-    p_est.add_argument("--grid-n", type=int, default=256)
+    p_est.add_argument("--rank", default=default["rank"], choices=("pps", "exp"))
+    p_est.add_argument("--instance", type=int, default=default["instance"], help="bottom-k mode: 1-based instance")
+    p_est.add_argument("--grid-n", type=int, default=default["grid_n"])
 
     p_an = sub.add_parser("analyze", help="competitiveness reports per item")
     common(p_an)
     p_an.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
-    p_an.add_argument("--items", default="all")
-    p_an.add_argument("--grid-n", type=int, default=256)
-    p_an.add_argument("--depth", type=int, default=40)
+    p_an.add_argument("--items", default=default["items"])
+    p_an.add_argument("--grid-n", type=int, default=default["grid_n"])
+    p_an.add_argument("--depth", type=int, default=default["depth"])
 
     p_ch = sub.add_parser("characterize", help="estimability verdicts per item")
     common(p_ch)
     p_ch.add_argument("--function", required=True)
-    p_ch.add_argument("--items", default="all")
-    p_ch.add_argument("--grid-n", type=int, default=256)
-    p_ch.add_argument("--depth", type=int, default=40)
-    p_ch.add_argument("--eps", type=float, default=1e-3)
+    p_ch.add_argument("--items", default=default["items"])
+    p_ch.add_argument("--grid-n", type=int, default=default["grid_n"])
+    p_ch.add_argument("--depth", type=int, default=default["depth"])
+    p_ch.add_argument("--eps", type=float, default=default["eps"])
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")
 
     return parser

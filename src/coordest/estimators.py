@@ -37,7 +37,7 @@ from .functions import (
     or_fn,
     rg_fn,
 )
-from .hull import EstimateFn, EstimatePiece, lower_hull
+from .hull import EstimateFn, lower_hull
 from .model import (
     Domain,
     InstanceSet,
@@ -161,7 +161,9 @@ def j_piece_tables(
     lbs = lower_bounds(f, values, True, xs, scheme, domain).reshape(n, depth + 1)
     vals = np.empty_like(lbs)
     vals[:, 0] = 2.0 * lbs[:, 0]
-    vals[:, 1:] = 2.0 ** (np.arange(1, depth + 1) + 1) * (lbs[:, 1:] - lbs[:, :-1])
+    # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
+    # of data below about 1e-300
+    vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
     return np.clip(vals, 0.0, None)
 
 
@@ -186,11 +188,8 @@ def j_estimate_fn(
 ) -> EstimateFn:
     """Materialised dyadic pieces down to seed ``2^-depth-1``."""
     vals = j_piece_values(v, f, scheme, depth, domain)
-    pieces = [
-        EstimatePiece(2.0 ** (-j - 1), 2.0 ** (-j), float(vals[j]))
-        for j in range(depth, -1, -1)
-    ]
-    return EstimateFn("j_dyadic", tuple(pieces))
+    his = np.ldexp(1.0, np.arange(-depth, 1))
+    return EstimateFn("j_dyadic", 0.5 * his, his, vals[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +261,9 @@ def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> Es
     ``v``: a single constant block on the certifying seeds (one row of
     :func:`ht_blocks`)."""
     value, p = (float(a[0]) for a in ht_blocks(f, np.asarray(v, dtype=float).reshape(1, -1), scheme))
-    if value == 0.0:
-        return EstimateFn("ht", (EstimatePiece(0.0, 1.0, 0.0),))
-    pieces = [EstimatePiece(0.0, p, value)]
-    if p < 1.0:
-        pieces.append(EstimatePiece(p, 1.0, 0.0))
-    return EstimateFn("ht", tuple(pieces))
+    if value == 0.0 or p >= 1.0:
+        return EstimateFn("ht", [0.0], [1.0], [value])
+    return EstimateFn("ht", [0.0, p], [p, 1.0], [value, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +309,12 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
     xs = np.concatenate(([anchor], us, bs, [1.0]))
     ys = np.append(lb.value(np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))), 0.0)
-    hull = lower_hull(np.column_stack((xs, ys)))
-    pieces = []
-    for (u1, y1), (u2, y2) in zip(hull.vertices, hull.vertices[1:]):
-        pieces.append(EstimatePiece(u1, u2, max(0.0, (y1 - y2) / (u2 - u1))))
-    return EstimateFn("v_optimal", tuple(pieces))
+    hu, hy = np.array(lower_hull(np.column_stack((xs, ys))).vertices).T
+    # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)): fmax turns a
+    # NaN into 0.0, and adding +0.0 turns a -0.0 into 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.fmax((hy[:-1] - hy[1:]) / (hu[1:] - hu[:-1]), 0.0) + 0.0
+    return EstimateFn("v_optimal", hu[:-1], hu[1:], slopes)
 
 
 def v_optimal_estimate_at(

@@ -9,7 +9,7 @@ drive both the optimal-variance baseline and the characterization checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -90,76 +90,84 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     return LowerHull(tuple(zip(cu, cy)))
 
 
-@dataclass(frozen=True)
-class EstimatePiece:
-    """Constant estimate over the seed interval ``(lo, hi]``."""
-
-    lo: float
-    hi: float
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise ValueError(f"bad piece interval ({self.lo}, {self.hi}]")
-        if not isinstance(self.value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"piece value must be a number, not {type(self.value).__name__}")
-        if self.value < 0:
-            raise ValueError("estimates must be nonnegative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateFn:
     """Piecewise-constant estimator values over seeds, tagged by
-    construction kind; ``los``, ``his`` and ``values`` hold the pieces as
-    float arrays.  :meth:`value_at`, :meth:`integral` and
-    :func:`integrate_square` take a scalar or an array of seeds or cutoffs
-    and return a float or an array to match."""
+    construction kind: ``values[i]`` on the seed interval
+    ``(los[i], his[i]]``, held as float arrays.  :meth:`value_at`,
+    :meth:`integral` and :func:`integrate_square` take a scalar or an array
+    of seeds or cutoffs and return a float or an array to match."""
 
     kind: str  # "j_dyadic", "v_optimal", or "ht"
-    pieces: tuple[EstimatePiece, ...]
-    los: np.ndarray = field(init=False, repr=False, compare=False)
-    his: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
+    los: np.ndarray
+    his: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            if b.lo != a.hi:
-                raise ValueError("pieces must be contiguous and ordered")
-        object.__setattr__(self, "los", np.array([p.lo for p in self.pieces], dtype=float))
-        object.__setattr__(self, "his", np.array([p.hi for p in self.pieces], dtype=float))
-        object.__setattr__(self, "values", np.array([p.value for p in self.pieces], dtype=float))
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biuf":
+            bad = next((x for x in values.ravel().tolist() if not isinstance(x, (int, float))), values)
+            raise ValueError(f"piece value must be a number, not {type(bad).__name__}")
+        for name in ("los", "his", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        los, his = self.los, self.his
+        if not los.shape == his.shape == self.values.shape == (len(los),):
+            raise ValueError("los, his and values must be 1-d and of one length")
+        # count_nonzero: a fraction of the cost of any() on a few pieces
+        good = (0.0 <= los) & (los < his) & (his <= 1.0)
+        if np.count_nonzero(good) < len(good):
+            raise ValueError(f"bad piece interval ({los[~good][0]}, {his[~good][0]}]")
+        if np.count_nonzero(self.values < 0):
+            raise ValueError("estimates must be nonnegative")
+        if np.count_nonzero(los[1:] != his[:-1]):
+            raise ValueError("pieces must be contiguous and ordered")
 
     @property
     def support_left(self) -> float:
-        return self.pieces[0].lo if self.pieces else 1.0
+        return float(self.los[0]) if len(self.los) else 1.0
 
     def value_at(self, u):
         """Value of the piece holding each seed; 0 at or below
         :attr:`support_left` and above the last piece."""
         us = np.asarray(u, dtype=float)
         out = np.zeros(us.shape)
-        if self.pieces:
+        if len(self.his):
             idx = np.minimum(np.searchsorted(self.his, us, side="left"), len(self.his) - 1)
             out = np.where((us > self.support_left) & (us <= self.his[-1]), self.values[idx], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def integral(self, lo=0.0, hi=1.0):
         """Integral of the estimate over ``(lo, hi]``."""
-        return _ordered_sum(self, self.values.tolist(), lo, hi)
+        return _ordered_sum(self, self.values, lo, hi)
 
 
-def _ordered_sum(e: EstimateFn, values: list[float], lo, hi):
+# elements of one (pieces x windows) block of :func:`_ordered_sum`; one
+# matrix of every piece and window would raise the peak memory of a curve
+# table by several MB
+SUM_BLOCK = 2**14
+
+
+def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi):
     """Sum of ``value * overlap`` over the pieces of ``e`` for each window
-    ``(lo, hi]`` (broadcast), added piece by piece from the left so that
-    every entry has the bits of the scalar left-to-right sum.  A piece that
-    misses the window adds nothing, even where its value is infinite."""
+    ``(lo, hi]`` (broadcast), added piece by piece from the left, starting
+    from +0.0, so that every entry has the bits of the scalar left-to-right
+    sum.  Blocks of pieces are summed with ``cumsum`` down the piece axis,
+    which adds strictly in order (``np.sum`` would add pairwise).  A piece
+    that misses the window adds nothing, even where its value is
+    infinite."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    total = np.zeros(np.broadcast_shapes(lo.shape, hi.shape))
+    total = np.zeros(np.broadcast(lo, hi).shape)
+    step = max(1, SUM_BLOCK // max(total.size, 1))
+    # pieces down the first axis, windows along the others
+    col = (-1,) + (1,) * total.ndim
+    los, his, values = e.los.reshape(col), e.his.reshape(col), values.reshape(col)
     with np.errstate(invalid="ignore"):
-        for plo, phi, v in zip(e.los.tolist(), e.his.tolist(), values):
-            w = np.minimum(phi, hi) - np.maximum(plo, lo)
-            total += np.where(w > 0.0, v * w, 0.0)
+        for a in range(0, len(values), step):
+            w = np.minimum(his[a : a + step], hi) - np.maximum(los[a : a + step], lo)
+            terms = np.where(w > 0.0, values[a : a + step] * w, 0.0)
+            terms[0] += total
+            total = np.cumsum(terms, axis=0, out=terms)[-1]
     return float(total) if total.ndim == 0 else total
 
 
@@ -172,4 +180,4 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     Divergence below the materialised support is the business of the
     refinement checks in :mod:`coordest.analysis`, not of this sum.
     """
-    return _ordered_sum(e, [v * v for v in e.values.tolist()], lo, hi)
+    return _ordered_sum(e, e.values * e.values, lo, hi)

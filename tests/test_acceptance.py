@@ -195,8 +195,8 @@ def test_criterion_05_hull_derivative_correctness():
     lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
     est = v_optimal_estimates(lb, grid_n=grid_n)
     max_err = 0.0
-    for piece in est.pieces:
-        for u in (piece.lo + 1e-13, 0.5 * (piece.lo + piece.hi), piece.hi):
+    for lo, hi in zip(est.los.tolist(), est.his.tolist()):
+        for u in (lo + 1e-13, 0.5 * (lo + hi), hi):
             max_err = max(max_err, abs(est.value_at(u) - 2.0 * (1.0 - u)))
     integral = est.integral()
     var = clamped_variance(integrate_square(est), 1.0)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 import coordest
 from coordest.cli import (
     RunConfig,
+    _config_from_args,
+    build_parser,
     console_main,
     ingest,
     main,
@@ -184,6 +187,11 @@ class TestParseErrorsNameTheirSource:
         with pytest.raises(ValueError, match=r"^--items 'positive-in:x': invalid literal"):
             resolve_items("positive-in:x", ingest(DEMO_CSV))
 
+    def test_scheme_file_duplicate_key_names_both_lines(self):
+        text = "tau.1 = pps:4\n# again\ntau.1 = pps:2\ntau.2 = pps:4\n"
+        with pytest.raises(ValueError, match=r"^maps\.txt: line 3: tau\.1 is already defined on line 1$"):
+            parse_scheme_file(text, r=2, source="maps.txt")
+
     def test_scheme_file_map_names_its_line(self):
         text = "tau.2 = pwl:0:0,1\ntau.1 = pps:4\n"
         with pytest.raises(ValueError, match=r"^scheme file: line 1: tau\.2: joint list must pair"):
@@ -208,6 +216,19 @@ class TestResolveItems:
 
 
 class TestRunConfig:
+    @pytest.mark.parametrize("argv", [
+        ["sample"],
+        ["estimate", "--query", "l1"],
+        ["analyze", "--function", "max"],
+        ["characterize", "--function", "max"],
+    ])
+    def test_parser_defaults_are_the_config_defaults(self, argv):
+        given = {"input", "query", "function_spec"}
+        cfg = _config_from_args(build_parser().parse_args([*argv, "--input", str(DEMO_CSV)]))
+        for f in fields(RunConfig):
+            if f.name not in given:
+                assert getattr(cfg, f.name) == f.default, f.name
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(input=DEMO_CSV, reps=0)
@@ -391,6 +412,34 @@ class TestAnalyzeCommand:
         rec = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert rec["estimable"] and rec["bounded"] and rec["finite_variance"]
         assert 1.0 <= rec["ratio"] <= 84.0
+
+    @pytest.mark.parametrize("function, vector", [
+        ("rg:p=1", "0,0,1e-100"), ("rg:p=2", "0,0,1e-100"), ("max", "0,0,1e-200"),
+        ("rg:p=1", "0,0,1e-310"), ("max", "1e-310,0,2e-310"),
+    ])
+    def test_dyadic_depth_reaches_tiny_data(self, tmp_path, function, vector):
+        # the dyadic sum once stopped at depth 300, above all the mass of
+        # data below about 1e-84, and the tail bound decided the ratio
+        p = tmp_path / "tiny.csv"
+        p.write_text(f"item,v1,v2,v3\na,{vector}\n")
+        out = tmp_path / "report.jsonl"
+        assert main(["analyze", "--input", str(p), "--function", function, "--out", str(out)]) == 0
+        rec = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert 1.0 <= rec["ratio"] <= 84.0
+
+    @pytest.mark.parametrize("command", ["analyze", "characterize"])
+    def test_underflowing_limit_probe_names_the_item(self, tmp_path, command):
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2,v3\nb,1,0,2\na,0,0,1e-320\n")
+        proc = _python("-m", "coordest", command, "--input", str(p), "--function", "max")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("coordest: error: item 'a': limit probe ")
+        assert "underflows to 0" in proc.stderr and proc.stderr.count("\n") == 1
+
+    def test_zero_eps_names_the_item(self, capsys):
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--eps", "0"]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == "coordest: error: item '1': eps must be positive\n"
 
     def test_schema_round_trip(self, tmp_path):
         from coordest.analysis import AnalysisReport

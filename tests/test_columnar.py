@@ -55,7 +55,7 @@ from coordest.functions import (
     lb_function,
     lower_bound_from_vector,
 )
-from coordest.hull import EstimateFn, EstimatePiece, integrate_square, lower_hull
+from coordest.hull import EstimateFn, integrate_square, lower_hull
 from coordest.model import (
     InstanceSet,
     Known,
@@ -340,32 +340,36 @@ def test_mc_ht_certifies_a_seed_equal_to_its_probability():
 # the analysis path: piecewise estimates, hulls and curve tables
 
 
+def _pieces(e):
+    return list(zip(e.los.tolist(), e.his.tolist(), e.values.tolist()))
+
+
 def _ref_value_at(e, u):
-    if not e.pieces or u <= e.support_left or u > e.pieces[-1].hi:
+    his = e.his.tolist()
+    if not his or u <= e.support_left or u > his[-1]:
         return 0.0
-    his = [p.hi for p in e.pieces]
-    return float(e.pieces[bisect_left(his, u)].value)
+    return e.values.tolist()[bisect_left(his, u)]
 
 
 def _ref_integral(e, lo=0.0, hi=1.0):
     total = 0.0
-    for p in e.pieces:
-        a, b = max(p.lo, lo), min(p.hi, hi)
+    for p_lo, p_hi, value in _pieces(e):
+        a, b = max(p_lo, lo), min(p_hi, hi)
         if b <= a:
             continue
-        total += p.value * (b - a)
+        total += value * (b - a)
     return total
 
 
 def _ref_integrate_square(e, lo=0.0, hi=1.0):
     total = 0.0
-    for p in e.pieces:
-        a, b = max(p.lo, lo), min(p.hi, hi)
+    for p_lo, p_hi, value in _pieces(e):
+        a, b = max(p_lo, lo), min(p_hi, hi)
         if b <= a:
             continue
-        if math.isinf(p.value):
+        if math.isinf(value):
             return math.inf
-        total += p.value * p.value * (b - a)
+        total += value * value * (b - a)
     return total
 
 
@@ -483,14 +487,14 @@ def estimate_fns(draw):
     piece_value = st.one_of(
         st.floats(0.0, 1e3), st.just(0.0), st.just(math.inf), st.floats(0.0, 1e-300)
     )
-    pieces = tuple(EstimatePiece(a, b, draw(piece_value)) for a, b in zip(edges, edges[1:]))
-    return EstimateFn("v_optimal", pieces)
+    values = [draw(piece_value) for _ in edges[1:]]
+    return EstimateFn("v_optimal", edges[:-1], edges[1:], values)
 
 
 def _probes(e, extra):
     """Seeds at and one ulp either side of every piece edge, at and below
     the support, above the last piece and outside [0, 1]."""
-    edges = np.array([e.support_left, *(p.hi for p in e.pieces)], dtype=float)
+    edges = np.concatenate([[e.support_left], e.his])
     near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     return np.concatenate([near, [-0.5, -0.0, 0.0, 1.0, 1.5, 5e-324], np.asarray(extra, dtype=float)])
 
@@ -499,7 +503,7 @@ def _many_pieces(n: int = 40) -> EstimateFn:
     rng = np.random.default_rng(5)
     edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(n - 1)])).tolist()
     values = rng.exponential(100.0, len(edges) - 1).tolist()
-    return EstimateFn("v_optimal", tuple(map(EstimatePiece, edges, edges[1:], values)))
+    return EstimateFn("v_optimal", edges[:-1], edges[1:], values)
 
 
 @given(estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
@@ -523,7 +527,7 @@ def test_estimate_fn_batches_match_scalar_loops(e, extra):
 
 
 def test_empty_estimate_fn_is_zero_everywhere():
-    e = EstimateFn("ht", ())
+    e = EstimateFn("ht", [], [], [])
     us = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     assert e.value_at(us).tolist() == [0.0] * 5
     assert e.integral(lo=us).tolist() == [0.0] * 5
@@ -532,7 +536,7 @@ def test_empty_estimate_fn_is_zero_everywhere():
 
 
 def test_infinite_piece_integrates_to_inf_not_nan():
-    e = EstimateFn("ht", (EstimatePiece(0.0, 0.5, math.inf), EstimatePiece(0.5, 1.0, 1.0)))
+    e = EstimateFn("ht", [0.0, 0.5], [0.5, 1.0], [math.inf, 1.0])
     cutoffs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert integrate_square(e, lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
     assert e.integral(lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
@@ -568,7 +572,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     for grid_n in (64, 512):
         est = v_optimal_estimates(lbf, grid_n)
         want = _ref_v_optimal_estimates(lbf, grid_n)
-        assert _bits([x for p in est.pieces for x in (p.lo, p.hi, p.value)]) == _bits(np.ravel(want))
+        assert _bits(np.column_stack((est.los, est.his, est.values)).ravel()) == _bits(np.ravel(want))
     got = curve_table(v, f, scheme, grid_n=64)
     want = _ref_curve_table(v, f, scheme, grid_n=64)
     assert len(got) == len(want)

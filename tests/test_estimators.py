@@ -239,8 +239,8 @@ class TestHullDerivativeEstimates:
     def test_convex_curve_matches_derivative(self):
         lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
         est = v_optimal_estimates(lb, grid_n=256)
-        for piece in est.pieces:
-            for u in (piece.lo + 1e-12, 0.5 * (piece.lo + piece.hi), piece.hi):
+        for lo, hi in zip(est.los.tolist(), est.his.tolist()):
+            for u in (lo + 1e-12, 0.5 * (lo + hi), hi):
                 assert est.value_at(u) == pytest.approx(2.0 * (1.0 - u), abs=4.0 / 256)
         assert est.integral() == pytest.approx(1.0, abs=1e-6)
         assert integrate_square(est) == pytest.approx(4.0 / 3.0, abs=1e-4)
@@ -273,7 +273,7 @@ class TestHullDerivativeEstimates:
             v = random_vector(rng)
             for f in builtin_functions():
                 est = v_optimal_estimates(lb_function(f, v, scheme), grid_n=128)
-                vals = [p.value for p in est.pieces]
+                vals = est.values.tolist()
                 assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_feasibility_against_lower_bound(self):
@@ -288,8 +288,8 @@ class TestHullDerivativeEstimates:
             for f in builtin_functions():
                 lbf = lb_function(f, v, scheme)
                 est = v_optimal_estimates(lbf, grid_n=grid_n)
-                for piece in est.pieces[:: max(1, len(est.pieces) // 16)]:
-                    assert est.integral(lo=piece.hi) <= lbf.value(piece.hi) + 1e-9
+                for hi in est.his[:: max(1, len(est.his) // 16)].tolist():
+                    assert est.integral(lo=hi) <= lbf.value(hi) + 1e-9
                 for rho in rng.uniform(1e-3, 1.0, size=8):
                     rho = float(rho)
                     assert est.integral(lo=rho) <= lbf.value(rho) + sag

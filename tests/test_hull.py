@@ -31,7 +31,7 @@ from coordest.functions import (
     one_sided_rg_fn,
     rg_fn,
 )
-from coordest.hull import EstimateFn, EstimatePiece, integrate_square, lower_hull
+from coordest.hull import EstimateFn, integrate_square, lower_hull
 from coordest.model import TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
@@ -83,12 +83,12 @@ class TestLowerHull:
 
 class TestIntegrateSquare:
     def test_constant(self):
-        e = EstimateFn("ht", (EstimatePiece(0.0, 1.0, 3.0),))
+        e = EstimateFn("ht", [0.0], [1.0], [3.0])
         assert integrate_square(e) == 9.0
 
     def test_callable_piece_rejected(self):
         with pytest.raises(ValueError, match="number"):
-            EstimatePiece(0.0, 1.0, lambda u: 2.0 * (1.0 - u))
+            EstimateFn("ht", [0.0], [1.0], [lambda u: 2.0 * (1.0 - u)])
 
     def test_dyadic_terms_of_worked_example(self, scheme1):
         vals = j_piece_values((1.0, 0.0), ONE_SIDED, scheme1, depth=6)
@@ -99,7 +99,7 @@ class TestIntegrateSquare:
         assert terms[2] == pytest.approx(0.78125)
 
     def test_window(self):
-        e = EstimateFn("ht", (EstimatePiece(0.0, 0.5, 2.0), EstimatePiece(0.5, 1.0, 1.0)))
+        e = EstimateFn("ht", [0.0, 0.5], [0.5, 1.0], [2.0, 1.0])
         assert integrate_square(e, lo=0.25) == pytest.approx(0.25 * 4.0 + 0.5 * 1.0)
 
 
@@ -110,7 +110,7 @@ class TestVariance:
         assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     def test_constant_estimator_has_zero_variance(self):
-        est = EstimateFn("ht", (EstimatePiece(0.0, 1.0, 2.0),))
+        est = EstimateFn("ht", [0.0], [1.0], [2.0])
         assert clamped_variance(integrate_square(est), 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_probability_variance(self, scheme4):
