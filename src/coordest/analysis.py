@@ -27,11 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .estimators import (
-    j_estimate_fn,
-    j_piece_values,
-    v_optimal_estimates,
-)
+from .estimators import base_grid, j_estimate_fn, j_piece_values, v_optimal_estimates
 from .functions import (
     ItemFunction,
     LowerBoundFn,
@@ -39,7 +35,7 @@ from .functions import (
     lb_function,
     lower_bound_from_vector,
 )
-from .hull import integrate_square
+from .hull import EstimateFn, integrate_square
 from .model import Domain, TauScheme
 
 RATIO_BOUND = 84.0
@@ -138,18 +134,26 @@ def check_finite_variance_curve(
 ) -> CheckResult:
     """Are the squared hull slopes integrable near seed 0?
 
-    Computes partial square integrals of the hull-derivative estimates over
-    ``(cutoff, 1]`` for a geometric cutoff sequence and accepts when the
+    Computes partial square integrals of the hull-derivative estimates
+    ``v_optimal_estimates(lb, grid_n)`` (the hull the optimum uses) over
+    ``(cutoff, 1]`` for cutoffs ``4^-k / 16`` and accepts when the
     refinements become Cauchy: either the relative change drops below 1e-6
-    or the per-refinement increments shrink geometrically (a bounded slope
+    or the per-refinement increments at least halve (a bounded slope
     quarters them each step, so their tail is summable).  Divergent curves
-    keep adding non-shrinking mass and fail.
+    keep adding non-shrinking mass and fail.  So do curves whose gap to
+    their limit behaves like ``u^p`` with 1/2 < p < 3/4: their variance is
+    finite, but the increments shrink only by ``4^-(2p-1)`` per step, more
+    than half.  The lower bounds of item functions have a bounded slope there.
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if not isinstance(lb, LowerBoundFn):
         lb = LowerBoundFn.from_callable(lb, breakpoints=breakpoints)
-    est = v_optimal_estimates(lb, grid_n=max(grid_n, 512))
+    return _finite_variance_ladder(v_optimal_estimates(lb, grid_n))
+
+
+def _finite_variance_ladder(est: EstimateFn) -> CheckResult:
+    """The verdict of :func:`check_finite_variance_curve` on the hull ``est``."""
     # ladder from 1/16 down to just above the materialised support, so
     # curves with tiny revelation seeds still get probed past their mass
     floor = max(4.0 * est.support_left, 1e-300)
@@ -178,13 +182,14 @@ def _head_scale(lbf: LowerBoundFn) -> float:
     return min((b for b in lbf.breakpoints if b > 0.0), default=1.0)
 
 
-def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) -> tuple[CheckResult, ...]:
+def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) -> tuple:
     """The three checks of one curve, with the limit probes at ``eps`` times
-    its head scale: those check_estimable, check_bounded and
-    check_finite_variance make from it."""
+    its head scale (those check_estimable, check_bounded and
+    check_finite_variance make), then the hull ``v_optimal_estimates(lbf, grid_n)``."""
+    opt = v_optimal_estimates(lbf, grid_n)
     eps *= _head_scale(lbf)
     return (check_estimable_curve(lbf, f_value, eps), check_bounded_curve(lbf, f_value, eps),
-            check_finite_variance_curve(lbf, grid_n=grid_n))
+            _finite_variance_ladder(opt), opt)
 
 
 def check_estimable(
@@ -287,7 +292,7 @@ def competitiveness_ratio(
     """
     fv = evaluate(f, v)
     lbf = lb_function(f, v, scheme, domain)
-    est_check, bd_check, fv_check = _curve_checks(lbf, fv, 1e-3, max(grid_n, 64))
+    est_check, bd_check, fv_check, opt = _curve_checks(lbf, fv, 1e-3, grid_n)
     diagnostics: dict = {
         "f_value": fv,
         "estimable_gap": est_check.value,
@@ -325,7 +330,6 @@ def competitiveness_ratio(
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    opt = v_optimal_estimates(lbf, grid_n)
     sq_opt = integrate_square(opt)
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
@@ -367,22 +371,14 @@ def curve_table(
     exceed the lower bound (on 120 generated vectors under ``rg:p=2`` and
     ``pps:tau=4``, by up to 4.8e-5, and by up to 0.14 % of f(v)).
     """
-    columns = _curve_columns(lb_function(f, v, scheme, domain), v, f, scheme, grid_n, depth, domain)
+    lbf = lb_function(f, v, scheme, domain)
+    columns = _curve_columns(lbf, v_optimal_estimates(lbf, grid_n), v, f, scheme, grid_n, depth, domain)
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _curve_columns(lbf: LowerBoundFn, v, f, scheme, grid_n, depth, domain=None) -> tuple[np.ndarray, ...]:
+def _curve_columns(lbf: LowerBoundFn, opt: EstimateFn, v, f, scheme, grid_n, depth, domain=None) -> tuple:
     """The five columns of :func:`curve_table`, from the curve ``lbf`` of
-    ``v``."""
-    opt = v_optimal_estimates(lbf, grid_n)
+    ``v`` and its hull ``opt = v_optimal_estimates(lbf, grid_n)``."""
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40), domain=domain)
-    us = np.unique(
-        np.concatenate(
-            [
-                np.linspace(1.0 / grid_n, 1.0, grid_n),
-                np.geomspace(1e-6, 1.0, grid_n // 2),
-                np.array(lbf.breakpoints),
-            ]
-        )
-    )
+    us = np.unique(np.concatenate([base_grid(grid_n, 1e-6, grid_n // 2), np.array(lbf.breakpoints)]))
     return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

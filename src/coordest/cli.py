@@ -382,10 +382,10 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     try:
         for item in ids:
             v = data.vector(item)
-            # one curve per vector serves the three checks and the curve rows
+            # one curve and one hull per vector serve the checks and the curve rows
             with _error_source(f"item {item!r}"):
                 lbf = lb_function(f, v, scheme)
-                est, bd, fv = _curve_checks(lbf, evaluate(f, v), cfg.eps, cfg.grid_n)
+                est, bd, fv, opt = _curve_checks(lbf, evaluate(f, v), cfg.eps, cfg.grid_n)
             chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
             failed = failed or not chain
             rec = {"item": item, "vector": list(v), "function": f.describe(),
@@ -393,7 +393,7 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
                    "bounded_slope": bd.value, "finite_variance": fv.ok, "chain_ok": chain}
             fp.write(json.dumps(rec, allow_nan=False) + "\n")
             if curves_fp is not None:
-                columns = _curve_columns(lbf, v, f, scheme, cfg.grid_n, cfg.depth)
+                columns = _curve_columns(lbf, opt, v, f, scheme, cfg.grid_n, cfg.depth)
                 rows = zip(*(c.tolist() for c in columns))
                 curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
     finally:
@@ -411,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # every default is RunConfig's
     default = {f.name: f.default for f in fields(RunConfig)}
+    grid_help = "uniform seeds of the hull grid (>= 16); one hull per vector serves its checks and estimates"
 
     def common(p: argparse.ArgumentParser, scheme: bool = True):
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
@@ -433,20 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--k", type=int, default=None, help="bottom-k mode: sample size")
     p_est.add_argument("--rank", default=default["rank"], choices=("pps", "exp"))
     p_est.add_argument("--instance", type=int, default=default["instance"], help="bottom-k mode: 1-based instance")
-    p_est.add_argument("--grid-n", type=int, default=default["grid_n"])
+    p_est.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
 
     p_an = sub.add_parser("analyze", help="competitiveness reports per item")
     common(p_an)
     p_an.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
     p_an.add_argument("--items", default=default["items"])
-    p_an.add_argument("--grid-n", type=int, default=default["grid_n"])
+    p_an.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
     p_an.add_argument("--depth", type=int, default=default["depth"])
 
     p_ch = sub.add_parser("characterize", help="estimability verdicts per item")
     common(p_ch)
     p_ch.add_argument("--function", required=True)
     p_ch.add_argument("--items", default=default["items"])
-    p_ch.add_argument("--grid-n", type=int, default=default["grid_n"])
+    p_ch.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
     p_ch.add_argument("--depth", type=int, default=default["depth"])
     p_ch.add_argument("--eps", type=float, default=default["eps"])
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")

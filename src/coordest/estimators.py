@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -270,6 +271,15 @@ def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> Es
 # hull-derivative (minimum-variance) estimates
 
 
+@lru_cache(maxsize=64)
+def base_grid(grid_n: int, lo: float, count: int) -> np.ndarray:
+    """The sorted unique seeds of ``linspace(1/grid_n, 1, grid_n)`` and
+    ``geomspace(lo, 1, count)``; read-only, as equal calls share it."""
+    us = np.unique(np.concatenate([np.linspace(1.0 / grid_n, 1.0, grid_n), np.geomspace(lo, 1.0, count)]))
+    us.flags.writeable = False
+    return us
+
+
 def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     """Piecewise-constant negated slopes of the lower hull of a full
     lower-bound curve.
@@ -292,15 +302,8 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     # reciprocal overflow; 324 decades reach from the smallest float to 1
     anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * min_bp), math.ulp(0.0))
     decades = min(math.log10(1.0 / anchor), 324.0)
-    us = np.unique(
-        np.concatenate(
-            [
-                np.linspace(1.0 / grid_n, 1.0, grid_n),
-                np.geomspace(anchor, 1.0, int(max(grid_n, 128, 12 * decades))),
-                np.array(lb.breakpoints, dtype=float),
-            ]
-        )
-    )
+    grid = base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades)))
+    us = np.unique(np.concatenate([grid, np.array(lb.breakpoints, dtype=float)]))
     us = us[(us > anchor) & (us <= 1.0)]
     # The curve is left-continuous and may jump down across a breakpoint; the
     # cumulative estimate is continuous and capped at every seed beyond the

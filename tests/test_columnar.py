@@ -577,9 +577,10 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     want = _ref_curve_table(v, f, scheme, grid_n=64)
     assert len(got) == len(want)
     assert _bits(np.array(got)) == _bits(np.array(want))
-    # the partial square integrals of the finite-variance check, one row each
+    # the partial square integrals of the finite-variance check, one row
+    # each, on the hull of its own grid
     check = check_finite_variance_curve(lbf, grid_n=64)
-    est = v_optimal_estimates(lbf, 512)
+    est = v_optimal_estimates(lbf, 64)
     floor = max(4.0 * est.support_left, 1e-300)
     steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
     cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)

@@ -3,13 +3,24 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordest.model import Known, TauScheme, Unknown, hash_seed, seeds_for_salts
+from coordest.model import (
+    InstanceSet,
+    Known,
+    PiecewiseLinearMap,
+    PpsMap,
+    TauScheme,
+    Unknown,
+    hash_seed,
+    seeds_for_salts,
+    tau_at,
+)
 from coordest.samplers import (
     EXP_RANK,
     PPS_RANK,
@@ -256,3 +267,46 @@ class TestSerialization:
         write_samples({"1": out}, buf)
         text = buf.getvalue()
         assert '"item": "1"' in text and '"unknown_ub": 2.0' in text and '"known": 3.0' in text
+
+
+@st.composite
+def pps_pwl_schemes(draw, r: int) -> TauScheme:
+    maps = []
+    for _ in range(r):
+        tau = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        if draw(st.booleans()):
+            maps.append(PpsMap(tau))
+        else:
+            u = draw(st.sampled_from([0.25, 0.5, 0.75]))
+            maps.append(PiecewiseLinearMap(((0.0, 0.0), (u, draw(st.sampled_from([0.0, u * tau, tau]))), (1.0, tau))))
+    return TauScheme(tuple(maps))
+
+
+@given(
+    schemes=st.integers(1, 3).flatmap(lambda r: st.tuples(pps_pwl_schemes(r), pps_pwl_schemes(r))),
+    values=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 5.0, 20.0]), min_size=3, max_size=3),
+    n=st.integers(1, 6),
+    salt=st.integers(0, 2**63),
+)
+@settings(max_examples=300, deadline=None)
+def test_samples_read_under_another_scheme(schemes, values, n, salt):
+    # written under one scheme, read under another: either a line is named
+    # as bad, or every record is an outcome the second scheme can give
+    written, read = schemes
+    r = written.r
+    matrix = np.array([[values[(i + j) % 3] for i in range(r)] for j in range(n)])
+    buf = io.StringIO()
+    write_samples(sample_instances(InstanceSet(tuple(f"i{j}" for j in range(n)), matrix), written, salt), buf)
+    buf.seek(0)
+    try:
+        samples = read_samples(buf, read)
+    except ValueError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+        return
+    assert len(samples) == n
+    for item in samples:
+        out = samples[item]
+        assert 0.0 < out.seed <= 1.0
+        for i, slot in enumerate(out.slots):
+            tau = tau_at(read, i, out.seed)
+            assert slot.value >= tau if isinstance(slot, Known) else slot.bound == tau
