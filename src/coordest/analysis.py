@@ -8,10 +8,12 @@ For a data vector ``v`` and function ``f`` the full lower-bound curve
 * ... + finite variance       <=>  the squared hull slopes are integrable
 * ... + bounded estimates     <=>  (f(v) - lb(u)) / u stays bounded
 
-The checks here are numeric by design (they must also work for synthetic
-curves supplied as plain callables): limits are probed on geometric seed
-sequences and integrals on geometric cutoff sequences, with convergence of
-the probes standing in for the analytic limit.
+Every check takes the curve as a :class:`~coordest.functions.LowerBoundFn`
+and is numeric: limits are probed on geometric seed sequences below the
+curve's head (its first breakpoint) and integrals on geometric cutoff
+sequences, with convergence of the probes standing in for the analytic
+limit.  A curve flat at ``f(v)`` below its head reads a zero gap at every
+probe.
 
 Competitiveness compares the squared-estimate integral of the dyadic
 estimator against the hull optimum.  The certified bound for the dyadic
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .functions import (
     LowerBoundFn,
     evaluate,
     lb_function,
-    lower_bound_from_vector,
 )
 from .hull import EstimateFn, integrate_square
 from .model import Domain, TauScheme
@@ -64,15 +65,6 @@ class CheckResult:
         return self.ok
 
 
-def _curve_at(lb: LowerBoundFn | Callable[[float], float], us) -> list[float]:
-    """The curve at each seed of ``us``: one call for a :class:`LowerBoundFn`,
-    whose value at a seed does not depend on the other seeds of the call,
-    and one call per seed for a plain callable."""
-    if isinstance(lb, LowerBoundFn):
-        return lb.value(np.asarray(us, dtype=float)).tolist()
-    return [float(lb(u)) for u in us]
-
-
 def _probes(eps: float, n: int) -> np.ndarray:
     """The limit probes ``eps * 4^-t`` for t = 0..n-1; a probe that
     underflows to 0 (data below about 1e-316) is an error, not a seed."""
@@ -84,11 +76,7 @@ def _probes(eps: float, n: int) -> np.ndarray:
     return us
 
 
-def check_estimable_curve(
-    lb: LowerBoundFn | Callable[[float], float],
-    f_value: float,
-    eps: float = 1e-3,
-) -> CheckResult:
+def check_estimable_curve(lb: LowerBoundFn, f_value: float, eps: float = 1e-3) -> CheckResult:
     """Does the lower-bound curve reach ``f_value`` in the limit toward 0?
 
     Probes the gap at ``eps, eps/4, eps/16``; the limit is accepted when the
@@ -96,12 +84,7 @@ def check_estimable_curve(
     the two refinements).  A plateau strictly above 0 means mass near seed 0
     is unreachable and no unbiased nonnegative estimator exists.
     """
-    us = _probes(eps, 3)
-    if isinstance(lb, LowerBoundFn):
-        head = lb.constant_head()
-        if head is not None and head == f_value:
-            return CheckResult(True, 0.0, (0.0, 0.0, 0.0))
-    gaps = tuple(float(f_value - c) for c in _curve_at(lb, us))
+    gaps = tuple((f_value - lb.value(_probes(eps, 3))).tolist())
     residual = gaps[-1]
     if residual <= GAP_TOLERANCE:
         return CheckResult(True, max(residual, 0.0), gaps)
@@ -109,11 +92,7 @@ def check_estimable_curve(
     return CheckResult(shrinking, residual, gaps)
 
 
-def check_bounded_curve(
-    lb: LowerBoundFn | Callable[[float], float],
-    f_value: float,
-    eps: float = 1e-3,
-) -> CheckResult:
+def check_bounded_curve(lb: LowerBoundFn, f_value: float, eps: float = 1e-3) -> CheckResult:
     """Is ``(f_value - lb(u)) / u`` bounded as u -> 0?
 
     The ratio is tracked on ``eps * 4^-t`` for t = 0..8 and accepted when the
@@ -121,17 +100,13 @@ def check_bounded_curve(
     reported.
     """
     us = _probes(eps, 9)
-    ratios = tuple(float((f_value - c) / u) for c, u in zip(_curve_at(lb, us), us.tolist()))
+    ratios = tuple(((f_value - lb.value(us)) / us).tolist())
     sup = max(ratios)
     ok = ratios[-1] <= max(1.01 * ratios[-2], ratios[-2] + 1e-12)
     return CheckResult(ok, sup, ratios)
 
 
-def check_finite_variance_curve(
-    lb: LowerBoundFn | Callable[[float], float],
-    grid_n: int = 256,
-    breakpoints: Sequence[float] = (1.0,),
-) -> CheckResult:
+def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = 256) -> CheckResult:
     """Are the squared hull slopes integrable near seed 0?
 
     Computes partial square integrals of the hull-derivative estimates
@@ -147,8 +122,6 @@ def check_finite_variance_curve(
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    if not isinstance(lb, LowerBoundFn):
-        lb = LowerBoundFn.from_callable(lb, breakpoints=breakpoints)
     return _finite_variance_ladder(v_optimal_estimates(lb, grid_n))
 
 
@@ -172,22 +145,12 @@ def _finite_variance_ladder(est: EstimateFn) -> CheckResult:
     return CheckResult(bool(rel < 1e-6 or shrinking), last, partials)
 
 
-def _head_scale(lbf: LowerBoundFn) -> float:
-    """The curve's smallest breakpoint.
-
-    Below it the bound follows a single closed form all the way toward seed
-    0, so that is where limit probes belong; above it the probes only see
-    which branch is active, not the limit.
-    """
-    return min((b for b in lbf.breakpoints if b > 0.0), default=1.0)
-
-
 def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) -> tuple:
     """The three checks of one curve, with the limit probes at ``eps`` times
-    its head scale (those check_estimable, check_bounded and
+    its head (those check_estimable, check_bounded and
     check_finite_variance make), then the hull ``v_optimal_estimates(lbf, grid_n)``."""
     opt = v_optimal_estimates(lbf, grid_n)
-    eps *= _head_scale(lbf)
+    eps *= lbf.head
     return (check_estimable_curve(lbf, f_value, eps), check_bounded_curve(lbf, f_value, eps),
             _finite_variance_ladder(opt), opt)
 
@@ -200,7 +163,7 @@ def check_estimable(
     domain: Domain | None = None,
 ) -> CheckResult:
     lbf = lb_function(f, v, scheme, domain)
-    return check_estimable_curve(lbf, evaluate(f, v), eps * _head_scale(lbf))
+    return check_estimable_curve(lbf, evaluate(f, v), eps * lbf.head)
 
 
 def check_bounded(
@@ -211,7 +174,7 @@ def check_bounded(
     domain: Domain | None = None,
 ) -> CheckResult:
     lbf = lb_function(f, v, scheme, domain)
-    return check_bounded_curve(lbf, evaluate(f, v), eps * _head_scale(lbf))
+    return check_bounded_curve(lbf, evaluate(f, v), eps * lbf.head)
 
 
 def check_finite_variance(
@@ -314,7 +277,7 @@ def competitiveness_ratio(
     # keep summing dyadic blocks well past the curve's smallest breakpoint,
     # otherwise the worst-case tail bound dwarfs the actual deep mass for
     # data revealed only at tiny seeds
-    depth = max(depth, min(int(math.ceil(-math.log2(_head_scale(lbf)))) + 20, MAX_DEPTH))
+    depth = max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
     diagnostics["depth"] = depth
     vals = j_piece_values(v, f, scheme, depth, domain)
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
@@ -322,7 +285,7 @@ def competitiveness_ratio(
     if bd_check.ok:
         # deep-tail slope observed below the last summed block
         u_tail = 2.0 ** (-depth + 2)
-        slope = (fv - lower_bound_from_vector(f, v, scheme, u_tail, domain)) / u_tail
+        slope = (fv - lbf.value(u_tail)) / u_tail
         slope = max(slope, bd_check.value)
         tail = 256.0 * slope * slope * 2.0**-depth
     else:

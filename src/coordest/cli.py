@@ -38,7 +38,7 @@ from .estimators import (
     exact_query,
     mc_query_estimates,
 )
-from .functions import evaluate, lb_function, parse_function
+from .functions import ItemFunction, evaluate, lb_function, parse_function
 from .model import InstanceSet, PiecewiseLinearMap, PpsMap, TauScheme, ingest
 from .samplers import (
     EXP_RANK,
@@ -194,6 +194,10 @@ class RunConfig:
             raise ValueError("grid_n must be at least 16")
         if not 8 <= self.depth <= 60:
             raise ValueError("depth must lie in [8, 60]")
+        # the limit probes sit at eps * head * 4^-t: past the curve's head
+        # they see a branch of the bound, not its limit
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError(f"--eps must lie in (0, 1], got {self.eps!r}")
 
     def load(self) -> tuple[InstanceSet, TauScheme]:
         data = ingest(self.input)
@@ -331,13 +335,19 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
+def _item_function(cfg: RunConfig, r: int, command: str) -> ItemFunction:
+    """The ``--function`` of ``command``; a bad spec names the flag."""
+    if cfg.function_spec is None:
+        raise ValueError(f"{command} needs --function")
+    with _error_source(f"--function {cfg.function_spec!r}"):
+        return parse_function(cfg.function_spec, r)
+
+
 def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
     """Per-item competitiveness reports; returns a nonzero exit code when any
     ratio exceeds the certified bound or the implication chain breaks."""
     data, scheme = cfg.load()
-    if cfg.function_spec is None:
-        raise ValueError("analyze needs --function")
-    f = parse_function(cfg.function_spec, data.r)
+    f = _item_function(cfg, data.r, "analyze")
     ids, subset = resolve_items(cfg.items, data)
     failed = False
     for item in ids:
@@ -370,9 +380,7 @@ def _curve_row_format(item: str) -> str:
 
 def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     data, scheme = cfg.load()
-    if cfg.function_spec is None:
-        raise ValueError("characterize needs --function")
-    f = parse_function(cfg.function_spec, data.r)
+    f = _item_function(cfg, data.r, "characterize")
     ids, _ = resolve_items(cfg.items, data)
     fp = _open_out(cfg.out)
     curves_fp = open(curves, "w", newline="") if curves is not None else None
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--items", default=default["items"])
     p_ch.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
     p_ch.add_argument("--depth", type=int, default=default["depth"])
-    p_ch.add_argument("--eps", type=float, default=default["eps"])
+    p_ch.add_argument("--eps", type=float, default=default["eps"], help="limit probes at eps times the curve's head, in (0, 1]")
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")
 
     return parser

@@ -296,11 +296,10 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
         raise ValueError("need a lower-bound curve valid on all of (0, 1]")
     # all the action sits at small seeds, and a curve whose first breakpoint
     # is tiny (values revealed only with tiny probability) keeps its mass
-    # below the default anchor; scale the anchor under the first breakpoint
-    min_bp = min((b for b in lb.breakpoints if b > 0.0), default=1.0)
-    # below a subnormal breakpoint the anchor may underflow to 0 and its
+    # below the default anchor; scale the anchor under the curve's head.
+    # Below a subnormal head the anchor may underflow to 0 and its
     # reciprocal overflow; 324 decades reach from the smallest float to 1
-    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * min_bp), math.ulp(0.0))
+    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
     decades = min(math.log10(1.0 / anchor), 324.0)
     grid = base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades)))
     us = np.unique(np.concatenate([grid, np.array(lb.breakpoints, dtype=float)]))
@@ -440,9 +439,9 @@ def sum_estimate(
         s = Samples.from_outcomes(samples)
         rows = s.indices(ids)
         if estimator == "j":
-            est = j_estimates(f, s.seeds[rows], s.revealed[rows], s.values[rows], s.scheme)
+            est = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme)
         else:
-            est = ht_estimates(f, s.revealed[rows], s.values[rows], s.scheme)
+            est = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme)
         estimates = est.tolist()
     total = _sequential_sum(estimates)
     return QueryResult(

@@ -60,8 +60,8 @@ class ItemFunction:
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
         if self.kind in (RG, ONE_SIDED_RG):
-            if self.p is None or self.p <= 0:
-                raise ValueError(f"{self.kind} requires a positive exponent p")
+            if self.p is None or not (math.isfinite(self.p) and self.p > 0):
+                raise ValueError(f"{self.kind} requires a positive finite exponent p")
         if self.kind == ONE_SIDED_RG:
             if self.direction is None:
                 raise ValueError("one_sided_rg requires a (hi, lo) direction")
@@ -98,29 +98,40 @@ def one_sided_rg_fn(p: float, hi: int, lo: int, arity: int) -> ItemFunction:
     return ItemFunction(ONE_SIDED_RG, arity, p=float(p), direction=(hi, lo))
 
 
+# the parameters each kind of :func:`parse_function` takes
+_PARAMS = {MAX: (), MIN: (), OR: (), RG: ("p",), ONE_SIDED_RG: ("p", "hi", "lo")}
+
+
 def parse_function(spec: str, arity: int) -> ItemFunction:
     """Parse a CLI function spec such as ``max`` or ``rg:p=2`` or
-    ``one_sided_rg:p=2,hi=1,lo=2`` (hi/lo are 1-based instance numbers)."""
+    ``one_sided_rg:p=2,hi=1,lo=2`` (hi/lo are 1-based instance numbers).
+    An unknown, misplaced or repeated parameter and an exponent that is
+    not a finite number are errors."""
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
+    kind = ONE_SIDED_RG if name == "osrg" else name
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown function spec {spec!r}")
     args = {}
-    if argstr:
-        for part in argstr.split(","):
-            k, _, v = part.partition("=")
-            args[k.strip()] = v.strip()
-    if name == "max":
-        return max_fn(arity)
-    if name == "min":
-        return min_fn(arity)
-    if name == "or":
-        return or_fn(arity)
-    if name == "rg":
-        return rg_fn(float(args.get("p", 1)), arity)
-    if name in ("one_sided_rg", "osrg"):
-        hi = int(args.get("hi", 1)) - 1
-        lo = int(args.get("lo", 2)) - 1
-        return one_sided_rg_fn(float(args.get("p", 1)), hi, lo, arity)
-    raise ValueError(f"unknown function spec {spec!r}")
+    for part in argstr.split(",") if argstr else ():
+        k, _, v = part.partition("=")
+        k = k.strip()
+        if k not in _PARAMS[kind]:
+            raise ValueError(f"{name} takes {', '.join(_PARAMS[kind]) or 'no parameters'}, not {k!r}")
+        if k in args:
+            raise ValueError(f"parameter {k!r} given twice")
+        args[k] = v.strip()
+    if not _PARAMS[kind]:
+        return ItemFunction(kind, arity)
+    try:
+        p = float(args.get("p", 1))
+    except ValueError:
+        p = math.nan
+    if not math.isfinite(p):
+        raise ValueError(f"exponent p must be a finite number, not {args['p']!r}")
+    if kind == RG:
+        return rg_fn(p, arity)
+    return one_sided_rg_fn(p, int(args.get("hi", 1)) - 1, int(args.get("lo", 2)) - 1, arity)
 
 
 def evaluate(f: ItemFunction, v: Sequence[float]) -> float:
@@ -284,13 +295,12 @@ class LowerBoundFn:
     ``breakpoints`` ascend and end at 1; piece ``k`` covers
     ``(breakpoints[k-1], breakpoints[k]]`` (the first piece starts at
     ``domain_left``).  The function is non-increasing and left-continuous;
-    ``piece_constant[k]`` flags pieces that are exactly flat.
+    ``value_fn`` maps an array of seeds to its values there.
     """
 
     breakpoints: tuple[float, ...]
     domain_left: float
     value_fn: Callable[[np.ndarray], np.ndarray]
-    piece_constant: tuple[bool, ...]
 
     def value(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -298,41 +308,15 @@ class LowerBoundFn:
         out = np.asarray(self.value_fn(xs), dtype=float)
         return float(out[0]) if scalar else out
 
-    def constant_head(self) -> float | None:
-        """Value of the leftmost piece if it is exactly constant."""
-        if self.piece_constant and self.piece_constant[0]:
-            return self.value((self.domain_left + self.breakpoints[0]) / 2.0
-                              if self.breakpoints[0] > self.domain_left
-                              else self.breakpoints[0])
-        return None
+    @property
+    def head(self) -> float:
+        """The smallest positive breakpoint.
 
-    @staticmethod
-    def from_callable(
-        fn: Callable[[np.ndarray], np.ndarray],
-        breakpoints: Sequence[float] = (1.0,),
-        domain_left: float = 0.0,
-    ) -> "LowerBoundFn":
-        bps = tuple(sorted(set(float(b) for b in breakpoints) | {1.0}))
-        flags = _classify_pieces(fn, bps, domain_left)
-        return LowerBoundFn(bps, float(domain_left), fn, flags)
-
-
-def _classify_pieces(value_fn, breakpoints, domain_left) -> tuple[bool, ...]:
-    """Flag each piece ``(breakpoints[k-1], breakpoints[k]]`` (the first
-    starting at ``domain_left``) whose values at its quarter points agree;
-    an empty piece counts as flat.  All probes go through one ``value_fn``
-    call, which is sound because the lower bound at a seed does not depend
-    on the other seeds of the call."""
-    rights = np.asarray(breakpoints, dtype=float)
-    lefts = np.concatenate(([float(domain_left)], rights[:-1]))
-    live = rights > lefts
-    flags = np.ones(len(rights), dtype=bool)
-    if live.any():
-        left, span = lefts[live][:, None], (rights - lefts)[live][:, None]
-        probes = left + np.array([0.25, 0.5, 0.75]) * span
-        vals = np.asarray(value_fn(probes.ravel()), dtype=float).reshape(-1, 3)
-        flags[live] = (vals[:, 0] == vals[:, 1]) & (vals[:, 1] == vals[:, 2])
-    return tuple(flags.tolist())
+        Below it the bound follows a single closed form all the way toward
+        seed 0, so that is where limit probes belong; above it the probes
+        only see which branch is active, not the limit.
+        """
+        return min((b for b in self.breakpoints if b > 0.0), default=1.0)
 
 
 def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float) -> set[float]:
@@ -359,45 +343,38 @@ def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float)
     return {p for p in pts if left < p < 1.0}
 
 
-def lb_breakpoints(f: ItemFunction, outcome: Outcome, domain: Domain | None = None) -> LowerBoundFn:
-    """Piecewise lower-bound representation for an outcome, valid on
-    ``[outcome.seed, 1]``.
+def _curve(
+    f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, left: float, domain: Domain | None
+) -> LowerBoundFn:
+    """The lower-bound curve on ``(left, 1]`` of one outcome (or data
+    vector) given as an (r, 1) column of values and its revealed flags.
 
-    Breakpoints are the seeds where a revealed value crosses its own
-    threshold map or any other map (the points where the closed forms switch
-    branch), together with joints of piecewise-linear maps.
+    Breakpoints are the seeds where a revealed value (or a domain low)
+    crosses a threshold map, the points where the closed forms switch
+    branch, together with the joints and crossings of piecewise-linear maps.
     """
-    domain = domain if domain is not None else outcome.scheme.domain
-    levels = {slot.value for slot in outcome.slots if isinstance(slot, Known)}
+    domain = domain if domain is not None else scheme.domain
+    levels = set(values[np.broadcast_to(revealed, values.shape)].tolist())
     levels.update(domain.lows)
-    pts = _scheme_breakpoints(outcome.scheme, sorted(levels), outcome.seed)
-    bps = tuple(sorted(pts | {1.0}))
-
-    _, revealed, values = outcome_columns([outcome])
+    bps = tuple(sorted(_scheme_breakpoints(scheme, sorted(levels), left) | {1.0}))
 
     def value_fn(xs: np.ndarray) -> np.ndarray:
-        return lower_bounds(f, values.T, revealed.T, np.asarray(xs, dtype=float), outcome.scheme, domain)
+        return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme, domain)
 
-    flags = _classify_pieces(value_fn, bps, outcome.seed)
-    return LowerBoundFn(bps, outcome.seed, value_fn, flags)
+    return LowerBoundFn(bps, left, value_fn)
+
+
+def lb_breakpoints(f: ItemFunction, outcome: Outcome, domain: Domain | None = None) -> LowerBoundFn:
+    """Piecewise lower-bound representation for an outcome, valid on
+    ``[outcome.seed, 1]``."""
+    _, revealed, values = outcome_columns([outcome])
+    return _curve(f, outcome.scheme, values.T, revealed.T, outcome.seed, domain)
 
 
 def lb_function(
     f: ItemFunction, v: Sequence[float], scheme: TauScheme, domain: Domain | None = None
 ) -> LowerBoundFn:
     """Full lower-bound curve for a data vector, valid on all of (0, 1]."""
-    domain = domain if domain is not None else scheme.domain
     if len(v) != scheme.r:
         raise ValueError("vector arity does not match scheme")
-    levels = set(float(x) for x in v)
-    levels.update(domain.lows)
-    pts = _scheme_breakpoints(scheme, sorted(levels), 0.0)
-    bps = tuple(sorted(pts | {1.0}))
-
-    column = _column(v)
-
-    def value_fn(xs: np.ndarray) -> np.ndarray:
-        return lower_bounds(f, column, True, np.asarray(xs, dtype=float), scheme, domain)
-
-    flags = _classify_pieces(value_fn, bps, 0.0)
-    return LowerBoundFn(bps, 0.0, value_fn, flags)
+    return _curve(f, scheme, _column(v), True, 0.0, domain)

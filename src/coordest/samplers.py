@@ -113,14 +113,14 @@ def sample_item(v: Sequence[float], u: float, scheme: TauScheme) -> Outcome:
 
 class Samples(Mapping[str, Outcome]):
     """Coordinated samples of many items under one scheme, held as columns:
-    item ids and seeds ``(n,)``, the revealed mask ``(n, r)`` and a matrix
-    holding each revealed value or else the bound ``tau_i(u)``.
+    item ids and seeds ``(n,)``, the revealed mask ``(n, r)`` and the cells
+    ``(n, r)``, each the revealed value or else the bound ``tau_i(u)``.
 
     It reads as a mapping from item id to :class:`Outcome`; an outcome is
     built only when it is looked up.
     """
 
-    def __init__(self, item_ids, seeds, revealed, values, scheme: TauScheme):
+    def __init__(self, item_ids, seeds, revealed, cells, scheme: TauScheme):
         self.item_ids = tuple(item_ids)
         self._row = {item: j for j, item in enumerate(self.item_ids)}
         if len(self._row) != len(self.item_ids):
@@ -128,8 +128,8 @@ class Samples(Mapping[str, Outcome]):
         n, r = len(self.item_ids), scheme.r
         self.seeds = np.array(seeds, dtype=float).reshape(n)
         self.revealed = np.array(revealed, dtype=bool).reshape(n, r)
-        self.values = np.array(values, dtype=float).reshape(n, r)
-        for a in (self.seeds, self.revealed, self.values):
+        self.cells = np.array(cells, dtype=float).reshape(n, r)
+        for a in (self.seeds, self.revealed, self.cells):
             a.setflags(write=False)
         self.scheme = scheme
 
@@ -153,7 +153,7 @@ class Samples(Mapping[str, Outcome]):
         j = self._row[item_id]
         slots = tuple(
             Known(x) if k else Unknown(x)
-            for k, x in zip(self.revealed[j].tolist(), self.values[j].tolist())
+            for k, x in zip(self.revealed[j].tolist(), self.cells[j].tolist())
         )
         return Outcome(float(self.seeds[j]), slots, self.scheme)
 
@@ -276,13 +276,13 @@ def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
     if not outcomes:
         return
     s = Samples.from_outcomes(outcomes)
-    if not (np.isfinite(s.seeds).all() and np.isfinite(s.values).all()):
+    if not (np.isfinite(s.seeds).all() and np.isfinite(s.cells).all()):
         raise ValueError("Out of range float values are not JSON compliant")
     for lo in range(0, len(s), WRITE_BLOCK):
         rows = slice(lo, lo + WRITE_BLOCK)
         columns = [
             [f'{{"known": {x!r}}}' if k else f'{{"unknown_ub": {x!r}}}' for k, x in zip(known, xs)]
-            for known, xs in zip(s.revealed[rows].T.tolist(), s.values[rows].T.tolist())
+            for known, xs in zip(s.revealed[rows].T.tolist(), s.cells[rows].T.tolist())
         ]
         fp.writelines(
             f'{{"item": {encode_basestring_ascii(item)}, "seed": {seed!r}, "slots": [{", ".join(slots)}]}}\n'

@@ -192,7 +192,7 @@ def test_criterion_04_competitiveness_bound():
 
 def test_criterion_05_hull_derivative_correctness():
     grid_n = 256
-    lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
+    lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
     est = v_optimal_estimates(lb, grid_n=grid_n)
     max_err = 0.0
     for lo, hi in zip(est.los.tolist(), est.his.tolist()):
@@ -235,12 +235,11 @@ def test_criterion_06_characterization_chain_and_counterexamples():
         if (bd.ok and not fv.ok) or (fv.ok and not est.ok):
             violations += 1
     # synthetic counterexamples, classified by their target check
-    persistent = check_estimable_curve(lambda u: 0.5 - 0.4 * u, f_value=1.0)
-    sqrt_gap_estimable = check_estimable_curve(lambda u: 1.0 - math.sqrt(u), f_value=1.0)
-    sqrt_gap_bounded = check_bounded_curve(lambda u: 1.0 - math.sqrt(u), f_value=1.0)
-    divergent = check_finite_variance_curve(
-        LowerBoundFn.from_callable(lambda xs: 1.0 - np.asarray(xs) ** 0.4)
-    )
+    persistent = check_estimable_curve(LowerBoundFn((1.0,), 0.0, lambda us: 0.5 - 0.4 * us), f_value=1.0)
+    sqrt_gap = LowerBoundFn((1.0,), 0.0, lambda us: 1.0 - np.sqrt(us))
+    sqrt_gap_estimable = check_estimable_curve(sqrt_gap, f_value=1.0)
+    sqrt_gap_bounded = check_bounded_curve(sqrt_gap, f_value=1.0)
+    divergent = check_finite_variance_curve(LowerBoundFn((1.0,), 0.0, lambda us: 1.0 - us ** 0.4))
     ok = violations == 0
     ok &= not persistent.ok and abs(persistent.value - 0.5) < 1e-3
     ok &= sqrt_gap_estimable.ok and not sqrt_gap_bounded.ok

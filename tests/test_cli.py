@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,22 @@ class TestParseErrorsNameTheirSource:
         assert console_main(argv) == 2
         assert capsys.readouterr().err == f"coordest: error: {path}: line 3: bad instance number 'x'\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "characterize"])
+    @pytest.mark.parametrize("spec, message", [
+        ("rg:q=2", "rg takes p, not 'q'"),
+        ("max:p=3", "max takes no parameters, not 'p'"),
+        ("osrg:p=1,hi=1,lo=2,hi=2", "parameter 'hi' given twice"),
+        ("rg:p=2,p=3", "parameter 'p' given twice"),
+        ("rg:p=abc", "exponent p must be a finite number, not 'abc'"),
+        ("rg:p=nan", "exponent p must be a finite number, not 'nan'"),
+        ("rg:p=inf", "exponent p must be a finite number, not 'inf'"),
+        ("rg:p=-1", "rg requires a positive finite exponent p"),
+    ])
+    def test_function_flag(self, capsys, command, spec, message):
+        assert console_main([command, "--input", str(DEMO_CSV), "--function", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: --function {spec!r}: {message}\n"
+
     def test_items_flag(self):
         with pytest.raises(ValueError, match=r"^--items 'positive-in:x': invalid literal"):
             resolve_items("positive-in:x", ingest(DEMO_CSV))
@@ -236,6 +253,9 @@ class TestRunConfig:
             RunConfig(input=DEMO_CSV, grid_n=8)
         with pytest.raises(ValueError):
             RunConfig(input=DEMO_CSV, depth=4)
+        for eps in (0.0, 4.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^--eps must lie in \(0, 1\]"):
+                RunConfig(input=DEMO_CSV, eps=eps)
 
 
 class TestEstimateCommand:
@@ -436,10 +456,21 @@ class TestAnalyzeCommand:
         assert proc.stderr.startswith("coordest: error: item 'a': limit probe ")
         assert "underflows to 0" in proc.stderr and proc.stderr.count("\n") == 1
 
-    def test_zero_eps_names_the_item(self, capsys):
-        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--eps", "0"]
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "1.5", "4", "inf", "nan"])
+    def test_eps_outside_the_unit_interval_names_the_flag(self, capsys, eps):
+        # the limit probes sit at eps * head * 4^-t; past the head (eps > 1)
+        # they see a branch of the bound, and item 4 under rg:p=1 would read
+        # not estimable
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "rg:p=1", "--eps", eps]
         assert console_main(argv) == 2
-        assert capsys.readouterr().err == "coordest: error: item '1': eps must be positive\n"
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: --eps must lie in (0, 1], got {float(eps)!r}\n"
+
+    def test_eps_one_probes_the_head(self, capsys):
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "rg:p=1", "--items", "4", "--eps", "1"]
+        assert console_main(argv) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["estimable"] and rec["chain_ok"]
 
     def test_schema_round_trip(self, tmp_path):
         from coordest.analysis import AnalysisReport

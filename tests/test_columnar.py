@@ -40,8 +40,10 @@ from coordest.estimators import (
 )
 from coordest.analysis import (
     AnalysisError,
+    CheckResult,
     check_bounded,
     check_estimable,
+    check_estimable_curve,
     check_finite_variance,
     check_finite_variance_curve,
     competitiveness_ratio,
@@ -69,7 +71,7 @@ from coordest.model import (
 )
 from coordest.samplers import sample_instances, sample_item
 
-from conftest import builtin_functions
+from conftest import builtin_functions, random_vector
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -169,7 +171,7 @@ def test_batch_kernels_match_per_item_reference(triple):
     fns = builtin_functions(data.r)
     for f in fns:
         ref = [_ref_j_estimate(o, f) for o in outcomes]
-        batch = j_estimates(f, samples.seeds, samples.revealed, samples.values, scheme)
+        batch = j_estimates(f, samples.seeds, samples.revealed, samples.cells, scheme)
         assert _bits(batch) == _bits(ref)
         res = sum_estimate(samples, f, "j")
         assert _bits([res.value]) == _bits([float(sum(ref))])
@@ -179,7 +181,7 @@ def test_batch_kernels_match_per_item_reference(triple):
         if f.kind not in ("max", "min", "or"):
             continue
         ref = [_ref_ht_estimate(o, f) for o in outcomes]
-        batch = ht_estimates(f, samples.revealed, samples.values, scheme)
+        batch = ht_estimates(f, samples.revealed, samples.cells, scheme)
         assert _bits(batch) == _bits(ref)
         assert _bits([sum_estimate(samples, f, "ht").value]) == _bits([float(sum(ref))])
 
@@ -416,21 +418,6 @@ def _ref_v_optimal_estimates(lb, grid_n):
     return [(u1, u2, max(0.0, (y1 - y2) / (u2 - u1))) for (u1, y1), (u2, y2) in zip(vs, vs[1:])]
 
 
-def _ref_classify_pieces(value_fn, breakpoints, domain_left):
-    flags = []
-    left = domain_left
-    for right in breakpoints:
-        if right <= left:
-            flags.append(True)
-        else:
-            span = right - left
-            probes = np.array([left + 0.25 * span, left + 0.5 * span, left + 0.75 * span])
-            vals = np.asarray(value_fn(probes), dtype=float)
-            flags.append(bool(vals[0] == vals[1] == vals[2]))
-        left = right
-    return tuple(flags)
-
-
 def _ref_scheme_breakpoints(scheme, levels, left):
     """The two pair loops, PWL x PWL and PWL x PPS, before they were merged."""
     pts = set()
@@ -568,7 +555,6 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     scheme = ANALYSIS_SCHEMES[scheme_name]
     f = builtin_functions(3)[k]
     lbf = lb_function(f, v, scheme)
-    assert lbf.piece_constant == _ref_classify_pieces(lbf.value_fn, lbf.breakpoints, 0.0)
     for grid_n in (64, 512):
         est = v_optimal_estimates(lbf, grid_n)
         want = _ref_v_optimal_estimates(lbf, grid_n)
@@ -598,6 +584,23 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     assert report.finite_variance == check_finite_variance(v, f, scheme, grid_n=64).ok
     assert _bits([report.diagnostics["estimable_gap"], report.diagnostics["bounded_slope"]]) == _bits(
         [check_estimable(v, f, scheme).value, check_bounded(v, f, scheme).value])
+
+
+def test_flat_head_gives_the_zero_gap_record():
+    # a curve flat at f(v) below its head has a zero gap at every limit
+    # probe, so the estimability check returns the record of an exact limit
+    want = CheckResult(True, 0.0, (0.0, 0.0, 0.0))
+    rng = np.random.default_rng(64)
+    flat = 0
+    for _ in range(200):
+        v = random_vector(rng, r=3, scale=10.0)
+        for scheme, f in itertools.product(ANALYSIS_SCHEMES.values(), builtin_functions(3)):
+            lbf, fv = lb_function(f, v, scheme), evaluate(f, v)
+            if (lbf.value(lbf.head * np.array([0.25, 0.5, 0.75])) == fv).all():
+                flat += 1
+                assert repr(check_estimable_curve(lbf, fv, 1e-3 * lbf.head)) == repr(want), (v, f)
+                assert repr(check_estimable(v, f, scheme)) == repr(want), (v, f)
+    assert flat > 1000
 
 
 @given(st.integers(1, 4).flatmap(schemes), st.lists(st.floats(0.0, 10.0), max_size=4),

@@ -237,7 +237,7 @@ class TestInverseProbability:
 
 class TestHullDerivativeEstimates:
     def test_convex_curve_matches_derivative(self):
-        lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
         est = v_optimal_estimates(lb, grid_n=256)
         for lo, hi in zip(est.los.tolist(), est.his.tolist()):
             for u in (lo + 1e-12, 0.5 * (lo + hi), hi):
@@ -246,9 +246,7 @@ class TestHullDerivativeEstimates:
         assert integrate_square(est) == pytest.approx(4.0 / 3.0, abs=1e-4)
 
     def test_step_curve_gives_chord(self):
-        lb = LowerBoundFn.from_callable(
-            lambda xs: np.where(np.asarray(xs) <= 0.5, 1.0, 0.0), breakpoints=(0.5, 1.0)
-        )
+        lb = LowerBoundFn((0.5, 1.0), 0.0, lambda xs: np.where(xs <= 0.5, 1.0, 0.0))
         est = v_optimal_estimates(lb, grid_n=64)
         assert est.value_at(0.25) == pytest.approx(2.0, abs=1e-9)
         assert est.value_at(0.75) == 0.0
@@ -256,13 +254,13 @@ class TestHullDerivativeEstimates:
     def test_constant_curve_keeps_certain_mass(self):
         # a flat curve means the value is revealed at every seed; the best
         # unbiased estimator is the constant itself (zero variance)
-        lb = LowerBoundFn.from_callable(lambda xs: np.full_like(np.asarray(xs, dtype=float), 3.0))
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: np.full_like(xs, 3.0))
         est = v_optimal_estimates(lb, grid_n=64)
         assert est.integral() == pytest.approx(3.0, abs=1e-9)
         assert est.value_at(0.4) == pytest.approx(3.0, abs=1e-9)
 
     def test_grid_guard(self):
-        lb = LowerBoundFn.from_callable(lambda xs: 1.0 - np.asarray(xs))
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: 1.0 - xs)
         with pytest.raises(ValueError):
             v_optimal_estimates(lb, grid_n=1)
 

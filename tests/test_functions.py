@@ -44,6 +44,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             parse_function("median", 2)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
+    def test_exponent_must_be_positive_and_finite(self, p):
+        with pytest.raises(ValueError, match="positive finite exponent"):
+            rg_fn(p, 2)
+        with pytest.raises(ValueError, match="positive finite exponent"):
+            one_sided_rg_fn(p, 0, 1, 2)
+
+    def test_parse_defaults_and_alias(self):
+        assert parse_function("rg", 2) == parse_function("rg:p=1", 2) == rg_fn(1.0, 2)
+        assert parse_function("osrg:lo=1,hi=2", 2) == one_sided_rg_fn(1.0, 1, 0, 2)
+
 
 class TestLowerBoundClosedForms:
     def test_one_sided_single_entry(self, scheme1):
@@ -201,7 +212,6 @@ class TestPiecewiseRepresentation:
         lbf = lb_breakpoints(max_fn(2), out)
         xs = np.linspace(0.6, 1.0, 9)
         assert (lbf.value(xs) == 0.0).all()
-        assert lbf.piece_constant[0]
 
     def test_matches_pointwise_lower_bound(self):
         rng = np.random.default_rng(8)
@@ -224,12 +234,6 @@ class TestPiecewiseRepresentation:
                 lbf = lb_function(f, v, scheme)
                 xs = rng.uniform(1e-6, 1.0, size=16)
                 assert np.array_equal(lbf.value(xs), lower_bound_from_vector(f, v, scheme, xs))
-
-    def test_constant_head_detection(self, scheme4):
-        lbf = lb_function(max_fn(2), (1.0, 3.0), scheme4)
-        # revealed with certainty below the first crossing: flat head at f(v)
-        assert lbf.piece_constant[0]
-        assert lbf.constant_head() == 3.0
 
     def test_piecewise_linear_scheme_breakpoints(self):
         # the kink at u = 0.5 must show up as a breakpoint

@@ -105,7 +105,7 @@ class TestIntegrateSquare:
 
 class TestVariance:
     def test_hull_derivative_variance_for_parabola(self):
-        lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
         est = v_optimal_estimates(lb, grid_n=512)
         assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
@@ -163,7 +163,7 @@ class TestCharacterizationChecks:
         assert res.ok
 
     def test_persistent_gap_rejected(self):
-        res = check_estimable_curve(lambda u: 0.5 * (1.0 - u), f_value=1.0)
+        res = check_estimable_curve(LowerBoundFn((1.0,), 0.0, lambda us: 0.5 * (1.0 - us)), f_value=1.0)
         assert not res.ok
         assert res.value == pytest.approx(0.5, abs=1e-3)
 
@@ -177,26 +177,26 @@ class TestCharacterizationChecks:
         assert res.ok and res.value == 0.0
 
     def test_sqrt_gap_unbounded(self):
-        res = check_bounded_curve(lambda u: 1.0 - math.sqrt(u), f_value=1.0)
+        res = check_bounded_curve(LowerBoundFn((1.0,), 0.0, lambda us: 1.0 - np.sqrt(us)), f_value=1.0)
         assert not res.ok
 
     def test_sqrt_gap_still_estimable(self):
-        res = check_estimable_curve(lambda u: 1.0 - math.sqrt(u), f_value=1.0)
+        res = check_estimable_curve(LowerBoundFn((1.0,), 0.0, lambda us: 1.0 - np.sqrt(us)), f_value=1.0)
         assert res.ok
 
     def test_finite_variance_parabola(self):
-        lb = LowerBoundFn.from_callable(lambda xs: (1.0 - np.asarray(xs)) ** 2)
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
         assert check_finite_variance_curve(lb).ok
 
     def test_divergent_slope_detected(self):
-        lb = LowerBoundFn.from_callable(lambda xs: 1.0 - np.sqrt(np.asarray(xs)))
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: 1.0 - np.sqrt(xs))
         res = check_finite_variance_curve(lb)
         assert not res.ok
         # partial square integrals keep growing instead of settling
         assert res.probes[-1] > res.probes[-3] * 1.05
 
     def test_zero_function_trivially_finite(self):
-        lb = LowerBoundFn.from_callable(lambda xs: np.zeros_like(np.asarray(xs, dtype=float)))
+        lb = LowerBoundFn((1.0,), 0.0, np.zeros_like)
         assert check_finite_variance_curve(lb).ok
 
     def test_implication_chain_on_random_instances(self):

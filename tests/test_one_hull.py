@@ -44,8 +44,7 @@ def test_verdict_boundary_on_power_gaps(grid_n):
     # the gap u^p has finite variance for p > 1/2, but its increments shrink
     # by 4^-(2p-1) per step of the ladder, which halves them only from p = 3/4
     def verdict(p):
-        return check_finite_variance_curve(LowerBoundFn.from_callable(lambda us: 1.0 - np.asarray(us) ** p),
-                                           grid_n).ok
+        return check_finite_variance_curve(LowerBoundFn((1.0,), 0.0, lambda us: 1.0 - us ** p), grid_n).ok
 
     assert [verdict(p) for p in (0.4, 0.5, 0.6, 0.74)] == [False] * 4
     assert [verdict(p) for p in (0.76, 1.0, 2.0)] == [True] * 3

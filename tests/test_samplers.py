@@ -242,6 +242,16 @@ class TestSerialization:
         with pytest.raises(KeyError):
             samples["9"]
 
+    def test_values_and_items_give_the_looked_up_outcomes(self, demo_data, scheme4):
+        drawn = sample_instances(demo_data, scheme4, salt=5)
+        buf = io.StringIO()
+        write_samples(drawn, buf)
+        buf.seek(0)
+        for samples in (drawn, read_samples(buf, scheme4)):
+            by_id = [samples[i] for i in demo_data.item_ids]
+            assert list(samples.values()) == by_id
+            assert list(samples.items()) == list(zip(demo_data.item_ids, by_id))
+
     @pytest.mark.parametrize(
         "record, message",
         [
