@@ -36,7 +36,7 @@ from .functions import (
     evaluate,
     lb_function,
 )
-from .hull import EstimateFn, integrate_square
+from .hull import EstimateFn, integrate_square, scaled_squares
 from .model import Domain, TauScheme
 
 RATIO_BOUND = 84.0
@@ -281,7 +281,8 @@ def competitiveness_ratio(
     diagnostics["depth"] = depth
     vals = j_piece_values(v, f, scheme, depth, domain)
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
-    sq_j = float(np.sum(widths * vals**2))
+    squares, shift = scaled_squares(vals)
+    sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
     if bd_check.ok:
         # deep-tail slope observed below the last summed block
         u_tail = 2.0 ** (-depth + 2)

@@ -129,15 +129,22 @@ def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauSche
 
 def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
     """Split a query spec like ``lpp:p=2`` (or ``lp:2``) into kind and
-    exponent; an explicit ``--p`` flag wins over the embedded form.  A bad
-    exponent names the ``--query`` flag."""
+    exponent; an explicit ``--p`` flag wins over the embedded form, which is
+    then not read.  Only ``lpp`` and ``lp`` take a parameter, the exponent
+    ``p``, which must be positive and finite; a bad one names the
+    ``--query`` flag."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if rest:
-        value = rest.partition("=")[2] if "=" in rest else rest
-        if p is None:
-            with _error_source(f"--query {spec!r}"):
-                p = float(value)
+    if rest and p is None:
+        with _error_source(f"--query {spec!r}"):
+            key, eq, value = rest.partition("=")
+            key = key.strip() if eq else "p"
+            takes = "p" if kind in (LPP, LP) else "no parameters"
+            if takes != key:
+                raise ValueError(f"{kind} takes {takes}, not {key!r}")
+            p = float(value if eq else rest)
+            if not (math.isfinite(p) and p > 0.0):
+                raise ValueError(f"exponent p must be positive and finite, not {p!r}")
     return kind, p
 
 
@@ -189,11 +196,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+            raise ValueError(f"--reps must be at least 1, got {self.reps!r}")
         if self.grid_n < 16:
-            raise ValueError("grid_n must be at least 16")
+            raise ValueError(f"--grid-n must be at least 16, got {self.grid_n!r}")
         if not 8 <= self.depth <= 60:
-            raise ValueError("depth must lie in [8, 60]")
+            raise ValueError(f"--depth must lie in [8, 60], got {self.depth!r}")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"--k must be at least 1, got {self.k!r}")
+        if self.p is not None and not (math.isfinite(self.p) and self.p > 0.0):
+            raise ValueError(f"--p must be positive and finite, got {self.p!r}")
         # the limit probes sit at eps * head * 4^-t: past the curve's head
         # they see a branch of the bound, not its limit
         if not 0.0 < self.eps <= 1.0:
@@ -242,6 +253,8 @@ def run_query(cfg: RunConfig) -> dict:
 
     if cfg.k is not None:
         return _run_bottomk_query(cfg, data, ids, subset)
+    if cfg.query == "sum":
+        raise ValueError("--query sum is a bottom-k query and needs --k")
 
     record: dict = {
         "query": cfg.query,
@@ -250,46 +263,22 @@ def run_query(cfg: RunConfig) -> dict:
         "salt": cfg.salt,
         "reps": cfg.reps,
     }
-    if cfg.query in (LPP, LP) and cfg.p is None:
-        raise ValueError(f"query {cfg.query} needs an exponent: --p or {cfg.query}:p=<p>")
     if cfg.estimator == "exact":
-        res = exact_query(data, cfg.query, ids, p=cfg.p, subset_label=subset)
-        record["value"] = res.value
-        record.update({k: v for k, v in res.extras})
-        return record
-    if cfg.reps == 1:
+        res = exact_query(data, cfg.query, ids, p=cfg.p)
+    elif cfg.reps == 1:
         samples = sample_instances(data, scheme, cfg.salt)
-        res = estimate_query(
-            samples, data.r, cfg.query, cfg.estimator, ids, p=cfg.p,
-            data=data, subset_label=subset, grid_n=cfg.grid_n,
-        )
-        record["value"] = res.value
-        record.update({k: v for k, v in res.extras})
-        return record
-    # salts are taken mod 2^64, as hash_seed takes a single salt
-    salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
-    if cfg.estimator in ("j", "ht"):
-        estimates = mc_query_estimates(
-            data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator,
-        )
+        res = estimate_query(samples, data.r, cfg.query, cfg.estimator, ids, p=cfg.p, data=data, grid_n=cfg.grid_n)
     else:
-        values = []
-        for s in salts.tolist():
-            samples = sample_instances(data, scheme, int(s))
-            values.append(
-                estimate_query(
-                    samples, data.r, cfg.query, cfg.estimator, ids, p=cfg.p,
-                    data=data, subset_label=subset, grid_n=cfg.grid_n,
-                ).value
-            )
-        estimates = np.array(values)
-    mean = float(estimates.mean())
-    std = float(estimates.std(ddof=1)) if len(estimates) > 1 else 0.0
-    record.update(
-        value=mean,
-        stderr=std / math.sqrt(len(estimates)),
-        std=std,
-    )
+        # salts are taken mod 2^64, as hash_seed takes a single salt
+        salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
+        estimates = mc_query_estimates(
+            data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator, grid_n=cfg.grid_n,
+        )
+        std = float(estimates.std(ddof=1))
+        record.update(value=float(estimates.mean()), stderr=std / math.sqrt(cfg.reps), std=std)
+        return record
+    record["value"] = res.value
+    record.update(res.extras)
     return record
 
 
@@ -301,7 +290,7 @@ def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str], subset
     values = dict(zip(data.item_ids, data.matrix[:, inst].tolist()))
     sample = bottomk_sample(values, cfg.k, rank_fn, cfg.salt)
     estimator = "ht" if cfg.estimator in ("exact", "ht") else cfg.estimator
-    res = bottomk_estimate(sample, cfg.query, estimator, ids, subset_label=subset)
+    res = bottomk_estimate(sample, cfg.query, estimator, ids)
     members = [
         {
             "item": m.item_id,
@@ -352,10 +341,12 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
     failed = False
     for item in ids:
         v = data.vector(item)
+        # a variance past the largest float (data near 1e-310) is not JSON
         with _error_source(f"item {item!r}"):
             report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
-        rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
-        fp.write(json.dumps(rec, allow_nan=False) + "\n")
+            rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
+            line = json.dumps(rec, allow_nan=False)
+        fp.write(line + "\n")
         if not report.competitive_ok or not report.chain_ok:
             failed = True
     return 1 if failed else 0

@@ -13,8 +13,9 @@ Three unbiased nonnegative per-item estimators are provided:
   full lower-bound curve; minimum variance for that curve's data vector, and
   the baseline competitiveness is measured against.
 
-Query answers over many items are sums of per-item estimates; ratio queries
-(Jaccard) and roots (Lp from Lp^p) are derived from the sums.
+Query answers over many items are sums of per-item estimates of the
+functions :func:`query_functions` names; :func:`query_answers` derives the
+ratio (Jaccard) and the root (Lp from Lp^p) from those sums.
 """
 
 from __future__ import annotations
@@ -163,8 +164,9 @@ def j_piece_tables(
     vals = np.empty_like(lbs)
     vals[:, 0] = 2.0 * lbs[:, 0]
     # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
-    # of data below about 1e-300
-    vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
+    # of data below about 1e-300; a value past the largest float is inf
+    with np.errstate(over="ignore"):
+        vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
     return np.clip(vals, 0.0, None)
 
 
@@ -319,19 +321,6 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     return EstimateFn("v_optimal", hu[:-1], hu[1:], slopes)
 
 
-def v_optimal_estimate_at(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    u: float,
-    grid_n: int = 512,
-    domain: Domain | None = None,
-) -> float:
-    """Oracle estimate at one seed; needs the true data vector."""
-    est = v_optimal_estimates(lb_function(f, v, scheme, domain), grid_n)
-    return est.value_at(u)
-
-
 # ---------------------------------------------------------------------------
 # query aggregation
 
@@ -352,48 +341,60 @@ class QueryResult:
     query: str
     value: float
     per_item: tuple[tuple[str, float], ...]
-    subset: str
     extras: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("query estimates are nonnegative by construction")
 
-    def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "value": self.value,
-            "per_item": [[i, c] for i, c in self.per_item],
-            "subset": self.subset,
-            "extras": [[k, v] for k, v in self.extras],
-        }
 
-    @staticmethod
-    def from_dict(d: Mapping) -> "QueryResult":
-        return QueryResult(
-            query=str(d["query"]),
-            value=float(d["value"]),
-            per_item=tuple((str(i), float(c)) for i, c in d.get("per_item", [])),
-            subset=str(d.get("subset", "all")),
-            extras=tuple((str(k), float(v)) for k, v in d.get("extras", [])),
-        )
-
-
-def query_function(query: str, r: int, p: float | None = None) -> ItemFunction:
-    """Item function whose sum aggregate answers the query."""
+def query_functions(query: str, r: int, p: float | None = None) -> tuple[ItemFunction, ...]:
+    """The item functions whose sums answer the query (see
+    :func:`query_answers`): min and max for Jaccard, one function otherwise."""
+    if query == JACCARD:
+        return min_fn(r), max_fn(r)
     if query == L1:
-        return rg_fn(1.0, r)
+        return (rg_fn(1.0, r),)
     if query in (LPP, LP):
         if p is None:
-            raise ValueError(f"query {query} needs an exponent p")
-        return rg_fn(float(p), r)
+            raise ValueError(f"query {query} needs an exponent: --p or {query}:p=<p>")
+        return (rg_fn(float(p), r),)
     if query == MAX_SUM:
-        return max_fn(r)
+        return (max_fn(r),)
     if query == MIN_SUM:
-        return min_fn(r)
+        return (min_fn(r),)
     if query == DISTINCT:
-        return or_fn(r)
-    raise ValueError(f"no single item function for query {query!r}")
+        return (or_fn(r),)
+    raise ValueError(f"unknown query {query!r}")
+
+
+def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.ndarray:
+    """The answer per column of ``sums``, which holds one row per function of
+    :func:`query_functions` and one column per salt.
+
+    Jaccard is the min-sum over the max-sum, clamped to [0, 1], and 0 where
+    the max-sum is 0 (or where the ratio is undefined, as inf/inf is); Lp is
+    the p-th root of the Lp^p sum, taken with Python's pow (numpy's array pow
+    can differ in the last bit); every other query is its one sum.
+    """
+    sums = np.asarray(sums, dtype=float)
+    if query == JACCARD:
+        lo, hi = sums
+        out = np.zeros_like(lo)
+        np.divide(lo, hi, out=out, where=hi > 0)
+        return np.fmin(np.fmax(out, 0.0), 1.0)
+    if query == LP:
+        return np.array([x ** (1.0 / float(p)) for x in sums[0].tolist()])
+    return sums[0]
+
+
+def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> QueryResult:
+    """``query`` answered from the sum of each of its functions ``fs``, with
+    the items of a single sum, or else the sums by name."""
+    value = float(query_answers(query, [[s.value] for s in sums], p)[0])
+    if len(sums) == 1:
+        return QueryResult(query, value, sums[0].per_item)
+    return QueryResult(query, value, (), tuple((f"{f.kind}sum", s.value) for f, s in zip(fs, sums)))
 
 
 def _sequential_sum(xs: Sequence[float]) -> float:
@@ -413,13 +414,13 @@ def sum_estimate(
     item_ids: Sequence[str] | None = None,
     *,
     data: InstanceSet | None = None,
-    subset_label: str = "all",
     grid_n: int = 256,
 ) -> QueryResult:
     """Sum of per-item estimates of ``f`` over the selected items.
 
     J and HT take one kernel call over the selected rows of the samples; the
-    hull-derivative oracle needs the true data and runs item by item.
+    hull-derivative oracle needs the true data and builds each item's hull
+    to read it at the item's seed.
     """
     ids = list(samples) if item_ids is None else [str(i) for i in item_ids]
     if estimator == "voptimal-oracle":
@@ -428,9 +429,8 @@ def sum_estimate(
         estimates = []
         for item in ids:
             outcome = samples[item]
-            estimates.append(
-                v_optimal_estimate_at(data.vector(item), f, outcome.scheme, outcome.seed, grid_n)
-            )
+            est = v_optimal_estimates(lb_function(f, data.vector(item), outcome.scheme), grid_n)
+            estimates.append(est.value_at(outcome.seed))
     elif estimator not in ("j", "ht"):
         raise ValueError(f"unknown estimator {estimator!r}")
     elif not ids:
@@ -443,13 +443,7 @@ def sum_estimate(
         else:
             est = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme)
         estimates = est.tolist()
-    total = _sequential_sum(estimates)
-    return QueryResult(
-        query=f"sum[{f.describe()}]",
-        value=total,
-        per_item=tuple(zip(ids, estimates)),
-        subset=subset_label,
-    )
+    return QueryResult(f"sum[{f.describe()}]", _sequential_sum(estimates), tuple(zip(ids, estimates)))
 
 
 def exact_query(
@@ -457,27 +451,16 @@ def exact_query(
     query: str,
     item_ids: Sequence[str] | None = None,
     p: float | None = None,
-    subset_label: str = "all",
 ) -> QueryResult:
     """Ground-truth query answer straight from the data."""
     ids = list(data.item_ids) if item_ids is None else [str(i) for i in item_ids]
-    if query == JACCARD:
-        lo = exact_query(data, MIN_SUM, ids, subset_label=subset_label)
-        hi = exact_query(data, MAX_SUM, ids, subset_label=subset_label)
-        value = 0.0 if hi.value == 0 else min(1.0, max(0.0, lo.value / hi.value))
-        return QueryResult(
-            query=JACCARD,
-            value=value,
-            per_item=(),
-            subset=subset_label,
-            extras=(("minsum", lo.value), ("maxsum", hi.value)),
-        )
-    f = query_function(query, data.r, p)
-    values = evaluate_many(f, data.matrix[data.indices(ids)]).tolist()
-    total = float(sum(values))
-    if query == LP:
-        total = total ** (1.0 / float(p))
-    return QueryResult(query=query, value=total, per_item=tuple(zip(ids, values)), subset=subset_label)
+    fs = query_functions(query, data.r, p)
+    rows = data.matrix[data.indices(ids)]
+    sums = []
+    for f in fs:
+        values = evaluate_many(f, rows).tolist()
+        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), tuple(zip(ids, values))))
+    return _answer(query, p, fs, sums)
 
 
 def estimate_query(
@@ -489,31 +472,13 @@ def estimate_query(
     p: float | None = None,
     *,
     data: InstanceSet | None = None,
-    subset_label: str = "all",
     grid_n: int = 256,
 ) -> QueryResult:
-    """Query answer from coordinated samples.
-
-    Jaccard is the clamped ratio of the min-sum and max-sum estimates; the
-    Lp difference is the p-th root of the Lp^p estimate.
-    """
-    if query == JACCARD:
-        lo = estimate_query(samples, r, MIN_SUM, estimator, item_ids, data=data, grid_n=grid_n)
-        hi = estimate_query(samples, r, MAX_SUM, estimator, item_ids, data=data, grid_n=grid_n)
-        value = 0.0 if hi.value == 0 else min(1.0, max(0.0, lo.value / hi.value))
-        return QueryResult(
-            query=JACCARD,
-            value=value,
-            per_item=(),
-            subset=subset_label,
-            extras=(("minsum", lo.value), ("maxsum", hi.value)),
-        )
-    f = query_function(query, r, p)
-    res = sum_estimate(samples, f, estimator, item_ids, data=data, subset_label=subset_label, grid_n=grid_n)
-    value = res.value
-    if query == LP:
-        value = value ** (1.0 / float(p))
-    return QueryResult(query=query, value=value, per_item=res.per_item, subset=subset_label)
+    """Query answer from coordinated samples: the sum of per-item estimates
+    of each of :func:`query_functions`, answered by :func:`query_answers`."""
+    fs = query_functions(query, r, p)
+    sums = [sum_estimate(samples, f, estimator, item_ids, data=data, grid_n=grid_n) for f in fs]
+    return _answer(query, p, fs, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +490,6 @@ def bottomk_estimate(
     query: str,
     estimator: str = "ht",
     item_ids: Sequence[str] | None = None,
-    subset_label: str = "all",
 ) -> QueryResult:
     """Subset-sum or distinct-count estimate from a bottom-k sample.
 
@@ -563,10 +527,7 @@ def bottomk_estimate(
     else:
         estimates = []
     return QueryResult(
-        query=f"bottomk-{query}",
-        value=_sequential_sum(estimates),
-        per_item=tuple(zip((m.item_id for m in members), estimates)),
-        subset=subset_label,
+        f"bottomk-{query}", _sequential_sum(estimates), tuple(zip((m.item_id for m in members), estimates))
     )
 
 
@@ -606,15 +567,17 @@ def _mc_sums(
     item_ids: Sequence[str],
     salts: np.ndarray,
     estimator: str,
+    grid_n: int = 256,
 ) -> np.ndarray:
     """Sum over the items of each function's estimate, per salt: an
     ``(len(fs), len(salts))`` array.
 
     The salts are mixed once; each item costs one seed hash per salt and
-    one lookup per salt and function.  An item whose estimates are all zero
-    would add exactly +0.0 to every sum and is skipped.  Every other item
-    is added in item order, so each sum equals the single-salt query sum
-    at its salt, bit for bit.
+    one lookup per salt and function: in its dyadic table, against its
+    inverse-probability cut, or in its hull, built once per item and
+    function.  An item whose estimates are all zero would add exactly +0.0
+    to every sum and is skipped.  Every other item is added in item order,
+    so each sum equals the single-salt query sum at its salt, bit for bit.
     """
     rows = data.indices(item_ids)
     mixed = mixed_salts(salts)
@@ -625,15 +588,18 @@ def _mc_sums(
         if estimator == "j":
             tables = np.stack([j_piece_tables(vectors, f, scheme, MC_DEPTH) for f in fs], axis=1)
             live = tables.any(axis=2)
-        else:
+        elif estimator == "ht":
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
+        else:
+            hulls = [[v_optimal_estimates(lb_function(f, v, scheme), grid_n) for f in fs] for v in vectors]
+            live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():
             key = item_key(data.item_ids[block[k]])
             fk = np.flatnonzero(live[k]).tolist()
             if estimator == "j":
                 slot_tables = [(j, _slot_table(tables[k, j])) for j in fk]
-            else:
+            elif estimator == "ht":
                 # a cut of -1 (p below every seed) certifies no salt
                 cuts = [
                     (j, np.uint64(cut), values[k, j])
@@ -646,10 +612,14 @@ def _mc_sums(
                     slots = _dyadic_slots(key_seeds(key, mixed[lo:hi]))
                     for j, table in slot_tables:
                         totals[j, lo:hi] += table[slots]
-                else:
+                elif estimator == "ht":
                     hashes = key_hashes(key, mixed[lo:hi])
                     for j, cut, value in cuts:
                         totals[j, lo:hi] += np.where(hashes <= cut, value, 0.0)
+                else:
+                    seeds = key_seeds(key, mixed[lo:hi])
+                    for j in fk:
+                        totals[j, lo:hi] += hulls[k][j].value_at(seeds)
     return totals
 
 
@@ -661,26 +631,13 @@ def mc_query_estimates(
     salts: np.ndarray,
     p: float | None = None,
     estimator: str = "j",
+    grid_n: int = 256,
 ) -> np.ndarray:
-    """Query estimate per salt, vectorised over salts (see :func:`_mc_sums`).
-
-    Dyadic estimates are looked up from per-item tables; inverse-probability
-    estimates from their single certifying block.  Jaccard combines the
-    min-sum and max-sum, taken over one set of seeds, salt by salt.
-    """
-    if estimator not in ("j", "ht"):
-        raise ValueError(f"Monte Carlo sweeps support 'j' and 'ht', not {estimator!r}")
-    salts = np.asarray(salts, dtype=np.uint64)
-    queries = (MIN_SUM, MAX_SUM) if query == JACCARD else (query,)
-    fs = [query_function(q, data.r, p) for q in queries]
-    totals = _mc_sums(data, scheme, fs, item_ids, salts, estimator)
-    if query == JACCARD:
-        lo, hi = totals
-        out = np.zeros_like(lo)
-        np.divide(lo, hi, out=out, where=hi > 0)
-        return np.clip(out, 0.0, 1.0)
-    if query == LP:
-        # Python's pow, as estimate_query takes it: numpy's array pow can
-        # differ in the last bit
-        return np.array([x ** (1.0 / float(p)) for x in totals[0].tolist()])
-    return totals[0]
+    """Query estimate per salt: the sums of :func:`_mc_sums`, over one set of
+    seeds per salt, answered by :func:`query_answers`.  ``grid_n`` is the
+    hull grid of the ``voptimal-oracle`` estimator."""
+    if estimator not in ("j", "ht", "voptimal-oracle"):
+        raise ValueError(f"Monte Carlo sweeps support 'j', 'ht' and 'voptimal-oracle', not {estimator!r}")
+    fs = query_functions(query, data.r, p)
+    totals = _mc_sums(data, scheme, fs, item_ids, np.asarray(salts, dtype=np.uint64), estimator, grid_n)
+    return query_answers(query, totals, p)

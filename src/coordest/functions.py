@@ -144,18 +144,10 @@ def evaluate(f: ItemFunction, v: Sequence[float]) -> float:
 
 
 def evaluate_many(f: ItemFunction, z: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`evaluate` over the rows of an (m, arity) array."""
-    z = np.asarray(z, dtype=float)
-    if f.kind == MAX:
-        return z.max(axis=1)
-    if f.kind == MIN:
-        return z.min(axis=1)
-    if f.kind == OR:
-        return (z > 0).any(axis=1).astype(float)
-    if f.kind == RG:
-        return np.abs(z.max(axis=1) - z.min(axis=1)) ** f.p
-    hi, lo = f.direction
-    return np.clip(z[:, hi] - z[:, lo], 0.0, None) ** f.p
+    """Vectorised :func:`evaluate` over the rows of an (m, arity) array: the
+    closed-form lower bound on the point box of each row."""
+    z = np.asarray(z, dtype=float).T
+    return _lb_from_bounds(f, z, z)
 
 
 # ---------------------------------------------------------------------------

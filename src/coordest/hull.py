@@ -171,13 +171,34 @@ def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi):
     return float(total) if total.ndim == 0 else total
 
 
+def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The squares of ``values`` times ``2^(-2 * shift)``, and ``shift``: when
+    the largest value exceeds 2^500 (data below about 1e-150 under pps), all
+    are scaled by the exact power of two that brings it under 2^500, so no
+    square overflows; else ``shift`` is 0 and the squares are ``values**2``."""
+    top = values.max(initial=0.0)
+    if not 2.0**500 < top < math.inf:
+        return values * values, 0
+    shift = math.frexp(top)[1] - 500
+    values = np.ldexp(values, -shift)
+    return values * values, shift
+
+
 def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     """Integral of the squared estimate over ``(lo, hi]``, for a scalar or
     an array of windows.
 
-    Exact for the constant pieces, up to the rounding of the ordered sum.
-    Any infinite piece value inside the window makes the result infinite.
-    Divergence below the materialised support is the business of the
-    refinement checks in :mod:`coordest.analysis`, not of this sum.
+    Exact for the constant pieces, up to the rounding of the ordered sum
+    (of squares scaled by :func:`scaled_squares`, scaled back at the end).
+    Any infinite piece value inside the window, or a true integral beyond
+    the largest float, makes the result infinite.  Divergence below the
+    materialised support is the business of the refinement checks in
+    :mod:`coordest.analysis`, not of this sum.
     """
-    return _ordered_sum(e, e.values * e.values, lo, hi)
+    squares, shift = scaled_squares(e.values)
+    total = _ordered_sum(e, squares, lo, hi)
+    if shift:
+        # two exact power-of-two steps, each below the largest float
+        with np.errstate(over="ignore"):
+            total = total * 2.0**shift * 2.0**shift
+    return total

@@ -177,6 +177,21 @@ class TestParseErrorsNameTheirSource:
             "coordest: error: --query 'lpp:p=x': could not convert string to float: 'x'\n"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--query", "lpp:q=2"], "--query 'lpp:q=2': lpp takes p, not 'q'"),
+        (["--query", "l1:p=3"], "--query 'l1:p=3': l1 takes no parameters, not 'p'"),
+        (["--query", "lpp:p=inf"], "--query 'lpp:p=inf': exponent p must be positive and finite, not inf"),
+        (["--query", "lp:p=-1"], "--query 'lp:p=-1': exponent p must be positive and finite, not -1.0"),
+        (["--query", "lpp", "--p", "-1"], "--p must be positive and finite, got -1.0"),
+        (["--query", "lpp", "--p", "inf"], "--p must be positive and finite, got inf"),
+        (["--query", "sum"], "--query sum is a bottom-k query and needs --k"),
+        (["--query", "lpp"], "query lpp needs an exponent: --p or lpp:p=<p>"),
+    ])
+    def test_query_spec(self, capsys, argv, message):
+        assert console_main(["estimate", "--input", str(DEMO_CSV), "--estimator", "exact", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: {message}\n"
+
     def test_scheme_file_line(self, tmp_path, capsys):
         path = tmp_path / "scheme.txt"
         path.write_text("# maps\ntau.1 = pps:4\ntau.x = pps:4\n")
@@ -247,12 +262,16 @@ class TestRunConfig:
                 assert getattr(cfg, f.name) == f.default, f.name
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^--reps must be at least 1, got 0$"):
             RunConfig(input=DEMO_CSV, reps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^--grid-n must be at least 16, got 8$"):
             RunConfig(input=DEMO_CSV, grid_n=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^--depth must lie in \[8, 60\], got 4$"):
             RunConfig(input=DEMO_CSV, depth=4)
+        with pytest.raises(ValueError, match=r"^--k must be at least 1, got 0$"):
+            RunConfig(input=DEMO_CSV, k=0)
+        with pytest.raises(ValueError, match=r"^--p must be positive and finite, got -1.0$"):
+            RunConfig(input=DEMO_CSV, p=-1.0)
         for eps in (0.0, 4.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=r"^--eps must lie in \(0, 1\]"):
                 RunConfig(input=DEMO_CSV, eps=eps)
@@ -446,6 +465,31 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(p), "--function", function, "--out", str(out)]) == 0
         rec = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert 1.0 <= rec["ratio"] <= 84.0
+
+    def test_squares_past_the_largest_float(self, tmp_path):
+        # the presence indicator of (1e-160, 0) has estimates near 4e160,
+        # whose squares overflow while their integrals do not; the ratio is
+        # that of max on the same data, which is the indicator times 1e-160
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2\na,1e-160,0\n")
+        ratios = []
+        for function in ("or", "max"):
+            proc = _python("-m", "coordest", "analyze", "--input", str(p), "--function", function)
+            assert proc.returncode == 0 and proc.stderr == ""
+            rec = json.loads(proc.stdout, parse_constant=_reject_constant)
+            ratios.append(rec["ratio"])
+        assert rec["square_integral_opt"] == pytest.approx(4e-160, rel=1e-2)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
+    def test_variance_past_the_largest_float_names_the_item(self, tmp_path):
+        # near 1e-310 the dyadic estimates of the indicator themselves pass
+        # the largest float: the record cannot be JSON
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2\nb,1,2\na,1e-310,0\n")
+        proc = _python("-m", "coordest", "analyze", "--input", str(p), "--function", "or")
+        assert proc.returncode == 2 and proc.stdout.count("\n") == 1
+        assert proc.stderr.startswith("coordest: error: item 'a': Out of range float values")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["analyze", "characterize"])
     def test_underflowing_limit_probe_names_the_item(self, tmp_path, command):

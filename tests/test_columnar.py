@@ -35,7 +35,7 @@ from coordest.estimators import (
     j_piece_tables,
     j_piece_values,
     mc_query_estimates,
-    query_function,
+    query_functions,
     sum_estimate,
 )
 from coordest.analysis import (
@@ -254,7 +254,7 @@ def _ref_mc_query_estimates(data, scheme, query, item_ids, salts, p=None, estima
         out = np.zeros_like(lo)
         np.divide(lo, hi, out=out, where=hi > 0)
         return np.clip(out, 0.0, 1.0)
-    f = query_function(query, data.r, p)
+    (f,) = query_functions(query, data.r, p)
     total = np.zeros(len(salts))
     for item in item_ids:
         v = data.vector(item)
@@ -299,6 +299,26 @@ def test_mc_sweep_matches_per_item_reference(sweep, item_block, salt_chunk):
         for (query, estimator), sums in got.items():
             single = estimate_query(samples, data.r, query, estimator, ids, p=2.0)
             assert _bits([sums[k]]) == _bits([single.value]), (query, estimator, salt)
+
+
+@given(sweeps(), st.integers(1, 5), st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_mc_oracle_sweep_matches_single_salt_queries(sweep, item_block, salt_chunk):
+    # one hull per item and function, read at the item's seed for every salt
+    data, scheme, ids, salts = sweep
+    salts = salts[:4]
+    calls = mock.Mock(wraps=v_optimal_estimates)
+    with mock.patch.object(estimators, "MC_ITEM_BLOCK", item_block), \
+            mock.patch.object(estimators, "MC_SALT_CHUNK", salt_chunk), \
+            mock.patch.object(estimators, "v_optimal_estimates", calls):
+        got = {q: mc_query_estimates(data, scheme, q, ids, salts, p=2.0, estimator="voptimal-oracle", grid_n=16)
+               for q in QUERY_KINDS}
+    assert calls.call_count == len(ids) * sum(len(query_functions(q, data.r, 2.0)) for q in QUERY_KINDS)
+    for k, salt in enumerate(salts.tolist()):
+        samples = sample_instances(data, scheme, salt)
+        for query, sums in got.items():
+            single = estimate_query(samples, data.r, query, "voptimal-oracle", ids, p=2.0, data=data, grid_n=16)
+            assert _bits([sums[k]]) == _bits([single.value]), (query, salt)
 
 
 def test_mc_tables_cover_every_hashed_seed(scheme4):

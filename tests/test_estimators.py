@@ -317,14 +317,6 @@ class TestQueries:
         assert len(res.per_item) == 4
         assert res.value == pytest.approx(sum(c for _, c in res.per_item))
 
-    def test_query_result_round_trip(self, demo_data, scheme4):
-        from coordest.estimators import QueryResult
-
-        samples = sample_instances(demo_data, scheme4, salt=1)
-        for query in ("lpp", "jaccard", "distinct"):
-            res = estimate_query(samples, 2, query, "j", p=2)
-            assert QueryResult.from_dict(res.to_dict()) == res
-
     def test_empty_data_yields_zero(self, scheme4):
         empty = InstanceSet((), np.empty((0, 2)))
         assert exact_query(empty, "maxsum").value == 0.0

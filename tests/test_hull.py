@@ -145,6 +145,16 @@ class TestTinyValues:
             rep = competitiveness_ratio((0.0, 0.0, x), f, scheme)
             assert (rep.estimable, rep.bounded, rep.finite_variance, rep.chain_ok) == (True,) * 4, f.describe()
 
+    def test_square_integral_of_values_whose_squares_overflow(self):
+        # (2^600)^2 is past the largest float, its integral over a width of
+        # 2^-1000 is not; the 3 on the rest of (0, 1] is lost to rounding
+        e = EstimateFn("v_optimal", [0.0, 2.0**-1000], [2.0**-1000, 1.0], [2.0**600, 3.0])
+        assert integrate_square(e) == 2.0**200
+        assert integrate_square(e, lo=np.array([0.0, 0.5])).tolist() == [2.0**200, 4.5]
+        # no scaling below 2^500: the bits of the plain sum of squares
+        e = EstimateFn("v_optimal", [0.0, 0.3], [0.3, 1.0], [2.0**500, 0.1])
+        assert integrate_square(e) == 0.0 + 2.0**1000 * 0.3 + 0.1 * 0.1 * 0.7
+
     def test_hull_of_a_tiny_curve_is_the_scaled_hull(self):
         # cross products of about 2^-1100 underflowed to 0 and dropped
         # every interior vertex
