@@ -329,11 +329,15 @@ def curve_table(
 
     The hull column is the cumulative optimal estimate (the integral of the
     optimal column from u to 1).  It sits on or below the lower bound at the
-    seeds the hull was built from (:func:`v_optimal_estimates` samples the
-    curve on its own grid); between them the hull is linear while the
-    curve need not be, so at other seeds of this table the hull column can
-    exceed the lower bound (on 120 generated vectors under ``rg:p=2`` and
-    ``pps:tau=4``, by up to 4.8e-5, and by up to 0.14 % of f(v)).
+    seeds the hull was built from (:func:`v_optimal_estimates`: the curve's
+    corners, and for ``rg`` and one-sided ``rg`` with ``p > 1`` its own
+    grid).  A curve with concave pieces lies above its corners' hull
+    everywhere, so for every other function the hull column stays on or
+    below the lower bound up to rounding.  Between the grid seeds of a
+    ``p > 1`` curve the hull is linear while the curve is convex, so at
+    other seeds of this table the hull column can exceed the lower bound
+    (on 120 generated vectors under ``rg:p=2`` and ``pps:tau=4``, by up to
+    4.8e-5, and by up to 0.14 % of f(v)).
     """
     lbf = lb_function(f, v, scheme, domain)
     columns = _curve_columns(lbf, v_optimal_estimates(lbf, grid_n), v, f, scheme, grid_n, depth, domain)

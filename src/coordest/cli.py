@@ -129,22 +129,31 @@ def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauSche
 
 def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
     """Split a query spec like ``lpp:p=2`` (or ``lp:2``) into kind and
-    exponent; an explicit ``--p`` flag wins over the embedded form, which is
-    then not read.  Only ``lpp`` and ``lp`` take a parameter, the exponent
-    ``p``, which must be positive and finite; a bad one names the
-    ``--query`` flag."""
+    exponent.  The kind is checked first: one of ``QUERY_KINDS``, or
+    ``sum`` of bottom-k mode.  Only ``lpp`` and ``lp`` take a parameter,
+    the exponent ``p``, from the spec or from ``--p`` (both only when they
+    agree); it must be positive and finite.  A bad parameter in the spec
+    names the ``--query`` flag, and a ``--p`` the query does not take
+    names ``--p``."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if rest and p is None:
+    if kind not in QUERY_KINDS + ("sum",):
+        raise ValueError(f"unknown query {spec!r}")
+    takes = "p" if kind in (LPP, LP) else "no parameters"
+    if p is not None and takes != "p":
+        raise ValueError(f"--p applies only to lpp and lp, not {kind}")
+    if rest:
         with _error_source(f"--query {spec!r}"):
             key, eq, value = rest.partition("=")
             key = key.strip() if eq else "p"
-            takes = "p" if kind in (LPP, LP) else "no parameters"
             if takes != key:
                 raise ValueError(f"{kind} takes {takes}, not {key!r}")
-            p = float(value if eq else rest)
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValueError(f"exponent p must be positive and finite, not {p!r}")
+            q = float(value if eq else rest)
+            if not (math.isfinite(q) and q > 0.0):
+                raise ValueError(f"exponent p must be positive and finite, not {q!r}")
+            if p is not None and q != p:
+                raise ValueError(f"exponent {q!r} conflicts with --p {p!r}")
+        p = q
     return kind, p
 
 
@@ -246,8 +255,6 @@ def run_query(cfg: RunConfig) -> dict:
     if cfg.query is None:
         raise ValueError("estimate needs --query")
     query, p = parse_query(cfg.query, cfg.p)
-    if query not in QUERY_KINDS + ("sum",):
-        raise ValueError(f"unknown query {cfg.query!r}")
     cfg = replace(cfg, query=query, p=p)
     ids, subset = resolve_items(cfg.items, data)
 
@@ -385,12 +392,13 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
             with _error_source(f"item {item!r}"):
                 lbf = lb_function(f, v, scheme)
                 est, bd, fv, opt = _curve_checks(lbf, evaluate(f, v), cfg.eps, cfg.grid_n)
-            chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
+                chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
+                rec = {"item": item, "vector": list(v), "function": f.describe(),
+                       "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
+                       "bounded_slope": bd.value, "finite_variance": fv.ok, "chain_ok": chain}
+                line = json.dumps(rec, allow_nan=False)
             failed = failed or not chain
-            rec = {"item": item, "vector": list(v), "function": f.describe(),
-                   "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
-                   "bounded_slope": bd.value, "finite_variance": fv.ok, "chain_ok": chain}
-            fp.write(json.dumps(rec, allow_nan=False) + "\n")
+            fp.write(line + "\n")
             if curves_fp is not None:
                 columns = _curve_columns(lbf, opt, v, f, scheme, cfg.grid_n, cfg.depth)
                 rows = zip(*(c.tolist() for c in columns))
@@ -410,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # every default is RunConfig's
     default = {f.name: f.default for f in fields(RunConfig)}
-    grid_help = "uniform seeds of the hull grid (>= 16); one hull per vector serves its checks and estimates"
+    grid_help = ("uniform seeds of the hull grid (>= 16), used only by rg and one-sided rg with p > 1; "
+                 "other hulls are taken from the curve's corners; one hull per vector serves its checks and estimates")
 
     def common(p: argparse.ArgumentParser, scheme: bool = True):
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")

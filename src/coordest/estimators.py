@@ -286,11 +286,14 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     """Piecewise-constant negated slopes of the lower hull of a full
     lower-bound curve.
 
-    The hull is taken over the curve sampled on a uniform-plus-geometric
-    grid with every breakpoint inserted, a left anchor just right of 0
-    carrying the curve's limit value, and the point ``(1, 0)``: the
-    cumulative estimate must vanish at seed 1, and anchoring the hull there
-    is what lets data that is revealed with certainty keep its full mass.
+    The hull is taken over the curve at every breakpoint and just right of
+    it, a left anchor just right of 0 carrying the curve's limit value, and
+    the point ``(1, 0)``: the cumulative estimate must vanish at seed 1,
+    and anchoring the hull there is what lets data that is revealed with
+    certainty keep its full mass.  A curve with concave pieces (every item
+    function but ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull
+    vertices only at those corners; any other curve is also sampled on a
+    uniform-plus-geometric grid of ``grid_n`` uniform seeds.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -302,14 +305,16 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     # Below a subnormal head the anchor may underflow to 0 and its
     # reciprocal overflow; 324 decades reach from the smallest float to 1
     anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
-    decades = min(math.log10(1.0 / anchor), 324.0)
-    grid = base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades)))
-    us = np.unique(np.concatenate([grid, np.array(lb.breakpoints, dtype=float)]))
+    us = np.array(lb.breakpoints, dtype=float)
+    if not lb.concave_pieces:
+        decades = min(math.log10(1.0 / anchor), 324.0)
+        us = np.unique(np.concatenate([base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades))), us]))
     us = us[(us > anchor) & (us <= 1.0)]
     # The curve is left-continuous and may jump down across a breakpoint; the
     # cumulative estimate is continuous and capped at every seed beyond the
     # jump as well, so the binding value AT a breakpoint is the right limit.
-    # One curve call serves the anchor, the grid and the right limits.
+    # One curve call serves the anchor, the breakpoints (with the grid, if
+    # any) and the right limits.
     bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
     xs = np.concatenate(([anchor], us, bs, [1.0]))
     ys = np.append(lb.value(np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))), 0.0)

@@ -288,11 +288,14 @@ class LowerBoundFn:
     ``(breakpoints[k-1], breakpoints[k]]`` (the first piece starts at
     ``domain_left``).  The function is non-increasing and left-continuous;
     ``value_fn`` maps an array of seeds to its values there.
+    ``concave_pieces`` says that every piece is concave, so that only the
+    ends of pieces can be vertices of the curve's lower hull.
     """
 
     breakpoints: tuple[float, ...]
     domain_left: float
     value_fn: Callable[[np.ndarray], np.ndarray]
+    concave_pieces: bool = False
 
     def value(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -344,6 +347,12 @@ def _curve(
     Breakpoints are the seeds where a revealed value (or a domain low)
     crosses a threshold map, the points where the closed forms switch
     branch, together with the joints and crossings of piecewise-linear maps.
+
+    Between breakpoints every box bound is a constant or one linear piece
+    of a map, and the range forms reach 0 only at a crossing of a level.
+    So the pieces of ``max``, ``min`` and ``or`` are constant, and those of
+    the range kinds are a power ``p`` of a linear function: concave when
+    ``p <= 1``.
     """
     domain = domain if domain is not None else scheme.domain
     levels = set(values[np.broadcast_to(revealed, values.shape)].tolist())
@@ -353,7 +362,7 @@ def _curve(
     def value_fn(xs: np.ndarray) -> np.ndarray:
         return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme, domain)
 
-    return LowerBoundFn(bps, left, value_fn)
+    return LowerBoundFn(bps, left, value_fn, concave_pieces=f.kind in (MAX, MIN, OR) or f.p <= 1.0)
 
 
 def lb_breakpoints(f: ItemFunction, outcome: Outcome, domain: Domain | None = None) -> LowerBoundFn:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -175,8 +176,12 @@ class PpsMap:
         return ()
 
     def crossings(self, level: float) -> tuple[float, ...]:
-        """Seeds in (0, 1) where the map equals ``level``."""
+        """The seed in (0, 1) where the map crosses ``level``, snapped by
+        :func:`snap_crossing`."""
         u = level / self.tau_star
+        if not 0.0 < u < 1.0:
+            return ()
+        u = snap_crossing(self.value, u, level, 0.0, 1.0)
         return (u,) if 0.0 < u < 1.0 else ()
 
 
@@ -208,8 +213,11 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "_ts", np.array(ts))
 
     def value(self, u):
-        out = np.interp(u, self._us, self._ts)
+        out = self._value(u)
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
+
+    def _value(self, u):
+        return np.interp(u, self._us, self._ts)
 
     def infimum(self) -> float:
         return float(self._ts[0])
@@ -218,19 +226,66 @@ class PiecewiseLinearMap:
         return tuple(u for u, _ in self.points if 0.0 < u < 1.0)
 
     def crossings(self, level: float) -> tuple[float, ...]:
+        """Seeds in (0, 1) where the map crosses ``level``: on a rising
+        segment the interpolated seed, snapped by :func:`snap_crossing`
+        within the segment; both ends of a flat segment sitting exactly at
+        the level, which are exact joints."""
         out = []
         pts = self.points
         for (ua, ta), (ub, tb) in zip(pts, pts[1:]):
             if ta <= level <= tb:
                 if tb > ta:
-                    out.append(ua + (level - ta) * (ub - ua) / (tb - ta))
+                    u = ua + (level - ta) * (ub - ua) / (tb - ta)
+                    if 0.0 < u < 1.0:
+                        out.append(snap_crossing(self._value, u, level, ua, ub))
                 elif ta == level:
-                    # flat segment sitting exactly at the level
                     out.extend((ua, ub))
         return tuple(sorted({u for u in out if 0.0 < u < 1.0}))
 
 
 TauMap = Union[PpsMap, PiecewiseLinearMap]
+
+# the most floats stepped from an interpolated crossing before the rest is
+# bisected; the rounding of the interpolation leaves the answer a few away
+SNAP_ULPS = 8
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def snap_crossing(value, u: float, level: float, lo: float, hi: float) -> float:
+    """The last seed in ``[lo, hi]`` at which the map ``value`` is at most
+    ``level`` (``value(lo) <= level``), from the interpolated crossing
+    ``u``.  An entry whose value is ``level`` is still revealed there and
+    hidden one float above, so a lower-bound curve read at
+    ``nextafter(u)`` has made its jump.
+
+    It steps float by float from ``u``.  Past ``SNAP_ULPS`` steps (a
+    segment so flat that many seeds share one value) it bisects the rest on
+    the bits of the floats, which order as nonnegative floats do.
+    """
+    u = min(max(u, lo), hi)
+    for _ in range(SNAP_ULPS):
+        if value(u) > level:
+            u = max(math.nextafter(u, -math.inf), lo)
+            continue
+        up = math.nextafter(u, math.inf)
+        if up > hi or value(up) > level:
+            return u
+        u = up
+    a, b = (_bits(lo), _bits(u)) if value(u) > level else (_bits(u), _bits(hi))
+    while a < b:
+        mid = a + (b - a + 1) // 2
+        if value(_from_bits(mid)) <= level:
+            a = mid
+        else:
+            b = mid - 1
+    return _from_bits(a)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,10 @@ class TestParseErrorsNameTheirSource:
         (["--query", "lpp", "--p", "inf"], "--p must be positive and finite, got inf"),
         (["--query", "sum"], "--query sum is a bottom-k query and needs --k"),
         (["--query", "lpp"], "query lpp needs an exponent: --p or lpp:p=<p>"),
+        (["--query", "l1", "--p", "3"], "--p applies only to lpp and lp, not l1"),
+        (["--query", "lpp:p=-1", "--p", "2"], "--query 'lpp:p=-1': exponent p must be positive and finite, not -1.0"),
+        (["--query", "lp:3", "--p", "2"], "--query 'lp:3': exponent 3.0 conflicts with --p 2.0"),
+        (["--query", "median:p=2"], "unknown query 'median:p=2'"),
     ])
     def test_query_spec(self, capsys, argv, message):
         assert console_main(["estimate", "--input", str(DEMO_CSV), "--estimator", "exact", *argv]) == 2
@@ -564,3 +568,23 @@ class TestCharacterizeCommand:
             rows = list(csv.reader(fp))
         assert rows[0] == ["item", "u", "lower_bound", "hull", "j_estimate", "v_optimal"]
         assert len(rows) > 10
+
+    def test_record_that_is_not_json_names_the_item(self, monkeypatch, capsys):
+        # no known input gives a non-JSON verdict, so one check is made to
+        # return a NaN gap; the record of item 4 must then name it
+        from dataclasses import replace
+
+        from coordest import cli
+
+        checks = cli._curve_checks
+
+        def nan_gap(lbf, f_value, eps, grid_n):
+            est, bd, fv, opt = checks(lbf, f_value, eps, grid_n)
+            return replace(est, value=math.nan), bd, fv, opt
+
+        monkeypatch.setattr(cli, "_curve_checks", nan_gap)
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--items", "4"]
+        assert console_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "coordest: error: item '4': Out of range float values are not JSON compliant\n"

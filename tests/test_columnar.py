@@ -72,6 +72,7 @@ from coordest.model import (
 from coordest.samplers import sample_instances, sample_item
 
 from conftest import builtin_functions, random_vector
+from test_corner_hulls import CORNER_TOL
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -416,15 +417,16 @@ def _ref_lower_hull(points):
     return tuple((u, math.ldexp(y, -shift)) for u, y in chain)
 
 
-def _ref_v_optimal_estimates(lb, grid_n):
+def _ref_v_optimal_estimates(lb, grid_n, corners=False):
     """Hull slopes with one curve call per anchor and breakpoint limit, and
-    the hull taken by the dict-and-tuples chain."""
+    the hull taken by the dict-and-tuples chain; with ``corners``, from the
+    breakpoints without the grid."""
     min_bp = min((b for b in lb.breakpoints if b > 0.0), default=1.0)
     anchor = max(min(estimators.HULL_LEFT_ANCHOR, 1e-3 * min_bp), math.ulp(0.0))
     decades = min(math.log10(1.0 / anchor), 324.0)
     us = np.unique(np.concatenate([
-        np.linspace(1.0 / grid_n, 1.0, grid_n),
-        np.geomspace(anchor, 1.0, int(max(grid_n, 128, 12 * decades))),
+        [] if corners else np.linspace(1.0 / grid_n, 1.0, grid_n),
+        [] if corners else np.geomspace(anchor, 1.0, int(max(grid_n, 128, 12 * decades))),
         np.array(lb.breakpoints, dtype=float),
     ]))
     us = us[(us > anchor) & (us <= 1.0)]
@@ -577,8 +579,18 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     lbf = lb_function(f, v, scheme)
     for grid_n in (64, 512):
         est = v_optimal_estimates(lbf, grid_n)
-        want = _ref_v_optimal_estimates(lbf, grid_n)
+        want = _ref_v_optimal_estimates(lbf, grid_n, corners=lbf.concave_pieces)
         assert _bits(np.column_stack((est.los, est.his, est.values)).ravel()) == _bits(np.ravel(want))
+        # a hull from the corners of a curve with concave pieces is its grid
+        # hull within CORNER_TOL (see there), where the grid hull is right:
+        # not for data below about 1e-290 (test_tiny_data_keeps_its_optimum)
+        if lbf.concave_pieces and all(x == 0.0 or x >= 1e-100 for x in v):
+            grid = EstimateFn("v_optimal", *np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
+            sq = _ref_integrate_square(grid)
+            assert abs(_ref_integrate_square(est) - sq) <= CORNER_TOL * sq
+            us = np.concatenate([est.los, grid.los, [1.0]]).tolist()
+            assert all(abs(_ref_integral(est, lo=u) - _ref_integral(grid, lo=u)) <= CORNER_TOL * evaluate(f, v)
+                       for u in us)
     got = curve_table(v, f, scheme, grid_n=64)
     want = _ref_curve_table(v, f, scheme, grid_n=64)
     assert len(got) == len(want)

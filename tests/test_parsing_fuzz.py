@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from coordest import model
 from coordest.cli import ingest, parse_query, parse_scheme, parse_scheme_file
+from coordest.estimators import QUERY_KINDS
 from coordest.model import TauScheme
 
 
@@ -223,18 +224,27 @@ query_specs = st.one_of(
 )
 
 
-@given(query_specs, st.one_of(st.none(), st.floats(0.5, 4.0)))
+@given(query_specs, st.one_of(st.none(), st.floats(0.5, 4.0), st.sampled_from([2.0, 3.0])))
 @settings(max_examples=300, deadline=None)
 def test_parse_query_fails_only_with_the_flag(spec, p):
+    """An unknown kind is named first; then a ``--p`` that the kind does
+    not take names ``--p``; any other error names ``--query``."""
+    kind = spec.partition(":")[0].strip().lower()
     try:
-        kind, got = parse_query(spec, p)
+        got_kind, got = parse_query(spec, p)
     except ValueError as exc:
-        assert p is None
-        assert str(exc).startswith(f"--query {spec!r}: ")
+        if kind not in QUERY_KINDS + ("sum",):
+            assert str(exc) == f"unknown query {spec!r}"
+        elif p is not None and kind not in ("lpp", "lp"):
+            assert str(exc) == f"--p applies only to lpp and lp, not {kind}"
+        else:
+            assert str(exc).startswith(f"--query {spec!r}: ")
     else:
-        assert kind == spec.partition(":")[0].strip().lower()
-        if p is not None:
-            assert got == p
+        assert got_kind == kind
+        if kind in ("lpp", "lp"):
+            assert p is None or got == p
+        else:
+            assert p is None and got is None
 
 
 map_values = st.one_of(
