@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .estimators import base_grid, j_estimate_fn, j_piece_values, v_optimal_estimates
+from .estimators import DEPTH, GRID_N, base_grid, j_estimate_fn, j_piece_values, v_optimal_estimates
 from .functions import (
     ItemFunction,
     LowerBoundFn,
@@ -37,7 +37,7 @@ from .functions import (
     lb_function,
 )
 from .hull import EstimateFn, integrate_square, scaled_squares
-from .model import Domain, TauScheme
+from .model import TauScheme
 
 RATIO_BOUND = 84.0
 
@@ -106,7 +106,7 @@ def check_bounded_curve(lb: LowerBoundFn, f_value: float, eps: float = 1e-3) -> 
     return CheckResult(ok, sup, ratios)
 
 
-def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = 256) -> CheckResult:
+def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = GRID_N) -> CheckResult:
     """Are the squared hull slopes integrable near seed 0?
 
     Computes partial square integrals of the hull-derivative estimates
@@ -155,36 +155,20 @@ def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) ->
             _finite_variance_ladder(opt), opt)
 
 
-def check_estimable(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    eps: float = 1e-3,
-    domain: Domain | None = None,
-) -> CheckResult:
-    lbf = lb_function(f, v, scheme, domain)
+def check_estimable(v: Sequence[float], f: ItemFunction, scheme: TauScheme, eps: float = 1e-3) -> CheckResult:
+    lbf = lb_function(f, v, scheme)
     return check_estimable_curve(lbf, evaluate(f, v), eps * lbf.head)
 
 
-def check_bounded(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    eps: float = 1e-3,
-    domain: Domain | None = None,
-) -> CheckResult:
-    lbf = lb_function(f, v, scheme, domain)
+def check_bounded(v: Sequence[float], f: ItemFunction, scheme: TauScheme, eps: float = 1e-3) -> CheckResult:
+    lbf = lb_function(f, v, scheme)
     return check_bounded_curve(lbf, evaluate(f, v), eps * lbf.head)
 
 
 def check_finite_variance(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    grid_n: int = 256,
-    domain: Domain | None = None,
+    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N
 ) -> CheckResult:
-    return check_finite_variance_curve(lb_function(f, v, scheme, domain), grid_n)
+    return check_finite_variance_curve(lb_function(f, v, scheme), grid_n)
 
 
 def implication_chain_ok(bounded: bool, finite_variance: bool, estimable: bool) -> bool:
@@ -221,13 +205,6 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         return {**vars(self), "diagnostics": dict(self.diagnostics)}
 
-    @staticmethod
-    def from_dict(d: Mapping) -> "AnalysisReport":
-        floats = ("square_integral_j", "square_integral_opt", "ratio", "variance_j", "variance_opt")
-        flags = ("estimable", "finite_variance", "bounded")
-        return AnalysisReport(**{k: float(d[k]) for k in floats}, **{k: bool(d[k]) for k in flags},
-                              diagnostics=dict(d.get("diagnostics", {})))
-
 
 def clamped_variance(second_moment: float, f_value: float) -> float:
     """Variance of an unbiased estimator from its square integral: the
@@ -238,12 +215,7 @@ def clamped_variance(second_moment: float, f_value: float) -> float:
 
 
 def competitiveness_ratio(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    grid_n: int = 512,
-    depth: int = 40,
-    domain: Domain | None = None,
+    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
 ) -> AnalysisReport:
     """Squared-mass ratio of the dyadic estimator to the hull optimum.
 
@@ -254,7 +226,7 @@ def competitiveness_ratio(
     reported ratio is therefore conservative.
     """
     fv = evaluate(f, v)
-    lbf = lb_function(f, v, scheme, domain)
+    lbf = lb_function(f, v, scheme)
     est_check, bd_check, fv_check, opt = _curve_checks(lbf, fv, 1e-3, grid_n)
     diagnostics: dict = {
         "f_value": fv,
@@ -279,7 +251,7 @@ def competitiveness_ratio(
     # data revealed only at tiny seeds
     depth = max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
     diagnostics["depth"] = depth
-    vals = j_piece_values(v, f, scheme, depth, domain)
+    vals = j_piece_values(v, f, scheme, depth)
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
     squares, shift = scaled_squares(vals)
     sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
@@ -318,12 +290,7 @@ def competitiveness_ratio(
 
 
 def curve_table(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    grid_n: int = 256,
-    depth: int = 40,
-    domain: Domain | None = None,
+    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
 ) -> list[tuple[float, float, float, float, float]]:
     """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)``.
 
@@ -339,14 +306,14 @@ def curve_table(
     (on 120 generated vectors under ``rg:p=2`` and ``pps:tau=4``, by up to
     4.8e-5, and by up to 0.14 % of f(v)).
     """
-    lbf = lb_function(f, v, scheme, domain)
-    columns = _curve_columns(lbf, v_optimal_estimates(lbf, grid_n), v, f, scheme, grid_n, depth, domain)
+    lbf = lb_function(f, v, scheme)
+    columns = _curve_columns(lbf, v_optimal_estimates(lbf, grid_n), v, f, scheme, grid_n, depth)
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _curve_columns(lbf: LowerBoundFn, opt: EstimateFn, v, f, scheme, grid_n, depth, domain=None) -> tuple:
+def _curve_columns(lbf: LowerBoundFn, opt: EstimateFn, v, f, scheme, grid_n, depth) -> tuple:
     """The five columns of :func:`curve_table`, from the curve ``lbf`` of
     ``v`` and its hull ``opt = v_optimal_estimates(lbf, grid_n)``."""
-    j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40), domain=domain)
+    j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
     us = np.unique(np.concatenate([base_grid(grid_n, 1e-6, grid_n // 2), np.array(lbf.breakpoints)]))
     return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

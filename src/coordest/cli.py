@@ -30,6 +30,8 @@ import numpy as np
 
 from .analysis import _curve_checks, _curve_columns, competitiveness_ratio, implication_chain_ok
 from .estimators import (
+    DEPTH,
+    GRID_N,
     LP,
     LPP,
     QUERY_KINDS,
@@ -196,8 +198,8 @@ class RunConfig:
     salt: int = 0
     reps: int = 1
     out: Path | None = None
-    grid_n: int = 256
-    depth: int = 40
+    grid_n: int = GRID_N
+    depth: int = DEPTH
     eps: float = 1e-3
     k: int | None = None
     rank: str = "pps"

@@ -41,7 +41,6 @@ from .functions import (
 )
 from .hull import EstimateFn, lower_hull
 from .model import (
-    Domain,
     InstanceSet,
     Outcome,
     TauScheme,
@@ -60,6 +59,10 @@ from .samplers import (
 )
 
 HULL_LEFT_ANCHOR = 1e-12
+
+# uniform seeds of a hull grid, and dyadic pieces an analysis materialises
+GRID_N = 256
+DEPTH = 40
 
 
 def dyadic_index(rho: float) -> int:
@@ -83,12 +86,7 @@ def dyadic_indices(us: np.ndarray) -> np.ndarray:
 
 
 def j_estimates(
-    f: ItemFunction,
-    seeds: np.ndarray,
-    revealed: np.ndarray,
-    values: np.ndarray,
-    scheme: TauScheme,
-    domain: Domain | None = None,
+    f: ItemFunction, seeds: np.ndarray, revealed: np.ndarray, values: np.ndarray, scheme: TauScheme
 ) -> np.ndarray:
     """Dyadic estimate of every outcome given as columns: seeds ``(n,)``, the
     revealed mask ``(n, r)`` and each revealed value or else its bound
@@ -101,29 +99,22 @@ def j_estimates(
     i = dyadic_indices(seeds)
     # (r, n) rows in C order keep the reductions over instances contiguous
     values, revealed = np.ascontiguousarray(values.T), np.ascontiguousarray(revealed.T)
-    head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme, domain)
-    prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme, domain)
+    head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme)
+    prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme)
     d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
     return np.where(d > 0.0, d, 0.0)
 
 
-def j_estimate(outcome: Outcome, f: ItemFunction, domain: Domain | None = None) -> float:
+def j_estimate(outcome: Outcome, f: ItemFunction) -> float:
     """Dyadic estimate computed from the outcome alone.
 
     Identical for every data vector consistent with the outcome, since the
     lower bound at seeds above the observed one is outcome-determined.
     """
-    return float(j_estimates(f, *outcome_columns([outcome]), outcome.scheme, domain)[0])
+    return float(j_estimates(f, *outcome_columns([outcome]), outcome.scheme)[0])
 
 
-def j_cumulative(
-    v: Sequence[float],
-    rho: float,
-    f: ItemFunction,
-    scheme: TauScheme,
-    depth: int = 60,
-    domain: Domain | None = None,
-) -> float:
+def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> float:
     """Integral of the dyadic estimator over seeds in ``(rho, 1]`` for data
     ``v``, summed piece by piece.
 
@@ -139,20 +130,14 @@ def j_cumulative(
         hi = 2.0 ** (-j)
         if hi <= rho:
             break
-        value = max(0.0, 2.0 ** (j + 1) * (lower_bound_from_vector(f, v, scheme, hi, domain) - cum))
+        value = max(0.0, 2.0 ** (j + 1) * (lower_bound_from_vector(f, v, scheme, hi) - cum))
         width = hi - max(rho, hi / 2.0)
         total += value * width
         cum += value * (hi / 2.0)
     return total
 
 
-def j_piece_tables(
-    rows: np.ndarray,
-    f: ItemFunction,
-    scheme: TauScheme,
-    depth: int,
-    domain: Domain | None = None,
-) -> np.ndarray:
+def j_piece_tables(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, depth: int) -> np.ndarray:
     """Constant dyadic values ``tables[k, j]`` on ``(2^-j-1, 2^-j]`` for
     ``j = 0..depth``, for each data vector ``rows[k]`` of an (n, r) array:
     one :func:`lower_bounds` call over the n * (depth + 1) columns."""
@@ -160,7 +145,7 @@ def j_piece_tables(
     n = rows.shape[0]
     xs = np.tile(2.0 ** -np.arange(depth + 1, dtype=float), n)
     values = np.repeat(rows.T, depth + 1, axis=1)
-    lbs = lower_bounds(f, values, True, xs, scheme, domain).reshape(n, depth + 1)
+    lbs = lower_bounds(f, values, True, xs, scheme).reshape(n, depth + 1)
     vals = np.empty_like(lbs)
     vals[:, 0] = 2.0 * lbs[:, 0]
     # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
@@ -170,29 +155,17 @@ def j_piece_tables(
     return np.clip(vals, 0.0, None)
 
 
-def j_piece_values(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    depth: int,
-    domain: Domain | None = None,
-) -> np.ndarray:
+def j_piece_values(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int) -> np.ndarray:
     """Constant dyadic values ``values[j]`` on ``(2^-j-1, 2^-j]`` for
     ``j = 0..depth``: one row of :func:`j_piece_tables`."""
-    return j_piece_tables(np.asarray(v, dtype=float).reshape(1, -1), f, scheme, depth, domain)[0]
+    return j_piece_tables(np.asarray(v, dtype=float).reshape(1, -1), f, scheme, depth)[0]
 
 
-def j_estimate_fn(
-    v: Sequence[float],
-    f: ItemFunction,
-    scheme: TauScheme,
-    depth: int = 40,
-    domain: Domain | None = None,
-) -> EstimateFn:
+def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
     """Materialised dyadic pieces down to seed ``2^-depth-1``."""
-    vals = j_piece_values(v, f, scheme, depth, domain)
+    vals = j_piece_values(v, f, scheme, depth)
     his = np.ldexp(1.0, np.arange(-depth, 1))
-    return EstimateFn("j_dyadic", 0.5 * his, his, vals[::-1])
+    return EstimateFn(0.5 * his, his, vals[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +238,8 @@ def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> Es
     :func:`ht_blocks`)."""
     value, p = (float(a[0]) for a in ht_blocks(f, np.asarray(v, dtype=float).reshape(1, -1), scheme))
     if value == 0.0 or p >= 1.0:
-        return EstimateFn("ht", [0.0], [1.0], [value])
-    return EstimateFn("ht", [0.0, p], [p, 1.0], [value, 0.0])
+        return EstimateFn([0.0], [1.0], [value])
+    return EstimateFn([0.0, p], [p, 1.0], [value, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +255,7 @@ def base_grid(grid_n: int, lo: float, count: int) -> np.ndarray:
     return us
 
 
-def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
+def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     """Piecewise-constant negated slopes of the lower hull of a full
     lower-bound curve.
 
@@ -323,7 +296,7 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = 512) -> EstimateFn:
     # NaN into 0.0, and adding +0.0 turns a -0.0 into 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.fmax((hy[:-1] - hy[1:]) / (hu[1:] - hu[:-1]), 0.0) + 0.0
-    return EstimateFn("v_optimal", hu[:-1], hu[1:], slopes)
+    return EstimateFn(hu[:-1], hu[1:], slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +392,7 @@ def sum_estimate(
     item_ids: Sequence[str] | None = None,
     *,
     data: InstanceSet | None = None,
-    grid_n: int = 256,
+    grid_n: int = GRID_N,
 ) -> QueryResult:
     """Sum of per-item estimates of ``f`` over the selected items.
 
@@ -477,7 +450,7 @@ def estimate_query(
     p: float | None = None,
     *,
     data: InstanceSet | None = None,
-    grid_n: int = 256,
+    grid_n: int = GRID_N,
 ) -> QueryResult:
     """Query answer from coordinated samples: the sum of per-item estimates
     of each of :func:`query_functions`, answered by :func:`query_answers`."""
@@ -572,7 +545,7 @@ def _mc_sums(
     item_ids: Sequence[str],
     salts: np.ndarray,
     estimator: str,
-    grid_n: int = 256,
+    grid_n: int,
 ) -> np.ndarray:
     """Sum over the items of each function's estimate, per salt: an
     ``(len(fs), len(salts))`` array.
@@ -636,7 +609,7 @@ def mc_query_estimates(
     salts: np.ndarray,
     p: float | None = None,
     estimator: str = "j",
-    grid_n: int = 256,
+    grid_n: int = GRID_N,
 ) -> np.ndarray:
     """Query estimate per salt: the sums of :func:`_mc_sums`, over one set of
     seeds per salt, answered by :func:`query_answers`.  ``grid_n`` is the

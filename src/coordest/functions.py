@@ -168,9 +168,7 @@ def _lb_from_bounds(f: ItemFunction, lows: np.ndarray, highs: np.ndarray) -> np.
     return np.clip(lows[hi] - highs[lo], 0.0, None) ** f.p
 
 
-def _box_bounds(
-    values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme, domain: Domain
-) -> tuple[np.ndarray, np.ndarray]:
+def _box_bounds(values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate intervals at seeds ``xs`` of outcomes given as (r, n)
     columns of values (the revealed value, else the bound) and revealed
     flags, broadcast against ``xs``.
@@ -183,26 +181,18 @@ def _box_bounds(
     """
     taus = scheme.thresholds(xs)
     known = revealed & (values >= taus)
-    lows = np.where(known, values, np.array(domain.lows, dtype=float)[:, None])
+    lows = np.where(known, values, np.array(scheme.domain.lows, dtype=float)[:, None])
     highs = np.where(known, values, taus)
     return lows, highs
 
 
-def lower_bounds(
-    f: ItemFunction,
-    values: np.ndarray,
-    revealed,
-    xs: np.ndarray,
-    scheme: TauScheme,
-    domain: Domain | None = None,
-) -> np.ndarray:
+def lower_bounds(f: ItemFunction, values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme) -> np.ndarray:
     """Lower bound of ``f`` per column of :func:`_box_bounds`: each outcome
     (or data vector) at its seed in ``xs``."""
-    domain = domain if domain is not None else scheme.domain
-    return _lb_from_bounds(f, *_box_bounds(values, revealed, xs, scheme, domain))
+    return _lb_from_bounds(f, *_box_bounds(values, revealed, xs, scheme))
 
 
-def lower_bound(f: ItemFunction, outcome: Outcome, x: float, domain: Domain | None = None) -> float:
+def lower_bound(f: ItemFunction, outcome: Outcome, x: float) -> float:
     """Infimum of ``f`` over every data vector consistent with the outcome's
     information at seed ``x``.
 
@@ -215,21 +205,19 @@ def lower_bound(f: ItemFunction, outcome: Outcome, x: float, domain: Domain | No
         raise ValueError("seeds beyond 1 carry no information; use domain_infimum")
     _, revealed, values = outcome_columns([outcome])
     xs = np.array([x], dtype=float)
-    return float(lower_bounds(f, values.T, revealed.T, xs, outcome.scheme, domain)[0])
+    return float(lower_bounds(f, values.T, revealed.T, xs, outcome.scheme)[0])
 
 
 def _column(v: Sequence[float]) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(-1, 1)
 
 
-def lower_bound_from_vector(
-    f: ItemFunction, v: Sequence[float], scheme: TauScheme, x, domain: Domain | None = None
-):
+def lower_bound_from_vector(f: ItemFunction, v: Sequence[float], scheme: TauScheme, x):
     """Lower-bound value(s) at seed(s) ``x`` for the outcome a given data
     vector would produce; accepts a scalar or an array of seeds."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = lower_bounds(f, _column(v), True, xs, scheme, domain)
+    out = lower_bounds(f, _column(v), True, xs, scheme)
     return float(out[0]) if scalar else out
 
 
@@ -241,13 +229,7 @@ def domain_infimum(f: ItemFunction, domain: Domain) -> float:
     return float(_lb_from_bounds(f, lows, highs)[0])
 
 
-def brute_force_lower_bound(
-    f: ItemFunction,
-    outcome: Outcome,
-    x: float,
-    grid_n: int = 64,
-    domain: Domain | None = None,
-) -> float:
+def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n: int = 64) -> float:
     """Grid-search oracle for :func:`lower_bound`.
 
     Free coordinates are swept over ``grid_n`` points spanning
@@ -259,14 +241,13 @@ def brute_force_lower_bound(
         raise ValueError(f"x={x} below outcome seed {outcome.seed}")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    domain = domain if domain is not None else outcome.scheme.domain
     axes = []
     for i, slot in enumerate(outcome.slots):
         tau_x = float(outcome.scheme.maps[i].value(x))
         if isinstance(slot, Known) and slot.value >= tau_x:
             axes.append(np.array([slot.value]))
         else:
-            lo = domain.lows[i]
+            lo = outcome.scheme.domain.lows[i]
             if not math.isfinite(tau_x):
                 raise ValueError("cannot grid an unbounded coordinate")
             delta = (tau_x - lo) / grid_n
@@ -338,9 +319,7 @@ def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float)
     return {p for p in pts if left < p < 1.0}
 
 
-def _curve(
-    f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, left: float, domain: Domain | None
-) -> LowerBoundFn:
+def _curve(f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, left: float) -> LowerBoundFn:
     """The lower-bound curve on ``(left, 1]`` of one outcome (or data
     vector) given as an (r, 1) column of values and its revealed flags.
 
@@ -354,28 +333,25 @@ def _curve(
     the range kinds are a power ``p`` of a linear function: concave when
     ``p <= 1``.
     """
-    domain = domain if domain is not None else scheme.domain
     levels = set(values[np.broadcast_to(revealed, values.shape)].tolist())
-    levels.update(domain.lows)
+    levels.update(scheme.domain.lows)
     bps = tuple(sorted(_scheme_breakpoints(scheme, sorted(levels), left) | {1.0}))
 
     def value_fn(xs: np.ndarray) -> np.ndarray:
-        return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme, domain)
+        return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme)
 
     return LowerBoundFn(bps, left, value_fn, concave_pieces=f.kind in (MAX, MIN, OR) or f.p <= 1.0)
 
 
-def lb_breakpoints(f: ItemFunction, outcome: Outcome, domain: Domain | None = None) -> LowerBoundFn:
+def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
     """Piecewise lower-bound representation for an outcome, valid on
     ``[outcome.seed, 1]``."""
     _, revealed, values = outcome_columns([outcome])
-    return _curve(f, outcome.scheme, values.T, revealed.T, outcome.seed, domain)
+    return _curve(f, outcome.scheme, values.T, revealed.T, outcome.seed)
 
 
-def lb_function(
-    f: ItemFunction, v: Sequence[float], scheme: TauScheme, domain: Domain | None = None
-) -> LowerBoundFn:
+def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
     """Full lower-bound curve for a data vector, valid on all of (0, 1]."""
     if len(v) != scheme.r:
         raise ValueError("vector arity does not match scheme")
-    return _curve(f, scheme, _column(v), True, 0.0, domain)
+    return _curve(f, scheme, _column(v), True, 0.0)

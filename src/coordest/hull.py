@@ -92,13 +92,12 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
 
 @dataclass(frozen=True, eq=False)
 class EstimateFn:
-    """Piecewise-constant estimator values over seeds, tagged by
-    construction kind: ``values[i]`` on the seed interval
-    ``(los[i], his[i]]``, held as float arrays.  :meth:`value_at`,
-    :meth:`integral` and :func:`integrate_square` take a scalar or an array
-    of seeds or cutoffs and return a float or an array to match."""
+    """Piecewise-constant estimator values over seeds: ``values[i]`` on the
+    seed interval ``(los[i], his[i]]``, held as float arrays.
+    :meth:`value_at`, :meth:`integral` and :func:`integrate_square` take a
+    scalar or an array of seeds or cutoffs and return a float or an array to
+    match."""
 
-    kind: str  # "j_dyadic", "v_optimal", or "ht"
     los: np.ndarray
     his: np.ndarray
     values: np.ndarray

@@ -177,9 +177,10 @@ class PpsMap:
 
     def crossings(self, level: float) -> tuple[float, ...]:
         """The seed in (0, 1) where the map crosses ``level``, snapped by
-        :func:`snap_crossing`."""
+        :func:`snap_crossing` before it is kept; a level of 0 is crossed at
+        seed 0 and has none."""
         u = level / self.tau_star
-        if not 0.0 < u < 1.0:
+        if not u > 0.0:
             return ()
         u = snap_crossing(self.value, u, level, 0.0, 1.0)
         return (u,) if 0.0 < u < 1.0 else ()
@@ -228,15 +229,18 @@ class PiecewiseLinearMap:
     def crossings(self, level: float) -> tuple[float, ...]:
         """Seeds in (0, 1) where the map crosses ``level``: on a rising
         segment the interpolated seed, snapped by :func:`snap_crossing`
-        within the segment; both ends of a flat segment sitting exactly at
-        the level, which are exact joints."""
+        within the segment before it is kept; both ends of a flat segment
+        sitting exactly at the level, which are exact joints.  A level at
+        the map's value at seed 0 is crossed there and has no crossing on
+        the first segment, though rounding keeps the map at the level over
+        the first few floats."""
         out = []
         pts = self.points
         for (ua, ta), (ub, tb) in zip(pts, pts[1:]):
             if ta <= level <= tb:
                 if tb > ta:
                     u = ua + (level - ta) * (ub - ua) / (tb - ta)
-                    if 0.0 < u < 1.0:
+                    if u > 0.0:
                         out.append(snap_crossing(self._value, u, level, ua, ub))
                 elif ta == level:
                     out.extend((ua, ub))
@@ -321,7 +325,7 @@ class TauScheme:
         return len(self.maps)
 
     @staticmethod
-    def pps(tau_stars, r: int | None = None, domain: Domain | None = None) -> "TauScheme":
+    def pps(tau_stars, r: int | None = None) -> "TauScheme":
         """Convenience constructor; a scalar ``tau_stars`` is shared by all
         ``r`` instances."""
         if np.isscalar(tau_stars):
@@ -330,7 +334,7 @@ class TauScheme:
             stars = (float(tau_stars),) * r
         else:
             stars = tuple(float(t) for t in tau_stars)
-        return TauScheme(tuple(PpsMap(t) for t in stars), domain=domain)
+        return TauScheme(tuple(PpsMap(t) for t in stars))
 
     def thresholds(self, us) -> np.ndarray:
         """``tau_i(u)`` for every instance (rows) and every seed in ``us``
@@ -405,9 +409,6 @@ class Outcome:
     def r(self) -> int:
         return len(self.slots)
 
-    def known_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.slots) if isinstance(s, Known))
-
 
 def outcome_columns(outcomes: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columnar form of one or more outcomes of one arity: seeds
@@ -422,13 +423,12 @@ def outcome_columns(outcomes: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray
     return seeds, revealed, values
 
 
-def is_consistent(outcome: Outcome, candidate: Sequence[float], scheme: TauScheme | None = None) -> bool:
+def is_consistent(outcome: Outcome, candidate: Sequence[float]) -> bool:
     """Whether ``candidate`` could have produced ``outcome``.
 
     Revealed slots must match exactly; unsampled slots constrain the
     candidate strictly below the recorded bound.
     """
-    scheme = scheme if scheme is not None else outcome.scheme
     if len(candidate) != len(outcome.slots):
         raise ValueError(
             f"candidate has {len(candidate)} entries, outcome has {len(outcome.slots)}"

@@ -211,9 +211,6 @@ class BottomKSample:
         if len({m.threshold for m in self.members}) > 1:
             raise ValueError("members must share one threshold")
 
-    def member_ids(self) -> tuple[str, ...]:
-        return tuple(m.item_id for m in self.members)
-
 
 def conditional_threshold(ranks: Mapping[str, float], item_id: str, k: int) -> float:
     """k-th largest rank value with ``item_id`` excluded (the reference

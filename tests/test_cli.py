@@ -530,7 +530,7 @@ class TestAnalyzeCommand:
         ]
         assert main(argv) == 0
         rec = json.loads(out.read_text())
-        report = AnalysisReport.from_dict(rec)
+        report = AnalysisReport(**{f.name: rec[f.name] for f in fields(AnalysisReport)})
         assert report.competitive_ok
 
     def test_synthetic_sweep(self, tmp_path):

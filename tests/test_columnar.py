@@ -497,7 +497,7 @@ def estimate_fns(draw):
         st.floats(0.0, 1e3), st.just(0.0), st.just(math.inf), st.floats(0.0, 1e-300)
     )
     values = [draw(piece_value) for _ in edges[1:]]
-    return EstimateFn("v_optimal", edges[:-1], edges[1:], values)
+    return EstimateFn(edges[:-1], edges[1:], values)
 
 
 def _probes(e, extra):
@@ -512,7 +512,7 @@ def _many_pieces(n: int = 40) -> EstimateFn:
     rng = np.random.default_rng(5)
     edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(n - 1)])).tolist()
     values = rng.exponential(100.0, len(edges) - 1).tolist()
-    return EstimateFn("v_optimal", edges[:-1], edges[1:], values)
+    return EstimateFn(edges[:-1], edges[1:], values)
 
 
 @given(estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
@@ -536,7 +536,7 @@ def test_estimate_fn_batches_match_scalar_loops(e, extra):
 
 
 def test_empty_estimate_fn_is_zero_everywhere():
-    e = EstimateFn("ht", [], [], [])
+    e = EstimateFn([], [], [])
     us = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     assert e.value_at(us).tolist() == [0.0] * 5
     assert e.integral(lo=us).tolist() == [0.0] * 5
@@ -545,7 +545,7 @@ def test_empty_estimate_fn_is_zero_everywhere():
 
 
 def test_infinite_piece_integrates_to_inf_not_nan():
-    e = EstimateFn("ht", [0.0, 0.5], [0.5, 1.0], [math.inf, 1.0])
+    e = EstimateFn([0.0, 0.5], [0.5, 1.0], [math.inf, 1.0])
     cutoffs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert integrate_square(e, lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
     assert e.integral(lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
@@ -585,7 +585,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
         # hull within CORNER_TOL (see there), where the grid hull is right:
         # not for data below about 1e-290 (test_tiny_data_keeps_its_optimum)
         if lbf.concave_pieces and all(x == 0.0 or x >= 1e-100 for x in v):
-            grid = EstimateFn("v_optimal", *np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
+            grid = EstimateFn(*np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
             sq = _ref_integrate_square(grid)
             assert abs(_ref_integrate_square(est) - sq) <= CORNER_TOL * sq
             us = np.concatenate([est.los, grid.los, [1.0]]).tolist()

@@ -157,12 +157,10 @@ def check_crossings(m, level: float) -> None:
         # only a joint (the ends of a flat segment at the level) may be
         # followed by a seed at which the map still reads the level
         assert b in joints or level < m.value(math.nextafter(b, math.inf))
-    # the seed past which the entry is hidden is a crossing or a joint;
-    # only crossings are snapped whose interpolation lies strictly inside
-    # (0, 1), so one at a level at the map's infimum (crossed at seed 0) or
-    # within a few floats of seed 1 may be missing
+    # the seed past which the entry is hidden is a crossing or a joint,
+    # unless the level is the map's infimum, which is crossed at seed 0
     s = last_seed_at_or_below(m, level)
-    if level > m.infimum() and 0.0 < s < 1.0 - 2.0**-50:
+    if level > m.infimum() and 0.0 < s < 1.0:
         assert s in got or s in joints
 
 
@@ -184,10 +182,13 @@ def pwl_maps(draw) -> PiecewiseLinearMap:
 @given(pwl_maps(), st.data())
 @example(PiecewiseLinearMap(((0.0, 1.0), (0.5, 1.0000001), (1.0, 5.0))), None)
 @example(PiecewiseLinearMap(((0.0, 0.0), (0.3, 2.0), (0.6, 2.0), (1.0, 4.0))), None)
+# one float below the top joint value, the interpolated crossing rounds to 1
+# while the map is at or below the level at 0.9999999999999999
+@example(PiecewiseLinearMap(((0.0, 0.0), (0.75, 0.0), (1.0, 1.120208535626552))), None)
 @settings(max_examples=300, deadline=None)
 def test_pwl_crossings_are_the_last_revealing_seeds(m, data):
     ts = [t for _, t in m.points]
-    levels = [m.infimum(), *ts, 0.5 * (ts[0] + ts[-1]), 1.00000005, 2.0]
+    levels = [m.infimum(), *ts, *(math.nextafter(t, 0.0) for t in ts), 0.5 * (ts[0] + ts[-1]), 1.00000005, 2.0]
     if data is not None:
         levels.append(data.draw(st.floats(ts[0], ts[-1], allow_subnormal=False)))
     for level in levels:
@@ -198,8 +199,17 @@ def test_pwl_crossings_are_the_last_revealing_seeds(m, data):
 @settings(max_examples=300, deadline=None)
 def test_pps_crossings_are_the_last_revealing_seeds(tau, levels):
     m = PpsMap(tau)
-    for level in [0.0, *levels]:
+    for level in [0.0, math.nextafter(tau, 0.0), *levels]:
         check_crossings(m, level)
+
+
+def test_a_level_crossed_at_seed_0_has_no_crossing():
+    # rounding keeps these maps at the level over the first floats above 0
+    # (up to 5e-324 and 1.4e-17); a breakpoint there would be the curve's
+    # head, and the limit probes below it would underflow to 0
+    assert PpsMap(0.5).crossings(0.0) == ()
+    assert PiecewiseLinearMap(((0.0, 0.5), (1.0, 4.5))).crossings(0.5) == ()
+    assert lb_function(max_fn(2), (1.0, 0.0), TauScheme.pps(0.5, r=2)).breakpoints == (1.0,)
 
 
 def test_item30_entry_is_hidden_just_past_its_crossing():

@@ -18,7 +18,7 @@ from coordest.functions import (
     parse_function,
     rg_fn,
 )
-from coordest.model import Domain, PiecewiseLinearMap, TauScheme, is_consistent
+from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme, is_consistent
 from coordest.samplers import sample_item
 
 from conftest import builtin_functions, random_scheme, random_vector
@@ -106,23 +106,53 @@ class TestBruteForceOracle:
 
     def test_agreement_on_random_outcomes(self):
         rng = np.random.default_rng(7)
-        grid_n = 80
         for _ in range(60):
-            scheme = random_scheme(rng)
-            v = random_vector(rng)
-            rho = float(rng.uniform(0.05, 1.0))
-            x = float(rng.uniform(rho, 1.0))
-            out = sample_item(v, rho, scheme)
-            taus = [m.value(x) for m in scheme.maps]
+            assert_matches_oracle(random_scheme(rng), random_vector(rng), rng)
+
+    def test_agreement_under_a_nonzero_domain(self):
+        # instance 1 holds no value below 0.5: its free entries range over
+        # [0.5, tau_1(x))
+        rng = np.random.default_rng(8)
+        for scheme, v in nonzero_domain_cases(rng):
+            assert_matches_oracle(scheme, v, rng)
+
+    def test_curve_turns_where_a_map_crosses_the_domain_low(self):
+        for scheme, v in nonzero_domain_cases(np.random.default_rng(9)):
             for f in builtin_functions():
-                exact = lower_bound(f, out, x)
-                grid = brute_force_lower_bound(f, out, x, grid_n)
-                p = f.p or 1.0
-                scale = max([1.0, *taus, *v]) ** max(p - 1.0, 0.0)
-                lip = 2.0 * p * scale if f.kind in ("rg", "one_sided_rg") else 1.0
-                step = max(taus) / grid_n
-                assert grid >= exact - 1e-12
-                assert grid - exact <= lip * step * len(v) + 1e-12
+                bps = set(lb_function(f, v, scheme).breakpoints)
+                for m in scheme.maps:
+                    assert set(m.crossings(0.5)) <= bps
+
+
+def nonzero_domain_cases(rng, n: int = 60):
+    """``n`` random (scheme, vector) pairs under the domain lows (0.5, 0): a
+    pps map for instance 1, and a pps or a piecewise-linear one for
+    instance 2; the first entry of each vector is at least 0.5."""
+    domain = Domain(lows=(0.5, 0.0))
+    for k in range(n):
+        t1, t2 = rng.uniform(0.5, 4.0, size=2)
+        second = PpsMap(t2) if k % 2 else PiecewiseLinearMap(((0.0, 0.0), (0.5, 0.25 * t2), (1.0, t2)))
+        v = random_vector(rng)
+        yield TauScheme((PpsMap(t1), second), domain=domain), (max(v[0], 0.5), v[1])
+
+
+def assert_matches_oracle(scheme: TauScheme, v, rng, grid_n: int = 80) -> None:
+    """The closed-form lower bound of every built-in function at a random
+    seed of a random outcome of ``v`` is the grid oracle's, up to the
+    oracle's grid step times the function's Lipschitz constant."""
+    rho = float(rng.uniform(0.05, 1.0))
+    x = float(rng.uniform(rho, 1.0))
+    out = sample_item(v, rho, scheme)
+    taus = [m.value(x) for m in scheme.maps]
+    for f in builtin_functions():
+        exact = lower_bound(f, out, x)
+        grid = brute_force_lower_bound(f, out, x, grid_n)
+        p = f.p or 1.0
+        scale = max([1.0, *taus, *v]) ** max(p - 1.0, 0.0)
+        lip = 2.0 * p * scale if f.kind in ("rg", "one_sided_rg") else 1.0
+        step = max(taus) / grid_n
+        assert grid >= exact - 1e-12
+        assert grid - exact <= lip * step * len(v) + 1e-12
 
 
 class TestLowerBoundProperties:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordest.analysis import (
-    AnalysisReport,
     RATIO_BOUND,
     check_bounded,
     check_bounded_curve,
@@ -83,12 +82,12 @@ class TestLowerHull:
 
 class TestIntegrateSquare:
     def test_constant(self):
-        e = EstimateFn("ht", [0.0], [1.0], [3.0])
+        e = EstimateFn([0.0], [1.0], [3.0])
         assert integrate_square(e) == 9.0
 
     def test_callable_piece_rejected(self):
         with pytest.raises(ValueError, match="number"):
-            EstimateFn("ht", [0.0], [1.0], [lambda u: 2.0 * (1.0 - u)])
+            EstimateFn([0.0], [1.0], [lambda u: 2.0 * (1.0 - u)])
 
     def test_dyadic_terms_of_worked_example(self, scheme1):
         vals = j_piece_values((1.0, 0.0), ONE_SIDED, scheme1, depth=6)
@@ -99,7 +98,7 @@ class TestIntegrateSquare:
         assert terms[2] == pytest.approx(0.78125)
 
     def test_window(self):
-        e = EstimateFn("ht", [0.0, 0.5], [0.5, 1.0], [2.0, 1.0])
+        e = EstimateFn([0.0, 0.5], [0.5, 1.0], [2.0, 1.0])
         assert integrate_square(e, lo=0.25) == pytest.approx(0.25 * 4.0 + 0.5 * 1.0)
 
 
@@ -110,7 +109,7 @@ class TestVariance:
         assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     def test_constant_estimator_has_zero_variance(self):
-        est = EstimateFn("ht", [0.0], [1.0], [2.0])
+        est = EstimateFn([0.0], [1.0], [2.0])
         assert clamped_variance(integrate_square(est), 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_probability_variance(self, scheme4):
@@ -148,11 +147,11 @@ class TestTinyValues:
     def test_square_integral_of_values_whose_squares_overflow(self):
         # (2^600)^2 is past the largest float, its integral over a width of
         # 2^-1000 is not; the 3 on the rest of (0, 1] is lost to rounding
-        e = EstimateFn("v_optimal", [0.0, 2.0**-1000], [2.0**-1000, 1.0], [2.0**600, 3.0])
+        e = EstimateFn([0.0, 2.0**-1000], [2.0**-1000, 1.0], [2.0**600, 3.0])
         assert integrate_square(e) == 2.0**200
         assert integrate_square(e, lo=np.array([0.0, 0.5])).tolist() == [2.0**200, 4.5]
         # no scaling below 2^500: the bits of the plain sum of squares
-        e = EstimateFn("v_optimal", [0.0, 0.3], [0.3, 1.0], [2.0**500, 0.1])
+        e = EstimateFn([0.0, 0.3], [0.3, 1.0], [2.0**500, 0.1])
         assert integrate_square(e) == 0.0 + 2.0**1000 * 0.3 + 0.1 * 0.1 * 0.7
 
     def test_hull_of_a_tiny_curve_is_the_scaled_hull(self):
@@ -258,12 +257,6 @@ class TestCompetitiveness:
             v = random_vector(rng)
             for f in builtin_functions():
                 assert check_estimable(v, f, scheme).ok
-
-    def test_report_round_trip(self, scheme1):
-        rep = competitiveness_ratio((1.0, 0.0), ONE_SIDED, scheme1)
-        again = AnalysisReport.from_dict(rep.to_dict())
-        assert again.ratio == rep.ratio
-        assert again.diagnostics["depth"] == rep.diagnostics["depth"]
 
     def test_refinement_convergence(self, scheme1):
         rng = np.random.default_rng(32)

@@ -40,7 +40,7 @@ def _loop_sum(e, values, lo, hi):
 
 def _estimate_fn(values, rng) -> EstimateFn:
     edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(len(values) - 1)]))
-    return EstimateFn("v_optimal", edges[:-1], edges[1:], values[: len(edges) - 1])
+    return EstimateFn(edges[:-1], edges[1:], values[: len(edges) - 1])
 
 
 def _assert_same_sums(e, lo, hi=1.0):

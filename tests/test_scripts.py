@@ -19,19 +19,7 @@ def _run(script: str, *args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def test_export_curves():
-    lines = _run("export_curves.py")
-    assert lines[0] == "u,lower_bound,hull,j_estimate,v_optimal"
-    assert len(lines) > 512 and all(len(line.split(",")) == 5 for line in lines)
-
-
 def test_competitiveness_sweep():
     lines = _run("competitiveness_sweep.py", "--n", "3")
     assert lines[0] == "15 triples; certified bound 84"
     assert lines[1].startswith("ratio: max ")
-
-
-def test_demo_queries():
-    lines = _run("demo_queries.py")
-    assert lines[0].split() == ["query", "items", "exact", "mean(j)", "se", "z"]
-    assert [line.split()[0] for line in lines[1:]] == ["lpp", "l1", "maxsum", "minsum", "distinct"]
