@@ -7,11 +7,8 @@ from .analysis import (
     CheckResult,
     RATIO_BOUND,
     check_bounded,
-    check_bounded_curve,
     check_estimable,
-    check_estimable_curve,
     check_finite_variance,
-    check_finite_variance_curve,
     clamped_variance,
     competitiveness_ratio,
     curve_table,

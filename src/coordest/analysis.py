@@ -1,4 +1,4 @@
-"""Numerical verification of the estimability characterization and variance
+"""Verification of the estimability characterization and variance
 competitiveness.
 
 For a data vector ``v`` and function ``f`` the full lower-bound curve
@@ -8,12 +8,11 @@ For a data vector ``v`` and function ``f`` the full lower-bound curve
 * ... + finite variance       <=>  the squared hull slopes are integrable
 * ... + bounded estimates     <=>  (f(v) - lb(u)) / u stays bounded
 
-Every check takes the curve as a :class:`~coordest.functions.LowerBoundFn`
-and is numeric: limits are probed on geometric seed sequences below the
-curve's head (its first breakpoint) and integrals on geometric cutoff
-sequences, with convergence of the probes standing in for the analytic
-limit.  A curve flat at ``f(v)`` below its head reads a zero gap at every
-probe.
+Every curve the package builds follows one closed form below its head (its
+first breakpoint): the constant of ``max``, ``min`` and ``or``, or
+``(c + d*u)^p`` for the range kinds (``LowerBoundFn.head_piece``).  The
+three verdicts are read from that form exactly: the limit at 0+, the slope
+at 0+, and a bound on every slope of the hull.
 
 Competitiveness compares the squared-estimate integral of the dyadic
 estimator against the hull optimum.  The certified bound for the dyadic
@@ -36,18 +35,14 @@ from .functions import (
     evaluate,
     lb_function,
 )
-from .hull import EstimateFn, integrate_square, scaled_squares
+from .hull import integrate_square, scaled_squares
 from .model import TauScheme
 
 RATIO_BOUND = 84.0
 
-GAP_TOLERANCE = 1e-9
-
 # deepest dyadic block competitiveness_ratio sums (data down to about
 # 1e-316): 2^-(MAX_DEPTH + 1) is the smallest subnormal float
 MAX_DEPTH = 1073
-
-_PROBE_STEPS = 4.0 ** -np.arange(9.0)  # 4^-t of the limit probes
 
 
 class AnalysisError(RuntimeError):
@@ -59,116 +54,63 @@ class AnalysisError(RuntimeError):
 class CheckResult:
     ok: bool
     value: float
-    probes: tuple[float, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _probes(eps: float, n: int) -> np.ndarray:
-    """The limit probes ``eps * 4^-t`` for t = 0..n-1; a probe that
-    underflows to 0 (data below about 1e-316) is an error, not a seed."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    us = eps * _PROBE_STEPS[:n]
-    if us[-1] == 0.0:
-        raise ValueError(f"limit probe eps * 4^-{n - 1} underflows to 0 (eps = {eps!r})")
-    return us
+def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
+    """The estimable, bounded and finite-variance verdicts of the curve
+    ``lbf`` of data ``v``, from its head piece.
 
-
-def check_estimable_curve(lb: LowerBoundFn, f_value: float, eps: float = 1e-3) -> CheckResult:
-    """Does the lower-bound curve reach ``f_value`` in the limit toward 0?
-
-    Probes the gap at ``eps, eps/4, eps/16``; the limit is accepted when the
-    gap is already below tolerance or keeps shrinking (at least halving over
-    the two refinements).  A plateau strictly above 0 means mass near seed 0
-    is unreachable and no unbiased nonnegative estimator exists.
+    * estimable: the gap between ``f_value`` and the head piece at seed 0.
+      Every map starts at or below its domain low, so the gap is 0 unless
+      some entry is revealed at no positive float seed, which is an error.
+    * bounded: the head's slope at 0+, ``p * c^(p-1) * |d|`` (0 for a
+      constant head and for ``f_value = 0``).
+    * finite variance: a bound on every hull slope.  The hull starts at
+      ``(0, f_value)`` and is convex, so its steepest slope is the largest
+      ``(f_value - lb(u)) / u``: at most the slope at 0+ on a convex head,
+      at most ``f_value / head`` on a concave head and past it.  Its square
+      bounds the square integral; the verdict is that it is finite, which
+      it is exactly when the slope at 0+ is (the float quotient overflows
+      for heads below ``f_value / 1.8e308``, the real one does not).
     """
-    gaps = tuple((f_value - lb.value(_probes(eps, 3))).tolist())
-    residual = gaps[-1]
-    if residual <= GAP_TOLERANCE:
-        return CheckResult(True, max(residual, 0.0), gaps)
-    shrinking = gaps[2] < gaps[1] < gaps[0] and gaps[2] <= 0.5 * gaps[0]
-    return CheckResult(shrinking, residual, gaps)
+    c, d = lbf.head_piece
+    p = lbf.exponent
+    at_zero = c if p is None else float((np.array([c]) ** p)[0])
+    if f_value != at_zero:
+        raise _unrevealed_error(v, scheme, f_value, at_zero)
+    slope = 0.0
+    if p is not None and c > 0.0 and d != 0.0:
+        with np.errstate(over="ignore"):
+            slope = float(p * np.float64(c) ** (p - 1.0) * -d)
+    steepest = max(slope, f_value / lbf.head)
+    return (CheckResult(True, 0.0), CheckResult(math.isfinite(slope), slope),
+            CheckResult(math.isfinite(slope), steepest))
 
 
-def check_bounded_curve(lb: LowerBoundFn, f_value: float, eps: float = 1e-3) -> CheckResult:
-    """Is ``(f_value - lb(u)) / u`` bounded as u -> 0?
-
-    The ratio is tracked on ``eps * 4^-t`` for t = 0..8 and accepted when the
-    final refinement no longer grows (beyond 1%); the observed supremum is
-    reported.
-    """
-    us = _probes(eps, 9)
-    ratios = tuple(((f_value - lb.value(us)) / us).tolist())
-    sup = max(ratios)
-    ok = ratios[-1] <= max(1.01 * ratios[-2], ratios[-2] + 1e-12)
-    return CheckResult(ok, sup, ratios)
+def _unrevealed_error(v: Sequence[float], scheme: TauScheme, f_value: float, at_zero: float) -> ValueError:
+    """The error of data whose curve tends to ``at_zero``, not ``f_value``,
+    toward seed 0: an entry above its domain low that is below its
+    threshold at the smallest positive seed is revealed at no seed."""
+    taus = scheme.thresholds(np.array([math.ulp(0.0)]))[:, 0].tolist()
+    where = next((f"instance {i + 1} holds {x!r}, which no positive float seed reveals "
+                  f"(its threshold at the smallest seed is {t!r}); "
+                  for i, (x, lo, t) in enumerate(zip(v, scheme.domain.lows, taus)) if lo < x < t), "")
+    return ValueError(f"{where}the lower bound tends to {at_zero!r} toward seed 0, not to f(v) = {f_value!r}")
 
 
-def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = GRID_N) -> CheckResult:
-    """Are the squared hull slopes integrable near seed 0?
-
-    Computes partial square integrals of the hull-derivative estimates
-    ``v_optimal_estimates(lb, grid_n)`` (the hull the optimum uses) over
-    ``(cutoff, 1]`` for cutoffs ``4^-k / 16`` and accepts when the
-    refinements become Cauchy: either the relative change drops below 1e-6
-    or the per-refinement increments at least halve (a bounded slope
-    quarters them each step, so their tail is summable).  Divergent curves
-    keep adding non-shrinking mass and fail.  So do curves whose gap to
-    their limit behaves like ``u^p`` with 1/2 < p < 3/4: their variance is
-    finite, but the increments shrink only by ``4^-(2p-1)`` per step, more
-    than half.  The lower bounds of item functions have a bounded slope there.
-    """
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
-    return _finite_variance_ladder(v_optimal_estimates(lb, grid_n))
+def check_estimable(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
+    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[0]
 
 
-def _finite_variance_ladder(est: EstimateFn) -> CheckResult:
-    """The verdict of :func:`check_finite_variance_curve` on the hull ``est``."""
-    # ladder from 1/16 down to just above the materialised support, so
-    # curves with tiny revelation seeds still get probed past their mass
-    floor = max(4.0 * est.support_left, 1e-300)
-    steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
-    cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
-    partials = tuple(integrate_square(est, lo=cutoffs).tolist())
-    last = partials[-1]
-    if last == 0.0:
-        return CheckResult(True, last, partials)
-    rel = abs(last - partials[-2]) / abs(last)
-    noise = 1e-15 * abs(last)
-    deltas = [b - a for a, b in zip(partials, partials[1:])]
-    shrinking = all(
-        d2 <= 0.5 * d1 + noise for d1, d2 in zip(deltas[-3:], deltas[-2:])
-    )
-    return CheckResult(bool(rel < 1e-6 or shrinking), last, partials)
+def check_bounded(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
+    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[1]
 
 
-def _curve_checks(lbf: LowerBoundFn, f_value: float, eps: float, grid_n: int) -> tuple:
-    """The three checks of one curve, with the limit probes at ``eps`` times
-    its head (those check_estimable, check_bounded and
-    check_finite_variance make), then the hull ``v_optimal_estimates(lbf, grid_n)``."""
-    opt = v_optimal_estimates(lbf, grid_n)
-    eps *= lbf.head
-    return (check_estimable_curve(lbf, f_value, eps), check_bounded_curve(lbf, f_value, eps),
-            _finite_variance_ladder(opt), opt)
-
-
-def check_estimable(v: Sequence[float], f: ItemFunction, scheme: TauScheme, eps: float = 1e-3) -> CheckResult:
-    lbf = lb_function(f, v, scheme)
-    return check_estimable_curve(lbf, evaluate(f, v), eps * lbf.head)
-
-
-def check_bounded(v: Sequence[float], f: ItemFunction, scheme: TauScheme, eps: float = 1e-3) -> CheckResult:
-    lbf = lb_function(f, v, scheme)
-    return check_bounded_curve(lbf, evaluate(f, v), eps * lbf.head)
-
-
-def check_finite_variance(
-    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N
-) -> CheckResult:
-    return check_finite_variance_curve(lb_function(f, v, scheme), grid_n)
+def check_finite_variance(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
+    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[2]
 
 
 def implication_chain_ok(bounded: bool, finite_variance: bool, estimable: bool) -> bool:
@@ -227,7 +169,7 @@ def competitiveness_ratio(
     """
     fv = evaluate(f, v)
     lbf = lb_function(f, v, scheme)
-    est_check, bd_check, fv_check, opt = _curve_checks(lbf, fv, 1e-3, grid_n)
+    est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
     diagnostics: dict = {
         "f_value": fv,
         "estimable_gap": est_check.value,
@@ -241,11 +183,6 @@ def competitiveness_ratio(
             square_integral_j=0.0, square_integral_opt=0.0, ratio=1.0, variance_j=0.0, variance_opt=0.0,
             estimable=est_check.ok, finite_variance=fv_check.ok, bounded=bd_check.ok, diagnostics=diagnostics,
         )
-    if not est_check.ok:
-        raise AnalysisError(
-            f"data {tuple(v)} fails the estimability limit (gap {est_check.value}); "
-            "competitiveness is undefined"
-        )
     # keep summing dyadic blocks well past the curve's smallest breakpoint,
     # otherwise the worst-case tail bound dwarfs the actual deep mass for
     # data revealed only at tiny seeds
@@ -256,7 +193,8 @@ def competitiveness_ratio(
     squares, shift = scaled_squares(vals)
     sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
     if bd_check.ok:
-        # deep-tail slope observed below the last summed block
+        # the larger of the slope at 0+ and the chord to the last summed
+        # block: on one power piece, the sup of (f(v) - lb(u)) / u there
         u_tail = 2.0 ** (-depth + 2)
         slope = (fv - lbf.value(u_tail)) / u_tail
         slope = max(slope, bd_check.value)
@@ -266,7 +204,7 @@ def competitiveness_ratio(
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    sq_opt = integrate_square(opt)
+    sq_opt = integrate_square(v_optimal_estimates(lbf, grid_n))
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
@@ -306,14 +244,14 @@ def curve_table(
     (on 120 generated vectors under ``rg:p=2`` and ``pps:tau=4``, by up to
     4.8e-5, and by up to 0.14 % of f(v)).
     """
-    lbf = lb_function(f, v, scheme)
-    columns = _curve_columns(lbf, v_optimal_estimates(lbf, grid_n), v, f, scheme, grid_n, depth)
+    columns = _curve_columns(lb_function(f, v, scheme), v, f, scheme, grid_n, depth)
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _curve_columns(lbf: LowerBoundFn, opt: EstimateFn, v, f, scheme, grid_n, depth) -> tuple:
+def _curve_columns(lbf: LowerBoundFn, v, f, scheme, grid_n, depth) -> tuple:
     """The five columns of :func:`curve_table`, from the curve ``lbf`` of
-    ``v`` and its hull ``opt = v_optimal_estimates(lbf, grid_n)``."""
+    ``v`` and its hull ``v_optimal_estimates(lbf, grid_n)``."""
+    opt = v_optimal_estimates(lbf, grid_n)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
     us = np.unique(np.concatenate([base_grid(grid_n, 1e-6, grid_n // 2), np.array(lbf.breakpoints)]))
     return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

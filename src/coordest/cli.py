@@ -199,8 +199,6 @@ class RunConfig:
     reps: int = 1
     out: Path | None = None
     grid_n: int = GRID_N
-    depth: int = DEPTH
-    eps: float = 1e-3
     k: int | None = None
     rank: str = "pps"
     instance: int = 1
@@ -210,16 +208,10 @@ class RunConfig:
             raise ValueError(f"--reps must be at least 1, got {self.reps!r}")
         if self.grid_n < 16:
             raise ValueError(f"--grid-n must be at least 16, got {self.grid_n!r}")
-        if not 8 <= self.depth <= 60:
-            raise ValueError(f"--depth must lie in [8, 60], got {self.depth!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"--k must be at least 1, got {self.k!r}")
         if self.p is not None and not (math.isfinite(self.p) and self.p > 0.0):
             raise ValueError(f"--p must be positive and finite, got {self.p!r}")
-        # the limit probes sit at eps * head * 4^-t: past the curve's head
-        # they see a branch of the bound, not its limit
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"--eps must lie in (0, 1], got {self.eps!r}")
 
     def load(self) -> tuple[InstanceSet, TauScheme]:
         data = ingest(self.input)
@@ -352,7 +344,7 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
         v = data.vector(item)
         # a variance past the largest float (data near 1e-310) is not JSON
         with _error_source(f"item {item!r}"):
-            report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n, depth=cfg.depth)
+            report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n)
             rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
             line = json.dumps(rec, allow_nan=False)
         fp.write(line + "\n")
@@ -390,10 +382,10 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     try:
         for item in ids:
             v = data.vector(item)
-            # one curve and one hull per vector serve the checks and the curve rows
+            # one curve per vector serves the verdicts and the curve rows
             with _error_source(f"item {item!r}"):
                 lbf = lb_function(f, v, scheme)
-                est, bd, fv, opt = _curve_checks(lbf, evaluate(f, v), cfg.eps, cfg.grid_n)
+                est, bd, fv = _curve_checks(lbf, evaluate(f, v), v, scheme)
                 chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
                 rec = {"item": item, "vector": list(v), "function": f.describe(),
                        "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
@@ -402,7 +394,7 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
             failed = failed or not chain
             fp.write(line + "\n")
             if curves_fp is not None:
-                columns = _curve_columns(lbf, opt, v, f, scheme, cfg.grid_n, cfg.depth)
+                columns = _curve_columns(lbf, v, f, scheme, cfg.grid_n, DEPTH)
                 rows = zip(*(c.tolist() for c in columns))
                 curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
     finally:
@@ -421,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every default is RunConfig's
     default = {f.name: f.default for f in fields(RunConfig)}
     grid_help = ("uniform seeds of the hull grid (>= 16), used only by rg and one-sided rg with p > 1; "
-                 "other hulls are taken from the curve's corners; one hull per vector serves its checks and estimates")
+                 "other hulls are taken from the curve's corners; one hull per vector serves its estimates and curve rows")
 
     def common(p: argparse.ArgumentParser, scheme: bool = True):
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
@@ -451,15 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
     p_an.add_argument("--items", default=default["items"])
     p_an.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
-    p_an.add_argument("--depth", type=int, default=default["depth"])
 
     p_ch = sub.add_parser("characterize", help="estimability verdicts per item")
     common(p_ch)
     p_ch.add_argument("--function", required=True)
     p_ch.add_argument("--items", default=default["items"])
     p_ch.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
-    p_ch.add_argument("--depth", type=int, default=default["depth"])
-    p_ch.add_argument("--eps", type=float, default=default["eps"], help="limit probes at eps times the curve's head, in (0, 1]")
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")
 
     return parser

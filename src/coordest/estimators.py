@@ -263,9 +263,10 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     it, a left anchor just right of 0 carrying the curve's limit value, and
     the point ``(1, 0)``: the cumulative estimate must vanish at seed 1,
     and anchoring the hull there is what lets data that is revealed with
-    certainty keep its full mass.  A curve with concave pieces (every item
-    function but ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull
-    vertices only at those corners; any other curve is also sampled on a
+    certainty keep its full mass.  A curve with concave pieces (constant
+    ones, or ``(c + d*u)^p`` with ``p <= 1``: every item function but
+    ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull vertices only
+    at those corners; any other curve is also sampled on a
     uniform-plus-geometric grid of ``grid_n`` uniform seeds.
     """
     if grid_n < 2:
@@ -279,7 +280,7 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     # reciprocal overflow; 324 decades reach from the smallest float to 1
     anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
     us = np.array(lb.breakpoints, dtype=float)
-    if not lb.concave_pieces:
+    if lb.exponent is not None and lb.exponent > 1.0:
         decades = min(math.log10(1.0 / anchor), 324.0)
         us = np.unique(np.concatenate([base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades))), us]))
     us = us[(us > anchor) & (us <= 1.0)]

@@ -269,14 +269,21 @@ class LowerBoundFn:
     ``(breakpoints[k-1], breakpoints[k]]`` (the first piece starts at
     ``domain_left``).  The function is non-increasing and left-continuous;
     ``value_fn`` maps an array of seeds to its values there.
-    ``concave_pieces`` says that every piece is concave, so that only the
-    ends of pieces can be vertices of the curve's lower hull.
+
+    ``exponent`` is the ``p`` of pieces of the form ``(c + d*u)^p`` (the
+    range kinds), or None when every piece is a constant (``max``, ``min``
+    and ``or``).  The default, ``math.inf``, marks a curve of no known form,
+    such as one built by hand.  ``head_piece`` is the ``(c, d)`` of the
+    piece on ``(0, head]``, with ``c >= 0`` and ``d <= 0``: its value is
+    ``max(c + d*u, 0)^p``, or ``c`` when ``exponent`` is None.  It is None
+    for a curve of no known form and for one that starts past seed 0.
     """
 
     breakpoints: tuple[float, ...]
     domain_left: float
     value_fn: Callable[[np.ndarray], np.ndarray]
-    concave_pieces: bool = False
+    exponent: float | None = math.inf
+    head_piece: tuple[float, float] | None = None
 
     def value(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -286,12 +293,8 @@ class LowerBoundFn:
 
     @property
     def head(self) -> float:
-        """The smallest positive breakpoint.
-
-        Below it the bound follows a single closed form all the way toward
-        seed 0, so that is where limit probes belong; above it the probes
-        only see which branch is active, not the limit.
-        """
+        """The smallest positive breakpoint: below it the bound follows
+        the single closed form of ``head_piece`` all the way toward seed 0."""
         return min((b for b in self.breakpoints if b > 0.0), default=1.0)
 
 
@@ -331,7 +334,7 @@ def _curve(f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, lef
     of a map, and the range forms reach 0 only at a crossing of a level.
     So the pieces of ``max``, ``min`` and ``or`` are constant, and those of
     the range kinds are a power ``p`` of a linear function: concave when
-    ``p <= 1``.
+    ``p <= 1``.  A curve from seed 0 also carries its head piece.
     """
     levels = set(values[np.broadcast_to(revealed, values.shape)].tolist())
     levels.update(scheme.domain.lows)
@@ -340,7 +343,33 @@ def _curve(f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, lef
     def value_fn(xs: np.ndarray) -> np.ndarray:
         return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme)
 
-    return LowerBoundFn(bps, left, value_fn, concave_pieces=f.kind in (MAX, MIN, OR) or f.p <= 1.0)
+    # every breakpoint lies past left, so bps[0] is the head
+    head_piece = _head_piece(f, scheme, values[:, 0], bps[0]) if left == 0.0 else None
+    return LowerBoundFn(bps, left, value_fn, f.p, head_piece)
+
+
+def _head_piece(f: ItemFunction, scheme: TauScheme, v: np.ndarray, head: float) -> tuple[float, float]:
+    """The ``(c, d)`` of the curve of data ``v`` on ``(0, head]``.
+
+    No entry is revealed or hidden inside the piece, so its box is the box
+    at ``head``: constant lows, and highs that are either a revealed value
+    or a map's first segment, ``tau_i(0) + slope_i * u``.  Two highs cross
+    only at a breakpoint, so one of them is the least on the whole piece:
+    the least at seed 0, the flattest among ties.
+    """
+    lows, highs = (a[:, 0] for a in _box_bounds(v[:, None], True, np.array([head]), scheme))
+    if f.p is None:
+        return float(_lb_from_bounds(f, lows[:, None], highs[:, None])[0]), 0.0
+    known = highs == v
+    starts = np.where(known, v, [m.infimum() for m in scheme.maps]).tolist()
+    slopes = np.where(known, 0.0, [m.first_slope() for m in scheme.maps]).tolist()
+    if f.kind == RG:
+        top = max(lows.tolist())
+        low = min(range(len(v)), key=lambda i: (starts[i], slopes[i]))
+    else:
+        hi, low = f.direction
+        top = float(lows[hi])
+    return max(top - starts[low], 0.0), -slopes[low]
 
 
 def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:

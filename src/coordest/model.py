@@ -172,6 +172,9 @@ class PpsMap:
     def infimum(self) -> float:
         return 0.0
 
+    def first_slope(self) -> float:
+        return self.tau_star
+
     def joints(self) -> tuple[float, ...]:
         return ()
 
@@ -222,6 +225,11 @@ class PiecewiseLinearMap:
 
     def infimum(self) -> float:
         return float(self._ts[0])
+
+    def first_slope(self) -> float:
+        """The slope of the first segment, as ``np.interp`` takes it."""
+        (u0, t0), (u1, t1) = self.points[:2]
+        return (t1 - t0) / (u1 - u0)
 
     def joints(self) -> tuple[float, ...]:
         return tuple(u for u, _ in self.points if 0.0 < u < 1.0)

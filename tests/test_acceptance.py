@@ -15,11 +15,8 @@ import pytest
 from coordest.analysis import (
     RATIO_BOUND,
     check_bounded,
-    check_bounded_curve,
     check_estimable,
-    check_estimable_curve,
     check_finite_variance,
-    check_finite_variance_curve,
     clamped_variance,
     competitiveness_ratio,
 )
@@ -63,6 +60,7 @@ from conftest import (
     random_triples,
     random_vector,
 )
+from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
 
@@ -231,7 +229,7 @@ def test_criterion_06_characterization_chain_and_counterexamples():
         scheme = random_scheme(rng)
         est = check_estimable(v, f, scheme)
         bd = check_bounded(v, f, scheme)
-        fv = check_finite_variance(v, f, scheme, grid_n=64)
+        fv = check_finite_variance(v, f, scheme)
         if (bd.ok and not fv.ok) or (fv.ok and not est.ok):
             violations += 1
     # synthetic counterexamples, classified by their target check

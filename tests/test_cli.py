@@ -270,15 +270,10 @@ class TestRunConfig:
             RunConfig(input=DEMO_CSV, reps=0)
         with pytest.raises(ValueError, match=r"^--grid-n must be at least 16, got 8$"):
             RunConfig(input=DEMO_CSV, grid_n=8)
-        with pytest.raises(ValueError, match=r"^--depth must lie in \[8, 60\], got 4$"):
-            RunConfig(input=DEMO_CSV, depth=4)
         with pytest.raises(ValueError, match=r"^--k must be at least 1, got 0$"):
             RunConfig(input=DEMO_CSV, k=0)
         with pytest.raises(ValueError, match=r"^--p must be positive and finite, got -1.0$"):
             RunConfig(input=DEMO_CSV, p=-1.0)
-        for eps in (0.0, 4.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=r"^--eps must lie in \(0, 1\]"):
-                RunConfig(input=DEMO_CSV, eps=eps)
 
 
 class TestEstimateCommand:
@@ -360,19 +355,6 @@ class TestEstimateCommand:
         argv = ["estimate", "--input", str(p), "--query", "maxsum", "--estimator", "exact"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
-
-    def test_depth_belongs_to_analysis_commands(self, capsys):
-        # Monte Carlo tables cover every seed exactly; estimate has no depth
-        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--estimator", "j",
-                "--reps", "10", "--depth", "8"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --depth 8" in capsys.readouterr().err
-        for command in ("analyze", "characterize"):
-            argv = [command, "--input", str(DEMO_CSV), "--function", "max", "--items", "1",
-                    "--depth", "8"]
-            assert main(argv) == 0
 
     def test_voptimal_oracle_estimator(self, tmp_path):
         out = tmp_path / "vo.json"
@@ -496,29 +478,43 @@ class TestAnalyzeCommand:
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["analyze", "characterize"])
-    def test_underflowing_limit_probe_names_the_item(self, tmp_path, command):
+    def test_subnormal_data_gets_exact_verdicts(self, tmp_path, command):
+        # 1e-320 is revealed below the subnormal seed 2.5e-321, so its gap at
+        # seed 0 is exactly 0: the verdicts need no limit probe (which once
+        # underflowed to 0 here), and the record is strict JSON
         p = tmp_path / "tiny.csv"
         p.write_text("item,v1,v2,v3\nb,1,0,2\na,0,0,1e-320\n")
         proc = _python("-m", "coordest", command, "--input", str(p), "--function", "max")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("coordest: error: item 'a': limit probe ")
-        assert "underflows to 0" in proc.stderr and proc.stderr.count("\n") == 1
+        assert proc.returncode == 0 and proc.stderr == ""
+        rec = json.loads(proc.stdout.splitlines()[1], parse_constant=_reject_constant)
+        assert rec["item"] == "a" and rec["estimable"] and rec["bounded"] and rec["finite_variance"]
+        if command == "analyze":
+            assert rec["diagnostics"]["estimable_gap"] == 0.0 and 1.0 <= rec["ratio"] <= 84.0
+        else:
+            assert rec["estimable_gap"] == 0.0 and rec["chain_ok"]
 
-    @pytest.mark.parametrize("eps", ["0", "-0.5", "1.5", "4", "inf", "nan"])
-    def test_eps_outside_the_unit_interval_names_the_flag(self, capsys, eps):
-        # the limit probes sit at eps * head * 4^-t; past the head (eps > 1)
-        # they see a branch of the bound, and item 4 under rg:p=1 would read
-        # not estimable
-        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "rg:p=1", "--eps", eps]
-        assert console_main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"coordest: error: --eps must lie in (0, 1], got {float(eps)!r}\n"
+    @pytest.mark.parametrize("command", ["analyze", "characterize"])
+    def test_value_no_seed_reveals_names_the_item(self, tmp_path, command):
+        # 5e-324 under tau = 4 is below the threshold 2e-323 of the smallest
+        # seed: max(v) = 5e-324 while the bound tends to 0 toward seed 0
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2,v3\nb,1,0,2\na,5e-324,0,0\n")
+        proc = _python("-m", "coordest", command, "--input", str(p), "--function", "max")
+        assert proc.returncode == 2 and proc.stdout.count("\n") == 1
+        assert proc.stderr == (
+            "coordest: error: item 'a': instance 1 holds 5e-324, which no positive float seed reveals "
+            "(its threshold at the smallest seed is 2e-323); the lower bound tends to 0.0 toward seed 0, "
+            "not to f(v) = 5e-324\n")
 
-    def test_eps_one_probes_the_head(self, capsys):
-        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "rg:p=1", "--items", "4", "--eps", "1"]
-        assert console_main(argv) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["estimable"] and rec["chain_ok"]
+    @pytest.mark.parametrize("flag", ["--eps", "--depth"])
+    @pytest.mark.parametrize("command", ["analyze", "characterize"])
+    def test_probe_and_depth_flags_are_gone(self, capsys, command, flag):
+        # the verdicts are exact and the dyadic depth follows the data
+        argv = [command, "--input", str(DEMO_CSV), "--function", "max", flag, "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_schema_round_trip(self, tmp_path):
         from coordest.analysis import AnalysisReport
@@ -578,9 +574,9 @@ class TestCharacterizeCommand:
 
         checks = cli._curve_checks
 
-        def nan_gap(lbf, f_value, eps, grid_n):
-            est, bd, fv, opt = checks(lbf, f_value, eps, grid_n)
-            return replace(est, value=math.nan), bd, fv, opt
+        def nan_gap(lbf, f_value, v, scheme):
+            est, bd, fv = checks(lbf, f_value, v, scheme)
+            return replace(est, value=math.nan), bd, fv
 
         monkeypatch.setattr(cli, "_curve_checks", nan_gap)
         argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--items", "4"]

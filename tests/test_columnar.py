@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_left
 from unittest import mock
 
@@ -39,13 +40,10 @@ from coordest.estimators import (
     sum_estimate,
 )
 from coordest.analysis import (
-    AnalysisError,
     CheckResult,
     check_bounded,
     check_estimable,
-    check_estimable_curve,
     check_finite_variance,
-    check_finite_variance_curve,
     competitiveness_ratio,
     curve_table,
 )
@@ -72,7 +70,8 @@ from coordest.model import (
 from coordest.samplers import sample_instances, sample_item
 
 from conftest import builtin_functions, random_vector
-from test_corner_hulls import CORNER_TOL
+from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
+from test_corner_hulls import CORNER_TOL, concave_pieces
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -579,12 +578,12 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     lbf = lb_function(f, v, scheme)
     for grid_n in (64, 512):
         est = v_optimal_estimates(lbf, grid_n)
-        want = _ref_v_optimal_estimates(lbf, grid_n, corners=lbf.concave_pieces)
+        want = _ref_v_optimal_estimates(lbf, grid_n, corners=concave_pieces(lbf))
         assert _bits(np.column_stack((est.los, est.his, est.values)).ravel()) == _bits(np.ravel(want))
         # a hull from the corners of a curve with concave pieces is its grid
         # hull within CORNER_TOL (see there), where the grid hull is right:
         # not for data below about 1e-290 (test_tiny_data_keeps_its_optimum)
-        if lbf.concave_pieces and all(x == 0.0 or x >= 1e-100 for x in v):
+        if concave_pieces(lbf) and all(x == 0.0 or x >= 1e-100 for x in v):
             grid = EstimateFn(*np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
             sq = _ref_integrate_square(grid)
             assert abs(_ref_integrate_square(est) - sq) <= CORNER_TOL * sq
@@ -595,7 +594,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     want = _ref_curve_table(v, f, scheme, grid_n=64)
     assert len(got) == len(want)
     assert _bits(np.array(got)) == _bits(np.array(want))
-    # the partial square integrals of the finite-variance check, one row
+    # the partial square integrals of the finite-variance oracle, one row
     # each, on the hull of its own grid
     check = check_finite_variance_curve(lbf, grid_n=64)
     est = v_optimal_estimates(lbf, 64)
@@ -605,23 +604,26 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     assert _bits(check.probes) == _bits([_ref_integrate_square(est, lo=c) for c in cutoffs.tolist()])
     # one curve per vector gives the reports the public checks give; a
     # value never revealed at any float seed (such as 5e-324 under tau = 4)
-    # is not estimable, and competitiveness is then undefined
+    # leaves a gap at seed 0, which is an error naming its instance
     try:
         report = competitiveness_ratio(v, f, scheme, grid_n=64)
-    except AnalysisError:
-        assert not check_estimable(v, f, scheme).ok
+    except ValueError as exc:
+        assert "which no positive float seed reveals" in str(exc)
+        for check in (check_estimable, check_bounded, check_finite_variance):
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                check(v, f, scheme)
         return
     assert report.estimable == check_estimable(v, f, scheme).ok
     assert report.bounded == check_bounded(v, f, scheme).ok
-    assert report.finite_variance == check_finite_variance(v, f, scheme, grid_n=64).ok
+    assert report.finite_variance == check_finite_variance(v, f, scheme).ok
     assert _bits([report.diagnostics["estimable_gap"], report.diagnostics["bounded_slope"]]) == _bits(
         [check_estimable(v, f, scheme).value, check_bounded(v, f, scheme).value])
 
 
 def test_flat_head_gives_the_zero_gap_record():
     # a curve flat at f(v) below its head has a zero gap at every limit
-    # probe, so the estimability check returns the record of an exact limit
-    want = CheckResult(True, 0.0, (0.0, 0.0, 0.0))
+    # probe of the oracle, and the exact check reads the same zero gap
+    want = ProbeResult(True, 0.0, (0.0, 0.0, 0.0))
     rng = np.random.default_rng(64)
     flat = 0
     for _ in range(200):
@@ -631,7 +633,7 @@ def test_flat_head_gives_the_zero_gap_record():
             if (lbf.value(lbf.head * np.array([0.25, 0.5, 0.75])) == fv).all():
                 flat += 1
                 assert repr(check_estimable_curve(lbf, fv, 1e-3 * lbf.head)) == repr(want), (v, f)
-                assert repr(check_estimable(v, f, scheme)) == repr(want), (v, f)
+                assert repr(check_estimable(v, f, scheme)) == repr(CheckResult(True, 0.0)), (v, f)
     assert flat > 1000
 
 

@@ -247,13 +247,19 @@ def corner_functions():
 def test_corners_only_hull_is_the_grid_hull(scheme_name, k, v):
     f = corner_functions()[k]
     lbf = lb_function(f, v, SCHEMES[scheme_name])
-    assert lbf.concave_pieces
+    assert concave_pieces(lbf)
     assert_corner_hull_is_grid_hull(lbf, evaluate(f, v))
+
+
+def concave_pieces(lbf) -> bool:
+    """Whether every piece of the curve is concave (a constant, or a power
+    ``p <= 1`` of a linear function), so that its hull needs no grid."""
+    return lbf.exponent is None or lbf.exponent <= 1.0
 
 
 def assert_corner_hull_is_grid_hull(lbf, fv: float) -> None:
     corners = v_optimal_estimates(lbf, GRID_N)
-    grid = v_optimal_estimates(dataclasses.replace(lbf, concave_pieces=False), GRID_N)
+    grid = v_optimal_estimates(dataclasses.replace(lbf, exponent=math.inf), GRID_N)
     sq_c, sq_g = integrate_square(corners), integrate_square(grid)
     assert abs(sq_c - sq_g) <= CORNER_TOL * sq_g
     us = np.concatenate([corners.los, grid.los, [1.0]])
@@ -269,7 +275,7 @@ def test_corners_only_hull_is_the_grid_hull_on_generated_vectors(scheme_name):
 
 def test_only_range_curves_with_p_above_1_keep_the_grid():
     v = (1.0, 2.0, 0.5)
-    marks = {spec: lb_function(parse_function(spec, 3), v, SCHEMES["pps:tau=4"]).concave_pieces
+    marks = {spec: concave_pieces(lb_function(parse_function(spec, 3), v, SCHEMES["pps:tau=4"]))
              for spec in ("max", "min", "or", "rg:p=0.5", "rg:p=1", "rg:p=2",
                           "one_sided_rg:p=1,hi=1,lo=2", "one_sided_rg:p=1.5,hi=1,lo=2")}
     assert marks == {"max": True, "min": True, "or": True, "rg:p=0.5": True, "rg:p=1": True,

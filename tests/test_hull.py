@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from coordest.analysis import (
     RATIO_BOUND,
     check_bounded,
-    check_bounded_curve,
     check_estimable,
-    check_estimable_curve,
     check_finite_variance,
-    check_finite_variance_curve,
     clamped_variance,
     competitiveness_ratio,
     curve_table,
@@ -34,6 +31,7 @@ from coordest.hull import EstimateFn, integrate_square, lower_hull
 from coordest.model import TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
+from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
 
@@ -216,7 +214,7 @@ class TestCharacterizationChecks:
             for f in builtin_functions():
                 est = check_estimable(v, f, scheme)
                 bd = check_bounded(v, f, scheme)
-                fv = check_finite_variance(v, f, scheme, grid_n=64)
+                fv = check_finite_variance(v, f, scheme)
                 assert implication_chain_ok(bd.ok, fv.ok, est.ok)
 
 
@@ -291,7 +289,7 @@ class TestCompetitiveness:
         for v, f, scheme in cases:
             est = check_estimable(v, f, scheme)
             bd = check_bounded(v, f, scheme)
-            fv = check_finite_variance(v, f, scheme, grid_n=64)
+            fv = check_finite_variance(v, f, scheme)
             assert est.ok
             assert implication_chain_ok(bd.ok, fv.ok, est.ok)
             rep = competitiveness_ratio(v, f, scheme, grid_n=256)

@@ -1,6 +1,6 @@
-"""One hull per vector: the finite-variance check, the optimum and the curve
-rows read the same ``v_optimal_estimates(lbf, grid_n)``, and the check's
-verdict does not depend on which grid it is read on."""
+"""One hull per vector: the optimum and the curve rows read the same
+``v_optimal_estimates(lbf, grid_n)``, and the numeric finite-variance
+oracle's verdict does not depend on which grid it is read on."""
 
 from __future__ import annotations
 
@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coordest import analysis, estimators
-from coordest.analysis import _finite_variance_ladder, check_finite_variance_curve
 from coordest.cli import ingest, main
 from coordest.estimators import base_grid, v_optimal_estimates
 from coordest.functions import LowerBoundFn, lb_function, rg_fn
 from coordest.model import PiecewiseLinearMap, PpsMap, TauScheme
 
 from conftest import builtin_functions
+from limit_oracle import check_finite_variance_curve, finite_variance_ladder
 
 SCHEMES = {
     "pps:tau=4": TauScheme.pps(4.0, r=3),
@@ -34,7 +34,7 @@ values_st = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
 @settings(max_examples=150, deadline=None)
 def test_verdict_on_the_grid_n_hull_is_the_verdict_at_512(scheme_name, v, k):
     lbf = lb_function(FUNCTIONS[k], v, SCHEMES[scheme_name])
-    want = _finite_variance_ladder(v_optimal_estimates(lbf, 512)).ok
+    want = finite_variance_ladder(v_optimal_estimates(lbf, 512)).ok
     for grid_n in (16, 64, 256):
         assert check_finite_variance_curve(lbf, grid_n).ok == want
 

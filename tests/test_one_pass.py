@@ -162,7 +162,7 @@ def _odd_ids_csv(tmp_path):
     return path
 
 
-def _old_characterize(data, f, scheme, eps, grid_n, depth):
+def _old_characterize(data, f, scheme, grid_n, depth):
     """The records and curve CSV of characterize before it built one curve
     per vector: each check builds its own, and csv.writer writes the rows."""
     records = []
@@ -171,9 +171,9 @@ def _old_characterize(data, f, scheme, eps, grid_n, depth):
     writer.writerow(["item", "u", "lower_bound", "hull", "j_estimate", "v_optimal"])
     for item in data.item_ids:
         v = data.vector(item)
-        est = check_estimable(v, f, scheme, eps=eps)
-        bd = check_bounded(v, f, scheme, eps=eps)
-        fin = check_finite_variance(v, f, scheme, grid_n=grid_n)
+        est = check_estimable(v, f, scheme)
+        bd = check_bounded(v, f, scheme)
+        fin = check_finite_variance(v, f, scheme)
         records.append({
             "item": item, "vector": list(v), "function": f.describe(),
             "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
@@ -195,11 +195,11 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
         monkeypatch.setattr(module, "lb_function", lambda *a, **k: calls.append(a) or real(*a, **k))
     out, curves = tmp_path / "out.jsonl", tmp_path / "curves.csv"
     argv = ["characterize", "--input", str(path), "--function", spec, "--grid-n", "64",
-            "--eps", "2e-3", "--out", str(out), "--curves", str(curves)]
+            "--out", str(out), "--curves", str(curves)]
     assert main(argv) == 0
     assert len(calls) == data.n_items
     monkeypatch.undo()
     want_jsonl, want_csv = _old_characterize(
-        data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 2e-3, 64, 40)
+        data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 64, 40)
     assert out.read_text() == want_jsonl
     assert curves.read_bytes() == want_csv.encode()
