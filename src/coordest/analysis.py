@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, GRID_N, base_grid, j_estimate_fn, j_piece_values, v_optimal_estimates
+from .estimators import DEPTH, GRID_N, j_estimate_fn, j_piece_values, v_optimal_estimates
 from .functions import (
     ItemFunction,
     LowerBoundFn,
@@ -43,6 +43,10 @@ RATIO_BOUND = 84.0
 # deepest dyadic block competitiveness_ratio sums (data down to about
 # 1e-316): 2^-(MAX_DEPTH + 1) is the smallest subnormal float
 MAX_DEPTH = 1073
+
+# evenly spaced curve_table rows inside each piece of a curve that is
+# neither constant nor linear between its breakpoints
+CURVE_SEEDS = 8
 
 
 class AnalysisError(RuntimeError):
@@ -230,7 +234,14 @@ def competitiveness_ratio(
 def curve_table(
     v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
 ) -> list[tuple[float, float, float, float, float]]:
-    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)``.
+    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` at every
+    breakpoint and one float right of it (a jump shows as two adjacent
+    rows), at the ends of every hull and dyadic piece, and at
+    ``CURVE_SEEDS`` seeds inside each piece of a curve that is neither
+    constant nor linear there.  Between adjacent rows the dyadic and
+    optimal columns and the lower bound of ``max``, ``min`` and ``or`` are
+    constant, and the hull column and the lower bound of the ``p = 1``
+    range kinds are linear, so the table loses nothing of them.
 
     The hull column is the cumulative optimal estimate (the integral of the
     optimal column from u to 1).  It sits on or below the lower bound at the
@@ -239,10 +250,10 @@ def curve_table(
     grid).  A curve with concave pieces lies above its corners' hull
     everywhere, so for every other function the hull column stays on or
     below the lower bound up to rounding.  Between the grid seeds of a
-    ``p > 1`` curve the hull is linear while the curve is convex, so at
-    other seeds of this table the hull column can exceed the lower bound
-    (on 120 generated vectors under ``rg:p=2`` and ``pps:tau=4``, by up to
-    4.8e-5, and by up to 0.14 % of f(v)).
+    ``p > 1`` curve the hull is linear while the curve is convex, so at the
+    interior seeds of this table the hull column can exceed the lower bound
+    (on the 120 vectors of the benchmark's seed-401 ``analysis`` input under
+    ``rg:p=2``, by up to 4.1e-3 * f(v)).
     """
     columns = _curve_columns(lb_function(f, v, scheme), v, f, scheme, grid_n, depth)
     return list(zip(*(c.tolist() for c in columns)))
@@ -250,8 +261,16 @@ def curve_table(
 
 def _curve_columns(lbf: LowerBoundFn, v, f, scheme, grid_n, depth) -> tuple:
     """The five columns of :func:`curve_table`, from the curve ``lbf`` of
-    ``v`` and its hull ``v_optimal_estimates(lbf, grid_n)``."""
+    ``v`` and its hull ``v_optimal_estimates(lbf, grid_n)``; every seed
+    lies in (0, 1]."""
     opt = v_optimal_estimates(lbf, grid_n)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
-    us = np.unique(np.concatenate([base_grid(grid_n, 1e-6, grid_n // 2), np.array(lbf.breakpoints)]))
+    bps = np.array(lbf.breakpoints)
+    seeds = [bps, np.nextafter(bps[bps < 1.0], np.inf), opt.los, opt.his, j_fn.los, j_fn.his]
+    if lbf.exponent not in (None, 1.0):
+        # the pieces run from the hull's anchor through the breakpoints
+        edges = np.concatenate((opt.los[:1], bps))
+        t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
+        seeds.append((edges[:-1, None] + np.diff(edges)[:, None] * t).ravel())
+    us = np.unique(np.concatenate(seeds))
     return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

@@ -473,15 +473,26 @@ def _ref_scheme_breakpoints(scheme, levels, left):
 
 
 def _ref_curve_table(v, f, scheme, grid_n=256, depth=40):
-    """One row at a time through the scalar piece loops."""
+    """One row at a time through the scalar piece loops, at seeds gathered
+    one at a time: every breakpoint and the float right of it, the ends of
+    the reference hull's pieces and of the dyadic pieces, and on a curve
+    neither constant nor linear on its pieces, 8 evenly spaced seeds inside
+    each piece from the hull anchor on (the count the README states)."""
     lbf = lb_function(f, v, scheme)
     opt = v_optimal_estimates(lbf, grid_n)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
-    us = np.unique(np.concatenate([
-        np.linspace(1.0 / grid_n, 1.0, grid_n),
-        np.geomspace(1e-6, 1.0, grid_n // 2),
-        np.array(lbf.breakpoints),
-    ]))
+    hull = _ref_v_optimal_estimates(lbf, grid_n, corners=concave_pieces(lbf))
+    seeds = set(lbf.breakpoints)
+    seeds.update(math.nextafter(b, math.inf) for b in lbf.breakpoints if b < 1.0)
+    for lo, hi, _ in hull:
+        seeds.update((lo, hi))
+    seeds.update(2.0**-j for j in range(min(depth, 40) + 2))
+    if lbf.exponent not in (None, 1.0):
+        k = 8
+        edges = [hull[0][0], *lbf.breakpoints]
+        for a, b in zip(edges, edges[1:]):
+            seeds.update(a + (b - a) * (i / (k + 1)) for i in range(1, k + 1))
+    us = np.array(sorted(u for u in seeds if 0.0 < u <= 1.0))
     lbs = np.asarray(lbf.value(us), dtype=float)
     return [
         (u, lb_u, _ref_integral(opt, lo=u), _ref_value_at(j_fn, u), _ref_value_at(opt, u))
