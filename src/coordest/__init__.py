@@ -11,6 +11,7 @@ from .analysis import (
     check_finite_variance,
     clamped_variance,
     competitiveness_ratio,
+    competitiveness_reports,
     curve_table,
     implication_chain_ok,
 )
@@ -21,7 +22,6 @@ from .estimators import (
     estimate_query,
     exact_query,
     ht_estimate,
-    j_cumulative,
     j_estimate,
     j_estimate_fn,
     mc_query_estimates,
@@ -31,10 +31,10 @@ from .estimators import (
 from .functions import (
     ItemFunction,
     LowerBoundFn,
-    brute_force_lower_bound,
     evaluate,
     lb_breakpoints,
     lb_function,
+    lb_functions,
     lower_bound,
     lower_bound_from_vector,
     max_fn,
@@ -55,8 +55,6 @@ from .model import (
     TauScheme,
     Unknown,
     hash_seed,
-    is_consistent,
-    tau_at,
 )
 from .samplers import (
     BottomKSample,
@@ -65,10 +63,8 @@ from .samplers import (
     RankFunction,
     bottomk_sample,
     inclusion_probability,
-    rank_value,
     read_samples,
     sample_instances,
-    sample_item,
     write_samples,
 )
 

@@ -28,13 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, GRID_N, j_estimate_fn, j_piece_values, v_optimal_estimates
-from .functions import (
-    ItemFunction,
-    LowerBoundFn,
-    evaluate,
-    lb_function,
-)
+from .estimators import DEPTH, GRID_N, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
+from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
 from .hull import integrate_square, scaled_squares
 from .model import TauScheme
 
@@ -47,6 +42,13 @@ MAX_DEPTH = 1073
 # evenly spaced curve_table rows inside each piece of a curve that is
 # neither constant nor linear between its breakpoints
 CURVE_SEEDS = 8
+
+# Data vectors whose curves, dyadic tables and hull inputs are built in one
+# pass of a few array calls: memory stays flat in the vector count.  The
+# hull grid of rg:p=2 is the largest input: on the benchmark's analysis
+# input, characterize rg:p=2 --curves peaks about 0.5 MB above one vector
+# at a time with blocks of 16, and about 1.7 MB above it with blocks of 32.
+CURVE_BLOCK = 16
 
 
 class AnalysisError(RuntimeError):
@@ -160,10 +162,28 @@ def clamped_variance(second_moment: float, f_value: float) -> float:
     return 0.0 if -1e-9 <= var < 0.0 else var
 
 
+def curve_blocks(rows, f: ItemFunction, scheme: TauScheme):
+    """Each block of up to ``CURVE_BLOCK`` data vectors of the (n, r) array
+    ``rows``, in order, with their values under ``f`` (floats) and their
+    lower-bound curves: one :func:`evaluate_many` and one
+    :func:`lb_functions` call per block."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[1] != f.arity:
+        raise ValueError(f"vector arity {rows.shape[1]} != function arity {f.arity}")
+    for start in range(0, rows.shape[0], CURVE_BLOCK):
+        block = rows[start:start + CURVE_BLOCK]
+        yield block, evaluate_many(f, block).tolist(), lb_functions(f, block, scheme)
+
+
+def _one_row(v: Sequence[float]) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(1, -1)
+
+
 def competitiveness_ratio(
     v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
 ) -> AnalysisReport:
-    """Squared-mass ratio of the dyadic estimator to the hull optimum.
+    """Squared-mass ratio of the dyadic estimator to the hull optimum: one
+    row of :func:`competitiveness_reports`.
 
     The dyadic side is summed to ``depth`` and topped with a certified tail
     bound (each deep block's value is at most 16x the boundedness slope, so
@@ -171,8 +191,39 @@ def competitiveness_ratio(
     side is the truncated hull integral, a slight underestimate.  The
     reported ratio is therefore conservative.
     """
-    fv = evaluate(f, v)
-    lbf = lb_function(f, v, scheme)
+    return next(competitiveness_reports(_one_row(v), f, scheme, grid_n, depth))
+
+
+def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH):
+    """The :func:`competitiveness_ratio` report of each data vector in the
+    rows of an (n, r) array, in order.
+
+    Each block of :func:`curve_blocks` also takes one
+    :func:`j_piece_tables` call, at its deepest dyadic depth, and one
+    :func:`curve_values` call for the hull inputs and the tail seeds of all
+    its vectors.  A vector's verdicts, hull and sums are made when its
+    report is taken, so the error of a bad vector comes after the reports
+    before it.
+    """
+    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
+        # keep summing dyadic blocks well past the curve's smallest
+        # breakpoint, otherwise the worst-case tail bound dwarfs the actual
+        # deep mass for data revealed only at tiny seeds
+        depths = [max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
+        tables = j_piece_tables(block, f, scheme, max(depths))
+        hulls = [hull_seeds(lbf, grid_n) if fv != 0.0 else (None, np.empty(0)) for lbf, fv in zip(lbfs, fvs)]
+        # the last seed of each vector is its tail seed
+        seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
+        values = curve_values(f, block, seeds, scheme)
+        for k, v in enumerate(block.tolist()):
+            yield _report(lbfs[k], fvs[k], v, scheme, grid_n, depth, depths[k], tables[k], hulls[k][0], values[k])
+
+
+def _report(lbf, fv, v, scheme, grid_n, depth, deep, table, xs, values) -> AnalysisReport:
+    """The report of data ``v`` from its curve ``lbf`` and ``f`` value
+    ``fv``: the dyadic values ``table`` down to depth ``deep`` at least,
+    and the curve at the hull inputs ``xs`` but the last and at the tail
+    seed (``values``)."""
     est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
     diagnostics: dict = {
         "f_value": fv,
@@ -187,20 +238,16 @@ def competitiveness_ratio(
             square_integral_j=0.0, square_integral_opt=0.0, ratio=1.0, variance_j=0.0, variance_opt=0.0,
             estimable=est_check.ok, finite_variance=fv_check.ok, bounded=bd_check.ok, diagnostics=diagnostics,
         )
-    # keep summing dyadic blocks well past the curve's smallest breakpoint,
-    # otherwise the worst-case tail bound dwarfs the actual deep mass for
-    # data revealed only at tiny seeds
-    depth = max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
+    depth = deep
     diagnostics["depth"] = depth
-    vals = j_piece_values(v, f, scheme, depth)
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
-    squares, shift = scaled_squares(vals)
+    squares, shift = scaled_squares(table[:depth + 1])
     sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
     if bd_check.ok:
         # the larger of the slope at 0+ and the chord to the last summed
         # block: on one power piece, the sup of (f(v) - lb(u)) / u there
         u_tail = 2.0 ** (-depth + 2)
-        slope = (fv - lbf.value(u_tail)) / u_tail
+        slope = (fv - float(values[-1])) / u_tail
         slope = max(slope, bd_check.value)
         tail = 256.0 * slope * slope * 2.0**-depth
     else:
@@ -208,7 +255,7 @@ def competitiveness_ratio(
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    sq_opt = integrate_square(v_optimal_estimates(lbf, grid_n))
+    sq_opt = integrate_square(hull_estimates(xs, values[:-1]))
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
@@ -241,7 +288,8 @@ def curve_table(
     constant nor linear there.  Between adjacent rows the dyadic and
     optimal columns and the lower bound of ``max``, ``min`` and ``or`` are
     constant, and the hull column and the lower bound of the ``p = 1``
-    range kinds are linear, so the table loses nothing of them.
+    range kinds are linear, so the table loses nothing of them.  One row of
+    :func:`curve_columns`.
 
     The hull column is the cumulative optimal estimate (the integral of the
     optimal column from u to 1).  It sits on or below the lower bound at the
@@ -255,22 +303,49 @@ def curve_table(
     (on the 120 vectors of the benchmark's seed-401 ``analysis`` input under
     ``rg:p=2``, by up to 4.1e-3 * f(v)).
     """
-    columns = _curve_columns(lb_function(f, v, scheme), v, f, scheme, grid_n, depth)
+    row = _one_row(v)
+    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme, grid_n, depth))
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _curve_columns(lbf: LowerBoundFn, v, f, scheme, grid_n, depth) -> tuple:
-    """The five columns of :func:`curve_table`, from the curve ``lbf`` of
-    ``v`` and its hull ``v_optimal_estimates(lbf, grid_n)``; every seed
-    lies in (0, 1]."""
-    opt = v_optimal_estimates(lbf, grid_n)
-    j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
-    bps = np.array(lbf.breakpoints)
-    seeds = [bps, np.nextafter(bps[bps < 1.0], np.inf), opt.los, opt.his, j_fn.los, j_fn.his]
-    if lbf.exponent not in (None, 1.0):
-        # the pieces run from the hull's anchor through the breakpoints
-        edges = np.concatenate((opt.los[:1], bps))
-        t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
-        seeds.append((edges[:-1, None] + np.diff(edges)[:, None] * t).ravel())
-    us = np.unique(np.concatenate(seeds))
-    return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+def curve_columns(
+    rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme,
+    grid_n: int = GRID_N, depth: int = DEPTH,
+):
+    """The five columns of :func:`curve_table` of each data vector
+    ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
+    (0, 1].
+
+    The block takes one :func:`j_piece_tables` call and one
+    :func:`curve_values` call.  The curve is read at every seed a vector's
+    rows or hull can take: its hull inputs, its breakpoints, the dyadic
+    piece ends and the interior seeds.  A vector's hull, the
+    ``v_optimal_estimates(lbf, grid_n)`` of its curve, is built when its
+    columns are taken, and its rows are then looked up among those seeds.
+    """
+    j_depth = min(depth, 40)
+    tables = j_piece_tables(rows, f, scheme, j_depth)
+    j_ends = np.ldexp(1.0, np.arange(-j_depth - 1, 1))
+    hulls = [hull_seeds(lbf, grid_n) for lbf in lbfs]
+    inner = [_interior_seeds(lbf, xs[0]) for lbf, (xs, _) in zip(lbfs, hulls)]
+    seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us)))
+             for lbf, (_, at), us in zip(lbfs, hulls, inner)]
+    values = curve_values(f, rows, seeds, scheme)
+    for lbf, (xs, at), table, us, known, lb in zip(lbfs, hulls, tables, inner, seeds, values):
+        opt = hull_estimates(xs, lb[np.searchsorted(known, at)])
+        j_fn = dyadic_pieces(table)
+        bps = np.array(lbf.breakpoints)
+        after = np.nextafter(bps[bps < 1.0], np.inf)
+        us = np.unique(np.concatenate((bps, after, opt.los, opt.his, j_fn.los, j_fn.his, us)))
+        yield us, lb[np.searchsorted(known, us)], opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+
+
+def _interior_seeds(lbf: LowerBoundFn, anchor: float) -> np.ndarray:
+    """``CURVE_SEEDS`` evenly spaced seeds inside each piece of a curve
+    that is neither constant nor linear there, from the hull's ``anchor``
+    (its first vertex) through the breakpoints."""
+    if lbf.exponent in (None, 1.0):
+        return np.empty(0)
+    edges = np.concatenate(([anchor], lbf.breakpoints))
+    t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
+    return (edges[:-1, None] + np.diff(edges)[:, None] * t).ravel()

@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .analysis import _curve_checks, _curve_columns, competitiveness_ratio, implication_chain_ok
+from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curve_columns, implication_chain_ok
 from .estimators import (
     DEPTH,
     GRID_N,
@@ -40,7 +40,7 @@ from .estimators import (
     exact_query,
     mc_query_estimates,
 )
-from .functions import ItemFunction, evaluate, lb_function, parse_function
+from .functions import ItemFunction, parse_function
 from .model import InstanceSet, PiecewiseLinearMap, PpsMap, TauScheme, ingest
 from .samplers import (
     EXP_RANK,
@@ -339,13 +339,14 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
     data, scheme = cfg.load()
     f = _item_function(cfg, data.r, "analyze")
     ids, subset = resolve_items(cfg.items, data)
+    rows = data.matrix[data.indices(ids)]
+    reports = competitiveness_reports(rows, f, scheme, grid_n=cfg.grid_n)
     failed = False
-    for item in ids:
-        v = data.vector(item)
+    for item, v in zip(ids, rows.tolist()):
         # a variance past the largest float (data near 1e-310) is not JSON
         with _error_source(f"item {item!r}"):
-            report = competitiveness_ratio(v, f, scheme, grid_n=cfg.grid_n)
-            rec = {"item": item, "vector": list(v), "function": f.describe(), **report.to_dict()}
+            report = next(reports)
+            rec = {"item": item, "vector": v, "function": f.describe(), **report.to_dict()}
             line = json.dumps(rec, allow_nan=False)
         fp.write(line + "\n")
         if not report.competitive_ok or not report.chain_ok:
@@ -379,24 +380,25 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     if curves_fp is not None:
         curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
     failed = False
+    items = iter(ids)
     try:
-        for item in ids:
-            v = data.vector(item)
-            # one curve per vector serves the verdicts and the curve rows
-            with _error_source(f"item {item!r}"):
-                lbf = lb_function(f, v, scheme)
-                est, bd, fv = _curve_checks(lbf, evaluate(f, v), v, scheme)
-                chain = implication_chain_ok(bd.ok, fv.ok, est.ok)
-                rec = {"item": item, "vector": list(v), "function": f.describe(),
-                       "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
-                       "bounded_slope": bd.value, "finite_variance": fv.ok, "chain_ok": chain}
-                line = json.dumps(rec, allow_nan=False)
-            failed = failed or not chain
-            fp.write(line + "\n")
-            if curves_fp is not None:
-                columns = _curve_columns(lbf, v, f, scheme, cfg.grid_n, DEPTH)
-                rows = zip(*(c.tolist() for c in columns))
-                curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
+        # one curve per vector serves the verdicts and the curve rows
+        for block, fvs, lbfs in curve_blocks(data.matrix[data.indices(ids)], f, scheme):
+            columns = curve_columns(block, lbfs, f, scheme, cfg.grid_n, DEPTH) if curves_fp is not None else None
+            # items last: zip stops at the end of the block before taking one
+            for v, fv, lbf, item in zip(block.tolist(), fvs, lbfs, items):
+                with _error_source(f"item {item!r}"):
+                    est, bd, fin = _curve_checks(lbf, fv, v, scheme)
+                    chain = implication_chain_ok(bd.ok, fin.ok, est.ok)
+                    rec = {"item": item, "vector": v, "function": f.describe(),
+                           "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
+                           "bounded_slope": bd.value, "finite_variance": fin.ok, "chain_ok": chain}
+                    line = json.dumps(rec, allow_nan=False)
+                failed = failed or not chain
+                fp.write(line + "\n")
+                if columns is not None:
+                    rows = zip(*(c.tolist() for c in next(columns)))
+                    curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
     finally:
         _close_out(fp)
         if curves_fp is not None:

@@ -31,8 +31,7 @@ from .functions import (
     ItemFunction,
     LowerBoundFn,
     evaluate_many,
-    lb_function,
-    lower_bound_from_vector,
+    lb_functions,
     lower_bounds,
     max_fn,
     min_fn,
@@ -114,29 +113,6 @@ def j_estimate(outcome: Outcome, f: ItemFunction) -> float:
     return float(j_estimates(f, *outcome_columns([outcome]), outcome.scheme)[0])
 
 
-def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> float:
-    """Integral of the dyadic estimator over seeds in ``(rho, 1]`` for data
-    ``v``, summed piece by piece.
-
-    At ``rho = 2^-j`` this telescopes to the lower bound at ``2^-j+1`` up to
-    float rounding, which is the construction's defining invariant.
-    """
-    i_last = dyadic_index(rho)
-    if depth < i_last:
-        raise ValueError(f"depth {depth} too shallow for rho={rho}")
-    total = 0.0
-    cum = 0.0  # integral over (2^-j, 1] after j full pieces
-    for j in range(i_last + 1):
-        hi = 2.0 ** (-j)
-        if hi <= rho:
-            break
-        value = max(0.0, 2.0 ** (j + 1) * (lower_bound_from_vector(f, v, scheme, hi) - cum))
-        width = hi - max(rho, hi / 2.0)
-        total += value * width
-        cum += value * (hi / 2.0)
-    return total
-
-
 def j_piece_tables(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, depth: int) -> np.ndarray:
     """Constant dyadic values ``tables[k, j]`` on ``(2^-j-1, 2^-j]`` for
     ``j = 0..depth``, for each data vector ``rows[k]`` of an (n, r) array:
@@ -163,9 +139,15 @@ def j_piece_values(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth
 
 def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
     """Materialised dyadic pieces down to seed ``2^-depth-1``."""
-    vals = j_piece_values(v, f, scheme, depth)
-    his = np.ldexp(1.0, np.arange(-depth, 1))
-    return EstimateFn(0.5 * his, his, vals[::-1])
+    return dyadic_pieces(j_piece_values(v, f, scheme, depth))
+
+
+def dyadic_pieces(values: np.ndarray) -> EstimateFn:
+    """The dyadic estimator whose value on ``(2^-j-1, 2^-j]`` is
+    ``values[j]``, for ``j = 0..len(values) - 1``: a row, or the head of
+    a row, of :func:`j_piece_tables`."""
+    his = np.ldexp(1.0, np.arange(1 - len(values), 1))
+    return EstimateFn(0.5 * his, his, values[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +214,6 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
         return np.where(fv == 0.0, 0.0, fv / p), p
 
 
-def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:
-    """Inverse-probability estimates as a function of the seed for data
-    ``v``: a single constant block on the certifying seeds (one row of
-    :func:`ht_blocks`)."""
-    value, p = (float(a[0]) for a in ht_blocks(f, np.asarray(v, dtype=float).reshape(1, -1), scheme))
-    if value == 0.0 or p >= 1.0:
-        return EstimateFn([0.0], [1.0], [value])
-    return EstimateFn([0.0, p], [p, 1.0], [value, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # hull-derivative (minimum-variance) estimates
 
@@ -257,12 +229,20 @@ def base_grid(grid_n: int, lo: float, count: int) -> np.ndarray:
 
 def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     """Piecewise-constant negated slopes of the lower hull of a full
-    lower-bound curve.
+    lower-bound curve: :func:`hull_estimates` of the curve read at its
+    :func:`hull_seeds`."""
+    xs, at = hull_seeds(lb, grid_n)
+    return hull_estimates(xs, lb.value(at))
 
-    The hull is taken over the curve at every breakpoint and just right of
-    it, a left anchor just right of 0 carrying the curve's limit value, and
-    the point ``(1, 0)``: the cumulative estimate must vanish at seed 1,
-    and anchoring the hull there is what lets data that is revealed with
+
+def hull_seeds(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.ndarray]:
+    """The u coordinates ``xs`` of the hull's input points, and the seeds
+    ``at`` to read the curve at for all of them but the last, ``(1, 0)``.
+
+    The points are the curve at every breakpoint and just right of it, a
+    left anchor just right of 0 carrying the curve's limit value, and
+    ``(1, 0)``: the cumulative estimate must vanish at seed 1, and
+    anchoring the hull there is what lets data that is revealed with
     certainty keep its full mass.  A curve with concave pieces (constant
     ones, or ``(c + d*u)^p`` with ``p <= 1``: every item function but
     ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull vertices only
@@ -287,11 +267,16 @@ def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     # The curve is left-continuous and may jump down across a breakpoint; the
     # cumulative estimate is continuous and capped at every seed beyond the
     # jump as well, so the binding value AT a breakpoint is the right limit.
-    # One curve call serves the anchor, the breakpoints (with the grid, if
-    # any) and the right limits.
     bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
     xs = np.concatenate(([anchor], us, bs, [1.0]))
-    ys = np.append(lb.value(np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))), 0.0)
+    return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
+
+
+def hull_estimates(xs: np.ndarray, ys: np.ndarray) -> EstimateFn:
+    """The negated slopes of the lower hull of the points ``(xs, ys)`` and
+    ``(xs[-1], 0)``, the :func:`hull_seeds` of a curve and its values
+    there."""
+    ys = np.append(ys, 0.0)
     hu, hy = np.array(lower_hull(np.column_stack((xs, ys))).vertices).T
     # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)): fmax turns a
     # NaN into 0.0, and adding +0.0 turns a -0.0 into 0.0
@@ -397,31 +382,29 @@ def sum_estimate(
 ) -> QueryResult:
     """Sum of per-item estimates of ``f`` over the selected items.
 
-    J and HT take one kernel call over the selected rows of the samples; the
-    hull-derivative oracle needs the true data and builds each item's hull
-    to read it at the item's seed.
+    J and HT take one kernel call over the selected rows of the samples.
+    The hull-derivative oracle needs the true data: it takes the items'
+    curves from :func:`lb_functions`, ``MC_ITEM_BLOCK`` at a time, and reads
+    each item's hull at the item's seed.
     """
     ids = list(samples) if item_ids is None else [str(i) for i in item_ids]
-    if estimator == "voptimal-oracle":
-        if data is None:
-            raise ValueError("the hull-derivative oracle needs the true data")
-        estimates = []
-        for item in ids:
-            outcome = samples[item]
-            est = v_optimal_estimates(lb_function(f, data.vector(item), outcome.scheme), grid_n)
-            estimates.append(est.value_at(outcome.seed))
-    elif estimator not in ("j", "ht"):
+    if estimator == "voptimal-oracle" and data is None:
+        raise ValueError("the hull-derivative oracle needs the true data")
+    if estimator not in ("j", "ht", "voptimal-oracle"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    elif not ids:
-        estimates = []
-    else:
+    estimates = []
+    if ids:
         s = Samples.from_outcomes(samples)
         rows = s.indices(ids)
         if estimator == "j":
-            est = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme)
+            estimates = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme).tolist()
+        elif estimator == "ht":
+            estimates = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme).tolist()
         else:
-            est = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme)
-        estimates = est.tolist()
+            vectors, seeds = data.matrix[data.indices(ids)], s.seeds[rows].tolist()
+            for start in range(0, len(ids), MC_ITEM_BLOCK):
+                lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
+                estimates += [v_optimal_estimates(lbf, grid_n).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
     return QueryResult(f"sum[{f.describe()}]", _sequential_sum(estimates), tuple(zip(ids, estimates)))
 
 
@@ -571,7 +554,8 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            hulls = [[v_optimal_estimates(lb_function(f, v, scheme), grid_n) for f in fs] for v in vectors]
+            by_function = [[v_optimal_estimates(lbf, grid_n) for lbf in lb_functions(f, vectors, scheme)] for f in fs]
+            hulls = list(zip(*by_function))
             live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():
             key = item_key(data.item_ids[block[k]])

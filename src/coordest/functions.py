@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Domain, Known, Outcome, PiecewiseLinearMap, TauScheme, outcome_columns
+from .model import Domain, Outcome, PiecewiseLinearMap, TauScheme, outcome_columns
 
 MAX = "max"
 MIN = "min"
@@ -229,34 +230,6 @@ def domain_infimum(f: ItemFunction, domain: Domain) -> float:
     return float(_lb_from_bounds(f, lows, highs)[0])
 
 
-def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n: int = 64) -> float:
-    """Grid-search oracle for :func:`lower_bound`.
-
-    Free coordinates are swept over ``grid_n`` points spanning
-    ``[domain_low, tau_i(x) - delta]`` with ``delta`` one grid step, honouring
-    the strict upper bound; fixed coordinates stay at their revealed value.
-    Converges to the closed form as ``grid_n`` grows.
-    """
-    if x < outcome.seed:
-        raise ValueError(f"x={x} below outcome seed {outcome.seed}")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    axes = []
-    for i, slot in enumerate(outcome.slots):
-        tau_x = float(outcome.scheme.maps[i].value(x))
-        if isinstance(slot, Known) and slot.value >= tau_x:
-            axes.append(np.array([slot.value]))
-        else:
-            lo = outcome.scheme.domain.lows[i]
-            if not math.isfinite(tau_x):
-                raise ValueError("cannot grid an unbounded coordinate")
-            delta = (tau_x - lo) / grid_n
-            axes.append(np.linspace(lo, tau_x - delta, grid_n))
-    grids = np.meshgrid(*axes, indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)
-    return float(evaluate_many(f, z).min())
-
-
 # ---------------------------------------------------------------------------
 # piecewise representation of the lower bound as a function of the seed
 
@@ -295,18 +268,20 @@ class LowerBoundFn:
     def head(self) -> float:
         """The smallest positive breakpoint: below it the bound follows
         the single closed form of ``head_piece`` all the way toward seed 0."""
-        return min((b for b in self.breakpoints if b > 0.0), default=1.0)
+        return next((b for b in self.breakpoints if b > 0.0), 1.0)
 
 
-def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float) -> set[float]:
-    """Candidate seeds where any map crosses a fixed level, plus joints and
-    pairwise intersections of maps, at least one of them piecewise-linear
-    (two pps maps meet only at 0)."""
+@lru_cache(maxsize=16)
+def _scheme_points(scheme: TauScheme) -> np.ndarray:
+    """The breakpoints every curve under ``scheme`` shares, ascending in
+    (0, 1): the joints of its maps, the seeds where two maps meet (at least
+    one of them piecewise-linear: two pps maps meet only at 0) and the
+    crossings of the domain lows.  Read-only, as equal schemes share it."""
     pts: set[float] = set()
+    lows = np.array(scheme.domain.lows, dtype=float)
     for m in scheme.maps:
-        for lvl in levels:
-            pts.update(m.crossings(lvl))
         pts.update(m.joints())
+        pts.update(m.crossing_seeds(lows)[1].tolist())
     for a, b in itertools.combinations(scheme.maps, 2):
         if not (isinstance(a, PiecewiseLinearMap) or isinstance(b, PiecewiseLinearMap)):
             continue
@@ -319,68 +294,126 @@ def _scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float)
             if fa * fb < 0.0:
                 t = fa / (fa - fb)
                 pts.add(ua + t * (ub - ua))
-    return {p for p in pts if left < p < 1.0}
+    out = np.array(sorted(p for p in pts if 0.0 < p < 1.0), dtype=float)
+    out.flags.writeable = False
+    return out
 
 
-def _curve(f: ItemFunction, scheme: TauScheme, values: np.ndarray, revealed, left: float) -> LowerBoundFn:
-    """The lower-bound curve on ``(left, 1]`` of one outcome (or data
-    vector) given as an (r, 1) column of values and its revealed flags.
+def _breakpoints(
+    scheme: TauScheme, levels: np.ndarray, owners: np.ndarray, lefts: np.ndarray
+) -> list[tuple[float, ...]]:
+    """The breakpoints of each of ``len(lefts)`` curves: the seeds past its
+    ``lefts[k]`` where a map crosses one of its levels (``levels[i]`` is
+    a level of curve ``owners[i]``) or a domain low, together with the
+    :func:`_scheme_points`, ascending and ending at 1.
 
-    Breakpoints are the seeds where a revealed value (or a domain low)
-    crosses a threshold map, the points where the closed forms switch
-    branch, together with the joints and crossings of piecewise-linear maps.
-
-    Between breakpoints every box bound is a constant or one linear piece
-    of a map, and the range forms reach 0 only at a crossing of a level.
-    So the pieces of ``max``, ``min`` and ``or`` are constant, and those of
-    the range kinds are a power ``p`` of a linear function: concave when
-    ``p <= 1``.  A curve from seed 0 also carries its head piece.
+    Each map crosses every level of every curve in one pass; the seeds of
+    all curves are then sorted and split in one pass more.
     """
-    levels = set(values[np.broadcast_to(revealed, values.shape)].tolist())
-    levels.update(scheme.domain.lows)
-    bps = tuple(sorted(_scheme_breakpoints(scheme, sorted(levels), left) | {1.0}))
+    n = len(lefts)
+    pts = _scheme_points(scheme)
+    whos, seeds = [np.repeat(np.arange(n), len(pts))], [np.tile(pts, n)]
+    for m in scheme.maps:
+        which, us = m.crossing_seeds(levels)
+        whos.append(owners[which])
+        seeds.append(us)
+    who, us = np.concatenate(whos), np.concatenate(seeds)
+    keep = us > lefts[who]
+    who = np.concatenate((who[keep], np.arange(n)))
+    us = np.concatenate((us[keep], np.ones(n)))
+    order = np.lexsort((us, who))
+    who, us = who[order], us[order]
+    new = np.ones(len(us), dtype=bool)
+    new[1:] = (who[1:] != who[:-1]) | (us[1:] != us[:-1])
+    ends = np.cumsum(np.bincount(who[new], minlength=n)).tolist()
+    us = us[new].tolist()
+    return [tuple(us[a:b]) for a, b in zip([0, *ends], ends)]
 
-    def value_fn(xs: np.ndarray) -> np.ndarray:
-        return lower_bounds(f, values, revealed, np.asarray(xs, dtype=float), scheme)
 
-    # every breakpoint lies past left, so bps[0] is the head
-    head_piece = _head_piece(f, scheme, values[:, 0], bps[0]) if left == 0.0 else None
-    return LowerBoundFn(bps, left, value_fn, f.p, head_piece)
-
-
-def _head_piece(f: ItemFunction, scheme: TauScheme, v: np.ndarray, head: float) -> tuple[float, float]:
-    """The ``(c, d)`` of the curve of data ``v`` on ``(0, head]``.
+def _head_pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, heads: np.ndarray) -> list[tuple[float, float]]:
+    """The ``(c, d)`` of the curve of each data vector ``rows[k]`` on
+    ``(0, heads[k]]``, from one box pass at the heads.
 
     No entry is revealed or hidden inside the piece, so its box is the box
-    at ``head``: constant lows, and highs that are either a revealed value
+    at the head: constant lows, and highs that are either a revealed value
     or a map's first segment, ``tau_i(0) + slope_i * u``.  Two highs cross
     only at a breakpoint, so one of them is the least on the whole piece:
-    the least at seed 0, the flattest among ties.
+    the least at seed 0, the flattest among ties, the first among those.
     """
-    lows, highs = (a[:, 0] for a in _box_bounds(v[:, None], True, np.array([head]), scheme))
+    v = rows.T
+    lows, highs = _box_bounds(v, True, heads, scheme)
     if f.p is None:
-        return float(_lb_from_bounds(f, lows[:, None], highs[:, None])[0]), 0.0
+        return [(c, 0.0) for c in _lb_from_bounds(f, lows, highs).tolist()]
     known = highs == v
-    starts = np.where(known, v, [m.infimum() for m in scheme.maps]).tolist()
-    slopes = np.where(known, 0.0, [m.first_slope() for m in scheme.maps]).tolist()
+    starts = np.where(known, v, np.array([[m.infimum()] for m in scheme.maps]))
+    slopes = np.where(known, 0.0, np.array([[m.first_slope()] for m in scheme.maps]))
     if f.kind == RG:
-        top = max(lows.tolist())
-        low = min(range(len(v)), key=lambda i: (starts[i], slopes[i]))
+        top = lows.max(axis=0)
+        least = starts == starts.min(axis=0)
+        flat = np.where(least, slopes, np.inf)
+        low = np.argmax(least & (flat == flat.min(axis=0)), axis=0)
     else:
-        hi, low = f.direction
-        top = float(lows[hi])
-    return max(top - starts[low], 0.0), -slopes[low]
+        hi, lo = f.direction
+        top, low = lows[hi], np.full(len(heads), lo)
+    cols = np.arange(len(heads))
+    c = top - starts[low, cols]
+    c = np.where(c < 0.0, 0.0, c)
+    return list(zip(c.tolist(), (-slopes[low, cols]).tolist()))
+
+
+def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> list[LowerBoundFn]:
+    """The full lower-bound curve, valid on all of (0, 1], of each data
+    vector in the rows of an (n, r) array.
+
+    Breakpoints are the seeds where a value (or a domain low) crosses a
+    threshold map, the points where the closed forms switch branch,
+    together with the joints and crossings of piecewise-linear maps
+    (:func:`_breakpoints`).  Between breakpoints every box bound is a
+    constant or one linear piece of a map, and the range forms reach 0 only
+    at a crossing of a level.  So the pieces of ``max``, ``min`` and ``or``
+    are constant, and those of the range kinds are a power ``p`` of a
+    linear function: concave when ``p <= 1``.  Each curve also carries its
+    head piece (:func:`_head_pieces`).
+    """
+    rows = np.array(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != scheme.r:
+        raise ValueError("vector arity does not match scheme")
+    n = rows.shape[0]
+    bps = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
+    # every breakpoint lies past 0, so the first is the head
+    heads = _head_pieces(f, scheme, rows, np.array([b[0] for b in bps]))
+    return [
+        LowerBoundFn(b, 0.0, partial(lower_bounds, f, v, True, scheme=scheme), f.p, head)
+        for b, v, head in zip(bps, rows[:, :, None], heads)
+    ]
+
+
+def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
+    """Full lower-bound curve for a data vector, valid on all of (0, 1]: one
+    row of :func:`lb_functions`."""
+    if len(v) != scheme.r:
+        raise ValueError("vector arity does not match scheme")
+    return lb_functions(f, _column(v).T, scheme)[0]
 
 
 def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
     """Piecewise lower-bound representation for an outcome, valid on
-    ``[outcome.seed, 1]``."""
+    ``[outcome.seed, 1]``: its levels are its revealed values, and it
+    carries no head piece."""
     _, revealed, values = outcome_columns([outcome])
-    return _curve(f, outcome.scheme, values.T, revealed.T, outcome.seed)
+    levels = values[revealed]
+    bps = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))[0]
+    value_fn = partial(lower_bounds, f, values.T, revealed.T, scheme=outcome.scheme)
+    return LowerBoundFn(bps, outcome.seed, value_fn, f.p)
 
 
-def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
-    """Full lower-bound curve for a data vector, valid on all of (0, 1]."""
-    if len(v) != scheme.r:
-        raise ValueError("vector arity does not match scheme")
-    return _curve(f, scheme, _column(v), True, 0.0)
+def curve_values(f: ItemFunction, rows: np.ndarray, seeds: Sequence[np.ndarray], scheme: TauScheme) -> list[np.ndarray]:
+    """The lower bound of each data vector ``rows[k]`` at its own seeds
+    ``seeds[k]``, from one :func:`lower_bounds` call over all of them: the
+    values of ``lb_functions(f, rows, scheme)[k].value(seeds[k])``, bit for
+    bit."""
+    if not len(seeds):
+        return []
+    counts = [len(s) for s in seeds]
+    values = lower_bounds(f, np.repeat(rows.T, counts, axis=1), True, np.concatenate(seeds), scheme)
+    return np.split(values, np.cumsum(counts[:-1]))

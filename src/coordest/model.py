@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -179,14 +178,22 @@ class PpsMap:
         return ()
 
     def crossings(self, level: float) -> tuple[float, ...]:
-        """The seed in (0, 1) where the map crosses ``level``, snapped by
-        :func:`snap_crossing` before it is kept; a level of 0 is crossed at
+        """The seed in (0, 1) where the map crosses ``level``: one level of
+        :meth:`crossing_seeds`."""
+        return tuple(self.crossing_seeds([level])[1].tolist())
+
+    def crossing_seeds(self, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The crossings of every level in ``levels``: the index of each
+        crossed level and its seed in (0, 1), snapped by
+        :func:`snap_crossings` before it is kept; a level of 0 is crossed at
         seed 0 and has none."""
-        u = level / self.tau_star
-        if not u > 0.0:
-            return ()
-        u = snap_crossing(self.value, u, level, 0.0, 1.0)
-        return (u,) if 0.0 < u < 1.0 else ()
+        levels = np.asarray(levels, dtype=float)
+        with np.errstate(over="ignore"):
+            us = levels / self.tau_star
+        which = np.flatnonzero(us > 0.0)
+        us = snap_crossings(self.value, us[which], levels[which], 0.0, 1.0)
+        keep = (0.0 < us) & (us < 1.0)
+        return which[keep], us[keep]
 
 
 @dataclass(frozen=True)
@@ -235,24 +242,33 @@ class PiecewiseLinearMap:
         return tuple(u for u, _ in self.points if 0.0 < u < 1.0)
 
     def crossings(self, level: float) -> tuple[float, ...]:
-        """Seeds in (0, 1) where the map crosses ``level``: on a rising
-        segment the interpolated seed, snapped by :func:`snap_crossing`
-        within the segment before it is kept; both ends of a flat segment
-        sitting exactly at the level, which are exact joints.  A level at
-        the map's value at seed 0 is crossed there and has no crossing on
-        the first segment, though rounding keeps the map at the level over
-        the first few floats."""
-        out = []
-        pts = self.points
-        for (ua, ta), (ub, tb) in zip(pts, pts[1:]):
-            if ta <= level <= tb:
-                if tb > ta:
-                    u = ua + (level - ta) * (ub - ua) / (tb - ta)
-                    if u > 0.0:
-                        out.append(snap_crossing(self._value, u, level, ua, ub))
-                elif ta == level:
-                    out.extend((ua, ub))
-        return tuple(sorted({u for u in out if 0.0 < u < 1.0}))
+        """The seeds in (0, 1) where the map crosses ``level``, ascending:
+        one level of :meth:`crossing_seeds`."""
+        return tuple(np.unique(self.crossing_seeds([level])[1]).tolist())
+
+    def crossing_seeds(self, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The crossings of every level in ``levels``: the index of each
+        crossed level and a seed in (0, 1), once per segment that crosses
+        it.  On a rising segment that is the interpolated seed, snapped by
+        :func:`snap_crossings` within the segment; on a flat segment sitting
+        exactly at the level, both ends, which are exact joints.  A level
+        at the map's value at seed 0 is crossed there and has no crossing
+        on the first segment, though rounding keeps the map at the level
+        over the first few floats."""
+        levels = np.asarray(levels, dtype=float)
+        ua, ub, ta, tb = self._us[:-1], self._us[1:], self._ts[:-1], self._ts[1:]
+        hit = (ta[:, None] <= levels) & (levels <= tb[:, None])
+        rising = (tb > ta)[:, None]
+        seg, which = np.nonzero(hit & rising)
+        us = ua[seg] + (levels[which] - ta[seg]) * (ub[seg] - ua[seg]) / (tb[seg] - ta[seg])
+        live = us > 0.0
+        seg, which = seg[live], which[live]
+        us = snap_crossings(self._value, us[live], levels[which], ua[seg], ub[seg])
+        flat, at = np.nonzero(hit & ~rising)
+        which = np.concatenate((which, at, at))
+        us = np.concatenate((us, ua[flat], ub[flat]))
+        keep = (0.0 < us) & (us < 1.0)
+        return which[keep], us[keep]
 
 
 TauMap = Union[PpsMap, PiecewiseLinearMap]
@@ -262,42 +278,44 @@ TauMap = Union[PpsMap, PiecewiseLinearMap]
 SNAP_ULPS = 8
 
 
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+def snap_crossings(value, us, levels, lo, hi) -> np.ndarray:
+    """For each interpolated crossing ``us[k]`` of ``levels[k]``, the last
+    seed in ``[lo, hi]`` at which the map ``value`` is at most the level
+    (``value(lo) <= level``); ``lo`` and ``hi`` broadcast against ``us``.
+    An entry whose value is the level is still revealed there and hidden
+    one float above, so a lower-bound curve read at ``nextafter(u)`` has
+    made its jump.
 
-
-def _from_bits(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
-
-
-def snap_crossing(value, u: float, level: float, lo: float, hi: float) -> float:
-    """The last seed in ``[lo, hi]`` at which the map ``value`` is at most
-    ``level`` (``value(lo) <= level``), from the interpolated crossing
-    ``u``.  An entry whose value is ``level`` is still revealed there and
-    hidden one float above, so a lower-bound curve read at
-    ``nextafter(u)`` has made its jump.
-
-    It steps float by float from ``u``.  Past ``SNAP_ULPS`` steps (a
-    segment so flat that many seeds share one value) it bisects the rest on
-    the bits of the floats, which order as nonnegative floats do.
+    Every crossing steps float by float from its ``u``, all together.
+    Those still going after ``SNAP_ULPS`` steps (a segment so flat that
+    many seeds share one value) bisect the rest together on the bits of the
+    floats, which order as nonnegative floats do.
     """
-    u = min(max(u, lo), hi)
+    us, levels, lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(us, levels, lo, hi))
+    lo += 0.0  # a -0.0 end would bisect from negative bits
+    us = np.minimum(np.maximum(us, lo), hi)
+    live = np.arange(us.size)
     for _ in range(SNAP_ULPS):
-        if value(u) > level:
-            u = max(math.nextafter(u, -math.inf), lo)
-            continue
-        up = math.nextafter(u, math.inf)
-        if up > hi or value(up) > level:
-            return u
-        u = up
-    a, b = (_bits(lo), _bits(u)) if value(u) > level else (_bits(u), _bits(hi))
-    while a < b:
-        mid = a + (b - a + 1) // 2
-        if value(_from_bits(mid)) <= level:
-            a = mid
-        else:
-            b = mid - 1
-    return _from_bits(a)
+        if not live.size:
+            return us
+        u, level = us[live], levels[live]
+        over = value(u) > level
+        up = np.nextafter(u, np.inf)
+        done = ~over & ((up > hi[live]) | (value(up) > level))
+        us[live] = np.where(over, np.maximum(np.nextafter(u, -np.inf), lo[live]), np.where(done, u, up))
+        live = live[~done]
+    if live.size:
+        u, level = us[live], levels[live]
+        over = value(u) > level
+        a = np.where(over, lo[live], u).view(np.int64)
+        b = np.where(over, u, hi[live]).view(np.int64)
+        while (go := a < b).any():
+            mid = a + (b - a + 1) // 2
+            ok = value(mid.view(np.float64)) <= level
+            a = np.where(go & ok, mid, a)
+            b = np.where(go & ~ok, mid - 1, b)
+        us[live] = a.view(np.float64)
+    return us
 
 
 @dataclass(frozen=True)
@@ -357,13 +375,6 @@ class TauScheme:
             if len(stars) == 1:
                 return stars.pop()
         return None
-
-
-def tau_at(scheme: TauScheme, instance: int, u: float) -> float:
-    """Threshold ``tau_i(u)`` for one instance; raises on a bad index."""
-    if not 0 <= instance < scheme.r:
-        raise IndexError(f"instance {instance} out of range for r={scheme.r}")
-    return float(scheme.maps[instance].value(validate_seed(u)))
 
 
 @dataclass(frozen=True)
@@ -429,26 +440,6 @@ def outcome_columns(outcomes: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray
         dtype=float,
     )
     return seeds, revealed, values
-
-
-def is_consistent(outcome: Outcome, candidate: Sequence[float]) -> bool:
-    """Whether ``candidate`` could have produced ``outcome``.
-
-    Revealed slots must match exactly; unsampled slots constrain the
-    candidate strictly below the recorded bound.
-    """
-    if len(candidate) != len(outcome.slots):
-        raise ValueError(
-            f"candidate has {len(candidate)} entries, outcome has {len(outcome.slots)}"
-        )
-    for z, slot in zip(candidate, outcome.slots):
-        if isinstance(slot, Known):
-            if z != slot.value:
-                return False
-        else:
-            if not z < slot.bound:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import IO
 
@@ -27,7 +27,6 @@ from .model import (
     Unknown,
     outcome_columns,
     seeds_for_items,
-    validate_seed,
 )
 
 PPS_RANK_KIND = "pps"
@@ -55,24 +54,11 @@ PPS_RANK = RankFunction(PPS_RANK_KIND)
 EXP_RANK = RankFunction(EXP_RANK_KIND)
 
 
-def rank_value(rf: RankFunction, u: float, v: float) -> float:
-    """Rank of a value under seed ``u``; may be ``inf`` at the boundary."""
-    validate_seed(u)
-    if v < 0:
-        raise ValueError("values must be nonnegative")
-    if v == 0.0:
-        return 0.0
-    if rf.kind == PPS_RANK_KIND:
-        return v / u
-    if u == 1.0:
-        return math.inf
-    return -v / math.log(u)
-
-
 def rank_values(rf: RankFunction, us: np.ndarray, v) -> np.ndarray:
-    """Vectorised :func:`rank_value` over a 1-d array of seeds, for one
-    value or one value per seed, with its bits: an exp rank divides by
-    ``math.log`` of each seed (``np.log`` may differ in the last bit)."""
+    """Ranks of a value under a 1-d array of seeds, for one value or one
+    value per seed: ``v/u`` under ``pps``; under ``exp``, ``-v/ln(u)``,
+    infinite at ``u = 1``, dividing by ``math.log`` of each seed (``np.log``
+    may differ in the last bit).  A zero value ranks 0."""
     us = np.asarray(us, dtype=float)
     v = np.broadcast_to(np.asarray(v, dtype=float), us.shape)
     if rf.kind == PPS_RANK_KIND:
@@ -94,21 +80,6 @@ def inclusion_probability(rf: RankFunction, v: float, threshold: float) -> float
     if rf.kind == PPS_RANK_KIND:
         return min(1.0, v / threshold)
     return 1.0 - math.exp(-v / threshold)
-
-
-def sample_item(v: Sequence[float], u: float, scheme: TauScheme) -> Outcome:
-    """Outcome of sampling one item's data vector at seed ``u``: entry ``i``
-    is revealed iff ``v_i >= tau_i(u)`` (ties sample)."""
-    validate_seed(u)
-    if len(v) != scheme.r:
-        raise ValueError("vector arity does not match scheme")
-    if any(x < lo for x, lo in zip(v, scheme.domain.lows)):
-        raise ValueError("vector lies outside the declared domain")
-    slots = []
-    for i, x in enumerate(v):
-        t = float(scheme.maps[i].value(u))
-        slots.append(Known(float(x)) if x >= t else Unknown(t))
-    return Outcome(u, tuple(slots), scheme)
 
 
 class Samples(Mapping[str, Outcome]):
@@ -210,15 +181,6 @@ class BottomKSample:
             raise ValueError("member count must equal k")
         if len({m.threshold for m in self.members}) > 1:
             raise ValueError("members must share one threshold")
-
-
-def conditional_threshold(ranks: Mapping[str, float], item_id: str, k: int) -> float:
-    """k-th largest rank value with ``item_id`` excluded (the reference
-    definition; :func:`bottomk_sample` reads it off one sort)."""
-    others = sorted((r for i, r in ranks.items() if i != item_id), reverse=True)
-    if len(others) < k:
-        raise ValueError("not enough other items to form a threshold")
-    return others[k - 1]
 
 
 def bottomk_sample(

@@ -21,14 +21,12 @@ from coordest.analysis import (
     competitiveness_ratio,
 )
 from coordest.estimators import (
-    j_cumulative,
     j_estimate,
     mc_query_estimates,
     v_optimal_estimates,
 )
 from coordest.functions import (
     LowerBoundFn,
-    brute_force_lower_bound,
     evaluate,
     lower_bound,
     lower_bound_from_vector,
@@ -43,11 +41,8 @@ from coordest.model import InstanceSet, TauScheme, hash_seed, seeds_for_salts
 from coordest.samplers import (
     EXP_RANK,
     PPS_RANK,
-    conditional_threshold,
     inclusion_probability,
-    rank_value,
     rank_values,
-    sample_item,
 )
 
 from conftest import (
@@ -61,6 +56,7 @@ from conftest import (
     random_vector,
 )
 from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
+from scalar_reference import brute_force_lower_bound, conditional_threshold, j_cumulative, rank_value, sample_item
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
 

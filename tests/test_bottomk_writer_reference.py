@@ -25,10 +25,10 @@ from coordest.samplers import (
     Samples,
     bottomk_sample,
     inclusion_probability,
-    rank_value,
-    sample_item,
     write_samples,
 )
+
+from scalar_reference import rank_value, sample_item
 
 
 def _ref_bottomk_sample(instance_values, k, rf, salt):

@@ -49,8 +49,8 @@ from coordest.analysis import (
 )
 from coordest.estimators import j_estimate_fn, v_optimal_estimates
 from coordest.functions import (
+    _breakpoints,
     _lb_from_bounds,
-    _scheme_breakpoints,
     evaluate,
     lb_function,
     lower_bound_from_vector,
@@ -67,11 +67,12 @@ from coordest.model import (
     hash_seed,
     outcome_columns,
 )
-from coordest.samplers import sample_instances, sample_item
+from coordest.samplers import sample_instances
 
 from conftest import builtin_functions, random_vector
 from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
 from test_corner_hulls import CORNER_TOL, concave_pieces
+from scalar_reference import sample_item
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -652,5 +653,6 @@ def test_flat_head_gives_the_zero_gap_record():
        st.sampled_from([0.0, 0.1, 0.5]))
 @settings(max_examples=200, deadline=None)
 def test_scheme_breakpoints_match_the_two_pair_loops(scheme, levels, left):
-    got = _scheme_breakpoints(scheme, sorted(levels), left)
-    assert sorted(got) == sorted(_ref_scheme_breakpoints(scheme, sorted(levels), left))
+    levels = np.array(sorted(levels))
+    (got,) = _breakpoints(scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([left]))
+    assert list(got) == sorted(_ref_scheme_breakpoints(scheme, levels.tolist(), left) | {1.0})

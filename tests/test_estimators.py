@@ -12,8 +12,6 @@ from coordest.estimators import (
     estimate_query,
     exact_query,
     ht_estimate,
-    ht_estimate_fn,
-    j_cumulative,
     j_estimate,
     j_estimate_fn,
     j_piece_values,
@@ -33,9 +31,10 @@ from coordest.functions import (
 )
 from coordest.hull import integrate_square
 from coordest.model import InstanceSet, TauScheme
-from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances, sample_item
+from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances
 
 from conftest import builtin_functions, random_scheme, random_vector
+from scalar_reference import ht_estimate_fn, j_cumulative, sample_item
 
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coordest.functions import (
-    brute_force_lower_bound,
     domain_infimum,
     evaluate,
     lb_breakpoints,
@@ -18,10 +17,10 @@ from coordest.functions import (
     parse_function,
     rg_fn,
 )
-from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme, is_consistent
-from coordest.samplers import sample_item
+from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
+from scalar_reference import brute_force_lower_bound, is_consistent, sample_item
 
 
 class TestEvaluate:

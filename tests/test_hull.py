@@ -17,7 +17,7 @@ from coordest.analysis import (
     curve_table,
     implication_chain_ok,
 )
-from coordest.estimators import ht_estimate_fn, j_piece_values, v_optimal_estimates
+from coordest.estimators import j_piece_values, v_optimal_estimates
 from coordest.functions import (
     LowerBoundFn,
     evaluate,
@@ -32,6 +32,7 @@ from coordest.model import TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
 from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
+from scalar_reference import ht_estimate_fn
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
 
@@ -299,7 +300,8 @@ class TestCompetitiveness:
         # under a shared PPS threshold the certifying event is a single seed
         # block, so the hull optimum and the inverse-probability estimator
         # coincide for max and min
-        from coordest.estimators import ht_estimate_fn, v_optimal_estimates as vopt
+        from coordest.estimators import v_optimal_estimates as vopt
+        from scalar_reference import ht_estimate_fn
 
         rng = np.random.default_rng(35)
         for _ in range(25):

@@ -16,18 +16,16 @@ from coordest.model import (
     _unit_interval,
     _unit_interval_np,
     hash_seed,
-    is_consistent,
     key_hashes,
     key_seeds,
     mixed_salts,
     seed_cut,
     seeds_for_items,
     seeds_for_salts,
-    tau_at,
 )
-from coordest.samplers import sample_item
 
 from conftest import random_scheme, random_vector
+from scalar_reference import is_consistent, sample_item, tau_at
 
 
 class TestHashSeed:

@@ -50,12 +50,15 @@ def test_verdict_boundary_on_power_gaps(grid_n):
     assert [verdict(p) for p in (0.76, 1.0, 2.0)] == [True] * 3
 
 
-def _count_hulls(monkeypatch) -> list:
-    calls = []
-    real = estimators.v_optimal_estimates
+def _count_hulls(monkeypatch) -> tuple[list, list]:
+    """The calls of the two halves of a hull: its input seeds, which take
+    ``grid_n``, and the hull of the curve's values there."""
+    seeds, hulls = [], []
+    real_seeds, real_hull = estimators.hull_seeds, estimators.hull_estimates
     for module in (analysis, estimators):
-        monkeypatch.setattr(module, "v_optimal_estimates", lambda *a, **k: calls.append(a) or real(*a, **k))
-    return calls
+        monkeypatch.setattr(module, "hull_seeds", lambda *a, **k: seeds.append(a) or real_seeds(*a, **k))
+        monkeypatch.setattr(module, "hull_estimates", lambda *a, **k: hulls.append(a) or real_hull(*a, **k))
+    return seeds, hulls
 
 
 @pytest.mark.parametrize("command", ["analyze", "characterize"])
@@ -65,14 +68,14 @@ def test_one_hull_per_vector(tmp_path, monkeypatch, command):
     rows = rng.lognormal(0.0, 1.0, (6, 3)) * (rng.random((6, 3)) > 0.25)
     path.write_text("item,v1,v2,v3\n" + "".join(f"i{j}," + ",".join(map(repr, r)) + "\n"
                                                  for j, r in enumerate(rows.tolist())))
-    calls = _count_hulls(monkeypatch)
+    seeds, hulls = _count_hulls(monkeypatch)
     argv = [command, "--input", str(path), "--function", "rg:p=1", "--grid-n", "64",
             "--out", str(tmp_path / "out.jsonl")]
     if command == "characterize":
         argv += ["--curves", str(tmp_path / "curves.csv")]
     assert main(argv) == 0
-    assert len(calls) == ingest(path).n_items
-    assert all(a[1] == 64 for a in calls)
+    assert len(seeds) == len(hulls) == ingest(path).n_items
+    assert all(a[1] == 64 for a in seeds)
 
 
 def test_base_grid_is_shared_and_read_only():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordest import analysis, cli, estimators
+from coordest import analysis, estimators
 from coordest.analysis import check_bounded, check_estimable, check_finite_variance, curve_table
 from coordest.cli import _curve_row_format, ingest, main, parse_scheme
 from coordest.functions import lb_function, parse_function, rg_fn
@@ -189,15 +189,15 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
     path = _odd_ids_csv(tmp_path)
     data = ingest(path)
     assert "lead" in data.item_ids and "a,b" in data.item_ids
-    calls = []
-    real = cli.lb_function
-    for module in (cli, analysis, estimators):
-        monkeypatch.setattr(module, "lb_function", lambda *a, **k: calls.append(a) or real(*a, **k))
+    curves_built = []
+    real = analysis.lb_functions
+    for module in (analysis, estimators):
+        monkeypatch.setattr(module, "lb_functions", lambda f, rows, scheme: curves_built.extend(rows) or real(f, rows, scheme))
     out, curves = tmp_path / "out.jsonl", tmp_path / "curves.csv"
     argv = ["characterize", "--input", str(path), "--function", spec, "--grid-n", "64",
             "--out", str(out), "--curves", str(curves)]
     assert main(argv) == 0
-    assert len(calls) == data.n_items
+    assert len(curves_built) == data.n_items
     monkeypatch.undo()
     want_jsonl, want_csv = _old_characterize(
         data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 64, 40)

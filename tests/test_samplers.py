@@ -19,23 +19,20 @@ from coordest.model import (
     Unknown,
     hash_seed,
     seeds_for_salts,
-    tau_at,
 )
 from coordest.samplers import (
     EXP_RANK,
     PPS_RANK,
     bottomk_sample,
-    conditional_threshold,
     inclusion_probability,
-    rank_value,
     rank_values,
     read_samples,
     sample_instances,
-    sample_item,
     write_samples,
 )
 
 from conftest import DEMO_PROBS_1, DEMO_PROBS_2
+from scalar_reference import conditional_threshold, rank_value, sample_item, tau_at
 
 
 class TestSampleItem:
