@@ -21,15 +21,17 @@ import pytest
 from coordest import analysis
 from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_columns, curve_table
 from coordest.cli import console_main
-from coordest.functions import lb_function, lb_functions, rg_fn
-from coordest.model import SNAP_ULPS, PiecewiseLinearMap, PpsMap, snap_crossings
+from coordest.functions import lb_breakpoints, lb_function, lb_functions, max_fn, rg_fn
+from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, PpsMap, snap_crossings
 
 from conftest import builtin_functions
 from scalar_reference import (
+    sample_item,
     scalar_crossings,
     scalar_curve_columns,
     scalar_lb_function,
     scalar_report,
+    scheme_breakpoints,
     snap_crossing,
 )
 from test_head_piece import LOWS, _scheme, _vector
@@ -82,6 +84,22 @@ def test_block_curves_match_the_per_vector_curves(kind):
                 _same_curve(lb_function(f, v, scheme), want, rng)
             crossings += len(curves[-1].breakpoints)
     assert crossings > 6 * len(FUNCTIONS) * 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_outcome_curves_match_the_scalar_breakpoints(kind):
+    # an outcome's levels are its revealed values, and its breakpoints
+    # start past its seed
+    rng = np.random.default_rng(40 + KINDS.index(kind))
+    for k in range(6):
+        scheme, rows = _block(rng, kind, k)
+        for v in rows.tolist():
+            out = sample_item(v, float(rng.uniform(1e-3, 1.0)), scheme)
+            levels = {s.value for s in out.slots if isinstance(s, Known)} | set(scheme.domain.lows)
+            want = tuple(sorted(scheme_breakpoints(scheme, sorted(levels), out.seed) | {1.0}))
+            got = lb_breakpoints(max_fn(3), out)
+            assert got.breakpoints == want
+            assert got.domain_left == out.seed and got.head_piece is None
 
 
 def _report_text(make):
