@@ -23,7 +23,6 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -464,17 +463,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags})
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`, built once per process: parsing leaves it
-    unchanged, and building it (about 1.5 ms: argparse makes a help
-    formatter and looks up message translations for each of the 41 flags)
-    costs more than answering a query over a few hundred items."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     if args.command == "sample":
         return cmd_sample(cfg)
