@@ -143,7 +143,9 @@ class Domain:
     lows: tuple[float, ...]
 
     def __post_init__(self):
-        if any(lo < 0.0 for lo in self.lows):
+        lows = tuple(float(lo) for lo in self.lows)
+        object.__setattr__(self, "lows", lows)
+        if any(lo < 0.0 for lo in lows):
             raise ValueError("domain lower bounds must be nonnegative")
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coordest.functions import lb_function, rg_fn
 from coordest.model import (
     Domain,
     InstanceSet,
@@ -121,6 +122,17 @@ class TestTauMaps:
         with pytest.raises(ValueError):
             TauScheme((m,))
         TauScheme((m,), domain=Domain(lows=(0.5,)))  # fine once declared
+
+    def test_domain_lows_given_as_a_list(self):
+        # lows are stored as a tuple of floats, so a scheme declared with a
+        # list is hashable and its curves match the tuple-declared scheme's
+        m = PiecewiseLinearMap(((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)))
+        listed = TauScheme((m, PpsMap(2.0)), domain=Domain(lows=[0.5, 0]))
+        tupled = TauScheme((m, PpsMap(2.0)), domain=Domain(lows=(0.5, 0.0)))
+        assert listed.domain.lows == (0.5, 0.0) and hash(listed) == hash(tupled)
+        for v in ([0.7, 3.0], [0.5, 0.0], [2.5, 1.0]):
+            want, got = lb_function(rg_fn(2.0, 2), v, tupled), lb_function(rg_fn(2.0, 2), v, listed)
+            assert got.breakpoints == want.breakpoints and got.head_piece == want.head_piece
 
     def test_crossings(self):
         assert PpsMap(4.0).crossings(1.0) == (0.25,)
