@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordest import analysis, estimators
+from coordest import analysis, estimators, functions
 from coordest.analysis import check_bounded, check_estimable, check_finite_variance, curve_table
 from coordest.cli import _curve_row_format, ingest, main, parse_scheme
 from coordest.functions import lb_function, parse_function, rg_fn
@@ -189,10 +189,12 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
     path = _odd_ids_csv(tmp_path)
     data = ingest(path)
     assert "lead" in data.item_ids and "a,b" in data.item_ids
+    # every curve, whichever entry point builds it (lb_function,
+    # lb_functions or lb_breakpoints), takes its breakpoints from one
+    # functions._breakpoints call, which gets one left end per curve
     curves_built = []
-    real = analysis.lb_functions
-    for module in (analysis, estimators):
-        monkeypatch.setattr(module, "lb_functions", lambda f, rows, scheme: curves_built.extend(rows) or real(f, rows, scheme))
+    real = functions._breakpoints
+    monkeypatch.setattr(functions, "_breakpoints", lambda scheme, levels, owners, lefts: curves_built.extend(lefts) or real(scheme, levels, owners, lefts))
     out, curves = tmp_path / "out.jsonl", tmp_path / "curves.csv"
     argv = ["characterize", "--input", str(path), "--function", spec, "--grid-n", "64",
             "--out", str(out), "--curves", str(curves)]
