@@ -32,7 +32,6 @@ from .functions import (
     ItemFunction,
     LowerBoundFn,
     evaluate,
-    lb_breakpoints,
     lb_function,
     lb_functions,
     lower_bound,

@@ -161,7 +161,7 @@ def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
 
 def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
     """Item subset: ``all``, ``both-positive``, ``positive-in:<k>`` (1-based
-    instance), or an explicit comma list of ids."""
+    instance), or an explicit comma list of distinct ids."""
     spec = spec.strip()
     if spec == "all":
         return list(data.item_ids), "all"
@@ -180,6 +180,9 @@ def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
     missing = [i for i in ids if i not in known]
     if missing:
         raise ValueError(f"unknown item ids: {', '.join(missing)}")
+    if len(set(ids)) != len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise ValueError(f"--items: item id {repeated!r} given twice")
     return ids, spec
 
 
@@ -251,9 +254,11 @@ def run_query(cfg: RunConfig) -> dict:
     query, p = parse_query(cfg.query, cfg.p)
     cfg = replace(cfg, query=query, p=p)
     ids, subset = resolve_items(cfg.items, data)
+    # every item: the estimators read all rows as they stand
+    item_ids = None if subset == "all" else ids
 
     if cfg.k is not None:
-        return _run_bottomk_query(cfg, data, ids, subset)
+        return _run_bottomk_query(cfg, data, item_ids, subset)
     if cfg.query == "sum":
         raise ValueError("--query sum is a bottom-k query and needs --k")
 
@@ -265,10 +270,12 @@ def run_query(cfg: RunConfig) -> dict:
         "reps": cfg.reps,
     }
     if cfg.estimator == "exact":
-        res = exact_query(data, cfg.query, ids, p=cfg.p)
+        res = exact_query(data, cfg.query, item_ids, p=cfg.p)
     elif cfg.reps == 1:
         samples = sample_instances(data, scheme, cfg.salt)
-        res = estimate_query(samples, data.r, cfg.query, cfg.estimator, ids, p=cfg.p, data=data, grid_n=cfg.grid_n)
+        res = estimate_query(
+            samples, data.r, cfg.query, cfg.estimator, item_ids, p=cfg.p, data=data, grid_n=cfg.grid_n,
+        )
     else:
         # salts are taken mod 2^64, as hash_seed takes a single salt
         salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
@@ -283,7 +290,7 @@ def run_query(cfg: RunConfig) -> dict:
     return record
 
 
-def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str], subset: str) -> dict:
+def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str] | None, subset: str) -> dict:
     rank_fn = PPS_RANK if cfg.rank == "pps" else EXP_RANK
     inst = cfg.instance - 1
     if not 0 <= inst < data.r:
@@ -407,6 +414,8 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the four subcommands; :func:`main` parses with the
+    one built at import, ``PARSER``."""
     parser = argparse.ArgumentParser(
         prog="coordest",
         description="Coordinated shared-seed sampling and multi-instance estimation.",
@@ -456,6 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps nothing from one parse to the next, so every call of main
+# shares one parser and a process builds it once
+PARSER = build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run config of the parsed flags; a field whose flag the
     subcommand lacks keeps its ``RunConfig`` default."""
@@ -464,7 +478,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     cfg = _config_from_args(args)
     if args.command == "sample":
         return cmd_sample(cfg)

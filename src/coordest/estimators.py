@@ -302,14 +302,27 @@ QUERY_KINDS = (L1, LPP, LP, MAX_SUM, MIN_SUM, JACCARD, DISTINCT)
 
 @dataclass(frozen=True)
 class QueryResult:
+    """A query answer: its ``value``, the ids and per-item estimates of a
+    single sum (read in pairs as ``per_item``), and named ``extras``."""
+
     query: str
     value: float
-    per_item: tuple[tuple[str, float], ...]
+    item_ids: tuple[str, ...] = ()
+    estimates: tuple[float, ...] = ()
     extras: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("query estimates are nonnegative by construction")
+        if len(self.item_ids) != len(self.estimates):
+            raise ValueError("need one estimate per item id")
+        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "estimates", tuple(self.estimates))
+
+    @property
+    def per_item(self) -> tuple[tuple[str, float], ...]:
+        """``(item id, estimate)`` pairs, built when read."""
+        return tuple(zip(self.item_ids, self.estimates))
 
 
 def query_functions(query: str, r: int, p: float | None = None) -> tuple[ItemFunction, ...]:
@@ -357,8 +370,8 @@ def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> Que
     the items of a single sum, or else the sums by name."""
     value = float(query_answers(query, [[s.value] for s in sums], p)[0])
     if len(sums) == 1:
-        return QueryResult(query, value, sums[0].per_item)
-    return QueryResult(query, value, (), tuple((f"{f.kind}sum", s.value) for f, s in zip(fs, sums)))
+        return QueryResult(query, value, sums[0].item_ids, sums[0].estimates)
+    return QueryResult(query, value, extras=tuple((f"{f.kind}sum", s.value) for f, s in zip(fs, sums)))
 
 
 def _sequential_sum(xs: Sequence[float]) -> float:
@@ -382,30 +395,35 @@ def sum_estimate(
 ) -> QueryResult:
     """Sum of per-item estimates of ``f`` over the selected items.
 
-    J and HT take one kernel call over the selected rows of the samples.
-    The hull-derivative oracle needs the true data: it takes the items'
-    curves from :func:`lb_functions`, ``MC_ITEM_BLOCK`` at a time, and reads
-    each item's hull at the item's seed.
+    J and HT take one kernel call over the selected rows of the samples,
+    and ``item_ids=None`` selects every row as it stands.  The
+    hull-derivative oracle needs the true data: it takes the items' curves
+    from :func:`lb_functions`, ``MC_ITEM_BLOCK`` at a time, and reads each
+    item's hull at the item's seed.  Its data rows are the samples' own
+    unless their ids differ from the data's, when each is found by id.
     """
-    ids = list(samples) if item_ids is None else [str(i) for i in item_ids]
     if estimator == "voptimal-oracle" and data is None:
         raise ValueError("the hull-derivative oracle needs the true data")
     if estimator not in ("j", "ht", "voptimal-oracle"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    estimates = []
-    if ids:
-        s = Samples.from_outcomes(samples)
-        rows = s.indices(ids)
-        if estimator == "j":
-            estimates = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme).tolist()
-        elif estimator == "ht":
-            estimates = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme).tolist()
-        else:
-            vectors, seeds = data.matrix[data.indices(ids)], s.seeds[rows].tolist()
-            for start in range(0, len(ids), MC_ITEM_BLOCK):
-                lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
-                estimates += [v_optimal_estimates(lbf, grid_n).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
-    return QueryResult(f"sum[{f.describe()}]", _sequential_sum(estimates), tuple(zip(ids, estimates)))
+    name = f"sum[{f.describe()}]"
+    ids = None if item_ids is None else [str(i) for i in item_ids]
+    if not (samples if ids is None else ids):
+        return QueryResult(name, 0.0)
+    s = Samples.from_outcomes(samples)
+    rows = slice(None) if ids is None else s.indices(ids)
+    ids = s.item_ids if ids is None else ids
+    if estimator == "j":
+        estimates = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme).tolist()
+    elif estimator == "ht":
+        estimates = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme).tolist()
+    else:
+        vectors = data.matrix if ids == data.item_ids else data.matrix[data.indices(ids)]
+        seeds, estimates = s.seeds[rows].tolist(), []
+        for start in range(0, len(ids), MC_ITEM_BLOCK):
+            lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
+            estimates += [v_optimal_estimates(lbf, grid_n).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
+    return QueryResult(name, _sequential_sum(estimates), ids, estimates)
 
 
 def exact_query(
@@ -414,14 +432,18 @@ def exact_query(
     item_ids: Sequence[str] | None = None,
     p: float | None = None,
 ) -> QueryResult:
-    """Ground-truth query answer straight from the data."""
-    ids = list(data.item_ids) if item_ids is None else [str(i) for i in item_ids]
+    """Ground-truth query answer straight from the data; ``item_ids=None``
+    reads every row as it stands."""
     fs = query_functions(query, data.r, p)
-    rows = data.matrix[data.indices(ids)]
+    if item_ids is None:
+        ids, rows = data.item_ids, data.matrix
+    else:
+        ids = [str(i) for i in item_ids]
+        rows = data.matrix[data.indices(ids)]
     sums = []
     for f in fs:
         values = evaluate_many(f, rows).tolist()
-        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), tuple(zip(ids, values))))
+        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), ids, values))
     return _answer(query, p, fs, sums)
 
 
@@ -488,9 +510,7 @@ def bottomk_estimate(
         estimates = j_estimates(f, seeds, revealed, np.where(revealed, values, taus), scheme).tolist()
     else:
         estimates = []
-    return QueryResult(
-        f"bottomk-{query}", _sequential_sum(estimates), tuple(zip((m.item_id for m in members), estimates))
-    )
+    return QueryResult(f"bottomk-{query}", _sequential_sum(estimates), [m.item_id for m in members], estimates)
 
 
 # ---------------------------------------------------------------------------

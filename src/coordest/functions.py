@@ -396,17 +396,6 @@ def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> Lower
     return lb_functions(f, _column(v).T, scheme)[0]
 
 
-def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
-    """Piecewise lower-bound representation for an outcome, valid on
-    ``[outcome.seed, 1]``: its levels are its revealed values, and it
-    carries no head piece."""
-    _, revealed, values = outcome_columns([outcome])
-    levels = values[revealed]
-    bps = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))[0]
-    value_fn = partial(lower_bounds, f, values.T, revealed.T, scheme=outcome.scheme)
-    return LowerBoundFn(bps, outcome.seed, value_fn, f.p)
-
-
 def curve_values(f: ItemFunction, rows: np.ndarray, seeds: Sequence[np.ndarray], scheme: TauScheme) -> list[np.ndarray]:
     """The lower bound of each data vector ``rows[k]`` at its own seeds
     ``seeds[k]``, from one :func:`lower_bounds` call over all of them: the

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from coordest.functions import (
     ItemFunction,
     LowerBoundFn,
     _box_bounds,
+    _breakpoints,
     _lb_from_bounds,
     evaluate,
     evaluate_many,
@@ -39,7 +41,17 @@ from coordest.functions import (
     lower_bounds,
 )
 from coordest.hull import EstimateFn, integrate_square, scaled_squares
-from coordest.model import SNAP_ULPS, Known, Outcome, PiecewiseLinearMap, PpsMap, TauScheme, Unknown, validate_seed
+from coordest.model import (
+    SNAP_ULPS,
+    Known,
+    Outcome,
+    PiecewiseLinearMap,
+    PpsMap,
+    TauScheme,
+    Unknown,
+    outcome_columns,
+    validate_seed,
+)
 from coordest.samplers import PPS_RANK_KIND, RankFunction
 
 # ---------------------------------------------------------------------------
@@ -170,6 +182,17 @@ def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n:
     grids = np.meshgrid(*axes, indexing="ij")
     z = np.stack([g.ravel() for g in grids], axis=1)
     return float(evaluate_many(f, z).min())
+
+
+def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
+    """Piecewise lower-bound representation for an outcome, valid on
+    ``[outcome.seed, 1]``: its levels are its revealed values, and it
+    carries no head piece."""
+    _, revealed, values = outcome_columns([outcome])
+    levels = values[revealed]
+    bps = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))[0]
+    value_fn = partial(lower_bounds, f, values.T, revealed.T, scheme=outcome.scheme)
+    return LowerBoundFn(bps, outcome.seed, value_fn, f.p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ import pytest
 from coordest import analysis
 from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_columns, curve_table
 from coordest.cli import console_main
-from coordest.functions import lb_breakpoints, lb_function, lb_functions, max_fn, rg_fn
+from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
 from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, PpsMap, snap_crossings
 
 from conftest import builtin_functions
 from scalar_reference import (
+    lb_breakpoints,
     sample_item,
     scalar_crossings,
     scalar_curve_columns,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import coordest
+from coordest import cli
 from coordest.cli import (
     RunConfig,
     _config_from_args,
@@ -249,6 +251,74 @@ class TestResolveItems:
         data = ingest(DEMO_CSV)
         with pytest.raises(ValueError, match="unknown item"):
             resolve_items("1,99", data)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("estimate", ["--query", "l1", "--estimator", "exact"]),
+        ("estimate", ["--query", "l1", "--estimator", "j"]),
+        ("estimate", ["--query", "sum", "--k", "2"]),
+        ("analyze", ["--function", "max"]),
+        ("characterize", ["--function", "max"]),
+    ])
+    def test_repeated_id_is_an_error(self, capsys, command, flags):
+        # counted once per mention, a repeated id would double its item
+        assert console_main([command, "--input", str(DEMO_CSV), *flags, "--items", "3,1, 3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "coordest: error: --items: item id '3' given twice\n"
+
+
+class _Parsed(Exception):
+    """Raised in place of running a command once its flags are parsed."""
+
+
+class TestSharedParser:
+    TAKES = {
+        "sample": [],
+        "estimate": [["--p", "2"], ["--k", "5"]],
+        "analyze": [],
+        "characterize": [["--curves", "c.csv"]],
+    }
+    REQUIRED = {"sample": [], "estimate": ["--query", "lpp"], "analyze": ["--function", "max"],
+                "characterize": ["--function", "max"]}
+
+    def _argvs(self):
+        """Every subcommand with and without each flag it takes, the
+        runs with a flag before those without it."""
+        for command, optional in self.TAKES.items():
+            for given in itertools.product((True, False), repeat=len(optional) + 1):
+                argv = [command, "--input", str(DEMO_CSV), *self.REQUIRED[command]]
+                for flag, on in zip([["--scheme-file", "maps.txt"], *optional], given):
+                    argv += flag if on else []
+                yield argv
+
+    def test_parsing_leaves_the_parser_unchanged(self, monkeypatch, capsys):
+        parsed = []
+
+        def capture(args):
+            parsed.append(vars(args))
+            raise _Parsed
+
+        def rebuild():
+            raise AssertionError("main built a parser")
+
+        def parse(argv):
+            with pytest.raises(_Parsed):
+                main(argv)
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "_config_from_args", capture)
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        argvs = list(self._argvs())
+        for argv in argvs:
+            assert parse(argv) == vars(build_parser().parse_args(argv)), argv
+        # argparse exits part way through the flags
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--k", "5", "--p", "two"])
+        assert exc.value.code == 2 and "--p: invalid float value: 'two'" in capsys.readouterr().err
+        for argv in reversed(argvs):
+            assert parse(argv) == vars(build_parser().parse_args(argv)), argv
+        lpp = ["estimate", "--input", str(DEMO_CSV), "--query", "lpp", "--p", "2"]
+        assert parse(lpp)["p"] == 2.0
+        assert parse([*lpp[:4], "l1"])["p"] is None
 
 
 class TestRunConfig:

@@ -6,7 +6,6 @@ import pytest
 from coordest.functions import (
     domain_infimum,
     evaluate,
-    lb_breakpoints,
     lb_function,
     lower_bound,
     lower_bound_from_vector,
@@ -20,7 +19,7 @@ from coordest.functions import (
 from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
-from scalar_reference import brute_force_lower_bound, is_consistent, sample_item
+from scalar_reference import brute_force_lower_bound, is_consistent, lb_breakpoints, sample_item
 
 
 class TestEvaluate:

@@ -189,8 +189,8 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
     path = _odd_ids_csv(tmp_path)
     data = ingest(path)
     assert "lead" in data.item_ids and "a,b" in data.item_ids
-    # every curve, whichever entry point builds it (lb_function,
-    # lb_functions or lb_breakpoints), takes its breakpoints from one
+    # every curve, whichever entry point builds it (lb_function or
+    # lb_functions), takes its breakpoints from one
     # functions._breakpoints call, which gets one left end per curve
     curves_built = []
     real = functions._breakpoints
