@@ -271,6 +271,8 @@ class _Parsed(Exception):
 
 
 class TestSharedParser:
+    # the optional flags of each subcommand besides --scheme-file, which
+    # every subcommand takes
     TAKES = {
         "sample": [],
         "estimate": [["--p", "2"], ["--k", "5"]],
