@@ -21,7 +21,7 @@ ratio (Jaccard) and the root (Lp from Lp^p) from those sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -303,10 +303,12 @@ QUERY_KINDS = (L1, LPP, LP, MAX_SUM, MIN_SUM, JACCARD, DISTINCT)
 @dataclass(frozen=True)
 class QueryResult:
     """A query answer: its ``value``, the ids and per-item estimates of a
-    single sum (read in pairs as ``per_item``), and named ``extras``."""
+    single sum (read in pairs as ``per_item``), and named ``extras``; all
+    but ``query`` and ``value`` are keyword-only."""
 
     query: str
     value: float
+    _: KW_ONLY
     item_ids: tuple[str, ...] = ()
     estimates: tuple[float, ...] = ()
     extras: tuple[tuple[str, float], ...] = ()
@@ -370,7 +372,7 @@ def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> Que
     the items of a single sum, or else the sums by name."""
     value = float(query_answers(query, [[s.value] for s in sums], p)[0])
     if len(sums) == 1:
-        return QueryResult(query, value, sums[0].item_ids, sums[0].estimates)
+        return QueryResult(query, value, item_ids=sums[0].item_ids, estimates=sums[0].estimates)
     return QueryResult(query, value, extras=tuple((f"{f.kind}sum", s.value) for f, s in zip(fs, sums)))
 
 
@@ -399,8 +401,7 @@ def sum_estimate(
     and ``item_ids=None`` selects every row as it stands.  The
     hull-derivative oracle needs the true data: it takes the items' curves
     from :func:`lb_functions`, ``MC_ITEM_BLOCK`` at a time, and reads each
-    item's hull at the item's seed.  Its data rows are the samples' own
-    unless their ids differ from the data's, when each is found by id.
+    item's hull at the item's seed.
     """
     if estimator == "voptimal-oracle" and data is None:
         raise ValueError("the hull-derivative oracle needs the true data")
@@ -418,12 +419,12 @@ def sum_estimate(
     elif estimator == "ht":
         estimates = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme).tolist()
     else:
-        vectors = data.matrix if ids == data.item_ids else data.matrix[data.indices(ids)]
+        vectors = data.matrix[data.indices(ids)]
         seeds, estimates = s.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
             estimates += [v_optimal_estimates(lbf, grid_n).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
-    return QueryResult(name, _sequential_sum(estimates), ids, estimates)
+    return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
 def exact_query(
@@ -443,7 +444,7 @@ def exact_query(
     sums = []
     for f in fs:
         values = evaluate_many(f, rows).tolist()
-        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), ids, values))
+        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), item_ids=ids, estimates=values))
     return _answer(query, p, fs, sums)
 
 
@@ -510,7 +511,9 @@ def bottomk_estimate(
         estimates = j_estimates(f, seeds, revealed, np.where(revealed, values, taus), scheme).tolist()
     else:
         estimates = []
-    return QueryResult(f"bottomk-{query}", _sequential_sum(estimates), [m.item_id for m in members], estimates)
+    return QueryResult(
+        f"bottomk-{query}", _sequential_sum(estimates), item_ids=[m.item_id for m in members], estimates=estimates
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coordest.cli import main
-from coordest.estimators import MC_ITEM_BLOCK, bottomk_estimate, exact_query, sum_estimate
+from coordest.estimators import MC_ITEM_BLOCK, QueryResult, bottomk_estimate, exact_query, sum_estimate
 from coordest.functions import max_fn, min_fn, rg_fn
 from coordest.model import TauScheme, ingest
 from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances
@@ -106,3 +106,14 @@ def test_empty_input_answers_zero_over_all_items(tmp_path, capsys, estimator, qu
     path.write_text("item,v1,v2\n")
     argv = ["estimate", "--input", str(path), "--query", query, "--estimator", estimator]
     assert _record(capsys, argv)["value"] == 0.0
+
+
+def test_query_result_takes_its_sum_by_keyword():
+    # the (id, estimate) pairs of old are no longer a field: passing them,
+    # by position or as per_item, fails rather than builds another result
+    with pytest.raises(TypeError):
+        QueryResult("q", 1.0, (("a", 1.0),))
+    with pytest.raises(TypeError):
+        QueryResult("q", 1.0, per_item=(("a", 1.0),))
+    res = QueryResult("q", 1.0, item_ids=["a"], estimates=[1.0])
+    assert res.item_ids == ("a",) and res.per_item == (("a", 1.0),)
