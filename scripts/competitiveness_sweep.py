@@ -25,7 +25,6 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=200, help="vectors per function")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--grid-n", type=int, default=384)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -42,7 +41,7 @@ def main() -> None:
         for _ in range(args.n):
             v = tuple(np.where(rng.random(2) < 0.25, 0.0, rng.uniform(0, 2.5, 2)))
             scheme = TauScheme.pps([float(t) for t in rng.uniform(0.5, 4.0, 2)])
-            rep = competitiveness_ratio(v, f, scheme, grid_n=args.grid_n)
+            rep = competitiveness_ratio(v, f, scheme)
             rows.append(
                 {
                     "function": f.describe(),

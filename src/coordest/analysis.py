@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, GRID_N, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
+from .estimators import DEPTH, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
 from .hull import integrate_square, scaled_squares
 from .model import TauScheme
@@ -44,10 +44,7 @@ MAX_DEPTH = 1073
 CURVE_SEEDS = 8
 
 # Data vectors whose curves, dyadic tables and hull inputs are built in one
-# pass of a few array calls: memory stays flat in the vector count.  The
-# hull grid of rg:p=2 is the largest input: on the benchmark's analysis
-# input, characterize rg:p=2 --curves peaks about 0.5 MB above one vector
-# at a time with blocks of 16, and about 1.7 MB above it with blocks of 32.
+# pass of a few array calls: memory stays flat in the vector count.
 CURVE_BLOCK = 16
 
 
@@ -179,9 +176,7 @@ def _one_row(v: Sequence[float]) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(1, -1)
 
 
-def competitiveness_ratio(
-    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
-) -> AnalysisReport:
+def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> AnalysisReport:
     """Squared-mass ratio of the dyadic estimator to the hull optimum: one
     row of :func:`competitiveness_reports`.
 
@@ -191,10 +186,10 @@ def competitiveness_ratio(
     side is the truncated hull integral, a slight underestimate.  The
     reported ratio is therefore conservative.
     """
-    return next(competitiveness_reports(_one_row(v), f, scheme, grid_n, depth))
+    return next(competitiveness_reports(_one_row(v), f, scheme, depth))
 
 
-def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH):
+def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, depth: int = DEPTH):
     """The :func:`competitiveness_ratio` report of each data vector in the
     rows of an (n, r) array, in order.
 
@@ -211,15 +206,15 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, grid_n: in
         # deep mass for data revealed only at tiny seeds
         depths = [max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
         tables = j_piece_tables(block, f, scheme, max(depths))
-        hulls = [hull_seeds(lbf, grid_n) if fv != 0.0 else (None, np.empty(0)) for lbf, fv in zip(lbfs, fvs)]
+        hulls = [hull_seeds(lbf) if fv != 0.0 else (None, np.empty(0)) for lbf, fv in zip(lbfs, fvs)]
         # the last seed of each vector is its tail seed
         seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
         values = curve_values(f, block, seeds, scheme)
         for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, grid_n, depth, depths[k], tables[k], hulls[k][0], values[k])
+            yield _report(lbfs[k], fvs[k], v, scheme, depth, depths[k], tables[k], hulls[k][0], values[k])
 
 
-def _report(lbf, fv, v, scheme, grid_n, depth, deep, table, xs, values) -> AnalysisReport:
+def _report(lbf, fv, v, scheme, depth, deep, table, xs, values) -> AnalysisReport:
     """The report of data ``v`` from its curve ``lbf`` and ``f`` value
     ``fv``: the dyadic values ``table`` down to depth ``deep`` at least,
     and the curve at the hull inputs ``xs`` but the last and at the tail
@@ -230,7 +225,6 @@ def _report(lbf, fv, v, scheme, grid_n, depth, deep, table, xs, values) -> Analy
         "estimable_gap": est_check.value,
         "bounded_slope": bd_check.value,
         "depth": depth,
-        "grid_n": grid_n,
     }
     if fv == 0.0:
         # the zero function on zero-valued data: both estimators vanish
@@ -255,7 +249,7 @@ def _report(lbf, fv, v, scheme, grid_n, depth, deep, table, xs, values) -> Analy
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    sq_opt = integrate_square(hull_estimates(xs, values[:-1]))
+    sq_opt = integrate_square(hull_estimates(lbf, xs, values[:-1]))
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
@@ -279,7 +273,7 @@ def _report(lbf, fv, v, scheme, grid_n, depth, deep, table, xs, values) -> Analy
 
 
 def curve_table(
-    v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N, depth: int = DEPTH
+    v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH
 ) -> list[tuple[float, float, float, float, float]]:
     """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` at every
     breakpoint and one float right of it (a jump shows as two adjacent
@@ -292,26 +286,18 @@ def curve_table(
     :func:`curve_columns`.
 
     The hull column is the cumulative optimal estimate (the integral of the
-    optimal column from u to 1).  It sits on or below the lower bound at the
-    seeds the hull was built from (:func:`v_optimal_estimates`: the curve's
-    corners, and for ``rg`` and one-sided ``rg`` with ``p > 1`` its own
-    grid).  A curve with concave pieces lies above its corners' hull
-    everywhere, so for every other function the hull column stays on or
-    below the lower bound up to rounding.  Between the grid seeds of a
-    ``p > 1`` curve the hull is linear while the curve is convex, so at the
-    interior seeds of this table the hull column can exceed the lower bound
-    (on the 120 vectors of the benchmark's seed-401 ``analysis`` input under
-    ``rg:p=2``, by up to 4.1e-3 * f(v)).
+    optimal column from u to 1): the lower hull of the curve
+    (:func:`v_optimal_estimates`), which stays on or below the lower bound
+    up to rounding.  A curve with concave pieces lies above the hull of its
+    corners; the hull of a curve of convex arcs (``rg`` and one-sided
+    ``rg`` with ``p > 1``) follows the arcs where it touches them.
     """
     row = _one_row(v)
-    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme, grid_n, depth))
+    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme, depth))
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def curve_columns(
-    rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme,
-    grid_n: int = GRID_N, depth: int = DEPTH,
-):
+def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH):
     """The five columns of :func:`curve_table` of each data vector
     ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
     (0, 1].
@@ -320,24 +306,35 @@ def curve_columns(
     :func:`curve_values` call.  The curve is read at every seed a vector's
     rows or hull can take: its hull inputs, its breakpoints, the dyadic
     piece ends and the interior seeds.  A vector's hull, the
-    ``v_optimal_estimates(lbf, grid_n)`` of its curve, is built when its
-    columns are taken, and its rows are then looked up among those seeds.
+    ``v_optimal_estimates(lbf)`` of its curve, is built when its columns
+    are taken, and its rows are then looked up among those seeds; a hull
+    of convex arcs reads no curve values and is built before the call, so
+    that the seeds where it meets and leaves the arcs are among them.
     """
     j_depth = min(depth, 40)
     tables = j_piece_tables(rows, f, scheme, j_depth)
     j_ends = np.ldexp(1.0, np.arange(-j_depth - 1, 1))
-    hulls = [hull_seeds(lbf, grid_n) for lbf in lbfs]
+    hulls = [hull_seeds(lbf) for lbf in lbfs]
     inner = [_interior_seeds(lbf, xs[0]) for lbf, (xs, _) in zip(lbfs, hulls)]
-    seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us)))
-             for lbf, (_, at), us in zip(lbfs, hulls, inner)]
+    # a hull that reads the curve at no seed (one of convex arcs) is built
+    # first, and the seeds just right of the breakpoints are read for it
+    arcs = [None if len(at) else hull_estimates(lbf, xs, at) for lbf, (xs, at) in zip(lbfs, hulls)]
+    seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us) if opt is None else
+                                      (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))
+             for lbf, (_, at), us, opt in zip(lbfs, hulls, inner, arcs)]
     values = curve_values(f, rows, seeds, scheme)
-    for lbf, (xs, at), table, us, known, lb in zip(lbfs, hulls, tables, inner, seeds, values):
-        opt = hull_estimates(xs, lb[np.searchsorted(known, at)])
+    for lbf, (xs, at), table, us, known, lb, opt in zip(lbfs, hulls, tables, inner, seeds, values, arcs):
+        if opt is None:
+            opt = hull_estimates(lbf, xs, lb[np.searchsorted(known, at)])
         j_fn = dyadic_pieces(table)
-        bps = np.array(lbf.breakpoints)
-        after = np.nextafter(bps[bps < 1.0], np.inf)
-        us = np.unique(np.concatenate((bps, after, opt.los, opt.his, j_fn.los, j_fn.his, us)))
+        us = np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_fn.los, j_fn.his, us)))
         yield us, lb[np.searchsorted(known, us)], opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+
+
+def _after(lbf: LowerBoundFn) -> np.ndarray:
+    """The seed one float right of each breakpoint below 1."""
+    bps = np.array(lbf.breakpoints)
+    return np.nextafter(bps[bps < 1.0], np.inf)
 
 
 def _interior_seeds(lbf: LowerBoundFn, anchor: float) -> np.ndarray:

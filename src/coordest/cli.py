@@ -31,7 +31,6 @@ import numpy as np
 from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curve_columns, implication_chain_ok
 from .estimators import (
     DEPTH,
-    GRID_N,
     LP,
     LPP,
     QUERY_KINDS,
@@ -176,14 +175,22 @@ def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
         keep = data.matrix[:, k] > 0
         return [item for item, ok in zip(data.item_ids, keep.tolist()) if ok], spec
     ids = [s.strip() for s in spec.split(",") if s.strip()]
+    if not ids:
+        raise ValueError(f"--items {spec!r} names no item id")
     known = set(data.item_ids)
     missing = [i for i in ids if i not in known]
     if missing:
-        raise ValueError(f"unknown item ids: {', '.join(missing)}")
+        raise ValueError(f"--items: unknown item ids: {', '.join(missing)}")
     if len(set(ids)) != len(ids):
         repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
         raise ValueError(f"--items: item id {repeated!r} given twice")
     return ids, spec
+
+
+# the most salts of one Monte Carlo sweep: it holds 8 bytes a salt for the
+# salts, for their mixed form and for each of up to two sums, and 2^25
+# salts take 1 GiB so
+MAX_REPS = 2**25
 
 
 @dataclass
@@ -201,7 +208,6 @@ class RunConfig:
     salt: int = 0
     reps: int = 1
     out: Path | None = None
-    grid_n: int = GRID_N
     k: int | None = None
     rank: str = "pps"
     instance: int = 1
@@ -209,8 +215,8 @@ class RunConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {self.reps!r}")
-        if self.grid_n < 16:
-            raise ValueError(f"--grid-n must be at least 16, got {self.grid_n!r}")
+        if self.reps > MAX_REPS:
+            raise ValueError(f"--reps must be at most {MAX_REPS} (1 GiB of salts and sums), got {self.reps!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"--k must be at least 1, got {self.k!r}")
         if self.p is not None and not (math.isfinite(self.p) and self.p > 0.0):
@@ -273,15 +279,11 @@ def run_query(cfg: RunConfig) -> dict:
         res = exact_query(data, cfg.query, item_ids, p=cfg.p)
     elif cfg.reps == 1:
         samples = sample_instances(data, scheme, cfg.salt)
-        res = estimate_query(
-            samples, data.r, cfg.query, cfg.estimator, item_ids, p=cfg.p, data=data, grid_n=cfg.grid_n,
-        )
+        res = estimate_query(samples, data.r, cfg.query, cfg.estimator, item_ids, p=cfg.p, data=data)
     else:
         # salts are taken mod 2^64, as hash_seed takes a single salt
         salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
-        estimates = mc_query_estimates(
-            data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator, grid_n=cfg.grid_n,
-        )
+        estimates = mc_query_estimates(data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator)
         std = float(estimates.std(ddof=1))
         record.update(value=float(estimates.mean()), stderr=std / math.sqrt(cfg.reps), std=std)
         return record
@@ -347,7 +349,7 @@ def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
     f = _item_function(cfg, data.r, "analyze")
     ids, subset = resolve_items(cfg.items, data)
     rows = data.matrix[data.indices(ids)]
-    reports = competitiveness_reports(rows, f, scheme, grid_n=cfg.grid_n)
+    reports = competitiveness_reports(rows, f, scheme)
     failed = False
     for item, v in zip(ids, rows.tolist()):
         # a variance past the largest float (data near 1e-310) is not JSON
@@ -391,7 +393,7 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
     try:
         # one curve per vector serves the verdicts and the curve rows
         for block, fvs, lbfs in curve_blocks(data.matrix[data.indices(ids)], f, scheme):
-            columns = curve_columns(block, lbfs, f, scheme, cfg.grid_n, DEPTH) if curves_fp is not None else None
+            columns = curve_columns(block, lbfs, f, scheme, DEPTH) if curves_fp is not None else None
             # items last: zip stops at the end of the block before taking one
             for v, fv, lbf, item in zip(block.tolist(), fvs, lbfs, items):
                 with _error_source(f"item {item!r}"):
@@ -423,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # every default is RunConfig's
     default = {f.name: f.default for f in fields(RunConfig)}
-    grid_help = ("uniform seeds of the hull grid (>= 16), used only by rg and one-sided rg with p > 1; "
-                 "other hulls are taken from the curve's corners; one hull per vector serves its estimates and curve rows")
 
     def common(p: argparse.ArgumentParser, scheme: bool = True):
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
@@ -447,19 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--k", type=int, default=None, help="bottom-k mode: sample size")
     p_est.add_argument("--rank", default=default["rank"], choices=("pps", "exp"))
     p_est.add_argument("--instance", type=int, default=default["instance"], help="bottom-k mode: 1-based instance")
-    p_est.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
 
     p_an = sub.add_parser("analyze", help="competitiveness reports per item")
     common(p_an)
     p_an.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
     p_an.add_argument("--items", default=default["items"])
-    p_an.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
 
     p_ch = sub.add_parser("characterize", help="estimability verdicts per item")
     common(p_ch)
     p_ch.add_argument("--function", required=True)
     p_ch.add_argument("--items", default=default["items"])
-    p_ch.add_argument("--grid-n", type=int, default=default["grid_n"], help=grid_help)
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")
 
     return parser

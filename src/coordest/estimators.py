@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from .functions import (
     or_fn,
     rg_fn,
 )
-from .hull import EstimateFn, lower_hull
+from .hull import EstimateFn, arc_hull, lower_hull
 from .model import (
     InstanceSet,
     Outcome,
@@ -59,8 +58,7 @@ from .samplers import (
 
 HULL_LEFT_ANCHOR = 1e-12
 
-# uniform seeds of a hull grid, and dyadic pieces an analysis materialises
-GRID_N = 256
+# dyadic pieces an analysis materialises
 DEPTH = 40
 
 
@@ -218,24 +216,24 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 # hull-derivative (minimum-variance) estimates
 
 
-@lru_cache(maxsize=64)
-def base_grid(grid_n: int, lo: float, count: int) -> np.ndarray:
-    """The sorted unique seeds of ``linspace(1/grid_n, 1, grid_n)`` and
-    ``geomspace(lo, 1, count)``; read-only, as equal calls share it."""
-    us = np.unique(np.concatenate([np.linspace(1.0 / grid_n, 1.0, grid_n), np.geomspace(lo, 1.0, count)]))
-    us.flags.writeable = False
-    return us
+def v_optimal_estimates(lb: LowerBoundFn) -> EstimateFn:
+    """Negated slopes of the lower hull of a full lower-bound curve:
+    :func:`hull_estimates` of the curve read at its :func:`hull_seeds`."""
+    xs, at = hull_seeds(lb)
+    return hull_estimates(lb, xs, lb.value(at))
 
 
-def v_optimal_estimates(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
-    """Piecewise-constant negated slopes of the lower hull of a full
-    lower-bound curve: :func:`hull_estimates` of the curve read at its
-    :func:`hull_seeds`."""
-    xs, at = hull_seeds(lb, grid_n)
-    return hull_estimates(xs, lb.value(at))
+def _convex_arcs(lb: LowerBoundFn) -> bool:
+    """Whether the pieces of ``lb`` are convex arcs ``(c + d*u)^p``, p > 1;
+    a curve of no known form (exponent ``math.inf``) is an error."""
+    if lb.exponent is None or lb.exponent <= 1.0:
+        return False
+    if lb.pieces is None or math.isinf(lb.exponent):
+        raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
+    return True
 
 
-def hull_seeds(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.ndarray]:
+def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
     """The u coordinates ``xs`` of the hull's input points, and the seeds
     ``at`` to read the curve at for all of them but the last, ``(1, 0)``.
 
@@ -246,23 +244,20 @@ def hull_seeds(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.n
     certainty keep its full mass.  A curve with concave pieces (constant
     ones, or ``(c + d*u)^p`` with ``p <= 1``: every item function but
     ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull vertices only
-    at those corners; any other curve is also sampled on a
-    uniform-plus-geometric grid of ``grid_n`` uniform seeds.
+    at those corners.  A curve of convex arcs takes its hull from the
+    closed form of its pieces: ``xs`` is the anchor alone and ``at`` is
+    empty.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
     if lb.domain_left > HULL_LEFT_ANCHOR:
         raise ValueError("need a lower-bound curve valid on all of (0, 1]")
     # all the action sits at small seeds, and a curve whose first breakpoint
     # is tiny (values revealed only with tiny probability) keeps its mass
     # below the default anchor; scale the anchor under the curve's head.
-    # Below a subnormal head the anchor may underflow to 0 and its
-    # reciprocal overflow; 324 decades reach from the smallest float to 1
+    # Below a subnormal head the anchor may underflow to 0
     anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
+    if _convex_arcs(lb):
+        return np.array([anchor]), np.empty(0)
     us = np.array(lb.breakpoints, dtype=float)
-    if lb.exponent is not None and lb.exponent > 1.0:
-        decades = min(math.log10(1.0 / anchor), 324.0)
-        us = np.unique(np.concatenate([base_grid(grid_n, anchor, int(max(grid_n, 128, 12 * decades))), us]))
     us = us[(us > anchor) & (us <= 1.0)]
     # The curve is left-continuous and may jump down across a breakpoint; the
     # cumulative estimate is continuous and capped at every seed beyond the
@@ -272,10 +267,13 @@ def hull_seeds(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.n
     return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
 
 
-def hull_estimates(xs: np.ndarray, ys: np.ndarray) -> EstimateFn:
-    """The negated slopes of the lower hull of the points ``(xs, ys)`` and
-    ``(xs[-1], 0)``, the :func:`hull_seeds` of a curve and its values
-    there."""
+def hull_estimates(lb: LowerBoundFn, xs: np.ndarray, ys: np.ndarray) -> EstimateFn:
+    """The negated slopes of the lower hull of the curve ``lb`` from its
+    :func:`hull_seeds` ``xs`` and its values ``ys`` there: of the points
+    ``(xs, ys)`` and ``(xs[-1], 0)``, or, for a curve of convex arcs, of
+    its arcs from the anchor ``xs[0]`` (:func:`arc_hull`)."""
+    if _convex_arcs(lb):
+        return arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(xs[0]))
     ys = np.append(ys, 0.0)
     hu, hy = np.array(lower_hull(np.column_stack((xs, ys))).vertices).T
     # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)): fmax turns a
@@ -393,7 +391,6 @@ def sum_estimate(
     item_ids: Sequence[str] | None = None,
     *,
     data: InstanceSet | None = None,
-    grid_n: int = GRID_N,
 ) -> QueryResult:
     """Sum of per-item estimates of ``f`` over the selected items.
 
@@ -423,7 +420,7 @@ def sum_estimate(
         seeds, estimates = s.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
-            estimates += [v_optimal_estimates(lbf, grid_n).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
+            estimates += [v_optimal_estimates(lbf).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
@@ -457,12 +454,11 @@ def estimate_query(
     p: float | None = None,
     *,
     data: InstanceSet | None = None,
-    grid_n: int = GRID_N,
 ) -> QueryResult:
     """Query answer from coordinated samples: the sum of per-item estimates
     of each of :func:`query_functions`, answered by :func:`query_answers`."""
     fs = query_functions(query, r, p)
-    sums = [sum_estimate(samples, f, estimator, item_ids, data=data, grid_n=grid_n) for f in fs]
+    sums = [sum_estimate(samples, f, estimator, item_ids, data=data) for f in fs]
     return _answer(query, p, fs, sums)
 
 
@@ -552,7 +548,6 @@ def _mc_sums(
     item_ids: Sequence[str],
     salts: np.ndarray,
     estimator: str,
-    grid_n: int,
 ) -> np.ndarray:
     """Sum over the items of each function's estimate, per salt: an
     ``(len(fs), len(salts))`` array.
@@ -577,7 +572,7 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            by_function = [[v_optimal_estimates(lbf, grid_n) for lbf in lb_functions(f, vectors, scheme)] for f in fs]
+            by_function = [[v_optimal_estimates(lbf) for lbf in lb_functions(f, vectors, scheme)] for f in fs]
             hulls = list(zip(*by_function))
             live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():
@@ -617,13 +612,11 @@ def mc_query_estimates(
     salts: np.ndarray,
     p: float | None = None,
     estimator: str = "j",
-    grid_n: int = GRID_N,
 ) -> np.ndarray:
     """Query estimate per salt: the sums of :func:`_mc_sums`, over one set of
-    seeds per salt, answered by :func:`query_answers`.  ``grid_n`` is the
-    hull grid of the ``voptimal-oracle`` estimator."""
+    seeds per salt, answered by :func:`query_answers`."""
     if estimator not in ("j", "ht", "voptimal-oracle"):
         raise ValueError(f"Monte Carlo sweeps support 'j', 'ht' and 'voptimal-oracle', not {estimator!r}")
     fs = query_functions(query, data.r, p)
-    totals = _mc_sums(data, scheme, fs, item_ids, np.asarray(salts, dtype=np.uint64), estimator, grid_n)
+    totals = _mc_sums(data, scheme, fs, item_ids, np.asarray(salts, dtype=np.uint64), estimator)
     return query_answers(query, totals, p)

@@ -246,8 +246,8 @@ class LowerBoundFn:
     ``exponent`` is the ``p`` of pieces of the form ``(c + d*u)^p`` (the
     range kinds), or None when every piece is a constant (``max``, ``min``
     and ``or``).  The default, ``math.inf``, marks a curve of no known form,
-    such as one built by hand.  ``head_piece`` is the ``(c, d)`` of the
-    piece on ``(0, head]``, with ``c >= 0`` and ``d <= 0``: its value is
+    such as one built by hand.  ``pieces`` holds the ``(c, d)`` of each
+    piece, with ``c >= 0`` and ``d <= 0``: its value is
     ``max(c + d*u, 0)^p``, or ``c`` when ``exponent`` is None.  It is None
     for a curve of no known form and for one that starts past seed 0.
     """
@@ -256,7 +256,7 @@ class LowerBoundFn:
     domain_left: float
     value_fn: Callable[[np.ndarray], np.ndarray]
     exponent: float | None = math.inf
-    head_piece: tuple[float, float] | None = None
+    pieces: tuple[tuple[float, float], ...] | None = None
 
     def value(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -269,6 +269,11 @@ class LowerBoundFn:
         """The smallest positive breakpoint: below it the bound follows
         the single closed form of ``head_piece`` all the way toward seed 0."""
         return next((b for b in self.breakpoints if b > 0.0), 1.0)
+
+    @property
+    def head_piece(self) -> tuple[float, float] | None:
+        """The ``(c, d)`` of the piece on ``(0, head]``."""
+        return None if self.pieces is None else self.pieces[0]
 
 
 @lru_cache(maxsize=16)
@@ -330,35 +335,49 @@ def _breakpoints(
     return [tuple(us[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _head_pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, heads: np.ndarray) -> list[tuple[float, float]]:
-    """The ``(c, d)`` of the curve of each data vector ``rows[k]`` on
-    ``(0, heads[k]]``, from one box pass at the heads.
+def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: list[tuple[float, ...]]) -> list[tuple]:
+    """The ``(c, d)`` of every piece of the curve of each data vector
+    ``rows[k]`` with breakpoints ``bps[k]``, from one box pass at the right
+    ends of all pieces.
 
-    No entry is revealed or hidden inside the piece, so its box is the box
-    at the head: constant lows, and highs that are either a revealed value
-    or a map's first segment, ``tau_i(0) + slope_i * u``.  Two highs cross
+    No entry is revealed or hidden inside a piece, so its box is the box at
+    its right end: constant lows, and highs that are either a revealed
+    value or a segment of a map, ``a_i + slope_i * u``.  Two highs cross
     only at a breakpoint, so one of them is the least on the whole piece:
-    the least at seed 0, the flattest among ties, the first among those.
+    the least at the piece's midpoint (at seed 0 for the first piece), the
+    flattest among ties, the first among those.
     """
-    v = rows.T
-    lows, highs = _box_bounds(v, True, heads, scheme)
+    counts = [len(b) for b in bps]
+    owner = np.repeat(np.arange(len(bps)), counts)
+    his = np.concatenate([np.asarray(b, dtype=float) for b in bps])
+    first = np.cumsum([0, *counts[:-1]])
+    los = np.concatenate(([0.0], his[:-1]))
+    los[first] = 0.0
+    v = rows.T[:, owner]
+    lows, highs = _box_bounds(v, True, his, scheme)
     if f.p is None:
-        return [(c, 0.0) for c in _lb_from_bounds(f, lows, highs).tolist()]
-    known = highs == v
-    starts = np.where(known, v, np.array([[m.infimum()] for m in scheme.maps]))
-    slopes = np.where(known, 0.0, np.array([[m.first_slope()] for m in scheme.maps]))
-    if f.kind == RG:
-        top = lows.max(axis=0)
-        least = starts == starts.min(axis=0)
-        flat = np.where(least, slopes, np.inf)
-        low = np.argmax(least & (flat == flat.min(axis=0)), axis=0)
+        c, d = _lb_from_bounds(f, lows, highs), np.zeros(len(his))
     else:
-        hi, lo = f.direction
-        top, low = lows[hi], np.full(len(heads), lo)
-    cols = np.arange(len(heads))
-    c = top - starts[low, cols]
-    c = np.where(c < 0.0, 0.0, c)
-    return list(zip(c.tolist(), (-slopes[low, cols]).tolist()))
+        mid = 0.5 * (los + his)
+        lines = [m.lines(mid) for m in scheme.maps]
+        known = highs == v
+        starts = np.where(known, v, np.array([a for a, _ in lines]))
+        slopes = np.where(known, 0.0, np.array([s for _, s in lines]))
+        if f.kind == RG:
+            top = lows.max(axis=0)
+            at = starts + slopes * np.where(los == 0.0, 0.0, mid)
+            least = at == at.min(axis=0)
+            flat = np.where(least, slopes, np.inf)
+            low = np.argmax(least & (flat == flat.min(axis=0)), axis=0)
+        else:
+            hi, lo = f.direction
+            top, low = lows[hi], np.full(len(his), lo)
+        cols = np.arange(len(his))
+        c = top - starts[low, cols]
+        c = np.where(c < 0.0, 0.0, c)
+        d = -slopes[low, cols]
+    pairs = list(zip(c.tolist(), d.tolist()))
+    return [tuple(pairs[a:a + n]) for a, n in zip(first.tolist(), counts)]
 
 
 def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> list[LowerBoundFn]:
@@ -372,19 +391,19 @@ def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> list[LowerBoundFn]
     constant or one linear piece of a map, and the range forms reach 0 only
     at a crossing of a level.  So the pieces of ``max``, ``min`` and ``or``
     are constant, and those of the range kinds are a power ``p`` of a
-    linear function: concave when ``p <= 1``.  Each curve also carries its
-    head piece (:func:`_head_pieces`).
+    linear function: concave when ``p <= 1``, convex when ``p > 1``.
+    Each curve also carries the closed form of every piece
+    (:func:`_pieces`).
     """
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != scheme.r:
         raise ValueError("vector arity does not match scheme")
     n = rows.shape[0]
     bps = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
-    # every breakpoint lies past 0, so the first is the head
-    heads = _head_pieces(f, scheme, rows, np.array([b[0] for b in bps]))
+    pieces = _pieces(f, scheme, rows, bps)
     return [
-        LowerBoundFn(b, 0.0, partial(lower_bounds, f, v, True, scheme=scheme), f.p, head)
-        for b, v, head in zip(bps, rows[:, :, None], heads)
+        LowerBoundFn(b, 0.0, partial(lower_bounds, f, v, True, scheme=scheme), f.p, cd)
+        for b, v, cd in zip(bps, rows[:, :, None], pieces)
     ]
 
 

@@ -8,9 +8,10 @@ drive both the optimal-variance baseline and the characterization checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,8 +93,12 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
 
 @dataclass(frozen=True, eq=False)
 class EstimateFn:
-    """Piecewise-constant estimator values over seeds: ``values[i]`` on the
-    seed interval ``(los[i], his[i]]``, held as float arrays.
+    """Piecewise estimator values over seeds on the seed intervals
+    ``(los[i], his[i]]``, held as float arrays.  A piece is the constant
+    ``values[i]``, or, where ``arcs`` is given and its ``d`` is negative,
+    the negated slope ``p * |d| * (c + d*u)^(p-1)`` of the convex arc
+    ``(c + d*u)^p`` (``p = exponent``) with ``(c, d) = arcs[i]``; there
+    ``values[i]`` holds the arc's mean over the piece.
     :meth:`value_at`, :meth:`integral` and :func:`integrate_square` take a
     scalar or an array of seeds or cutoffs and return a float or an array to
     match."""
@@ -101,6 +106,8 @@ class EstimateFn:
     los: np.ndarray
     his: np.ndarray
     values: np.ndarray
+    arcs: np.ndarray | None = None
+    exponent: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -120,6 +127,8 @@ class EstimateFn:
             raise ValueError("estimates must be nonnegative")
         if np.count_nonzero(los[1:] != his[:-1]):
             raise ValueError("pieces must be contiguous and ordered")
+        if self.arcs is not None:
+            object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=float).reshape(len(los), 2))
 
     @property
     def support_left(self) -> float:
@@ -132,12 +141,19 @@ class EstimateFn:
         out = np.zeros(us.shape)
         if len(self.his):
             idx = np.minimum(np.searchsorted(self.his, us, side="left"), len(self.his) - 1)
-            out = np.where((us > self.support_left) & (us <= self.his[-1]), self.values[idx], 0.0)
+            out = self.values[idx]
+            if self.arcs is not None:
+                c, d = self.arcs[idx].T
+                p = self.exponent
+                out = np.where(d < 0.0, p * -d * np.maximum(c + d * us, 0.0) ** (p - 1.0), out)
+            out = np.where((us > self.support_left) & (us <= self.his[-1]), out, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def integral(self, lo=0.0, hi=1.0):
         """Integral of the estimate over ``(lo, hi]``."""
-        return _ordered_sum(self, self.values, lo, hi)
+        p = self.exponent
+        # on an arc the estimate integrates to the arc's drop
+        return _ordered_sum(self, self.values, lo, hi, lambda s, d: np.maximum(s, 0.0) ** p)
 
 
 # elements of one (pieces x windows) block of :func:`_ordered_sum`; one
@@ -146,14 +162,16 @@ class EstimateFn:
 SUM_BLOCK = 2**14
 
 
-def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi):
+def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi, arc_drop=None):
     """Sum of ``value * overlap`` over the pieces of ``e`` for each window
     ``(lo, hi]`` (broadcast), added piece by piece from the left, starting
     from +0.0, so that every entry has the bits of the scalar left-to-right
     sum.  Blocks of pieces are summed with ``cumsum`` down the piece axis,
     which adds strictly in order (``np.sum`` would add pairwise).  A piece
     that misses the window adds nothing, even where its value is
-    infinite."""
+    infinite.  An arc piece of ``e`` adds ``arc_drop(s_a, d) - arc_drop(s_b,
+    d)`` instead, with ``s = c + d*u`` at the ends ``a < b`` of the
+    overlap."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(np.broadcast(lo, hi).shape)
@@ -161,10 +179,18 @@ def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi):
     # pieces down the first axis, windows along the others
     col = (-1,) + (1,) * total.ndim
     los, his, values = e.los.reshape(col), e.his.reshape(col), values.reshape(col)
+    if e.arcs is not None:
+        cs, ds = e.arcs[:, 0].reshape(col), e.arcs[:, 1].reshape(col)
     with np.errstate(invalid="ignore"):
         for a in range(0, len(values), step):
-            w = np.minimum(his[a : a + step], hi) - np.maximum(los[a : a + step], lo)
+            b = np.minimum(his[a : a + step], hi)
+            t = np.maximum(los[a : a + step], lo)
+            w = b - t
             terms = np.where(w > 0.0, values[a : a + step] * w, 0.0)
+            if e.arcs is not None:
+                c, d = cs[a : a + step], ds[a : a + step]
+                drop = arc_drop(c + d * t, d) - arc_drop(c + d * b, d)
+                terms = np.where((d < 0.0) & (w > 0.0), drop, terms)
             terms[0] += total
             total = np.cumsum(terms, axis=0, out=terms)[-1]
     return float(total) if total.ndim == 0 else total
@@ -188,16 +214,214 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     an array of windows.
 
     Exact for the constant pieces, up to the rounding of the ordered sum
-    (of squares scaled by :func:`scaled_squares`, scaled back at the end).
-    Any infinite piece value inside the window, or a true integral beyond
-    the largest float, makes the result infinite.  Divergence below the
-    materialised support is the business of the refinement checks in
-    :mod:`coordest.analysis`, not of this sum.
+    (of squares scaled by :func:`scaled_squares`, scaled back at the end),
+    and in closed form on an arc: ``p^2 |d| s^(2p-1) / (2p-1)`` taken
+    between the ends of its window.  Any infinite piece value inside the
+    window, or a true integral beyond the largest float, makes the result
+    infinite.
     """
     squares, shift = scaled_squares(e.values)
-    total = _ordered_sum(e, squares, lo, hi)
+    p = e.exponent
+    if e.arcs is not None:
+        k = 2.0 * p - 1.0
+
+        def arc_drop(s, d):
+            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
+
+    total = _ordered_sum(e, squares, lo, hi, None if e.arcs is None else arc_drop)
     if shift:
         # two exact power-of-two steps, each below the largest float
         with np.errstate(over="ignore"):
             total = total * 2.0**shift * 2.0**shift
     return total
+
+
+# ---------------------------------------------------------------------------
+# the lower hull of a curve of convex arcs
+
+
+def _arc_value(arc, t: float, p: float) -> float:
+    s = arc[0] + arc[1] * t
+    return s**p if s > 0.0 else 0.0
+
+
+def _arc_slope(arc, t: float, p: float) -> float:
+    s = arc[0] + arc[1] * t
+    return p * arc[1] * s ** (p - 1.0) if s > 0.0 else 0.0
+
+
+def _tangent_height(s: float, e: float, p: float) -> float:
+    """The height, at the seed where the arc's line ``c + d*u`` reads
+    ``e``, of the arc's tangent where that line reads ``s``:
+    ``(1-p) s^p + p e s^(p-1)``.  It rises in ``s`` below ``e`` and falls
+    above it."""
+    return (1.0 - p) * s**p + p * e * s ** (p - 1.0)
+
+
+def _tangent_root(p: float, e: float, y: float, s_a: float, s_b: float, above: bool) -> float:
+    """The ``s`` in ``[s_a, s_b]`` whose tangent height (see
+    :func:`_tangent_height`) is ``y``, where the bracket lies at or above
+    ``e`` when ``above``, else at or below it, and the height crosses
+    ``y`` inside it.  For ``p = 2`` it is a root of a quadratic, taken in
+    the form that does not cancel; for other ``p``, Newton steps kept
+    inside a shrinking bracket."""
+    if p == 2.0:
+        root = math.sqrt(max(e * e - y, 0.0))
+        s = e + root if above else (y / (e + root) if e + root > 0.0 else 0.0)
+        return min(max(s, s_a), s_b)
+    s = 0.5 * (s_a + s_b)
+    for _ in range(200):
+        f = _tangent_height(s, e, p) - y
+        if f == 0.0:
+            break
+        # below the root while the height is short of y and rises in s
+        if (f < 0.0) != above:
+            s_a = s
+        else:
+            s_b = s
+        fp = p * (p - 1.0) * s ** (p - 2.0) * (e - s)
+        n = s - f / fp if fp != 0.0 else s_a
+        if not s_a < n < s_b:
+            n = 0.5 * (s_a + s_b)
+        if abs(n - s) <= 4.0 * math.ulp(s) or s_b - s_a <= 4.0 * math.ulp(s_b):
+            return n
+        s = n
+    return s
+
+
+def _touch(x: float, y: float, arc, p: float, right: bool) -> float:
+    """The seed at which the line through ``(x, y)`` that supports ``arc``
+    (``(c, d, lo, hi)``) from below touches it: for a point left of the
+    arc (``right``, the arc lies right of it) the line of least slope, for
+    a point right of it the line of greatest slope."""
+    c, d, lo, hi = arc
+    near, far = (lo, hi) if right else (hi, lo)
+    if d == 0.0:
+        return near if y > _arc_value(arc, near, p) else far
+    e = c + d * x
+    s_lo, s_hi = c + d * lo, max(c + d * hi, 0.0)
+    # the tangent at the near end passing at or below (x, y) touches there
+    if _tangent_height(s_lo if right else s_hi, e, p) <= y:
+        return near
+    if _tangent_height(s_hi if right else s_lo, e, p) >= y:
+        return far
+    return min(max((c - _tangent_root(p, e, y, s_hi, s_lo, not right)) / -d, lo), hi)
+
+
+def _bridge(left, right, p: float) -> tuple[float, float, float]:
+    """The seeds ``(t_l, t_r)`` at which the lower common support line of
+    two arcs ``(c, d, lo, hi)``, ``left`` ending at or before ``right``
+    starts, touches them, and its slope.
+
+    The line touches each arc inside it, where it is the arc's tangent, or
+    at one of its ends.  Both inside: the common tangent of two arcs with
+    ``d < 0`` in closed form.  Else one end, with a tangent from it to
+    the other arc; the first of those that stays below both arcs (by the
+    slopes at the touching points) is the line, and the one that misses
+    least when rounding leaves none.
+    """
+    cl, dl, lo_l, hi_l = left
+    cr, dr, lo_r, hi_r = right
+    if dl < 0.0 and dr < 0.0:
+        q = p / (p - 1.0)
+        # near p = 1 the powers of the slopes pass the largest float; then
+        # the ends below find the line
+        with contextlib.suppress(OverflowError):
+            den = (p - 1.0) * ((-dl) ** -q - (-dr) ** -q)
+            tau = p * (cl / -dl - cr / -dr) / den if den != 0.0 else 0.0
+            if 0.0 < tau < math.inf:
+                t_l = (cl - tau * (-dl) ** (-1.0 / (p - 1.0))) / -dl
+                t_r = (cr - tau * (-dr) ** (-1.0 / (p - 1.0))) / -dr
+                if lo_l <= t_l <= hi_l and lo_r <= t_r <= hi_r and t_l < t_r:
+                    return t_l, t_r, -p * tau ** (p - 1.0)
+    best = None
+    # the left arc's end at the right arc's start lies above it: no line rests there
+    ends = [(True, hi_l), (False, lo_r), (True, lo_l), (False, hi_r)]
+    for on_left, end in ends:
+        if on_left and end >= lo_r:
+            continue
+        if on_left:
+            t_l, t_r = end, _touch(end, _arc_value(left, end, p), right, p, True)
+        else:
+            t_l, t_r = _touch(end, _arc_value(right, end, p), left, p, False), end
+        if t_l >= t_r:
+            # one seed (the arcs meet at a breakpoint): the left arc's slope
+            slope = _arc_slope(left, t_l, p)
+        else:
+            slope = (_arc_value(right, t_r, p) - _arc_value(left, t_l, p)) / (t_r - t_l)
+        # the line must not rise above an arc it touches at an end
+        miss = 0.0
+        if lo_l < hi_l:
+            if t_l == lo_l:
+                miss = max(miss, slope - _arc_slope(left, t_l, p))
+            if t_l == hi_l:
+                miss = max(miss, _arc_slope(left, t_l, p) - slope)
+        if lo_r < hi_r:
+            if t_r == lo_r:
+                miss = max(miss, slope - _arc_slope(right, t_r, p))
+            if t_r == hi_r:
+                miss = max(miss, _arc_slope(right, t_r, p) - slope)
+        if miss <= 0.0:
+            return t_l, t_r, slope
+        if best is None or miss < best[0]:
+            best = (miss, t_l, t_r, slope)
+    return best[1:]
+
+
+def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]], p: float,
+             anchor: float) -> EstimateFn:
+    """The negated slopes of the lower convex hull of a curve whose piece
+    on ``(breakpoints[k-1], breakpoints[k]]`` is the convex arc
+    ``max(c + d*u, 0)^p`` of ``pieces[k] = (c, d)``, ``p > 1``, from the
+    curve at ``anchor`` to ``(1, 0)``.
+
+    The hull follows each arc over a span (maybe empty) and bridges the
+    gaps with common support lines (:func:`_bridge`).  A stack of the
+    spans is kept as the monotone chain keeps points: an arc whose span
+    the next bridge leaves at its start, no steeper than the bridge into
+    it, goes.  At a breakpoint the curve may jump down; the arc's end there
+    lies above the next arc's start, and no bridge rests on it.  The
+    estimate is a constant on a bridge and ``p |d| s^(p-1)`` on a span.
+    """
+    try:
+        # the curve's largest value: no power of the hull passes it
+        _arc_value(pieces[next(k for k, b in enumerate(breakpoints) if b > anchor)], anchor, p)
+    except OverflowError:
+        raise ValueError(f"the lower bound near seed 0 passes the largest float (exponent {p:g})") from None
+    arcs, lo = [], anchor
+    for b, (c, d) in zip(breakpoints, pieces):
+        if b <= lo:
+            continue
+        if c + d * lo <= 0.0:
+            c, d = 0.0, 0.0  # 0 on the whole piece
+        arcs.append((c, d, lo, b))
+        lo = b
+    arcs.append((0.0, 0.0, 1.0, 1.0))
+    # spans as [c, d, lo, hi, slope of the bridge into it]
+    stack = [[*arcs[0], -math.inf]]
+    for arc in arcs[1:]:
+        while True:
+            top = stack[-1]
+            if len(stack) > 1 and top[2] >= top[3] >= arc[2]:
+                # a bare point at the next arc's start, which lies below it
+                stack.pop()
+                continue
+            t_l, t_r, slope = _bridge(top[:4], arc, p)
+            if len(stack) > 1 and t_l <= top[2] and slope <= top[4]:
+                stack.pop()
+                continue
+            top[3] = t_l
+            stack.append([arc[0], arc[1], t_r, arc[3], slope])
+            break
+    # (lo, hi, value, c, d) of each piece, left to right: the bridge into a
+    # span, then the span; a flat span's mean is 0
+    out = []
+    for k, (c, d, lo, hi, _) in enumerate(stack):
+        if k and lo > stack[k - 1][3]:
+            a = stack[k - 1][3]
+            out.append((a, lo, (_arc_value(stack[k - 1], a, p) - _arc_value((c, d), lo, p)) / (lo - a), 0.0, 0.0))
+        if hi > lo:
+            out.append((lo, hi, (_arc_value((c, d), lo, p) - _arc_value((c, d), hi, p)) / (hi - lo), c, d))
+    los, his, values, cs, ds = np.array(out).T
+    # as the corner hull takes its slopes: a NaN or -0.0 reads 0.0
+    return EstimateFn(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), p)

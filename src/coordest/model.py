@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -176,6 +176,10 @@ class PpsMap:
     def first_slope(self) -> float:
         return self.tau_star
 
+    def lines(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The intercept and slope of the map's segment at each seed."""
+        return np.zeros(len(us)), np.full(len(us), self.tau_star)
+
     def joints(self) -> tuple[float, ...]:
         return ()
 
@@ -239,6 +243,15 @@ class PiecewiseLinearMap:
         """The slope of the first segment, as ``np.interp`` takes it."""
         (u0, t0), (u1, t1) = self.points[:2]
         return (t1 - t0) / (u1 - u0)
+
+    def lines(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The intercept and slope of the segment holding each seed (the
+        left one at a joint): on the first segment, :meth:`infimum` and
+        :meth:`first_slope` bit for bit."""
+        seg = np.searchsorted(self._us[1:-1], us)
+        u0, t0 = self._us[seg], self._ts[seg]
+        slopes = (self._ts[seg + 1] - t0) / (self._us[seg + 1] - u0)
+        return t0 - slopes * u0, slopes
 
     def joints(self) -> tuple[float, ...]:
         return tuple(u for u, _ in self.points if 0.0 < u < 1.0)
@@ -450,8 +463,14 @@ class InstanceSet:
 
     item_ids: tuple[str, ...]
     matrix: np.ndarray
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
+        if checked:
+            # ids that are unique strings, and a fresh (n, r) float matrix of
+            # finite nonnegative values, as :func:`ingest` hands them over
+            self.matrix.setflags(write=False)
+            return
         ids = tuple(str(i) for i in self.item_ids)
         object.__setattr__(self, "item_ids", ids)
         m = np.asarray(self.matrix, dtype=float)
@@ -472,6 +491,10 @@ class InstanceSet:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_row", row)
+
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        return {item: j for j, item in enumerate(self.item_ids)}
 
     @property
     def r(self) -> int:
@@ -552,7 +575,7 @@ def ingest(path: str | Path) -> InstanceSet:
             ids += block_ids
             blocks.append(block)
             lineno += len(body)
-    return InstanceSet(tuple(ids), np.concatenate(blocks))
+    return InstanceSet(tuple(ids), np.concatenate(blocks), checked=True)
 
 
 def _ingest_error(path: Path, header: list[str], body: list[list[str]], lineno: int, seen: set[str]) -> ValueError:

@@ -15,6 +15,7 @@ import math
 from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -88,14 +89,13 @@ class Samples(Mapping[str, Outcome]):
     ``(n, r)``, each the revealed value or else the bound ``tau_i(u)``.
 
     It reads as a mapping from item id to :class:`Outcome`; an outcome is
-    built only when it is looked up.
+    built only when it is looked up.  The ids must be unique; the row of
+    each id is indexed when an id is first looked up, and a repeated id is
+    an error then.
     """
 
     def __init__(self, item_ids, seeds, revealed, cells, scheme: TauScheme):
         self.item_ids = tuple(item_ids)
-        self._row = {item: j for j, item in enumerate(self.item_ids)}
-        if len(self._row) != len(self.item_ids):
-            raise ValueError("item ids must be unique")
         n, r = len(self.item_ids), scheme.r
         self.seeds = np.array(seeds, dtype=float).reshape(n)
         self.revealed = np.array(revealed, dtype=bool).reshape(n, r)
@@ -115,6 +115,13 @@ class Samples(Mapping[str, Outcome]):
         if len(schemes) != 1:
             raise ValueError("outcomes must share one scheme")
         return Samples(outcomes, *outcome_columns(list(outcomes.values())), schemes.pop())
+
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        row = {item: j for j, item in enumerate(self.item_ids)}
+        if len(row) != len(self.item_ids):
+            raise ValueError("item ids must be unique")
+        return row
 
     def indices(self, item_ids: Iterable[str]) -> np.ndarray:
         """Row of each item; ``KeyError`` names an unknown id."""

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coordest.estimators import GRID_N, v_optimal_estimates
 from coordest.functions import LowerBoundFn
 from coordest.hull import EstimateFn, integrate_square
+
+from scalar_reference import GRID_N, grid_hull
 
 GAP_TOLERANCE = 1e-9
 
@@ -81,7 +82,7 @@ def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = GRID_N) -> Probe
     """Are the squared hull slopes integrable near seed 0?
 
     Computes partial square integrals of the hull-derivative estimates
-    ``v_optimal_estimates(lb, grid_n)`` over ``(cutoff, 1]`` for cutoffs
+    ``grid_hull(lb, grid_n)`` over ``(cutoff, 1]`` for cutoffs
     ``4^-k / 16`` and accepts when the refinements become Cauchy: either the
     relative change drops below 1e-6 or the per-refinement increments at
     least halve (a bounded slope quarters them each step, so their tail is
@@ -92,7 +93,7 @@ def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = GRID_N) -> Probe
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    return finite_variance_ladder(v_optimal_estimates(lb, grid_n))
+    return finite_variance_ladder(grid_hull(lb, grid_n))
 
 
 def finite_variance_ladder(est: EstimateFn) -> ProbeResult:

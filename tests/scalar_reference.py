@@ -4,8 +4,9 @@ The package works on columns and blocks: whole sample columns, whole blocks
 of data vectors.  These are the one-item forms the tests build outcomes
 with, and the scalar code the block kernels are checked against bit for
 bit: the float-by-float crossing snap, the per-map crossing loops, the
-per-vector lower-bound curve with its head piece, and the competitiveness
-report and curve rows of one vector built from that curve alone.
+per-vector lower-bound curve with its pieces, and the competitiveness
+report and curve rows of one vector built from that curve alone.  The grid
+hull is the reference hull of a curve of no known form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from coordest.analysis import CURVE_SEEDS, MAX_DEPTH, AnalysisReport, _curve_checks, clamped_variance
 from coordest.estimators import (
     DEPTH,
-    GRID_N,
+    HULL_LEFT_ANCHOR,
     dyadic_index,
     ht_blocks,
     j_estimate_fn,
@@ -40,7 +41,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import EstimateFn, integrate_square, scaled_squares
+from coordest.hull import EstimateFn, integrate_square, lower_hull, scaled_squares
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -156,6 +157,56 @@ def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> Es
     return EstimateFn([0.0, p], [p, 1.0], [value, 0.0])
 
 
+# uniform seeds of the reference grid hull
+GRID_N = 256
+
+
+def grid_seeds(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[float, np.ndarray]:
+    """The anchor of the hull of ``lb`` and the seeds of its reference grid
+    past it: the breakpoints, ``linspace(1/grid_n, 1, grid_n)`` and
+    ``max(grid_n, 128, 12 * decades)`` geometric seeds from the anchor."""
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
+    decades = min(math.log10(1.0 / anchor), 324.0)
+    grid = [np.linspace(1.0 / grid_n, 1.0, grid_n), np.geomspace(anchor, 1.0, int(max(grid_n, 128, 12 * decades)))]
+    us = np.unique(np.concatenate([*grid, lb.breakpoints]))
+    return anchor, us[(us > anchor) & (us <= 1.0)]
+
+
+def grid_points(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.ndarray]:
+    """The points the grid hull of ``lb`` is taken from: the curve at the
+    anchor, at the :func:`grid_seeds` and just right of every breakpoint
+    (at the breakpoint's seed), and ``(1, 0)``."""
+    anchor, us = grid_seeds(lb, grid_n)
+    bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
+    xs = np.concatenate(([anchor], us, bs, [1.0]))
+    ys = np.append(lb.value(np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))), 0.0)
+    return xs, ys
+
+
+def grid_hull(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
+    """The hull of any curve on (0, 1], one of no known form too, read on
+    a grid: the negated slopes of the lower hull of its
+    :func:`grid_points`.
+
+    On a curve of convex arcs the hull is linear between grid seeds while
+    the curve is convex: it lies above the curve there and misses
+    ``sq_opt`` by ``O(grid_n^-2)``.  This was the package's hull of the
+    ``p > 1`` range kinds before they took theirs from the arcs.
+    """
+    return hull_estimate_fn(lower_hull(np.column_stack(grid_points(lb, grid_n))))
+
+
+def hull_estimate_fn(hull) -> EstimateFn:
+    """The negated slopes of a ``LowerHull``, taken as the package takes
+    those of a corner hull."""
+    hu, hy = np.array(hull.vertices).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.fmax((hy[:-1] - hy[1:]) / (hu[1:] - hu[:-1]), 0.0) + 0.0
+    return EstimateFn(hu[:-1], hu[1:], slopes)
+
+
 def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n: int = 64) -> float:
     """Grid-search oracle for ``lower_bound``.
 
@@ -187,7 +238,7 @@ def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n:
 def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
     """Piecewise lower-bound representation for an outcome, valid on
     ``[outcome.seed, 1]``: its levels are its revealed values, and it
-    carries no head piece."""
+    carries no pieces."""
     _, revealed, values = outcome_columns([outcome])
     levels = values[revealed]
     bps = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))[0]
@@ -279,43 +330,51 @@ def scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float) 
     return {p for p in pts if left < p < 1.0}
 
 
-def head_piece(f: ItemFunction, scheme: TauScheme, v: np.ndarray, head: float) -> tuple[float, float]:
-    """The ``(c, d)`` of the curve of data ``v`` on ``(0, head]``, one
-    vector at a time."""
-    lows, highs = (a[:, 0] for a in _box_bounds(v[:, None], True, np.array([head]), scheme))
-    if f.p is None:
-        return float(_lb_from_bounds(f, lows[:, None], highs[:, None])[0]), 0.0
-    known = highs == v
-    starts = np.where(known, v, [m.infimum() for m in scheme.maps]).tolist()
-    slopes = np.where(known, 0.0, [m.first_slope() for m in scheme.maps]).tolist()
-    if f.kind == RG:
-        top = max(lows.tolist())
-        low = min(range(len(v)), key=lambda i: (starts[i], slopes[i]))
-    else:
-        hi, low = f.direction
-        top = float(lows[hi])
-    return max(top - starts[low], 0.0), -slopes[low]
+def curve_pieces(f: ItemFunction, scheme: TauScheme, v: np.ndarray, bps: Sequence[float]) -> tuple:
+    """The ``(c, d)`` of every piece of the curve of data ``v`` with
+    breakpoints ``bps``, one piece at a time: the box at the piece's right
+    end, and the least high at its midpoint (at seed 0 for the first
+    piece), the flattest among ties."""
+    out = []
+    for lo, hi in zip((0.0, *bps), bps):
+        lows, highs = (a[:, 0] for a in _box_bounds(v[:, None], True, np.array([hi]), scheme))
+        if f.p is None:
+            out.append((float(_lb_from_bounds(f, lows[:, None], highs[:, None])[0]), 0.0))
+            continue
+        mid = np.array([0.5 * (lo + hi)])
+        lines = [tuple(float(x[0]) for x in m.lines(mid)) for m in scheme.maps]
+        known = (highs == v).tolist()
+        starts = [x if k else a for x, k, (a, _) in zip(v.tolist(), known, lines)]
+        slopes = [0.0 if k else b for k, (_, b) in zip(known, lines)]
+        if f.kind == RG:
+            top = max(lows.tolist())
+            at = 0.0 if lo == 0.0 else float(mid[0])
+            low = min(range(len(v)), key=lambda i: (starts[i] + slopes[i] * at, slopes[i]))
+        else:
+            hi_, low = f.direction
+            top = float(lows[hi_])
+        out.append((max(top - starts[low], 0.0), -slopes[low]))
+    return tuple(out)
 
 
 def scalar_lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
     """The lower-bound curve of data ``v`` built for that vector alone, with
-    the scalar crossings and head piece."""
+    the scalar crossings and pieces."""
     col = np.asarray(v, dtype=float).reshape(-1, 1)
     levels = set(col[:, 0].tolist()) | set(scheme.domain.lows)
     bps = tuple(sorted(scheme_breakpoints(scheme, sorted(levels), 0.0) | {1.0}))
     return LowerBoundFn(bps, 0.0, lambda xs: lower_bounds(f, col, True, np.asarray(xs, dtype=float), scheme),
-                        f.p, head_piece(f, scheme, col[:, 0], bps[0]))
+                        f.p, curve_pieces(f, scheme, col[:, 0], bps))
 
 
-def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N,
-                  depth: int = DEPTH) -> AnalysisReport:
+def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> AnalysisReport:
     """The competitiveness report of data ``v`` built for that vector alone:
     its own curve, dyadic values, hull and tail seed read one call each."""
     fv = evaluate(f, v)
     lbf = scalar_lb_function(f, v, scheme)
     est, bd, fin = _curve_checks(lbf, fv, v, scheme)
     diagnostics = {"f_value": fv, "estimable_gap": est.value, "bounded_slope": bd.value,
-                   "depth": depth, "grid_n": grid_n}
+                   "depth": depth}
     if fv == 0.0:
         return AnalysisReport(0.0, 0.0, 1.0, 0.0, 0.0, est.ok, fin.ok, bd.ok, diagnostics)
     depth = max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
@@ -330,19 +389,18 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n
         tail = 256.0 * slope * slope * 2.0**-depth
     diagnostics["j_tail_bound"] = tail
     sq_j += tail or 0.0
-    sq_opt = integrate_square(v_optimal_estimates(lbf, grid_n))
+    sq_opt = integrate_square(v_optimal_estimates(lbf))
     ratio = sq_j / sq_opt if sq_opt > 0.0 else 1.0
     return AnalysisReport(sq_j, sq_opt, ratio, clamped_variance(sq_j, fv), clamped_variance(sq_opt, fv),
                           est.ok, fin.ok, bd.ok, diagnostics)
 
 
-def scalar_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, grid_n: int = GRID_N,
-                         depth: int = DEPTH) -> tuple:
+def scalar_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> tuple:
     """The five ``curve_table`` columns of data ``v`` built for that vector
     alone: its own curve, hull and dyadic pieces, and one curve call at the
     row seeds."""
     lbf = scalar_lb_function(f, v, scheme)
-    opt = v_optimal_estimates(lbf, grid_n)
+    opt = v_optimal_estimates(lbf)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
     bps = np.array(lbf.breakpoints)
     seeds = [bps, np.nextafter(bps[bps < 1.0], np.inf), opt.los, opt.his, j_fn.los, j_fn.his]

@@ -171,7 +171,7 @@ def test_criterion_04_competitiveness_bound():
         f = functions[k % 4]
         v = random_vector(rng)
         scheme = random_scheme(rng)
-        rep = competitiveness_ratio(v, f, scheme, grid_n=384, depth=40)
+        rep = competitiveness_ratio(v, f, scheme, depth=40)
         ratios.append(rep.ratio)
         ok &= rep.ratio <= RATIO_BOUND
     elapsed = time.perf_counter() - t0
@@ -185,18 +185,20 @@ def test_criterion_04_competitiveness_bound():
 
 
 def test_criterion_05_hull_derivative_correctness():
-    grid_n = 256
-    lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
-    est = v_optimal_estimates(lb, grid_n=grid_n)
+    # the hull of the arc (1 - u)^2 is the arc itself from the anchor at
+    # 1e-12: the slope to rounding, the mass and the variance to the 2e-12
+    # and 4e-12 the anchor leaves out
+    lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2, 2.0, ((1.0, -1.0),))
+    est = v_optimal_estimates(lb)
     max_err = 0.0
     for lo, hi in zip(est.los.tolist(), est.his.tolist()):
         for u in (lo + 1e-13, 0.5 * (lo + hi), hi):
             max_err = max(max_err, abs(est.value_at(u) - 2.0 * (1.0 - u)))
     integral = est.integral()
     var = clamped_variance(integrate_square(est), 1.0)
-    ok = max_err <= 4.0 / grid_n
-    ok &= abs(integral - 1.0) <= 1e-6
-    ok &= abs(var - 1.0 / 3.0) <= 1e-4
+    ok = max_err <= 1e-15
+    ok &= abs(integral - 1.0) <= 3e-12
+    ok &= abs(var - 1.0 / 3.0) <= 5e-12
     # hull dominance and slope monotonicity on random instances
     rng = np.random.default_rng(505)
     for _ in range(50):
@@ -212,7 +214,7 @@ def test_criterion_05_hull_derivative_correctness():
         5,
         "hull-derivative estimates recover the analytic optimum",
         ok,
-        f"max slope err {max_err:.2e} <= {4.0 / grid_n:.2e}, var err {abs(var - 1/3):.2e}",
+        f"max slope err {max_err:.2e} <= 1e-15, var err {abs(var - 1/3):.2e}",
     )
 
 

@@ -63,7 +63,7 @@ def _same_curve(got, want, rng) -> None:
     assert got.breakpoints == want.breakpoints
     assert got.domain_left == want.domain_left == 0.0
     assert got.exponent == want.exponent
-    assert _bits(got.head_piece) == _bits(want.head_piece)
+    assert _bits(np.ravel(got.pieces)) == _bits(np.ravel(want.pieces))
     us = np.concatenate([rng.random(20), got.head * rng.random(5), got.breakpoints,
                          np.nextafter(got.breakpoints, 2.0)])
     us = us[(us > 0.0) & (us <= 1.0)]
@@ -100,7 +100,7 @@ def test_outcome_curves_match_the_scalar_breakpoints(kind):
             want = tuple(sorted(scheme_breakpoints(scheme, sorted(levels), out.seed) | {1.0}))
             got = lb_breakpoints(max_fn(3), out)
             assert got.breakpoints == want
-            assert got.domain_left == out.seed and got.head_piece is None
+            assert got.domain_left == out.seed and got.pieces is None
 
 
 def _report_text(make):
@@ -120,11 +120,11 @@ def test_block_reports_match_the_per_vector_reports(monkeypatch, kind):
     for k in range(4):
         scheme, rows = _block(rng, kind, k)
         for f in FUNCTIONS:
-            reports = competitiveness_reports(rows, f, scheme, grid_n=64)
+            reports = competitiveness_reports(rows, f, scheme)
             for v in rows.tolist():
                 got = _report_text(lambda: next(reports))
-                assert got == _report_text(lambda: scalar_report(v, f, scheme, grid_n=64)), (v, f)
-                assert got == _report_text(lambda: competitiveness_ratio(v, f, scheme, grid_n=64)), (v, f)
+                assert got == _report_text(lambda: scalar_report(v, f, scheme)), (v, f)
+                assert got == _report_text(lambda: competitiveness_ratio(v, f, scheme)), (v, f)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -133,11 +133,11 @@ def test_block_curve_rows_match_the_per_vector_rows(kind):
     for k in range(3):
         scheme, rows = _block(rng, kind, k, n=12)
         for f in FUNCTIONS:
-            block = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme, 64, 40)
+            block = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme, 40)
             for v, got in zip(rows.tolist(), block):
-                want = scalar_curve_columns(v, f, scheme, 64, 40)
+                want = scalar_curve_columns(v, f, scheme, 40)
                 assert [_bits(c) for c in got] == [_bits(c) for c in want], (v, f)
-                table = curve_table(v, f, scheme, grid_n=64, depth=40)
+                table = curve_table(v, f, scheme, depth=40)
                 assert _bits(table) == _bits(np.array(got).T), (v, f)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 import coordest
 from coordest import cli
 from coordest.cli import (
+    MAX_REPS,
     RunConfig,
     _config_from_args,
     build_parser,
@@ -121,6 +123,34 @@ class TestErrorReporting:
     def test_main_raises_on_missing_input(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["estimate", "--input", str(tmp_path / "missing.csv"), "--query", "l1", "--estimator", "j"])
+
+    def test_reps_past_the_bound_fails_before_anything_is_allocated(self, capsys):
+        # 10^9 salts once ended in a numpy memory error; the bound is
+        # checked before the input is read, so the run allocates next to
+        # nothing (tracemalloc sees numpy's buffers too)
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--estimator", "j", "--reps", "1000000000"]
+        tracemalloc.start()
+        try:
+            code = console_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"coordest: error: --reps must be at most {MAX_REPS} (1 GiB of salts and sums), got 1000000000\n"
+        assert peak < 2**20
+        # 8 bytes a salt for the salts, their mixed form and two sums
+        assert 4 * 8 * MAX_REPS == 2**30
+        RunConfig(input=DEMO_CSV, reps=MAX_REPS)
+
+    def test_grid_n_is_gone(self, capsys):
+        # every hull is exact: no flag sets a grid
+        for command, flags in (("estimate", ["--query", "l1"]), ("analyze", ["--function", "rg:p=2"]),
+                               ("characterize", ["--function", "rg:p=2"])):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", str(DEMO_CSV), *flags, "--grid-n", "64"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --grid-n 64" in capsys.readouterr().err
 
     def test_cli_import_leaves_scipy_out(self):
         proc = _python("-c", "import sys, coordest.cli; print('scipy' in sys.modules)")
@@ -252,6 +282,23 @@ class TestResolveItems:
         with pytest.raises(ValueError, match="unknown item"):
             resolve_items("1,99", data)
 
+    @pytest.mark.parametrize("spec", ["", ",", " , ,"])
+    @pytest.mark.parametrize("command, flags", [
+        ("estimate", ["--query", "l1", "--estimator", "j"]),
+        ("analyze", ["--function", "max"]),
+    ])
+    def test_id_list_with_no_id_is_an_error(self, capsys, command, flags, spec):
+        # an empty list once summed no item and answered 0.0
+        assert console_main([command, "--input", str(DEMO_CSV), *flags, "--items", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: --items {spec.strip()!r} names no item id\n"
+
+    def test_unknown_id_names_the_flag(self, capsys):
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--estimator", "j", "--items", "1,x,99"]
+        assert console_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "coordest: error: --items: unknown item ids: x, 99\n"
+
     @pytest.mark.parametrize("command, flags", [
         ("estimate", ["--query", "l1", "--estimator", "exact"]),
         ("estimate", ["--query", "l1", "--estimator", "j"]),
@@ -340,8 +387,8 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^--reps must be at least 1, got 0$"):
             RunConfig(input=DEMO_CSV, reps=0)
-        with pytest.raises(ValueError, match=r"^--grid-n must be at least 16, got 8$"):
-            RunConfig(input=DEMO_CSV, grid_n=8)
+        with pytest.raises(ValueError, match=rf"^--reps must be at most {MAX_REPS} \(1 GiB of salts and sums\), got {MAX_REPS + 1}$"):
+            RunConfig(input=DEMO_CSV, reps=MAX_REPS + 1)
         with pytest.raises(ValueError, match=r"^--k must be at least 1, got 0$"):
             RunConfig(input=DEMO_CSV, k=0)
         with pytest.raises(ValueError, match=r"^--p must be positive and finite, got -1.0$"):
@@ -464,7 +511,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "reports.jsonl"
         argv = [
             "analyze", "--input", str(DEMO_CSV), "--scheme", "pps:tau=4",
-            "--function", "rg:p=2", "--items", "1,2,3", "--grid-n", "128",
+            "--function", "rg:p=2", "--items", "1,2,3",
             "--out", str(out),
         ]
         assert main(argv) == 0
@@ -609,8 +656,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "sweep.jsonl"
         argv = [
             "analyze", "--input", str(src), "--scheme", "pps:tau=1",
-            "--function", "one_sided_rg:p=2,hi=1,lo=2", "--grid-n", "256",
-            "--out", str(out),
+            "--function", "one_sided_rg:p=2,hi=1,lo=2", "--out", str(out),
         ]
         assert main(argv) == 0
         lines = out.read_text().strip().splitlines()
@@ -626,7 +672,7 @@ class TestCharacterizeCommand:
         argv = [
             "characterize", "--input", str(DEMO_CSV), "--scheme", "pps:tau=4",
             "--function", "one_sided_rg:p=2,hi=1,lo=2", "--items", "1,4",
-            "--grid-n", "64", "--out", str(out), "--curves", str(curves),
+            "--out", str(out), "--curves", str(curves),
         ]
         assert main(argv) == 0
         for line in out.read_text().strip().splitlines():

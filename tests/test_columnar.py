@@ -72,7 +72,7 @@ from coordest.samplers import sample_instances
 from conftest import builtin_functions, random_vector
 from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
 from test_corner_hulls import CORNER_TOL, concave_pieces
-from scalar_reference import sample_item
+from scalar_reference import grid_hull, sample_item
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -312,13 +312,13 @@ def test_mc_oracle_sweep_matches_single_salt_queries(sweep, item_block, salt_chu
     with mock.patch.object(estimators, "MC_ITEM_BLOCK", item_block), \
             mock.patch.object(estimators, "MC_SALT_CHUNK", salt_chunk), \
             mock.patch.object(estimators, "v_optimal_estimates", calls):
-        got = {q: mc_query_estimates(data, scheme, q, ids, salts, p=2.0, estimator="voptimal-oracle", grid_n=16)
+        got = {q: mc_query_estimates(data, scheme, q, ids, salts, p=2.0, estimator="voptimal-oracle")
                for q in QUERY_KINDS}
     assert calls.call_count == len(ids) * sum(len(query_functions(q, data.r, 2.0)) for q in QUERY_KINDS)
     for k, salt in enumerate(salts.tolist()):
         samples = sample_instances(data, scheme, salt)
         for query, sums in got.items():
-            single = estimate_query(samples, data.r, query, "voptimal-oracle", ids, p=2.0, data=data, grid_n=16)
+            single = estimate_query(samples, data.r, query, "voptimal-oracle", ids, p=2.0, data=data)
             assert _bits([sums[k]]) == _bits([single.value]), (query, salt)
 
 
@@ -367,28 +367,49 @@ def _pieces(e):
     return list(zip(e.los.tolist(), e.his.tolist(), e.values.tolist()))
 
 
+def _arc(e, k):
+    """The (c, d) of piece k of ``e`` if it is an arc, else None."""
+    if e.arcs is None or not e.arcs[k, 1] < 0.0:
+        return None
+    return tuple(e.arcs[k].tolist())
+
+
 def _ref_value_at(e, u):
     his = e.his.tolist()
     if not his or u <= e.support_left or u > his[-1]:
         return 0.0
-    return e.values.tolist()[bisect_left(his, u)]
+    k = bisect_left(his, u)
+    if arc := _arc(e, k):
+        c, d = arc
+        return e.exponent * -d * max(c + d * u, 0.0) ** (e.exponent - 1.0)
+    return e.values.tolist()[k]
 
 
 def _ref_integral(e, lo=0.0, hi=1.0):
     total = 0.0
-    for p_lo, p_hi, value in _pieces(e):
+    for k, (p_lo, p_hi, value) in enumerate(_pieces(e)):
         a, b = max(p_lo, lo), min(p_hi, hi)
         if b <= a:
             continue
-        total += value * (b - a)
+        if arc := _arc(e, k):
+            c, d = arc
+            total += max(c + d * a, 0.0) ** e.exponent - max(c + d * b, 0.0) ** e.exponent
+        else:
+            total += value * (b - a)
     return total
 
 
 def _ref_integrate_square(e, lo=0.0, hi=1.0):
     total = 0.0
-    for p_lo, p_hi, value in _pieces(e):
+    for k, (p_lo, p_hi, value) in enumerate(_pieces(e)):
         a, b = max(p_lo, lo), min(p_hi, hi)
         if b <= a:
+            continue
+        if arc := _arc(e, k):
+            c, d = arc
+            p = e.exponent
+            q = 2.0 * p - 1.0
+            total += p * p * -d / q * max(c + d * a, 0.0) ** q - p * p * -d / q * max(c + d * b, 0.0) ** q
             continue
         if math.isinf(value):
             return math.inf
@@ -417,7 +438,7 @@ def _ref_lower_hull(points):
     return tuple((u, math.ldexp(y, -shift)) for u, y in chain)
 
 
-def _ref_v_optimal_estimates(lb, grid_n, corners=False):
+def _ref_v_optimal_estimates(lb, grid_n=64, corners=False):
     """Hull slopes with one curve call per anchor and breakpoint limit, and
     the hull taken by the dict-and-tuples chain; with ``corners``, from the
     breakpoints without the grid."""
@@ -473,16 +494,17 @@ def _ref_scheme_breakpoints(scheme, levels, left):
     return {p for p in pts if left < p < 1.0}
 
 
-def _ref_curve_table(v, f, scheme, grid_n=256, depth=40):
+def _ref_curve_table(v, f, scheme, depth=40):
     """One row at a time through the scalar piece loops, at seeds gathered
     one at a time: every breakpoint and the float right of it, the ends of
-    the reference hull's pieces and of the dyadic pieces, and on a curve
-    neither constant nor linear on its pieces, 8 evenly spaced seeds inside
-    each piece from the hull anchor on (the count the README states)."""
+    the hull's pieces (the reference chain's on a curve with concave
+    pieces) and of the dyadic pieces, and on a curve neither constant nor
+    linear on its pieces, 8 evenly spaced seeds inside each piece from the
+    hull anchor on (the count the README states)."""
     lbf = lb_function(f, v, scheme)
-    opt = v_optimal_estimates(lbf, grid_n)
+    opt = v_optimal_estimates(lbf)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
-    hull = _ref_v_optimal_estimates(lbf, grid_n, corners=concave_pieces(lbf))
+    hull = _ref_v_optimal_estimates(lbf, corners=True) if concave_pieces(lbf) else _pieces(opt)
     seeds = set(lbf.breakpoints)
     seeds.update(math.nextafter(b, math.inf) for b in lbf.breakpoints if b < 1.0)
     for lo, hi, _ in hull:
@@ -546,6 +568,48 @@ def test_estimate_fn_batches_match_scalar_loops(e, extra):
             assert type(got) is float and _bits([got]) == _bits([want])
 
 
+@st.composite
+def arc_estimate_fns(draw):
+    """Pieces of the hull of a curve of convex arcs: constants (bridges)
+    and arcs (c + d*u)^p with d < 0, which stay nonnegative on their piece
+    or reach 0 at its right end."""
+    edges = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=21))))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    arcs, values = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        if draw(st.booleans()):
+            d = -draw(st.floats(1e-3, 1e3))
+            c = -d * hi + draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+            arcs.append((c, d))
+            values.append(((c + d * lo) ** p - (c + d * hi) ** p) / (hi - lo))
+        else:
+            arcs.append((0.0, 0.0))
+            values.append(draw(st.floats(0.0, 1e3)))
+    return EstimateFn(edges[:-1], edges[1:], values, np.array(arcs).reshape(-1, 2), p)
+
+
+@given(arc_estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_arc_estimate_fn_batches_match_scalar_loops(e, extra):
+    # an arc piece reads p |d| s^(p-1), integrates to its drop s^p and its
+    # square to p^2 |d| s^(2p-1) / (2p-1), each between the window's ends.
+    # numpy's array power and Python's may differ in the last bit, and a
+    # drop takes the difference of two powers: each sum is compared within
+    # 1e-14 of the whole integral, a value within 4 ulps
+    us = _probes(e, extra)
+    got, want = e.value_at(us), np.array([_ref_value_at(e, u) for u in us.tolist()])
+    assert (np.abs(got - want) <= 4.0 * np.spacing(want)).all()
+    total, square = _ref_integral(e), _ref_integrate_square(e)
+    his = us[::-1]
+    pairs = list(zip(us.tolist(), his.tolist()))
+    for got, want, scale in (
+        (e.integral(lo=us), [_ref_integral(e, lo=u) for u in us.tolist()], total),
+        (integrate_square(e, lo=us), [_ref_integrate_square(e, lo=u) for u in us.tolist()], square),
+        (e.integral(lo=us, hi=his), [_ref_integral(e, a, b) for a, b in pairs], total),
+    ):
+        assert (np.abs(got - np.array(want)) <= 1e-14 * scale).all()
+
+
 def test_empty_estimate_fn_is_zero_everywhere():
     e = EstimateFn([], [], [])
     us = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
@@ -583,33 +647,42 @@ ANALYSIS_SCHEMES = {"pps:tau=4": TauScheme.pps(4.0, r=3), "pwl+pps": FILE_SCHEME
 
 @given(st.sampled_from(sorted(ANALYSIS_SCHEMES)), st.lists(values_st, min_size=3, max_size=3),
        st.integers(0, 6))
+@example("pps:tau=4", [0.0, 0.0, 4.875], 4)  # rg:p=2: one arc, rows on it
 @settings(max_examples=30, deadline=None)
 def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     scheme = ANALYSIS_SCHEMES[scheme_name]
     f = builtin_functions(3)[k]
     lbf = lb_function(f, v, scheme)
-    for grid_n in (64, 512):
-        est = v_optimal_estimates(lbf, grid_n)
-        want = _ref_v_optimal_estimates(lbf, grid_n, corners=concave_pieces(lbf))
+    est = v_optimal_estimates(lbf)
+    # a hull from the corners of a curve with concave pieces is the
+    # reference chain's, bit for bit, and its grid hull within CORNER_TOL
+    # (see there), where the grid hull is right: not for data below about
+    # 1e-290 (test_tiny_data_keeps_its_optimum)
+    if concave_pieces(lbf):
+        want = _ref_v_optimal_estimates(lbf, corners=True)
         assert _bits(np.column_stack((est.los, est.his, est.values)).ravel()) == _bits(np.ravel(want))
-        # a hull from the corners of a curve with concave pieces is its grid
-        # hull within CORNER_TOL (see there), where the grid hull is right:
-        # not for data below about 1e-290 (test_tiny_data_keeps_its_optimum)
-        if concave_pieces(lbf) and all(x == 0.0 or x >= 1e-100 for x in v):
+    if concave_pieces(lbf) and all(x == 0.0 or x >= 1e-100 for x in v):
+        for grid_n in (64, 512):
             grid = EstimateFn(*np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
             sq = _ref_integrate_square(grid)
             assert abs(_ref_integrate_square(est) - sq) <= CORNER_TOL * sq
             us = np.concatenate([est.los, grid.los, [1.0]]).tolist()
             assert all(abs(_ref_integral(est, lo=u) - _ref_integral(grid, lo=u)) <= CORNER_TOL * evaluate(f, v)
                        for u in us)
-    got = curve_table(v, f, scheme, grid_n=64)
-    want = _ref_curve_table(v, f, scheme, grid_n=64)
+    got = np.array(curve_table(v, f, scheme))
+    want = np.array(_ref_curve_table(v, f, scheme))
     assert len(got) == len(want)
-    assert _bits(np.array(got)) == _bits(np.array(want))
+    if concave_pieces(lbf):
+        assert _bits(got) == _bits(want)
+    else:
+        # on an arc the hull and optimal columns take powers, where numpy's
+        # array power and Python's may differ in the last bit
+        assert _bits(got[:, [0, 1, 3]]) == _bits(want[:, [0, 1, 3]])
+        assert np.allclose(got[:, [2, 4]], want[:, [2, 4]], rtol=1e-14, atol=1e-15 * evaluate(f, v))
     # the partial square integrals of the finite-variance oracle, one row
     # each, on the hull of its own grid
     check = check_finite_variance_curve(lbf, grid_n=64)
-    est = v_optimal_estimates(lbf, 64)
+    est = grid_hull(lbf, 64)
     floor = max(4.0 * est.support_left, 1e-300)
     steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
     cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
@@ -618,7 +691,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     # value never revealed at any float seed (such as 5e-324 under tau = 4)
     # leaves a gap at seed 0, which is an error naming its instance
     try:
-        report = competitiveness_ratio(v, f, scheme, grid_n=64)
+        report = competitiveness_ratio(v, f, scheme)
     except ValueError as exc:
         assert "which no positive float seed reveals" in str(exc)
         for check in (check_estimable, check_bounded, check_finite_variance):

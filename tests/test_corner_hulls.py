@@ -10,12 +10,11 @@
   nor just right of a breakpoint; an "optimum" above the curve there is not
   an estimator, and its square integral is too low.
 * Corners alone: the hull of a curve with concave pieces, taken from its
-  corners, is the hull of the same curve sampled on the grid as well.
+  corners, is the hull of the same curve sampled on a grid as well.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
 import zlib
@@ -27,12 +26,13 @@ from hypothesis import strategies as st
 
 from coordest.analysis import competitiveness_ratio
 from coordest.cli import parse_scheme_file
-from coordest.estimators import HULL_LEFT_ANCHOR, base_grid, v_optimal_estimates
+from coordest.estimators import v_optimal_estimates
 from coordest.functions import evaluate, lb_function, max_fn, parse_function
 from coordest.hull import integrate_square
 from coordest.model import PiecewiseLinearMap, PpsMap, TauScheme
 
 from conftest import builtin_functions, random_vector
+from scalar_reference import GRID_N, grid_hull, grid_seeds
 
 # the scheme file of the benchmark's analysis workload
 SCHEME_TEXT = """\
@@ -42,18 +42,17 @@ tau.3 = pwl:0:0,0.5:3,1:4
 """
 SCHEMES = {"pps:tau=4": TauScheme.pps(4.0, r=3), "pwl+pps": parse_scheme_file(SCHEME_TEXT, 3)}
 
-FEASIBILITY_FUNCTIONS = ("max", "min", "rg:p=1", "rg:p=2", "one_sided_rg:p=1,hi=3,lo=1")
-
-GRID_N = 256
+FEASIBILITY_FUNCTIONS = ("max", "min", "rg:p=1", "rg:p=1.5", "rg:p=2", "rg:p=3",
+                         "one_sided_rg:p=1,hi=3,lo=1", "one_sided_rg:p=2,hi=3,lo=1")
 
 # Feasibility slack, relative to f(v).  A hull from the curve's corners lies
-# on or below a curve with concave pieces everywhere, up to rounding (about
-# 1e-16 * f).  The grid hull of rg:p=2 is exact only at its grid seeds and
-# linear between them, where the convex curve dips below it: probed at
-# b * (1 + 1e-9) right of the breakpoints b of the vectors below it lies
-# above the curve by at most 6.8e-11 * f.  1e-9 * f is 15 times that, and
-# a skipped corner lifts the hull by up to 6.4e-2 * f.
-FEASIBILITY_TOL = 1e-9
+# on or below a curve with concave pieces everywhere, and the hull of a
+# curve of convex arcs follows the arcs and bridges them below, both up to
+# rounding: over the vectors below, at the grid seeds and just right of the
+# breakpoints, the hull lay above the curve by at most 3.6e-16 * f.  2e-15
+# * f is about 5 times that, and a skipped corner lifts the hull by up to
+# 6.4e-2 * f.
+FEASIBILITY_TOL = 2e-15
 
 # Corners-only against grid hulls: on linear pieces (rg:p=1 and one-sided
 # rg:p=1) the grid hull keeps or drops grid seeds on a chord by rounding,
@@ -105,17 +104,6 @@ def last_seed_at_or_below(m, level: float) -> float:
     return _from_bits(a)
 
 
-def hull_seeds(lbf) -> np.ndarray:
-    """The seeds the hull of ``lbf`` is built from: the breakpoints, with
-    the grid of :func:`v_optimal_estimates` (a superset of the seeds of a
-    corners-only hull, which lies below its curve everywhere)."""
-    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lbf.head), math.ulp(0.0))
-    decades = min(math.log10(1.0 / anchor), 324.0)
-    grid = base_grid(GRID_N, anchor, int(max(GRID_N, 128, 12 * decades)))
-    us = np.unique(np.concatenate([grid, lbf.breakpoints]))
-    return us[(us > anchor) & (us <= 1.0)]
-
-
 def infeasible_vectors(spec: str, scheme: TauScheme, vectors) -> list[tuple[tuple[float, ...], float]]:
     """Each vector whose cumulative hull estimate exceeds its lower bound
     by more than ``FEASIBILITY_TOL * f(v)`` at a hull seed or at
@@ -127,9 +115,9 @@ def infeasible_vectors(spec: str, scheme: TauScheme, vectors) -> list[tuple[tupl
         if fv == 0.0:
             continue
         lbf = lb_function(f, v, scheme)
-        opt = v_optimal_estimates(lbf, GRID_N)
+        opt = v_optimal_estimates(lbf)
         bps = np.array(lbf.breakpoints)
-        us = np.concatenate([hull_seeds(lbf), bps[bps < 1.0] * (1.0 + 1e-9)])
+        us = np.concatenate([grid_seeds(lbf)[1], bps[bps < 1.0] * (1.0 + 1e-9)])
         excess = float(np.max(opt.integral(lo=us) - lbf.value(us))) / fv
         if excess > FEASIBILITY_TOL:
             bad.append((v, excess))
@@ -226,7 +214,7 @@ def test_item30_entry_is_hidden_just_past_its_crossing():
     # max reads v3 up to b and 0 once it is hidden (v1 and v2 are by then)
     assert lbf.value(b) == v[2] and lbf.value(math.nextafter(b, 1.0)) == 0.0
     # so the corner (b, 0) is a vertex of the hull, which is 0 from there on
-    opt = v_optimal_estimates(lbf, GRID_N)
+    opt = v_optimal_estimates(lbf)
     assert b in opt.his.tolist() and opt.integral(lo=b) == 0.0
 
 
@@ -253,13 +241,14 @@ def test_corners_only_hull_is_the_grid_hull(scheme_name, k, v):
 
 def concave_pieces(lbf) -> bool:
     """Whether every piece of the curve is concave (a constant, or a power
-    ``p <= 1`` of a linear function), so that its hull needs no grid."""
+    ``p <= 1`` of a linear function), so that its hull is that of its
+    corners."""
     return lbf.exponent is None or lbf.exponent <= 1.0
 
 
 def assert_corner_hull_is_grid_hull(lbf, fv: float) -> None:
-    corners = v_optimal_estimates(lbf, GRID_N)
-    grid = v_optimal_estimates(dataclasses.replace(lbf, exponent=math.inf), GRID_N)
+    corners = v_optimal_estimates(lbf)
+    grid = grid_hull(lbf, GRID_N)
     sq_c, sq_g = integrate_square(corners), integrate_square(grid)
     assert abs(sq_c - sq_g) <= CORNER_TOL * sq_g
     us = np.concatenate([corners.los, grid.los, [1.0]])
@@ -273,7 +262,7 @@ def test_corners_only_hull_is_the_grid_hull_on_generated_vectors(scheme_name):
             assert_corner_hull_is_grid_hull(lb_function(f, v, SCHEMES[scheme_name]), evaluate(f, v))
 
 
-def test_only_range_curves_with_p_above_1_keep_the_grid():
+def test_only_range_curves_with_p_above_1_have_convex_arcs():
     v = (1.0, 2.0, 0.5)
     marks = {spec: concave_pieces(lb_function(parse_function(spec, 3), v, SCHEMES["pps:tau=4"]))
              for spec in ("max", "min", "or", "rg:p=0.5", "rg:p=1", "rg:p=2",

@@ -32,7 +32,7 @@ from coordest.model import TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
 from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
-from scalar_reference import ht_estimate_fn
+from scalar_reference import grid_hull, ht_estimate_fn
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
 
@@ -103,9 +103,17 @@ class TestIntegrateSquare:
 
 class TestVariance:
     def test_hull_derivative_variance_for_parabola(self):
+        # one convex arc (1 - u)^2: the hull is the arc from the anchor at
+        # 1e-12, whose slope square 4 (1 - u)^2 integrates to 4/3 less
+        # about 4e-12 below the anchor
+        lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2, 2.0, ((1.0, -1.0),))
+        est = v_optimal_estimates(lb)
+        assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-11)
+
+    def test_hull_of_a_curve_of_no_known_form_is_an_error(self):
         lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2)
-        est = v_optimal_estimates(lb, grid_n=512)
-        assert clamped_variance(integrate_square(est), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
+        with pytest.raises(ValueError, match="known form"):
+            v_optimal_estimates(lb)
 
     def test_constant_estimator_has_zero_variance(self):
         est = EstimateFn([0.0], [1.0], [2.0])
@@ -133,7 +141,7 @@ class TestTinyValues:
     @pytest.mark.parametrize("x", NEIGHBOURS)
     def test_hull_estimate_keeps_the_mass(self, x):
         scheme = TauScheme.pps(4.0, r=3)
-        est = v_optimal_estimates(lb_function(max_fn(3), (0.0, 0.0, x), scheme), grid_n=256)
+        est = v_optimal_estimates(lb_function(max_fn(3), (0.0, 0.0, x), scheme))
         assert est.integral() == pytest.approx(x, rel=1e-12)
 
     @pytest.mark.parametrize("x", NEIGHBOURS)
@@ -221,11 +229,12 @@ class TestCharacterizationChecks:
 
 class TestCompetitiveness:
     def test_worked_example_ratio(self, scheme1):
-        rep = competitiveness_ratio((1.0, 0.0), ONE_SIDED, scheme1, grid_n=512)
-        # dyadic mass 18/7 against optimal mass 4/3
+        rep = competitiveness_ratio((1.0, 0.0), ONE_SIDED, scheme1)
+        # dyadic mass 18/7 against optimal mass 4/3: the hull is the arc
+        # (1 - u)^2 from the anchor at 1e-12, below which 4e-12 is not summed
         assert rep.square_integral_j == pytest.approx(18.0 / 7.0, rel=1e-6)
-        assert rep.square_integral_opt == pytest.approx(4.0 / 3.0, rel=1e-4)
-        assert rep.ratio == pytest.approx(27.0 / 14.0, rel=1e-3)
+        assert rep.square_integral_opt == pytest.approx(4.0 / 3.0, rel=1e-11)
+        assert rep.ratio == pytest.approx(27.0 / 14.0, rel=1e-6)
         assert rep.ratio <= RATIO_BOUND
         assert rep.estimable and rep.finite_variance and rep.bounded
 
@@ -257,16 +266,20 @@ class TestCompetitiveness:
             for f in builtin_functions():
                 assert check_estimable(v, f, scheme).ok
 
-    def test_refinement_convergence(self, scheme1):
+    def test_grid_hulls_converge_to_the_exact_hull(self, scheme1):
+        # the grid hull misses sq_opt by O(grid_n^-2): doubling the grid
+        # cuts its error about four times, and at 512 it is below 1e-4
         rng = np.random.default_rng(32)
         for _ in range(6):
             v = random_vector(rng)
             for f in (ONE_SIDED, rg_fn(2, 2), max_fn(2)):
                 lbf = lb_function(f, v, scheme1)
-                a = integrate_square(v_optimal_estimates(lbf, grid_n=512))
-                b = integrate_square(v_optimal_estimates(lbf, grid_n=1024))
-                if a > 0:
-                    assert abs(a - b) / a < 1e-4
+                exact = integrate_square(v_optimal_estimates(lbf))
+                a = integrate_square(grid_hull(lbf, 512))
+                b = integrate_square(grid_hull(lbf, 1024))
+                if exact > 0:
+                    assert abs(a - exact) / exact < 1e-4
+                    assert abs(b - exact) <= abs(a - exact) / 2.0 + 1e-13 * exact
 
     def test_ratio_never_below_one(self):
         # the hull optimum is the least achievable squared mass
@@ -274,7 +287,7 @@ class TestCompetitiveness:
         for _ in range(30):
             v = random_vector(rng)
             scheme = random_scheme(rng)
-            rep = competitiveness_ratio(v, ONE_SIDED, scheme, grid_n=256)
+            rep = competitiveness_ratio(v, ONE_SIDED, scheme)
             assert rep.ratio >= 1.0 - 1e-6
 
     def test_extreme_scales_stay_classified_and_bounded(self):
@@ -293,7 +306,7 @@ class TestCompetitiveness:
             fv = check_finite_variance(v, f, scheme)
             assert est.ok
             assert implication_chain_ok(bd.ok, fv.ok, est.ok)
-            rep = competitiveness_ratio(v, f, scheme, grid_n=256)
+            rep = competitiveness_ratio(v, f, scheme)
             assert 1.0 - 1e-6 <= rep.ratio <= RATIO_BOUND
 
     def test_inverse_probability_is_optimal_for_max_and_min(self):
@@ -301,7 +314,7 @@ class TestCompetitiveness:
         # block, so the hull optimum and the inverse-probability estimator
         # coincide for max and min
         from coordest.estimators import v_optimal_estimates as vopt
-        from scalar_reference import ht_estimate_fn
+        from scalar_reference import grid_hull, ht_estimate_fn
 
         rng = np.random.default_rng(35)
         for _ in range(25):
@@ -309,17 +322,17 @@ class TestCompetitiveness:
             v = tuple(rng.uniform(0.1, 5.0, size=2))
             for f in (max_fn(2), min_fn(2)):
                 sq_ht = integrate_square(ht_estimate_fn(v, f, scheme))
-                sq_opt = integrate_square(vopt(lb_function(f, v, scheme), grid_n=256))
+                sq_opt = integrate_square(vopt(lb_function(f, v, scheme)))
                 assert sq_opt == pytest.approx(sq_ht, rel=1e-6)
 
 
 class TestCurveTable:
     def test_columns_are_consistent(self, scheme1):
-        grid_n = 64
-        sag = 8.0 / grid_n**2  # chord overshoot between hull nodes
-        rows = curve_table((1.0, 0.0), ONE_SIDED, scheme1, grid_n=grid_n)
+        # the hull is the curve (1 - u)^2 itself: the hull column is the
+        # sum of at most two piece drops, each within an ulp or two of 1
+        rows = curve_table((1.0, 0.0), ONE_SIDED, scheme1)
         assert len(rows) > 32
         for u, lb_u, hull_u, j_u, opt_u in rows:
             assert 0.0 < u <= 1.0
-            assert hull_u <= lb_u + sag
+            assert hull_u <= lb_u + 1e-15
             assert j_u >= 0.0 and opt_u >= 0.0

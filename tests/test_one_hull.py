@@ -1,6 +1,6 @@
 """One hull per vector: the optimum and the curve rows read the same
-``v_optimal_estimates(lbf, grid_n)``, and the numeric finite-variance
-oracle's verdict does not depend on which grid it is read on."""
+``v_optimal_estimates(lbf)``, and the numeric finite-variance oracle's
+verdict does not depend on which grid hull it is read on."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coordest import analysis, estimators
 from coordest.cli import ingest, main
-from coordest.estimators import base_grid, v_optimal_estimates
+from coordest.estimators import v_optimal_estimates
 from coordest.functions import LowerBoundFn, lb_function, rg_fn
 from coordest.model import PiecewiseLinearMap, PpsMap, TauScheme
 
@@ -32,9 +32,9 @@ values_st = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
 @given(st.sampled_from(sorted(SCHEMES)), st.lists(values_st, min_size=3, max_size=3),
        st.integers(0, len(FUNCTIONS) - 1))
 @settings(max_examples=150, deadline=None)
-def test_verdict_on_the_grid_n_hull_is_the_verdict_at_512(scheme_name, v, k):
+def test_verdict_on_a_grid_hull_is_the_verdict_on_the_exact_hull(scheme_name, v, k):
     lbf = lb_function(FUNCTIONS[k], v, SCHEMES[scheme_name])
-    want = finite_variance_ladder(v_optimal_estimates(lbf, 512)).ok
+    want = finite_variance_ladder(v_optimal_estimates(lbf)).ok
     for grid_n in (16, 64, 256):
         assert check_finite_variance_curve(lbf, grid_n).ok == want
 
@@ -51,8 +51,8 @@ def test_verdict_boundary_on_power_gaps(grid_n):
 
 
 def _count_hulls(monkeypatch) -> tuple[list, list]:
-    """The calls of the two halves of a hull: its input seeds, which take
-    ``grid_n``, and the hull of the curve's values there."""
+    """The calls of the two halves of a hull: its input seeds, and the hull
+    of the curve's values there (or of its arcs)."""
     seeds, hulls = [], []
     real_seeds, real_hull = estimators.hull_seeds, estimators.hull_estimates
     for module in (analysis, estimators):
@@ -61,26 +61,17 @@ def _count_hulls(monkeypatch) -> tuple[list, list]:
     return seeds, hulls
 
 
+@pytest.mark.parametrize("spec", ["rg:p=1", "rg:p=2"])
 @pytest.mark.parametrize("command", ["analyze", "characterize"])
-def test_one_hull_per_vector(tmp_path, monkeypatch, command):
+def test_one_hull_per_vector(tmp_path, monkeypatch, command, spec):
     path = tmp_path / "data.csv"
     rng = np.random.default_rng(12)
     rows = rng.lognormal(0.0, 1.0, (6, 3)) * (rng.random((6, 3)) > 0.25)
     path.write_text("item,v1,v2,v3\n" + "".join(f"i{j}," + ",".join(map(repr, r)) + "\n"
                                                  for j, r in enumerate(rows.tolist())))
     seeds, hulls = _count_hulls(monkeypatch)
-    argv = [command, "--input", str(path), "--function", "rg:p=1", "--grid-n", "64",
-            "--out", str(tmp_path / "out.jsonl")]
+    argv = [command, "--input", str(path), "--function", spec, "--out", str(tmp_path / "out.jsonl")]
     if command == "characterize":
         argv += ["--curves", str(tmp_path / "curves.csv")]
     assert main(argv) == 0
     assert len(seeds) == len(hulls) == ingest(path).n_items
-    assert all(a[1] == 64 for a in seeds)
-
-
-def test_base_grid_is_shared_and_read_only():
-    grid = base_grid(64, 1e-12, 144)
-    assert grid is base_grid(64, 1e-12, 144)
-    assert not grid.flags.writeable
-    want = np.unique(np.concatenate([np.linspace(1.0 / 64, 1.0, 64), np.geomspace(1e-12, 1.0, 144)]))
-    assert grid.tobytes() == want.tobytes()

@@ -112,7 +112,7 @@ HULLS = [
 def test_hull_slopes_match_the_scalar_max(monkeypatch, vertices):
     monkeypatch.setattr(estimators, "lower_hull", lambda points: LowerHull(vertices))
     lbf = lb_function(rg_fn(1.0, 2), (1.0, 0.0), TauScheme.pps(4.0, r=2))
-    est = estimators.v_optimal_estimates(lbf, 64)
+    est = estimators.v_optimal_estimates(lbf)
     assert _bits(est.values) == _bits(_scalar_slopes(vertices))
     assert _bits(est.los) == _bits([u for u, _ in vertices[:-1]])
     assert _bits(est.his) == _bits([u for u, _ in vertices[1:]])
@@ -128,11 +128,12 @@ def test_hull_slopes_of_real_curves_match_the_scalar_max(monkeypatch):
     monkeypatch.setattr(estimators, "lower_hull", spy)
     rng = np.random.default_rng(10)
     scheme = TauScheme.pps(4.0, r=3)
-    for spec in ("rg:p=2", "rg:p=1", "max", "min", "one_sided_rg:p=1,hi=3,lo=1"):
+    # the hulls of the corners; rg with p > 1 takes its hull from the arcs
+    for spec in ("rg:p=0.5", "rg:p=1", "max", "min", "one_sided_rg:p=1,hi=3,lo=1"):
         f = parse_function(spec, 3)
         for _ in range(4):
             v = tuple(rng.lognormal(0.0, 1.0, 3) * (rng.random(3) > 0.3))
-            est = estimators.v_optimal_estimates(lb_function(f, v, scheme), 128)
+            est = estimators.v_optimal_estimates(lb_function(f, v, scheme))
             assert _bits(est.values) == _bits(_scalar_slopes(hulls[-1].vertices))
 
 
@@ -162,7 +163,7 @@ def _odd_ids_csv(tmp_path):
     return path
 
 
-def _old_characterize(data, f, scheme, grid_n, depth):
+def _old_characterize(data, f, scheme, depth):
     """The records and curve CSV of characterize before it built one curve
     per vector: each check builds its own, and csv.writer writes the rows."""
     records = []
@@ -180,7 +181,7 @@ def _old_characterize(data, f, scheme, grid_n, depth):
             "bounded_slope": bd.value, "finite_variance": fin.ok,
             "chain_ok": analysis.implication_chain_ok(bd.ok, fin.ok, est.ok),
         })
-        writer.writerows((item, *row) for row in curve_table(v, f, scheme, grid_n=grid_n, depth=depth))
+        writer.writerows((item, *row) for row in curve_table(v, f, scheme, depth=depth))
     return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records), buf.getvalue()
 
 
@@ -196,12 +197,12 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
     real = functions._breakpoints
     monkeypatch.setattr(functions, "_breakpoints", lambda scheme, levels, owners, lefts: curves_built.extend(lefts) or real(scheme, levels, owners, lefts))
     out, curves = tmp_path / "out.jsonl", tmp_path / "curves.csv"
-    argv = ["characterize", "--input", str(path), "--function", spec, "--grid-n", "64",
+    argv = ["characterize", "--input", str(path), "--function", spec,
             "--out", str(out), "--curves", str(curves)]
     assert main(argv) == 0
     assert len(curves_built) == data.n_items
     monkeypatch.undo()
     want_jsonl, want_csv = _old_characterize(
-        data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 64, 40)
+        data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 40)
     assert out.read_text() == want_jsonl
     assert curves.read_bytes() == want_csv.encode()
