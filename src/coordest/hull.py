@@ -315,10 +315,11 @@ def _bridge(left, right, p: float) -> tuple[float, float, float]:
 
     The line touches each arc inside it, where it is the arc's tangent, or
     at one of its ends.  Both inside: the common tangent of two arcs with
-    ``d < 0`` in closed form.  Else one end, with a tangent from it to
-    the other arc; the first of those that stays below both arcs (by the
-    slopes at the touching points) is the line, and the one that misses
-    least when rounding leaves none.
+    ``d < 0`` in closed form.  Else one end, with the tangent from it to
+    the other arc (:func:`_touch`), which keeps that arc above the line;
+    the first of those that also stays below the arc of its end (by that
+    arc's slope there) is the line, and the one that misses least when
+    rounding leaves none.
     """
     cl, dl, lo_l, hi_l = left
     cr, dr, lo_r, hi_r = right
@@ -349,18 +350,13 @@ def _bridge(left, right, p: float) -> tuple[float, float, float]:
             slope = _arc_slope(left, t_l, p)
         else:
             slope = (_arc_value(right, t_r, p) - _arc_value(left, t_l, p)) / (t_r - t_l)
-        # the line must not rise above an arc it touches at an end
+        # the tangent keeps the other arc above the line; the arc whose end
+        # it starts from must not rise above it there
+        arc, t, lo, hi = (left, t_l, lo_l, hi_l) if on_left else (right, t_r, lo_r, hi_r)
         miss = 0.0
-        if lo_l < hi_l:
-            if t_l == lo_l:
-                miss = max(miss, slope - _arc_slope(left, t_l, p))
-            if t_l == hi_l:
-                miss = max(miss, _arc_slope(left, t_l, p) - slope)
-        if lo_r < hi_r:
-            if t_r == lo_r:
-                miss = max(miss, slope - _arc_slope(right, t_r, p))
-            if t_r == hi_r:
-                miss = max(miss, _arc_slope(right, t_r, p) - slope)
+        if lo < hi:
+            at = _arc_slope(arc, t, p)
+            miss = max(slope - at if t == lo else 0.0, at - slope if t == hi else 0.0)
         if miss <= 0.0:
             return t_l, t_r, slope
         if best is None or miss < best[0]:

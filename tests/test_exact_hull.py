@@ -29,7 +29,7 @@ from coordest.analysis import _curve_checks
 from coordest.cli import console_main, parse_scheme_file
 from coordest.estimators import HULL_LEFT_ANCHOR, v_optimal_estimates
 from coordest.functions import evaluate, lb_function, lb_functions, one_sided_rg_fn, parse_function, rg_fn
-from coordest.hull import integrate_square, lower_hull
+from coordest.hull import arc_hull, integrate_square, lower_hull
 
 from test_corner_hulls import SCHEMES, analysis_vectors
 from test_head_piece import LINEAR_ULPS, _power_slack, _triples
@@ -275,3 +275,18 @@ def test_exponents_near_1_approach_the_hull_of_p_1():
         linear = integrate_square(v_optimal_estimates(lb_function(rg_fn(1.0, 2), v, scheme)))
         near = integrate_square(v_optimal_estimates(lb_function(rg_fn(1.0 + 1e-7, 2), v, scheme)))
         assert near == pytest.approx(linear, rel=1e-5), v
+
+
+def test_a_line_to_the_zero_of_an_arc_near_p_1_is_a_bridge():
+    # at p = 1.0001 the slope p |d| s^(p-1) of an arc falls to 0 at its zero
+    # only below the smallest float: the line from the anchor to the zero
+    # of the third arc is the hull, whose slope at the zero reads 0 by the
+    # closed form; the tangent from the anchor keeps the arc above the line
+    p = 1.0001
+    bps = (0.23178381021672323, 0.3100889856983924, 0.36045297074078353, 1.0)
+    pieces = ((0.12368261422474923, -0.09769086191333574), (0.23182839161960805, -0.5718694489126439),
+              (0.2286648128199505, -0.6343818233763225), (0.0, 0.0))
+    est = arc_hull(bps, pieces, p, 1e-12)
+    assert est.los.tolist() == [1e-12, bps[2]] and est.his.tolist() == [bps[2], 1.0]
+    assert est.values[1] == 0.0
+    assert est.values[0] == pytest.approx(0.12368261422474923**p / (bps[2] - 1e-12), rel=1e-12)
