@@ -218,17 +218,18 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     and in closed form on an arc: ``p^2 |d| s^(2p-1) / (2p-1)`` taken
     between the ends of its window.  Any infinite piece value inside the
     window, or a true integral beyond the largest float, makes the result
-    infinite.
+    infinite.  Divergence below the materialised support is the business of
+    the refinement checks in :mod:`coordest.analysis`, not of this sum.
     """
     squares, shift = scaled_squares(e.values)
     p = e.exponent
-    if e.arcs is not None:
+
+    def arc_drop(s, d):
+        # scaled as the squares are
         k = 2.0 * p - 1.0
+        return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
 
-        def arc_drop(s, d):
-            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
-
-    total = _ordered_sum(e, squares, lo, hi, None if e.arcs is None else arc_drop)
+    total = _ordered_sum(e, squares, lo, hi, arc_drop)
     if shift:
         # two exact power-of-two steps, each below the largest float
         with np.errstate(over="ignore"):
