@@ -16,7 +16,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
+import functools
 import io
 import json
 import math
@@ -474,7 +476,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags})
 
 
+# glibc's malloc moves its mmap and trim thresholds up to the largest block
+# freed so far, so the page faults of a command depend on the commands run
+# before it in the same process.  Fixed thresholds make each command's cost
+# its own: blocks up to 4 MiB come from the heap, and the heap keeps up to
+# 64 MiB free before it hands pages back.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def _fix_heap_thresholds() -> None:
+    """Set the malloc thresholds once per process; a no-op without glibc's
+    ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _fix_heap_thresholds()
     args = PARSER.parse_args(argv)
     cfg = _config_from_args(args)
     if args.command == "sample":
