@@ -40,15 +40,16 @@ def main() -> None:
     for f in functions:
         for _ in range(args.n):
             v = tuple(np.where(rng.random(2) < 0.25, 0.0, rng.uniform(0, 2.5, 2)))
-            scheme = TauScheme.pps([float(t) for t in rng.uniform(0.5, 4.0, 2)])
+            taus = [float(t) for t in rng.uniform(0.5, 4.0, 2)]
+            scheme = TauScheme.pps(taus)
             rep = competitiveness_ratio(v, f, scheme)
             rows.append(
                 {
                     "function": f.describe(),
                     "v1": v[0],
                     "v2": v[1],
-                    "tau1": scheme.maps[0].tau_star,
-                    "tau2": scheme.maps[1].tau_star,
+                    "tau1": taus[0],
+                    "tau2": taus[1],
                     "ratio": rep.ratio,
                     "sq_j": rep.square_integral_j,
                     "sq_opt": rep.square_integral_opt,

@@ -50,7 +50,6 @@ from .model import (
     Known,
     Outcome,
     PiecewiseLinearMap,
-    PpsMap,
     TauScheme,
     Unknown,
     hash_seed,

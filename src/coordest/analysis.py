@@ -64,7 +64,8 @@ class CheckResult:
 
 def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
     """The estimable, bounded and finite-variance verdicts of the curve
-    ``lbf`` of data ``v``, from its head piece.
+    ``lbf`` of data ``v``, from its head piece.  An ``f_value`` past the
+    largest float (a range kind of large ``p``) is an error.
 
     * estimable: the gap between ``f_value`` and the head piece at seed 0.
       Every map starts at or below its domain low, so the gap is 0 unless
@@ -81,6 +82,8 @@ def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme:
     """
     c, d = lbf.head_piece
     p = lbf.exponent
+    if not math.isfinite(f_value):
+        raise ValueError(f"the lower bound near seed 0 passes the largest float (exponent {p:g})")
     at_zero = c if p is None else float((np.array([c]) ** p)[0])
     if f_value != at_zero:
         raise _unrevealed_error(v, scheme, f_value, at_zero)
@@ -309,16 +312,26 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     ``v_optimal_estimates(lbf)`` of its curve, is built when its columns
     are taken, and its rows are then looked up among those seeds; a hull
     of convex arcs reads no curve values and is built before the call, so
-    that the seeds where it meets and leaves the arcs are among them.
+    that the seeds where it meets and leaves the arcs are among them.  The
+    block ends before a vector whose hull fails: its error comes when its
+    columns are taken, after the columns of the vectors before it.
     """
+    # a hull that reads the curve at no seed (one of convex arcs) is built
+    # first, and the seeds just right of the breakpoints are read for it
+    hulls, arcs, error = [], [], None
+    for lbf in lbfs:
+        try:
+            xs, at = hull_seeds(lbf)
+            arcs.append(None if len(at) else hull_estimates(lbf, xs, at))
+        except ValueError as exc:
+            error = exc
+            break
+        hulls.append((xs, at))
+    rows, lbfs = rows[:len(hulls)], lbfs[:len(hulls)]
     j_depth = min(depth, 40)
     tables = j_piece_tables(rows, f, scheme, j_depth)
     j_ends = np.ldexp(1.0, np.arange(-j_depth - 1, 1))
-    hulls = [hull_seeds(lbf) for lbf in lbfs]
     inner = [_interior_seeds(lbf, xs[0]) for lbf, (xs, _) in zip(lbfs, hulls)]
-    # a hull that reads the curve at no seed (one of convex arcs) is built
-    # first, and the seeds just right of the breakpoints are read for it
-    arcs = [None if len(at) else hull_estimates(lbf, xs, at) for lbf, (xs, at) in zip(lbfs, hulls)]
     seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us) if opt is None else
                                       (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))
              for lbf, (_, at), us, opt in zip(lbfs, hulls, inner, arcs)]
@@ -329,6 +342,8 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
         j_fn = dyadic_pieces(table)
         us = np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_fn.los, j_fn.his, us)))
         yield us, lb[np.searchsorted(known, us)], opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+    if error is not None:
+        raise error
 
 
 def _after(lbf: LowerBoundFn) -> np.ndarray:

@@ -42,7 +42,7 @@ from .estimators import (
     mc_query_estimates,
 )
 from .functions import ItemFunction, parse_function
-from .model import InstanceSet, PiecewiseLinearMap, PpsMap, TauScheme, ingest
+from .model import InstanceSet, PiecewiseLinearMap, TauScheme, ingest
 from .samplers import (
     EXP_RANK,
     PPS_RANK,
@@ -119,7 +119,7 @@ def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauSche
             kind, _, rest = value.partition(":")
             kind = kind.strip().lower()
             if kind == "pps":
-                maps.append(PpsMap(_finite(rest)))
+                maps.append(PiecewiseLinearMap.pps(_finite(rest)))
             elif kind == "pwl":
                 nums = [_finite(x) for x in rest.replace(":", ",").split(",") if x.strip()]
                 if len(nums) % 2:
@@ -286,7 +286,9 @@ def run_query(cfg: RunConfig) -> dict:
         # salts are taken mod 2^64, as hash_seed takes a single salt
         salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
         estimates = mc_query_estimates(data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator)
-        std = float(estimates.std(ddof=1))
+        # a spread past the largest float is inf or NaN, which no record holds
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = float(estimates.std(ddof=1))
         record.update(value=float(estimates.mean()), stderr=std / math.sqrt(cfg.reps), std=std)
         return record
     record["value"] = res.value
@@ -328,9 +330,12 @@ def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str] | None,
 
 def cmd_estimate(cfg: RunConfig) -> int:
     record = run_query(cfg)
+    # an answer past the largest float is not JSON
+    with _error_source(f"--query {cfg.query!r}"):
+        line = json.dumps(record, allow_nan=False)
     fp = _open_out(cfg.out)
     try:
-        fp.write(json.dumps(record, allow_nan=False) + "\n")
+        fp.write(line + "\n")
     finally:
         _close_out(fp)
     return 0
@@ -405,10 +410,10 @@ def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
                            "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
                            "bounded_slope": bd.value, "finite_variance": fin.ok, "chain_ok": chain}
                     line = json.dumps(rec, allow_nan=False)
+                    rows = None if columns is None else zip(*(c.tolist() for c in next(columns)))
                 failed = failed or not chain
                 fp.write(line + "\n")
-                if columns is not None:
-                    rows = zip(*(c.tolist() for c in next(columns)))
+                if rows is not None:
                     curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
     finally:
         _close_out(fp)

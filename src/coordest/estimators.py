@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,9 @@ def j_estimates(
     values, revealed = np.ascontiguousarray(values.T), np.ascontiguousarray(revealed.T)
     head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme)
     prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme)
-    d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
+    # two bounds past the largest float leave a NaN, which no record holds
+    with np.errstate(invalid="ignore"):
+        d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
     return np.where(d > 0.0, d, 0.0)
 
 
@@ -123,8 +125,9 @@ def j_piece_tables(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, depth: 
     vals = np.empty_like(lbs)
     vals[:, 0] = 2.0 * lbs[:, 0]
     # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
-    # of data below about 1e-300; a value past the largest float is inf
-    with np.errstate(over="ignore"):
+    # of data below about 1e-300; a value past the largest float is inf,
+    # and two such bounds leave a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
     return np.clip(vals, 0.0, None)
 
@@ -385,7 +388,7 @@ def _sequential_sum(xs: Sequence[float]) -> float:
 
 
 def sum_estimate(
-    samples: Mapping[str, Outcome],
+    samples: Samples,
     f: ItemFunction,
     estimator: str,
     item_ids: Sequence[str] | None = None,
@@ -408,18 +411,18 @@ def sum_estimate(
     ids = None if item_ids is None else [str(i) for i in item_ids]
     if not (samples if ids is None else ids):
         return QueryResult(name, 0.0)
-    s = Samples.from_outcomes(samples)
-    rows = slice(None) if ids is None else s.indices(ids)
-    ids = s.item_ids if ids is None else ids
+    rows = slice(None) if ids is None else samples.indices(ids)
+    ids = samples.item_ids if ids is None else ids
     if estimator == "j":
-        estimates = j_estimates(f, s.seeds[rows], s.revealed[rows], s.cells[rows], s.scheme).tolist()
+        cols = samples.seeds[rows], samples.revealed[rows], samples.cells[rows]
+        estimates = j_estimates(f, *cols, samples.scheme).tolist()
     elif estimator == "ht":
-        estimates = ht_estimates(f, s.revealed[rows], s.cells[rows], s.scheme).tolist()
+        estimates = ht_estimates(f, samples.revealed[rows], samples.cells[rows], samples.scheme).tolist()
     else:
         vectors = data.matrix[data.indices(ids)]
-        seeds, estimates = s.seeds[rows].tolist(), []
+        seeds, estimates = samples.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
-            lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], s.scheme)
+            lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], samples.scheme)
             estimates += [v_optimal_estimates(lbf).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
@@ -446,7 +449,7 @@ def exact_query(
 
 
 def estimate_query(
-    samples: Mapping[str, Outcome],
+    samples: Samples,
     r: int,
     query: str,
     estimator: str,

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Domain, Outcome, PiecewiseLinearMap, TauScheme, outcome_columns
+from .model import Domain, Outcome, TauScheme, outcome_columns
 
 MAX = "max"
 MIN = "min"
@@ -164,9 +164,14 @@ def _lb_from_bounds(f: ItemFunction, lows: np.ndarray, highs: np.ndarray) -> np.
     if f.kind == OR:
         return (lows > 0).any(axis=0).astype(float)
     if f.kind == RG:
-        return np.clip(lows.max(axis=0) - highs.min(axis=0), 0.0, None) ** f.p
-    hi, lo = f.direction
-    return np.clip(lows[hi] - highs[lo], 0.0, None) ** f.p
+        gap = lows.max(axis=0) - highs.min(axis=0)
+    else:
+        hi, lo = f.direction
+        gap = lows[hi] - highs[lo]
+    # a power past the largest float is inf, which the analyses reject and
+    # JSON output cannot hold
+    with np.errstate(over="ignore"):
+        return np.clip(gap, 0.0, None) ** f.p
 
 
 def _box_bounds(values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +284,7 @@ class LowerBoundFn:
 @lru_cache(maxsize=16)
 def _scheme_points(scheme: TauScheme) -> np.ndarray:
     """The breakpoints every curve under ``scheme`` shares, ascending in
-    (0, 1): the joints of its maps, the seeds where two maps meet (at least
-    one of them piecewise-linear: two pps maps meet only at 0) and the
+    (0, 1): the joints of its maps, the seeds where two maps meet and the
     crossings of the domain lows.  Read-only, as equal schemes share it."""
     pts: set[float] = set()
     lows = np.array(scheme.domain.lows, dtype=float)
@@ -288,8 +292,6 @@ def _scheme_points(scheme: TauScheme) -> np.ndarray:
         pts.update(m.joints())
         pts.update(m.crossing_seeds(lows)[1].tolist())
     for a, b in itertools.combinations(scheme.maps, 2):
-        if not (isinstance(a, PiecewiseLinearMap) or isinstance(b, PiecewiseLinearMap)):
-            continue
         # compare on merged joints, between which both maps are linear
         us = np.array(sorted({0.0, 1.0, *a.joints(), *b.joints()}))
         gaps = (a.value(us) - b.value(us)).tolist()

@@ -225,9 +225,10 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     p = e.exponent
 
     def arc_drop(s, d):
-        # scaled as the squares are
+        # scaled as the squares are; a power past the largest float is inf
         k = 2.0 * p - 1.0
-        return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
+        with np.errstate(over="ignore"):
+            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
 
     total = _ordered_sum(e, squares, lo, hi, arc_drop)
     if shift:

@@ -154,61 +154,12 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class PpsMap:
-    """Linear threshold map ``tau(u) = u * tau_star``.
-
-    Under this map an entry with value ``v`` is revealed with probability
-    ``min(1, v / tau_star)`` over a uniform seed.
-    """
-
-    tau_star: float
-
-    def __post_init__(self):
-        if not self.tau_star > 0.0:
-            raise ValueError("tau_star must be positive")
-
-    def value(self, u):
-        return u * self.tau_star
-
-    def infimum(self) -> float:
-        return 0.0
-
-    def first_slope(self) -> float:
-        return self.tau_star
-
-    def lines(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The intercept and slope of the map's segment at each seed."""
-        return np.zeros(len(us)), np.full(len(us), self.tau_star)
-
-    def joints(self) -> tuple[float, ...]:
-        return ()
-
-    def crossings(self, level: float) -> tuple[float, ...]:
-        """The seed in (0, 1) where the map crosses ``level``: one level of
-        :meth:`crossing_seeds`."""
-        return tuple(self.crossing_seeds([level])[1].tolist())
-
-    def crossing_seeds(self, levels) -> tuple[np.ndarray, np.ndarray]:
-        """The crossings of every level in ``levels``: the index of each
-        crossed level and its seed in (0, 1), snapped by
-        :func:`snap_crossings` before it is kept; a level of 0 is crossed at
-        seed 0 and has none."""
-        levels = np.asarray(levels, dtype=float)
-        with np.errstate(over="ignore"):
-            us = levels / self.tau_star
-        which = np.flatnonzero(us > 0.0)
-        us = snap_crossings(self.value, us[which], levels[which], 0.0, 1.0)
-        keep = (0.0 < us) & (us < 1.0)
-        return which[keep], us[keep]
-
-
-@dataclass(frozen=True)
 class PiecewiseLinearMap:
     """Monotone non-decreasing continuous map given by ``(u, tau)`` joints.
 
     Joints must start at u=0, end at u=1, with strictly increasing u and
     non-decreasing nonnegative tau; values between joints interpolate
-    linearly.
+    linearly.  PPS is the two-joint map of :meth:`pps`.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -229,6 +180,16 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "_us", np.array(us))
         object.__setattr__(self, "_ts", np.array(ts))
 
+    @staticmethod
+    def pps(t: float) -> "PiecewiseLinearMap":
+        """The PPS map ``tau(u) = u * t``, through (0, 0) and (1, t): an
+        entry with value ``v`` is revealed with probability ``min(1, v/t)``
+        over a uniform seed.  ``np.interp`` gives it the bits of ``u * t``
+        on [0, 1]."""
+        if not t > 0.0:
+            raise ValueError("PPS threshold must be positive")
+        return PiecewiseLinearMap(((0.0, 0.0), (1.0, t)))
+
     def value(self, u):
         out = self._value(u)
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
@@ -239,15 +200,9 @@ class PiecewiseLinearMap:
     def infimum(self) -> float:
         return float(self._ts[0])
 
-    def first_slope(self) -> float:
-        """The slope of the first segment, as ``np.interp`` takes it."""
-        (u0, t0), (u1, t1) = self.points[:2]
-        return (t1 - t0) / (u1 - u0)
-
     def lines(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The intercept and slope of the segment holding each seed (the
-        left one at a joint): on the first segment, :meth:`infimum` and
-        :meth:`first_slope` bit for bit."""
+        left one at a joint)."""
         seg = np.searchsorted(self._us[1:-1], us)
         u0, t0 = self._us[seg], self._ts[seg]
         slopes = (self._ts[seg + 1] - t0) / (self._us[seg + 1] - u0)
@@ -285,8 +240,6 @@ class PiecewiseLinearMap:
         keep = (0.0 < us) & (us < 1.0)
         return which[keep], us[keep]
 
-
-TauMap = Union[PpsMap, PiecewiseLinearMap]
 
 # the most floats stepped from an interpolated crossing before the rest is
 # bisected; the rounding of the interpolation leaves the answer a few away
@@ -342,7 +295,7 @@ class TauScheme:
     any seed and the scheme is rejected.
     """
 
-    maps: tuple[TauMap, ...]
+    maps: tuple[PiecewiseLinearMap, ...]
     domain: Domain | None = None
 
     def __post_init__(self):
@@ -367,15 +320,15 @@ class TauScheme:
 
     @staticmethod
     def pps(tau_stars, r: int | None = None) -> "TauScheme":
-        """Convenience constructor; a scalar ``tau_stars`` is shared by all
-        ``r`` instances."""
+        """One :meth:`PiecewiseLinearMap.pps` map per threshold; a scalar
+        ``tau_stars`` is shared by all ``r`` instances."""
         if np.isscalar(tau_stars):
             if r is None:
                 raise ValueError("scalar tau_star needs an explicit instance count")
             stars = (float(tau_stars),) * r
         else:
             stars = tuple(float(t) for t in tau_stars)
-        return TauScheme(tuple(PpsMap(t) for t in stars))
+        return TauScheme(tuple(PiecewiseLinearMap.pps(t) for t in stars))
 
     def thresholds(self, us) -> np.ndarray:
         """``tau_i(u)`` for every instance (rows) and every seed in ``us``
@@ -384,11 +337,11 @@ class TauScheme:
         return np.stack([np.asarray(m.value(us), dtype=float) for m in self.maps])
 
     def common_pps_tau(self) -> float | None:
-        """The shared tau_star if every map is PPS with the same threshold."""
-        if all(isinstance(m, PpsMap) for m in self.maps):
-            stars = {m.tau_star for m in self.maps}
-            if len(stars) == 1:
-                return stars.pop()
+        """The shared ``t`` if every map is the PPS map of one threshold
+        ``t > 0``: the two joints (0, 0) and (1, t)."""
+        t = self.maps[0].points[-1][1]
+        if t > 0.0 and all(m.points == ((0.0, 0.0), (1.0, t)) for m in self.maps):
+            return t
         return None
 
 

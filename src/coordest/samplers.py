@@ -26,7 +26,6 @@ from .model import (
     Outcome,
     TauScheme,
     Unknown,
-    outcome_columns,
     seeds_for_items,
 )
 
@@ -103,18 +102,6 @@ class Samples(Mapping[str, Outcome]):
         for a in (self.seeds, self.revealed, self.cells):
             a.setflags(write=False)
         self.scheme = scheme
-
-    @staticmethod
-    def from_outcomes(outcomes: Mapping[str, Outcome]) -> "Samples":
-        """Columns of outcomes that share one scheme."""
-        if isinstance(outcomes, Samples):
-            return outcomes
-        if not outcomes:
-            raise ValueError("need at least one outcome to know the scheme")
-        schemes = {o.scheme for o in outcomes.values()}
-        if len(schemes) != 1:
-            raise ValueError("outcomes must share one scheme")
-        return Samples(outcomes, *outcome_columns(list(outcomes.values())), schemes.pop())
 
     @cached_property
     def _row(self) -> dict[str, int]:
@@ -235,24 +222,22 @@ def bottomk_sample(
 WRITE_BLOCK = 256
 
 
-def write_samples(outcomes: Mapping[str, Outcome], fp: IO[str]) -> None:
-    """One record per item, formatted from the columns with the pieces
-    ``json`` writes: ``float.__repr__`` for numbers, its ASCII escape for
-    the id and its ``", "`` and ``": "`` separators."""
-    if not outcomes:
-        return
-    s = Samples.from_outcomes(outcomes)
-    if not (np.isfinite(s.seeds).all() and np.isfinite(s.cells).all()):
+def write_samples(outcomes: Samples, fp: IO[str]) -> None:
+    """One record per item of the samples ``outcomes``, formatted from
+    their columns with the pieces ``json`` writes: ``float.__repr__`` for
+    numbers, its ASCII escape for the id and its ``", "`` and ``": "``
+    separators."""
+    if not (np.isfinite(outcomes.seeds).all() and np.isfinite(outcomes.cells).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    for lo in range(0, len(s), WRITE_BLOCK):
+    for lo in range(0, len(outcomes), WRITE_BLOCK):
         rows = slice(lo, lo + WRITE_BLOCK)
         columns = [
             [f'{{"known": {x!r}}}' if k else f'{{"unknown_ub": {x!r}}}' for k, x in zip(known, xs)]
-            for known, xs in zip(s.revealed[rows].T.tolist(), s.cells[rows].T.tolist())
+            for known, xs in zip(outcomes.revealed[rows].T.tolist(), outcomes.cells[rows].T.tolist())
         ]
         fp.writelines(
             f'{{"item": {encode_basestring_ascii(item)}, "seed": {seed!r}, "slots": [{", ".join(slots)}]}}\n'
-            for item, seed, slots in zip(s.item_ids[rows], s.seeds[rows].tolist(), zip(*columns))
+            for item, seed, slots in zip(outcomes.item_ids[rows], outcomes.seeds[rows].tolist(), zip(*columns))
         )
 
 

@@ -46,14 +46,12 @@ from coordest.model import (
     SNAP_ULPS,
     Known,
     Outcome,
-    PiecewiseLinearMap,
-    PpsMap,
     TauScheme,
     Unknown,
     outcome_columns,
     validate_seed,
 )
-from coordest.samplers import PPS_RANK_KIND, RankFunction
+from coordest.samplers import PPS_RANK_KIND, RankFunction, Samples
 
 # ---------------------------------------------------------------------------
 # one item at a time
@@ -72,6 +70,13 @@ def sample_item(v: Sequence[float], u: float, scheme: TauScheme) -> Outcome:
         t = float(scheme.maps[i].value(u))
         slots.append(Known(float(x)) if x >= t else Unknown(t))
     return Outcome(u, tuple(slots), scheme)
+
+
+def samples_of(outcomes: Mapping[str, Outcome]) -> Samples:
+    """The samples, as columns, of hand-made outcomes of one scheme, keyed
+    by item id."""
+    (scheme,) = {o.scheme for o in outcomes.values()}
+    return Samples(outcomes, *outcome_columns(list(outcomes.values())), scheme)
 
 
 def tau_at(scheme: TauScheme, instance: int, u: float) -> float:
@@ -289,12 +294,6 @@ def snap_crossing(value, u: float, level: float, lo: float, hi: float) -> float:
 
 def scalar_crossings(m, level: float) -> tuple[float, ...]:
     """``m.crossings(level)`` by the per-segment loop with the scalar snap."""
-    if isinstance(m, PpsMap):
-        u = level / m.tau_star
-        if not u > 0.0:
-            return ()
-        u = snap_crossing(m.value, u, level, 0.0, 1.0)
-        return (u,) if 0.0 < u < 1.0 else ()
     out = []
     pts = m.points
     for (ua, ta), (ub, tb) in zip(pts, pts[1:]):
@@ -310,15 +309,13 @@ def scalar_crossings(m, level: float) -> tuple[float, ...]:
 
 def scheme_breakpoints(scheme: TauScheme, levels: Sequence[float], left: float) -> set[float]:
     """Candidate seeds where any map crosses a fixed level, plus joints and
-    pairwise intersections of maps, at least one of them piecewise-linear."""
+    pairwise intersections of maps."""
     pts: set[float] = set()
     for m in scheme.maps:
         for lvl in levels:
             pts.update(scalar_crossings(m, lvl))
         pts.update(m.joints())
     for a, b in itertools.combinations(scheme.maps, 2):
-        if not (isinstance(a, PiecewiseLinearMap) or isinstance(b, PiecewiseLinearMap)):
-            continue
         us = np.array(sorted({0.0, 1.0, *a.joints(), *b.joints()}))
         gaps = (a.value(us) - b.value(us)).tolist()
         for ua, ub, fa, fb in zip(us.tolist(), us[1:].tolist(), gaps, gaps[1:]):

@@ -15,6 +15,8 @@ from coordest.functions import max_fn, min_fn, rg_fn
 from coordest.model import TauScheme, ingest
 from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances
 
+from scalar_reference import samples_of
+
 SALT = 7
 # more items than one oracle block, so the oracle's curves span two
 N_ITEMS = MC_ITEM_BLOCK + 9
@@ -77,7 +79,7 @@ def test_oracle_finds_each_data_row_by_id(table):
     # samples held in another order than the data are matched by id
     _, data = table
     samples = sample_instances(data, TauScheme.pps(4.0, r=2), SALT)
-    reordered = {i: samples[i] for i in reversed(data.item_ids)}
+    reordered = samples_of({i: samples[i] for i in reversed(data.item_ids)})
     f = rg_fn(1.0, 2)
     got = sum_estimate(reordered, f, "voptimal-oracle", None, data=data)
     want = dict(sum_estimate(samples, f, "voptimal-oracle", None, data=data).per_item)

@@ -22,7 +22,7 @@ from coordest import analysis
 from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_columns, curve_table
 from coordest.cli import console_main
 from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
-from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, PpsMap, snap_crossings
+from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, snap_crossings
 
 from conftest import builtin_functions
 from scalar_reference import (
@@ -155,15 +155,15 @@ def _flat_maps():
     yield PiecewiseLinearMap(((0.0, 1.0), (0.5, 1.0000001), (1.0, 5.0)))
     yield PiecewiseLinearMap(((0.0, 0.0), (0.75, 0.0), (1.0, 1.120208535626552)))
     yield PiecewiseLinearMap(((0.0, 0.0), (0.3, 2.0), (0.6, 2.0), (1.0, 4.0)))
-    yield PpsMap(3.0)
-    yield PpsMap(0.7)
+    yield PiecewiseLinearMap.pps(3.0)
+    yield PiecewiseLinearMap.pps(0.7)
 
 
 def _levels(m, rng) -> np.ndarray:
     """Levels at every joint value and one float below, at the map's value
     at seed 0, and spread over the map's range, inside the flat segments
     most of all."""
-    ts = [t for _, t in m.points] if isinstance(m, PiecewiseLinearMap) else [0.0, m.tau_star]
+    ts = [t for _, t in m.points]
     flat = [a + (b - a) * x for a, b in zip(ts, ts[1:]) if b - a < 1e-9 for x in rng.random(40)]
     return np.array([*ts, *np.nextafter(ts, -1.0), float(m.value(0.0)), *flat,
                      *(ts[0] + (ts[-1] - ts[0]) * rng.random(40)), ts[-1] * 1.5, 0.0])
@@ -179,21 +179,18 @@ def test_array_crossings_match_the_scalar_snap():
             want = scalar_crossings(m, level)
             assert tuple(np.unique(us[which == i]).tolist()) == want, (m, level)
             assert m.crossings(level) == want, (m, level)
-        if isinstance(m, PiecewiseLinearMap):
-            # how far each rising crossing lies from its interpolated seed
-            for (ua, ta), (ub, tb) in zip(m.points, m.points[1:]):
-                for level in levels[(ta <= levels) & (levels <= tb)].tolist():
-                    if tb > ta and (u := ua + (level - ta) * (ub - ua) / (tb - ta)) > 0.0:
-                        got = snap_crossing(m._value, u, level, ua, ub)
-                        bisected += abs(_bits([got])[0] - _bits([u])[0]) > SNAP_ULPS
+        # how far each rising crossing lies from its interpolated seed
+        for (ua, ta), (ub, tb) in zip(m.points, m.points[1:]):
+            for level in levels[(ta <= levels) & (levels <= tb)].tolist():
+                if tb > ta and (u := ua + (level - ta) * (ub - ua) / (tb - ta)) > 0.0:
+                    got = snap_crossing(m._value, u, level, ua, ub)
+                    bisected += abs(_bits([got])[0] - _bits([u])[0]) > SNAP_ULPS
     assert bisected > 20
 
 
 def test_array_snap_matches_the_scalar_snap_element_by_element():
     rng = np.random.default_rng(31)
     for m in _flat_maps():
-        if not isinstance(m, PiecewiseLinearMap):
-            continue
         ua, ub = np.array(m.points[:-1])[:, 0], np.array(m.points[1:])[:, 0]
         seg = rng.integers(len(ua), size=200)
         lo, hi = ua[seg], ub[seg]

@@ -74,9 +74,8 @@ def _ref_bottomk_estimate(sample, query, estimator, item_ids):
     return total, tuple(contributions)
 
 
-def _ref_write_samples(outcomes, fp):
+def _ref_write_samples(s, fp):
     encode = json.JSONEncoder(allow_nan=False).encode
-    s = Samples.from_outcomes(outcomes)
     for item, seed, revealed, values in zip(s.item_ids, s.seeds.tolist(), s.revealed.tolist(), s.cells.tolist()):
         slots = [{"known": x} if k else {"unknown_ub": x} for k, x in zip(revealed, values)]
         fp.write(encode({"item": item, "seed": seed, "slots": slots}) + "\n")

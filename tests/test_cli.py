@@ -27,7 +27,7 @@ from coordest.cli import (
     parse_scheme_file,
     resolve_items,
 )
-from coordest.model import PiecewiseLinearMap, PpsMap
+from coordest.model import PiecewiseLinearMap
 from coordest.samplers import read_samples
 
 DEMO_CSV = Path(__file__).resolve().parent.parent / "data" / "demo_two_instances.csv"
@@ -172,7 +172,7 @@ class TestSchemeParsing:
 
     def test_per_instance_thresholds(self):
         scheme = parse_scheme("pps:tau=4,2", r=2)
-        assert [m.tau_star for m in scheme.maps] == [4.0, 2.0]
+        assert scheme.maps == (PiecewiseLinearMap.pps(4.0), PiecewiseLinearMap.pps(2.0))
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -185,9 +185,29 @@ class TestSchemeParsing:
         tau.2 = pwl:0:0,0.5:1,1:4
         """
         scheme = parse_scheme_file(text, r=2)
-        assert isinstance(scheme.maps[0], PpsMap)
-        assert isinstance(scheme.maps[1], PiecewiseLinearMap)
+        assert scheme.maps[0] == PiecewiseLinearMap.pps(4.0)
         assert scheme.maps[1].value(0.75) == 2.5
+
+    def test_two_joint_pwl_map_is_the_pps_map(self, tmp_path, capsys):
+        # the inverse-probability estimator needs one common PPS threshold,
+        # however the maps are spelled
+        records = []
+        for spec in ("pps:4", "pwl:0:0,1:4", "pwl:0,0,1.0,4.0"):
+            path = tmp_path / "scheme.txt"
+            path.write_text(f"tau.1 = {spec}\ntau.2 = {spec}\n")
+            argv = ["estimate", "--input", str(DEMO_CSV), "--scheme-file", str(path), "--query", "maxsum",
+                    "--estimator", "ht"]
+            assert main(argv) == 0
+            records.append(capsys.readouterr().out)
+        assert main(["estimate", "--input", str(DEMO_CSV), "--query", "maxsum", "--estimator", "ht"]) == 0
+        records.append(capsys.readouterr().out)
+        assert records == [records[0]] * 4 and json.loads(records[0])["value"] > 0.0
+
+    def test_zero_pps_threshold_names_its_source(self):
+        with pytest.raises(ValueError, match=r"^--scheme 'pps:tau=0': PPS threshold must be positive$"):
+            parse_scheme("pps:tau=0", r=2)
+        with pytest.raises(ValueError, match=r"^s\.txt: line 2: tau\.2: PPS threshold must be positive$"):
+            parse_scheme_file("tau.1 = pps:4\ntau.2 = pps:0\n", r=2, source="s.txt")
 
     def test_scheme_file_must_cover_instances(self):
         with pytest.raises(ValueError):
@@ -702,6 +722,49 @@ class TestCharacterizeCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "coordest: error: item '4': Out of range float values are not JSON compliant\n"
+
+
+class TestValuesPastTheLargestFloat:
+    # (10 - 0.5)^600 is past the largest float; (1 - 0.5)^600 is not
+    BIG = "a,10.0,0.5\n"
+    SMALL = "b,1.0,0.5\n"
+    ERROR = "coordest: error: item 'a': the lower bound near seed 0 passes the largest float (exponent 600)\n"
+
+    @pytest.mark.parametrize("first, second", [(SMALL, BIG), (BIG, SMALL)], ids=["small-first", "big-first"])
+    def test_curves_end_with_the_item_error_after_the_rows_before_it(self, tmp_path, capsys, first, second):
+        def characterize(text: str) -> tuple[int, str, str, list[list[str]]]:
+            p, curves = tmp_path / "data.csv", tmp_path / "curves.csv"
+            p.write_text("item,v1,v2\n" + text)
+            code = console_main(["characterize", "--input", str(p), "--function", "rg:p=600", "--curves", str(curves)])
+            with curves.open() as fp:
+                return code, *capsys.readouterr(), list(csv.reader(fp))
+
+        code, out, err, rows = characterize(first + second)
+        assert code == 2 and err == self.ERROR
+        # the records and rows before the item's are those of the rows alone
+        _, out_b, _, rows_b = characterize(self.SMALL) if first == self.SMALL else characterize("")
+        assert out == out_b and rows == rows_b
+        assert len(rows) > 1 if first == self.SMALL else len(rows) == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        (["characterize", "--function", "rg:p=600"], ERROR),
+        (["characterize", "--function", "rg:p=600", "--curves", "CURVES"], ERROR),
+        (["analyze", "--function", "rg:p=600"], ERROR),
+        (["estimate", "--query", "lpp:p=600", "--estimator", "exact"],
+         "coordest: error: --query 'lpp:p=600': Out of range float values are not JSON compliant\n"),
+        (["estimate", "--query", "lpp:p=600", "--estimator", "j"],
+         "coordest: error: --query 'lpp:p=600': Out of range float values are not JSON compliant\n"),
+        (["estimate", "--query", "lp:p=600", "--estimator", "j", "--reps", "20"],
+         "coordest: error: --query 'lp:p=600': Out of range float values are not JSON compliant\n"),
+    ], ids=["characterize", "characterize-curves", "analyze", "estimate-exact", "estimate-j", "estimate-j-reps"])
+    def test_one_error_line_and_nothing_else_on_stderr(self, tmp_path, argv, error):
+        p = tmp_path / "big.csv"
+        p.write_text("item,v1,v2\n" + self.SMALL + self.BIG)
+        argv = [str(tmp_path / "c.csv") if a == "CURVES" else a for a in argv]
+        proc = _python("-m", "coordest", argv[0], "--input", str(p), *argv[1:])
+        assert proc.returncode == 2 and proc.stderr == error
+        if argv[0] == "estimate":
+            assert proc.stdout == ""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")

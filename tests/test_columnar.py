@@ -60,7 +60,6 @@ from coordest.model import (
     InstanceSet,
     Known,
     PiecewiseLinearMap,
-    PpsMap,
     TauScheme,
     Unknown,
     _unit_interval_np,
@@ -143,7 +142,7 @@ def schemes(draw, r: int) -> TauScheme:
     maps = []
     for _ in range(r):
         if draw(st.booleans()):
-            maps.append(PpsMap(draw(taus)))
+            maps.append(PiecewiseLinearMap.pps(draw(taus)))
             continue
         # infimum 0 (the default domain's lower bound), one inner joint
         u = draw(st.floats(min_value=0.05, max_value=0.95))
@@ -462,14 +461,13 @@ def _ref_v_optimal_estimates(lb, grid_n=64, corners=False):
 
 
 def _ref_scheme_breakpoints(scheme, levels, left):
-    """The two pair loops, PWL x PWL and PWL x PPS, before they were merged."""
+    """The pair loop over every two maps, with the scalar map values."""
     pts = set()
     for m in scheme.maps:
         for lvl in levels:
             pts.update(m.crossings(lvl))
         pts.update(m.joints())
-    pwl = [m for m in scheme.maps if isinstance(m, PiecewiseLinearMap)]
-    for a, b in itertools.combinations(pwl, 2):
+    for a, b in itertools.combinations(scheme.maps, 2):
         us = sorted({0.0, 1.0, *a.joints(), *b.joints()})
         for ua, ub in zip(us, us[1:]):
             fa, fb = a.value(ua) - b.value(ua), a.value(ub) - b.value(ub)
@@ -478,19 +476,6 @@ def _ref_scheme_breakpoints(scheme, levels, left):
             if fa * fb < 0.0:
                 t = fa / (fa - fb)
                 pts.add(ua + t * (ub - ua))
-    if pwl and any(isinstance(m, PpsMap) for m in scheme.maps):
-        for a in pwl:
-            for b in scheme.maps:
-                if isinstance(b, PpsMap):
-                    us = sorted({0.0, 1.0, *a.joints()})
-                    for ua, ub in zip(us, us[1:]):
-                        fa = a.value(ua) - b.value(ua)
-                        fb = a.value(ub) - b.value(ub)
-                        if fa == 0.0 and ua > 0.0:
-                            pts.add(ua)
-                        if fa * fb < 0.0:
-                            t = fa / (fa - fb)
-                            pts.add(ua + t * (ub - ua))
     return {p for p in pts if left < p < 1.0}
 
 
@@ -638,7 +623,7 @@ def test_lower_hull_matches_the_tuple_chain(pts):
 
 
 FILE_SCHEME = TauScheme((
-    PpsMap(4.0),
+    PiecewiseLinearMap.pps(4.0),
     PiecewiseLinearMap(((0.0, 0.0), (0.25, 1.0), (0.6, 2.5), (1.0, 5.0))),
     PiecewiseLinearMap(((0.0, 0.0), (0.5, 3.0), (1.0, 4.0))),
 ))

@@ -29,7 +29,7 @@ from coordest.cli import parse_scheme_file
 from coordest.estimators import v_optimal_estimates
 from coordest.functions import evaluate, lb_function, max_fn, parse_function
 from coordest.hull import integrate_square
-from coordest.model import PiecewiseLinearMap, PpsMap, TauScheme
+from coordest.model import PiecewiseLinearMap, TauScheme
 
 from conftest import builtin_functions, random_vector
 from scalar_reference import GRID_N, grid_hull, grid_seeds
@@ -186,7 +186,7 @@ def test_pwl_crossings_are_the_last_revealing_seeds(m, data):
 @given(st.floats(0.01, 100.0), st.lists(st.floats(0.0, 200.0, allow_subnormal=False), max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_pps_crossings_are_the_last_revealing_seeds(tau, levels):
-    m = PpsMap(tau)
+    m = PiecewiseLinearMap.pps(tau)
     for level in [0.0, math.nextafter(tau, 0.0), *levels]:
         check_crossings(m, level)
 
@@ -195,7 +195,7 @@ def test_a_level_crossed_at_seed_0_has_no_crossing():
     # rounding keeps these maps at the level over the first floats above 0
     # (up to 5e-324 and 1.4e-17); a breakpoint there would be the curve's
     # head, and the limit probes below it would underflow to 0
-    assert PpsMap(0.5).crossings(0.0) == ()
+    assert PiecewiseLinearMap.pps(0.5).crossings(0.0) == ()
     assert PiecewiseLinearMap(((0.0, 0.5), (1.0, 4.5))).crossings(0.5) == ()
     assert lb_function(max_fn(2), (1.0, 0.0), TauScheme.pps(0.5, r=2)).breakpoints == (1.0,)
 

@@ -34,7 +34,7 @@ from coordest.model import InstanceSet, TauScheme
 from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances
 
 from conftest import builtin_functions, random_scheme, random_vector
-from scalar_reference import ht_estimate_fn, j_cumulative, sample_item
+from scalar_reference import ht_estimate_fn, j_cumulative, sample_item, samples_of
 
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
@@ -87,7 +87,7 @@ class TestDyadicEstimate:
         out = sample_item(v, u, scheme1)
         table = j_piece_values(v, ONE_SIDED, scheme1, depth=20)
         assert j_estimate(out, ONE_SIDED) == pytest.approx(table[7], rel=1e-12)
-        samples = {"a": out}
+        samples = samples_of({"a": out})
         assert estimate_query(samples, 2, "lpp", "j", p=2).value >= 0.0
 
     def test_nonnegative_everywhere(self):

@@ -16,7 +16,7 @@ from coordest.functions import (
     parse_function,
     rg_fn,
 )
-from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme
+from coordest.model import Domain, PiecewiseLinearMap, TauScheme
 
 from conftest import builtin_functions, random_scheme, random_vector
 from scalar_reference import brute_force_lower_bound, is_consistent, lb_breakpoints, sample_item
@@ -129,9 +129,9 @@ def nonzero_domain_cases(rng, n: int = 60):
     domain = Domain(lows=(0.5, 0.0))
     for k in range(n):
         t1, t2 = rng.uniform(0.5, 4.0, size=2)
-        second = PpsMap(t2) if k % 2 else PiecewiseLinearMap(((0.0, 0.0), (0.5, 0.25 * t2), (1.0, t2)))
+        second = PiecewiseLinearMap.pps(t2) if k % 2 else PiecewiseLinearMap(((0.0, 0.0), (0.5, 0.25 * t2), (1.0, t2)))
         v = random_vector(rng)
-        yield TauScheme((PpsMap(t1), second), domain=domain), (max(v[0], 0.5), v[1])
+        yield TauScheme((PiecewiseLinearMap.pps(t1), second), domain=domain), (max(v[0], 0.5), v[1])
 
 
 def assert_matches_oracle(scheme: TauScheme, v, rng, grid_n: int = 80) -> None:

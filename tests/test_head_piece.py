@@ -18,7 +18,7 @@ import pytest
 
 from coordest.analysis import _curve_checks, check_bounded, competitiveness_ratio
 from coordest.functions import evaluate, lb_function, rg_fn
-from coordest.model import Domain, PiecewiseLinearMap, PpsMap, TauScheme
+from coordest.model import Domain, PiecewiseLinearMap, TauScheme
 
 from conftest import builtin_functions
 from limit_oracle import check_bounded_curve, check_estimable_curve, check_finite_variance_curve
@@ -56,7 +56,7 @@ def _scheme(rng, kind: str, lows) -> TauScheme:
     maps = []
     for lo in lows:
         if kind == "pps" or (kind == "mixed" and rng.random() < 0.5):
-            maps.append(PpsMap(float(rng.uniform(0.5, 4.0))))
+            maps.append(PiecewiseLinearMap.pps(float(rng.uniform(0.5, 4.0))))
         else:
             maps.append(_pwl(rng, float(rng.choice([0.0, lo / 2, lo]))))
     return TauScheme(tuple(maps), Domain(tuple(lows)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,7 +13,6 @@ from coordest.model import (
     Known,
     Outcome,
     PiecewiseLinearMap,
-    PpsMap,
     TauScheme,
     Unknown,
     _unit_interval,
@@ -127,16 +128,36 @@ class TestTauMaps:
         # lows are stored as a tuple of floats, so a scheme declared with a
         # list is hashable and its curves match the tuple-declared scheme's
         m = PiecewiseLinearMap(((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)))
-        listed = TauScheme((m, PpsMap(2.0)), domain=Domain(lows=[0.5, 0]))
-        tupled = TauScheme((m, PpsMap(2.0)), domain=Domain(lows=(0.5, 0.0)))
+        listed = TauScheme((m, PiecewiseLinearMap.pps(2.0)), domain=Domain(lows=[0.5, 0]))
+        tupled = TauScheme((m, PiecewiseLinearMap.pps(2.0)), domain=Domain(lows=(0.5, 0.0)))
         assert listed.domain.lows == (0.5, 0.0) and hash(listed) == hash(tupled)
         for v in ([0.7, 3.0], [0.5, 0.0], [2.5, 1.0]):
             want, got = lb_function(rg_fn(2.0, 2), v, tupled), lb_function(rg_fn(2.0, 2), v, listed)
             assert got.breakpoints == want.breakpoints and got.head_piece == want.head_piece
 
+    def test_pps_is_the_two_joint_map(self):
+        pps, pwl = PiecewiseLinearMap.pps(4.0), PiecewiseLinearMap(((0, 0), (1, 4)))
+        assert pps == pwl and hash(pps) == hash(pwl)
+        assert TauScheme((pwl, pwl)) == TauScheme.pps(4.0, r=2)
+        assert TauScheme((pwl, pwl)).common_pps_tau() == 4.0
+        # three joints on one line, a zero map or two thresholds are not one PPS threshold
+        assert TauScheme((PiecewiseLinearMap(((0, 0), (0.5, 2), (1, 4))),)).common_pps_tau() is None
+        assert TauScheme((PiecewiseLinearMap(((0, 0), (1, 0))),)).common_pps_tau() is None
+        assert TauScheme.pps([4.0, 2.0]).common_pps_tau() is None
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^PPS threshold must be positive$"):
+                PiecewiseLinearMap.pps(t)
+
+    def test_pps_thresholds_are_the_products_bit_for_bit(self):
+        us = np.concatenate((np.random.default_rng(5).random(10_000), [1.0, 5e-324, 2.0**-1074, 0.5]))
+        for t in (4.0, 0.7, 3.3, 1e-300, 1e300):
+            assert TauScheme.pps(t, r=1).thresholds(us)[0].tobytes() == (us * t).tobytes()
+            m = PiecewiseLinearMap.pps(t)
+            assert [m.value(u) for u in (1.0, 5e-324, 0.3)] == [t, 5e-324 * t, 0.3 * t]
+
     def test_crossings(self):
-        assert PpsMap(4.0).crossings(1.0) == (0.25,)
-        assert PpsMap(4.0).crossings(5.0) == ()
+        assert PiecewiseLinearMap.pps(4.0).crossings(1.0) == (0.25,)
+        assert PiecewiseLinearMap.pps(4.0).crossings(5.0) == ()
         m = PiecewiseLinearMap(((0.0, 0.0), (0.5, 1.0), (1.0, 4.0)))
         assert m.crossings(2.5) == (0.75,)
 

@@ -12,7 +12,7 @@ from coordest import analysis, estimators
 from coordest.cli import ingest, main
 from coordest.estimators import v_optimal_estimates
 from coordest.functions import LowerBoundFn, lb_function, rg_fn
-from coordest.model import PiecewiseLinearMap, PpsMap, TauScheme
+from coordest.model import PiecewiseLinearMap, TauScheme
 
 from conftest import builtin_functions
 from limit_oracle import check_finite_variance_curve, finite_variance_ladder
@@ -20,7 +20,7 @@ from limit_oracle import check_finite_variance_curve, finite_variance_ladder
 SCHEMES = {
     "pps:tau=4": TauScheme.pps(4.0, r=3),
     "pwl+pps": TauScheme((
-        PpsMap(4.0),
+        PiecewiseLinearMap.pps(4.0),
         PiecewiseLinearMap(((0.0, 0.0), (0.25, 1.0), (0.6, 2.5), (1.0, 5.0))),
         PiecewiseLinearMap(((0.0, 0.0), (0.5, 3.0), (1.0, 4.0))),
     )),

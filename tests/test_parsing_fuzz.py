@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from coordest import model
 from coordest.cli import ingest, parse_query, parse_scheme, parse_scheme_file
 from coordest.estimators import QUERY_KINDS
-from coordest.model import TauScheme
+from coordest.model import PiecewiseLinearMap, TauScheme
 
 
 def _row_loop_ingest(path):
@@ -212,7 +212,7 @@ def test_parse_scheme_fails_only_with_the_flag(spec, r):
         assert str(exc).startswith(f"--scheme {spec!r}: ")
     else:
         assert isinstance(scheme, TauScheme) and scheme.r == r
-        assert all(math.isfinite(m.tau_star) and m.tau_star > 0 for m in scheme.maps)
+        assert all(m == PiecewiseLinearMap.pps(m.points[-1][1]) and math.isfinite(m.points[-1][1]) for m in scheme.maps)
 
 
 query_specs = st.one_of(

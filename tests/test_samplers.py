@@ -14,7 +14,6 @@ from coordest.model import (
     InstanceSet,
     Known,
     PiecewiseLinearMap,
-    PpsMap,
     TauScheme,
     Unknown,
     hash_seed,
@@ -32,7 +31,7 @@ from coordest.samplers import (
 )
 
 from conftest import DEMO_PROBS_1, DEMO_PROBS_2
-from scalar_reference import conditional_threshold, rank_value, sample_item, tau_at
+from scalar_reference import conditional_threshold, rank_value, sample_item, samples_of, tau_at
 
 
 class TestSampleItem:
@@ -201,7 +200,7 @@ class TestSerialization:
             v = tuple(rng.uniform(0, 5, size=2))
             outcomes[f"item{i}"] = sample_item(v, float(rng.uniform(0.01, 1.0)), scheme4)
         buf = io.StringIO()
-        write_samples(outcomes, buf)
+        write_samples(samples_of(outcomes), buf)
         buf.seek(0)
         loaded = read_samples(buf, scheme4)
         assert loaded == outcomes
@@ -216,7 +215,7 @@ class TestSerialization:
         scheme = TauScheme.pps(4.0, r=2)
         out = sample_item((v1, v2), hash_seed("x", salt), scheme)
         buf = io.StringIO()
-        write_samples({"x": out}, buf)
+        write_samples(samples_of({"x": out}), buf)
         buf.seek(0)
         assert read_samples(buf, scheme) == {"x": out}
 
@@ -271,7 +270,7 @@ class TestSerialization:
     def test_record_shape(self, scheme4):
         out = sample_item((1.0, 3.0), 0.5, scheme4)
         buf = io.StringIO()
-        write_samples({"1": out}, buf)
+        write_samples(samples_of({"1": out}), buf)
         text = buf.getvalue()
         assert '"item": "1"' in text and '"unknown_ub": 2.0' in text and '"known": 3.0' in text
 
@@ -282,7 +281,7 @@ def pps_pwl_schemes(draw, r: int) -> TauScheme:
     for _ in range(r):
         tau = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
         if draw(st.booleans()):
-            maps.append(PpsMap(tau))
+            maps.append(PiecewiseLinearMap.pps(tau))
         else:
             u = draw(st.sampled_from([0.25, 0.5, 0.75]))
             maps.append(PiecewiseLinearMap(((0.0, 0.0), (u, draw(st.sampled_from([0.0, u * tau, tau]))), (1.0, tau))))
