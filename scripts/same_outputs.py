@@ -9,7 +9,7 @@ operation's exit code and error.  Every file that differs between the two
 directories, or that only one holds, is listed, and the exit status is 1 if
 any is.
 
-Usage: python scripts/same_outputs.py --parent REV [--child REV] [--seed S] [--workdir DIR]
+Usage: python scripts/same_outputs.py --parent REV [--child REV] [--seed S]
 """
 
 from __future__ import annotations
@@ -108,13 +108,10 @@ def compare(parent: str, child: str, seed: int, work: Path) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--child", default="HEAD", help="revision to check (default HEAD)")
+    ap.add_argument("--child", default="HEAD", help="revision to check (default HEAD; `git stash create` "
+                    "gives one of the working tree)")
     ap.add_argument("--seed", type=int, default=401, help="input seed, as coordbench/run.py takes it")
-    ap.add_argument("--workdir", type=Path, default=None, help="keep the trees and outputs here (must not exist)")
     args = ap.parse_args()
-    if args.workdir is not None:
-        args.workdir.mkdir(parents=True)
-        return compare(args.parent, args.child, args.seed, args.workdir)
     with tempfile.TemporaryDirectory() as tmp:
         return compare(args.parent, args.child, args.seed, Path(tmp))
 
