@@ -1,6 +1,6 @@
-"""Check that two revisions write the same bytes on the benchmark's operations.
+"""Check that HEAD writes the same bytes as another revision on the benchmark's operations.
 
-Both revisions' ``src`` trees are taken with ``git archive``.  For each
+The ``src`` trees of ``--parent`` and of ``HEAD`` are taken with ``git archive``.  For each
 workload of ``coordbench/workloads.py`` the inputs of ``coordbench/gen.py``
 are written once from ``--seed``; each revision then runs one round of the
 workload's operations, as ``coordest.cli.main(argv)`` in one interpreter per
@@ -9,7 +9,7 @@ operation's exit code and error.  Every file that differs between the two
 directories, or that only one holds, is listed, and the exit status is 1 if
 any is.
 
-Usage: python scripts/same_outputs.py --parent REV [--child REV] [--seed S]
+Usage: python scripts/same_outputs.py --parent REV [--seed S]
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def run_round(tree: Path, workload: str, inp: Inputs, ids: list[str], outdir: Pa
     subprocess.run([sys.executable, "-c", RUNNER, str(plan)], env=env, check=True)
 
 
-def compare(parent: str, child: str, seed: int, work: Path) -> int:
-    for name, rev in (("parent", parent), ("child", child)):
+def compare(parent: str, seed: int, work: Path) -> int:
+    for name, rev in (("parent", parent), ("child", "HEAD")):
         extract(rev, work / name)
     diffs = total = 0
     for workload in WORKLOADS:
@@ -101,19 +101,17 @@ def compare(parent: str, child: str, seed: int, work: Path) -> int:
         for path in bad:
             print(f"DIFFERS {workload}/{path}")
         print(f"{workload}: {n} output files, {len(bad)} differ")
-    print(f"seed {seed}: {total} output files, {diffs} differ ({parent} vs {child})")
+    print(f"seed {seed}: {total} output files, {diffs} differ ({parent} vs HEAD)")
     return 1 if diffs else 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--child", default="HEAD", help="revision to check (default HEAD; `git stash create` "
-                    "gives one of the working tree)")
     ap.add_argument("--seed", type=int, default=401, help="input seed, as coordbench/run.py takes it")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        return compare(args.parent, args.child, args.seed, Path(tmp))
+        return compare(args.parent, args.seed, Path(tmp))
 
 
 if __name__ == "__main__":

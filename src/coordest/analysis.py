@@ -30,7 +30,7 @@ import numpy as np
 
 from .estimators import DEPTH, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
-from .hull import integrate_square, scaled_squares
+from .hull import FloatRangeError, integrate_square, scaled_squares
 from .model import TauScheme
 
 RATIO_BOUND = 84.0
@@ -64,8 +64,7 @@ class CheckResult:
 
 def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
     """The estimable, bounded and finite-variance verdicts of the curve
-    ``lbf`` of data ``v``, from its head piece.  An ``f_value`` past the
-    largest float (a range kind of large ``p``) is an error.
+    ``lbf`` of data ``v``, from its head piece; an infinite ``f_value`` is an error.
 
     * estimable: the gap between ``f_value`` and the head piece at seed 0.
       Every map starts at or below its domain low, so the gap is 0 unless
@@ -83,7 +82,7 @@ def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme:
     c, d = lbf.head_piece
     p = lbf.exponent
     if not math.isfinite(f_value):
-        raise ValueError(f"the lower bound near seed 0 passes the largest float (exponent {p:g})")
+        raise FloatRangeError(p)
     at_zero = c if p is None else float((np.array([c]) ** p)[0])
     if f_value != at_zero:
         raise _unrevealed_error(v, scheme, f_value, at_zero)

@@ -42,6 +42,7 @@ from .estimators import (
     mc_query_estimates,
 )
 from .functions import ItemFunction, parse_function
+from .hull import FloatRangeError
 from .model import InstanceSet, PiecewiseLinearMap, TauScheme, ingest
 from .samplers import (
     EXP_RANK,
@@ -54,12 +55,12 @@ from .samplers import (
 
 
 @contextmanager
-def _error_source(where: str):
-    """Prefix the message of a ``ValueError`` raised inside with ``where``:
+def _error_source(where: str, kind: type[ValueError] = ValueError):
+    """Prefix the message of a ``kind`` error raised inside with ``where``:
     the flag, or the file and line, that the bad text came from."""
     try:
         yield
-    except ValueError as exc:
+    except kind as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -329,8 +330,9 @@ def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str] | None,
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    record = run_query(cfg)
-    # an answer past the largest float is not JSON
+    # the oracle's hull of a value past the largest float fails, and such an answer is not JSON
+    with _error_source(f"--query {cfg.query!r}", FloatRangeError):
+        record = run_query(cfg)
     with _error_source(f"--query {cfg.query!r}"):
         line = json.dumps(record, allow_nan=False)
     fp = _open_out(cfg.out)

@@ -163,15 +163,13 @@ def _lb_from_bounds(f: ItemFunction, lows: np.ndarray, highs: np.ndarray) -> np.
         return lows.min(axis=0)
     if f.kind == OR:
         return (lows > 0).any(axis=0).astype(float)
-    if f.kind == RG:
-        gap = lows.max(axis=0) - highs.min(axis=0)
-    else:
-        hi, lo = f.direction
-        gap = lows[hi] - highs[lo]
     # a power past the largest float is inf, which the analyses reject and
     # JSON output cannot hold
     with np.errstate(over="ignore"):
-        return np.clip(gap, 0.0, None) ** f.p
+        if f.kind == RG:
+            return np.clip(lows.max(axis=0) - highs.min(axis=0), 0.0, None) ** f.p
+        hi, lo = f.direction
+        return np.clip(lows[hi] - highs[lo], 0.0, None) ** f.p
 
 
 def _box_bounds(values: np.ndarray, revealed, xs: np.ndarray, scheme: TauScheme) -> tuple[np.ndarray, np.ndarray]:

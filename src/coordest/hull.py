@@ -366,6 +366,13 @@ def _bridge(left, right, p: float) -> tuple[float, float, float]:
     return best[1:]
 
 
+class FloatRangeError(ValueError):
+    """The error of a curve of exponent ``p`` past the largest float near seed 0."""
+
+    def __init__(self, p: float):
+        super().__init__(f"the lower bound near seed 0 passes the largest float (exponent {p:g})")
+
+
 def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]], p: float,
              anchor: float) -> EstimateFn:
     """The negated slopes of the lower convex hull of a curve whose piece
@@ -385,7 +392,7 @@ def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]]
         # the curve's largest value: no power of the hull passes it
         _arc_value(pieces[next(k for k, b in enumerate(breakpoints) if b > anchor)], anchor, p)
     except OverflowError:
-        raise ValueError(f"the lower bound near seed 0 passes the largest float (exponent {p:g})") from None
+        raise FloatRangeError(p) from None
     arcs, lo = [], anchor
     for b, (c, d) in zip(breakpoints, pieces):
         if b <= lo:

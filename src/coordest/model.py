@@ -191,11 +191,8 @@ class PiecewiseLinearMap:
         return PiecewiseLinearMap(((0.0, 0.0), (1.0, t)))
 
     def value(self, u):
-        out = self._value(u)
+        out = np.interp(u, self._us, self._ts)
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
-
-    def _value(self, u):
-        return np.interp(u, self._us, self._ts)
 
     def infimum(self) -> float:
         return float(self._ts[0])
@@ -233,7 +230,7 @@ class PiecewiseLinearMap:
         us = ua[seg] + (levels[which] - ta[seg]) * (ub[seg] - ua[seg]) / (tb[seg] - ta[seg])
         live = us > 0.0
         seg, which = seg[live], which[live]
-        us = snap_crossings(self._value, us[live], levels[which], ua[seg], ub[seg])
+        us = snap_crossings(self.value, us[live], levels[which], ua[seg], ub[seg])
         flat, at = np.nonzero(hit & ~rising)
         which = np.concatenate((which, at, at))
         us = np.concatenate((us, ua[flat], ub[flat]))
@@ -325,10 +322,8 @@ class TauScheme:
         if np.isscalar(tau_stars):
             if r is None:
                 raise ValueError("scalar tau_star needs an explicit instance count")
-            stars = (float(tau_stars),) * r
-        else:
-            stars = tuple(float(t) for t in tau_stars)
-        return TauScheme(tuple(PiecewiseLinearMap.pps(t) for t in stars))
+            tau_stars = (tau_stars,) * r
+        return TauScheme(tuple(PiecewiseLinearMap.pps(float(t)) for t in tau_stars))
 
     def thresholds(self, us) -> np.ndarray:
         """``tau_i(u)`` for every instance (rows) and every seed in ``us``
@@ -340,9 +335,7 @@ class TauScheme:
         """The shared ``t`` if every map is the PPS map of one threshold
         ``t > 0``: the two joints (0, 0) and (1, t)."""
         t = self.maps[0].points[-1][1]
-        if t > 0.0 and all(m.points == ((0.0, 0.0), (1.0, t)) for m in self.maps):
-            return t
-        return None
+        return t if t > 0.0 and all(m.points == ((0.0, 0.0), (1.0, t)) for m in self.maps) else None
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def scalar_crossings(m, level: float) -> tuple[float, ...]:
             if tb > ta:
                 u = ua + (level - ta) * (ub - ua) / (tb - ta)
                 if u > 0.0:
-                    out.append(snap_crossing(m._value, u, level, ua, ub))
+                    out.append(snap_crossing(m.value, u, level, ua, ub))
             elif ta == level:
                 out.extend((ua, ub))
     return tuple(sorted({u for u in out if 0.0 < u < 1.0}))

@@ -183,7 +183,7 @@ def test_array_crossings_match_the_scalar_snap():
         for (ua, ta), (ub, tb) in zip(m.points, m.points[1:]):
             for level in levels[(ta <= levels) & (levels <= tb)].tolist():
                 if tb > ta and (u := ua + (level - ta) * (ub - ua) / (tb - ta)) > 0.0:
-                    got = snap_crossing(m._value, u, level, ua, ub)
+                    got = snap_crossing(m.value, u, level, ua, ub)
                     bisected += abs(_bits([got])[0] - _bits([u])[0]) > SNAP_ULPS
     assert bisected > 20
 
@@ -197,8 +197,8 @@ def test_array_snap_matches_the_scalar_snap_element_by_element():
         # crossings from anywhere in the segment, some far from the answer
         us = lo + (hi - lo) * rng.random(200)
         levels = m.value(lo) + (m.value(hi) - m.value(lo)) * rng.random(200)
-        got = snap_crossings(m._value, us, levels, lo, hi)
-        want = [snap_crossing(m._value, *args) for args in zip(us.tolist(), levels.tolist(), lo.tolist(), hi.tolist())]
+        got = snap_crossings(m.value, us, levels, lo, hi)
+        want = [snap_crossing(m.value, *args) for args in zip(us.tolist(), levels.tolist(), lo.tolist(), hi.tolist())]
         assert _bits(got) == _bits(want)
 
 

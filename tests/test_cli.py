@@ -756,7 +756,12 @@ class TestValuesPastTheLargestFloat:
          "coordest: error: --query 'lpp:p=600': Out of range float values are not JSON compliant\n"),
         (["estimate", "--query", "lp:p=600", "--estimator", "j", "--reps", "20"],
          "coordest: error: --query 'lp:p=600': Out of range float values are not JSON compliant\n"),
-    ], ids=["characterize", "characterize-curves", "analyze", "estimate-exact", "estimate-j", "estimate-j-reps"])
+        (["estimate", "--query", "lpp:p=600", "--estimator", "voptimal-oracle"],
+         "coordest: error: --query 'lpp:p=600': the lower bound near seed 0 passes the largest float (exponent 600)\n"),
+        (["estimate", "--query", "lpp:p=600", "--estimator", "voptimal-oracle", "--reps", "20"],
+         "coordest: error: --query 'lpp:p=600': the lower bound near seed 0 passes the largest float (exponent 600)\n"),
+    ], ids=["characterize", "characterize-curves", "analyze", "estimate-exact", "estimate-j", "estimate-j-reps",
+            "estimate-oracle", "estimate-oracle-reps"])
     def test_one_error_line_and_nothing_else_on_stderr(self, tmp_path, argv, error):
         p = tmp_path / "big.csv"
         p.write_text("item,v1,v2\n" + self.SMALL + self.BIG)
