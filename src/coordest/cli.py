@@ -32,6 +32,8 @@ import numpy as np
 
 from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curve_columns, implication_chain_ok
 from .estimators import (
+    BOTTOMK_ESTIMATORS,
+    BOTTOMK_QUERIES,
     DEPTH,
     LP,
     LPP,
@@ -222,6 +224,8 @@ class RunConfig:
             raise ValueError(f"--reps must be at most {MAX_REPS} (1 GiB of salts and sums), got {self.reps!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"--k must be at least 1, got {self.k!r}")
+        if self.k is not None and self.reps != 1:
+            raise ValueError(f"--reps {self.reps} does not apply with --k: a bottom-k sample is drawn at one salt")
         if self.p is not None and not (math.isfinite(self.p) and self.p > 0.0):
             raise ValueError(f"--p must be positive and finite, got {self.p!r}")
 
@@ -261,13 +265,13 @@ def run_query(cfg: RunConfig) -> dict:
     if cfg.query is None:
         raise ValueError("estimate needs --query")
     query, p = parse_query(cfg.query, cfg.p)
-    cfg = replace(cfg, query=query, p=p)
+    spec, cfg = cfg.query, replace(cfg, query=query, p=p)
     ids, subset = resolve_items(cfg.items, data)
     # every item: the estimators read all rows as they stand
     item_ids = None if subset == "all" else ids
 
     if cfg.k is not None:
-        return _run_bottomk_query(cfg, data, item_ids, subset)
+        return _run_bottomk_query(cfg, spec, data, item_ids, subset)
     if cfg.query == "sum":
         raise ValueError("--query sum is a bottom-k query and needs --k")
 
@@ -297,36 +301,28 @@ def run_query(cfg: RunConfig) -> dict:
     return record
 
 
-def _run_bottomk_query(cfg: RunConfig, data: InstanceSet, ids: list[str] | None, subset: str) -> dict:
+def _run_bottomk_query(cfg: RunConfig, spec: str, data: InstanceSet, ids: list[str] | None, subset: str) -> dict:
     rank_fn = PPS_RANK if cfg.rank == "pps" else EXP_RANK
-    inst = cfg.instance - 1
-    if not 0 <= inst < data.r:
+    if not 1 <= cfg.instance <= data.r:
         raise ValueError(f"--instance {cfg.instance} out of range")
-    values = dict(zip(data.item_ids, data.matrix[:, inst].tolist()))
-    sample = bottomk_sample(values, cfg.k, rank_fn, cfg.salt)
+    values = dict(zip(data.item_ids, data.matrix[:, cfg.instance - 1].tolist()))
+    with _error_source(f"--k {cfg.k}"):
+        sample = bottomk_sample(values, cfg.k, rank_fn, cfg.salt)
     estimator = "ht" if cfg.estimator in ("exact", "ht") else cfg.estimator
-    res = bottomk_estimate(sample, cfg.query, estimator, ids)
-    members = [
-        {
-            "item": m.item_id,
-            "value": m.value,
-            "rank": m.rank,
-            "threshold": m.threshold,
-            "inclusion_probability": inclusion_probability(rank_fn, m.value, m.threshold),
-        }
-        for m in sample.members
-    ]
-    return {
-        "query": res.query,
-        "estimator": estimator,
-        "rank": cfg.rank,
-        "k": cfg.k,
-        "instance": cfg.instance,
-        "subset": subset,
-        "salt": cfg.salt,
-        "value": res.value,
-        "members": members,
-    }
+    # the flag at fault: bottomk_estimate checks the query, the estimator, then whether the rank takes it
+    if cfg.query not in BOTTOMK_QUERIES:
+        where = f"--query {spec!r}"
+    elif estimator not in BOTTOMK_ESTIMATORS:
+        where = f"--estimator {cfg.estimator!r}"
+    else:
+        where = f"--rank {cfg.rank!r} with --estimator {cfg.estimator!r}"
+    with _error_source(where):
+        res = bottomk_estimate(sample, cfg.query, estimator, ids)
+    members = [{"item": item, "value": x, "rank": rank, "threshold": sample.threshold,
+                "inclusion_probability": inclusion_probability(rank_fn, x, sample.threshold)}
+               for item, x, rank in zip(sample.item_ids, sample.values, sample.ranks)]
+    return {"query": res.query, "estimator": estimator, "rank": cfg.rank, "k": cfg.k, "instance": cfg.instance,
+            "subset": subset, "salt": cfg.salt, "value": res.value, "members": members}
 
 
 def cmd_estimate(cfg: RunConfig) -> int:

@@ -21,7 +21,8 @@ ratio (Jaccard) and the root (Lp from Lp^p) from those sums.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -162,9 +163,11 @@ def _common_pps_tau(scheme: TauScheme) -> float:
     return tau
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ht_estimates(f: ItemFunction, revealed: np.ndarray, values: np.ndarray, scheme: TauScheme) -> np.ndarray:
     """Inverse-probability estimate of every outcome given as columns (see
-    :func:`j_estimates`) when it certifies the function value; 0 otherwise.
+    :func:`j_estimates`) when it certifies the function value and the
+    revelation probability is not 0; 0 otherwise.
 
     For max (and the presence indicator) the value is certified once some
     entry is revealed and every unrevealed bound sits at or below the largest
@@ -185,8 +188,7 @@ def ht_estimates(f: ItemFunction, revealed: np.ndarray, values: np.ndarray, sche
         top = values.min(axis=1)
     else:
         raise ValueError(f"inverse-probability estimation not applicable to {f.kind!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(certified, top / p, 0.0)
+    return np.where(certified & (p > 0.0), top / p, 0.0)
 
 
 def ht_estimate(outcome: Outcome, f: ItemFunction) -> float:
@@ -469,6 +471,10 @@ def estimate_query(
 # bottom-k estimation via rank conditioning
 
 
+BOTTOMK_QUERIES = (MAX_SUM, MIN_SUM, L1, DISTINCT, "sum")
+BOTTOMK_ESTIMATORS = ("ht", "j")
+
+
 def bottomk_estimate(
     sample: BottomKSample,
     query: str,
@@ -477,42 +483,29 @@ def bottomk_estimate(
 ) -> QueryResult:
     """Subset-sum or distinct-count estimate from a bottom-k sample.
 
-    Members behave as independently sampled entries once conditioned on
-    their threshold; items outside the sample contribute 0.  Under PPS
-    ranks, rank >= T is the same rule as value >= T * seed, so the dyadic
-    estimates of the members are one :func:`j_estimates` call under the
-    one-instance scheme ``pps:tau=T``.
+    Conditioned on the sample's threshold T, members are independently
+    sampled entries; other items add 0.  Under PPS ranks, rank >= T is
+    value >= T * seed: :func:`sum_estimate` answers the members as one
+    instance under ``pps:tau=T``, all revealed.  Under exponential ranks an
+    estimate is the weight over :func:`inclusion_probability`, 0 where it is 0.
     """
-    if query not in (MAX_SUM, MIN_SUM, L1, DISTINCT, "sum"):
+    if query not in BOTTOMK_QUERIES:
         raise ValueError(f"query {query!r} not supported on bottom-k samples")
-    if estimator not in ("ht", "j"):
+    if estimator not in BOTTOMK_ESTIMATORS:
         raise ValueError(f"unknown bottom-k estimator {estimator!r}")
     if estimator == "j" and sample.rank_fn.kind != PPS_RANK_KIND:
-        raise ValueError(
-            "dyadic estimation of bottom-k members needs PPS ranks; "
-            "exponential-rank thresholds do not invert to a monotone map"
-        )
+        raise ValueError("dyadic estimation of bottom-k members needs PPS ranks; "
+                         "exponential-rank thresholds do not invert to a monotone map")
     wanted = None if item_ids is None else {str(i) for i in item_ids}
-    members = [m for m in sample.members if wanted is None or m.item_id in wanted]
-    if estimator == "ht":
-        estimates = []
-        for m in members:
-            weight = 1.0 if query == DISTINCT else m.value
-            p = inclusion_probability(sample.rank_fn, m.value, m.threshold)
-            estimates.append(weight / p if p > 0 else 0.0)
-    elif members:
-        scheme = TauScheme.pps(members[0].threshold, r=1)
-        seeds = np.array([m.seed for m in members])
-        values = np.array([[m.value] for m in members])
-        taus = scheme.thresholds(seeds).T
-        revealed = values >= taus
+    keep = [wanted is None or item in wanted for item in sample.item_ids]
+    ids, values, seeds = (list(compress(c, keep)) for c in (sample.item_ids, sample.values, sample.seeds))
+    if sample.rank_fn.kind == PPS_RANK_KIND:
+        members = Samples(ids, seeds, [[True]] * len(ids), values, TauScheme.pps(sample.threshold, r=1))
         f = or_fn(1) if query == DISTINCT else max_fn(1)
-        estimates = j_estimates(f, seeds, revealed, np.where(revealed, values, taus), scheme).tolist()
-    else:
-        estimates = []
-    return QueryResult(
-        f"bottomk-{query}", _sequential_sum(estimates), item_ids=[m.item_id for m in members], estimates=estimates
-    )
+        return replace(sum_estimate(members, f, estimator), query=f"bottomk-{query}")
+    probs = [inclusion_probability(sample.rank_fn, x, sample.threshold) for x in values]
+    estimates = [(1.0 if query == DISTINCT else x) / p if p > 0 else 0.0 for x, p in zip(values, probs)]
+    return QueryResult(f"bottomk-{query}", _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
 # ---------------------------------------------------------------------------

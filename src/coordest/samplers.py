@@ -149,32 +149,24 @@ def sample_instances(data: InstanceSet, scheme: TauScheme, salt: int) -> Samples
 
 
 @dataclass(frozen=True)
-class BottomKMember:
-    item_id: str
-    value: float
-    seed: float
-    rank: float
-    threshold: float  # k-th largest rank among all other items
-
-    def __post_init__(self):
-        if self.threshold > self.rank:
-            raise ValueError("member threshold cannot exceed its own rank")
-
-
-@dataclass(frozen=True)
 class BottomKSample:
-    """The k items of highest rank in one instance, with each member's
-    conditional inclusion threshold."""
+    """The k items of highest rank in one instance, as columns in rank
+    order, and the ``threshold`` every member is conditioned on: the k-th
+    largest rank among the other items, the (k+1)-th largest overall."""
 
     k: int
     rank_fn: RankFunction
-    members: tuple[BottomKMember, ...]
+    threshold: float
+    item_ids: tuple[str, ...]
+    values: tuple[float, ...]
+    seeds: tuple[float, ...]
+    ranks: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.members) != self.k:
+        if any(len(c) != self.k for c in (self.item_ids, self.values, self.seeds, self.ranks)):
             raise ValueError("member count must equal k")
-        if len({m.threshold for m in self.members}) > 1:
-            raise ValueError("members must share one threshold")
+        if any(rank < self.threshold for rank in self.ranks):
+            raise ValueError("no member can rank below the threshold")
 
 
 def bottomk_sample(
@@ -206,11 +198,8 @@ def bottomk_sample(
     threshold = float(np.partition(ranks, len(items) - k - 1)[len(items) - k - 1])
     top = np.flatnonzero(ranks >= threshold)
     candidates = zip(ranks[top].tolist(), [str(items[j]) for j in top.tolist()], v[top].tolist(), seeds[top].tolist())
-    members = tuple(
-        BottomKMember(item_id=item, value=x, seed=u, rank=rank, threshold=threshold)
-        for rank, item, x, u in sorted(candidates, key=lambda c: (-c[0], c[1]))[:k]
-    )
-    return BottomKSample(k=k, rank_fn=rf, members=members)
+    rank_col, ids, vals, us = zip(*sorted(candidates, key=lambda c: (-c[0], c[1]))[:k])
+    return BottomKSample(k, rf, threshold, ids, vals, us, rank_col)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +235,33 @@ def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
 
     Each record must be an outcome of ``scheme``: its seed lies in (0, 1], a
     known value is at least ``tau_i(seed)`` and an unknown bound equals it.
-    The error names the line that fails.
+    A malformed record, or one that is not such an outcome, raises a
+    ``ValueError`` that names its line.
     """
-    ids, lines, seeds, revealed, values = [], [], [], [], []
-    seen = set()
+    line_of, seeds, revealed, values = {}, [], [], []
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        slots = rec["slots"]
-        if len(slots) != scheme.r:
-            raise ValueError(f"line {lineno}: {len(slots)} slots for {scheme.r} instances")
-        if rec["item"] in seen:
-            raise ValueError(f"line {lineno}: duplicate item {rec['item']!r}")
-        seen.add(rec["item"])
-        ids.append(rec["item"])
-        lines.append(lineno)
-        seeds.append(float(rec["seed"]))
-        revealed.append(["known" in s for s in slots])
-        values.append([float(s["known"]) if "known" in s else float(s["unknown_ub"]) for s in slots])
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError("record is not a JSON object")
+            item, slots = rec["item"], rec["slots"]
+            if not isinstance(item, str):
+                raise TypeError(f"item id {item!r} is not a string")
+            if len(slots) != scheme.r:
+                raise ValueError(f"{len(slots)} slots for {scheme.r} instances")
+            if item in line_of:
+                raise ValueError(f"duplicate item {item!r}")
+            seeds.append(float(rec["seed"]))
+            revealed.append(["known" in s for s in slots])
+            values.append([float(s["known"] if k else s["unknown_ub"]) for k, s in zip(revealed[-1], slots)])
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        line_of[item] = lineno
     u = np.array(seeds, dtype=float)
     known = np.array(revealed, dtype=bool).reshape(-1, scheme.r)
     x = np.array(values, dtype=float).reshape(-1, scheme.r)
@@ -275,10 +271,11 @@ def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
     bad = np.flatnonzero(bad_seed | bad_slot.any(axis=1))
     if bad.size:
         j = bad[0]
+        lineno = list(line_of.values())[j]
         if bad_seed[j]:
-            raise ValueError(f"line {lines[j]}: seed must lie in (0, 1], got {u[j]}")
+            raise ValueError(f"line {lineno}: seed must lie in (0, 1], got {u[j]}")
         i = int(np.argmax(bad_slot[j]))
         if known[j, i]:
-            raise ValueError(f"line {lines[j]}: slot {i}: known value {x[j, i]} below threshold {taus[j, i]}")
-        raise ValueError(f"line {lines[j]}: slot {i}: unknown bound {x[j, i]} != tau({u[j]}) = {taus[j, i]}")
-    return Samples(ids, u, known, x, scheme)
+            raise ValueError(f"line {lineno}: slot {i}: known value {x[j, i]} below threshold {taus[j, i]}")
+        raise ValueError(f"line {lineno}: slot {i}: unknown bound {x[j, i]} != tau({u[j]}) = {taus[j, i]}")
+    return Samples(list(line_of), u, known, x, scheme)

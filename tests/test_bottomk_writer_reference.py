@@ -20,7 +20,6 @@ from coordest.model import TauScheme, hash_seed, seeds_for_items
 from coordest.samplers import (
     EXP_RANK,
     PPS_RANK,
-    BottomKMember,
     BottomKSample,
     Samples,
     bottomk_sample,
@@ -44,30 +43,34 @@ def _ref_bottomk_sample(instance_values, k, rf, salt):
     seeds = seeds_for_items(items, salt).tolist()
     ranks = [rank_value(rf, u, values[item]) for item, u in zip(items, seeds)]
     order = sorted(range(len(items)), key=lambda j: (-ranks[j], str(items[j])))
-    threshold = ranks[order[k]]
-    members = tuple(
-        BottomKMember(str(items[j]), float(values[items[j]]), seeds[j], ranks[j], threshold)
-        for j in order[:k]
+    top = order[:k]
+    return BottomKSample(
+        k=k,
+        rank_fn=rf,
+        threshold=ranks[order[k]],
+        item_ids=tuple(str(items[j]) for j in top),
+        values=tuple(float(values[items[j]]) for j in top),
+        seeds=tuple(seeds[j] for j in top),
+        ranks=tuple(ranks[j] for j in top),
     )
-    return BottomKSample(k=k, rank_fn=rf, members=members)
 
 
 def _ref_bottomk_estimate(sample, query, estimator, item_ids):
-    """``(value, per_item)``: one single-entry outcome and one scalar J
-    estimate per member under PPS ranks."""
+    """``(value, per_item)``: one inclusion probability, or one single-entry
+    outcome and one scalar J estimate under PPS ranks, per member."""
     wanted = None if item_ids is None else {str(i) for i in item_ids}
     contributions = []
-    for m in sample.members:
-        if wanted is not None and m.item_id not in wanted:
+    for item, value, seed in zip(sample.item_ids, sample.values, sample.seeds):
+        if wanted is not None and item not in wanted:
             continue
-        weight = 1.0 if query == "distinct" else m.value
+        weight = 1.0 if query == "distinct" else value
         if estimator == "ht":
-            p = inclusion_probability(sample.rank_fn, m.value, m.threshold)
-            contributions.append((m.item_id, weight / p if p > 0 else 0.0))
+            p = inclusion_probability(sample.rank_fn, value, sample.threshold)
+            contributions.append((item, weight / p if p > 0 else 0.0))
         else:
-            outcome = sample_item((m.value,), m.seed, TauScheme.pps(m.threshold, r=1))
+            outcome = sample_item((value,), seed, TauScheme.pps(sample.threshold, r=1))
             f = or_fn(1) if query == "distinct" else max_fn(1)
-            contributions.append((m.item_id, j_estimate(outcome, f)))
+            contributions.append((item, j_estimate(outcome, f)))
     total = 0.0
     for _, c in contributions:
         total += c
@@ -86,7 +89,8 @@ def _bits(xs) -> bytes:
 
 
 def _member_bits(sample: BottomKSample):
-    return [(m.item_id, _bits([m.value, m.seed, m.rank, m.threshold])) for m in sample.members]
+    columns = zip(sample.values, sample.seeds, sample.ranks)
+    return [(item, _bits([*row, sample.threshold])) for item, row in zip(sample.item_ids, columns)]
 
 
 def _outcome(fn, *args):
@@ -173,7 +177,7 @@ def test_ties_at_the_boundary_are_broken_by_id():
         assert sum(r == 3.0 for r in ranks.values()) >= 3
         sample = bottomk_sample(values, 5, rf, 7)
         assert sample == _ref_bottomk_sample(values, 5, rf, 7)
-        assert sample.members[-1].rank == sample.members[-1].threshold == 3.0
+        assert sample.ranks[-1] == sample.threshold == 3.0
 
 
 sample_columns = st.integers(1, 3).flatmap(

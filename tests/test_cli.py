@@ -271,6 +271,24 @@ class TestParseErrorsNameTheirSource:
         out, err = capsys.readouterr()
         assert out == "" and err == f"coordest: error: --function {spec!r}: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--estimator", "voptimal-oracle"],
+         "--estimator 'voptimal-oracle': unknown bottom-k estimator 'voptimal-oracle'"),
+        (["--query", "jaccard"], "--query 'jaccard': query 'jaccard' not supported on bottom-k samples"),
+        (["--query", "lpp:p=2"], "--query 'lpp:p=2': query 'lpp' not supported on bottom-k samples"),
+        (["--k", "300"], "--k 300: k=300 must be smaller than the item count 8"),
+        (["--k", "6"], "--k 6: k=6 must be smaller than the positive-item count 6"),
+        (["--rank", "exp", "--estimator", "j"],
+         "--rank 'exp' with --estimator 'j': dyadic estimation of bottom-k members needs PPS ranks; "
+         "exponential-rank thresholds do not invert to a monotone map"),
+        (["--reps", "100"], "--reps 100 does not apply with --k: a bottom-k sample is drawn at one salt"),
+    ])
+    def test_bottomk_flags(self, capsys, argv, message):
+        base = ["estimate", "--input", str(DEMO_CSV), "--k", "3", "--query", "sum", "--estimator", "ht"]
+        assert console_main([*base, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: {message}\n"
+
     def test_items_flag(self):
         with pytest.raises(ValueError, match=r"^--items 'positive-in:x': invalid literal"):
             resolve_items("positive-in:x", ingest(DEMO_CSV))
@@ -487,6 +505,17 @@ class TestEstimateCommand:
         assert rec["k"] == 2 and len(rec["members"]) == 2
         for m in rec["members"]:
             assert m["threshold"] > 0 and 0 < m["inclusion_probability"] <= 1
+
+    def test_bottomk_mode_takes_no_monte_carlo_sweep(self, capsys):
+        # --reps 100 with --k used to answer one bottom-k sample and drop
+        # the sweep; it is an error now, and --reps 1 is the single sample
+        argv = ["estimate", "--input", str(DEMO_CSV), "--query", "sum", "--k", "3"]
+        assert console_main([*argv, "--reps", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--reps 100" in err and "--k" in err
+        assert main([*argv, "--reps", "1"]) == 0
+        single = capsys.readouterr().out
+        assert main(argv) == 0 and capsys.readouterr().out == single
 
     def test_empty_input_answers_zero(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"

@@ -31,7 +31,14 @@ from coordest.functions import (
 )
 from coordest.hull import integrate_square
 from coordest.model import InstanceSet, TauScheme
-from coordest.samplers import PPS_RANK, bottomk_sample, sample_instances
+from coordest.samplers import (
+    EXP_RANK,
+    PPS_RANK,
+    BottomKSample,
+    bottomk_sample,
+    inclusion_probability,
+    sample_instances,
+)
 
 from conftest import builtin_functions, random_scheme, random_vector
 from scalar_reference import ht_estimate_fn, j_cumulative, sample_item, samples_of
@@ -377,8 +384,6 @@ class TestBottomKEstimation:
         assert res.value >= 2.0  # each member contributes 1/p >= 1
 
     def test_dyadic_variant_requires_pps_ranks(self):
-        from coordest.samplers import EXP_RANK
-
         values = {"a": 2.0, "b": 1.0, "c": 3.0, "d": 0.5}
         sample = bottomk_sample(values, 2, EXP_RANK, salt=9)
         with pytest.raises(ValueError):
@@ -389,3 +394,22 @@ class TestBottomKEstimation:
         sample = bottomk_sample(values, 2, PPS_RANK, salt=9)
         res = bottomk_estimate(sample, "sum", "j")
         assert res.value >= 0.0
+
+    def test_member_whose_probability_rounds_to_zero_adds_zero(self):
+        # seed 1.0 ranks inf under exponential ranks, and 1 - exp(-v/T)
+        # rounds to 0 for v/T below 2^-54
+        sample = BottomKSample(1, EXP_RANK, 1.0, ("a",), (1e-20,), (1.0,), (math.inf,))
+        assert inclusion_probability(EXP_RANK, 1e-20, 1.0) == 0.0
+        for query in ("sum", "distinct"):
+            res = bottomk_estimate(sample, query, "ht")
+            assert res.value == 0.0 and res.per_item == (("a", 0.0),)
+
+    def test_pps_threshold_past_the_largest_float_adds_zero(self):
+        # ranks v/u overflow to inf near the largest float; every member
+        # then has probability min(1, v/inf) = 0 and adds 0, as under
+        # exponential ranks
+        sample = BottomKSample(2, PPS_RANK, math.inf, ("a", "b"), (1.7e308, 1.6e308), (0.5, 0.25), (math.inf,) * 2)
+        for query in ("sum", "distinct"):
+            res = bottomk_estimate(sample, query, "ht")
+            assert res.value == 0.0 and res.estimates == (0.0, 0.0)
+

@@ -22,6 +22,7 @@ from coordest.model import (
 from coordest.samplers import (
     EXP_RANK,
     PPS_RANK,
+    BottomKSample,
     bottomk_sample,
     inclusion_probability,
     rank_values,
@@ -138,18 +139,18 @@ class TestBottomK:
         sample = bottomk_sample(values, 3, PPS_RANK, salt=12)
         ranks = {i: rank_value(PPS_RANK, hash_seed(i, 12), v) for i, v in values.items()}
         expected = sorted(values, key=lambda i: (-ranks[i], i))[:3]
-        assert [m.item_id for m in sample.members] == expected
+        assert list(sample.item_ids) == expected
 
     def test_membership_iff_rank_at_threshold(self):
         values = {str(i): float(v) for i, v in enumerate((1, 4, 1, 2, 3, 1, 5, 2), start=1)}
         for salt in range(20):
             sample = bottomk_sample(values, 3, PPS_RANK, salt=salt)
             ranks = {i: rank_value(PPS_RANK, hash_seed(i, salt), v) for i, v in values.items()}
-            for m in sample.members:
-                assert m.rank >= m.threshold
-                assert m.threshold == conditional_threshold(ranks, m.item_id, 3)
-                # (k+1)-st largest overall
-                assert m.threshold == sorted(ranks.values(), reverse=True)[3]
+            # (k+1)-st largest overall
+            assert sample.threshold == sorted(ranks.values(), reverse=True)[3]
+            for item, rank in zip(sample.item_ids, sample.ranks):
+                assert rank >= sample.threshold
+                assert sample.threshold == conditional_threshold(ranks, item, 3)
 
     @pytest.mark.parametrize("rf", [PPS_RANK, EXP_RANK])
     def test_thresholds_match_reference_bit_for_bit(self, rf):
@@ -162,10 +163,23 @@ class TestBottomK:
             ranks = {i: rank_value(rf, hash_seed(i, salt), v) for i, v in values.items()}
             for k in (1, 7, 150):
                 sample = bottomk_sample(values, k, rf, salt)
-                for m in sample.members:
-                    assert m.seed == hash_seed(m.item_id, salt)
-                    assert m.rank == ranks[m.item_id]
-                    assert m.threshold == conditional_threshold(ranks, m.item_id, k)
+                for item, value, u, rank in zip(sample.item_ids, sample.values, sample.seeds, sample.ranks):
+                    assert value == values[item]
+                    assert u == hash_seed(item, salt)
+                    assert rank == ranks[item]
+                    assert sample.threshold == conditional_threshold(ranks, item, k)
+
+    def test_sample_invariants(self):
+        # k members, none ranked below the threshold; the threshold is one
+        # field, so the members share it by construction
+        cols = (("a", "b"), (1.0, 2.0), (0.5, 0.25), (2.0, 8.0))
+        assert BottomKSample(2, PPS_RANK, 2.0, *cols).threshold == 2.0
+        with pytest.raises(ValueError, match="member count must equal k"):
+            BottomKSample(3, PPS_RANK, 2.0, *cols)
+        with pytest.raises(ValueError, match="member count must equal k"):
+            BottomKSample(2, PPS_RANK, 2.0, ("a",), *cols[1:])
+        with pytest.raises(ValueError, match="no member can rank below the threshold"):
+            BottomKSample(2, PPS_RANK, 2.5, *cols)
 
     def test_k_too_large(self):
         values = {"a": 1.0, "b": 2.0, "c": 3.0}
@@ -260,12 +274,24 @@ class TestSerialization:
             ('{"item": "b", "seed": 0.5, "slots": [{"known": 3.0}]}', r"line 3: 1 slots for 2 instances"),
             ('{"item": "a", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
              r"line 3: duplicate item 'a'"),
+            ('{"item": "b", "seed": 0.5}', r"line 3: missing key 'slots'"),
+            ('{"item": "b", "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}', r"line 3: missing key 'seed'"),
+            ('{"item": "b", "seed": 0.5, "slots": [{}, {"unknown_ub": 2.0}]}', r"line 3: missing key 'unknown_ub'"),
+            ('[1, 2]', r"line 3: record is not a JSON object"),
+            ('{"item": 5, "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
+             r"line 3: item id 5 is not a string"),
+            ('{"item": "b", "seed": 0.5, "slots": 2}', r"line 3: object of type 'int' has no len\(\)"),
+            ('{"item": "b", "seed": "half", "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
+             r"line 3: could not convert string to float: 'half'"),
+            ('{"item": "b"', r"line 3: Expecting ',' delimiter"),
         ],
     )
     def test_read_names_the_failing_line(self, scheme4, record, message):
+        # a plain ValueError: no KeyError, TypeError or JSONDecodeError
         good = '{"item": "a", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}'
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}") as exc:
             read_samples(io.StringIO(f"{good}\n\n{record}\n"), scheme4)
+        assert type(exc.value) is ValueError
 
     def test_record_shape(self, scheme4):
         out = sample_item((1.0, 3.0), 0.5, scheme4)
