@@ -178,20 +178,21 @@ def _one_row(v: Sequence[float]) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(1, -1)
 
 
-def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> AnalysisReport:
+def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> AnalysisReport:
     """Squared-mass ratio of the dyadic estimator to the hull optimum: one
     row of :func:`competitiveness_reports`.
 
-    The dyadic side is summed to ``depth`` and topped with a certified tail
-    bound (each deep block's value is at most 16x the boundedness slope, so
-    the unsummed mass is at most ``256 * slope^2 * 2^-depth``); the optimal
-    side is the truncated hull integral, a slight underestimate.  The
-    reported ratio is therefore conservative.
+    The dyadic side is summed to a depth of ``DEPTH`` or more and topped
+    with a certified tail bound (each deep block's value is at most 16x the
+    boundedness slope, so the unsummed mass is at most
+    ``256 * slope^2 * 2^-depth``); the optimal side is the truncated hull
+    integral, a slight underestimate.  The reported ratio is therefore
+    conservative.
     """
-    return next(competitiveness_reports(_one_row(v), f, scheme, depth))
+    return next(competitiveness_reports(_one_row(v), f, scheme))
 
 
-def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, depth: int = DEPTH):
+def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     """The :func:`competitiveness_ratio` report of each data vector in the
     rows of an (n, r) array, in order.
 
@@ -206,19 +207,19 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme, depth: int
         # keep summing dyadic blocks well past the curve's smallest
         # breakpoint, otherwise the worst-case tail bound dwarfs the actual
         # deep mass for data revealed only at tiny seeds
-        depths = [max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
+        depths = [max(DEPTH, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
         tables = j_piece_tables(block, f, scheme, max(depths))
         hulls = [hull_seeds(lbf) if fv != 0.0 else (None, np.empty(0)) for lbf, fv in zip(lbfs, fvs)]
         # the last seed of each vector is its tail seed
         seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
         values = curve_values(f, block, seeds, scheme)
         for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, depth, depths[k], tables[k], hulls[k][0], values[k])
+            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], hulls[k][0], values[k])
 
 
-def _report(lbf, fv, v, scheme, depth, deep, table, xs, values) -> AnalysisReport:
+def _report(lbf, fv, v, scheme, depth, table, xs, values) -> AnalysisReport:
     """The report of data ``v`` from its curve ``lbf`` and ``f`` value
-    ``fv``: the dyadic values ``table`` down to depth ``deep`` at least,
+    ``fv``: the dyadic values ``table`` down to ``depth`` at least,
     and the curve at the hull inputs ``xs`` but the last and at the tail
     seed (``values``)."""
     est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
@@ -226,7 +227,7 @@ def _report(lbf, fv, v, scheme, depth, deep, table, xs, values) -> AnalysisRepor
         "f_value": fv,
         "estimable_gap": est_check.value,
         "bounded_slope": bd_check.value,
-        "depth": depth,
+        "depth": DEPTH,
     }
     if fv == 0.0:
         # the zero function on zero-valued data: both estimators vanish
@@ -234,7 +235,6 @@ def _report(lbf, fv, v, scheme, depth, deep, table, xs, values) -> AnalysisRepor
             square_integral_j=0.0, square_integral_opt=0.0, ratio=1.0, variance_j=0.0, variance_opt=0.0,
             estimable=est_check.ok, finite_variance=fv_check.ok, bounded=bd_check.ok, diagnostics=diagnostics,
         )
-    depth = deep
     diagnostics["depth"] = depth
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
     squares, shift = scaled_squares(table[:depth + 1])
@@ -274,9 +274,7 @@ def _report(lbf, fv, v, scheme, depth, deep, table, xs, values) -> AnalysisRepor
     )
 
 
-def curve_table(
-    v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH
-) -> list[tuple[float, float, float, float, float]]:
+def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[tuple[float, float, float, float, float]]:
     """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` at every
     breakpoint and one float right of it (a jump shows as two adjacent
     rows), at the ends of every hull and dyadic piece, and at
@@ -295,11 +293,11 @@ def curve_table(
     ``rg`` with ``p > 1``) follows the arcs where it touches them.
     """
     row = _one_row(v)
-    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme, depth))
+    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme))
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH):
+def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):
     """The five columns of :func:`curve_table` of each data vector
     ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
     (0, 1].
@@ -327,9 +325,8 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
             break
         hulls.append((xs, at))
     rows, lbfs = rows[:len(hulls)], lbfs[:len(hulls)]
-    j_depth = min(depth, 40)
-    tables = j_piece_tables(rows, f, scheme, j_depth)
-    j_ends = np.ldexp(1.0, np.arange(-j_depth - 1, 1))
+    tables = j_piece_tables(rows, f, scheme, DEPTH)
+    j_ends = np.ldexp(1.0, np.arange(-DEPTH - 1, 1))
     inner = [_interior_seeds(lbf, xs[0]) for lbf, (xs, _) in zip(lbfs, hulls)]
     seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us) if opt is None else
                                       (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))

@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -34,7 +33,6 @@ from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curv
 from .estimators import (
     BOTTOMK_ESTIMATORS,
     BOTTOMK_QUERIES,
-    DEPTH,
     LP,
     LPP,
     QUERY_KINDS,
@@ -57,7 +55,7 @@ from .samplers import (
 
 
 @contextmanager
-def _error_source(where: str, kind: type[ValueError] = ValueError):
+def _error_source(where: str, kind: type[Exception] = ValueError):
     """Prefix the message of a ``kind`` error raised inside with ``where``:
     the flag, or the file and line, that the bad text came from."""
     try:
@@ -198,182 +196,115 @@ def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
 MAX_REPS = 2**25
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    input: Path
-    scheme_spec: str = "pps:tau=4"
-    scheme_file: Path | None = None
-    function_spec: str | None = None
-    estimator: str = "exact"
-    query: str | None = None
-    p: float | None = None
-    items: str = "all"
-    salt: int = 0
-    reps: int = 1
-    out: Path | None = None
-    k: int | None = None
-    rank: str = "pps"
-    instance: int = 1
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"--reps must be at least 1, got {self.reps!r}")
-        if self.reps > MAX_REPS:
-            raise ValueError(f"--reps must be at most {MAX_REPS} (1 GiB of salts and sums), got {self.reps!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"--k must be at least 1, got {self.k!r}")
-        if self.k is not None and self.reps != 1:
-            raise ValueError(f"--reps {self.reps} does not apply with --k: a bottom-k sample is drawn at one salt")
-        if self.p is not None and not (math.isfinite(self.p) and self.p > 0.0):
-            raise ValueError(f"--p must be positive and finite, got {self.p!r}")
-
-    def load(self) -> tuple[InstanceSet, TauScheme]:
-        data = ingest(self.input)
-        if self.scheme_file is not None:
-            scheme = parse_scheme_file(Path(self.scheme_file).read_text(), data.r, str(self.scheme_file))
-        else:
-            scheme = parse_scheme(self.scheme_spec, data.r)
-        return data, scheme
+def load(args: argparse.Namespace) -> tuple[InstanceSet, TauScheme]:
+    """The instances of ``--input``, and the scheme of ``--scheme-file``
+    or else of ``--scheme``."""
+    data = ingest(args.input)
+    if args.scheme_file is not None:
+        return data, parse_scheme_file(args.scheme_file.read_text(), data.r, str(args.scheme_file))
+    return data, parse_scheme(args.scheme, data.r)
 
 
-def _open_out(path: Path | None) -> IO[str]:
-    return sys.stdout if path is None else open(path, "w")
+@contextmanager
+def _output(path: Path | None, default: IO[str] | None, newline: str | None = None):
+    """``path`` opened for writing, and closed however the block ends; or
+    ``default`` when there is no path."""
+    if path is None:
+        yield default
+    else:
+        with open(path, "w", newline=newline) as fp:
+            yield fp
 
 
-def _close_out(fp: IO[str]) -> None:
-    if fp is not sys.stdout:
-        fp.close()
-
-
-def cmd_sample(cfg: RunConfig) -> int:
-    data, scheme = cfg.load()
-    outcomes = sample_instances(data, scheme, cfg.salt)
-    fp = _open_out(cfg.out)
-    try:
+def cmd_sample(args: argparse.Namespace) -> int:
+    data, scheme = load(args)
+    outcomes = sample_instances(data, scheme, args.salt)
+    with _output(args.out, sys.stdout) as fp:
         write_samples(outcomes, fp)
-    finally:
-        _close_out(fp)
     return 0
 
 
-def run_query(cfg: RunConfig) -> dict:
+def run_query(args: argparse.Namespace) -> dict:
     """One query answer as a JSON-ready record; Monte Carlo over salts when
-    ``reps`` exceeds 1."""
-    data, scheme = cfg.load()
-    if cfg.query is None:
-        raise ValueError("estimate needs --query")
-    query, p = parse_query(cfg.query, cfg.p)
-    spec, cfg = cfg.query, replace(cfg, query=query, p=p)
-    ids, subset = resolve_items(cfg.items, data)
+    ``--reps`` exceeds 1."""
+    data, scheme = load(args)
+    query, p = parse_query(args.query, args.p)
+    ids, subset = resolve_items(args.items, data)
     # every item: the estimators read all rows as they stand
     item_ids = None if subset == "all" else ids
 
-    if cfg.k is not None:
-        return _run_bottomk_query(cfg, spec, data, item_ids, subset)
-    if cfg.query == "sum":
+    if args.k is not None:
+        return _run_bottomk_query(args, query, data, item_ids, subset)
+    if query == "sum":
         raise ValueError("--query sum is a bottom-k query and needs --k")
 
-    record: dict = {
-        "query": cfg.query,
-        "estimator": cfg.estimator,
-        "subset": subset,
-        "salt": cfg.salt,
-        "reps": cfg.reps,
-    }
-    if cfg.estimator == "exact":
-        res = exact_query(data, cfg.query, item_ids, p=cfg.p)
-    elif cfg.reps == 1:
-        samples = sample_instances(data, scheme, cfg.salt)
-        res = estimate_query(samples, data.r, cfg.query, cfg.estimator, item_ids, p=cfg.p, data=data)
+    record: dict = {"query": query, "estimator": args.estimator, "subset": subset, "salt": args.salt,
+                    "reps": args.reps}
+    if args.estimator == "exact":
+        res = exact_query(data, query, item_ids, p=p)
+    elif args.reps == 1:
+        samples = sample_instances(data, scheme, args.salt)
+        res = estimate_query(samples, data.r, query, args.estimator, item_ids, p=p, data=data)
     else:
         # salts are taken mod 2^64, as hash_seed takes a single salt
-        salts = np.uint64(cfg.salt % 2**64) + np.arange(cfg.reps, dtype=np.uint64)
-        estimates = mc_query_estimates(data, scheme, cfg.query, ids, salts, p=cfg.p, estimator=cfg.estimator)
+        salts = np.uint64(args.salt % 2**64) + np.arange(args.reps, dtype=np.uint64)
+        estimates = mc_query_estimates(data, scheme, query, ids, salts, p=p, estimator=args.estimator)
         # a spread past the largest float is inf or NaN, which no record holds
         with np.errstate(over="ignore", invalid="ignore"):
             std = float(estimates.std(ddof=1))
-        record.update(value=float(estimates.mean()), stderr=std / math.sqrt(cfg.reps), std=std)
+        record.update(value=float(estimates.mean()), stderr=std / math.sqrt(args.reps), std=std)
         return record
     record["value"] = res.value
     record.update(res.extras)
     return record
 
 
-def _run_bottomk_query(cfg: RunConfig, spec: str, data: InstanceSet, ids: list[str] | None, subset: str) -> dict:
-    rank_fn = PPS_RANK if cfg.rank == "pps" else EXP_RANK
-    if not 1 <= cfg.instance <= data.r:
-        raise ValueError(f"--instance {cfg.instance} out of range")
-    values = dict(zip(data.item_ids, data.matrix[:, cfg.instance - 1].tolist()))
-    with _error_source(f"--k {cfg.k}"):
-        sample = bottomk_sample(values, cfg.k, rank_fn, cfg.salt)
-    estimator = "ht" if cfg.estimator in ("exact", "ht") else cfg.estimator
+def _run_bottomk_query(args: argparse.Namespace, query: str, data: InstanceSet, ids: list[str] | None,
+                       subset: str) -> dict:
+    rank_fn = PPS_RANK if args.rank == "pps" else EXP_RANK
+    if not 1 <= args.instance <= data.r:
+        raise ValueError(f"--instance {args.instance} out of range")
+    values = dict(zip(data.item_ids, data.matrix[:, args.instance - 1].tolist()))
+    # a rank past the largest float is the data's fault, not that of --k
+    with _error_source(f"instance {args.instance}", OverflowError), _error_source(f"--k {args.k}"):
+        sample = bottomk_sample(values, args.k, rank_fn, args.salt)
+    estimator = "ht" if args.estimator in ("exact", "ht") else args.estimator
     # the flag at fault: bottomk_estimate checks the query, the estimator, then whether the rank takes it
-    if cfg.query not in BOTTOMK_QUERIES:
-        where = f"--query {spec!r}"
+    if query not in BOTTOMK_QUERIES:
+        where = f"--query {args.query!r}"
     elif estimator not in BOTTOMK_ESTIMATORS:
-        where = f"--estimator {cfg.estimator!r}"
+        where = f"--estimator {args.estimator!r}"
     else:
-        where = f"--rank {cfg.rank!r} with --estimator {cfg.estimator!r}"
+        where = f"--rank {args.rank!r} with --estimator {args.estimator!r}"
     with _error_source(where):
-        res = bottomk_estimate(sample, cfg.query, estimator, ids)
+        res = bottomk_estimate(sample, query, estimator, ids)
     members = [{"item": item, "value": x, "rank": rank, "threshold": sample.threshold,
                 "inclusion_probability": inclusion_probability(rank_fn, x, sample.threshold)}
                for item, x, rank in zip(sample.item_ids, sample.values, sample.ranks)]
-    return {"query": res.query, "estimator": estimator, "rank": cfg.rank, "k": cfg.k, "instance": cfg.instance,
-            "subset": subset, "salt": cfg.salt, "value": res.value, "members": members}
+    return {"query": res.query, "estimator": estimator, "rank": args.rank, "k": args.k, "instance": args.instance,
+            "subset": subset, "salt": args.salt, "value": res.value, "members": members}
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(args: argparse.Namespace) -> int:
+    # the flags checked before the input is read
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps!r}")
+    if args.reps > MAX_REPS:
+        raise ValueError(f"--reps must be at most {MAX_REPS} (1 GiB of salts and sums), got {args.reps!r}")
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k!r}")
+    if args.k is not None and args.reps != 1:
+        raise ValueError(f"--reps {args.reps} does not apply with --k: a bottom-k sample is drawn at one salt")
+    if args.p is not None and not (math.isfinite(args.p) and args.p > 0.0):
+        raise ValueError(f"--p must be positive and finite, got {args.p!r}")
     # the oracle's hull of a value past the largest float fails, and such an answer is not JSON
-    with _error_source(f"--query {cfg.query!r}", FloatRangeError):
-        record = run_query(cfg)
-    with _error_source(f"--query {cfg.query!r}"):
+    with _error_source(f"--query {args.query!r}", FloatRangeError):
+        record = run_query(args)
+    with _error_source(f"--query {args.query!r}"):
         line = json.dumps(record, allow_nan=False)
-    fp = _open_out(cfg.out)
-    try:
+    with _output(args.out, sys.stdout) as fp:
         fp.write(line + "\n")
-    finally:
-        _close_out(fp)
     return 0
-
-
-def _item_function(cfg: RunConfig, r: int, command: str) -> ItemFunction:
-    """The ``--function`` of ``command``; a bad spec names the flag."""
-    if cfg.function_spec is None:
-        raise ValueError(f"{command} needs --function")
-    with _error_source(f"--function {cfg.function_spec!r}"):
-        return parse_function(cfg.function_spec, r)
-
-
-def run_analysis(cfg: RunConfig, fp: IO[str]) -> int:
-    """Per-item competitiveness reports; returns a nonzero exit code when any
-    ratio exceeds the certified bound or the implication chain breaks."""
-    data, scheme = cfg.load()
-    f = _item_function(cfg, data.r, "analyze")
-    ids, subset = resolve_items(cfg.items, data)
-    rows = data.matrix[data.indices(ids)]
-    reports = competitiveness_reports(rows, f, scheme)
-    failed = False
-    for item, v in zip(ids, rows.tolist()):
-        # a variance past the largest float (data near 1e-310) is not JSON
-        with _error_source(f"item {item!r}"):
-            report = next(reports)
-            rec = {"item": item, "vector": v, "function": f.describe(), **report.to_dict()}
-            line = json.dumps(rec, allow_nan=False)
-        fp.write(line + "\n")
-        if not report.competitive_ok or not report.chain_ok:
-            failed = True
-    return 1 if failed else 0
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    fp = _open_out(cfg.out)
-    try:
-        return run_analysis(cfg, fp)
-    finally:
-        _close_out(fp)
 
 
 def _curve_row_format(item: str) -> str:
@@ -385,85 +316,90 @@ def _curve_row_format(item: str) -> str:
     return buf.getvalue()[:-3].replace("%", "%%") + ",%r,%r,%r,%r,%r\r\n"
 
 
-def cmd_characterize(cfg: RunConfig, curves: Path | None) -> int:
-    data, scheme = cfg.load()
-    f = _item_function(cfg, data.r, "characterize")
-    ids, _ = resolve_items(cfg.items, data)
-    fp = _open_out(cfg.out)
-    curves_fp = open(curves, "w", newline="") if curves is not None else None
-    if curves_fp is not None:
-        curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
+def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool):
+    """The ``characterize`` fields of each vector of ``rows``, whether its
+    implication chain holds, and with ``curves`` the curve columns of its
+    block, one item of which each vector takes; one curve per vector
+    serves both."""
+    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
+        columns = curve_columns(block, lbfs, f, scheme) if curves else None
+        for v, fv, lbf in zip(block.tolist(), fvs, lbfs):
+            est, bd, fin = _curve_checks(lbf, fv, v, scheme)
+            chain = implication_chain_ok(bd.ok, fin.ok, est.ok)
+            yield ({"estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok, "bounded_slope": bd.value,
+                    "finite_variance": fin.ok, "chain_ok": chain}, chain, columns)
+
+
+def cmd_per_vector(args: argparse.Namespace) -> int:
+    """``analyze`` and ``characterize``: one JSON record per vector of
+    ``--items``, in order, and with ``--curves`` its rows of the curve CSV.
+    Each vector's work runs inside its item's error scope, before its
+    writes, so a bad vector ends the run after the records of those before
+    it.  The exit code is 1 when any record fails its ratio bound or its
+    implication chain."""
+    data, scheme = load(args)
+    with _error_source(f"--function {args.function!r}"):
+        f = parse_function(args.function, data.r)
+    ids, _ = resolve_items(args.items, data)
+    rows = data.matrix[data.indices(ids)]
+    curves = getattr(args, "curves", None)
+    if args.command == "analyze":
+        records = ((rep.to_dict(), rep.competitive_ok and rep.chain_ok, None)
+                   for rep in competitiveness_reports(rows, f, scheme))
+    else:
+        records = _verdicts(rows, f, scheme, curves is not None)
     failed = False
-    items = iter(ids)
-    try:
-        # one curve per vector serves the verdicts and the curve rows
-        for block, fvs, lbfs in curve_blocks(data.matrix[data.indices(ids)], f, scheme):
-            columns = curve_columns(block, lbfs, f, scheme, DEPTH) if curves_fp is not None else None
-            # items last: zip stops at the end of the block before taking one
-            for v, fv, lbf, item in zip(block.tolist(), fvs, lbfs, items):
-                with _error_source(f"item {item!r}"):
-                    est, bd, fin = _curve_checks(lbf, fv, v, scheme)
-                    chain = implication_chain_ok(bd.ok, fin.ok, est.ok)
-                    rec = {"item": item, "vector": v, "function": f.describe(),
-                           "estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok,
-                           "bounded_slope": bd.value, "finite_variance": fin.ok, "chain_ok": chain}
-                    line = json.dumps(rec, allow_nan=False)
-                    rows = None if columns is None else zip(*(c.tolist() for c in next(columns)))
-                failed = failed or not chain
-                fp.write(line + "\n")
-                if rows is not None:
-                    curves_fp.writelines(map(_curve_row_format(item).__mod__, rows))
-    finally:
-        _close_out(fp)
+    # --curves first: a path that cannot be opened leaves --out as it was
+    with _output(curves, None, newline="") as curves_fp, _output(args.out, sys.stdout) as fp:
         if curves_fp is not None:
-            curves_fp.close()
+            curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
+        for item, v in zip(ids, rows.tolist()):
+            with _error_source(f"item {item!r}"):
+                fields, ok, columns = next(records)
+                line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
+                curve_rows = None if columns is None else zip(*(c.tolist() for c in next(columns)))
+            fp.write(line + "\n")
+            if curve_rows is not None:
+                curves_fp.writelines(map(_curve_row_format(item).__mod__, curve_rows))
+            failed = failed or not ok
     return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser of the four subcommands; :func:`main` parses with the
-    one built at import, ``PARSER``."""
+    one built at import, ``PARSER``.  Its flags are the run's settings, and
+    each default is written here once."""
     parser = argparse.ArgumentParser(
         prog="coordest",
         description="Coordinated shared-seed sampling and multi-instance estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every default is RunConfig's
-    default = {f.name: f.default for f in fields(RunConfig)}
 
-    def common(p: argparse.ArgumentParser, scheme: bool = True):
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
-        if scheme:
-            p.add_argument("--scheme", default=default["scheme_spec"], help="inline scheme, e.g. pps:tau=4")
-            p.add_argument("--scheme-file", type=Path, default=None, help="key-value scheme config")
-        p.add_argument("--salt", type=int, default=default["salt"])
+        p.add_argument("--scheme", default="pps:tau=4", help="inline scheme, e.g. pps:tau=4")
+        p.add_argument("--scheme-file", type=Path, default=None, help="key-value scheme config")
+        p.add_argument("--salt", type=int, default=0)
         p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+        return p
 
-    p_sample = sub.add_parser("sample", help="draw coordinated samples")
-    common(p_sample)
-
-    p_est = sub.add_parser("estimate", help="answer a multi-instance query")
-    common(p_est)
+    command("sample", "draw coordinated samples")
+    p_est = command("estimate", "answer a multi-instance query")
+    p_an = command("analyze", "competitiveness reports per item")
+    p_ch = command("characterize", "estimability verdicts per item")
     p_est.add_argument("--query", required=True, help="l1|lpp:p|lp:p|maxsum|minsum|jaccard|distinct (bottom-k mode adds sum)")
     p_est.add_argument("--p", type=float, default=None, help="exponent for lpp/lp queries")
-    p_est.add_argument("--estimator", default=default["estimator"], choices=("exact", "j", "ht", "voptimal-oracle"))
-    p_est.add_argument("--items", default=default["items"])
-    p_est.add_argument("--reps", type=int, default=default["reps"], help="Monte Carlo repetitions over salts")
+    p_est.add_argument("--estimator", default="exact", choices=("exact", "j", "ht", "voptimal-oracle"))
+    for p in (p_an, p_ch):
+        p.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
+    for p in (p_est, p_an, p_ch):
+        p.add_argument("--items", default="all")
+    p_est.add_argument("--reps", type=int, default=1, help="Monte Carlo repetitions over salts")
     p_est.add_argument("--k", type=int, default=None, help="bottom-k mode: sample size")
-    p_est.add_argument("--rank", default=default["rank"], choices=("pps", "exp"))
-    p_est.add_argument("--instance", type=int, default=default["instance"], help="bottom-k mode: 1-based instance")
-
-    p_an = sub.add_parser("analyze", help="competitiveness reports per item")
-    common(p_an)
-    p_an.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
-    p_an.add_argument("--items", default=default["items"])
-
-    p_ch = sub.add_parser("characterize", help="estimability verdicts per item")
-    common(p_ch)
-    p_ch.add_argument("--function", required=True)
-    p_ch.add_argument("--items", default=default["items"])
+    p_est.add_argument("--rank", default="pps", choices=("pps", "exp"))
+    p_est.add_argument("--instance", type=int, default=1, help="bottom-k mode: 1-based instance")
     p_ch.add_argument("--curves", type=Path, default=None, help="plot-ready curve CSV")
-
     return parser
 
 
@@ -471,12 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 # shares one parser and a process builds it once
 PARSER = build_parser()
 
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run config of the parsed flags; a field whose flag the
-    subcommand lacks keeps its ``RunConfig`` default."""
-    flags = {{"scheme": "scheme_spec", "function": "function_spec"}.get(k, k): v for k, v in vars(args).items()}
-    return RunConfig(**{f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags})
+# the command of each subcommand, looked up when main runs
+COMMANDS = {"sample": cmd_sample, "estimate": cmd_estimate, "analyze": cmd_per_vector, "characterize": cmd_per_vector}
 
 
 # glibc's malloc moves its mmap and trim thresholds up to the largest block
@@ -503,16 +435,7 @@ def _fix_heap_thresholds() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     _fix_heap_thresholds()
     args = PARSER.parse_args(argv)
-    cfg = _config_from_args(args)
-    if args.command == "sample":
-        return cmd_sample(cfg)
-    if args.command == "estimate":
-        return cmd_estimate(cfg)
-    if args.command == "analyze":
-        return cmd_analyze(cfg)
-    if args.command == "characterize":
-        return cmd_characterize(cfg, args.curves)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return COMMANDS[args.command](args)
 
 
 def console_main(argv: Sequence[str] | None = None) -> int:

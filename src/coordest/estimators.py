@@ -381,8 +381,9 @@ def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> Que
 
 def _sequential_sum(xs: Sequence[float]) -> float:
     """Left-to-right float sum (``sum`` compensates from Python 3.12 on):
-    the order a Monte Carlo sweep adds items in, so that its per-salt sums
-    equal single-salt query sums bit for bit on every Python."""
+    the order every query sum and a Monte Carlo sweep add items in, so that
+    its per-salt sums equal single-salt query sums bit for bit on every
+    Python."""
     total = 0.0
     for x in xs:
         total += x
@@ -446,7 +447,7 @@ def exact_query(
     sums = []
     for f in fs:
         values = evaluate_many(f, rows).tolist()
-        sums.append(QueryResult(f"sum[{f.describe()}]", float(sum(values)), item_ids=ids, estimates=values))
+        sums.append(QueryResult(f"sum[{f.describe()}]", _sequential_sum(values), item_ids=ids, estimates=values))
     return _answer(query, p, fs, sums)
 
 

@@ -179,7 +179,8 @@ def bottomk_sample(
 
     A member's threshold, the k-th largest rank among the other items, is
     the (k+1)-th largest rank overall, the same for every member.  Only
-    the items ranked at or above it are sorted.
+    the items ranked at or above it are sorted.  A rank past the largest
+    float is an ``OverflowError`` that names the item.
     """
     values = dict(instance_values)
     if k < 1:
@@ -194,7 +195,14 @@ def bottomk_sample(
     if not (v >= 0.0).all():
         raise ValueError("values must be nonnegative")
     seeds = seeds_for_items(items, salt)
-    ranks = rank_values(rf, seeds, v)
+    with np.errstate(over="ignore"):
+        ranks = rank_values(rf, seeds, v)
+    # an exponential rank is infinite at seed 1; any other infinite rank overflowed
+    past = np.flatnonzero(np.isinf(ranks) & (seeds < 1.0))
+    if past.size:
+        j = past[0]
+        raise OverflowError(f"item {items[j]!r}: the {rf.kind} rank of {float(v[j])!r} at seed {float(seeds[j])!r} "
+                            "passes the largest float")
     threshold = float(np.partition(ranks, len(items) - k - 1)[len(items) - k - 1])
     top = np.flatnonzero(ranks >= threshold)
     candidates = zip(ranks[top].tolist(), [str(items[j]) for j in top.tolist()], v[top].tolist(), seeds[top].tolist())
@@ -230,11 +238,27 @@ def write_samples(outcomes: Samples, fp: IO[str]) -> None:
         )
 
 
+def _number(x, what: str) -> float:
+    """``x`` as a finite float: ``json`` reads ``true`` as a bool, and
+    ``1e400`` and ``Infinity`` as inf, none of which :func:`write_samples`
+    can write."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} {json.dumps(x)} is not a number")
+    try:
+        x = float(x)
+    except OverflowError:  # an integer past the largest float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} is not a finite number")
+    return x
+
+
 def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
     """Samples from records written by :func:`write_samples`.
 
     Each record must be an outcome of ``scheme``: its seed lies in (0, 1], a
-    known value is at least ``tau_i(seed)`` and an unknown bound equals it.
+    known value is at least ``tau_i(seed)`` and an unknown bound equals it,
+    each a finite number.
     A malformed record, or one that is not such an outcome, raises a
     ``ValueError`` that names its line.
     """
@@ -254,9 +278,11 @@ def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
                 raise ValueError(f"{len(slots)} slots for {scheme.r} instances")
             if item in line_of:
                 raise ValueError(f"duplicate item {item!r}")
-            seeds.append(float(rec["seed"]))
+            seeds.append(_number(rec["seed"], "seed"))
             revealed.append(["known" in s for s in slots])
-            values.append([float(s["known"] if k else s["unknown_ub"]) for k, s in zip(revealed[-1], slots)])
+            values.append([_number(s["known"], f"slot {i}: known value") if k else
+                           _number(s["unknown_ub"], f"slot {i}: unknown bound")
+                           for i, (k, s) in enumerate(zip(revealed[-1], slots))])
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -171,7 +171,7 @@ def test_criterion_04_competitiveness_bound():
         f = functions[k % 4]
         v = random_vector(rng)
         scheme = random_scheme(rng)
-        rep = competitiveness_ratio(v, f, scheme, depth=40)
+        rep = competitiveness_ratio(v, f, scheme)
         ratios.append(rep.ratio)
         ok &= rep.ratio <= RATIO_BOUND
     elapsed = time.perf_counter() - t0

@@ -133,11 +133,11 @@ def test_block_curve_rows_match_the_per_vector_rows(kind):
     for k in range(3):
         scheme, rows = _block(rng, kind, k, n=12)
         for f in FUNCTIONS:
-            block = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme, 40)
+            block = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)
             for v, got in zip(rows.tolist(), block):
                 want = scalar_curve_columns(v, f, scheme, 40)
                 assert [_bits(c) for c in got] == [_bits(c) for c in want], (v, f)
-                table = curve_table(v, f, scheme, depth=40)
+                table = curve_table(v, f, scheme)
                 assert _bits(table) == _bits(np.array(got).T), (v, f)
 
 

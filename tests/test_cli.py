@@ -17,8 +17,6 @@ import coordest
 from coordest import cli
 from coordest.cli import (
     MAX_REPS,
-    RunConfig,
-    _config_from_args,
     build_parser,
     console_main,
     ingest,
@@ -141,7 +139,10 @@ class TestErrorReporting:
         assert peak < 2**20
         # 8 bytes a salt for the salts, their mixed form and two sums
         assert 4 * 8 * MAX_REPS == 2**30
-        RunConfig(input=DEMO_CSV, reps=MAX_REPS)
+        # the bound itself passes the check: the run goes on to read the input
+        missing = DEMO_CSV.parent / "missing.csv"
+        assert console_main([*argv[:2], str(missing), *argv[3:-1], str(MAX_REPS)]) == 2
+        assert capsys.readouterr().err == f"coordest: error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_grid_n_is_gone(self, capsys):
         # every hull is exact: no flag sets a grid
@@ -392,7 +393,8 @@ class TestSharedParser:
                 main(argv)
             return parsed[-1]
 
-        monkeypatch.setattr(cli, "_config_from_args", capture)
+        for command in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, command, capture)
         monkeypatch.setattr(cli, "build_parser", rebuild)
         argvs = list(self._argvs())
         for argv in argvs:
@@ -408,29 +410,74 @@ class TestSharedParser:
         assert parse([*lpp[:4], "l1"])["p"] is None
 
 
-class TestRunConfig:
-    @pytest.mark.parametrize("argv", [
-        ["sample"],
-        ["estimate", "--query", "l1"],
-        ["analyze", "--function", "max"],
-        ["characterize", "--function", "max"],
-    ])
-    def test_parser_defaults_are_the_config_defaults(self, argv):
-        given = {"input", "query", "function_spec"}
-        cfg = _config_from_args(build_parser().parse_args([*argv, "--input", str(DEMO_CSV)]))
-        for f in fields(RunConfig):
-            if f.name not in given:
-                assert getattr(cfg, f.name) == f.default, f.name
+class TestFlags:
+    # every flag of every subcommand left at its default; --input and the
+    # required flags are given
+    DEFAULTS = {
+        "sample": {},
+        "estimate": {"query": "l1", "p": None, "estimator": "exact", "items": "all", "reps": 1, "k": None,
+                     "rank": "pps", "instance": 1},
+        "analyze": {"function": "max", "items": "all"},
+        "characterize": {"function": "max", "items": "all", "curves": None},
+    }
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match=r"^--reps must be at least 1, got 0$"):
-            RunConfig(input=DEMO_CSV, reps=0)
-        with pytest.raises(ValueError, match=rf"^--reps must be at most {MAX_REPS} \(1 GiB of salts and sums\), got {MAX_REPS + 1}$"):
-            RunConfig(input=DEMO_CSV, reps=MAX_REPS + 1)
-        with pytest.raises(ValueError, match=r"^--k must be at least 1, got 0$"):
-            RunConfig(input=DEMO_CSV, k=0)
-        with pytest.raises(ValueError, match=r"^--p must be positive and finite, got -1.0$"):
-            RunConfig(input=DEMO_CSV, p=-1.0)
+    @pytest.mark.parametrize("command", DEFAULTS)
+    def test_defaults(self, command):
+        required = [f"--{k}={v}" for k, v in self.DEFAULTS[command].items() if k in ("query", "function")]
+        args = cli.PARSER.parse_args([command, "--input", str(DEMO_CSV), *required])
+        assert vars(args) == {"command": command, "input": DEMO_CSV, "scheme": "pps:tau=4", "scheme_file": None,
+                              "salt": 0, "out": None, **self.DEFAULTS[command]}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "0"], "--reps must be at least 1, got 0"),
+        (["--reps", str(MAX_REPS + 1)],
+         f"--reps must be at most {MAX_REPS} (1 GiB of salts and sums), got {MAX_REPS + 1}"),
+        (["--k", "0"], "--k must be at least 1, got 0"),
+        (["--p", "-1"], "--p must be positive and finite, got -1.0"),
+        (["--k", "2", "--reps", "3"], "--reps 3 does not apply with --k: a bottom-k sample is drawn at one salt"),
+    ])
+    def test_estimate_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "missing.csv"
+        assert console_main(["estimate", "--input", str(missing), "--query", "lpp", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: {message}\n"
+
+
+class TestFailingCommandsLeaveTheirFilesAlone:
+    # once, analyze emptied an existing --out before it read its input, and
+    # characterize emptied --out when --curves could not be opened
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "MISSING", "--function", "max"],
+        ["analyze", "--input", DEMO_CSV, "--function", "nosuch"],
+        ["characterize", "--input", "MISSING", "--function", "max", "--curves", "CURVES"],
+        ["characterize", "--input", DEMO_CSV, "--function", "max", "--items", "1,x", "--curves", "CURVES"],
+        ["estimate", "--input", DEMO_CSV, "--query", "l1", "--scheme", "pps:tau=x"],
+        ["sample", "--input", DEMO_CSV, "--scheme-file", "MISSING"],
+    ], ids=["analyze-input", "analyze-function", "characterize-input", "characterize-items", "estimate-scheme",
+            "sample-scheme-file"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_parse_errors_open_no_output(self, tmp_path, capsys, argv, existing):
+        out, curves = tmp_path / "out", tmp_path / "curves.csv"
+        if existing:
+            out.write_text("old out\n")
+            curves.write_text("old curves\n")
+        names = {"MISSING": str(tmp_path / "missing"), "CURVES": str(curves)}
+        assert console_main([str(names.get(a, a)) for a in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert out.read_text() == "old out\n" and curves.read_text() == "old curves\n"
+        else:
+            assert not out.exists() and not curves.exists()
+
+    def test_unopenable_curves_leave_out_alone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("old out\n")
+        curves = tmp_path / "nodir" / "x.csv"
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--out", str(out),
+                "--curves", str(curves)]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == f"coordest: error: [Errno 2] No such file or directory: '{curves}'\n"
+        assert out.read_text() == "old out\n"
 
 
 class TestEstimateCommand:
@@ -516,6 +563,29 @@ class TestEstimateCommand:
         assert main([*argv, "--reps", "1"]) == 0
         single = capsys.readouterr().out
         assert main(argv) == 0 and capsys.readouterr().out == single
+
+    def test_exact_sum_adds_in_order(self, tmp_path, capsys):
+        # in order, 1e16 + 1 + 1 stays 1e16, as in every estimator's sum;
+        # Python 3.12's compensated sum() would give 1.0000000000000002e16
+        p = tmp_path / "order.csv"
+        p.write_text("item,v1,v2\na,1e16,0\nb,1,0\nc,1,0\n")
+        assert main(["estimate", "--input", str(p), "--query", "l1"]) == 0
+        assert '"value": 1e+16' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rank, item, value, seed", [
+        ("pps", "i1", "1.1e+308", "0.14121744840370998"),
+        ("exp", "i0", "1e+308", "0.616855855461671"),
+    ])
+    def test_bottomk_rank_past_the_largest_float_names_the_item(self, tmp_path, rank, item, value, seed):
+        # ranks v/u and -v/ln(u) of values near the largest float overflow;
+        # they once printed numpy's warning, then a non-JSON answer error
+        p = tmp_path / "huge.csv"
+        p.write_text("item,v1\n" + "".join(f"i{k},{1e308 + k * 0.1e308!r}\n" for k in range(8)))
+        proc = _python("-m", "coordest", "estimate", "--input", str(p), "--k", "2", "--query", "sum",
+                       "--rank", rank)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"coordest: error: instance 1: item {item!r}: the {rank} rank of {value} "
+                               f"at seed {seed} passes the largest float\n")
 
     def test_empty_input_answers_zero(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"

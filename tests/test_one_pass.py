@@ -163,7 +163,7 @@ def _odd_ids_csv(tmp_path):
     return path
 
 
-def _old_characterize(data, f, scheme, depth):
+def _old_characterize(data, f, scheme):
     """The records and curve CSV of characterize before it built one curve
     per vector: each check builds its own, and csv.writer writes the rows."""
     records = []
@@ -181,7 +181,7 @@ def _old_characterize(data, f, scheme, depth):
             "bounded_slope": bd.value, "finite_variance": fin.ok,
             "chain_ok": analysis.implication_chain_ok(bd.ok, fin.ok, est.ok),
         })
-        writer.writerows((item, *row) for row in curve_table(v, f, scheme, depth=depth))
+        writer.writerows((item, *row) for row in curve_table(v, f, scheme))
     return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records), buf.getvalue()
 
 
@@ -202,7 +202,6 @@ def test_characterize_matches_the_per_check_curves(tmp_path, monkeypatch, spec):
     assert main(argv) == 0
     assert len(curves_built) == data.n_items
     monkeypatch.undo()
-    want_jsonl, want_csv = _old_characterize(
-        data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2), 40)
+    want_jsonl, want_csv = _old_characterize(data, parse_function(spec, 2), parse_scheme("pps:tau=4", 2))
     assert out.read_text() == want_jsonl
     assert curves.read_bytes() == want_csv.encode()

@@ -284,6 +284,22 @@ class TestSerialization:
             ('{"item": "b", "seed": "half", "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
              r"line 3: could not convert string to float: 'half'"),
             ('{"item": "b"', r"line 3: Expecting ',' delimiter"),
+            # records write_samples could not write back: a bool is no
+            # number, and json reads 1e400 and Infinity as inf
+            ('{"item": "b", "seed": true, "slots": [{"known": 3.0}, {"unknown_ub": 4.0}]}',
+             r"line 3: seed true is not a number$"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": false}, {"unknown_ub": 2.0}]}',
+             r"line 3: slot 0: known value false is not a number$"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": 1e400}, {"unknown_ub": 2.0}]}',
+             r"line 3: slot 0: known value is not a finite number$"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": Infinity}, {"unknown_ub": 2.0}]}',
+             r"line 3: slot 0: known value is not a finite number$"),
+            ('{"item": "b", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": NaN}]}',
+             r"line 3: slot 1: unknown bound is not a finite number$"),
+            pytest.param('{"item": "b", "seed": 1' + "0" * 400 + ', "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
+                         r"line 3: seed is not a finite number$", id="integer-seed-past-the-largest-float"),
+            ('{"item": "b", "seed": "inf", "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
+             r"line 3: seed is not a finite number$"),
         ],
     )
     def test_read_names_the_failing_line(self, scheme4, record, message):
