@@ -317,10 +317,10 @@ def _curve_row_format(item: str) -> str:
 
 
 def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool):
-    """The ``characterize`` fields of each vector of ``rows``, whether its
+    """Per vector of ``rows``: its ``characterize`` fields, whether its
     implication chain holds, and with ``curves`` the curve columns of its
-    block, one item of which each vector takes; one curve per vector
-    serves both."""
+    block, from which it takes its own.  One curve per vector serves the
+    verdicts and the rows."""
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
         columns = curve_columns(block, lbfs, f, scheme) if curves else None
         for v, fv, lbf in zip(block.tolist(), fvs, lbfs):
@@ -354,6 +354,7 @@ def cmd_per_vector(args: argparse.Namespace) -> int:
         if curves_fp is not None:
             curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
         for item, v in zip(ids, rows.tolist()):
+            # a record past the largest float (data near 1e-310) is not JSON
             with _error_source(f"item {item!r}"):
                 fields, ok, columns = next(records)
                 line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
