@@ -48,9 +48,10 @@ CURVE_SEEDS = 8
 CURVE_BLOCK = 16
 
 
-class AnalysisError(RuntimeError):
-    """An internal inconsistency that should be impossible for correct
-    lower bounds (e.g. zero optimal mass under a nonzero dyadic mass)."""
+class AnalysisError(ValueError):
+    """A report that cannot be made: zero optimal mass under a nonzero
+    dyadic mass, which correct lower bounds give only when the optimal
+    mass lies below the smallest float."""
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,8 @@ def _report(lbf, fv, v, scheme, depth, table, xs, values) -> AnalysisReport:
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
-                "optimal square integral is 0 while the dyadic integral is "
-                f"{sq_j_total}; the lower-bound curve is inconsistent"
+                f"optimal square integral is 0 while the dyadic integral is {sq_j_total}; "
+                "the optimal mass lies below the smallest float, or the lower-bound curve is inconsistent"
             )
         ratio = 1.0
     else:

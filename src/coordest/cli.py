@@ -249,10 +249,10 @@ def run_query(args: argparse.Namespace) -> dict:
         # salts are taken mod 2^64, as hash_seed takes a single salt
         salts = np.uint64(args.salt % 2**64) + np.arange(args.reps, dtype=np.uint64)
         estimates = mc_query_estimates(data, scheme, query, ids, salts, p=p, estimator=args.estimator)
-        # a spread past the largest float is inf or NaN, which no record holds
+        # a mean or spread past the largest float is inf or NaN, which no record holds
         with np.errstate(over="ignore", invalid="ignore"):
-            std = float(estimates.std(ddof=1))
-        record.update(value=float(estimates.mean()), stderr=std / math.sqrt(args.reps), std=std)
+            mean, std = float(estimates.mean()), float(estimates.std(ddof=1))
+        record.update(value=mean, stderr=std / math.sqrt(args.reps), std=std)
         return record
     record["value"] = res.value
     record.update(res.extras)

@@ -99,8 +99,9 @@ def j_estimates(
     values, revealed = np.ascontiguousarray(values.T), np.ascontiguousarray(revealed.T)
     head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme)
     prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme)
-    # two bounds past the largest float leave a NaN, which no record holds
-    with np.errstate(invalid="ignore"):
+    # an estimate past the largest float is inf, and two bounds past it
+    # leave a NaN, which no record holds
+    with np.errstate(over="ignore", invalid="ignore"):
         d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
     return np.where(d > 0.0, d, 0.0)
 
@@ -124,11 +125,12 @@ def j_piece_tables(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, depth: 
     values = np.repeat(rows.T, depth + 1, axis=1)
     lbs = lower_bounds(f, values, True, xs, scheme).reshape(n, depth + 1)
     vals = np.empty_like(lbs)
-    vals[:, 0] = 2.0 * lbs[:, 0]
     # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
-    # of data below about 1e-300; a value past the largest float is inf,
-    # and two such bounds leave a NaN
+    # of data below about 1e-300; a value past the largest float (data
+    # above about 9e307, or those deep blocks) is inf, and two such bounds
+    # leave a NaN
     with np.errstate(over="ignore", invalid="ignore"):
+        vals[:, 0] = 2.0 * lbs[:, 0]
         vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
     return np.clip(vals, 0.0, None)
 
@@ -212,8 +214,9 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
     rows = np.asarray(rows, dtype=float)
     fv = evaluate_many(f, rows)
     m = evaluate_many(max_fn(f.arity), rows) if f.kind == "or" else fv
-    p = np.minimum(1.0, m / tau_star)
+    # m / tau* past the largest float is inf: a probability of 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = np.minimum(1.0, m / tau_star)
         return np.where(fv == 0.0, 0.0, fv / p), p
 
 
@@ -363,11 +366,20 @@ def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.nd
     if query == JACCARD:
         lo, hi = sums
         out = np.zeros_like(lo)
-        np.divide(lo, hi, out=out, where=hi > 0)
+        with np.errstate(invalid="ignore"):
+            np.divide(lo, hi, out=out, where=hi > 0)
         return np.fmin(np.fmax(out, 0.0), 1.0)
     if query == LP:
-        return np.array([x ** (1.0 / float(p)) for x in sums[0].tolist()])
+        return np.array([_pow(x, 1.0 / float(p)) for x in sums[0].tolist()])
     return sums[0]
+
+
+def _pow(x: float, e: float) -> float:
+    """Python's ``x ** e``, or inf where that passes the largest float."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
 
 
 def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> QueryResult:
@@ -538,6 +550,8 @@ def _slot_table(table: np.ndarray) -> np.ndarray:
     return out
 
 
+# a sum past the largest float is inf, which no record holds
+@np.errstate(over="ignore")
 def _mc_sums(
     data: InstanceSet,
     scheme: TauScheme,

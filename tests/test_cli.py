@@ -871,6 +871,45 @@ class TestValuesPastTheLargestFloat:
             assert proc.stdout == ""
 
 
+class TestDataNearTheEndsOfTheFloatRange:
+    # found by tests/test_cli_fuzz.py: data near 1e308 made the dyadic
+    # tables, the Monte Carlo sums and the HT probabilities print numpy's
+    # overflow warnings, and an Lp root past the largest float, or an
+    # optimal mass below the smallest float, ended in a traceback
+    HUGE = "item,v1,v2\nb,1.0,2.0\na,1e308,0\nc,0,1e308\n"
+    QUERY_ERROR = "coordest: error: --query {!r}: Out of range float values are not JSON compliant\n"
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["analyze", "--function", "max"], 2,
+         "coordest: error: item 'a': Out of range float values are not JSON compliant\n"),
+        (["characterize", "--function", "max", "--curves", "CURVES"], 0, ""),
+        (["estimate", "--query", "l1", "--estimator", "j"], 2, QUERY_ERROR.format("l1")),
+        (["estimate", "--query", "maxsum", "--estimator", "ht", "--reps", "3"], 2, QUERY_ERROR.format("maxsum")),
+        (["estimate", "--query", "lp:p=0.5"], 2, QUERY_ERROR.format("lp:p=0.5")),
+        (["estimate", "--query", "lp:p=0.5", "--estimator", "j", "--reps", "3"], 2, QUERY_ERROR.format("lp:p=0.5")),
+        (["estimate", "--query", "jaccard", "--estimator", "ht", "--reps", "3"], 0, ""),
+        (["estimate", "--query", "distinct", "--estimator", "ht", "--reps", "3", "--scheme", "pps:tau=1e-300"], 0, ""),
+    ], ids=["analyze", "characterize-curves", "estimate-j", "estimate-ht-reps", "estimate-lp-root",
+            "estimate-lp-root-reps", "estimate-jaccard-reps", "estimate-ht-tiny-threshold"])
+    def test_values_near_the_largest_float_print_no_warning(self, tmp_path, argv, code, error):
+        p = tmp_path / "huge.csv"
+        p.write_text(self.HUGE)
+        argv = [str(tmp_path / "c.csv") if a == "CURVES" else a for a in argv]
+        proc = _python("-m", "coordest", argv[0], "--input", str(p), *argv[1:])
+        assert proc.returncode == code and proc.stderr == error
+
+    def test_optimal_mass_below_the_smallest_float_names_the_item(self, tmp_path):
+        # max(0, 5e-324) under tau = 1 is revealed at the smallest seed only;
+        # its optimal square integral, about 2.5e-324, rounds to 0
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2\nb,1.0,2.0\na,0,5e-324\n")
+        proc = _python("-m", "coordest", "analyze", "--input", str(p), "--function", "max", "--scheme", "pps:tau=1")
+        assert proc.returncode == 2 and proc.stdout.count("\n") == 1
+        assert proc.stderr == (
+            "coordest: error: item 'a': optimal square integral is 0 while the dyadic integral is 4e-323; "
+            "the optimal mass lies below the smallest float, or the lower-bound curve is inconsistent\n")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")
 def test_freed_heap_is_reused_after_a_command(tmp_path):
     # glibc's default thresholds follow the largest block freed so far: once
