@@ -50,8 +50,7 @@ CURVE_BLOCK = 16
 
 class AnalysisError(ValueError):
     """A report that cannot be made: zero optimal mass under a nonzero
-    dyadic mass, which correct lower bounds give only when the optimal
-    mass lies below the smallest float."""
+    dyadic mass (a mass below the smallest float, or an inconsistent curve)."""
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,9 @@ def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme
 
     The dyadic side is summed to a depth of ``DEPTH`` or more and topped
     with a certified tail bound (each deep block's value is at most 16x the
-    boundedness slope, so the unsummed mass is at most
-    ``256 * slope^2 * 2^-depth``); the optimal side is the truncated hull
-    integral, a slight underestimate.  The reported ratio is therefore
-    conservative.
+    boundedness slope, so the unsummed mass is at most ``256 * slope^2 *
+    2^-depth``); the optimal side is the truncated hull integral, a slight
+    underestimate.  The reported ratio is therefore conservative.
     """
     return next(competitiveness_reports(_one_row(v), f, scheme))
 

@@ -126,9 +126,8 @@ def j_piece_tables(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, depth: 
     lbs = lower_bounds(f, values, True, xs, scheme).reshape(n, depth + 1)
     vals = np.empty_like(lbs)
     # ldexp scales by 2^(j+1) exactly, also past 2^1023 for the deep blocks
-    # of data below about 1e-300; a value past the largest float (data
-    # above about 9e307, or those deep blocks) is inf, and two such bounds
-    # leave a NaN
+    # of data below about 1e-300; a value past the largest float (those, or
+    # data above about 9e307) is inf, and two such bounds leave a NaN
     with np.errstate(over="ignore", invalid="ignore"):
         vals[:, 0] = 2.0 * lbs[:, 0]
         vals[:, 1:] = np.ldexp(lbs[:, 1:] - lbs[:, :-1], np.arange(2, depth + 2))
@@ -393,9 +392,8 @@ def _answer(query: str, p: float | None, fs, sums: Sequence[QueryResult]) -> Que
 
 def _sequential_sum(xs: Sequence[float]) -> float:
     """Left-to-right float sum (``sum`` compensates from Python 3.12 on):
-    the order every query sum and a Monte Carlo sweep add items in, so that
-    its per-salt sums equal single-salt query sums bit for bit on every
-    Python."""
+    the order of every query sum, so that the per-salt sums of a Monte Carlo
+    sweep equal single-salt query sums bit for bit on every Python."""
     total = 0.0
     for x in xs:
         total += x
@@ -550,8 +548,7 @@ def _slot_table(table: np.ndarray) -> np.ndarray:
     return out
 
 
-# a sum past the largest float is inf, which no record holds
-@np.errstate(over="ignore")
+@np.errstate(over="ignore")  # a sum past the largest float is inf, which no record holds
 def _mc_sums(
     data: InstanceSet,
     scheme: TauScheme,

@@ -218,9 +218,8 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     and in closed form on an arc: ``p^2 |d| s^(2p-1) / (2p-1)`` taken
     between the ends of its window.  Any infinite piece value inside the
     window, or a true integral beyond the largest float, makes the result
-    infinite.  Mass below the materialised support is not summed: whether
-    the variance is finite there is the finite-variance verdict of
-    :mod:`coordest.analysis`, read from the curve's head piece.
+    infinite.  Mass below the materialised support is not summed; the
+    finite-variance verdict of :mod:`coordest.analysis` covers it.
     """
     squares, shift = scaled_squares(e.values)
     p = e.exponent

