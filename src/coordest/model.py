@@ -191,7 +191,10 @@ class PiecewiseLinearMap:
         return PiecewiseLinearMap(((0.0, 0.0), (1.0, t)))
 
     def value(self, u):
-        out = np.interp(u, self._us, self._ts)
+        # np.interp can pass a segment's right joint by an ulp just left of
+        # it; capped there, the map is non-decreasing in float seeds too
+        top = self._ts[np.minimum(np.searchsorted(self._us, u), len(self._ts) - 1)]
+        out = np.minimum(np.interp(u, self._us, self._ts), top)
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
 
     def infimum(self) -> float:
