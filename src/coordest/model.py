@@ -179,6 +179,8 @@ class PiecewiseLinearMap:
             raise ValueError("map must be non-decreasing")
         object.__setattr__(self, "_us", np.array(us))
         object.__setattr__(self, "_ts", np.array(ts))
+        # the PPS map reads u * t, which never passes t
+        object.__setattr__(self, "_capped", len(pts) > 2 or ts[0] > 0.0)
 
     @staticmethod
     def pps(t: float) -> "PiecewiseLinearMap":
@@ -191,10 +193,11 @@ class PiecewiseLinearMap:
         return PiecewiseLinearMap(((0.0, 0.0), (1.0, t)))
 
     def value(self, u):
-        # np.interp can pass a segment's right joint by an ulp just left of
-        # it; capped there, the map is non-decreasing in float seeds too
-        top = self._ts[np.minimum(np.searchsorted(self._us, u), len(self._ts) - 1)]
-        out = np.minimum(np.interp(u, self._us, self._ts), top)
+        out = np.interp(u, self._us, self._ts)
+        if self._capped:
+            # np.interp can pass a segment's right joint by an ulp just left
+            # of it; capped there, the map is non-decreasing in float seeds
+            out = np.minimum(out, self._ts[np.minimum(np.searchsorted(self._us, u), len(self._ts) - 1)])
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
 
     def infimum(self) -> float:

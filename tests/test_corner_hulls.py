@@ -173,6 +173,9 @@ def pwl_maps(draw) -> PiecewiseLinearMap:
 # one float below the top joint value, the interpolated crossing rounds to 1
 # while the map is at or below the level at 0.9999999999999999
 @example(PiecewiseLinearMap(((0.0, 0.0), (0.75, 0.0), (1.0, 1.120208535626552))), None)
+# np.interp reads 7.125000000000001 one float left of the joint (0.875,
+# 7.125); uncapped, the entry 7.125 was hidden there and revealed at 0.875
+@example(PiecewiseLinearMap(((0.0, 0.0), (0.1955335378696645, 0.0), (0.875, 7.125), (1.0, 8.125))), None)
 @settings(max_examples=300, deadline=None)
 def test_pwl_crossings_are_the_last_revealing_seeds(m, data):
     ts = [t for _, t in m.points]
