@@ -317,10 +317,9 @@ def _curve_row_format(item: str) -> str:
 
 
 def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool):
-    """Per vector of ``rows``: its ``characterize`` fields, whether its
-    implication chain holds, and with ``curves`` the curve columns of its
-    block, from which it takes its own.  One curve per vector serves the
-    verdicts and the rows."""
+    """Per vector of ``rows``: its ``characterize`` fields, whether its chain
+    holds, and with ``curves`` its block's curve columns, from which it
+    takes its own; one curve per vector serves the verdicts and the rows."""
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
         columns = curve_columns(block, lbfs, f, scheme) if curves else None
         for v, fv, lbf in zip(block.tolist(), fvs, lbfs):

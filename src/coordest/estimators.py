@@ -99,8 +99,7 @@ def j_estimates(
     values, revealed = np.ascontiguousarray(values.T), np.ascontiguousarray(revealed.T)
     head = lower_bounds(f, values, revealed, np.ldexp(1.0, -i), scheme)
     prev = lower_bounds(f, values, revealed, np.ldexp(1.0, 1 - i), scheme)
-    # an estimate past the largest float is inf, and two bounds past it
-    # leave a NaN, which no record holds
+    # past the largest float: inf, or NaN from two such bounds; no record holds either
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.ldexp(1.0, i + 1) * (head - np.where(i == 0, 0.0, prev))
     return np.where(d > 0.0, d, 0.0)
@@ -357,7 +356,7 @@ def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.nd
     :func:`query_functions` and one column per salt.
 
     Jaccard is the min-sum over the max-sum, clamped to [0, 1], and 0 where
-    the max-sum is 0 (or where the ratio is undefined, as inf/inf is); Lp is
+    the max-sum is 0 or past the largest float (inf/inf is undefined); Lp is
     the p-th root of the Lp^p sum, taken with Python's pow (numpy's array pow
     can differ in the last bit); every other query is its one sum.
     """
@@ -365,8 +364,7 @@ def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.nd
     if query == JACCARD:
         lo, hi = sums
         out = np.zeros_like(lo)
-        with np.errstate(invalid="ignore"):
-            np.divide(lo, hi, out=out, where=hi > 0)
+        np.divide(lo, hi, out=out, where=(0.0 < hi) & (hi < math.inf))
         return np.fmin(np.fmax(out, 0.0), 1.0)
     if query == LP:
         return np.array([_pow(x, 1.0 / float(p)) for x in sums[0].tolist()])

@@ -195,8 +195,7 @@ class PiecewiseLinearMap:
     def value(self, u):
         out = np.interp(u, self._us, self._ts)
         if self._capped:
-            # np.interp can pass a segment's right joint by an ulp just left
-            # of it; capped there, the map is non-decreasing in float seeds
+            # np.interp can pass a segment's right joint an ulp left of it
             out = np.minimum(out, self._ts[np.minimum(np.searchsorted(self._us, u), len(self._ts) - 1)])
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
 

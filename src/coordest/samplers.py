@@ -239,9 +239,8 @@ def write_samples(outcomes: Samples, fp: IO[str]) -> None:
 
 
 def _number(x, what: str) -> float:
-    """``x`` as a finite float: ``json`` reads ``true`` as a bool, and
-    ``1e400`` and ``Infinity`` as inf, none of which :func:`write_samples`
-    can write."""
+    """``x`` as a finite float; ``json`` reads ``true`` as a bool and
+    ``1e400`` as inf, which :func:`write_samples` cannot write."""
     if isinstance(x, bool):
         raise TypeError(f"{what} {json.dumps(x)} is not a number")
     if not math.isfinite(x := float(x)):
