@@ -38,9 +38,9 @@ FUZZ_EXAMPLES = int(os.environ.get("COORDEST_FUZZ_EXAMPLES", "25"))
 MEMORY_LIMIT = 1 << 30  # bytes of address space
 CPU_LIMIT = 20  # seconds
 
-# text that every flag may be given
+# the values of a flag with no entry in VALUES
 EDGE = ["", "0", "-1", "nan", "inf", "1e400", "x"]
-# values beside the demo CSV's cells and the sizes of the files below
+# the cells and item ids of the generated CSVs
 CELLS = ["0", "1", "2.5", "0.5", "1e-310", "5e-324", "1e308", "3", "-1", "nan", "x", ""]
 IDS = ["1", "3", "a", "b", "c"]
 
@@ -69,8 +69,8 @@ VALUES = {
     "scheme": st.sampled_from(["pps:tau=4", "pps:tau=1", "pps:tau=4,2", "pps:tau=0", "pps:tau=-1", "pps:tau=nan",
                                "pps:tau=1e300", "pps:tau=1e-300", "pps:tau=4,2,1", "exp:tau=1", "pps:", ""]),
     "salt": st.sampled_from(["0", "7", "-5", str(2**64), str(-(2**70))]),
-    "query": st.sampled_from(["l1", "lpp:p=2", "lp:3", "lpp", "maxsum", "minsum", "jaccard", "distinct", "sum",
-                              "median", "lpp:p=nan", "lpp:p=0", "lp:p=600", "l1:p=2"]),
+    "query": st.sampled_from(["l1", "lpp:p=2", "lp:3", "lpp", "lp", "lp:p=0.5", "maxsum", "minsum", "jaccard",
+                              "distinct", "sum", "median", "lpp:p=nan", "lpp:p=0", "lp:p=600", "l1:p=2"]),
     "p": st.sampled_from(["2", "0.5", "1e-300", "300", "0", "-1", "nan", "inf"]),
     "reps": st.sampled_from(["1", "2", "30", "0", "-1", str(MAX_REPS + 1), str(10**12)]),
     "k": st.sampled_from(["1", "2", "3", "0", "-1", str(10**9)]),
