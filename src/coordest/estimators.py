@@ -355,8 +355,8 @@ def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.nd
     """The answer per column of ``sums``, which holds one row per function of
     :func:`query_functions` and one column per salt.
 
-    Jaccard is the min-sum over the max-sum, clamped to [0, 1], and 0 where
-    the max-sum is 0 or past the largest float (inf/inf is undefined); Lp is
+    Jaccard is the min-sum over the max-sum, clamped to [0, 1], 0 where the
+    max-sum is 0 and NaN, which no record holds, where it is inf; Lp is
     the p-th root of the Lp^p sum, taken with Python's pow (numpy's array pow
     can differ in the last bit); every other query is its one sum.
     """
@@ -365,7 +365,7 @@ def query_answers(query: str, sums: np.ndarray, p: float | None = None) -> np.nd
         lo, hi = sums
         out = np.zeros_like(lo)
         np.divide(lo, hi, out=out, where=(0.0 < hi) & (hi < math.inf))
-        return np.fmin(np.fmax(out, 0.0), 1.0)
+        return np.where(hi < math.inf, np.clip(out, 0.0, 1.0), math.nan)
     if query == LP:
         return np.array([_pow(x, 1.0 / float(p)) for x in sums[0].tolist()])
     return sums[0]

@@ -887,7 +887,7 @@ class TestDataNearTheEndsOfTheFloatRange:
         (["estimate", "--query", "maxsum", "--estimator", "ht", "--reps", "3"], 2, QUERY_ERROR.format("maxsum")),
         (["estimate", "--query", "lp:p=0.5"], 2, QUERY_ERROR.format("lp:p=0.5")),
         (["estimate", "--query", "lp:p=0.5", "--estimator", "j", "--reps", "3"], 2, QUERY_ERROR.format("lp:p=0.5")),
-        (["estimate", "--query", "jaccard", "--estimator", "ht", "--reps", "3"], 0, ""),
+        (["estimate", "--query", "jaccard", "--estimator", "ht", "--reps", "3"], 2, QUERY_ERROR.format("jaccard")),
         (["estimate", "--query", "distinct", "--estimator", "ht", "--reps", "3", "--scheme", "pps:tau=1e-300"], 0, ""),
     ], ids=["analyze", "characterize-curves", "estimate-j", "estimate-ht-reps", "estimate-lp-root",
             "estimate-lp-root-reps", "estimate-jaccard-reps", "estimate-ht-tiny-threshold"])
