@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .estimators import DEPTH, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
-from .hull import FloatRangeError, integrate_square, scaled_squares
+from .hull import FloatRangeError, scaled_squares
 from .model import TauScheme
 
 RATIO_BOUND = 84.0
@@ -196,11 +197,12 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     rows of an (n, r) array, in order.
 
     Each block of :func:`curve_blocks` also takes one
-    :func:`j_piece_tables` call, at its deepest dyadic depth, and one
+    :func:`j_piece_tables` call, at its deepest dyadic depth, one
     :func:`curve_values` call for the hull inputs and the tail seeds of all
-    its vectors.  A vector's verdicts, hull and sums are made when its
-    report is taken, so the error of a bad vector comes after the reports
-    before it.
+    its vectors, and one :func:`hull_estimates` block of their hulls and
+    square integrals.  A vector's verdicts and sums are made, and the error
+    of its hull raised, when its report is taken, so the error of a bad
+    vector comes after the reports before it.
     """
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
         # keep summing dyadic blocks well past the curve's smallest
@@ -208,19 +210,22 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # deep mass for data revealed only at tiny seeds
         depths = [max(DEPTH, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
         tables = j_piece_tables(block, f, scheme, max(depths))
-        hulls = [hull_seeds(lbf) if fv != 0.0 else (None, np.empty(0)) for lbf, fv in zip(lbfs, fvs)]
+        none = np.empty(0)
+        hulls = [hull_seeds(lbf) if fv != 0.0 else (none, none) for lbf, fv in zip(lbfs, fvs)]
         # the last seed of each vector is its tail seed
         seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
         values = curve_values(f, block, seeds, scheme)
+        opt = hull_estimates(lbfs, [xs for xs, _ in hulls], [lb[:-1] for lb in values])
         for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], hulls[k][0], values[k])
+            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(values[k][-1]),
+                          partial(opt.square_integral, k))
 
 
-def _report(lbf, fv, v, scheme, depth, table, xs, values) -> AnalysisReport:
+def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
     """The report of data ``v`` from its curve ``lbf`` and ``f`` value
-    ``fv``: the dyadic values ``table`` down to ``depth`` at least,
-    and the curve at the hull inputs ``xs`` but the last and at the tail
-    seed (``values``)."""
+    ``fv``: the dyadic values ``table`` down to ``depth`` at least, the
+    curve at the tail seed (``tail_value``), and the optimal square integral
+    (``sq_opt()``, read only where ``fv`` is not 0)."""
     est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
     diagnostics: dict = {
         "f_value": fv,
@@ -242,7 +247,7 @@ def _report(lbf, fv, v, scheme, depth, table, xs, values) -> AnalysisReport:
         # the larger of the slope at 0+ and the chord to the last summed
         # block: on one power piece, the sup of (f(v) - lb(u)) / u there
         u_tail = 2.0 ** (-depth + 2)
-        slope = (fv - float(values[-1])) / u_tail
+        slope = (fv - tail_value) / u_tail
         slope = max(slope, bd_check.value)
         tail = 256.0 * slope * slope * 2.0**-depth
     else:
@@ -250,7 +255,7 @@ def _report(lbf, fv, v, scheme, depth, table, xs, values) -> AnalysisReport:
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    sq_opt = integrate_square(hull_estimates(lbf, xs, values[:-1]))
+    sq_opt = sq_opt()
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
@@ -301,16 +306,17 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
     (0, 1].
 
-    The block takes one :func:`j_piece_tables` call and one
-    :func:`curve_values` call.  The curve is read at every seed a vector's
-    rows or hull can take: its hull inputs, its breakpoints, the dyadic
-    piece ends and the interior seeds.  A vector's hull, the
-    ``v_optimal_estimates(lbf)`` of its curve, is built when its columns
-    are taken, and its rows are then looked up among those seeds; a hull
-    of convex arcs reads no curve values and is built before the call, so
-    that the seeds where it meets and leaves the arcs are among them.  The
-    block ends before a vector whose hull fails: its error comes when its
-    columns are taken, after the columns of the vectors before it.
+    The block takes one :func:`j_piece_tables` call, one
+    :func:`curve_values` call and one :func:`hull_estimates` block.  The
+    curve is read at every seed a vector's rows or hull can take: its hull
+    inputs, its breakpoints, the dyadic piece ends and the interior seeds,
+    and its rows are looked up among those seeds.  A vector's hull is the
+    ``v_optimal_estimates(lbf)`` of its curve; a hull of convex arcs reads
+    no curve values and is built before the call, so that the seeds where
+    it meets and leaves the arcs are among them.  The block ends before a
+    vector whose hull seeds or arcs fail; the error of those, or of a
+    corner hull, comes when the vector's columns are taken, after the
+    columns of the vectors before it.
     """
     # a hull that reads the curve at no seed (one of convex arcs) is built
     # first, and the seeds just right of the breakpoints are read for it
@@ -318,7 +324,7 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     for lbf in lbfs:
         try:
             xs, at = hull_seeds(lbf)
-            arcs.append(None if len(at) else hull_estimates(lbf, xs, at))
+            arcs.append(None if len(at) else hull_estimates([lbf], [xs], [at]).estimate(0))
         except ValueError as exc:
             error = exc
             break
@@ -331,9 +337,11 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
                                       (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))
              for lbf, (_, at), us, opt in zip(lbfs, hulls, inner, arcs)]
     values = curve_values(f, rows, seeds, scheme)
-    for lbf, (xs, at), table, us, known, lb, opt in zip(lbfs, hulls, tables, inner, seeds, values, arcs):
+    corners = hull_estimates(lbfs, [xs for xs, _ in hulls],
+                             [lb[np.searchsorted(known, at)] for (_, at), known, lb in zip(hulls, seeds, values)])
+    for k, (lbf, table, us, lb, known, opt) in enumerate(zip(lbfs, tables, inner, values, seeds, arcs)):
         if opt is None:
-            opt = hull_estimates(lbf, xs, lb[np.searchsorted(known, at)])
+            opt = corners.estimate(k)
         j_fn = dyadic_pieces(table)
         us = np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_fn.los, j_fn.his, us)))
         yield us, lb[np.searchsorted(known, us)], opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)

@@ -22,8 +22,10 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -131,6 +133,10 @@ def parse_scheme_file(text: str, r: int, source: str = "scheme file") -> TauSche
     return TauScheme(tuple(maps))
 
 
+class UnknownQueryError(ValueError):
+    """A query spec of no known kind."""
+
+
 def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
     """Split a query spec like ``lpp:p=2`` (or ``lp:2``) into kind and
     exponent.  The kind is checked first: one of ``QUERY_KINDS``, or
@@ -142,7 +148,7 @@ def parse_query(spec: str, p: float | None) -> tuple[str, float | None]:
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind not in QUERY_KINDS + ("sum",):
-        raise ValueError(f"unknown query {spec!r}")
+        raise UnknownQueryError(f"unknown query {spec!r}")
     takes = "p" if kind in (LPP, LP) else "no parameters"
     if p is not None and takes != "p":
         raise ValueError(f"--p applies only to lpp and lp, not {kind}")
@@ -173,8 +179,8 @@ def resolve_items(spec: str, data: InstanceSet) -> tuple[list[str], str]:
     if spec.startswith("positive-in:"):
         with _error_source(f"--items {spec!r}"):
             k = int(spec.split(":", 1)[1]) - 1
-        if not 0 <= k < data.r:
-            raise ValueError(f"instance index out of range in {spec!r}")
+            if not 0 <= k < data.r:
+                raise ValueError(f"instance {k + 1} out of range 1..{data.r}")
         keep = data.matrix[:, k] > 0
         return [item for item, ok in zip(data.item_ids, keep.tolist()) if ok], spec
     ids = [s.strip() for s in spec.split(",") if s.strip()]
@@ -205,21 +211,31 @@ def load(args: argparse.Namespace) -> tuple[InstanceSet, TauScheme]:
     return data, parse_scheme(args.scheme, data.r)
 
 
+def _open_kept(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextmanager
-def _output(path: Path | None, default: IO[str] | None, newline: str | None = None):
-    """``path`` opened for writing, and closed however the block ends; or
-    ``default`` when there is no path."""
-    if path is None:
-        yield default
-    else:
-        with open(path, "w", newline=newline) as fp:
-            yield fp
+def _outputs(*outputs: tuple[Path | None, IO[str] | None, str | None]):
+    """Each ``(path, default, newline)`` as a file: ``path`` opened for
+    writing, and closed however the block ends; or ``default`` when there
+    is no path.  The files are opened in order without truncation and
+    emptied once all of them are open, so a path that cannot be opened
+    leaves every file as it was."""
+    with ExitStack() as stack:
+        fps = [default if path is None else stack.enter_context(open(path, "w", newline=newline, opener=_open_kept))
+               for path, default, newline in outputs]
+        for fp, (path, _, _) in zip(fps, outputs):
+            # as opening with O_TRUNC would: only a regular file is emptied
+            if path is not None and stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+                fp.truncate(0)
+        yield fps
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     data, scheme = load(args)
     outcomes = sample_instances(data, scheme, args.salt)
-    with _output(args.out, sys.stdout) as fp:
+    with _outputs((args.out, sys.stdout, None)) as (fp,):
         write_samples(outcomes, fp)
     return 0
 
@@ -228,7 +244,8 @@ def run_query(args: argparse.Namespace) -> dict:
     """One query answer as a JSON-ready record; Monte Carlo over salts when
     ``--reps`` exceeds 1."""
     data, scheme = load(args)
-    query, p = parse_query(args.query, args.p)
+    with _error_source(f"--query {args.query!r}", UnknownQueryError):
+        query, p = parse_query(args.query, args.p)
     ids, subset = resolve_items(args.items, data)
     # every item: the estimators read all rows as they stand
     item_ids = None if subset == "all" else ids
@@ -302,7 +319,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         record = run_query(args)
     with _error_source(f"--query {args.query!r}"):
         line = json.dumps(record, allow_nan=False)
-    with _output(args.out, sys.stdout) as fp:
+    with _outputs((args.out, sys.stdout, None)) as (fp,):
         fp.write(line + "\n")
     return 0
 
@@ -329,6 +346,20 @@ def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool
                     "finite_variance": fin.ok, "chain_ok": chain}, chain, columns)
 
 
+CURVE_COLUMNS = ("u", "lower_bound", "hull", "j_estimate", "v_optimal")
+
+
+def _finite_columns(columns: Sequence[np.ndarray]) -> list[list[float]]:
+    """The ``--curves`` columns of one vector as float lists; a value that
+    is not finite is an error naming its column and seed."""
+    block = np.vstack(columns)
+    if not np.isfinite(block).all():
+        col, row = np.argwhere(~np.isfinite(block))[0].tolist()
+        x, u = block[[col, 0], row].tolist()
+        raise ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, and only finite values are written")
+    return block.tolist()
+
+
 def cmd_per_vector(args: argparse.Namespace) -> int:
     """``analyze`` and ``characterize``: one JSON record per vector of
     ``--items``, in order, and with ``--curves`` its rows of the curve CSV.
@@ -348,16 +379,16 @@ def cmd_per_vector(args: argparse.Namespace) -> int:
     else:
         records = _verdicts(rows, f, scheme, curves is not None)
     failed = False
-    # --curves first: a path that cannot be opened leaves --out as it was
-    with _output(curves, None, newline="") as curves_fp, _output(args.out, sys.stdout) as fp:
+    with _outputs((curves, None, ""), (args.out, sys.stdout, None)) as (curves_fp, fp):
         if curves_fp is not None:
-            curves_fp.write("item,u,lower_bound,hull,j_estimate,v_optimal\r\n")
+            curves_fp.write(",".join(("item",) + CURVE_COLUMNS) + "\r\n")
         for item, v in zip(ids, rows.tolist()):
-            # a record past the largest float (data near 1e-310) is not JSON
+            # a record or curve value past the largest float (data near
+            # 1e-310 or 1e308) is not written
             with _error_source(f"item {item!r}"):
                 fields, ok, columns = next(records)
                 line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
-                curve_rows = None if columns is None else zip(*(c.tolist() for c in next(columns)))
+                curve_rows = None if columns is None else zip(*_finite_columns(next(columns)))
             fp.write(line + "\n")
             if curve_rows is not None:
                 curves_fp.writelines(map(_curve_row_format(item).__mod__, curve_rows))

@@ -30,6 +30,7 @@ import numpy as np
 from .functions import (
     ItemFunction,
     LowerBoundFn,
+    curve_values,
     evaluate_many,
     lb_functions,
     lower_bounds,
@@ -38,7 +39,7 @@ from .functions import (
     or_fn,
     rg_fn,
 )
-from .hull import EstimateFn, arc_hull, lower_hull
+from .hull import EstimateFn, LowerHulls, arc_hull, integrate_square, lower_hulls
 from .model import (
     InstanceSet,
     Outcome,
@@ -223,20 +224,26 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 
 
 def v_optimal_estimates(lb: LowerBoundFn) -> EstimateFn:
-    """Negated slopes of the lower hull of a full lower-bound curve:
-    :func:`hull_estimates` of the curve read at its :func:`hull_seeds`."""
+    """Negated slopes of the lower hull of a full lower-bound curve: one
+    row of :func:`hull_estimates`, of the curve read at its
+    :func:`hull_seeds`."""
     xs, at = hull_seeds(lb)
-    return hull_estimates(lb, xs, lb.value(at))
+    return hull_estimates([lb], [xs], [lb.value(at)]).estimate(0)
 
 
 def _convex_arcs(lb: LowerBoundFn) -> bool:
     """Whether the pieces of ``lb`` are convex arcs ``(c + d*u)^p``, p > 1;
     a curve of no known form (exponent ``math.inf``) is an error."""
-    if lb.exponent is None or lb.exponent <= 1.0:
+    if _corners(lb):
         return False
     if lb.pieces is None or math.isinf(lb.exponent):
         raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
     return True
+
+
+def _corners(lb: LowerBoundFn) -> bool:
+    """Whether the hull of ``lb`` has its vertices among the curve's corners."""
+    return lb.exponent is None or lb.exponent <= 1.0
 
 
 def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
@@ -273,20 +280,50 @@ def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
 
 
-def hull_estimates(lb: LowerBoundFn, xs: np.ndarray, ys: np.ndarray) -> EstimateFn:
-    """The negated slopes of the lower hull of the curve ``lb`` from its
-    :func:`hull_seeds` ``xs`` and its values ``ys`` there: of the points
-    ``(xs, ys)`` and ``(xs[-1], 0)``, or, for a curve of convex arcs, of
-    its arcs from the anchor ``xs[0]`` (:func:`arc_hull`)."""
-    if _convex_arcs(lb):
-        return arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(xs[0]))
-    ys = np.append(ys, 0.0)
-    hu, hy = np.array(lower_hull(np.column_stack((xs, ys))).vertices).T
-    # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)): fmax turns a
-    # NaN into 0.0, and adding +0.0 turns a -0.0 into 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.fmax((hy[:-1] - hy[1:]) / (hu[1:] - hu[:-1]), 0.0) + 0.0
-    return EstimateFn(hu[:-1], hu[1:], slopes)
+@dataclass(frozen=True, eq=False)
+class HullEstimates:
+    """The hull-derivative estimates of a block of curves ``lbfs``, read
+    by row: the hulls of the curves with concave pieces in one block
+    ``corners``, whose row of ``lbfs[k]`` is ``rows[k]``, and the hull of
+    a curve of convex arcs from its arcs and its anchor ``xs[k][0]``, made
+    when read.  A row's error is raised when it is read."""
+
+    lbfs: Sequence[LowerBoundFn]
+    xs: Sequence[np.ndarray]
+    rows: dict[int, int]
+    corners: LowerHulls | None
+
+    def estimate(self, k: int) -> EstimateFn:
+        lb = self.lbfs[k]
+        if _convex_arcs(lb):
+            return arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
+        return self.corners.estimate(self.rows[k])
+
+    def square_integral(self, k: int) -> float:
+        """``integrate_square(self.estimate(k))``; a corner hull's is read
+        off the block's one square-integral pass."""
+        if _convex_arcs(self.lbfs[k]):
+            return integrate_square(self.estimate(k))
+        return self.corners.square_integral(self.rows[k])
+
+
+def hull_estimates(lbfs: Sequence[LowerBoundFn], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> HullEstimates:
+    """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
+    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there: of the
+    points ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``, all in one
+    :func:`lower_hulls` block, or, for a curve of convex arcs, of its arcs
+    from the anchor ``xs[k][0]`` (:func:`arc_hull`)."""
+    rows = [k for k, lb in enumerate(lbfs) if _corners(lb)]
+    corners = lower_hulls([xs[k] for k in rows], [ys[k] for k in rows]) if rows else None
+    return HullEstimates(lbfs, xs, {k: i for i, k in enumerate(rows)}, corners)
+
+
+def oracle_hulls(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> HullEstimates:
+    """:func:`hull_estimates` of the curves of the data vectors ``rows``,
+    read at their hull seeds in one :func:`curve_values` call."""
+    lbfs = lb_functions(f, rows, scheme)
+    seeds = [hull_seeds(lb) for lb in lbfs]
+    return hull_estimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +470,9 @@ def sum_estimate(
         vectors = data.matrix[data.indices(ids)]
         seeds, estimates = samples.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
-            lbfs = lb_functions(f, vectors[start:start + MC_ITEM_BLOCK], samples.scheme)
-            estimates += [v_optimal_estimates(lbf).value_at(u) for lbf, u in zip(lbfs, seeds[start:])]
+            block = vectors[start:start + MC_ITEM_BLOCK]
+            hulls = oracle_hulls(f, block, samples.scheme)
+            estimates += [hulls.estimate(k).value_at(u) for k, u in enumerate(seeds[start:start + len(block)])]
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
@@ -578,8 +616,8 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            by_function = [[v_optimal_estimates(lbf) for lbf in lb_functions(f, vectors, scheme)] for f in fs]
-            hulls = list(zip(*by_function))
+            by_function = [oracle_hulls(f, vectors, scheme) for f in fs]
+            hulls = [[h.estimate(k) for h in by_function] for k in range(len(block))]
             live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():
             key = item_key(data.item_ids[block[k]])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ class LowerHull:
 
 
 def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
-    """Monotone-chain lower hull.
+    """Monotone-chain lower hull: one row of :func:`lower_hulls`.
 
     Duplicate u-coordinates keep their minimum value first; collinear interior
     points are dropped, so every input point lies on or above the returned
@@ -58,21 +59,15 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     (n, 2) array.
     """
     pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float).reshape(-1, 2)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    us, ys = pts[order, 0], pts[order, 1]
-    first = np.ones(len(us), dtype=bool)
-    first[1:] = us[1:] != us[:-1]
-    us, ys = us[first], ys[first]
-    # the cross products of a curve below about 1e-154 underflow to 0 and
-    # would drop every vertex; a power-of-two scale up is exact
-    top = max(ys.max(initial=0.0), -ys.min(initial=0.0))
-    shift = -math.frexp(top)[1] if 0.0 < top < 2.0**-500 else 0
-    us, ys = us.tolist(), (np.ldexp(ys, shift) if shift else ys).tolist()
-    if len(us) < 2:
-        raise ValueError("need at least two points with distinct u")
-    # the chain as two float lists, its last two points also held as
-    # o = (ou, oy) and a = (au, ay); a goes while o -> a -> (u, y) does not
-    # turn counter-clockwise, i.e. while cross(o, a, (u, y)) <= 0
+    return lower_hulls([pts[:, 0]], [pts[:, 1]]).hull(0)
+
+
+def _chain(us: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """The monotone chain of points sorted by strictly increasing u, at
+    least two of them: its vertices as two float lists."""
+    # the chain's last two points are also held as o = (ou, oy) and
+    # a = (au, ay); a goes while o -> a -> (u, y) does not turn
+    # counter-clockwise, i.e. while cross(o, a, (u, y)) <= 0
     cu, cy = us[:2], ys[:2]
     ou, oy, au, ay = us[0], ys[0], us[1], ys[1]
     for u, y in zip(us[2:], ys[2:]):
@@ -86,9 +81,112 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
         ou, oy, au, ay = au, ay, u, y
         cu.append(u)
         cy.append(y)
-    if shift:
-        cy = [math.ldexp(y, -shift) for y in cy]
-    return LowerHull(tuple(zip(cu, cy)))
+    return cu, cy
+
+
+@dataclass(frozen=True, eq=False)
+class LowerHulls:
+    """The lower hulls of a block of point sets, one per row: row ``k``
+    has ``counts[k]`` vertices ``(us[k, j], ys[k, j])``, and is padded to
+    the block's width with copies of its last vertex.  A row of fewer than
+    two distinct u has no hull: reading it raises its error, and it leaves
+    the other rows alone."""
+
+    us: np.ndarray
+    ys: np.ndarray
+    counts: list[int]
+
+    def _count(self, k: int) -> int:
+        if self.counts[k] < 2:
+            raise ValueError("need at least two points with distinct u")
+        return self.counts[k]
+
+    def hull(self, k: int) -> LowerHull:
+        n = self._count(k)
+        return LowerHull(tuple(zip(self.us[k, :n].tolist(), self.ys[k, :n].tolist())))
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """The negated slope of every hull piece, clamped at 0 and 0 on the
+        padding: the bits of the scalar ``max(0.0, (y1 - y2) / (u2 - u1))``
+        (``fmax`` turns a NaN into 0.0, and adding +0.0 turns a -0.0 into
+        0.0)."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.fmax((self.ys[:, :-1] - self.ys[:, 1:]) / np.diff(self.us, axis=1), 0.0) + 0.0
+
+    def estimate(self, k: int) -> EstimateFn:
+        """The negated slopes of row ``k``'s hull as an estimate; its
+        vertices must lie in [0, 1]."""
+        n = self._count(k)
+        return EstimateFn(self.us[k, :n - 1], self.us[k, 1:n], self.slopes[k, :n - 1])
+
+    @cached_property
+    def square_integrals(self) -> np.ndarray:
+        """``integrate_square(self.estimate(k))`` of every row, bit for bit,
+        in one pass: the squares scaled by each row's own shift of
+        :func:`scaled_squares`, times the piece widths, added left to right
+        from +0.0 by a row-wise ``cumsum`` (the padding adds +0.0), then
+        scaled back."""
+        values = self.slopes
+        top = values.max(axis=1, initial=0.0)
+        shift = np.where((2.0**500 < top) & (top < math.inf), np.frexp(top)[1] - 500, 0)
+        values = np.ldexp(values, -shift[:, None])
+        terms = np.zeros(self.us.shape)
+        scale = np.ldexp(1.0, shift)
+        # a row with an infinite slope is not shifted, and its integral is
+        # inf; the scale back is two exact power-of-two steps
+        with np.errstate(over="ignore"):
+            terms[:, 1:] = values * values * np.diff(self.us, axis=1)
+            return np.cumsum(terms, axis=1)[:, -1] * scale * scale
+
+    def square_integral(self, k: int) -> float:
+        self._count(k)
+        return float(self.square_integrals[k])
+
+
+def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHulls:
+    """The monotone-chain lower hull of each row of points ``(xs[k][j],
+    ys[k][j])``; where ``ys[k]`` stops short of ``xs[k]`` the points past
+    its end lie at height 0 (a curve's closing point ``(1, 0)``).
+
+    The rows are padded into one block and sorted by one ``lexsort``, by u
+    and then y, with the padding last; the first point of each u stays.
+    Each row then runs :func:`_chain` over plain float lists, and the
+    vertices of all rows are gathered back into one padded block.
+    """
+    n = len(xs)
+    lens = np.array([len(x) for x in xs], dtype=np.intp)
+    cols = np.arange(lens.max(initial=0))
+    live = cols < lens[:, None]
+    us, hs = np.zeros(live.shape), np.zeros(live.shape)
+    if n:
+        us[live] = np.concatenate(xs)
+        hs[cols < np.array([len(y) for y in ys])[:, None]] = np.concatenate(ys)
+    order = np.lexsort((hs, us, ~live), axis=-1)
+    us, hs = np.take_along_axis(us, order, -1), np.take_along_axis(hs, order, -1)
+    live[:, 1:] &= us[:, 1:] != us[:, :-1]
+    # the cross products of a curve below about 1e-154 underflow to 0 and
+    # would drop every vertex; a power-of-two scale up is exact
+    top = np.max(np.abs(hs), axis=1, where=live, initial=0.0)
+    shift = np.where((0.0 < top) & (top < 2.0**-500), -np.frexp(top)[1], 0)
+    counts = live.sum(axis=1).tolist()
+    flat_u, flat_y = us[live].tolist(), np.ldexp(hs, shift[:, None])[live].tolist()
+    vu, vy, sizes, start = [], [], [], 0
+    for count in counts:
+        if count >= 2:
+            cu, cy = _chain(flat_u[start:start + count], flat_y[start:start + count])
+            vu += cu
+            vy += cy
+            sizes.append(len(cu))
+        else:
+            sizes.append(0)
+        start += count
+    # each row's vertices, then copies of its last; a row without a hull
+    # reads the vertex after it, or the one zero past the end
+    size = np.array(sizes, dtype=np.intp)
+    last = np.maximum(size - 1, 0)[:, None]
+    at = (np.cumsum(size) - size)[:, None] + np.minimum(np.arange(max(max(sizes, default=0), 1)), last)
+    return LowerHulls(np.array(vu + [0.0])[at], np.ldexp(np.array(vy + [0.0])[at], -shift[:, None]), sizes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,9 @@ of data vectors.  These are the one-item forms the tests build outcomes
 with, and the scalar code the block kernels are checked against bit for
 bit: the float-by-float crossing snap, the per-map crossing loops, the
 per-vector lower-bound curve with its pieces, and the competitiveness
-report and curve rows of one vector built from that curve alone.  The grid
-hull is the reference hull of a curve of no known form.
+report and curve rows of one vector built from that curve alone, with the
+scalar monotone chain of one point set at a time.  The grid hull is the
+reference hull of a curve of no known form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from coordest.estimators import (
     DEPTH,
     HULL_LEFT_ANCHOR,
     dyadic_index,
+    hull_seeds,
     ht_blocks,
     j_estimate_fn,
     j_piece_values,
@@ -41,7 +43,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import EstimateFn, integrate_square, lower_hull, scaled_squares
+from coordest.hull import EstimateFn, LowerHull, integrate_square, scaled_squares
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -200,7 +202,55 @@ def grid_hull(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
     ``sq_opt`` by ``O(grid_n^-2)``.  This was the package's hull of the
     ``p > 1`` range kinds before they took theirs from the arcs.
     """
-    return hull_estimate_fn(lower_hull(np.column_stack(grid_points(lb, grid_n))))
+    return hull_estimate_fn(scalar_lower_hull(np.column_stack(grid_points(lb, grid_n))))
+
+
+def scalar_lower_hull(points) -> LowerHull:
+    """The monotone-chain lower hull of one point set, as the package took
+    it one curve at a time: the reference of ``hull.lower_hulls``.
+
+    Duplicate u-coordinates keep their minimum value first; collinear
+    interior points are dropped.  Requires at least two distinct u values.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    us, ys = pts[order, 0], pts[order, 1]
+    first = np.ones(len(us), dtype=bool)
+    first[1:] = us[1:] != us[:-1]
+    us, ys = us[first], ys[first]
+    # the cross products of a curve below about 1e-154 underflow to 0 and
+    # would drop every vertex; a power-of-two scale up is exact
+    top = max(ys.max(initial=0.0), -ys.min(initial=0.0))
+    shift = -math.frexp(top)[1] if 0.0 < top < 2.0**-500 else 0
+    us, ys = us.tolist(), (np.ldexp(ys, shift) if shift else ys).tolist()
+    if len(us) < 2:
+        raise ValueError("need at least two points with distinct u")
+    cu, cy = us[:2], ys[:2]
+    ou, oy, au, ay = us[0], ys[0], us[1], ys[1]
+    for u, y in zip(us[2:], ys[2:]):
+        while (au - ou) * (y - oy) - (u - ou) * (ay - oy) <= 0.0:
+            cu.pop()
+            cy.pop()
+            au, ay = ou, oy
+            if len(cu) < 2:
+                break
+            ou, oy = cu[-2], cy[-2]
+        ou, oy, au, ay = au, ay, u, y
+        cu.append(u)
+        cy.append(y)
+    if shift:
+        cy = [math.ldexp(y, -shift) for y in cy]
+    return LowerHull(tuple(zip(cu, cy)))
+
+
+def scalar_v_optimal(lb: LowerBoundFn) -> EstimateFn:
+    """``v_optimal_estimates(lb)`` by the scalar chain: the hull of the
+    curve at its hull seeds and ``(1, 0)``; a curve of convex arcs takes
+    its hull from its arcs, one curve at a time in the package too."""
+    xs, at = hull_seeds(lb)
+    if not len(at):
+        return v_optimal_estimates(lb)
+    return hull_estimate_fn(scalar_lower_hull(np.column_stack((xs, np.append(lb.value(at), 0.0)))))
 
 
 def hull_estimate_fn(hull) -> EstimateFn:
@@ -386,7 +436,7 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth:
         tail = 256.0 * slope * slope * 2.0**-depth
     diagnostics["j_tail_bound"] = tail
     sq_j += tail or 0.0
-    sq_opt = integrate_square(v_optimal_estimates(lbf))
+    sq_opt = integrate_square(scalar_v_optimal(lbf))
     ratio = sq_j / sq_opt if sq_opt > 0.0 else 1.0
     return AnalysisReport(sq_j, sq_opt, ratio, clamped_variance(sq_j, fv), clamped_variance(sq_opt, fv),
                           est.ok, fin.ok, bd.ok, diagnostics)
@@ -397,7 +447,7 @@ def scalar_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme,
     alone: its own curve, hull and dyadic pieces, and one curve call at the
     row seeds."""
     lbf = scalar_lb_function(f, v, scheme)
-    opt = v_optimal_estimates(lbf)
+    opt = scalar_v_optimal(lbf)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
     bps = np.array(lbf.breakpoints)
     seeds = [bps, np.nextafter(bps[bps < 1.0], np.inf), opt.los, opt.his, j_fn.los, j_fn.his]

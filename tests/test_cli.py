@@ -163,7 +163,7 @@ class TestErrorReporting:
         assert console_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "coordest: error: unknown query 'median'\n"
+        assert captured.err == "coordest: error: --query 'median': unknown query 'median'\n"
 
 
 class TestSchemeParsing:
@@ -242,7 +242,7 @@ class TestParseErrorsNameTheirSource:
         (["--query", "l1", "--p", "3"], "--p applies only to lpp and lp, not l1"),
         (["--query", "lpp:p=-1", "--p", "2"], "--query 'lpp:p=-1': exponent p must be positive and finite, not -1.0"),
         (["--query", "lp:3", "--p", "2"], "--query 'lp:3': exponent 3.0 conflicts with --p 2.0"),
-        (["--query", "median:p=2"], "unknown query 'median:p=2'"),
+        (["--query", "median:p=2"], "--query 'median:p=2': unknown query 'median:p=2'"),
     ])
     def test_query_spec(self, capsys, argv, message):
         assert console_main(["estimate", "--input", str(DEMO_CSV), "--estimator", "exact", *argv]) == 2
@@ -293,6 +293,15 @@ class TestParseErrorsNameTheirSource:
     def test_items_flag(self):
         with pytest.raises(ValueError, match=r"^--items 'positive-in:x': invalid literal"):
             resolve_items("positive-in:x", ingest(DEMO_CSV))
+
+    @pytest.mark.parametrize("spec, message", [
+        ("positive-in:9", "--items 'positive-in:9': instance 9 out of range 1..2"),
+        ("positive-in:0", "--items 'positive-in:0': instance 0 out of range 1..2"),
+    ])
+    def test_items_instance_out_of_range(self, capsys, spec, message):
+        assert console_main(["estimate", "--input", str(DEMO_CSV), "--query", "l1", "--items", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"coordest: error: {message}\n"
 
     def test_scheme_file_duplicate_key_names_both_lines(self):
         text = "tau.1 = pps:4\n# again\ntau.1 = pps:2\ntau.2 = pps:4\n"
@@ -478,6 +487,30 @@ class TestFailingCommandsLeaveTheirFilesAlone:
         assert console_main(argv) == 2
         assert capsys.readouterr().err == f"coordest: error: [Errno 2] No such file or directory: '{curves}'\n"
         assert out.read_text() == "old out\n"
+
+    @pytest.mark.parametrize("missing", ["out", "curves"])
+    def test_an_unopenable_output_leaves_the_other_alone(self, tmp_path, capsys, missing):
+        # either output may be the one that cannot be opened; the other
+        # keeps its bytes
+        paths = {"out": tmp_path / "out", "curves": tmp_path / "curves.csv"}
+        paths[missing] = tmp_path / "nodir" / "x"
+        (kept,) = (p for name, p in paths.items() if name != missing)
+        kept.write_bytes(b"old\r\nbytes\n")
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--out", str(paths["out"]),
+                "--curves", str(paths["curves"])]
+        assert console_main(argv) == 2
+        assert capsys.readouterr().err == f"coordest: error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+        assert kept.read_bytes() == b"old\r\nbytes\n"
+
+    def test_outputs_are_emptied_once_both_are_open(self, tmp_path, capsys):
+        out, curves = tmp_path / "out", tmp_path / "curves.csv"
+        out.write_text("old out\n" * 1000)
+        curves.write_text("old curves\n" * 1000)
+        argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--out", str(out),
+                "--curves", str(curves)]
+        assert console_main(argv) == 0
+        assert "old" not in out.read_text() and "old" not in curves.read_text()
+        assert console_main(argv[:-2] + ["--out", "/dev/null"]) == 0
 
 
 class TestEstimateCommand:
@@ -878,11 +911,13 @@ class TestDataNearTheEndsOfTheFloatRange:
     # optimal mass below the smallest float, ended in a traceback
     HUGE = "item,v1,v2\nb,1.0,2.0\na,1e308,0\nc,0,1e308\n"
     QUERY_ERROR = "coordest: error: --query {!r}: Out of range float values are not JSON compliant\n"
+    CURVES_ERROR = ("coordest: error: item 'a': the --curves column j_estimate is inf at u = 1.0, "
+                    "and only finite values are written\n")
 
     @pytest.mark.parametrize("argv, code, error", [
         (["analyze", "--function", "max"], 2,
          "coordest: error: item 'a': Out of range float values are not JSON compliant\n"),
-        (["characterize", "--function", "max", "--curves", "CURVES"], 0, ""),
+        (["characterize", "--function", "max", "--curves", "CURVES"], 2, CURVES_ERROR),
         (["estimate", "--query", "l1", "--estimator", "j"], 2, QUERY_ERROR.format("l1")),
         (["estimate", "--query", "maxsum", "--estimator", "ht", "--reps", "3"], 2, QUERY_ERROR.format("maxsum")),
         (["estimate", "--query", "lp:p=0.5"], 2, QUERY_ERROR.format("lp:p=0.5")),
@@ -897,6 +932,20 @@ class TestDataNearTheEndsOfTheFloatRange:
         argv = [str(tmp_path / "c.csv") if a == "CURVES" else a for a in argv]
         proc = _python("-m", "coordest", argv[0], "--input", str(p), *argv[1:])
         assert proc.returncode == code and proc.stderr == error
+
+    def test_a_curve_value_past_the_largest_float_is_not_written(self, tmp_path, capsys):
+        # the first dyadic piece of item a is 2 * 1e308; b's record and rows
+        # come before the error, and no row of a is written
+        p, curves = tmp_path / "huge.csv", tmp_path / "c.csv"
+        p.write_text(self.HUGE)
+        argv = ["characterize", "--input", str(p), "--function", "max", "--curves", str(curves)]
+        assert console_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == self.CURVES_ERROR
+        assert [json.loads(line)["item"] for line in out.splitlines()] == ["b"]
+        rows = curves.read_text().splitlines()
+        assert rows[0] == "item,u,lower_bound,hull,j_estimate,v_optimal"
+        assert len(rows) > 1 and {row.split(",", 1)[0] for row in rows[1:]} == {"b"}
 
     def test_optimal_mass_below_the_smallest_float_names_the_item(self, tmp_path):
         # max(0, 5e-324) under tau = 1 is revealed at the smallest seed only;

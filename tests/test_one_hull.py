@@ -51,13 +51,15 @@ def test_verdict_boundary_on_power_gaps(grid_n):
 
 
 def _count_hulls(monkeypatch) -> tuple[list, list]:
-    """The calls of the two halves of a hull: its input seeds, and the hull
-    of the curve's values there (or of its arcs)."""
+    """The calls of the two halves of a hull: its input seeds, and the hulls
+    built from the curve's values there (a row of a corner-hull block) or
+    from its arcs."""
     seeds, hulls = [], []
-    real_seeds, real_hull = estimators.hull_seeds, estimators.hull_estimates
+    real_seeds, real_block, real_arcs = estimators.hull_seeds, estimators.lower_hulls, estimators.arc_hull
     for module in (analysis, estimators):
         monkeypatch.setattr(module, "hull_seeds", lambda *a, **k: seeds.append(a) or real_seeds(*a, **k))
-        monkeypatch.setattr(module, "hull_estimates", lambda *a, **k: hulls.append(a) or real_hull(*a, **k))
+    monkeypatch.setattr(estimators, "lower_hulls", lambda xs, ys: hulls.extend(xs) or real_block(xs, ys))
+    monkeypatch.setattr(estimators, "arc_hull", lambda *a, **k: hulls.append(a) or real_arcs(*a, **k))
     return seeds, hulls
 
 

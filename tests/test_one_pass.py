@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordest import analysis, estimators, functions
+from coordest import analysis, estimators, functions, hull
 from coordest.analysis import check_bounded, check_estimable, check_finite_variance, curve_table
 from coordest.cli import _curve_row_format, ingest, main, parse_scheme
 from coordest.functions import lb_function, parse_function, rg_fn
-from coordest.hull import SUM_BLOCK, EstimateFn, LowerHull, _ordered_sum, integrate_square, lower_hull
+from coordest.hull import SUM_BLOCK, EstimateFn, _ordered_sum, integrate_square
 from coordest.model import TauScheme
 
 
@@ -110,7 +110,8 @@ HULLS = [
 
 @pytest.mark.parametrize("vertices", HULLS)
 def test_hull_slopes_match_the_scalar_max(monkeypatch, vertices):
-    monkeypatch.setattr(estimators, "lower_hull", lambda points: LowerHull(vertices))
+    # the chain of every row gives these vertices
+    monkeypatch.setattr(hull, "_chain", lambda us, ys: tuple(map(list, zip(*vertices))))
     lbf = lb_function(rg_fn(1.0, 2), (1.0, 0.0), TauScheme.pps(4.0, r=2))
     est = estimators.v_optimal_estimates(lbf)
     assert _bits(est.values) == _bits(_scalar_slopes(vertices))
@@ -121,11 +122,12 @@ def test_hull_slopes_match_the_scalar_max(monkeypatch, vertices):
 def test_hull_slopes_of_real_curves_match_the_scalar_max(monkeypatch):
     hulls = []
 
-    def spy(points):
-        hulls.append(lower_hull(points))
+    def spy(us, ys):
+        hulls.append(real(us, ys))
         return hulls[-1]
 
-    monkeypatch.setattr(estimators, "lower_hull", spy)
+    real = hull._chain
+    monkeypatch.setattr(hull, "_chain", spy)
     rng = np.random.default_rng(10)
     scheme = TauScheme.pps(4.0, r=3)
     # the hulls of the corners; rg with p > 1 takes its hull from the arcs
@@ -134,7 +136,7 @@ def test_hull_slopes_of_real_curves_match_the_scalar_max(monkeypatch):
         for _ in range(4):
             v = tuple(rng.lognormal(0.0, 1.0, 3) * (rng.random(3) > 0.3))
             est = estimators.v_optimal_estimates(lb_function(f, v, scheme))
-            assert _bits(est.values) == _bits(_scalar_slopes(hulls[-1].vertices))
+            assert _bits(est.values) == _bits(_scalar_slopes(list(zip(*hulls[-1]))))
 
 
 ROW = (0.25, -0.0, math.inf, math.nan, 5e-324)
