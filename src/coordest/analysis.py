@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, dyadic_pieces, hull_estimates, hull_seeds, j_piece_tables
+from .estimators import DEPTH, HullEstimates, dyadic_pieces, hull_seeds, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
 from .hull import FloatRangeError, scaled_squares
 from .model import TauScheme
@@ -46,7 +46,7 @@ CURVE_SEEDS = 8
 
 # Data vectors whose curves, dyadic tables and hull inputs are built in one
 # pass of a few array calls: memory stays flat in the vector count.
-CURVE_BLOCK = 16
+CURVE_BLOCK = 64
 
 
 class AnalysisError(ValueError):
@@ -199,7 +199,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     Each block of :func:`curve_blocks` also takes one
     :func:`j_piece_tables` call, at its deepest dyadic depth, one
     :func:`curve_values` call for the hull inputs and the tail seeds of all
-    its vectors, and one :func:`hull_estimates` block of their hulls and
+    its vectors, and one :class:`HullEstimates` block of their hulls and
     square integrals.  A vector's verdicts and sums are made, and the error
     of its hull raised, when its report is taken, so the error of a bad
     vector comes after the reports before it.
@@ -215,7 +215,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # the last seed of each vector is its tail seed
         seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
         values = curve_values(f, block, seeds, scheme)
-        opt = hull_estimates(lbfs, [xs for xs, _ in hulls], [lb[:-1] for lb in values])
+        opt = HullEstimates(lbfs, [xs for xs, _ in hulls], [lb[:-1] for lb in values])
         for k, v in enumerate(block.tolist()):
             yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(values[k][-1]),
                           partial(opt.square_integral, k))
@@ -307,7 +307,7 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     (0, 1].
 
     The block takes one :func:`j_piece_tables` call, one
-    :func:`curve_values` call and one :func:`hull_estimates` block.  The
+    :func:`curve_values` call and one :class:`HullEstimates` block.  The
     curve is read at every seed a vector's rows or hull can take: its hull
     inputs, its breakpoints, the dyadic piece ends and the interior seeds,
     and its rows are looked up among those seeds.  A vector's hull is the
@@ -324,7 +324,7 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     for lbf in lbfs:
         try:
             xs, at = hull_seeds(lbf)
-            arcs.append(None if len(at) else hull_estimates([lbf], [xs], [at]).estimate(0))
+            arcs.append(None if len(at) else HullEstimates([lbf], [xs], [at]).estimate(0))
         except ValueError as exc:
             error = exc
             break
@@ -337,7 +337,7 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
                                       (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))
              for lbf, (_, at), us, opt in zip(lbfs, hulls, inner, arcs)]
     values = curve_values(f, rows, seeds, scheme)
-    corners = hull_estimates(lbfs, [xs for xs, _ in hulls],
+    corners = HullEstimates(lbfs, [xs for xs, _ in hulls],
                              [lb[np.searchsorted(known, at)] for (_, at), known, lb in zip(hulls, seeds, values)])
     for k, (lbf, table, us, lb, known, opt) in enumerate(zip(lbfs, tables, inner, values, seeds, arcs)):
         if opt is None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass, replace
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -225,10 +226,10 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 
 def v_optimal_estimates(lb: LowerBoundFn) -> EstimateFn:
     """Negated slopes of the lower hull of a full lower-bound curve: one
-    row of :func:`hull_estimates`, of the curve read at its
+    row of :class:`HullEstimates`, of the curve read at its
     :func:`hull_seeds`."""
     xs, at = hull_seeds(lb)
-    return hull_estimates([lb], [xs], [lb.value(at)]).estimate(0)
+    return HullEstimates([lb], [xs], [lb.value(at)]).estimate(0)
 
 
 def _convex_arcs(lb: LowerBoundFn) -> bool:
@@ -282,48 +283,45 @@ def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class HullEstimates:
-    """The hull-derivative estimates of a block of curves ``lbfs``, read
-    by row: the hulls of the curves with concave pieces in one block
-    ``corners``, whose row of ``lbfs[k]`` is ``rows[k]``, and the hull of
-    a curve of convex arcs from its arcs and its anchor ``xs[k][0]``, made
-    when read.  A row's error is raised when it is read."""
+    """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
+    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there, read
+    by row: of the points ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``, the
+    rows of all curves with concave pieces in one :func:`lower_hulls`
+    block, built when the first of them is read; or, for a curve of convex
+    arcs, of its arcs from the anchor ``xs[k][0]`` (:func:`arc_hull`).  A
+    row's error is raised when it is read."""
 
     lbfs: Sequence[LowerBoundFn]
     xs: Sequence[np.ndarray]
-    rows: dict[int, int]
-    corners: LowerHulls | None
+    ys: Sequence[np.ndarray]
+
+    @cached_property
+    def corners(self) -> LowerHulls:
+        # a curve of convex arcs leaves its row empty
+        keep, none = [_corners(lb) for lb in self.lbfs], np.empty(0)
+        return lower_hulls([x if c else none for x, c in zip(self.xs, keep)],
+                           [y if c else none for y, c in zip(self.ys, keep)])
 
     def estimate(self, k: int) -> EstimateFn:
         lb = self.lbfs[k]
         if _convex_arcs(lb):
             return arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
-        return self.corners.estimate(self.rows[k])
+        return self.corners.estimate(k)
 
     def square_integral(self, k: int) -> float:
-        """``integrate_square(self.estimate(k))``; a corner hull's is read
-        off the block's one square-integral pass."""
+        """``integrate_square(self.estimate(k))``; a corner hull's comes
+        from the block's one square-integral pass."""
         if _convex_arcs(self.lbfs[k]):
             return integrate_square(self.estimate(k))
-        return self.corners.square_integral(self.rows[k])
+        return self.corners.square_integral(k)
 
 
-def hull_estimates(lbfs: Sequence[LowerBoundFn], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> HullEstimates:
-    """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
-    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there: of the
-    points ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``, all in one
-    :func:`lower_hulls` block, or, for a curve of convex arcs, of its arcs
-    from the anchor ``xs[k][0]`` (:func:`arc_hull`)."""
-    rows = [k for k, lb in enumerate(lbfs) if _corners(lb)]
-    corners = lower_hulls([xs[k] for k in rows], [ys[k] for k in rows]) if rows else None
-    return HullEstimates(lbfs, xs, {k: i for i, k in enumerate(rows)}, corners)
-
-
-def oracle_hulls(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> HullEstimates:
-    """:func:`hull_estimates` of the curves of the data vectors ``rows``,
+def _oracle_hulls(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> HullEstimates:
+    """:class:`HullEstimates` of the curves of the data vectors ``rows``,
     read at their hull seeds in one :func:`curve_values` call."""
     lbfs = lb_functions(f, rows, scheme)
     seeds = [hull_seeds(lb) for lb in lbfs]
-    return hull_estimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
+    return HullEstimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +469,7 @@ def sum_estimate(
         seeds, estimates = samples.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             block = vectors[start:start + MC_ITEM_BLOCK]
-            hulls = oracle_hulls(f, block, samples.scheme)
+            hulls = _oracle_hulls(f, block, samples.scheme)
             estimates += [hulls.estimate(k).value_at(u) for k, u in enumerate(seeds[start:start + len(block)])]
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
@@ -616,7 +614,7 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            by_function = [oracle_hulls(f, vectors, scheme) for f in fs]
+            by_function = [_oracle_hulls(f, vectors, scheme) for f in fs]
             hulls = [[h.estimate(k) for h in by_function] for k in range(len(block))]
             live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():

@@ -154,12 +154,11 @@ def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHull
     Each row then runs :func:`_chain` over plain float lists, and the
     vertices of all rows are gathered back into one padded block.
     """
-    n = len(xs)
     lens = np.array([len(x) for x in xs], dtype=np.intp)
     cols = np.arange(lens.max(initial=0))
     live = cols < lens[:, None]
     us, hs = np.zeros(live.shape), np.zeros(live.shape)
-    if n:
+    if len(xs):
         us[live] = np.concatenate(xs)
         hs[cols < np.array([len(y) for y in ys])[:, None]] = np.concatenate(ys)
     order = np.lexsort((hs, us, ~live), axis=-1)
@@ -170,7 +169,7 @@ def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHull
     top = np.max(np.abs(hs), axis=1, where=live, initial=0.0)
     shift = np.where((0.0 < top) & (top < 2.0**-500), -np.frexp(top)[1], 0)
     counts = live.sum(axis=1).tolist()
-    flat_u, flat_y = us[live].tolist(), np.ldexp(hs, shift[:, None])[live].tolist()
+    flat_u, flat_y = us[live].tolist(), np.ldexp(hs[live], np.repeat(shift, counts)).tolist()
     vu, vy, sizes, start = [], [], [], 0
     for count in counts:
         if count >= 2:

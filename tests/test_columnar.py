@@ -307,10 +307,10 @@ def test_mc_oracle_sweep_matches_single_salt_queries(sweep, item_block, salt_chu
     # one hull per item and function, read at the item's seed for every salt
     data, scheme, ids, salts = sweep
     salts = salts[:4]
-    calls = mock.Mock(wraps=estimators.hull_estimates)
+    calls = mock.Mock(wraps=estimators.HullEstimates)
     with mock.patch.object(estimators, "MC_ITEM_BLOCK", item_block), \
             mock.patch.object(estimators, "MC_SALT_CHUNK", salt_chunk), \
-            mock.patch.object(estimators, "hull_estimates", calls):
+            mock.patch.object(estimators, "HullEstimates", calls):
         got = {q: mc_query_estimates(data, scheme, q, ids, salts, p=2.0, estimator="voptimal-oracle")
                for q in QUERY_KINDS}
     # the hulls of each block of items come from one call per function
