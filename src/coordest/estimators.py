@@ -281,7 +281,6 @@ def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
 
 
-@dataclass(frozen=True, eq=False)
 class HullEstimates:
     """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
     its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there, read
@@ -291,9 +290,8 @@ class HullEstimates:
     arcs, of its arcs from the anchor ``xs[k][0]`` (:func:`arc_hull`).  A
     row's error is raised when it is read."""
 
-    lbfs: Sequence[LowerBoundFn]
-    xs: Sequence[np.ndarray]
-    ys: Sequence[np.ndarray]
+    def __init__(self, lbfs: Sequence[LowerBoundFn], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]):
+        self.lbfs, self.xs, self.ys = lbfs, xs, ys
 
     @cached_property
     def corners(self) -> LowerHulls:

@@ -84,17 +84,16 @@ def _chain(us: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     return cu, cy
 
 
-@dataclass(frozen=True, eq=False)
 class LowerHulls:
     """The lower hulls of a block of point sets, one per row: row ``k``
     has ``counts[k]`` vertices ``(us[k, j], ys[k, j])``, and is padded to
     the block's width with copies of its last vertex.  A row of fewer than
     two distinct u has no hull: reading it raises its error, and it leaves
-    the other rows alone."""
+    the other rows alone.  (A plain class: a dataclass adds about 1 ms to
+    the import of every command.)"""
 
-    us: np.ndarray
-    ys: np.ndarray
-    counts: list[int]
+    def __init__(self, us: np.ndarray, ys: np.ndarray, counts: list[int]):
+        self.us, self.ys, self.counts = us, ys, counts
 
     def _count(self, k: int) -> int:
         if self.counts[k] < 2:
@@ -172,13 +171,10 @@ def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHull
     flat_u, flat_y = us[live].tolist(), np.ldexp(hs[live], np.repeat(shift, counts)).tolist()
     vu, vy, sizes, start = [], [], [], 0
     for count in counts:
-        if count >= 2:
-            cu, cy = _chain(flat_u[start:start + count], flat_y[start:start + count])
-            vu += cu
-            vy += cy
-            sizes.append(len(cu))
-        else:
-            sizes.append(0)
+        cu, cy = _chain(flat_u[start:start + count], flat_y[start:start + count]) if count >= 2 else ((), ())
+        vu += cu
+        vy += cy
+        sizes.append(len(cu))
         start += count
     # each row's vertices, then copies of its last; a row without a hull
     # reads the vertex after it, or the one zero past the end
