@@ -3,8 +3,8 @@
 The ``src`` trees of ``--parent`` and of ``HEAD`` are taken with ``git archive``.  For each
 workload of ``coordbench/workloads.py`` the inputs of ``coordbench/gen.py``
 are written once from ``--seed``; each revision then runs one round of the
-workload's operations, as ``coordest.cli.main(argv)`` in one interpreter per
-revision and workload, into a directory of its own, and records each
+workload's operations and the extra operations of ``EXTRA_OPS``, as
+``coordest.cli.main(argv)`` in one interpreter per revision and workload, into a directory of its own, and records each
 operation's exit code and error.  Every file that differs between the two
 directories, or that only one holds, is listed, and the exit status is 1 if
 any is.
@@ -29,7 +29,15 @@ BENCH = ROOT / "coordbench"
 sys.path.insert(0, str(BENCH))
 
 import gen  # noqa: E402
-from workloads import WORKLOADS, Inputs, round_ops  # noqa: E402
+from workloads import WORKLOADS, Inputs, Op, round_ops  # noqa: E402
+
+# the arc paths (p > 1) that the round leaves out, run after it on the same input
+EXTRA_OPS = {"analysis": [
+    Op("analyze-rg2-inline", "analyze", function="rg:p=2", scheme="inline"),
+    Op("analyze-rg2-file", "analyze", function="rg:p=2", scheme="file"),
+    Op("voptimal-lpp", "voptimal", query="lpp:p=2", estimator="voptimal-oracle"),
+    Op("voptimal-lpp-reps", "voptimal", query="lpp:p=2", estimator="voptimal-oracle", reps=1000),
+]}
 
 # one round of a workload's operations; argv: the plan file
 RUNNER = """
@@ -73,11 +81,17 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest)
 
 
+def plan_ops(workload: str, ids: list[str]) -> list[Op]:
+    """The operations each revision runs on ``workload``: one round, then
+    the workload's ``EXTRA_OPS``."""
+    return round_ops(workload, ids) + EXTRA_OPS.get(workload, [])
+
+
 def run_round(tree: Path, workload: str, inp: Inputs, ids: list[str], outdir: Path) -> None:
     outdir.mkdir(parents=True)
     plan = outdir.parent / f"{outdir.name}.plan.json"
     plan.write_text(json.dumps({"csv": str(inp.csv), "scheme_file": str(inp.scheme_file), "salt": inp.salt,
-                                "outdir": str(outdir), "ops": [op.to_dict() for op in round_ops(workload, ids)]}))
+                                "outdir": str(outdir), "ops": [op.to_dict() for op in plan_ops(workload, ids)]}))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(BENCH)])}
     subprocess.run([sys.executable, "-c", RUNNER, str(plan)], env=env, check=True)
 

@@ -23,7 +23,6 @@ from .estimators import (
     exact_query,
     ht_estimate,
     j_estimate,
-    j_estimate_fn,
     mc_query_estimates,
     sum_estimate,
     v_optimal_estimates,

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, HullEstimates, dyadic_pieces, hull_seeds, j_piece_tables
+from .estimators import DEPTH, HullEstimates, block_hulls, dyadic_indices, hull_seeds, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
 from .hull import FloatRangeError, scaled_squares
 from .model import TauScheme
@@ -197,7 +197,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     rows of an (n, r) array, in order.
 
     Each block of :func:`curve_blocks` also takes one
-    :func:`j_piece_tables` call, at its deepest dyadic depth, one
+    :func:`j_piece_tables` call per dyadic depth of its vectors, one
     :func:`curve_values` call for the hull inputs and the tail seeds of all
     its vectors, and one :class:`HullEstimates` block of their hulls and
     square integrals.  A vector's verdicts and sums are made, and the error
@@ -209,7 +209,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # breakpoint, otherwise the worst-case tail bound dwarfs the actual
         # deep mass for data revealed only at tiny seeds
         depths = [max(DEPTH, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
-        tables = j_piece_tables(block, f, scheme, max(depths))
+        tables = _depth_tables(block, f, scheme, depths)
         none = np.empty(0)
         hulls = [hull_seeds(lbf) if fv != 0.0 else (none, none) for lbf, fv in zip(lbfs, fvs)]
         # the last seed of each vector is its tail seed
@@ -219,6 +219,19 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         for k, v in enumerate(block.tolist()):
             yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(values[k][-1]),
                           partial(opt.square_integral, k))
+
+
+def _depth_tables(block: np.ndarray, f: ItemFunction, scheme: TauScheme, depths: list[int]) -> list[np.ndarray]:
+    """The dyadic table of each row of ``block`` down to its own depth: one
+    :func:`j_piece_tables` call per depth of the block, so that a vector of
+    tiny data sends no other row deep.  Entry j of a table does not depend
+    on the depth it is built to."""
+    tables = [None] * len(depths)
+    for depth in set(depths):
+        ks = [k for k, d in enumerate(depths) if d == depth]
+        for k, table in zip(ks, j_piece_tables(block[ks], f, scheme, depth)):
+            tables[k] = table
+    return tables
 
 
 def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
@@ -306,45 +319,33 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
     (0, 1].
 
-    The block takes one :func:`j_piece_tables` call, one
-    :func:`curve_values` call and one :class:`HullEstimates` block.  The
-    curve is read at every seed a vector's rows or hull can take: its hull
-    inputs, its breakpoints, the dyadic piece ends and the interior seeds,
-    and its rows are looked up among those seeds.  A vector's hull is the
-    ``v_optimal_estimates(lbf)`` of its curve; a hull of convex arcs reads
-    no curve values and is built before the call, so that the seeds where
-    it meets and leaves the arcs are among them.  The block ends before a
-    vector whose hull seeds or arcs fail; the error of those, or of a
-    corner hull, comes when the vector's columns are taken, after the
-    columns of the vectors before it.
+    The block takes its hulls from one :func:`block_hulls` step, as the
+    oracle does, and its rows from one :func:`j_piece_tables` call and one
+    :func:`curve_values` call at every row of every vector: its
+    breakpoints and the seeds just right of them, its hull's piece ends,
+    the dyadic piece ends and its interior seeds.  The dyadic column is
+    read from the vector's table by the dyadic index of each row.  The
+    block ends before a vector whose hull fails; that error comes when the
+    vector's columns are taken, after the columns of the vectors before it.
     """
-    # a hull that reads the curve at no seed (one of convex arcs) is built
-    # first, and the seeds just right of the breakpoints are read for it
-    hulls, arcs, error = [], [], None
-    for lbf in lbfs:
+    hulls = block_hulls(f, rows, lbfs, scheme)
+    opts, error = [], None
+    for k in range(len(lbfs)):
         try:
-            xs, at = hull_seeds(lbf)
-            arcs.append(None if len(at) else HullEstimates([lbf], [xs], [at]).estimate(0))
+            opts.append(hulls.estimate(k))
         except ValueError as exc:
             error = exc
             break
-        hulls.append((xs, at))
-    rows, lbfs = rows[:len(hulls)], lbfs[:len(hulls)]
-    tables = j_piece_tables(rows, f, scheme, DEPTH)
     j_ends = np.ldexp(1.0, np.arange(-DEPTH - 1, 1))
-    inner = [_interior_seeds(lbf, xs[0]) for lbf, (xs, _) in zip(lbfs, hulls)]
-    seeds = [np.unique(np.concatenate((at, lbf.breakpoints, j_ends, us) if opt is None else
-                                      (_after(lbf), lbf.breakpoints, j_ends, us, opt.los, opt.his)))
-             for lbf, (_, at), us, opt in zip(lbfs, hulls, inner, arcs)]
-    values = curve_values(f, rows, seeds, scheme)
-    corners = HullEstimates(lbfs, [xs for xs, _ in hulls],
-                             [lb[np.searchsorted(known, at)] for (_, at), known, lb in zip(hulls, seeds, values)])
-    for k, (lbf, table, us, lb, known, opt) in enumerate(zip(lbfs, tables, inner, values, seeds, arcs)):
-        if opt is None:
-            opt = corners.estimate(k)
-        j_fn = dyadic_pieces(table)
-        us = np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_fn.los, j_fn.his, us)))
-        yield us, lb[np.searchsorted(known, us)], opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+    seeds = [np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_ends,
+                                       _interior_seeds(lbf, xs[0]))))
+             for lbf, opt, xs in zip(lbfs, opts, hulls.xs)]
+    rows = rows[:len(opts)]
+    tables = j_piece_tables(rows, f, scheme, DEPTH)
+    for us, lb, table, opt in zip(seeds, curve_values(f, rows, seeds, scheme), tables, opts):
+        # the dyadic pieces end at 2^-(DEPTH + 1): 0 at and below it
+        i = dyadic_indices(us)
+        yield us, lb, opt.integral(lo=us), np.where(i <= DEPTH, table[np.minimum(i, DEPTH)], 0.0), opt.value_at(us)
     if error is not None:
         raise error
 

@@ -35,6 +35,7 @@ from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curv
 from .estimators import (
     BOTTOMK_ESTIMATORS,
     BOTTOMK_QUERIES,
+    ESTIMATORS,
     LP,
     LPP,
     QUERY_KINDS,
@@ -413,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, type=Path, help="instance CSV (item,v1,...,vr)")
         p.add_argument("--scheme", default="pps:tau=4", help="inline scheme, e.g. pps:tau=4")
         p.add_argument("--scheme-file", type=Path, default=None, help="key-value scheme config")
-        p.add_argument("--salt", type=int, default=0)
+        p.add_argument("--salt", type=int, default=0,
+                       help="seed salt, taken modulo 2^64: --salt -1 is --salt 18446744073709551615")
         p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
         return p
 
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = command("characterize", "estimability verdicts per item")
     p_est.add_argument("--query", required=True, help="l1|lpp:p|lp:p|maxsum|minsum|jaccard|distinct (bottom-k mode adds sum)")
     p_est.add_argument("--p", type=float, default=None, help="exponent for lpp/lp queries")
-    p_est.add_argument("--estimator", default="exact", choices=("exact", "j", "ht", "voptimal-oracle"))
+    p_est.add_argument("--estimator", default="exact", choices=("exact", *ESTIMATORS))
     for p in (p_an, p_ch):
         p.add_argument("--function", required=True, help="item function, e.g. rg:p=2")
     for p in (p_est, p_an, p_ch):

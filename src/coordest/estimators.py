@@ -64,6 +64,9 @@ HULL_LEFT_ANCHOR = 1e-12
 # dyadic pieces an analysis materialises
 DEPTH = 40
 
+# the estimators of sum_estimate and of the Monte Carlo sweeps
+ESTIMATORS = ("j", "ht", "voptimal-oracle")
+
 
 def dyadic_index(rho: float) -> int:
     """Index i with ``rho`` in ``(2^-i-1, 2^-i]``.
@@ -139,19 +142,6 @@ def j_piece_values(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth
     """Constant dyadic values ``values[j]`` on ``(2^-j-1, 2^-j]`` for
     ``j = 0..depth``: one row of :func:`j_piece_tables`."""
     return j_piece_tables(np.asarray(v, dtype=float).reshape(1, -1), f, scheme, depth)[0]
-
-
-def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
-    """Materialised dyadic pieces down to seed ``2^-depth-1``."""
-    return dyadic_pieces(j_piece_values(v, f, scheme, depth))
-
-
-def dyadic_pieces(values: np.ndarray) -> EstimateFn:
-    """The dyadic estimator whose value on ``(2^-j-1, 2^-j]`` is
-    ``values[j]``, for ``j = 0..len(values) - 1``: a row, or the head of
-    a row, of :func:`j_piece_tables`."""
-    his = np.ldexp(1.0, np.arange(1 - len(values), 1))
-    return EstimateFn(0.5 * his, his, values[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +304,10 @@ class HullEstimates:
         return self.corners.square_integral(k)
 
 
-def _oracle_hulls(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> HullEstimates:
-    """:class:`HullEstimates` of the curves of the data vectors ``rows``,
-    read at their hull seeds in one :func:`curve_values` call."""
-    lbfs = lb_functions(f, rows, scheme)
+def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme) -> HullEstimates:
+    """:class:`HullEstimates` of the curves ``lbfs`` of the data vectors
+    ``rows``, read at their hull seeds in one :func:`curve_values` call:
+    the block step of the oracle and of the ``--curves`` rows."""
     seeds = [hull_seeds(lb) for lb in lbfs]
     return HullEstimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
 
@@ -449,7 +439,7 @@ def sum_estimate(
     """
     if estimator == "voptimal-oracle" and data is None:
         raise ValueError("the hull-derivative oracle needs the true data")
-    if estimator not in ("j", "ht", "voptimal-oracle"):
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     name = f"sum[{f.describe()}]"
     ids = None if item_ids is None else [str(i) for i in item_ids]
@@ -467,7 +457,7 @@ def sum_estimate(
         seeds, estimates = samples.seeds[rows].tolist(), []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             block = vectors[start:start + MC_ITEM_BLOCK]
-            hulls = _oracle_hulls(f, block, samples.scheme)
+            hulls = block_hulls(f, block, lb_functions(f, block, samples.scheme), samples.scheme)
             estimates += [hulls.estimate(k).value_at(u) for k, u in enumerate(seeds[start:start + len(block)])]
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
@@ -612,7 +602,7 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            by_function = [_oracle_hulls(f, vectors, scheme) for f in fs]
+            by_function = [block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs]
             hulls = [[h.estimate(k) for h in by_function] for k in range(len(block))]
             live = np.array([[e.values.any() for e in row] for row in hulls])
         for k in np.flatnonzero(live.any(axis=1)).tolist():
@@ -655,7 +645,7 @@ def mc_query_estimates(
 ) -> np.ndarray:
     """Query estimate per salt: the sums of :func:`_mc_sums`, over one set of
     seeds per salt, answered by :func:`query_answers`."""
-    if estimator not in ("j", "ht", "voptimal-oracle"):
+    if estimator not in ESTIMATORS:
         raise ValueError(f"Monte Carlo sweeps support 'j', 'ht' and 'voptimal-oracle', not {estimator!r}")
     fs = query_functions(query, data.r, p)
     totals = _mc_sums(data, scheme, fs, item_ids, np.asarray(salts, dtype=np.uint64), estimator)

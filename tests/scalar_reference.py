@@ -27,7 +27,6 @@ from coordest.estimators import (
     dyadic_index,
     hull_seeds,
     ht_blocks,
-    j_estimate_fn,
     j_piece_values,
     v_optimal_estimates,
 )
@@ -152,6 +151,20 @@ def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauSch
         total += value * width
         cum += value * (hi / 2.0)
     return total
+
+
+def dyadic_pieces(values: np.ndarray) -> EstimateFn:
+    """The dyadic estimator whose value on ``(2^-j-1, 2^-j]`` is
+    ``values[j]``, for ``j = 0..len(values) - 1``: a row, or the head of
+    a row, of ``j_piece_tables``."""
+    his = np.ldexp(1.0, np.arange(1 - len(values), 1))
+    return EstimateFn(0.5 * his, his, values[::-1])
+
+
+def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
+    """Materialised dyadic pieces down to seed ``2^-depth-1``: the reference
+    of the dyadic column of ``curve_columns``."""
+    return dyadic_pieces(j_piece_values(v, f, scheme, depth))
 
 
 def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:

@@ -158,7 +158,9 @@ def test_a_row_without_a_hull_fails_after_the_records_before_it(tmp_path, monkey
             return np.array([1.0, 1.0]), np.array([1.0])
         return real(lbf)
 
-    monkeypatch.setattr(analysis, "hull_seeds", one_seed)
+    # analyze reads hull seeds in analysis, the --curves rows in the block step of estimators
+    for module in (analysis, estimators):
+        monkeypatch.setattr(module, "hull_seeds", one_seed)
     argv = [command, "--input", path, "--function", "rg:p=1"]
     if command == "characterize":
         argv += ["--curves", str(tmp_path / "curves.csv")]

@@ -657,6 +657,16 @@ class TestSampleCommand:
         for item, outcome in loaded.items():
             assert outcome.seed == hash_seed(item, 7)
 
+    @pytest.mark.parametrize("salt, same", [(str(2**64), "0"), ("-1", str(2**64 - 1))])
+    def test_salts_wrap_modulo_2_64(self, tmp_path, salt, same):
+        def sample(s: str) -> bytes:
+            out = tmp_path / f"salt{s}.jsonl"
+            assert main(["sample", "--input", str(DEMO_CSV), "--salt", s, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert sample(salt) == sample(same)
+        assert sample(salt) != sample("1")
+
 
 class TestAnalyzeCommand:
     def test_reports_and_exit_code(self, tmp_path):

@@ -47,7 +47,7 @@ from coordest.analysis import (
     competitiveness_ratio,
     curve_table,
 )
-from coordest.estimators import j_estimate_fn, v_optimal_estimates
+from coordest.estimators import v_optimal_estimates
 from coordest.functions import (
     _breakpoints,
     _lb_from_bounds,
@@ -71,7 +71,7 @@ from coordest.samplers import sample_instances
 from conftest import builtin_functions, random_vector
 from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
 from test_corner_hulls import CORNER_TOL, concave_pieces
-from scalar_reference import grid_hull, sample_item
+from scalar_reference import grid_hull, j_estimate_fn, sample_item
 
 
 def _ref_outcome_bounds(outcome, xs, domain):

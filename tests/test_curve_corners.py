@@ -21,10 +21,11 @@ import math
 import numpy as np
 
 from coordest.analysis import curve_table
-from coordest.estimators import DEPTH, j_estimate_fn, v_optimal_estimates
+from coordest.estimators import DEPTH, v_optimal_estimates
 from coordest.functions import evaluate, lb_function
 
 from conftest import builtin_functions
+from scalar_reference import j_estimate_fn
 from test_corner_hulls import SCHEMES, analysis_vectors
 from test_head_piece import LOWS, _scheme, _vector
 

@@ -13,7 +13,6 @@ from coordest.estimators import (
     exact_query,
     ht_estimate,
     j_estimate,
-    j_estimate_fn,
     j_piece_values,
     mc_query_estimates,
     sum_estimate,
@@ -41,7 +40,7 @@ from coordest.samplers import (
 )
 
 from conftest import builtin_functions, random_scheme, random_vector
-from scalar_reference import ht_estimate_fn, j_cumulative, sample_item, samples_of
+from scalar_reference import ht_estimate_fn, j_cumulative, j_estimate_fn, sample_item, samples_of
 
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)

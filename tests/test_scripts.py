@@ -26,10 +26,15 @@ def test_competitiveness_sweep():
     assert lines[1].startswith("ratio: max ")
 
 
-def test_same_outputs_lists_every_file_that_differs(tmp_path):
+def _same_outputs():
     spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_same_outputs_lists_every_file_that_differs(tmp_path):
+    same_outputs = _same_outputs()
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
         (d / "round").mkdir(parents=True)
@@ -42,3 +47,20 @@ def test_same_outputs_lists_every_file_that_differs(tmp_path):
     assert same_outputs.differing(a, a) == []
     assert same_outputs.differing(a, b) == ["only_a.jsonl", "round/bits.csv", "round/only_b.jsonl"]
     assert same_outputs.files(b) == {"same.jsonl", "round/same.csv", "round/bits.csv", "round/only_b.jsonl"}
+
+
+def test_same_outputs_runs_the_arc_paths_the_round_leaves_out():
+    same_outputs = _same_outputs()
+    ids = [f"item{k}" for k in range(120)]
+    ops = same_outputs.plan_ops("analysis", ids)
+    tags = [op.tag for op in ops]
+    assert len(set(tags)) == len(tags)
+    assert ops[:len(ops) - 4] == same_outputs.round_ops("analysis", ids)
+    by_tag = {op.tag: op for op in ops}
+    for scheme in ("inline", "file"):
+        op = by_tag[f"analyze-rg2-{scheme}"]
+        assert (op.kind, op.function, op.scheme) == ("analyze", "rg:p=2", scheme)
+    oracle = [op for op in ops if op.estimator == "voptimal-oracle" and op.query == "lpp:p=2"]
+    assert sorted(op.reps for op in oracle) == [1, 1000]
+    # the other workloads run their round alone
+    assert same_outputs.plan_ops("single-salt", ids) == same_outputs.round_ops("single-salt", ids)
