@@ -209,7 +209,10 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # breakpoint, otherwise the worst-case tail bound dwarfs the actual
         # deep mass for data revealed only at tiny seeds
         depths = [max(DEPTH, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
-        tables = _depth_tables(block, f, scheme, depths)
+        # one table call per depth (entry j of a table does not depend on
+        # the depth it is built to), so a vector of tiny data sends no other row deep
+        groups = {d: [k for k, x in enumerate(depths) if x == d] for d in set(depths)}
+        tables = {k: t for d, ks in groups.items() for k, t in zip(ks, j_piece_tables(block[ks], f, scheme, d))}
         none = np.empty(0)
         hulls = [hull_seeds(lbf) if fv != 0.0 else (none, none) for lbf, fv in zip(lbfs, fvs)]
         # the last seed of each vector is its tail seed
@@ -219,19 +222,6 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         for k, v in enumerate(block.tolist()):
             yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(values[k][-1]),
                           partial(opt.square_integral, k))
-
-
-def _depth_tables(block: np.ndarray, f: ItemFunction, scheme: TauScheme, depths: list[int]) -> list[np.ndarray]:
-    """The dyadic table of each row of ``block`` down to its own depth: one
-    :func:`j_piece_tables` call per depth of the block, so that a vector of
-    tiny data sends no other row deep.  Entry j of a table does not depend
-    on the depth it is built to."""
-    tables = [None] * len(depths)
-    for depth in set(depths):
-        ks = [k for k, d in enumerate(depths) if d == depth]
-        for k, table in zip(ks, j_piece_tables(block[ks], f, scheme, depth)):
-            tables[k] = table
-    return tables
 
 
 def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
