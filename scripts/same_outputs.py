@@ -3,11 +3,11 @@
 The ``src`` trees of ``--parent`` and of ``HEAD`` are taken with ``git archive``.  For each
 workload of ``coordbench/workloads.py`` the inputs of ``coordbench/gen.py``
 are written once from ``--seed``; each revision then runs one round of the
-workload's operations and the extra operations of ``EXTRA_OPS``, as
-``coordest.cli.main(argv)`` in one interpreter per revision and workload, into a directory of its own, and records each
-operation's exit code and error.  Every file that differs between the two
-directories, or that only one holds, is listed, and the exit status is 1 if
-any is.
+workload's operations and the workload's ``EXTRA_OPS``, as
+``coordest.cli.main(argv)`` in one interpreter per revision and workload,
+into a directory of its own, and records each operation's exit code and
+error.  Every file that differs between the two directories, or that only
+one holds, is listed, and the exit status is 1 if any is.
 
 Usage: python scripts/same_outputs.py --parent REV [--seed S]
 """

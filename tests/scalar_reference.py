@@ -153,18 +153,12 @@ def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauSch
     return total
 
 
-def dyadic_pieces(values: np.ndarray) -> EstimateFn:
-    """The dyadic estimator whose value on ``(2^-j-1, 2^-j]`` is
-    ``values[j]``, for ``j = 0..len(values) - 1``: a row, or the head of
-    a row, of ``j_piece_tables``."""
-    his = np.ldexp(1.0, np.arange(1 - len(values), 1))
-    return EstimateFn(0.5 * his, his, values[::-1])
-
-
 def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
-    """Materialised dyadic pieces down to seed ``2^-depth-1``: the reference
-    of the dyadic column of ``curve_columns``."""
-    return dyadic_pieces(j_piece_values(v, f, scheme, depth))
+    """The dyadic estimator materialised down to seed ``2^-depth-1``: the
+    value ``j_piece_values(...)[j]`` on each piece ``(2^-j-1, 2^-j]``.  The
+    reference of the dyadic column of ``curve_columns``."""
+    his = np.ldexp(1.0, np.arange(-depth, 1))
+    return EstimateFn(0.5 * his, his, j_piece_values(v, f, scheme, depth)[::-1])
 
 
 def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:
