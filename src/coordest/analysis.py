@@ -282,15 +282,17 @@ def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisRep
 
 
 def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[tuple[float, float, float, float, float]]:
-    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` at every
-    breakpoint and one float right of it (a jump shows as two adjacent
-    rows), at the ends of every hull and dyadic piece, and at
-    ``CURVE_SEEDS`` seeds inside each piece of a curve that is neither
-    constant nor linear there.  Between adjacent rows the dyadic and
-    optimal columns and the lower bound of ``max``, ``min`` and ``or`` are
-    constant, and the hull column and the lower bound of the ``p = 1``
-    range kinds are linear, so the table loses nothing of them.  One row of
-    :func:`curve_columns`.
+    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` where
+    some column changes.  The rows are taken from every breakpoint and one
+    float right of it (a jump shows as two adjacent rows), the ends of
+    every hull and dyadic piece, and ``CURVE_SEEDS`` seeds inside each piece
+    of a curve that is neither constant nor linear there; of those, a row
+    whose lower bound, dyadic and optimal values equal both neighbours' is
+    dropped, save the first and the last.  Between adjacent rows the
+    dyadic and optimal columns and the lower bound of ``max``, ``min`` and
+    ``or`` are constant, and the hull column and the lower bound of the
+    ``p = 1`` range kinds are linear, so the table loses nothing of them.
+    One row of :func:`curve_columns`.
 
     The hull column is the cumulative optimal estimate (the integral of the
     optimal column from u to 1): the lower hull of the curve
@@ -314,9 +316,15 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     :func:`curve_values` call at every row of every vector: its
     breakpoints and the seeds just right of them, its hull's piece ends,
     the dyadic piece ends and its interior seeds.  The dyadic column is
-    read from the vector's table by the dyadic index of each row.  The
-    block ends before a vector whose hull fails; that error comes when the
-    vector's columns are taken, after the columns of the vectors before it.
+    read from the vector's table by the dyadic index of each row.  Then
+    one pass over the rows drops each row but the first and the last whose
+    lower bound, dyadic and optimal values equal those of the rows on both
+    sides of it: the lower bound and the optimal column do not increase
+    with the seed, so they are constant across it, and the hull column
+    is linear through it; the hull column is evaluated at the rows kept.
+    The block ends before a vector whose hull fails; that error comes when
+    the vector's columns are taken, after the columns of the vectors
+    before it.
     """
     hulls = block_hulls(f, rows, lbfs, scheme)
     opts, error = [], None
@@ -335,9 +343,23 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
     for us, lb, table, opt in zip(seeds, curve_values(f, rows, seeds, scheme), tables, opts):
         # the dyadic pieces end at 2^-(DEPTH + 1): 0 at and below it
         i = dyadic_indices(us)
-        yield us, lb, opt.integral(lo=us), np.where(i <= DEPTH, table[np.minimum(i, DEPTH)], 0.0), opt.value_at(us)
+        j, vopt = np.where(i <= DEPTH, table[np.minimum(i, DEPTH)], 0.0), opt.value_at(us)
+        keep = _changing_rows(lb, j, vopt)
+        us = us[keep]
+        yield us, lb[keep], opt.integral(lo=us), j[keep], vopt[keep]
     if error is not None:
         raise error
+
+
+def _changing_rows(*columns: np.ndarray) -> np.ndarray:
+    """Which rows to keep: the first, the last, and every row at which some
+    column differs from its value at the row before or the row after.  A
+    row equal to both neighbours in every column is dropped; the rows are
+    compared once, all of them, and not again among the rows kept."""
+    same = np.logical_and.reduce([c[1:] == c[:-1] for c in columns])
+    keep = np.ones(len(columns[0]), dtype=bool)
+    keep[1:-1] = ~(same[:-1] & same[1:])
+    return keep
 
 
 def _after(lbf: LowerBoundFn) -> np.ndarray:

@@ -451,8 +451,32 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth:
 
 def scalar_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> tuple:
     """The five ``curve_table`` columns of data ``v`` built for that vector
-    alone: its own curve, hull and dyadic pieces, and one curve call at the
-    row seeds."""
+    alone: the rows of :func:`scalar_full_curve_columns` that
+    :func:`kept_rows` keeps."""
+    columns = scalar_full_curve_columns(v, f, scheme, depth)
+    keep = kept_rows(columns)
+    return tuple(c[keep] for c in columns)
+
+
+def kept_rows(columns) -> list[int]:
+    """The indices of the rows of the full columns ``(u, lower_bound, hull,
+    j_estimate, v_optimal)`` that carry something, one row at a time: the
+    first and the last row, and each row whose lower bound, dyadic or
+    optimal value differs from the same column at the row before it or at
+    the row after it in the full table."""
+    _, lb, _, j, vopt = (np.asarray(c).tolist() for c in columns)
+
+    def flat(i: int) -> bool:  # rows i and i + 1 agree
+        return lb[i] == lb[i + 1] and j[i] == j[i + 1] and vopt[i] == vopt[i + 1]
+
+    n = len(lb)
+    return [i for i in range(n) if i in (0, n - 1) or not (flat(i - 1) and flat(i))]
+
+
+def scalar_full_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> tuple:
+    """Every row ``curve_columns`` evaluates for data ``v`` before it drops
+    the rows that carry nothing, built for that vector alone: its own curve,
+    hull and dyadic pieces, and one curve call at the row seeds."""
     lbf = scalar_lb_function(f, v, scheme)
     opt = scalar_v_optimal(lbf)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))

@@ -68,7 +68,7 @@ def _id_lists() -> st.SearchStrategy[str]:
 VALUES = {
     "scheme": st.sampled_from(["pps:tau=4", "pps:tau=1", "pps:tau=4,2", "pps:tau=0", "pps:tau=-1", "pps:tau=nan",
                                "pps:tau=1e300", "pps:tau=1e-300", "pps:tau=4,2,1", "exp:tau=1", "pps:", ""]),
-    "salt": st.sampled_from(["0", "7", "-5", str(2**64), str(-(2**70))]),
+    "salt": st.sampled_from(["0", "7", "-5", "-1", str(2**64 - 1), str(2**64), str(-(2**70))]),
     "query": st.sampled_from(["l1", "lpp:p=2", "lp:3", "lpp", "lp", "lp:p=0.5", "maxsum", "minsum", "jaccard",
                               "distinct", "sum", "median", "lpp:p=nan", "lpp:p=0", "lp:p=600", "l1:p=2"]),
     "p": st.sampled_from(["2", "0.5", "1e-300", "300", "0", "-1", "nan", "inf"]),

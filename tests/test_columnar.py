@@ -71,7 +71,7 @@ from coordest.samplers import sample_instances
 from conftest import builtin_functions, random_vector
 from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
 from test_corner_hulls import CORNER_TOL, concave_pieces
-from scalar_reference import grid_hull, j_estimate_fn, sample_item
+from scalar_reference import grid_hull, j_estimate_fn, kept_rows, sample_item
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -494,7 +494,8 @@ def _ref_curve_table(v, f, scheme, depth=40):
     the hull's pieces (the reference chain's on a curve with concave
     pieces) and of the dyadic pieces, and on a curve neither constant nor
     linear on its pieces, 8 evenly spaced seeds inside each piece from the
-    hull anchor on (the count the README states)."""
+    hull anchor on (the count the README states); then the rows that carry
+    nothing are dropped, as ``kept_rows`` drops them."""
     lbf = lb_function(f, v, scheme)
     opt = v_optimal_estimates(lbf)
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
@@ -511,10 +512,11 @@ def _ref_curve_table(v, f, scheme, depth=40):
             seeds.update(a + (b - a) * (i / (k + 1)) for i in range(1, k + 1))
     us = np.array(sorted(u for u in seeds if 0.0 < u <= 1.0))
     lbs = np.asarray(lbf.value(us), dtype=float)
-    return [
+    rows = [
         (u, lb_u, _ref_integral(opt, lo=u), _ref_value_at(j_fn, u), _ref_value_at(opt, u))
         for u, lb_u in zip(us.tolist(), lbs.tolist())
     ]
+    return [rows[i] for i in kept_rows(list(zip(*rows)))]
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """The ``--curves`` rows sit at the corners of their columns.
 
-:func:`coordest.analysis.curve_table` writes a row at every breakpoint of
-the lower bound and one float right of it, at the ends of every hull and
-dyadic piece, and at ``CURVE_SEEDS`` interior seeds of each piece of a
-curve that is neither constant nor linear there.  Between adjacent rows the
+:func:`coordest.analysis.curve_table` takes its rows from every breakpoint
+of the lower bound and one float right of it, the ends of every hull and
+dyadic piece, and ``CURVE_SEEDS`` interior seeds of each piece of a curve
+that is neither constant nor linear there, and then drops each row but the
+first and the last whose lower bound, dyadic and optimal values equal both
+neighbours' (``test_curve_rows`` checks that those carry nothing).  A
+kept row sits where some column changes.  Between adjacent rows the
 dyadic and optimal columns and the lower bound of ``max``, ``min`` and
 ``or`` are constant, and the hull column and the lower bound of the
 ``p = 1`` range kinds are linear, except where the hull of a ``p > 1``

@@ -5,8 +5,10 @@ dyadic tables of ``analyze`` built per depth.
 oracle reads its estimates from, and reads each row's dyadic value from the
 vector's table by the row's dyadic index.  The j column must equal the
 materialised dyadic pieces of ``scalar_reference.j_estimate_fn`` bit for
-bit: at seed 1, at the end of the last piece, 2^-(DEPTH + 1), and below it,
-where curves of tiny data have their anchors and breakpoints.
+bit on its rows, and read as a step from them (the next row at or above a
+seed) at seed 1 and around the end of the last piece, 2^-(DEPTH + 1); rows
+below that end, where curves of tiny data have their anchors and
+breakpoints, must be written.
 """
 
 from __future__ import annotations
@@ -48,14 +50,18 @@ def _rows(seed: int) -> np.ndarray:
 def test_j_column_matches_the_materialised_dyadic_pieces(scheme):
     rows = _rows(61)
     end = np.ldexp(1.0, -DEPTH - 1)
-    at_one = at_end = below = 0
+    # the end of the last piece, one float either side of it, and seed 1
+    seeds = np.array([np.nextafter(end, 0.0), end, np.nextafter(end, 1.0), 1.0])
+    below = 0
     for f in FUNCTIONS:
         for v, (us, *_, j, _) in zip(rows.tolist(), curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)):
-            assert _bits(j) == _bits(j_estimate_fn(v, f, scheme, DEPTH).value_at(us)), (v, f)
-            at_one += np.count_nonzero(us == 1.0)
-            at_end += np.count_nonzero(us == end)
+            j_fn = j_estimate_fn(v, f, scheme, DEPTH)
+            assert _bits(j) == _bits(j_fn.value_at(us)), (v, f)
+            # the column is a step: each seed reads the next row at or above it
+            assert us[0] <= end and us[-1] == 1.0, (v, f)
+            up = np.searchsorted(us, seeds, side="left")
+            assert _bits(j[up]) == _bits(j_fn.value_at(seeds)), (v, f)
             below += np.count_nonzero(us < end)
-    assert at_one == at_end == len(FUNCTIONS) * len(rows)
     assert below > len(FUNCTIONS) * 4
 
 
