@@ -351,14 +351,14 @@ def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunctio
         raise error
 
 
-def _changing_rows(*columns: np.ndarray) -> np.ndarray:
-    """Which rows to keep: the first, the last, and every row at which some
-    column differs from its value at the row before or the row after.  A
-    row equal to both neighbours in every column is dropped; the rows are
-    compared once, all of them, and not again among the rows kept."""
-    same = np.logical_and.reduce([c[1:] == c[:-1] for c in columns])
-    keep = np.ones(len(columns[0]), dtype=bool)
-    keep[1:-1] = ~(same[:-1] & same[1:])
+def _changing_rows(lb: np.ndarray, j: np.ndarray, vopt: np.ndarray) -> np.ndarray:
+    """Which rows to keep: the first, the last, and every row at which one
+    of the three columns differs from its value at the row before or the
+    row after.  A row equal to both neighbours in all three is dropped; the
+    rows are compared once, all of them, and not again among the rows kept."""
+    change = (lb[1:] != lb[:-1]) | (j[1:] != j[:-1]) | (vopt[1:] != vopt[:-1])
+    keep = np.ones(len(lb), dtype=bool)
+    keep[1:-1] = change[:-1] | change[1:]
     return keep
 
 
