@@ -7,7 +7,8 @@ workload's operations and the workload's ``EXTRA_OPS``, as
 ``coordest.cli.main(argv)`` in one interpreter per revision and workload,
 into a directory of its own, and records each operation's exit code and
 error.  Every file that differs between the two directories, or that only
-one holds, is listed, and the exit status is 1 if any is.
+one holds, is listed, and the exit status is 1 if any is; the outputs of
+both revisions are then kept, and their directory is printed.
 
 Usage: python scripts/same_outputs.py --parent REV [--seed S]
 """
@@ -18,6 +19,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -31,12 +33,18 @@ sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
 from workloads import WORKLOADS, Inputs, Op, round_ops  # noqa: E402
 
-# the arc paths (p > 1) that the round leaves out, run after it on the same input
+# the arc paths (p > 1) that the round leaves out, run after it on the same
+# input.  At p = 2 the powers ** p and ** (p - 1) take numpy's square and
+# copy loops; p = 2.5 and 3 take its general pow loop
 EXTRA_OPS = {"analysis": [
     Op("analyze-rg2-inline", "analyze", function="rg:p=2", scheme="inline"),
     Op("analyze-rg2-file", "analyze", function="rg:p=2", scheme="file"),
+    *(Op(f"characterize-{tag}-{scheme}", "characterize", function=f, scheme=scheme)
+      for tag, f in (("rg25", "rg:p=2.5"), ("osrg3", "one_sided_rg:p=3,hi=3,lo=1")) for scheme in ("inline", "file")),
     Op("voptimal-lpp", "voptimal", query="lpp:p=2", estimator="voptimal-oracle"),
     Op("voptimal-lpp-reps", "voptimal", query="lpp:p=2", estimator="voptimal-oracle", reps=1000),
+    Op("voptimal-lpp25", "voptimal", query="lpp:p=2.5", estimator="voptimal-oracle"),
+    Op("voptimal-lpp25-reps", "voptimal", query="lpp:p=2.5", estimator="voptimal-oracle", reps=1000),
 ]}
 
 # one round of a workload's operations; argv: the plan file
@@ -124,8 +132,13 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="revision to compare against")
     ap.add_argument("--seed", type=int, default=401, help="input seed, as coordbench/run.py takes it")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        return compare(args.parent, args.seed, Path(tmp))
+    work = Path(tempfile.mkdtemp(prefix="same_outputs-"))
+    status = compare(args.parent, args.seed, work)
+    if status:
+        print(f"outputs kept in {work} (parent/out and child/out)")
+    else:
+        shutil.rmtree(work)
+    return status
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ the optimum's square mass on a 3-fold cover of nearby seeds).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import DEPTH, HullEstimates, block_hulls, dyadic_indices, hull_seeds, j_piece_tables
-from .functions import ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions
+from .functions import (ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions,
+                        lower_bounds)
 from .hull import FloatRangeError, scaled_squares
 from .model import TauScheme
 
@@ -308,72 +310,98 @@ def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[
 
 def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):
     """The five columns of :func:`curve_table` of each data vector
-    ``rows[k]`` with curve ``lbfs[k]``, in order; every seed lies in
-    (0, 1].
-
-    The block takes its hulls from one :func:`block_hulls` step, as the
-    oracle does, and its rows from one :func:`j_piece_tables` call and one
-    :func:`curve_values` call at every row of every vector: its
-    breakpoints and the seeds just right of them, its hull's piece ends,
-    the dyadic piece ends and its interior seeds.  The dyadic column is
-    read from the vector's table by the dyadic index of each row.  Then
-    one pass over the rows drops each row but the first and the last whose
-    lower bound, dyadic and optimal values equal those of the rows on both
-    sides of it: the lower bound and the optimal column do not increase
-    with the seed, so they are constant across it, and the hull column
-    is linear through it; the hull column is evaluated at the rows kept.
-    The block ends before a vector whose hull fails; that error comes when
-    the vector's columns are taken, after the columns of the vectors
-    before it.
-    """
-    hulls = block_hulls(f, rows, lbfs, scheme)
-    opts, error = [], None
-    for k in range(len(lbfs)):
-        try:
-            opts.append(hulls.estimate(k))
-        except ValueError as exc:
-            error = exc
-            break
-    j_ends = np.ldexp(1.0, np.arange(-DEPTH - 1, 1))
-    seeds = [np.unique(np.concatenate((lbf.breakpoints, _after(lbf), opt.los, opt.his, j_ends,
-                                       _interior_seeds(lbf, xs[0]))))
-             for lbf, opt, xs in zip(lbfs, opts, hulls.xs)]
-    rows = rows[:len(opts)]
-    tables = j_piece_tables(rows, f, scheme, DEPTH)
-    for us, lb, table, opt in zip(seeds, curve_values(f, rows, seeds, scheme), tables, opts):
-        # the dyadic pieces end at 2^-(DEPTH + 1): 0 at and below it
-        i = dyadic_indices(us)
-        j, vopt = np.where(i <= DEPTH, table[np.minimum(i, DEPTH)], 0.0), opt.value_at(us)
-        keep = _changing_rows(lb, j, vopt)
-        us = us[keep]
-        yield us, lb[keep], opt.integral(lo=us), j[keep], vopt[keep]
+    ``rows[k]`` with curve ``lbfs[k]``, in order, as a (5, m) array: a
+    view of :func:`curve_block`.  After the columns of the vectors before
+    a vector whose hull fails comes that vector's error."""
+    columns, ends, error = curve_block(rows, lbfs, f, scheme)
+    for start, end in zip([0] + ends, ends):
+        yield columns[:, start:end]
     if error is not None:
         raise error
 
 
+def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):
+    """The five columns of :func:`curve_table` of the data vectors
+    ``rows[k]`` with curves ``lbfs[k]``, up to the first whose hull fails:
+    one (5, W) array ``columns``, in which vector ``k`` holds the columns
+    ``ends[k - 1]:ends[k]``, and the error of that hull (or None).  Every
+    seed lies in (0, 1].
+
+    Each step runs once for the block, on padded or flat arrays:
+
+    * the hulls: one :func:`block_hulls` step, as the oracle's, read as one
+      :class:`~coordest.hull.EstimateBlock`;
+    * the rows: each vector's breakpoints and the seeds just right of them,
+      its hull's piece ends, the dyadic piece ends and its interior seeds,
+      padded with seed 1 (which every vector has), sorted along each row,
+      with each seed equal to the one before it masked out;
+    * the lower bound at every row from one :func:`lower_bounds` call, the
+      dyadic column from one gather in the vectors' dyadic tables (one
+      :func:`j_piece_tables` call) by the dyadic index of each row, and the
+      optimal column from one read of the hull block;
+    * the row drop: each row but each vector's first and last whose lower
+      bound, dyadic and optimal values equal those of the rows on both
+      sides of it goes.  The lower bound and the optimal column do not
+      increase with the seed, so they are constant across it, and the hull
+      column is linear through it;
+    * the hull column at the rows kept: one ordered sum over the block.
+    """
+    hulls = block_hulls(f, rows, lbfs, scheme)
+    n = 0
+    try:
+        for n in range(len(lbfs)):
+            hulls.check(n)
+        n = len(lbfs)
+        error = None
+    except ValueError as exc:
+        error = exc
+    if not n:
+        return np.empty((5, 0)), [], error
+    rows, lbfs, block = rows[:n], lbfs[:n], hulls.block
+    bps = _padded([lbf.breakpoints for lbf in lbfs])
+    after = np.where(bps < 1.0, np.nextafter(bps, np.inf), 1.0)
+    j_ends = np.broadcast_to(np.ldexp(1.0, np.arange(-DEPTH - 1, 1)), (n, DEPTH + 2))
+    # evenly spaced seeds inside each piece, from the hull's anchor (its
+    # first vertex) through the breakpoints, of a curve that is neither
+    # constant nor linear between them
+    edges = np.concatenate(([[xs[0]] for xs in hulls.xs[:n]], bps), axis=1)
+    t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
+    inside = (edges[:, :-1, None] + np.diff(edges, axis=1)[:, :, None] * t).reshape(n, -1)
+    inside[[lbf.exponent in (None, 1.0) for lbf in lbfs]] = 1.0
+    seeds = np.sort(np.concatenate((bps, after, block.edges[:n], j_ends, inside), axis=1), axis=1)
+    new = np.ones(seeds.shape, dtype=bool)
+    new[:, 1:] = seeds[:, 1:] != seeds[:, :-1]
+    us, counts = seeds[new], np.count_nonzero(new, axis=1)
+    row = np.repeat(np.arange(n), counts)
+    lb = lower_bounds(f, np.repeat(rows.T, counts, axis=1), True, us, scheme)
+    # the dyadic pieces end at 2^-(DEPTH + 1): 0 at and below it
+    i = dyadic_indices(us)
+    table = j_piece_tables(rows, f, scheme, DEPTH)
+    j = np.where(i <= DEPTH, np.take(table, row * (DEPTH + 1) + np.minimum(i, DEPTH)), 0.0)
+    vopt = block.value_at(row, us)
+    keep = _changing_rows(lb, j, vopt)
+    ends = np.cumsum(counts)
+    keep[ends[counts > 0] - 1] = keep[(ends - counts)[counts > 0]] = True
+    us, row = us[keep], row[keep]
+    columns = np.stack((us, lb[keep], block.integral(row, us), j[keep], vopt[keep]))
+    return columns, np.cumsum(np.bincount(row, minlength=n)).tolist(), error
+
+
+def _padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """Float rows of any lengths as one array, padded with 1.0."""
+    lens = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.ones((len(rows), lens.max(initial=0)))
+    out[np.arange(out.shape[1]) < lens[:, None]] = list(itertools.chain.from_iterable(rows))
+    return out
+
+
 def _changing_rows(lb: np.ndarray, j: np.ndarray, vopt: np.ndarray) -> np.ndarray:
-    """Which rows to keep: the first, the last, and every row at which one
-    of the three columns differs from its value at the row before or the
-    row after.  A row equal to both neighbours in all three is dropped; the
-    rows are compared once, all of them, and not again among the rows kept."""
+    """Which rows to keep: every row at which one of the three columns
+    differs from its value at the row before or the row after, and the
+    first and the last.  A row equal to both neighbours in all three is
+    dropped; the rows are compared once, all of them, and not again among
+    the rows kept."""
     change = (lb[1:] != lb[:-1]) | (j[1:] != j[:-1]) | (vopt[1:] != vopt[:-1])
     keep = np.ones(len(lb), dtype=bool)
     keep[1:-1] = change[:-1] | change[1:]
     return keep
-
-
-def _after(lbf: LowerBoundFn) -> np.ndarray:
-    """The seed one float right of each breakpoint below 1."""
-    bps = np.array(lbf.breakpoints)
-    return np.nextafter(bps[bps < 1.0], np.inf)
-
-
-def _interior_seeds(lbf: LowerBoundFn, anchor: float) -> np.ndarray:
-    """``CURVE_SEEDS`` evenly spaced seeds inside each piece of a curve
-    that is neither constant nor linear there, from the hull's ``anchor``
-    (its first vertex) through the breakpoints."""
-    if lbf.exponent in (None, 1.0):
-        return np.empty(0)
-    edges = np.concatenate(([anchor], lbf.breakpoints))
-    t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
-    return (edges[:-1, None] + np.diff(edges)[:, None] * t).ravel()

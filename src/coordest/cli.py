@@ -31,7 +31,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .analysis import _curve_checks, competitiveness_reports, curve_blocks, curve_columns, implication_chain_ok
+from .analysis import _curve_checks, competitiveness_reports, curve_block, curve_blocks, implication_chain_ok
 from .estimators import (
     BOTTOMK_ESTIMATORS,
     BOTTOMK_QUERIES,
@@ -338,10 +338,10 @@ def _curve_row_format(item: str) -> str:
 
 def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool):
     """Per vector of ``rows``: its ``characterize`` fields, whether its chain
-    holds, and with ``curves`` its block's curve columns, from which it
-    takes its own; one curve per vector serves the verdicts and the rows."""
+    holds, and with ``curves`` its block's :func:`_curve_rows`, from which
+    it takes its own; one curve per vector serves the verdicts and the rows."""
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
-        columns = curve_columns(block, lbfs, f, scheme) if curves else None
+        columns = _curve_rows(block, lbfs, f, scheme) if curves else None
         for v, fv, lbf in zip(block.tolist(), fvs, lbfs):
             est, bd, fin = _curve_checks(lbf, fv, v, scheme)
             chain = implication_chain_ok(bd.ok, fin.ok, est.ok)
@@ -352,15 +352,24 @@ def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool
 CURVE_COLUMNS = ("u", "lower_bound", "hull", "j_estimate", "v_optimal")
 
 
-def _finite_columns(columns: Sequence[np.ndarray]) -> list[list[float]]:
-    """The ``--curves`` columns of one vector as float lists; a value that
-    is not finite is an error naming its column and seed."""
-    block = np.vstack(columns)
-    if not np.isfinite(block).all():
-        col, row = np.argwhere(~np.isfinite(block))[0].tolist()
-        x, u = block[[col, 0], row].tolist()
-        raise ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, and only finite values are written")
-    return block.tolist()
+def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme):
+    """The ``--curves`` rows of each vector of a block, in order, as float
+    tuples, from one :func:`curve_block` and one ``tolist``; a value that
+    is not finite is an error of its vector, naming its column and seed,
+    and the error of a hull that fails comes after the vectors before it."""
+    columns, ends, error = curve_block(rows, lbfs, f, scheme)
+    table = list(zip(*columns.tolist()))
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=0)).tolist()
+    for start, end in zip([0] + ends, ends):
+        if bad and bad[0] < end:
+            block = columns[:, start:end]
+            col, row = np.argwhere(~np.isfinite(block))[0].tolist()
+            x, u = block[[col, 0], row].tolist()
+            raise ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, "
+                             "and only finite values are written")
+        yield table[start:end]
+    if error is not None:
+        raise error
 
 
 def cmd_per_vector(args: argparse.Namespace) -> int:
@@ -391,7 +400,7 @@ def cmd_per_vector(args: argparse.Namespace) -> int:
             with _error_source(f"item {item!r}"):
                 fields, ok, columns = next(records)
                 line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
-                curve_rows = None if columns is None else zip(*_finite_columns(next(columns)))
+                curve_rows = None if columns is None else next(columns)
             fp.write(line + "\n")
             if curve_rows is not None:
                 curves_fp.writelines(map(_curve_row_format(item).__mod__, curve_rows))

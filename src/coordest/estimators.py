@@ -40,7 +40,7 @@ from .functions import (
     or_fn,
     rg_fn,
 )
-from .hull import EstimateFn, LowerHulls, arc_hull, integrate_square, lower_hulls
+from .hull import NO_HULL, EstimateBlock, EstimateFn, arc_hull, lower_hulls
 from .model import (
     InstanceSet,
     Outcome,
@@ -273,35 +273,101 @@ def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
 
 class HullEstimates:
     """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
-    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there, read
-    by row: of the points ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``, the
-    rows of all curves with concave pieces in one :func:`lower_hulls`
-    block, built when the first of them is read; or, for a curve of convex
-    arcs, of its arcs from the anchor ``xs[k][0]`` (:func:`arc_hull`).  A
-    row's error is raised when it is read."""
+    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there, as
+    the rows of one :class:`EstimateBlock` (``block``), built when first
+    read.  A curve with concave pieces takes the hull of the points
+    ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``: the rows of all such curves
+    come from one :func:`lower_hulls` block.  A curve of convex arcs takes
+    the hull of its arcs from the anchor ``xs[k][0]`` (:func:`arc_hull`,
+    one Python stack per row), whose pieces are gathered into the block.
+    A row whose hull fails reads 0; :meth:`check` raises its error, and
+    every read of one row checks it first."""
 
     def __init__(self, lbfs: Sequence[LowerBoundFn], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]):
         self.lbfs, self.xs, self.ys = lbfs, xs, ys
 
     @cached_property
-    def corners(self) -> LowerHulls:
-        # a curve of convex arcs leaves its row empty
-        keep, none = [_corners(lb) for lb in self.lbfs], np.empty(0)
-        return lower_hulls([x if c else none for x, c in zip(self.xs, keep)],
-                           [y if c else none for y, c in zip(self.ys, keep)])
+    def _rows(self) -> tuple[EstimateBlock, list[int], list[Exception | None]]:
+        """The block, each row's piece count and each row's error."""
+        n = len(self.lbfs)
+        errors: list[Exception | None] = [None] * n
+        arcs, corners = {}, [False] * n
+        for k, lb in enumerate(self.lbfs):
+            try:
+                if not _convex_arcs(lb):
+                    corners[k] = True
+                elif len(self.xs[k]):
+                    arcs[k] = arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
+                else:
+                    raise ValueError(NO_HULL)
+            except (ValueError, ArithmeticError) as exc:
+                errors[k] = exc
+        sizes = [0] * n
+        edges, values = np.ones((n, 2)), np.zeros((n, 1))
+        if any(corners):
+            none = np.empty(0)
+            hulls = lower_hulls([x if c else none for x, c in zip(self.xs, corners)],
+                                [y if c else none for y, c in zip(self.ys, corners)])
+            edges, values = hulls.us, hulls.slopes
+            for k in np.flatnonzero(corners).tolist():
+                sizes[k] = max(hulls.counts[k] - 1, 0)
+                if sizes[k] < 1:
+                    errors[k] = ValueError(NO_HULL)
+        if not arcs:
+            return EstimateBlock(edges, values), sizes, errors
+        ks = list(arcs)
+        exponents = {self.lbfs[k].exponent for k in ks}
+        if len(exponents) > 1:
+            raise ValueError("the arc hulls of one block share one exponent")
+        for k in ks:
+            sizes[k] = len(arcs[k])
+        # the arc rows' pieces, padded with copies of each row's last edge
+        # (seed 1), on the corner rows' edges padded the same way
+        size = np.array([sizes[k] for k in ks])
+        width = max(values.shape[1], int(size.max()))
+        pad = width - values.shape[1]
+        edges = np.concatenate((edges, np.repeat(edges[:, -1:], pad, axis=1)), axis=1)
+        values = np.concatenate((values, np.zeros((n, pad))), axis=1)
+        cs, ds = np.zeros((n, width)), np.zeros((n, width))
+        lo, hi, mean, c, d = np.array([piece for k in ks for piece in arcs[k]]).T
+        first = np.cumsum(size) - size
+        live = np.arange(width) < size[:, None]
+        edges[ks, 0] = lo[first]
+        edges[ks, 1:] = hi[first[:, None] + np.minimum(np.arange(width), size[:, None] - 1)]
+        # as the corner hull takes its slopes: a NaN or -0.0 reads 0.0
+        for out, column in ((values, np.fmax(mean, 0.0) + 0.0), (cs, c), (ds, d)):
+            rows = np.zeros((len(ks), width))
+            rows[live] = column
+            out[ks] = rows
+        return EstimateBlock(edges, values, (cs, ds), exponents.pop()), sizes, errors
+
+    @property
+    def block(self) -> EstimateBlock:
+        return self._rows[0]
+
+    def check(self, k: int) -> None:
+        """Raise the error of row ``k``'s hull, if it failed."""
+        error = self._rows[2][k]
+        if error is not None:
+            raise error
 
     def estimate(self, k: int) -> EstimateFn:
-        lb = self.lbfs[k]
-        if _convex_arcs(lb):
-            return arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
-        return self.corners.estimate(k)
+        """Row ``k`` as an estimate of its own: the scalar API."""
+        self.check(k)
+        block, m = self.block, self._rows[1][k]
+        arcs = None if _corners(self.lbfs[k]) else np.column_stack((block.arcs[0][k, :m], block.arcs[1][k, :m]))
+        return EstimateFn(block.edges[k, :m], block.edges[k, 1:m + 1], block.values[k, :m], arcs,
+                          None if arcs is None else block.exponent)
+
+    @cached_property
+    def square_integrals(self) -> np.ndarray:
+        """:func:`integrate_square` of every row, bit for bit, from one
+        :meth:`EstimateBlock.square_integral` pass."""
+        return self.block.square_integral(np.arange(len(self.lbfs)))
 
     def square_integral(self, k: int) -> float:
-        """``integrate_square(self.estimate(k))``; a corner hull's comes
-        from the block's one square-integral pass."""
-        if _convex_arcs(self.lbfs[k]):
-            return integrate_square(self.estimate(k))
-        return self.corners.square_integral(k)
+        self.check(k)
+        return float(self.square_integrals[k])
 
 
 def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme) -> HullEstimates:
@@ -435,7 +501,7 @@ def sum_estimate(
     and ``item_ids=None`` selects every row as it stands.  The
     hull-derivative oracle needs the true data: it takes the items' curves
     from :func:`lb_functions`, ``MC_ITEM_BLOCK`` at a time, and reads each
-    item's hull at the item's seed.
+    item's hull at the item's seed from the block of their hulls.
     """
     if estimator == "voptimal-oracle" and data is None:
         raise ValueError("the hull-derivative oracle needs the true data")
@@ -453,12 +519,13 @@ def sum_estimate(
     elif estimator == "ht":
         estimates = ht_estimates(f, samples.revealed[rows], samples.cells[rows], samples.scheme).tolist()
     else:
-        vectors = data.matrix[data.indices(ids)]
-        seeds, estimates = samples.seeds[rows].tolist(), []
+        vectors, seeds, estimates = data.matrix[data.indices(ids)], samples.seeds[rows], []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             block = vectors[start:start + MC_ITEM_BLOCK]
             hulls = block_hulls(f, block, lb_functions(f, block, samples.scheme), samples.scheme)
-            estimates += [hulls.estimate(k).value_at(u) for k, u in enumerate(seeds[start:start + len(block)])]
+            for k in range(len(block)):
+                hulls.check(k)
+            estimates += hulls.block.value_at(np.arange(len(block)), seeds[start:start + len(block)]).tolist()
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
@@ -584,8 +651,8 @@ def _mc_sums(
 
     The salts are mixed once; each item costs one seed hash per salt and
     one lookup per salt and function: in its dyadic table, against its
-    inverse-probability cut, or in its hull, built once per item and
-    function.  An item whose estimates are all zero would add exactly +0.0
+    inverse-probability cut, or in its row of the block of hulls built once
+    per block of items and function.  An item whose estimates are all zero would add exactly +0.0
     to every sum and is skipped.  Every other item is added in item order,
     so each sum equals the single-salt query sum at its salt, bit for bit.
     """
@@ -602,9 +669,11 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            by_function = [block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs]
-            hulls = [[h.estimate(k) for h in by_function] for k in range(len(block))]
-            live = np.array([[e.values.any() for e in row] for row in hulls])
+            hulls = [block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs]
+            for k in range(len(block)):
+                for h in hulls:
+                    h.check(k)
+            live = np.stack([h.block.values.any(axis=1) for h in hulls], axis=1)
         for k in np.flatnonzero(live.any(axis=1)).tolist():
             key = item_key(data.item_ids[block[k]])
             fk = np.flatnonzero(live[k]).tolist()
@@ -630,7 +699,7 @@ def _mc_sums(
                 else:
                     seeds = key_seeds(key, mixed[lo:hi])
                     for j in fk:
-                        totals[j, lo:hi] += hulls[k][j].value_at(seeds)
+                        totals[j, lo:hi] += hulls[j].block.value_at(k, seeds)
     return totals
 
 

@@ -95,13 +95,10 @@ class LowerHulls:
     def __init__(self, us: np.ndarray, ys: np.ndarray, counts: list[int]):
         self.us, self.ys, self.counts = us, ys, counts
 
-    def _count(self, k: int) -> int:
-        if self.counts[k] < 2:
-            raise ValueError("need at least two points with distinct u")
-        return self.counts[k]
-
     def hull(self, k: int) -> LowerHull:
-        n = self._count(k)
+        if self.counts[k] < 2:
+            raise ValueError(NO_HULL)
+        n = self.counts[k]
         return LowerHull(tuple(zip(self.us[k, :n].tolist(), self.ys[k, :n].tolist())))
 
     @cached_property
@@ -109,38 +106,13 @@ class LowerHulls:
         """The negated slope of every hull piece, clamped at 0 and 0 on the
         padding: the bits of the scalar ``max(0.0, (y1 - y2) / (u2 - u1))``
         (``fmax`` turns a NaN into 0.0, and adding +0.0 turns a -0.0 into
-        0.0)."""
+        0.0).  With ``us`` as its piece ends, every row's estimate, and 0
+        on a row without a hull (:class:`EstimateBlock`)."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.fmax((self.ys[:, :-1] - self.ys[:, 1:]) / np.diff(self.us, axis=1), 0.0) + 0.0
 
-    def estimate(self, k: int) -> EstimateFn:
-        """The negated slopes of row ``k``'s hull as an estimate; its
-        vertices must lie in [0, 1]."""
-        n = self._count(k)
-        return EstimateFn(self.us[k, :n - 1], self.us[k, 1:n], self.slopes[k, :n - 1])
 
-    @cached_property
-    def square_integrals(self) -> np.ndarray:
-        """``integrate_square(self.estimate(k))`` of every row, bit for bit,
-        in one pass: the squares scaled by each row's own shift of
-        :func:`scaled_squares`, times the piece widths, added left to right
-        from +0.0 by a row-wise ``cumsum`` (the padding adds +0.0), then
-        scaled back."""
-        values = self.slopes
-        top = values.max(axis=1, initial=0.0)
-        shift = np.where((2.0**500 < top) & (top < math.inf), np.frexp(top)[1] - 500, 0)
-        values = np.ldexp(values, -shift[:, None])
-        terms = np.zeros(self.us.shape)
-        scale = np.ldexp(1.0, shift)
-        # a row with an infinite slope is not shifted, and its integral is
-        # inf; the scale back is two exact power-of-two steps
-        with np.errstate(over="ignore"):
-            terms[:, 1:] = values * values * np.diff(self.us, axis=1)
-            return np.cumsum(terms, axis=1)[:, -1] * scale * scale
-
-    def square_integral(self, k: int) -> float:
-        self._count(k)
-        return float(self.square_integrals[k])
+NO_HULL = "need at least two points with distinct u"
 
 
 def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHulls:
@@ -184,6 +156,120 @@ def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHull
     return LowerHulls(np.array(vu + [0.0])[at], np.ldexp(np.array(vy + [0.0])[at], -shift[:, None]), sizes)
 
 
+# elements of one (windows x pieces) block of an ordered sum; one matrix of
+# every piece and window would raise the peak memory of a curve table by
+# several MB
+SUM_BLOCK = 2**14
+
+
+class EstimateBlock:
+    """Piecewise estimates over seeds, one a row, held as padded arrays:
+    row ``k`` is ``values[k, i]`` on the seed interval ``(edges[k, i],
+    edges[k, i + 1]]``, or, where ``arcs = (cs, ds)`` is given and
+    ``d = ds[k, i]`` is negative, the negated slope ``p * |d| * (c +
+    d*u)^(p-1)`` of the convex arc ``(c + d*u)^p`` (``p = exponent``, ``c =
+    cs[k, i]``); there ``values[k, i]`` holds the arc's mean over the
+    piece.  Each row is padded to the block's width with copies of its last
+    edge (seed 1 for a hull): zero-width pieces of value 0 and ``d = 0``.
+
+    Every read takes ``rows``, the row of each seed or window, broadcast
+    against the seeds or windows, and returns an array of their shape.
+    :meth:`value_at` finds each seed's piece by one ``searchsorted`` per
+    run of equal rows and reads every value with one gather; the integrals
+    are ordered sums (:meth:`_ordered_sums`).  ``EstimateFn`` reads its
+    one row the same way.  (A plain class: see :class:`LowerHulls`.)"""
+
+    def __init__(self, edges: np.ndarray, values: np.ndarray, arcs: tuple[np.ndarray, np.ndarray] | None = None,
+                 exponent: float | None = None):
+        if edges.shape[1] < 2:
+            # rows without a piece: one of width 0 at their one edge, or at 1
+            edges = np.repeat(edges[:, :1] if edges.shape[1] else np.ones((len(edges), 1)), 2, axis=1)
+            values = np.zeros((len(edges), 1))
+            arcs = None
+        self.edges, self.values, self.arcs, self.exponent = edges, values, arcs, exponent
+
+    def value_at(self, rows, us) -> np.ndarray:
+        """The value of row ``rows[i]`` at seed ``us[i]``: that of the piece
+        holding the seed, and 0 at or below the row's first edge and above
+        its last."""
+        rows, us = np.broadcast_arrays(np.asarray(rows, dtype=np.intp), np.asarray(us, dtype=float))
+        shape, rows, us = us.shape, rows.ravel(), us.ravel()
+        width = self.values.shape[1]
+        at = np.empty(len(us), dtype=np.intp)
+        starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()]
+        for a, b, k in zip(starts, starts[1:] + [len(us)], rows[starts].tolist() if len(us) else []):
+            at[a:b] = np.searchsorted(self.edges[k, 1:], us[a:b], side="left")
+        at = rows * width + np.minimum(at, width - 1)
+        out = np.take(self.values, at)
+        if self.arcs is not None:
+            c, d = np.take(self.arcs[0], at), np.take(self.arcs[1], at)
+            p = self.exponent
+            out = np.where(d < 0.0, p * -d * np.maximum(c + d * us, 0.0) ** (p - 1.0), out)
+        inside = (us > np.take(self.edges[:, 0], rows)) & (us <= np.take(self.edges[:, -1], rows))
+        return np.where(inside, out, 0.0).reshape(shape)
+
+    def integral(self, rows, lo=0.0, hi=1.0) -> np.ndarray:
+        """The integral of row ``rows[i]`` over the window ``(lo[i], hi[i]]``."""
+        p = self.exponent
+        # on an arc the estimate integrates to the arc's drop
+        return self._ordered_sums(rows, lo, hi, self.values, lambda s, d, r: np.maximum(s, 0.0) ** p)
+
+    def square_integral(self, rows, lo=0.0, hi=1.0) -> np.ndarray:
+        """The integral of the squared row ``rows[i]`` over ``(lo[i], hi[i]]``
+        (see :func:`integrate_square`).  Each row's values are scaled as
+        :func:`scaled_squares` scales them, by a shift of its own."""
+        top = self.values.max(axis=1, initial=0.0)
+        shift = np.where((2.0**500 < top) & (top < math.inf), np.frexp(top)[1] - 500, 0)
+        values = np.ldexp(self.values, -shift[:, None])
+        p = self.exponent
+
+        def arc_drop(s, d, r):
+            # scaled as the squares are; a power past the largest float is inf
+            k = 2.0 * p - 1.0
+            with np.errstate(over="ignore"):
+                return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift[r, None])
+
+        # a row with an infinite value is not shifted, and the square of a
+        # large finite one beside it overflows to inf, as its integral does
+        with np.errstate(over="ignore"):
+            total = self._ordered_sums(rows, lo, hi, values * values, arc_drop)
+            # two exact power-of-two steps, each below the largest float
+            scale = np.ldexp(1.0, np.take(shift, np.broadcast_to(rows, total.shape)))
+            return total * scale * scale
+
+    def _ordered_sums(self, rows, lo, hi, values: np.ndarray, arc_drop) -> np.ndarray:
+        """Sum of ``value * overlap`` over the pieces of row ``rows[i]`` for
+        the window ``(lo[i], hi[i]]``, added piece by piece from the left,
+        starting from +0.0, so that every entry has the bits of the scalar
+        left-to-right sum: ``cumsum`` along the pieces adds strictly in order
+        (``np.sum`` would add pairwise).  A piece that misses the window
+        adds nothing, even where its value is infinite.  An arc piece adds
+        ``arc_drop(s_a, d, r) - arc_drop(s_b, d, r)`` instead, with ``s = c
+        + d*u`` at the ends ``a < b`` of the overlap and ``r`` the rows.
+        The windows are taken ``SUM_BLOCK // width`` at a time, each with
+        its row's pieces gathered."""
+        rows, lo, hi = np.broadcast_arrays(np.asarray(rows, dtype=np.intp), np.asarray(lo, dtype=float),
+                                           np.asarray(hi, dtype=float))
+        shape, rows, lo, hi = rows.shape, rows.ravel(), lo.ravel()[:, None], hi.ravel()[:, None]
+        total = np.empty(len(rows))
+        step = max(1, SUM_BLOCK // values.shape[1])
+        with np.errstate(invalid="ignore"):
+            for a in range(0, len(rows), step):
+                r = rows[a:a + step]
+                edges = self.edges[r]
+                t = np.maximum(edges[:, :-1], lo[a:a + step])
+                b = np.minimum(edges[:, 1:], hi[a:a + step])
+                w = b - t
+                terms = np.where(w > 0.0, values[r] * w, 0.0)
+                if self.arcs is not None:
+                    c, d = self.arcs[0][r], self.arcs[1][r]
+                    drop = arc_drop(c + d * t, d, r) - arc_drop(c + d * b, d, r)
+                    terms = np.where((d < 0.0) & (w > 0.0), drop, terms)
+                terms[:, 0] += 0.0
+                total[a:a + step] = np.cumsum(terms, axis=1)[:, -1]
+        return total.reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateFn:
     """Piecewise estimator values over seeds on the seed intervals
@@ -194,7 +280,8 @@ class EstimateFn:
     ``values[i]`` holds the arc's mean over the piece.
     :meth:`value_at`, :meth:`integral` and :func:`integrate_square` take a
     scalar or an array of seeds or cutoffs and return a float or an array to
-    match."""
+    match: each reads the estimate as the one row of an
+    :class:`EstimateBlock`."""
 
     los: np.ndarray
     his: np.ndarray
@@ -227,66 +314,23 @@ class EstimateFn:
     def support_left(self) -> float:
         return float(self.los[0]) if len(self.los) else 1.0
 
+    @cached_property
+    def block(self) -> EstimateBlock:
+        arcs = None if self.arcs is None else (self.arcs[None, :, 0], self.arcs[None, :, 1])
+        return EstimateBlock(np.concatenate((self.los[:1], self.his))[None], self.values[None], arcs, self.exponent)
+
     def value_at(self, u):
         """Value of the piece holding each seed; 0 at or below
         :attr:`support_left` and above the last piece."""
-        us = np.asarray(u, dtype=float)
-        out = np.zeros(us.shape)
-        if len(self.his):
-            idx = np.minimum(np.searchsorted(self.his, us, side="left"), len(self.his) - 1)
-            out = self.values[idx]
-            if self.arcs is not None:
-                c, d = self.arcs[idx].T
-                p = self.exponent
-                out = np.where(d < 0.0, p * -d * np.maximum(c + d * us, 0.0) ** (p - 1.0), out)
-            out = np.where((us > self.support_left) & (us <= self.his[-1]), out, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(self.block.value_at(0, u))
 
     def integral(self, lo=0.0, hi=1.0):
         """Integral of the estimate over ``(lo, hi]``."""
-        p = self.exponent
-        # on an arc the estimate integrates to the arc's drop
-        return _ordered_sum(self, self.values, lo, hi, lambda s, d: np.maximum(s, 0.0) ** p)
+        return _scalar_or_array(self.block.integral(0, lo, hi))
 
 
-# elements of one (pieces x windows) block of :func:`_ordered_sum`; one
-# matrix of every piece and window would raise the peak memory of a curve
-# table by several MB
-SUM_BLOCK = 2**14
-
-
-def _ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi, arc_drop=None):
-    """Sum of ``value * overlap`` over the pieces of ``e`` for each window
-    ``(lo, hi]`` (broadcast), added piece by piece from the left, starting
-    from +0.0, so that every entry has the bits of the scalar left-to-right
-    sum.  Blocks of pieces are summed with ``cumsum`` down the piece axis,
-    which adds strictly in order (``np.sum`` would add pairwise).  A piece
-    that misses the window adds nothing, even where its value is
-    infinite.  An arc piece of ``e`` adds ``arc_drop(s_a, d) - arc_drop(s_b,
-    d)`` instead, with ``s = c + d*u`` at the ends ``a < b`` of the
-    overlap."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    total = np.zeros(np.broadcast(lo, hi).shape)
-    step = max(1, SUM_BLOCK // max(total.size, 1))
-    # pieces down the first axis, windows along the others
-    col = (-1,) + (1,) * total.ndim
-    los, his, values = e.los.reshape(col), e.his.reshape(col), values.reshape(col)
-    if e.arcs is not None:
-        cs, ds = e.arcs[:, 0].reshape(col), e.arcs[:, 1].reshape(col)
-    with np.errstate(invalid="ignore"):
-        for a in range(0, len(values), step):
-            b = np.minimum(his[a : a + step], hi)
-            t = np.maximum(los[a : a + step], lo)
-            w = b - t
-            terms = np.where(w > 0.0, values[a : a + step] * w, 0.0)
-            if e.arcs is not None:
-                c, d = cs[a : a + step], ds[a : a + step]
-                drop = arc_drop(c + d * t, d) - arc_drop(c + d * b, d)
-                terms = np.where((d < 0.0) & (w > 0.0), drop, terms)
-            terms[0] += total
-            total = np.cumsum(terms, axis=0, out=terms)[-1]
-    return float(total) if total.ndim == 0 else total
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -314,21 +358,7 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     infinite.  Mass below the materialised support is not summed; the
     finite-variance verdict of :mod:`coordest.analysis` covers it.
     """
-    squares, shift = scaled_squares(e.values)
-    p = e.exponent
-
-    def arc_drop(s, d):
-        # scaled as the squares are; a power past the largest float is inf
-        k = 2.0 * p - 1.0
-        with np.errstate(over="ignore"):
-            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
-
-    total = _ordered_sum(e, squares, lo, hi, arc_drop)
-    if shift:
-        # two exact power-of-two steps, each below the largest float
-        with np.errstate(over="ignore"):
-            total = total * 2.0**shift * 2.0**shift
-    return total
+    return _scalar_or_array(e.block.square_integral(0, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +497,9 @@ class FloatRangeError(ValueError):
 
 
 def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]], p: float,
-             anchor: float) -> EstimateFn:
-    """The negated slopes of the lower convex hull of a curve whose piece
+             anchor: float) -> list[tuple[float, float, float, float, float]]:
+    """The pieces ``(lo, hi, value, c, d)`` of the negated slopes of the
+    lower convex hull of a curve whose piece
     on ``(breakpoints[k-1], breakpoints[k]]`` is the convex arc
     ``max(c + d*u, 0)^p`` of ``pieces[k] = (c, d)``, ``p > 1``, from the
     curve at ``anchor`` to ``(1, 0)``.
@@ -479,7 +510,9 @@ def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]]
     the next bridge leaves at its start, no steeper than the bridge into
     it, goes.  At a breakpoint the curve may jump down; the arc's end there
     lies above the next arc's start, and no bridge rests on it.  The
-    estimate is a constant on a bridge and ``p |d| s^(p-1)`` on a span.
+    estimate is a constant on a bridge and ``p |d| s^(p-1)`` on a span;
+    ``value`` is the piece's mean, before the clamp at 0 that
+    :class:`EstimateBlock` rows take (``d`` is 0 on a bridge).
     """
     try:
         # the curve's largest value: no power of the hull passes it
@@ -511,8 +544,8 @@ def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]]
             top[3] = t_l
             stack.append([arc[0], arc[1], t_r, arc[3], slope])
             break
-    # (lo, hi, value, c, d) of each piece, left to right: the bridge into a
-    # span, then the span; a flat span's mean is 0
+    # each piece, left to right: the bridge into a span, then the span; a
+    # flat span's mean is 0
     out = []
     for k, (c, d, lo, hi, _) in enumerate(stack):
         if k and lo > stack[k - 1][3]:
@@ -520,6 +553,4 @@ def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]]
             out.append((a, lo, (_arc_value(stack[k - 1], a, p) - _arc_value((c, d), lo, p)) / (lo - a), 0.0, 0.0))
         if hi > lo:
             out.append((lo, hi, (_arc_value((c, d), lo, p) - _arc_value((c, d), hi, p)) / (hi - lo), c, d))
-    los, his, values, cs, ds = np.array(out).T
-    # as the corner hull takes its slopes: a NaN or -0.0 reads 0.0
-    return EstimateFn(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), p)
+    return out

@@ -6,8 +6,9 @@ with, and the scalar code the block kernels are checked against bit for
 bit: the float-by-float crossing snap, the per-map crossing loops, the
 per-vector lower-bound curve with its pieces, and the competitiveness
 report and curve rows of one vector built from that curve alone, with the
-scalar monotone chain of one point set at a time.  The grid hull is the
-reference hull of a curve of no known form.
+scalar monotone chain of one point set at a time, and the reads of one
+estimate at a time (its value, integral and square integral).  The grid hull
+is the reference hull of a curve of no known form.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from coordest.estimators import (
     hull_seeds,
     ht_blocks,
     j_piece_values,
-    v_optimal_estimates,
 )
 from coordest.functions import (
     RG,
@@ -42,7 +42,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import EstimateFn, LowerHull, integrate_square, scaled_squares
+from coordest.hull import SUM_BLOCK, EstimateFn, LowerHull, arc_hull, scaled_squares
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -253,11 +253,19 @@ def scalar_lower_hull(points) -> LowerHull:
 def scalar_v_optimal(lb: LowerBoundFn) -> EstimateFn:
     """``v_optimal_estimates(lb)`` by the scalar chain: the hull of the
     curve at its hull seeds and ``(1, 0)``; a curve of convex arcs takes
-    its hull from its arcs, one curve at a time in the package too."""
+    its hull from its arcs (:func:`arc_estimate_fn`)."""
     xs, at = hull_seeds(lb)
     if not len(at):
-        return v_optimal_estimates(lb)
+        return arc_estimate_fn(lb, float(xs[0]))
     return hull_estimate_fn(scalar_lower_hull(np.column_stack((xs, np.append(lb.value(at), 0.0)))))
+
+
+def arc_estimate_fn(lb: LowerBoundFn, anchor: float) -> EstimateFn:
+    """The pieces of ``arc_hull`` of a curve of convex arcs as one
+    estimate, as the package took them one curve at a time: the reference
+    of the arc rows of ``HullEstimates``."""
+    los, his, values, cs, ds = np.array(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor)).T
+    return EstimateFn(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), lb.exponent)
 
 
 def hull_estimate_fn(hull) -> EstimateFn:
@@ -443,7 +451,7 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth:
         tail = 256.0 * slope * slope * 2.0**-depth
     diagnostics["j_tail_bound"] = tail
     sq_j += tail or 0.0
-    sq_opt = integrate_square(scalar_v_optimal(lbf))
+    sq_opt = ref_integrate_square(scalar_v_optimal(lbf))
     ratio = sq_j / sq_opt if sq_opt > 0.0 else 1.0
     return AnalysisReport(sq_j, sq_opt, ratio, clamped_variance(sq_j, fv), clamped_variance(sq_opt, fv),
                           est.ok, fin.ok, bd.ok, diagnostics)
@@ -487,4 +495,79 @@ def scalar_full_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauSc
         t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
         seeds.append((edges[:-1, None] + np.diff(edges)[:, None] * t).ravel())
     us = np.unique(np.concatenate(seeds))
-    return us, lbf.value(us), opt.integral(lo=us), j_fn.value_at(us), opt.value_at(us)
+    return us, lbf.value(us), ref_integral(opt, lo=us), ref_value_at(j_fn, us), ref_value_at(opt, us)
+
+
+# ---------------------------------------------------------------------------
+# one estimate at a time: the reference of hull.EstimateBlock
+
+
+def ref_value_at(e: EstimateFn, u):
+    """``e.value_at(u)`` by one ``searchsorted`` over the pieces of ``e``."""
+    us = np.asarray(u, dtype=float)
+    out = np.zeros(us.shape)
+    if len(e.his):
+        idx = np.minimum(np.searchsorted(e.his, us, side="left"), len(e.his) - 1)
+        out = e.values[idx]
+        if e.arcs is not None:
+            c, d = e.arcs[idx].T
+            p = e.exponent
+            out = np.where(d < 0.0, p * -d * np.maximum(c + d * us, 0.0) ** (p - 1.0), out)
+        out = np.where((us > e.support_left) & (us <= e.his[-1]), out, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def ref_integral(e: EstimateFn, lo=0.0, hi=1.0):
+    """``e.integral(lo, hi)`` by the ordered sum over the pieces of ``e``."""
+    p = e.exponent
+    return ref_ordered_sum(e, e.values, lo, hi, lambda s, d: np.maximum(s, 0.0) ** p)
+
+
+def ref_ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi, arc_drop=None):
+    """Sum of ``value * overlap`` over the pieces of ``e`` for each window
+    ``(lo, hi]`` (broadcast), added piece by piece from the left, starting
+    from +0.0: blocks of pieces summed with ``cumsum`` down the piece axis.
+    A piece that misses the window adds nothing.  An arc piece of ``e``
+    adds ``arc_drop(s_a, d) - arc_drop(s_b, d)`` instead, with ``s = c +
+    d*u`` at the ends ``a < b`` of the overlap."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    total = np.zeros(np.broadcast(lo, hi).shape)
+    step = max(1, SUM_BLOCK // max(total.size, 1))
+    # pieces down the first axis, windows along the others
+    col = (-1,) + (1,) * total.ndim
+    los, his, values = e.los.reshape(col), e.his.reshape(col), values.reshape(col)
+    if e.arcs is not None:
+        cs, ds = e.arcs[:, 0].reshape(col), e.arcs[:, 1].reshape(col)
+    with np.errstate(invalid="ignore"):
+        for a in range(0, len(values), step):
+            b = np.minimum(his[a : a + step], hi)
+            t = np.maximum(los[a : a + step], lo)
+            w = b - t
+            terms = np.where(w > 0.0, values[a : a + step] * w, 0.0)
+            if e.arcs is not None:
+                c, d = cs[a : a + step], ds[a : a + step]
+                drop = arc_drop(c + d * t, d) - arc_drop(c + d * b, d)
+                terms = np.where((d < 0.0) & (w > 0.0), drop, terms)
+            terms[0] += total
+            total = np.cumsum(terms, axis=0, out=terms)[-1]
+    return float(total) if total.ndim == 0 else total
+
+
+def ref_integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
+    """``integrate_square(e, lo, hi)`` by the ordered sum of the squares of
+    ``e``, scaled by :func:`scaled_squares` and scaled back at the end."""
+    with np.errstate(over="ignore"):
+        squares, shift = scaled_squares(e.values)
+    p = e.exponent
+
+    def arc_drop(s, d):
+        k = 2.0 * p - 1.0
+        with np.errstate(over="ignore"):
+            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift)
+
+    total = ref_ordered_sum(e, squares, lo, hi, arc_drop)
+    if shift:
+        with np.errstate(over="ignore"):
+            total = total * 2.0**shift * 2.0**shift
+    return total

@@ -1,13 +1,14 @@
 """The block corner hulls against the scalar chain.
 
 ``hull.lower_hulls`` sorts a padded block of point sets with one
-``lexsort``, runs the monotone chain once per row and takes the slopes and
-square integrals of every row in one array pass.  Each row's vertices,
-slopes and square integral must equal, bit for bit, what the scalar chain of
-``scalar_reference`` gives for that row alone, followed by the slopes and
-``integrate_square`` of its estimate.  A row without a hull raises its error
-only when it is read, so in ``analyze`` and ``characterize`` it fails after
-the records of the rows before it.
+``lexsort``, runs the monotone chain once per row and takes the slopes of
+every row in one array pass; with its vertices as piece ends they are an
+``EstimateBlock``, whose square integrals come from one pass.  Each row's
+vertices, slopes and square integral must equal, bit for bit, what the
+scalar chain of ``scalar_reference`` gives for that row alone, followed by
+the slopes and the per-vector square integral of its estimate.  A row
+without a hull raises its error only when it is read, so in ``analyze`` and
+``characterize`` it fails after the records of the rows before it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from coordest import analysis, estimators
 from coordest.cli import console_main
 from coordest.estimators import sum_estimate
 from coordest.functions import lb_function, parse_function
-from coordest.hull import integrate_square, lower_hull, lower_hulls
+from coordest.hull import EstimateBlock, lower_hull, lower_hulls
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
-from scalar_reference import hull_estimate_fn, scalar_lower_hull, scalar_v_optimal
+from scalar_reference import hull_estimate_fn, ref_integrate_square, scalar_lower_hull, scalar_v_optimal
 
 
 def _bits(xs) -> list[int]:
@@ -87,19 +88,18 @@ def test_block_hulls_match_the_scalar_chain():
         for _ in range(12):
             xs, ys = _random_block(rng, n)
             block = lower_hulls(xs, ys)
+            squares = EstimateBlock(block.us, block.slopes).square_integral(np.arange(n))
             for k, (us, hs) in enumerate(zip(xs, ys)):
                 want = _scalar(us, hs)
                 got = block.hull(k)
                 assert _bits(got.vertices) == _bits(want.vertices)
                 opt = hull_estimate_fn(want)
-                est = block.estimate(k)
-                assert _bits(est.los) == _bits(opt.los) and _bits(est.his) == _bits(opt.his)
-                assert _bits(est.values) == _bits(opt.values)
+                m = len(want.vertices)
+                assert _bits(block.us[k, :m]) == _bits([u for u, _ in want.vertices])
+                assert _bits(block.slopes[k, :m - 1]) == _bits(opt.values)
                 # a slope past 2^512 beside an infinite one: the scalar
                 # squares overflow (to inf, as the block's do)
-                with np.errstate(over="ignore"):
-                    sq = integrate_square(opt)
-                assert _bits([block.square_integral(k)]) == _bits([block.square_integrals[k]]) == _bits([sq])
+                assert _bits([squares[k]]) == _bits([ref_integrate_square(opt)])
                 top = np.abs(np.asarray(hs)).max(initial=0.0)
                 shifted += 0.0 < top < 2.0**-500 and len(want.vertices) > 2
                 steep += opt.values.max() > 2.0**500
@@ -122,15 +122,17 @@ def test_a_row_without_a_hull_fails_only_when_read():
     xs[2], ys[2] = np.array([0.5, 0.5, 0.5]), np.array([1.0, 0.0, 2.0])
     xs[4], ys[4] = np.array([]), np.array([])
     block = lower_hulls(xs, ys)
+    estimates = EstimateBlock(block.us, block.slopes)
+    squares = estimates.square_integral(np.arange(6))
     for k in range(6):
         if k in (2, 4):
-            for read in (block.hull, block.estimate, block.square_integral):
-                with pytest.raises(ValueError, match="two points with distinct u"):
-                    read(k)
+            with pytest.raises(ValueError, match="two points with distinct u"):
+                block.hull(k)
+            # the block reads 0 on the row
+            assert squares[k] == 0.0 and not estimates.value_at(k, xs[k]).any()
         else:
-            with np.errstate(over="ignore"):
-                sq = integrate_square(hull_estimate_fn(_scalar(xs[k], ys[k])))
-            assert _bits([block.square_integral(k)]) == _bits([sq])
+            sq = ref_integrate_square(hull_estimate_fn(_scalar(xs[k], ys[k])))
+            assert _bits([squares[k]]) == _bits([sq])
     # the whole block of such rows
     assert lower_hulls([np.array([0.5])], [np.array([1.0])]).counts == [0]
     assert lower_hulls([], []).counts == []

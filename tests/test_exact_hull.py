@@ -286,7 +286,7 @@ def test_a_line_to_the_zero_of_an_arc_near_p_1_is_a_bridge():
     bps = (0.23178381021672323, 0.3100889856983924, 0.36045297074078353, 1.0)
     pieces = ((0.12368261422474923, -0.09769086191333574), (0.23182839161960805, -0.5718694489126439),
               (0.2286648128199505, -0.6343818233763225), (0.0, 0.0))
-    est = arc_hull(bps, pieces, p, 1e-12)
-    assert est.los.tolist() == [1e-12, bps[2]] and est.his.tolist() == [bps[2], 1.0]
-    assert est.values[1] == 0.0
-    assert est.values[0] == pytest.approx(0.12368261422474923**p / (bps[2] - 1e-12), rel=1e-12)
+    los, his, values, _, _ = np.array(arc_hull(bps, pieces, p, 1e-12)).T
+    assert los.tolist() == [1e-12, bps[2]] and his.tolist() == [bps[2], 1.0]
+    assert values[1] == 0.0
+    assert values[0] == pytest.approx(0.12368261422474923**p / (bps[2] - 1e-12), rel=1e-12)

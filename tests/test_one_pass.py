@@ -18,7 +18,7 @@ from coordest import analysis, estimators, functions, hull
 from coordest.analysis import check_bounded, check_estimable, check_finite_variance, curve_table
 from coordest.cli import _curve_row_format, ingest, main, parse_scheme
 from coordest.functions import lb_function, parse_function, rg_fn
-from coordest.hull import SUM_BLOCK, EstimateFn, _ordered_sum, integrate_square
+from coordest.hull import SUM_BLOCK, EstimateFn, integrate_square
 from coordest.model import TauScheme
 
 
@@ -44,7 +44,7 @@ def _estimate_fn(values, rng) -> EstimateFn:
 
 
 def _assert_same_sums(e, lo, hi=1.0):
-    assert _bits(_ordered_sum(e, e.values, lo, hi)) == _bits(_loop_sum(e, e.values.tolist(), lo, hi))
+    assert _bits(e.integral(lo, hi)) == _bits(_loop_sum(e, e.values.tolist(), lo, hi))
     assert _bits(integrate_square(e, lo, hi)) == _bits(_loop_sum(e, [v * v for v in e.values.tolist()], lo, hi))
 
 
@@ -67,7 +67,7 @@ def test_all_zero_sums_start_from_positive_zero():
     e = _estimate_fn(np.full(80, -0.0), rng)
     cutoffs = np.concatenate([rng.random(50), [0.0, 1.0, 2.0]])
     for lo in (0.0, 0.5, cutoffs):
-        got = _ordered_sum(e, e.values, lo, 1.0)
+        got = e.integral(lo, 1.0)
         assert _bits(got) == _bits(_loop_sum(e, e.values.tolist(), lo, 1.0))
         assert _bits(got) == _bits(np.zeros(np.shape(got)))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ def _same_outputs():
     return same_outputs
 
 
-def test_same_outputs_lists_every_file_that_differs(tmp_path):
+def test_same_outputs_lists_every_file_that_differs(tmp_path, monkeypatch, capsys):
     same_outputs = _same_outputs()
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -48,6 +49,29 @@ def test_same_outputs_lists_every_file_that_differs(tmp_path):
     assert same_outputs.differing(a, b) == ["only_a.jsonl", "round/bits.csv", "round/only_b.jsonl"]
     assert same_outputs.files(b) == {"same.jsonl", "round/same.csv", "round/bits.csv", "round/only_b.jsonl"}
 
+    # a run in which a file differs keeps both output trees and prints where
+    works = []
+
+    def compare(parent, seed, work):
+        works.append(work)
+        for name, d in (("parent", a), ("child", b)):
+            shutil.copytree(d, work / name / "out" / "analysis")
+        return int(parent == "HEAD~1")
+
+    monkeypatch.setattr(same_outputs, "compare", compare)
+    monkeypatch.setattr(sys, "argv", ["same_outputs.py", "--parent", "HEAD~1"])
+    assert same_outputs.main() == 1
+    kept = Path(capsys.readouterr().out.split("outputs kept in ")[1].split(" (")[0])
+    try:
+        assert same_outputs.differing(kept / "parent" / "out" / "analysis", a) == []
+        assert same_outputs.differing(kept / "child" / "out" / "analysis", b) == []
+    finally:
+        shutil.rmtree(kept)
+    # a clean run leaves nothing behind
+    monkeypatch.setattr(sys, "argv", ["same_outputs.py", "--parent", "HEAD"])
+    assert same_outputs.main() == 0
+    assert "kept" not in capsys.readouterr().out and not works[-1].exists()
+
 
 def test_same_outputs_runs_the_arc_paths_the_round_leaves_out():
     same_outputs = _same_outputs()
@@ -55,12 +79,18 @@ def test_same_outputs_runs_the_arc_paths_the_round_leaves_out():
     ops = same_outputs.plan_ops("analysis", ids)
     tags = [op.tag for op in ops]
     assert len(set(tags)) == len(tags)
-    assert ops[:len(ops) - 4] == same_outputs.round_ops("analysis", ids)
+    extra = same_outputs.EXTRA_OPS["analysis"]
+    assert ops == same_outputs.round_ops("analysis", ids) + extra
     by_tag = {op.tag: op for op in ops}
     for scheme in ("inline", "file"):
         op = by_tag[f"analyze-rg2-{scheme}"]
         assert (op.kind, op.function, op.scheme) == ("analyze", "rg:p=2", scheme)
-    oracle = [op for op in ops if op.estimator == "voptimal-oracle" and op.query == "lpp:p=2"]
-    assert sorted(op.reps for op in oracle) == [1, 1000]
+    # numpy's general pow loop: characterize --curves and the oracle at p other than 2
+    for f in ("rg:p=2.5", "one_sided_rg:p=3,hi=3,lo=1"):
+        curves = [op for op in extra if op.kind == "characterize" and op.function == f]
+        assert sorted(op.scheme for op in curves) == ["file", "inline"]
+    for query in ("lpp:p=2", "lpp:p=2.5"):
+        oracle = [op for op in ops if op.estimator == "voptimal-oracle" and op.query == query]
+        assert sorted(op.reps for op in oracle) == [1, 1000]
     # the other workloads run their round alone
     assert same_outputs.plan_ops("single-salt", ids) == same_outputs.round_ops("single-salt", ids)
