@@ -347,14 +347,13 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     * the hull column at the rows kept: one ordered sum over the block.
     """
     hulls = block_hulls(f, rows, lbfs, scheme)
-    n = 0
-    try:
-        for n in range(len(lbfs)):
-            hulls.check(n)
-        n = len(lbfs)
-        error = None
-    except ValueError as exc:
-        error = exc
+    n, error = len(lbfs), None
+    for k in range(len(lbfs)):
+        try:
+            hulls.check(k)
+        except ValueError as exc:
+            n, error = k, exc
+            break
     if not n:
         return np.empty((5, 0)), [], error
     rows, lbfs, block = rows[:n], lbfs[:n], hulls.block
