@@ -652,8 +652,8 @@ def _mc_sums(
     The salts are mixed once; each item costs one seed hash per salt and
     one lookup per salt and function: in its dyadic table, against its
     inverse-probability cut, or in its row of the block of hulls built once
-    per block of items and function.  An item whose estimates are all zero would add exactly +0.0
-    to every sum and is skipped.  Every other item is added in item order,
+    per block of items and function.  An item whose estimates are all zero
+    would add exactly +0.0 to every sum and is skipped.  Every other item is added in item order,
     so each sum equals the single-salt query sum at its salt, bit for bit.
     """
     rows = data.indices(item_ids)

@@ -224,13 +224,13 @@ class EstimateBlock:
         p = self.exponent
 
         def arc_drop(s, d, r):
-            # scaled as the squares are; a power past the largest float is inf
+            # scaled as the squares are
             k = 2.0 * p - 1.0
-            with np.errstate(over="ignore"):
-                return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift[r, None])
+            return np.ldexp(p * p * -d / k * np.maximum(s, 0.0) ** k, -2 * shift[r, None])
 
         # a row with an infinite value is not shifted, and the square of a
-        # large finite one beside it overflows to inf, as its integral does
+        # large finite one beside it overflows to inf, as its integral
+        # does; so does an arc's power past the largest float
         with np.errstate(over="ignore"):
             total = self._ordered_sums(rows, lo, hi, values * values, arc_drop)
             # two exact power-of-two steps, each below the largest float
