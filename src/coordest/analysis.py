@@ -379,8 +379,9 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     j = np.where(i <= DEPTH, np.take(table, row * (DEPTH + 1) + np.minimum(i, DEPTH)), 0.0)
     vopt = block.value_at(row, us)
     keep = _changing_rows(lb, j, vopt)
-    ends = np.cumsum(counts)
-    keep[ends[counts > 0] - 1] = keep[(ends - counts)[counts > 0]] = True
+    # every vector has a row at seed 1; its first and last rows stay
+    last = np.cumsum(counts) - 1
+    keep[last] = keep[last - counts + 1] = True
     us, row = us[keep], row[keep]
     columns = np.stack((us, lb[keep], block.integral(row, us), j[keep], vopt[keep]))
     return columns, np.cumsum(np.bincount(row, minlength=n)).tolist(), error
