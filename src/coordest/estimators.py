@@ -321,24 +321,19 @@ class HullEstimates:
             raise ValueError("the arc hulls of one block share one exponent")
         for k in ks:
             sizes[k] = len(arcs[k])
-        # the arc rows' pieces, padded with copies of each row's last edge
-        # (seed 1), on the corner rows' edges padded the same way
+        # every row padded to the widest with copies of its last edge, and
+        # the arc rows' pieces scattered into it (their rows are empty)
         size = np.array([sizes[k] for k in ks])
         width = max(values.shape[1], int(size.max()))
-        pad = width - values.shape[1]
-        edges = np.concatenate((edges, np.repeat(edges[:, -1:], pad, axis=1)), axis=1)
-        values = np.concatenate((values, np.zeros((n, pad))), axis=1)
-        cs, ds = np.zeros((n, width)), np.zeros((n, width))
+        edges = edges[:, np.minimum(np.arange(width + 1), edges.shape[1] - 1)]
+        values = np.pad(values, ((0, 0), (0, width - values.shape[1])))
+        cs, ds = np.zeros(values.shape), np.zeros(values.shape)
         lo, hi, mean, c, d = np.array([piece for k in ks for piece in arcs[k]]).T
         first = np.cumsum(size) - size
-        live = np.arange(width) < size[:, None]
-        edges[ks, 0] = lo[first]
-        edges[ks, 1:] = hi[first[:, None] + np.minimum(np.arange(width), size[:, None] - 1)]
+        edges[ks] = np.column_stack((lo[first], hi[first[:, None] + np.minimum(np.arange(width), size[:, None] - 1)]))
+        at = np.repeat(ks, size), np.arange(len(lo)) - np.repeat(first, size)
         # as the corner hull takes its slopes: a NaN or -0.0 reads 0.0
-        for out, column in ((values, np.fmax(mean, 0.0) + 0.0), (cs, c), (ds, d)):
-            rows = np.zeros((len(ks), width))
-            rows[live] = column
-            out[ks] = rows
+        values[at], cs[at], ds[at] = np.fmax(mean, 0.0) + 0.0, c, d
         return EstimateBlock(edges, values, (cs, ds), exponents.pop()), sizes, errors
 
     @property
