@@ -288,18 +288,17 @@ class HullEstimates:
 
     @cached_property
     def _rows(self) -> tuple[EstimateBlock, list[int], list[Exception | None]]:
-        """The block, each row's piece count and each row's error."""
+        """The block, each row's piece count (0 without a hull) and the
+        error of each curve of arcs whose hull failed."""
         n = len(self.lbfs)
-        errors: list[Exception | None] = [None] * n
-        arcs, corners = {}, [False] * n
+        corners = [_corners(lb) for lb in self.lbfs]
+        arcs, errors = {}, [None] * n
         for k, lb in enumerate(self.lbfs):
+            if corners[k]:
+                continue
             try:
-                if not _convex_arcs(lb):
-                    corners[k] = True
-                elif len(self.xs[k]):
+                if _convex_arcs(lb) and len(self.xs[k]):
                     arcs[k] = arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
-                else:
-                    raise ValueError(NO_HULL)
             except (ValueError, ArithmeticError) as exc:
                 errors[k] = exc
         sizes = [0] * n
@@ -309,10 +308,7 @@ class HullEstimates:
             hulls = lower_hulls([x if c else none for x, c in zip(self.xs, corners)],
                                 [y if c else none for y, c in zip(self.ys, corners)])
             edges, values = hulls.us, hulls.slopes
-            for k in np.flatnonzero(corners).tolist():
-                sizes[k] = max(hulls.counts[k] - 1, 0)
-                if sizes[k] < 1:
-                    errors[k] = ValueError(NO_HULL)
+            sizes = [max(count - 1, 0) for count in hulls.counts]
         if not arcs:
             return EstimateBlock(edges, values), sizes, errors
         ks = list(arcs)
@@ -342,9 +338,11 @@ class HullEstimates:
 
     def check(self, k: int) -> None:
         """Raise the error of row ``k``'s hull, if it failed."""
-        error = self._rows[2][k]
-        if error is not None:
-            raise error
+        _, sizes, errors = self._rows
+        if errors[k] is not None:
+            raise errors[k]
+        if not sizes[k]:
+            raise ValueError(NO_HULL)
 
     def estimate(self, k: int) -> EstimateFn:
         """Row ``k`` as an estimate of its own: the scalar API."""
