@@ -499,10 +499,10 @@ class FloatRangeError(ValueError):
 def arc_hull(breakpoints: Sequence[float], pieces: Sequence[tuple[float, float]], p: float,
              anchor: float) -> list[tuple[float, float, float, float, float]]:
     """The pieces ``(lo, hi, value, c, d)`` of the negated slopes of the
-    lower convex hull of a curve whose piece
-    on ``(breakpoints[k-1], breakpoints[k]]`` is the convex arc
-    ``max(c + d*u, 0)^p`` of ``pieces[k] = (c, d)``, ``p > 1``, from the
-    curve at ``anchor`` to ``(1, 0)``.
+    lower convex hull of a curve whose piece on ``(breakpoints[k-1],
+    breakpoints[k]]`` is the convex arc ``max(c + d*u, 0)^p`` of
+    ``pieces[k] = (c, d)``, ``p > 1``, from the curve at ``anchor`` to
+    ``(1, 0)``.
 
     The hull follows each arc over a span (maybe empty) and bridges the
     gaps with common support lines (:func:`_bridge`).  A stack of the
