@@ -39,7 +39,7 @@ from workloads import WORKLOADS, Inputs, Op, round_ops  # noqa: E402
 EXTRA_OPS = {"analysis": [
     Op("analyze-rg2-inline", "analyze", function="rg:p=2", scheme="inline"),
     Op("analyze-rg2-file", "analyze", function="rg:p=2", scheme="file"),
-    *(Op(f"characterize-{tag}-{scheme}", "characterize", function=f, scheme=scheme)
+    *(Op(f"{kind}-{tag}-{scheme}", kind, function=f, scheme=scheme) for kind in ("characterize", "analyze")
       for tag, f in (("rg25", "rg:p=2.5"), ("osrg3", "one_sided_rg:p=3,hi=3,lo=1")) for scheme in ("inline", "file")),
     Op("voptimal-lpp", "voptimal", query="lpp:p=2", estimator="voptimal-oracle"),
     Op("voptimal-lpp-reps", "voptimal", query="lpp:p=2", estimator="voptimal-oracle", reps=1000),

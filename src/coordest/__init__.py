@@ -16,7 +16,6 @@ from .analysis import (
     implication_chain_ok,
 )
 from .estimators import (
-    EstimateFn,
     QueryResult,
     bottomk_estimate,
     estimate_query,

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, HullEstimates, block_hulls, dyadic_indices, hull_seeds, j_piece_tables
+from .estimators import DEPTH, block_hulls, dyadic_indices, j_piece_tables
 from .functions import (ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions,
                         lower_bounds)
 from .hull import FloatRangeError, scaled_squares
@@ -199,12 +199,12 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     rows of an (n, r) array, in order.
 
     Each block of :func:`curve_blocks` also takes one
-    :func:`j_piece_tables` call per dyadic depth of its vectors, one
-    :func:`curve_values` call for the hull inputs and the tail seeds of all
-    its vectors, and one :class:`HullEstimates` block of their hulls and
-    square integrals.  A vector's verdicts and sums are made, and the error
-    of its hull raised, when its report is taken, so the error of a bad
-    vector comes after the reports before it.
+    :func:`j_piece_tables` call per dyadic depth of its vectors, its
+    :func:`block_hulls` (as the oracle's and the ``--curves`` rows') with
+    their square integrals, and one :func:`curve_values` call for the tail
+    seeds of all its vectors.  A vector's verdicts and sums are made, and
+    the error of its hull raised, when its report is taken, so the error of
+    a bad vector comes after the reports before it.
     """
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
         # keep summing dyadic blocks well past the curve's smallest
@@ -215,15 +215,11 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # the depth it is built to), so a vector of tiny data sends no other row deep
         groups = {d: [k for k, x in enumerate(depths) if x == d] for d in set(depths)}
         tables = {k: t for d, ks in groups.items() for k, t in zip(ks, j_piece_tables(block[ks], f, scheme, d))}
-        none = np.empty(0)
-        hulls = [hull_seeds(lbf) if fv != 0.0 else (none, none) for lbf, fv in zip(lbfs, fvs)]
-        # the last seed of each vector is its tail seed
-        seeds = [np.append(at, 2.0 ** (-d + 2)) for (_, at), d in zip(hulls, depths)]
-        values = curve_values(f, block, seeds, scheme)
-        opt = HullEstimates(lbfs, [xs for xs, _ in hulls], [lb[:-1] for lb in values])
+        hulls = block_hulls(f, block, lbfs, scheme)
+        tails = curve_values(f, block, [[2.0 ** (-d + 2)] for d in depths], scheme)
         for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(values[k][-1]),
-                          partial(opt.square_integral, k))
+            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(tails[k][0]),
+                          partial(hulls.square_integral, k))
 
 
 def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
@@ -294,7 +290,7 @@ def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[
     dyadic and optimal columns and the lower bound of ``max``, ``min`` and
     ``or`` are constant, and the hull column and the lower bound of the
     ``p = 1`` range kinds are linear, so the table loses nothing of them.
-    One row of :func:`curve_columns`.
+    One row of :func:`curve_block`.
 
     The hull column is the cumulative optimal estimate (the integral of the
     optimal column from u to 1): the lower hull of the curve
@@ -304,20 +300,10 @@ def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[
     ``rg`` with ``p > 1``) follows the arcs where it touches them.
     """
     row = _one_row(v)
-    columns = next(curve_columns(row, lb_functions(f, row, scheme), f, scheme))
-    return list(zip(*(c.tolist() for c in columns)))
-
-
-def curve_columns(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):
-    """The five columns of :func:`curve_table` of each data vector
-    ``rows[k]`` with curve ``lbfs[k]``, in order, as a (5, m) array: a
-    view of :func:`curve_block`.  After the columns of the vectors before
-    a vector whose hull fails comes that vector's error."""
-    columns, ends, error = curve_block(rows, lbfs, f, scheme)
-    for start, end in zip([0] + ends, ends):
-        yield columns[:, start:end]
+    columns, _, error = curve_block(row, lb_functions(f, row, scheme), f, scheme)
     if error is not None:
         raise error
+    return list(zip(*columns.tolist()))
 
 
 def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):

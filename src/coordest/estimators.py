@@ -40,7 +40,7 @@ from .functions import (
     or_fn,
     rg_fn,
 )
-from .hull import NO_HULL, EstimateBlock, EstimateFn, arc_hull, lower_hulls
+from .hull import NO_HULL, EstimateBlock, arc_hull, lower_hulls
 from .model import (
     InstanceSet,
     Outcome,
@@ -68,22 +68,15 @@ DEPTH = 40
 ESTIMATORS = ("j", "ht", "voptimal-oracle")
 
 
-def dyadic_index(rho: float) -> int:
-    """Index i with ``rho`` in ``(2^-i-1, 2^-i]``.
+def dyadic_indices(us: np.ndarray) -> np.ndarray:
+    """The index ``i`` with ``u`` in ``(2^-i-1, 2^-i]`` of every seed ``u``
+    of ``us``, as ``intp`` (indexing with the int32 exponents of ``frexp``
+    is about three times slower).
 
-    Read off the binary exponent, ``rho = m * 2^e`` with m in [0.5, 1):
-    exact, where ``floor(-log2 rho)`` is one too large just above a power of
+    Read off the binary exponent, ``u = m * 2^e`` with m in [0.5, 1):
+    exact, where ``floor(-log2 u)`` is one too large just above a power of
     two.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"seed must lie in (0, 1], got {rho}")
-    m, e = math.frexp(rho)
-    return -e + (m == 0.5)
-
-
-def dyadic_indices(us: np.ndarray) -> np.ndarray:
-    """:func:`dyadic_index` of every seed in ``us``, as ``intp`` (indexing
-    with the int32 exponents of ``frexp`` is about three times slower)."""
     m, e = np.frexp(us)
     return (m == 0.5) - e.astype(np.intp)
 
@@ -214,12 +207,14 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 # hull-derivative (minimum-variance) estimates
 
 
-def v_optimal_estimates(lb: LowerBoundFn) -> EstimateFn:
-    """Negated slopes of the lower hull of a full lower-bound curve: one
-    row of :class:`HullEstimates`, of the curve read at its
-    :func:`hull_seeds`."""
+def v_optimal_estimates(lb: LowerBoundFn) -> EstimateBlock:
+    """Negated slopes of the lower hull of a full lower-bound curve: the
+    one-row :class:`HullEstimates` block of the curve read at its
+    :func:`hull_seeds`; the error of a hull that fails is raised."""
     xs, at = hull_seeds(lb)
-    return HullEstimates([lb], [xs], [lb.value(at)]).estimate(0)
+    hulls = HullEstimates([lb], [xs], [lb.value(at)])
+    hulls.check(0)
+    return hulls.block
 
 
 def _convex_arcs(lb: LowerBoundFn) -> bool:
@@ -305,10 +300,14 @@ class HullEstimates:
         edges, values = np.ones((n, 2)), np.zeros((n, 1))
         if any(corners):
             none = np.empty(0)
-            hulls = lower_hulls([x if c else none for x, c in zip(self.xs, corners)],
-                                [y if c else none for y, c in zip(self.ys, corners)])
-            edges, values = hulls.us, hulls.slopes
-            sizes = [max(count - 1, 0) for count in hulls.counts]
+            edges, ys, counts = lower_hulls([x if c else none for x, c in zip(self.xs, corners)],
+                                            [y if c else none for y, c in zip(self.ys, corners)])
+            # the negated slope of every piece, clamped at 0, and 0 on the
+            # padding: the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1))
+            # (fmax turns a NaN into 0.0, and adding +0.0 turns -0.0 into 0.0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values = np.fmax((ys[:, :-1] - ys[:, 1:]) / np.diff(edges, axis=1), 0.0) + 0.0
+            sizes = [max(count - 1, 0) for count in counts]
         if not arcs:
             return EstimateBlock(edges, values), sizes, errors
         ks = list(arcs)
@@ -344,14 +343,6 @@ class HullEstimates:
         if not sizes[k]:
             raise ValueError(NO_HULL)
 
-    def estimate(self, k: int) -> EstimateFn:
-        """Row ``k`` as an estimate of its own: the scalar API."""
-        self.check(k)
-        block, m = self.block, self._rows[1][k]
-        arcs = None if _corners(self.lbfs[k]) else np.column_stack((block.arcs[0][k, :m], block.arcs[1][k, :m]))
-        return EstimateFn(block.edges[k, :m], block.edges[k, 1:m + 1], block.values[k, :m], arcs,
-                          None if arcs is None else block.exponent)
-
     @cached_property
     def square_integrals(self) -> np.ndarray:
         """:func:`integrate_square` of every row, bit for bit, from one
@@ -366,7 +357,7 @@ class HullEstimates:
 def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme) -> HullEstimates:
     """:class:`HullEstimates` of the curves ``lbfs`` of the data vectors
     ``rows``, read at their hull seeds in one :func:`curve_values` call:
-    the block step of the oracle and of the ``--curves`` rows."""
+    the one hull step of the oracle, ``analyze`` and the ``--curves`` rows."""
     seeds = [hull_seeds(lb) for lb in lbfs]
     return HullEstimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
 
@@ -615,10 +606,11 @@ MC_SALT_CHUNK = 16384
 
 
 def _dyadic_slots(seeds: np.ndarray) -> np.ndarray:
-    """``1022 - dyadic_index(u)`` for hashed seeds, read off the float bits:
-    the biased exponent of the float just below ``u``, so that ``2^-i``
-    falls with the seeds of ``(2^-i-1, 2^-i]``.  Exact for normal floats,
-    which every seed of at least 2^-64 is."""
+    """``1022 - i`` for hashed seeds ``u`` of dyadic index ``i``
+    (:func:`dyadic_indices`), read off the float bits: the biased exponent
+    of the float just below ``u``, so that ``2^-i`` falls with the seeds of
+    ``(2^-i-1, 2^-i]``.  Exact for normal floats, which every seed of at
+    least 2^-64 is."""
     bits = seeds.view(np.uint64) - np.uint64(1)
     return (bits >> np.uint64(52)).view(np.int64)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,7 +58,10 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     (n, 2) array.
     """
     pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float).reshape(-1, 2)
-    return lower_hulls([pts[:, 0]], [pts[:, 1]]).hull(0)
+    us, ys, (n,) = lower_hulls([pts[:, 0]], [pts[:, 1]])
+    if n < 2:
+        raise ValueError(NO_HULL)
+    return LowerHull(tuple(zip(us[0, :n].tolist(), ys[0, :n].tolist())))
 
 
 def _chain(us: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
@@ -84,41 +86,17 @@ def _chain(us: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     return cu, cy
 
 
-class LowerHulls:
-    """The lower hulls of a block of point sets, one per row: row ``k``
-    has ``counts[k]`` vertices ``(us[k, j], ys[k, j])``, and is padded to
-    the block's width with copies of its last vertex.  A row of fewer than
-    two distinct u has no hull: reading it raises its error, and it leaves
-    the other rows alone.  (A plain class: a dataclass adds about 1 ms to
-    the import of every command.)"""
-
-    def __init__(self, us: np.ndarray, ys: np.ndarray, counts: list[int]):
-        self.us, self.ys, self.counts = us, ys, counts
-
-    def hull(self, k: int) -> LowerHull:
-        if self.counts[k] < 2:
-            raise ValueError(NO_HULL)
-        n = self.counts[k]
-        return LowerHull(tuple(zip(self.us[k, :n].tolist(), self.ys[k, :n].tolist())))
-
-    @cached_property
-    def slopes(self) -> np.ndarray:
-        """The negated slope of every hull piece, clamped at 0 and 0 on the
-        padding: the bits of the scalar ``max(0.0, (y1 - y2) / (u2 - u1))``
-        (``fmax`` turns a NaN into 0.0, and adding +0.0 turns a -0.0 into
-        0.0).  With ``us`` as its piece ends, every row's estimate, and 0
-        on a row without a hull (:class:`EstimateBlock`)."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.fmax((self.ys[:, :-1] - self.ys[:, 1:]) / np.diff(self.us, axis=1), 0.0) + 0.0
-
-
 NO_HULL = "need at least two points with distinct u"
 
 
-def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHulls:
+def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The monotone-chain lower hull of each row of points ``(xs[k][j],
     ys[k][j])``; where ``ys[k]`` stops short of ``xs[k]`` the points past
-    its end lie at height 0 (a curve's closing point ``(1, 0)``).
+    its end lie at height 0 (a curve's closing point ``(1, 0)``).  Returns
+    ``(us, ys, counts)``: row ``k`` has ``counts[k]`` vertices ``(us[k, j],
+    ys[k, j])``, padded to the block's width with copies of its last
+    vertex.  A row of fewer than two distinct u has no hull and a count of
+    0, and leaves the other rows alone.
 
     The rows are padded into one block and sorted by one ``lexsort``, by u
     and then y, with the padding last; the first point of each u stays.
@@ -153,7 +131,7 @@ def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> LowerHull
     size = np.array(sizes, dtype=np.intp)
     last = np.maximum(size - 1, 0)[:, None]
     at = (np.cumsum(size) - size)[:, None] + np.minimum(np.arange(max(max(sizes, default=0), 1)), last)
-    return LowerHulls(np.array(vu + [0.0])[at], np.ldexp(np.array(vy + [0.0])[at], -shift[:, None]), sizes)
+    return np.array(vu + [0.0])[at], np.ldexp(np.array(vy + [0.0])[at], -shift[:, None]), sizes
 
 
 # elements of one (windows x pieces) block of an ordered sum; one matrix of
@@ -176,8 +154,9 @@ class EstimateBlock:
     against the seeds or windows, and returns an array of their shape.
     :meth:`value_at` finds each seed's piece by one ``searchsorted`` per
     run of equal rows and reads every value with one gather; the integrals
-    are ordered sums (:meth:`_ordered_sums`).  ``EstimateFn`` reads its
-    one row the same way.  (A plain class: see :class:`LowerHulls`.)"""
+    are ordered sums (:meth:`_ordered_sums`).  The scalar API is row 0 of
+    a one-row block (:func:`integrate_square`).  (A plain class: a
+    dataclass adds about 1 ms to the import of every command.)"""
 
     def __init__(self, edges: np.ndarray, values: np.ndarray, arcs: tuple[np.ndarray, np.ndarray] | None = None,
                  exponent: float | None = None):
@@ -270,69 +249,6 @@ class EstimateBlock:
         return total.reshape(shape)
 
 
-@dataclass(frozen=True, eq=False)
-class EstimateFn:
-    """Piecewise estimator values over seeds on the seed intervals
-    ``(los[i], his[i]]``, held as float arrays.  A piece is the constant
-    ``values[i]``, or, where ``arcs`` is given and its ``d`` is negative,
-    the negated slope ``p * |d| * (c + d*u)^(p-1)`` of the convex arc
-    ``(c + d*u)^p`` (``p = exponent``) with ``(c, d) = arcs[i]``; there
-    ``values[i]`` holds the arc's mean over the piece.
-    :meth:`value_at`, :meth:`integral` and :func:`integrate_square` take a
-    scalar or an array of seeds or cutoffs and return a float or an array to
-    match: each reads the estimate as the one row of an
-    :class:`EstimateBlock`."""
-
-    los: np.ndarray
-    his: np.ndarray
-    values: np.ndarray
-    arcs: np.ndarray | None = None
-    exponent: float | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype.kind not in "biuf":
-            bad = next((x for x in values.ravel().tolist() if not isinstance(x, (int, float))), values)
-            raise ValueError(f"piece value must be a number, not {type(bad).__name__}")
-        for name in ("los", "his", "values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        los, his = self.los, self.his
-        if not los.shape == his.shape == self.values.shape == (len(los),):
-            raise ValueError("los, his and values must be 1-d and of one length")
-        # count_nonzero: a fraction of the cost of any() on a few pieces
-        good = (0.0 <= los) & (los < his) & (his <= 1.0)
-        if np.count_nonzero(good) < len(good):
-            raise ValueError(f"bad piece interval ({los[~good][0]}, {his[~good][0]}]")
-        if np.count_nonzero(self.values < 0):
-            raise ValueError("estimates must be nonnegative")
-        if np.count_nonzero(los[1:] != his[:-1]):
-            raise ValueError("pieces must be contiguous and ordered")
-        if self.arcs is not None:
-            object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=float).reshape(len(los), 2))
-
-    @property
-    def support_left(self) -> float:
-        return float(self.los[0]) if len(self.los) else 1.0
-
-    @cached_property
-    def block(self) -> EstimateBlock:
-        arcs = None if self.arcs is None else (self.arcs[None, :, 0], self.arcs[None, :, 1])
-        return EstimateBlock(np.concatenate((self.los[:1], self.his))[None], self.values[None], arcs, self.exponent)
-
-    def value_at(self, u):
-        """Value of the piece holding each seed; 0 at or below
-        :attr:`support_left` and above the last piece."""
-        return _scalar_or_array(self.block.value_at(0, u))
-
-    def integral(self, lo=0.0, hi=1.0):
-        """Integral of the estimate over ``(lo, hi]``."""
-        return _scalar_or_array(self.block.integral(0, lo, hi))
-
-
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
     """The squares of ``values`` times ``2^(-2 * shift)``, and ``shift``: when
     the largest value exceeds 2^500 (data below about 1e-150 under pps), all
@@ -346,9 +262,9 @@ def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
     return values * values, shift
 
 
-def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
-    """Integral of the squared estimate over ``(lo, hi]``, for a scalar or
-    an array of windows.
+def integrate_square(e: EstimateBlock, lo=0.0, hi=1.0) -> np.ndarray:
+    """Integral of the squared row 0 of ``e`` over ``(lo, hi]``, for a
+    scalar or an array of windows: an array of their shape.
 
     Exact for the constant pieces, up to the rounding of the ordered sum
     (of squares scaled by :func:`scaled_squares`, scaled back at the end),
@@ -358,7 +274,7 @@ def integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
     infinite.  Mass below the materialised support is not summed; the
     finite-variance verdict of :mod:`coordest.analysis` covers it.
     """
-    return _scalar_or_array(e.block.square_integral(0, lo, hi))
+    return e.square_integral(0, lo, hi)
 
 
 # ---------------------------------------------------------------------------

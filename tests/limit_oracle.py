@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from coordest.functions import LowerBoundFn
-from coordest.hull import EstimateFn, integrate_square
+from coordest.hull import EstimateBlock, integrate_square
 
-from scalar_reference import GRID_N, grid_hull
+from scalar_reference import GRID_N, grid_hull, one_row
 
 GAP_TOLERANCE = 1e-9
 
@@ -93,14 +93,15 @@ def check_finite_variance_curve(lb: LowerBoundFn, grid_n: int = GRID_N) -> Probe
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    return finite_variance_ladder(grid_hull(lb, grid_n))
+    return finite_variance_ladder(one_row(grid_hull(lb, grid_n)))
 
 
-def finite_variance_ladder(est: EstimateFn) -> ProbeResult:
-    """The verdict of :func:`check_finite_variance_curve` on the hull ``est``."""
+def finite_variance_ladder(est: EstimateBlock) -> ProbeResult:
+    """The verdict of :func:`check_finite_variance_curve` on the hull
+    ``est``, a one-row block."""
     # ladder from 1/16 down to just above the materialised support, so
     # curves with tiny revelation seeds still get probed past their mass
-    floor = max(4.0 * est.support_left, 1e-300)
+    floor = max(4.0 * est.edges[0, 0], 1e-300)
     steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
     cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
     partials = tuple(integrate_square(est, lo=cutoffs).tolist())

@@ -17,7 +17,7 @@ import itertools
 import math
 import struct
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from coordest.analysis import CURVE_SEEDS, MAX_DEPTH, AnalysisReport, _curve_che
 from coordest.estimators import (
     DEPTH,
     HULL_LEFT_ANCHOR,
-    dyadic_index,
     hull_seeds,
     ht_blocks,
     j_piece_values,
@@ -42,7 +41,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import SUM_BLOCK, EstimateFn, LowerHull, arc_hull, scaled_squares
+from coordest.hull import SUM_BLOCK, EstimateBlock, LowerHull, arc_hull, scaled_squares
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -130,6 +129,15 @@ def conditional_threshold(ranks: Mapping[str, float], item_id: str, k: int) -> f
     return others[k - 1]
 
 
+def dyadic_index(rho: float) -> int:
+    """The index ``i`` with ``rho`` in ``(2^-i-1, 2^-i]``, one seed at a
+    time: the reference of ``estimators.dyadic_indices``."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"seed must lie in (0, 1], got {rho}")
+    m, e = math.frexp(rho)
+    return -e + (m == 0.5)
+
+
 def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> float:
     """Integral of the dyadic estimator over seeds in ``(rho, 1]`` for data
     ``v``, summed piece by piece.
@@ -153,22 +161,22 @@ def j_cumulative(v: Sequence[float], rho: float, f: ItemFunction, scheme: TauSch
     return total
 
 
-def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> EstimateFn:
+def j_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> Pieces:
     """The dyadic estimator materialised down to seed ``2^-depth-1``: the
     value ``j_piece_values(...)[j]`` on each piece ``(2^-j-1, 2^-j]``.  The
-    reference of the dyadic column of ``curve_columns``."""
+    reference of the dyadic column of ``curve_block``."""
     his = np.ldexp(1.0, np.arange(-depth, 1))
-    return EstimateFn(0.5 * his, his, j_piece_values(v, f, scheme, depth)[::-1])
+    return Pieces(0.5 * his, his, j_piece_values(v, f, scheme, depth)[::-1])
 
 
-def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> EstimateFn:
+def ht_estimate_fn(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> Pieces:
     """Inverse-probability estimates as a function of the seed for data
     ``v``: a single constant block on the certifying seeds (one row of
     ``ht_blocks``)."""
     value, p = (float(a[0]) for a in ht_blocks(f, np.asarray(v, dtype=float).reshape(1, -1), scheme))
     if value == 0.0 or p >= 1.0:
-        return EstimateFn([0.0], [1.0], [value])
-    return EstimateFn([0.0, p], [p, 1.0], [value, 0.0])
+        return pieces([0.0], [1.0], [value])
+    return pieces([0.0, p], [p, 1.0], [value, 0.0])
 
 
 # uniform seeds of the reference grid hull
@@ -199,7 +207,7 @@ def grid_points(lb: LowerBoundFn, grid_n: int = GRID_N) -> tuple[np.ndarray, np.
     return xs, ys
 
 
-def grid_hull(lb: LowerBoundFn, grid_n: int = GRID_N) -> EstimateFn:
+def grid_hull(lb: LowerBoundFn, grid_n: int = GRID_N) -> Pieces:
     """The hull of any curve on (0, 1], one of no known form too, read on
     a grid: the negated slopes of the lower hull of its
     :func:`grid_points`.
@@ -250,7 +258,7 @@ def scalar_lower_hull(points) -> LowerHull:
     return LowerHull(tuple(zip(cu, cy)))
 
 
-def scalar_v_optimal(lb: LowerBoundFn) -> EstimateFn:
+def scalar_v_optimal(lb: LowerBoundFn) -> Pieces:
     """``v_optimal_estimates(lb)`` by the scalar chain: the hull of the
     curve at its hull seeds and ``(1, 0)``; a curve of convex arcs takes
     its hull from its arcs (:func:`arc_estimate_fn`)."""
@@ -260,21 +268,21 @@ def scalar_v_optimal(lb: LowerBoundFn) -> EstimateFn:
     return hull_estimate_fn(scalar_lower_hull(np.column_stack((xs, np.append(lb.value(at), 0.0)))))
 
 
-def arc_estimate_fn(lb: LowerBoundFn, anchor: float) -> EstimateFn:
+def arc_estimate_fn(lb: LowerBoundFn, anchor: float) -> Pieces:
     """The pieces of ``arc_hull`` of a curve of convex arcs as one
     estimate, as the package took them one curve at a time: the reference
     of the arc rows of ``HullEstimates``."""
     los, his, values, cs, ds = np.array(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor)).T
-    return EstimateFn(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), lb.exponent)
+    return Pieces(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), lb.exponent)
 
 
-def hull_estimate_fn(hull) -> EstimateFn:
+def hull_estimate_fn(hull) -> Pieces:
     """The negated slopes of a ``LowerHull``, taken as the package takes
     those of a corner hull."""
     hu, hy = np.array(hull.vertices).T
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.fmax((hy[:-1] - hy[1:]) / (hu[1:] - hu[:-1]), 0.0) + 0.0
-    return EstimateFn(hu[:-1], hu[1:], slopes)
+    return Pieces(hu[:-1], hu[1:], slopes)
 
 
 def brute_force_lower_bound(f: ItemFunction, outcome: Outcome, x: float, grid_n: int = 64) -> float:
@@ -482,7 +490,7 @@ def kept_rows(columns) -> list[int]:
 
 
 def scalar_full_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> tuple:
-    """Every row ``curve_columns`` evaluates for data ``v`` before it drops
+    """Every row ``curve_block`` evaluates for data ``v`` before it drops
     the rows that carry nothing, built for that vector alone: its own curve,
     hull and dyadic pieces, and one curve call at the row seeds."""
     lbf = scalar_lb_function(f, v, scheme)
@@ -502,8 +510,43 @@ def scalar_full_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauSc
 # one estimate at a time: the reference of hull.EstimateBlock
 
 
-def ref_value_at(e: EstimateFn, u):
-    """``e.value_at(u)`` by one ``searchsorted`` over the pieces of ``e``."""
+class Pieces(NamedTuple):
+    """One estimate as float arrays, the plain record the ``ref_*`` reads
+    take: ``values[i]`` on the seed interval ``(los[i], his[i]]``, or,
+    where ``arcs`` is given and its ``d`` is negative, the negated slope of
+    the convex arc ``(c + d*u)^exponent`` with ``(c, d) = arcs[i]`` (see
+    ``hull.EstimateBlock``)."""
+
+    los: np.ndarray
+    his: np.ndarray
+    values: np.ndarray
+    arcs: np.ndarray | None = None
+    exponent: float | None = None
+
+
+def pieces(los, his, values, arcs=None, exponent=None) -> Pieces:
+    """A record of float arrays, ``arcs`` as one ``(c, d)`` row a piece."""
+    arcs = None if arcs is None else np.asarray(arcs, dtype=float).reshape(-1, 2)
+    return Pieces(*(np.asarray(x, dtype=float) for x in (los, his, values)), arcs, exponent)
+
+
+def one_row(e: Pieces) -> EstimateBlock:
+    """``e`` as the one row of an ``EstimateBlock``, as
+    ``v_optimal_estimates`` returns a hull."""
+    arcs = None if e.arcs is None else (e.arcs[None, :, 0], e.arcs[None, :, 1])
+    return EstimateBlock(np.concatenate((e.los[:1], e.his))[None], e.values[None], arcs, e.exponent)
+
+
+def row_pieces(block: EstimateBlock, k: int = 0) -> Pieces:
+    """Row ``k`` of ``block`` as a record, with its padding."""
+    arcs = None if block.arcs is None else np.column_stack((block.arcs[0][k], block.arcs[1][k]))
+    return Pieces(block.edges[k, :-1], block.edges[k, 1:], block.values[k], arcs, block.exponent)
+
+
+def ref_value_at(e: Pieces, u):
+    """The value of ``e`` at each seed ``u`` by one ``searchsorted`` over
+    its pieces: that of the piece holding the seed, and 0 at or below its
+    first edge and above its last."""
     us = np.asarray(u, dtype=float)
     out = np.zeros(us.shape)
     if len(e.his):
@@ -513,17 +556,18 @@ def ref_value_at(e: EstimateFn, u):
             c, d = e.arcs[idx].T
             p = e.exponent
             out = np.where(d < 0.0, p * -d * np.maximum(c + d * us, 0.0) ** (p - 1.0), out)
-        out = np.where((us > e.support_left) & (us <= e.his[-1]), out, 0.0)
+        out = np.where((us > e.los[0]) & (us <= e.his[-1]), out, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def ref_integral(e: EstimateFn, lo=0.0, hi=1.0):
-    """``e.integral(lo, hi)`` by the ordered sum over the pieces of ``e``."""
+def ref_integral(e: Pieces, lo=0.0, hi=1.0):
+    """The integral of ``e`` over each window ``(lo, hi]`` by the ordered
+    sum over its pieces."""
     p = e.exponent
     return ref_ordered_sum(e, e.values, lo, hi, lambda s, d: np.maximum(s, 0.0) ** p)
 
 
-def ref_ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi, arc_drop=None):
+def ref_ordered_sum(e: Pieces, values: np.ndarray, lo, hi, arc_drop=None):
     """Sum of ``value * overlap`` over the pieces of ``e`` for each window
     ``(lo, hi]`` (broadcast), added piece by piece from the left, starting
     from +0.0: blocks of pieces summed with ``cumsum`` down the piece axis.
@@ -554,8 +598,8 @@ def ref_ordered_sum(e: EstimateFn, values: np.ndarray, lo, hi, arc_drop=None):
     return float(total) if total.ndim == 0 else total
 
 
-def ref_integrate_square(e: EstimateFn, lo=0.0, hi=1.0):
-    """``integrate_square(e, lo, hi)`` by the ordered sum of the squares of
+def ref_integrate_square(e: Pieces, lo=0.0, hi=1.0):
+    """``integrate_square(one_row(e), lo, hi)`` by the ordered sum of the squares of
     ``e``, scaled by :func:`scaled_squares` and scaled back at the end."""
     with np.errstate(over="ignore"):
         squares, shift = scaled_squares(e.values)

@@ -191,11 +191,12 @@ def test_criterion_05_hull_derivative_correctness():
     lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2, 2.0, ((1.0, -1.0),))
     est = v_optimal_estimates(lb)
     max_err = 0.0
-    for lo, hi in zip(est.los.tolist(), est.his.tolist()):
+    edges = est.edges[0].tolist()
+    for lo, hi in zip(edges, edges[1:]):
         for u in (lo + 1e-13, 0.5 * (lo + hi), hi):
-            max_err = max(max_err, abs(est.value_at(u) - 2.0 * (1.0 - u)))
-    integral = est.integral()
-    var = clamped_variance(integrate_square(est), 1.0)
+            max_err = max(max_err, abs(float(est.value_at(0, u)) - 2.0 * (1.0 - u)))
+    integral = float(est.integral(0))
+    var = clamped_variance(float(integrate_square(est)), 1.0)
     ok = max_err <= 1e-15
     ok &= abs(integral - 1.0) <= 3e-12
     ok &= abs(var - 1.0 / 3.0) <= 5e-12

@@ -3,7 +3,7 @@
 ``lb_functions`` builds the curves of a block of data vectors in array
 passes: each map crosses every level of the block at once, and
 ``snap_crossings`` steps and bisects all the crossings together.
-``competitiveness_reports`` and ``curve_columns`` then read the dyadic
+``competitiveness_reports`` and ``curve_block`` then read the dyadic
 tables, hull inputs, tail seeds and curve rows of a block with one call
 each.  Every piece must equal, bit for bit, what the scalar code of
 ``scalar_reference`` builds for each vector alone, and the one-row calls
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from coordest import analysis
-from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_columns, curve_table
+from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_table
 from coordest.cli import console_main
 from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
 from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, snap_crossings
@@ -35,6 +35,7 @@ from scalar_reference import (
     scheme_breakpoints,
     snap_crossing,
 )
+from test_curve_step import split_block
 from test_head_piece import LOWS, _scheme, _vector
 
 FUNCTIONS = builtin_functions(3) + [rg_fn(0.5, 3)]
@@ -133,7 +134,7 @@ def test_block_curve_rows_match_the_per_vector_rows(kind):
     for k in range(3):
         scheme, rows = _block(rng, kind, k, n=12)
         for f in FUNCTIONS:
-            block = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)
+            block = split_block(rows, f, scheme)
             for v, got in zip(rows.tolist(), block):
                 want = scalar_curve_columns(v, f, scheme, 40)
                 assert [_bits(c) for c in got] == [_bits(c) for c in want], (v, f)

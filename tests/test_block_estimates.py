@@ -8,36 +8,47 @@ each row must equal, bit for bit, the per-vector reads of
 ``ref_integrate_square``) of that row alone, on blocks that mix constant
 rows, arc rows and rows without a piece.  ``HullEstimates`` gathers the
 corner and arc hulls of real curves into such a block, and the commands
-read every hull through it: no per-vector ``EstimateFn`` is built or read.
+read every hull through it: none calls the scalar API
+(``v_optimal_estimates``, ``integrate_square``, ``lower_hull``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from coordest import cli, hull
-from coordest.estimators import HullEstimates, estimate_query, hull_seeds, mc_query_estimates
+from coordest import analysis, cli, estimators, hull
+from coordest.estimators import HullEstimates, estimate_query, hull_seeds, mc_query_estimates, v_optimal_estimates
 from coordest.functions import lb_function, parse_function
-from coordest.hull import EstimateBlock, EstimateFn
+from coordest.hull import EstimateBlock
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
-from scalar_reference import ref_integral, ref_integrate_square, ref_value_at, scalar_v_optimal
+from scalar_reference import (
+    Pieces,
+    one_row,
+    pieces,
+    ref_integral,
+    ref_integrate_square,
+    ref_value_at,
+    row_pieces,
+    scalar_v_optimal,
+)
 
 
 def _bits(xs) -> list[int]:
     return np.asarray(xs, dtype=float).view(np.int64).tolist()
 
 
-def _row(rng, p: float | None, kind: str) -> EstimateFn:
+def _row(rng, p: float | None, kind: str) -> Pieces:
     """One estimate of 1 to 40 pieces: constant, or with arc pieces when
     ``p`` is given; ``kind`` adds an infinite value, values past 2^500
     (whose squares are scaled), or leaves no piece."""
     if kind == "empty":
-        return EstimateFn([], [], [])
+        return pieces([], [], [])
     m = int(rng.integers(1, 41))
     edges = np.sort(rng.random(m + 1))
     edges[0] *= rng.choice([1.0, 1e-12, 0.0])
@@ -51,15 +62,15 @@ def _row(rng, p: float | None, kind: str) -> EstimateFn:
     elif kind == "huge":
         values *= 2.0**510
     if p is None:
-        return EstimateFn(edges[:-1], edges[1:], values)
+        return pieces(edges[:-1], edges[1:], values)
     # arc pieces whose line c + d*u stays positive on them, or not
     arc = rng.random(m) < 0.6
     d = np.where(arc, -rng.lognormal(0.0, 1.0, m), 0.0)
     c = np.where(arc, -d * edges[1:] + rng.random(m) * rng.choice([1.0, 0.0, -0.1], m), 0.0)
-    return EstimateFn(edges[:-1], edges[1:], values, np.column_stack((c, d)), p)
+    return pieces(edges[:-1], edges[1:], values, np.column_stack((c, d)), p)
 
 
-def _block(rows: list[EstimateFn], p: float | None) -> EstimateBlock:
+def _block(rows: list[Pieces], p: float | None) -> EstimateBlock:
     """The rows as one block, each padded with copies of its last edge."""
     width = max(len(e.los) for e in rows)
     edges = np.ones((len(rows), width + 1))
@@ -74,7 +85,7 @@ def _block(rows: list[EstimateFn], p: float | None) -> EstimateBlock:
     return EstimateBlock(edges, values, None if p is None else (cs, ds), p)
 
 
-def _windows(rng, e: EstimateFn) -> np.ndarray:
+def _windows(rng, e: Pieces) -> np.ndarray:
     """Every piece end, one float either side of it, 0, 1 and random seeds."""
     ends = np.concatenate((e.los, e.his))
     return np.concatenate((ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0), [0.0, 1.0], rng.random(8)))
@@ -90,7 +101,7 @@ def test_block_reads_match_the_reads_of_each_row(p):
             rows = [_row(rng, p if rng.random() < 0.7 else None, str(rng.choice(kinds))) for _ in range(n)]
             if p is not None:
                 # constant rows in an arc block carry their own exponent
-                rows = [e if e.arcs is not None else EstimateFn(e.los, e.his, e.values, np.zeros((len(e.los), 2)), p)
+                rows = [e if e.arcs is not None else pieces(e.los, e.his, e.values, np.zeros((len(e.los), 2)), p)
                         for e in rows]
             block = _block(rows, p)
             # every row's windows, and its reads of them as arrays, as the
@@ -120,17 +131,17 @@ def test_block_reads_match_the_reads_of_each_row(p):
     assert checked > 1000
 
 
-def test_the_one_row_reads_of_an_estimate_are_block_reads():
+def test_the_scalar_api_reads_row_0_of_a_block():
     rng = np.random.default_rng(75)
     for p in (None, 2.5):
         e = _row(rng, p, "plain")
         us = _windows(rng, e)
-        assert _bits(e.value_at(us)) == _bits(ref_value_at(e, us))
-        assert _bits(e.integral(lo=us)) == _bits(ref_integral(e, lo=us))
-        assert _bits(hull.integrate_square(e, lo=us)) == _bits(ref_integrate_square(e, lo=us))
-        # scalars in, floats out
-        assert isinstance(e.value_at(0.5), float) and isinstance(e.integral(), float)
-        assert e.integral(0.3, 0.7) == ref_integral(e, 0.3, 0.7)
+        assert _bits(hull.integrate_square(one_row(e), lo=us)) == _bits(ref_integrate_square(e, lo=us))
+        assert _bits(hull.integrate_square(one_row(e), 0.3, 0.7)) == _bits(ref_integrate_square(e, 0.3, 0.7))
+    # the hull of one curve is the one row of its own block
+    lb = lb_function(parse_function("rg:p=2", 3), [1.0, 0.5, 0.25], SCHEME)
+    est = v_optimal_estimates(lb)
+    assert est.values.shape[0] == 1 and _bits(est.edges[0]) == _bits(np.append(scalar_v_optimal(lb).los, 1.0))
 
 
 SCHEME = TauScheme.pps(4.0, r=3)
@@ -162,10 +173,12 @@ def test_hull_block_rows_match_the_hull_of_each_curve(arcs):
             assert not block.values[k].any()
             continue
         want = scalar_v_optimal(lb)
-        got = hulls.estimate(k)
-        assert [_bits(a) for a in (got.los, got.his, got.values)] == [_bits(a) for a in (want.los, want.his, want.values)]
-        assert (got.arcs is None) == (want.arcs is None) and _bits(got.arcs if got.arcs is not None else []) == \
-            _bits(want.arcs if want.arcs is not None else [])
+        # the row's pieces, then zero-width ones of value 0 and d = 0 at its last edge
+        got, m = row_pieces(block, k), len(want.los)
+        assert [_bits(a[:m]) for a in (got.los, got.his, got.values)] == [_bits(a) for a in want[:3]]
+        assert (got.los[m:] == want.his[-1]).all() and (got.his[m:] == want.his[-1]).all()
+        assert not got.values[m:].any() and not got.arcs[m:].any()
+        assert _bits(got.arcs[:m]) == _bits(want.arcs if want.arcs is not None else np.zeros((m, 2)))
         us = _windows(rng, want)
         us = us[(us > 0.0) & (us <= 1.0)]
         assert _bits(block.value_at(k, us)) == _bits(ref_value_at(want, us))
@@ -182,8 +195,9 @@ def test_the_arc_rows_of_a_block_share_one_exponent():
 
 @pytest.fixture
 def per_vector_reads(monkeypatch):
-    """The number of ``EstimateFn`` builds and per-vector reads."""
-    counts = {"build": 0, "value_at": 0, "integral": 0, "integrate_square": 0}
+    """The number of calls of the scalar hull API, patched in every
+    ``coordest`` module that holds it."""
+    counts = {"v_optimal_estimates": 0, "integrate_square": 0, "lower_hull": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -191,10 +205,11 @@ def per_vector_reads(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(EstimateFn, "__post_init__", counted("build", EstimateFn.__post_init__))
-    monkeypatch.setattr(EstimateFn, "value_at", counted("value_at", EstimateFn.value_at))
-    monkeypatch.setattr(EstimateFn, "integral", counted("integral", EstimateFn.integral))
-    monkeypatch.setattr(hull, "integrate_square", counted("integrate_square", hull.integrate_square))
+    for real in (estimators.v_optimal_estimates, hull.integrate_square, hull.lower_hull):
+        spy = counted(real.__name__, real)
+        for name, module in list(sys.modules.items()):
+            if (name == "coordest" or name.startswith("coordest.")) and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, spy)
     return counts
 
 
@@ -212,7 +227,35 @@ def test_the_commands_read_no_hull_per_vector(tmp_path, per_vector_reads, functi
     query = "lpp:p=2.5" if function.startswith("rg") else "maxsum"
     for reps in ("1", "50"):
         assert cli.main(["estimate", *common, "--query", query, "--estimator", "voptimal-oracle", "--reps", reps]) == 0
-    assert per_vector_reads == {"build": 0, "value_at": 0, "integral": 0, "integrate_square": 0}
+    assert per_vector_reads == {"v_optimal_estimates": 0, "integrate_square": 0, "lower_hull": 0}
+
+
+def test_analyze_takes_its_hulls_from_the_one_block_step(monkeypatch):
+    # 130 vectors are three blocks of CURVE_BLOCK; each takes one
+    # block_hulls, and no other HullEstimates is built
+    rng = np.random.default_rng(78)
+    rows = rng.lognormal(0.0, 1.0, (130, 3)) * (rng.random((130, 3)) > 0.25)
+    rows[7] = 0.0
+    calls = {"block_hulls": 0, "HullEstimates": 0}
+    real_step, real_class = estimators.block_hulls, estimators.HullEstimates
+
+    def step(*args):
+        calls["block_hulls"] += 1
+        return real_step(*args)
+
+    def build(*args):
+        calls["HullEstimates"] += 1
+        return real_class(*args)
+
+    monkeypatch.setattr(analysis, "block_hulls", step)
+    monkeypatch.setattr(estimators, "HullEstimates", build)
+    for spec in ("max", "rg:p=2.5"):
+        f = parse_function(spec, 3)
+        got = [r.to_dict() for r in analysis.competitiveness_reports(rows, f, SCHEME)]
+        assert got[7]["square_integral_opt"] == 0.0 and len(got) == 130
+        assert [g["square_integral_opt"] for g in got[:3]] == \
+            [ref_integrate_square(scalar_v_optimal(lb_function(f, v, SCHEME))) for v in rows[:3].tolist()]
+    assert calls == {"block_hulls": 6, "HullEstimates": 6}
 
 
 def test_the_oracle_sweep_sums_are_the_single_salt_sums_at_any_exponent(tmp_path):

@@ -1,9 +1,10 @@
 """The block corner hulls against the scalar chain.
 
 ``hull.lower_hulls`` sorts a padded block of point sets with one
-``lexsort``, runs the monotone chain once per row and takes the slopes of
-every row in one array pass; with its vertices as piece ends they are an
-``EstimateBlock``, whose square integrals come from one pass.  Each row's
+``lexsort`` and runs the monotone chain once per row; ``HullEstimates``
+takes the slopes of every row in one array pass, and with the vertices as
+piece ends they are an ``EstimateBlock``, whose square integrals come from
+one pass.  Each row's
 vertices, slopes and square integral must equal, bit for bit, what the
 scalar chain of ``scalar_reference`` gives for that row alone, followed by
 the slopes and the per-vector square integral of its estimate.  A row
@@ -15,19 +16,20 @@ from __future__ import annotations
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coordest import analysis, estimators
 from coordest.cli import console_main
-from coordest.estimators import sum_estimate
+from coordest.estimators import HullEstimates, sum_estimate
 from coordest.functions import lb_function, parse_function
-from coordest.hull import EstimateBlock, lower_hull, lower_hulls
+from coordest.hull import lower_hull, lower_hulls
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
-from scalar_reference import hull_estimate_fn, ref_integrate_square, scalar_lower_hull, scalar_v_optimal
+from scalar_reference import hull_estimate_fn, ref_integrate_square, ref_value_at, scalar_lower_hull, scalar_v_optimal
 
 
 def _bits(xs) -> list[int]:
@@ -81,22 +83,31 @@ def _scalar(us, hs):
     return scalar_lower_hull(points)
 
 
+# a stand-in for a curve with concave pieces, whose hull is the corner
+# hull of its points: HullEstimates reads only its exponent
+CORNERS = SimpleNamespace(exponent=None)
+
+
+def _estimates(xs, ys) -> HullEstimates:
+    return HullEstimates([CORNERS] * len(xs), xs, ys)
+
+
 def test_block_hulls_match_the_scalar_chain():
     rng = np.random.default_rng(50)
     shifted = steep = 0
     for n in (1, 2, 5, 16, 33):
         for _ in range(12):
             xs, ys = _random_block(rng, n)
-            block = lower_hulls(xs, ys)
-            squares = EstimateBlock(block.us, block.slopes).square_integral(np.arange(n))
+            vu, vy, counts = lower_hulls(xs, ys)
+            hulls = _estimates(xs, ys)
+            squares = hulls.square_integrals
             for k, (us, hs) in enumerate(zip(xs, ys)):
                 want = _scalar(us, hs)
-                got = block.hull(k)
-                assert _bits(got.vertices) == _bits(want.vertices)
+                m = counts[k]
+                assert _bits(np.column_stack((vu[k, :m], vy[k, :m]))) == _bits(want.vertices)
                 opt = hull_estimate_fn(want)
-                m = len(want.vertices)
-                assert _bits(block.us[k, :m]) == _bits([u for u, _ in want.vertices])
-                assert _bits(block.slopes[k, :m - 1]) == _bits(opt.values)
+                assert _bits(hulls.block.edges[k, :m]) == _bits([u for u, _ in want.vertices])
+                assert _bits(hulls.block.values[k, :m - 1]) == _bits(opt.values)
                 # a slope past 2^512 beside an infinite one: the scalar
                 # squares overflow (to inf, as the block's do)
                 assert _bits([squares[k]]) == _bits([ref_integrate_square(opt)])
@@ -121,21 +132,22 @@ def test_a_row_without_a_hull_fails_only_when_read():
     xs, ys = _random_block(rng, 6)
     xs[2], ys[2] = np.array([0.5, 0.5, 0.5]), np.array([1.0, 0.0, 2.0])
     xs[4], ys[4] = np.array([]), np.array([])
-    block = lower_hulls(xs, ys)
-    estimates = EstimateBlock(block.us, block.slopes)
+    hulls = _estimates(xs, ys)
+    estimates = hulls.block
     squares = estimates.square_integral(np.arange(6))
     for k in range(6):
         if k in (2, 4):
+            assert lower_hulls(xs, ys)[2][k] == 0
             with pytest.raises(ValueError, match="two points with distinct u"):
-                block.hull(k)
+                hulls.check(k)
             # the block reads 0 on the row
             assert squares[k] == 0.0 and not estimates.value_at(k, xs[k]).any()
         else:
             sq = ref_integrate_square(hull_estimate_fn(_scalar(xs[k], ys[k])))
             assert _bits([squares[k]]) == _bits([sq])
     # the whole block of such rows
-    assert lower_hulls([np.array([0.5])], [np.array([1.0])]).counts == [0]
-    assert lower_hulls([], []).counts == []
+    assert lower_hulls([np.array([0.5])], [np.array([1.0])])[2] == [0]
+    assert lower_hulls([], [])[2] == []
 
 
 def _data(tmp_path, rows) -> str:
@@ -160,9 +172,8 @@ def test_a_row_without_a_hull_fails_after_the_records_before_it(tmp_path, monkey
             return np.array([1.0, 1.0]), np.array([1.0])
         return real(lbf)
 
-    # analyze reads hull seeds in analysis, the --curves rows in the block step of estimators
-    for module in (analysis, estimators):
-        monkeypatch.setattr(module, "hull_seeds", one_seed)
+    # analyze and the --curves rows read hull seeds in the one block step of estimators
+    monkeypatch.setattr(estimators, "hull_seeds", one_seed)
     argv = [command, "--input", path, "--function", "rg:p=1"]
     if command == "characterize":
         argv += ["--curves", str(tmp_path / "curves.csv")]
@@ -184,5 +195,6 @@ def test_oracle_estimates_match_the_scalar_chain(tmp_path, spec):
     f = parse_function(spec, 3)
     samples = sample_instances(data, scheme, 5)
     got = sum_estimate(samples, f, "voptimal-oracle", data=data).estimates
-    want = [scalar_v_optimal(lb_function(f, v, scheme)).value_at(u) for v, u in zip(rows, samples.seeds.tolist())]
+    want = [ref_value_at(scalar_v_optimal(lb_function(f, v, scheme)), [u])[0]
+            for v, u in zip(rows, samples.seeds.tolist())]
     assert _bits(got) == _bits(want)

@@ -28,7 +28,6 @@ from coordest.estimators import (
     MAX_SUM,
     MIN_SUM,
     QUERY_KINDS,
-    dyadic_index,
     dyadic_indices,
     estimate_query,
     ht_estimates,
@@ -55,7 +54,7 @@ from coordest.functions import (
     lb_function,
     lower_bound_from_vector,
 )
-from coordest.hull import EstimateFn, integrate_square, lower_hull
+from coordest.hull import integrate_square, lower_hull
 from coordest.model import (
     InstanceSet,
     Known,
@@ -71,7 +70,7 @@ from coordest.samplers import sample_instances
 from conftest import builtin_functions, random_vector
 from limit_oracle import ProbeResult, check_estimable_curve, check_finite_variance_curve
 from test_corner_hulls import CORNER_TOL, concave_pieces
-from scalar_reference import grid_hull, j_estimate_fn, kept_rows, sample_item
+from scalar_reference import dyadic_index, grid_hull, j_estimate_fn, kept_rows, one_row, pieces, row_pieces, sample_item
 
 
 def _ref_outcome_bounds(outcome, xs, domain):
@@ -376,15 +375,15 @@ def _arc(e, k):
 
 
 def _pow(s, q):
-    """``max(s, 0)^q`` by numpy's array power, the one :class:`EstimateFn`
-    takes: Python's ``**`` may differ from it in the last bit, and a drop,
+    """``max(s, 0)^q`` by numpy's array power, the one an
+    :class:`~coordest.hull.EstimateBlock` takes: Python's ``**`` may differ from it in the last bit, and a drop,
     the difference of two powers, carries that bit however small the drop."""
     return float((np.array([max(s, 0.0)]) ** q)[0])
 
 
 def _ref_value_at(e, u):
     his = e.his.tolist()
-    if not his or u <= e.support_left or u > his[-1]:
+    if not his or u <= e.los[0] or u > his[-1]:
         return 0.0
     k = bisect_left(his, u)
     if arc := _arc(e, k):
@@ -497,7 +496,7 @@ def _ref_curve_table(v, f, scheme, depth=40):
     hull anchor on (the count the README states); then the rows that carry
     nothing are dropped, as ``kept_rows`` drops them."""
     lbf = lb_function(f, v, scheme)
-    opt = v_optimal_estimates(lbf)
+    opt = row_pieces(v_optimal_estimates(lbf))
     j_fn = j_estimate_fn(v, f, scheme, depth=min(depth, 40))
     hull = _ref_v_optimal_estimates(lbf, corners=True) if concave_pieces(lbf) else _pieces(opt)
     seeds = set(lbf.breakpoints)
@@ -526,22 +525,22 @@ def estimate_fns(draw):
         st.floats(0.0, 1e3), st.just(0.0), st.just(math.inf), st.floats(0.0, 1e-300)
     )
     values = [draw(piece_value) for _ in edges[1:]]
-    return EstimateFn(edges[:-1], edges[1:], values)
+    return pieces(edges[:-1], edges[1:], values)
 
 
 def _probes(e, extra):
     """Seeds at and one ulp either side of every piece edge, at and below
     the support, above the last piece and outside [0, 1]."""
-    edges = np.concatenate([[e.support_left], e.his])
+    edges = np.concatenate([e.los[:1] if len(e.los) else [1.0], e.his])
     near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     return np.concatenate([near, [-0.5, -0.0, 0.0, 1.0, 1.5, 5e-324], np.asarray(extra, dtype=float)])
 
 
-def _many_pieces(n: int = 40) -> EstimateFn:
+def _many_pieces(n: int = 40):
     rng = np.random.default_rng(5)
     edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(n - 1)])).tolist()
     values = rng.exponential(100.0, len(edges) - 1).tolist()
-    return EstimateFn(edges[:-1], edges[1:], values)
+    return pieces(edges[:-1], edges[1:], values)
 
 
 @given(estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
@@ -549,19 +548,20 @@ def _many_pieces(n: int = 40) -> EstimateFn:
 @settings(max_examples=200, deadline=None)
 def test_estimate_fn_batches_match_scalar_loops(e, extra):
     us = _probes(e, extra)
-    assert _bits(e.value_at(us)) == _bits([_ref_value_at(e, u) for u in us.tolist()])
-    assert _bits(e.integral(lo=us)) == _bits([_ref_integral(e, lo=u) for u in us.tolist()])
-    assert _bits(integrate_square(e, lo=us)) == _bits([_ref_integrate_square(e, lo=u) for u in us.tolist()])
+    row = one_row(e)
+    assert _bits(row.value_at(0, us)) == _bits([_ref_value_at(e, u) for u in us.tolist()])
+    assert _bits(row.integral(0, us)) == _bits([_ref_integral(e, lo=u) for u in us.tolist()])
+    assert _bits(integrate_square(row, lo=us)) == _bits([_ref_integrate_square(e, lo=u) for u in us.tolist()])
     his = us[::-1]
     pairs = list(zip(us.tolist(), his.tolist()))
-    assert _bits(e.integral(lo=us, hi=his)) == _bits([_ref_integral(e, a, b) for a, b in pairs])
-    assert _bits(integrate_square(e, lo=us, hi=his)) == _bits([_ref_integrate_square(e, a, b) for a, b in pairs])
-    # a scalar in, a float out, with the same bits
+    assert _bits(row.integral(0, us, his)) == _bits([_ref_integral(e, a, b) for a, b in pairs])
+    assert _bits(integrate_square(row, lo=us, hi=his)) == _bits([_ref_integrate_square(e, a, b) for a, b in pairs])
+    # a scalar window reads the same bits
     for u in us.tolist()[:6]:
-        for got, want in ((e.value_at(u), _ref_value_at(e, u)),
-                          (e.integral(lo=u), _ref_integral(e, lo=u)),
-                          (integrate_square(e, hi=u), _ref_integrate_square(e, hi=u))):
-            assert type(got) is float and _bits([got]) == _bits([want])
+        for got, want in ((row.value_at(0, u), _ref_value_at(e, u)),
+                          (row.integral(0, u), _ref_integral(e, lo=u)),
+                          (integrate_square(row, hi=u), _ref_integrate_square(e, hi=u))):
+            assert _bits([got]) == _bits([want])
 
 
 @st.composite
@@ -581,12 +581,12 @@ def arc_estimate_fns(draw):
         else:
             arcs.append((0.0, 0.0))
             values.append(draw(st.floats(0.0, 1e3)))
-    return EstimateFn(edges[:-1], edges[1:], values, np.array(arcs).reshape(-1, 2), p)
+    return pieces(edges[:-1], edges[1:], values, arcs, p)
 
 
 @given(arc_estimate_fns(), st.lists(st.floats(-0.5, 1.5), max_size=8))
 # an arc whose drop over its piece is 1/340 of its powers
-@example(EstimateFn([0.0], [0.125], [0.02344894], np.array([[1.001953125, -0.015625]]), 1.5), [])
+@example(pieces([0.0], [0.125], [0.02344894], [[1.001953125, -0.015625]], 1.5), [])
 @settings(max_examples=200, deadline=None)
 def test_arc_estimate_fn_batches_match_scalar_loops(e, extra):
     # an arc piece reads p |d| s^(p-1), integrates to its drop s^p and its
@@ -594,33 +594,34 @@ def test_arc_estimate_fn_batches_match_scalar_loops(e, extra):
     # the references take numpy's array power, as the batches do; each sum
     # is compared within 1e-14 of the whole integral, a value within 4 ulps
     us = _probes(e, extra)
-    got, want = e.value_at(us), np.array([_ref_value_at(e, u) for u in us.tolist()])
+    row = one_row(e)
+    got, want = row.value_at(0, us), np.array([_ref_value_at(e, u) for u in us.tolist()])
     assert (np.abs(got - want) <= 4.0 * np.spacing(want)).all()
     total, square = _ref_integral(e), _ref_integrate_square(e)
     his = us[::-1]
     pairs = list(zip(us.tolist(), his.tolist()))
     for got, want, scale in (
-        (e.integral(lo=us), [_ref_integral(e, lo=u) for u in us.tolist()], total),
-        (integrate_square(e, lo=us), [_ref_integrate_square(e, lo=u) for u in us.tolist()], square),
-        (e.integral(lo=us, hi=his), [_ref_integral(e, a, b) for a, b in pairs], total),
+        (row.integral(0, us), [_ref_integral(e, lo=u) for u in us.tolist()], total),
+        (integrate_square(row, lo=us), [_ref_integrate_square(e, lo=u) for u in us.tolist()], square),
+        (row.integral(0, us, his), [_ref_integral(e, a, b) for a, b in pairs], total),
     ):
         assert (np.abs(got - np.array(want)) <= 1e-14 * scale).all()
 
 
 def test_empty_estimate_fn_is_zero_everywhere():
-    e = EstimateFn([], [], [])
+    e = one_row(pieces([], [], []))
     us = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
-    assert e.value_at(us).tolist() == [0.0] * 5
-    assert e.integral(lo=us).tolist() == [0.0] * 5
+    assert e.value_at(0, us).tolist() == [0.0] * 5
+    assert e.integral(0, us).tolist() == [0.0] * 5
     assert integrate_square(e, lo=us).tolist() == [0.0] * 5
-    assert e.value_at(0.5) == e.integral() == integrate_square(e) == 0.0
+    assert e.value_at(0, 0.5) == e.integral(0) == integrate_square(e) == 0.0
 
 
 def test_infinite_piece_integrates_to_inf_not_nan():
-    e = EstimateFn([0.0, 0.5], [0.5, 1.0], [math.inf, 1.0])
+    e = one_row(pieces([0.0, 0.5], [0.5, 1.0], [math.inf, 1.0]))
     cutoffs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert integrate_square(e, lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
-    assert e.integral(lo=cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
+    assert e.integral(0, cutoffs).tolist() == [math.inf, math.inf, 0.5, 0.25, 0.0]
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0)), min_size=2, max_size=60))
@@ -650,7 +651,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     scheme = ANALYSIS_SCHEMES[scheme_name]
     f = builtin_functions(3)[k]
     lbf = lb_function(f, v, scheme)
-    est = v_optimal_estimates(lbf)
+    est = row_pieces(v_optimal_estimates(lbf))
     # a hull from the corners of a curve with concave pieces is the
     # reference chain's, bit for bit, and its grid hull within CORNER_TOL
     # (see there), where the grid hull is right: not for data below about
@@ -660,7 +661,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
         assert _bits(np.column_stack((est.los, est.his, est.values)).ravel()) == _bits(np.ravel(want))
     if concave_pieces(lbf) and all(x == 0.0 or x >= 1e-100 for x in v):
         for grid_n in (64, 512):
-            grid = EstimateFn(*np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
+            grid = pieces(*np.array(_ref_v_optimal_estimates(lbf, grid_n)).T)
             sq = _ref_integrate_square(grid)
             assert abs(_ref_integrate_square(est) - sq) <= CORNER_TOL * sq
             us = np.concatenate([est.los, grid.los, [1.0]]).tolist()
@@ -680,7 +681,7 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
     # each, on the hull of its own grid
     check = check_finite_variance_curve(lbf, grid_n=64)
     est = grid_hull(lbf, 64)
-    floor = max(4.0 * est.support_left, 1e-300)
+    floor = max(4.0 * est.los[0], 1e-300)
     steps = int(np.clip(np.ceil(np.log(0.0625 / floor) / np.log(4.0)), 13, 60))
     cutoffs = 0.0625 * 4.0 ** -np.arange(steps, dtype=float)
     assert _bits(check.probes) == _bits([_ref_integrate_square(est, lo=c) for c in cutoffs.tolist()])

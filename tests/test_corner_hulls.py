@@ -32,7 +32,7 @@ from coordest.hull import integrate_square
 from coordest.model import PiecewiseLinearMap, TauScheme
 
 from conftest import builtin_functions, random_vector
-from scalar_reference import GRID_N, grid_hull, grid_seeds
+from scalar_reference import GRID_N, grid_hull, grid_seeds, ref_integral, ref_integrate_square
 
 # the scheme file of the benchmark's analysis workload
 SCHEME_TEXT = """\
@@ -118,7 +118,7 @@ def infeasible_vectors(spec: str, scheme: TauScheme, vectors) -> list[tuple[tupl
         opt = v_optimal_estimates(lbf)
         bps = np.array(lbf.breakpoints)
         us = np.concatenate([grid_seeds(lbf)[1], bps[bps < 1.0] * (1.0 + 1e-9)])
-        excess = float(np.max(opt.integral(lo=us) - lbf.value(us))) / fv
+        excess = float(np.max(opt.integral(0, us) - lbf.value(us))) / fv
         if excess > FEASIBILITY_TOL:
             bad.append((v, excess))
     return bad
@@ -218,7 +218,7 @@ def test_item30_entry_is_hidden_just_past_its_crossing():
     assert lbf.value(b) == v[2] and lbf.value(math.nextafter(b, 1.0)) == 0.0
     # so the corner (b, 0) is a vertex of the hull, which is 0 from there on
     opt = v_optimal_estimates(lbf)
-    assert b in opt.his.tolist() and opt.integral(lo=b) == 0.0
+    assert b in opt.edges[0, 1:].tolist() and opt.integral(0, b) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,10 @@ def concave_pieces(lbf) -> bool:
 def assert_corner_hull_is_grid_hull(lbf, fv: float) -> None:
     corners = v_optimal_estimates(lbf)
     grid = grid_hull(lbf, GRID_N)
-    sq_c, sq_g = integrate_square(corners), integrate_square(grid)
+    sq_c, sq_g = integrate_square(corners), ref_integrate_square(grid)
     assert abs(sq_c - sq_g) <= CORNER_TOL * sq_g
-    us = np.concatenate([corners.los, grid.los, [1.0]])
-    assert np.all(np.abs(corners.integral(lo=us) - grid.integral(lo=us)) <= CORNER_TOL * fv)
+    us = np.concatenate([corners.edges[0, :-1], grid.los, [1.0]])
+    assert np.all(np.abs(corners.integral(0, us) - ref_integral(grid, lo=us)) <= CORNER_TOL * fv)
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))

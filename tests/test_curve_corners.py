@@ -28,7 +28,7 @@ from coordest.estimators import DEPTH, v_optimal_estimates
 from coordest.functions import evaluate, lb_function
 
 from conftest import builtin_functions
-from scalar_reference import j_estimate_fn
+from scalar_reference import j_estimate_fn, ref_value_at, row_pieces
 from test_corner_hulls import SCHEMES, analysis_vectors
 from test_head_piece import LOWS, _scheme, _vector
 
@@ -114,9 +114,9 @@ def test_rows_are_lossless():
         # the next row at or above each seed
         up = np.searchsorted(us, seeds, side="left")
         # step columns: the value at that row, bit for bit
-        assert (j[up] == j_fn.value_at(seeds)).all(), (v, f, scheme)
-        on_arc = _on_arcs(opt, seeds)
-        assert (vopt[up] == opt.value_at(seeds))[~on_arc].all(), (v, f, scheme)
+        assert (j[up] == ref_value_at(j_fn, seeds)).all(), (v, f, scheme)
+        on_arc = _on_arcs(row_pieces(opt), seeds)
+        assert (vopt[up] == opt.value_at(0, seeds))[~on_arc].all(), (v, f, scheme)
         want_lb = lbf.value(seeds)
         if lbf.exponent is None:
             assert (lb[up] == want_lb).all(), (v, f, scheme)
@@ -126,14 +126,14 @@ def test_rows_are_lossless():
         else:
             # a curved piece: only bracketed by the rows around the seed
             assert (lb[up] <= want_lb).all() and (want_lb <= lb[up - 1]).all()
-        want_hull = opt.integral(lo=seeds)
+        want_hull = opt.integral(0, seeds)
         err = np.abs(np.interp(seeds, us, hull) - want_hull)[~on_arc].max(initial=0.0)
         assert err <= LINEAR_TOL * fv, (v, f, scheme, err)
         # an arc of the hull: both columns fall across it, the optimal one
         # by its closed form (0 at the anchor row, where the hull starts),
         # and the hull one, each up to rounding
-        got = opt.value_at(seeds)[on_arc]
-        above = np.where(us[up - 1] > opt.support_left, vopt[up - 1], np.inf)[on_arc]
+        got = opt.value_at(0, seeds)[on_arc]
+        above = np.where(us[up - 1] > opt.edges[0, 0], vopt[up - 1], np.inf)[on_arc]
         assert (vopt[up][on_arc] <= got * (1.0 + TANGENT_TOL)).all()
         assert (got <= above * (1.0 + TANGENT_TOL)).all()
         slack = UNDER_TOL * fv
@@ -167,7 +167,7 @@ def test_hull_stays_under_the_lower_bound_between_rows():
     for v, f, scheme in TRIPLES:
         lbf = lb_function(f, v, scheme)
         opt = v_optimal_estimates(lbf)
-        seeds = np.exp(rng.uniform(math.log(opt.support_left), 0.0, 4096))
-        excess = (opt.integral(lo=seeds) - lbf.value(seeds)).max()
+        seeds = np.exp(rng.uniform(math.log(opt.edges[0, 0]), 0.0, 4096))
+        excess = (opt.integral(0, seeds) - lbf.value(seeds)).max()
         scale = max(evaluate(f, v), max(v) ** (f.p or 1.0))
         assert excess <= DENSE_TOL * scale, (v, f, scheme, excess)

@@ -1,6 +1,6 @@
 """The ``--curves`` rows that are dropped carry nothing.
 
-:func:`coordest.analysis.curve_columns` evaluates its columns at every row
+:func:`coordest.analysis.curve_block` evaluates its columns at every row
 seed, then drops each row other than the first and the last whose
 ``lower_bound``, ``j_estimate`` and ``v_optimal`` equal the same columns at
 the row before it and at the row after it.  The lower bound and the optimal
@@ -18,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from coordest.analysis import curve_columns, curve_table
+from coordest.analysis import curve_table
 from coordest.estimators import DEPTH
-from coordest.functions import lb_function, lb_functions
+from coordest.functions import lb_function
 
 from scalar_reference import scalar_full_curve_columns
 from test_curve_corners import TRIPLES
-from test_curve_step import FUNCTIONS, SCHEMES, _rows
+from test_curve_step import FUNCTIONS, SCHEMES, _rows, split_block
 
 # the columns that decide whether a row is dropped
 FLAT = (1, 3, 4)
@@ -71,6 +71,6 @@ def test_dropped_rows_carry_nothing_on_tiny_data(scheme):
     rows = _rows(61)
     dropped = 0
     for f in FUNCTIONS:
-        for v, got in zip(rows.tolist(), curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)):
+        for v, got in zip(rows.tolist(), split_block(rows, f, scheme)):
             dropped += _check(v, f, scheme, got)
     assert dropped > 0

@@ -1,9 +1,10 @@
 """The ``--curves`` rows read through the oracle's block step, and the
 dyadic tables of ``analyze`` built per depth.
 
-``curve_columns`` takes a block's hulls from ``block_hulls``, the step the
+``curve_block`` takes a block's hulls from ``block_hulls``, the step the
 oracle reads its estimates from, and reads each row's dyadic value from the
-vector's table by the row's dyadic index.  The j column must equal the
+vector's table by the row's dyadic index; ``cli._curve_rows`` splits the
+block's columns into each vector's rows.  The j column must equal the
 materialised dyadic pieces of ``scalar_reference.j_estimate_fn`` bit for
 bit on its rows, and read as a step from them (the next row at or above a
 seed) at seed 1 and around the end of the last piece, 2^-(DEPTH + 1); rows
@@ -19,15 +20,15 @@ import numpy as np
 import pytest
 
 from coordest import analysis
-from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_columns
-from coordest.cli import console_main
+from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_block
+from coordest.cli import _curve_rows, console_main
 from coordest.estimators import DEPTH
 from coordest.functions import lb_functions, rg_fn
 from coordest.hull import FloatRangeError
 from coordest.model import TauScheme
 
 from conftest import builtin_functions
-from scalar_reference import j_estimate_fn, scalar_report
+from scalar_reference import j_estimate_fn, ref_value_at, scalar_report
 
 FUNCTIONS = builtin_functions(3) + [rg_fn(0.5, 3), rg_fn(3.0, 3)]
 SCHEMES = (TauScheme.pps(4.0, r=3), TauScheme.pps([0.5, 2.0, 8.0]))
@@ -35,6 +36,21 @@ SCHEMES = (TauScheme.pps(4.0, r=3), TauScheme.pps([0.5, 2.0, 8.0]))
 
 def _bits(xs) -> list[int]:
     return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+def block_columns(rows: np.ndarray, f, scheme):
+    """The five columns of each vector of ``rows``, in order, as a (5, m)
+    array: the rows of its block's one split, ``cli._curve_rows``."""
+    for table in _curve_rows(rows, lb_functions(f, rows, scheme), f, scheme):
+        yield np.array(table).T
+
+
+def split_block(rows: np.ndarray, f, scheme) -> list[np.ndarray]:
+    """The five columns of each vector of ``rows`` from one
+    ``curve_block`` without a hull error, non-finite values too."""
+    columns, ends, error = curve_block(rows, lb_functions(f, rows, scheme), f, scheme)
+    assert error is None
+    return np.split(columns, ends[:-1], axis=1)
 
 
 def _rows(seed: int) -> np.ndarray:
@@ -54,25 +70,25 @@ def test_j_column_matches_the_materialised_dyadic_pieces(scheme):
     seeds = np.array([np.nextafter(end, 0.0), end, np.nextafter(end, 1.0), 1.0])
     below = 0
     for f in FUNCTIONS:
-        for v, (us, *_, j, _) in zip(rows.tolist(), curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)):
+        for v, (us, *_, j, _) in zip(rows.tolist(), block_columns(rows, f, scheme)):
             j_fn = j_estimate_fn(v, f, scheme, DEPTH)
-            assert _bits(j) == _bits(j_fn.value_at(us)), (v, f)
+            assert _bits(j) == _bits(ref_value_at(j_fn, us)), (v, f)
             # the column is a step: each seed reads the next row at or above it
             assert us[0] <= end and us[-1] == 1.0, (v, f)
             up = np.searchsorted(us, seeds, side="left")
-            assert _bits(j[up]) == _bits(j_fn.value_at(seeds)), (v, f)
+            assert _bits(j[up]) == _bits(ref_value_at(j_fn, seeds)), (v, f)
             below += np.count_nonzero(us < end)
     assert below > len(FUNCTIONS) * 4
 
 
-def test_curve_columns_end_with_the_hull_error_after_the_columns_before_it():
+def test_curve_rows_end_with_the_hull_error_after_the_columns_before_it():
     # (10 - 0.5)^600 is past the largest float; (1 - 0.5)^600 is not
     scheme = TauScheme.pps(4.0, r=2)
     f = rg_fn(600.0, 2)
     rows = np.array([[1.0, 0.5], [10.0, 0.5], [1.0, 0.75]])
-    columns = curve_columns(rows, lb_functions(f, rows, scheme), f, scheme)
+    columns = block_columns(rows, f, scheme)
     first = next(columns)
-    alone = next(curve_columns(rows[:1], lb_functions(f, rows[:1], scheme), f, scheme))
+    alone = next(block_columns(rows[:1], f, scheme))
     assert [_bits(c) for c in first] == [_bits(c) for c in alone]
     with pytest.raises(FloatRangeError):
         next(columns)

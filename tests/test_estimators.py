@@ -7,7 +7,6 @@ import pytest
 
 from coordest.estimators import (
     bottomk_estimate,
-    dyadic_index,
     dyadic_indices,
     estimate_query,
     exact_query,
@@ -40,7 +39,17 @@ from coordest.samplers import (
 )
 
 from conftest import builtin_functions, random_scheme, random_vector
-from scalar_reference import ht_estimate_fn, j_cumulative, j_estimate_fn, sample_item, samples_of
+from scalar_reference import (
+    dyadic_index,
+    ht_estimate_fn,
+    j_cumulative,
+    j_estimate_fn,
+    ref_integral,
+    ref_value_at,
+    row_pieces,
+    sample_item,
+    samples_of,
+)
 
 
 ONE_SIDED = one_sided_rg_fn(2, 0, 1, 2)
@@ -64,10 +73,7 @@ class TestDyadicEstimate:
         assert j_estimate(out, ONE_SIDED) == pytest.approx(2.5)
 
     def test_dyadic_index_boundaries(self):
-        assert dyadic_index(1.0) == 0
-        assert dyadic_index(0.5) == 1
-        assert dyadic_index(0.25) == 2
-        assert dyadic_index(0.26) == 1
+        assert dyadic_indices(np.array([1.0, 0.5, 0.25, 0.26])).tolist() == [0, 1, 2, 1]
 
     def test_dyadic_index_exact_next_to_powers_of_two(self):
         # floor(-log2(rho)) is one too large one ulp above 2^-i for i >= 5
@@ -176,7 +182,7 @@ class TestDyadicCumulative:
         est = j_estimate_fn((1.0, 0.0), ONE_SIDED, scheme1, depth=30)
         for rho in (0.3, 0.11, 0.02):
             want = j_cumulative((1.0, 0.0), rho, ONE_SIDED, scheme1)
-            assert est.integral(lo=rho) == pytest.approx(want, abs=1e-12)
+            assert ref_integral(est, lo=rho) == pytest.approx(want, abs=1e-12)
 
     def test_sandwich(self):
         rng = np.random.default_rng(25)
@@ -228,7 +234,7 @@ class TestInverseProbability:
             v = random_vector(rng, scale=5.0)
             for f in (max_fn(2), min_fn(2)):
                 est = ht_estimate_fn(v, f, scheme4)
-                assert est.integral() == pytest.approx(evaluate(f, v), abs=1e-12)
+                assert ref_integral(est) == pytest.approx(evaluate(f, v), abs=1e-12)
 
     def test_fn_matches_pointwise(self, scheme4):
         rng = np.random.default_rng(27)
@@ -237,7 +243,7 @@ class TestInverseProbability:
             est = ht_estimate_fn(v, max_fn(2), scheme4)
             for u in rng.uniform(0.01, 1.0, size=6):
                 out = sample_item(v, float(u), scheme4)
-                assert ht_estimate(out, max_fn(2)) == pytest.approx(est.value_at(float(u)))
+                assert ht_estimate(out, max_fn(2)) == pytest.approx(ref_value_at(est, float(u)))
 
 
 class TestHullDerivativeEstimates:
@@ -245,26 +251,27 @@ class TestHullDerivativeEstimates:
         # the hull of the arc (1 - u)^2 is the arc from the anchor at 1e-12
         lb = LowerBoundFn((1.0,), 0.0, lambda xs: (1.0 - xs) ** 2, 2.0, ((1.0, -1.0),))
         est = v_optimal_estimates(lb)
-        assert est.support_left == 1e-12
-        for lo, hi in zip(est.los.tolist(), est.his.tolist()):
+        e = row_pieces(est)
+        assert e.los[0] == 1e-12
+        for lo, hi in zip(e.los.tolist(), e.his.tolist()):
             for u in (lo + 1e-12, 0.5 * (lo + hi), hi):
-                assert est.value_at(u) == pytest.approx(2.0 * (1.0 - u), rel=1e-15)
-        assert est.integral() == pytest.approx(1.0, abs=3e-12)
+                assert est.value_at(0, u) == pytest.approx(2.0 * (1.0 - u), rel=1e-15)
+        assert est.integral(0) == pytest.approx(1.0, abs=3e-12)
         assert integrate_square(est) == pytest.approx(4.0 / 3.0, abs=5e-12)
 
     def test_step_curve_gives_chord(self):
         lb = LowerBoundFn((0.5, 1.0), 0.0, lambda xs: np.where(xs <= 0.5, 1.0, 0.0), None)
         est = v_optimal_estimates(lb)
-        assert est.value_at(0.25) == pytest.approx(2.0, abs=1e-9)
-        assert est.value_at(0.75) == 0.0
+        assert est.value_at(0, 0.25) == pytest.approx(2.0, abs=1e-9)
+        assert est.value_at(0, 0.75) == 0.0
 
     def test_constant_curve_keeps_certain_mass(self):
         # a flat curve means the value is revealed at every seed; the best
         # unbiased estimator is the constant itself (zero variance)
         lb = LowerBoundFn((1.0,), 0.0, lambda xs: np.full_like(xs, 3.0), None)
         est = v_optimal_estimates(lb)
-        assert est.integral() == pytest.approx(3.0, abs=1e-9)
-        assert est.value_at(0.4) == pytest.approx(3.0, abs=1e-9)
+        assert est.integral(0) == pytest.approx(3.0, abs=1e-9)
+        assert est.value_at(0, 0.4) == pytest.approx(3.0, abs=1e-9)
 
     def test_curve_of_no_known_form_is_refused(self):
         # its pieces are not known to be concave or convex arcs
@@ -279,7 +286,7 @@ class TestHullDerivativeEstimates:
             v = random_vector(rng)
             for f in builtin_functions():
                 est = v_optimal_estimates(lb_function(f, v, scheme))
-                vals = est.values.tolist()
+                vals = est.values[0].tolist()
                 assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_feasibility_against_lower_bound(self):
@@ -294,8 +301,8 @@ class TestHullDerivativeEstimates:
                 lbf = lb_function(f, v, scheme)
                 est = v_optimal_estimates(lbf)
                 tol = 1e-14 * evaluate(f, v)
-                us = np.concatenate((est.his, rng.uniform(1e-3, 1.0, size=64)))
-                assert (est.integral(lo=us) <= lbf.value(us) + tol).all()
+                us = np.concatenate((est.edges[0, 1:], rng.uniform(1e-3, 1.0, size=64)))
+                assert (est.integral(0, us) <= lbf.value(us) + tol).all()
 
 
 class TestQueries:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordest import analysis, estimators
+from coordest import estimators
 from coordest.cli import ingest, main
 from coordest.estimators import v_optimal_estimates
 from coordest.functions import LowerBoundFn, lb_function, rg_fn
@@ -56,8 +56,7 @@ def _count_hulls(monkeypatch) -> tuple[list, list]:
     from its arcs."""
     seeds, hulls = [], []
     real_seeds, real_block, real_arcs = estimators.hull_seeds, estimators.lower_hulls, estimators.arc_hull
-    for module in (analysis, estimators):
-        monkeypatch.setattr(module, "hull_seeds", lambda *a, **k: seeds.append(a) or real_seeds(*a, **k))
+    monkeypatch.setattr(estimators, "hull_seeds", lambda *a, **k: seeds.append(a) or real_seeds(*a, **k))
     monkeypatch.setattr(estimators, "lower_hulls", lambda xs, ys: hulls.extend(xs) or real_block(xs, ys))
     monkeypatch.setattr(estimators, "arc_hull", lambda *a, **k: hulls.append(a) or real_arcs(*a, **k))
     return seeds, hulls

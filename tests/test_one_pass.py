@@ -18,8 +18,10 @@ from coordest import analysis, estimators, functions, hull
 from coordest.analysis import check_bounded, check_estimable, check_finite_variance, curve_table
 from coordest.cli import _curve_row_format, ingest, main, parse_scheme
 from coordest.functions import lb_function, parse_function, rg_fn
-from coordest.hull import SUM_BLOCK, EstimateFn, integrate_square
+from coordest.hull import SUM_BLOCK, integrate_square
 from coordest.model import TauScheme
+
+from scalar_reference import Pieces, one_row, pieces, row_pieces
 
 
 def _bits(xs) -> list[int]:
@@ -38,14 +40,15 @@ def _loop_sum(e, values, lo, hi):
     return float(total) if total.ndim == 0 else total
 
 
-def _estimate_fn(values, rng) -> EstimateFn:
+def _estimate_fn(values, rng) -> Pieces:
     edges = np.unique(np.concatenate([[0.0, 1.0], rng.random(len(values) - 1)]))
-    return EstimateFn(edges[:-1], edges[1:], values[: len(edges) - 1])
+    return pieces(edges[:-1], edges[1:], values[: len(edges) - 1])
 
 
 def _assert_same_sums(e, lo, hi=1.0):
-    assert _bits(e.integral(lo, hi)) == _bits(_loop_sum(e, e.values.tolist(), lo, hi))
-    assert _bits(integrate_square(e, lo, hi)) == _bits(_loop_sum(e, [v * v for v in e.values.tolist()], lo, hi))
+    row = one_row(e)
+    assert _bits(row.integral(0, lo, hi)) == _bits(_loop_sum(e, e.values.tolist(), lo, hi))
+    assert _bits(integrate_square(row, lo, hi)) == _bits(_loop_sum(e, [v * v for v in e.values.tolist()], lo, hi))
 
 
 def test_single_window_sums_in_piece_order():
@@ -67,7 +70,7 @@ def test_all_zero_sums_start_from_positive_zero():
     e = _estimate_fn(np.full(80, -0.0), rng)
     cutoffs = np.concatenate([rng.random(50), [0.0, 1.0, 2.0]])
     for lo in (0.0, 0.5, cutoffs):
-        got = e.integral(lo, 1.0)
+        got = one_row(e).integral(0, lo, 1.0)
         assert _bits(got) == _bits(_loop_sum(e, e.values.tolist(), lo, 1.0))
         assert _bits(got) == _bits(np.zeros(np.shape(got)))
 
@@ -90,7 +93,8 @@ def test_infinite_values_add_only_where_they_overlap():
     cutoffs = np.concatenate([e.los, e.his, rng.random(40)])
     _assert_same_sums(e, cutoffs)
     _assert_same_sums(e, 0.0, cutoffs)
-    assert math.isinf(e.integral()) and not np.isnan(e.integral(lo=cutoffs)).any()
+    row = one_row(e)
+    assert math.isinf(row.integral(0)) and not np.isnan(row.integral(0, cutoffs)).any()
 
 
 def _scalar_slopes(vertices) -> list[float]:
@@ -113,7 +117,7 @@ def test_hull_slopes_match_the_scalar_max(monkeypatch, vertices):
     # the chain of every row gives these vertices
     monkeypatch.setattr(hull, "_chain", lambda us, ys: tuple(map(list, zip(*vertices))))
     lbf = lb_function(rg_fn(1.0, 2), (1.0, 0.0), TauScheme.pps(4.0, r=2))
-    est = estimators.v_optimal_estimates(lbf)
+    est = row_pieces(estimators.v_optimal_estimates(lbf))
     assert _bits(est.values) == _bits(_scalar_slopes(vertices))
     assert _bits(est.los) == _bits([u for u, _ in vertices[:-1]])
     assert _bits(est.his) == _bits([u for u, _ in vertices[1:]])
@@ -136,7 +140,7 @@ def test_hull_slopes_of_real_curves_match_the_scalar_max(monkeypatch):
         for _ in range(4):
             v = tuple(rng.lognormal(0.0, 1.0, 3) * (rng.random(3) > 0.3))
             est = estimators.v_optimal_estimates(lb_function(f, v, scheme))
-            assert _bits(est.values) == _bits(_scalar_slopes(list(zip(*hulls[-1]))))
+            assert _bits(est.values[0]) == _bits(_scalar_slopes(list(zip(*hulls[-1]))))
 
 
 ROW = (0.25, -0.0, math.inf, math.nan, 5e-324)

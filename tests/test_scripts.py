@@ -85,10 +85,11 @@ def test_same_outputs_runs_the_arc_paths_the_round_leaves_out():
     for scheme in ("inline", "file"):
         op = by_tag[f"analyze-rg2-{scheme}"]
         assert (op.kind, op.function, op.scheme) == ("analyze", "rg:p=2", scheme)
-    # numpy's general pow loop: characterize --curves and the oracle at p other than 2
+    # numpy's general pow loop: characterize --curves, analyze and the oracle at p other than 2
     for f in ("rg:p=2.5", "one_sided_rg:p=3,hi=3,lo=1"):
-        curves = [op for op in extra if op.kind == "characterize" and op.function == f]
-        assert sorted(op.scheme for op in curves) == ["file", "inline"]
+        for kind in ("characterize", "analyze"):
+            runs = [op for op in extra if op.kind == kind and op.function == f]
+            assert sorted(op.scheme for op in runs) == ["file", "inline"], (kind, f)
     for query in ("lpp:p=2", "lpp:p=2.5"):
         oracle = [op for op in ops if op.estimator == "voptimal-oracle" and op.query == query]
         assert sorted(op.reps for op in oracle) == [1, 1000]
