@@ -199,10 +199,10 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     rows of an (n, r) array, in order.
 
     Each block of :func:`curve_blocks` also takes one
-    :func:`j_piece_tables` call per dyadic depth of its vectors, its
-    :func:`block_hulls` (as the oracle's and the ``--curves`` rows') with
-    their square integrals, and one :func:`curve_values` call for the tail
-    seeds of all its vectors.  A vector's verdicts and sums are made, and
+    :func:`j_piece_tables` call per dyadic depth of its vectors, the
+    :func:`block_hulls` of its vectors of nonzero ``f(v)`` (the oracle's
+    and the ``--curves`` rows' hull step) with their square integrals, and
+    one :func:`curve_values` call for the tail seeds of all its vectors.  A vector's verdicts and sums are made, and
     the error of its hull raised, when its report is taken, so the error of
     a bad vector comes after the reports before it.
     """
@@ -215,11 +215,14 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # the depth it is built to), so a vector of tiny data sends no other row deep
         groups = {d: [k for k, x in enumerate(depths) if x == d] for d in set(depths)}
         tables = {k: t for d, ks in groups.items() for k, t in zip(ks, j_piece_tables(block[ks], f, scheme, d))}
-        hulls = block_hulls(f, block, lbfs, scheme)
+        # the report of a vector of f(v) = 0 reads no hull
+        live = [k for k, fv in enumerate(fvs) if fv != 0.0]
+        hulls = block_hulls(f, block[live], [lbfs[k] for k in live], scheme)
+        row = {k: i for i, k in enumerate(live)}
         tails = curve_values(f, block, [[2.0 ** (-d + 2)] for d in depths], scheme)
         for k, v in enumerate(block.tolist()):
             yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(tails[k][0]),
-                          partial(hulls.square_integral, k))
+                          partial(hulls.square_integral, row.get(k)))
 
 
 def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
