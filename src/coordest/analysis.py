@@ -202,9 +202,10 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     :func:`j_piece_tables` call per dyadic depth of its vectors, the
     :func:`block_hulls` of its vectors of nonzero ``f(v)`` (the oracle's
     and the ``--curves`` rows' hull step) with their square integrals, and
-    one :func:`curve_values` call for the tail seeds of all its vectors.  A vector's verdicts and sums are made, and
-    the error of its hull raised, when its report is taken, so the error of
-    a bad vector comes after the reports before it.
+    one :func:`curve_values` call for the tail seeds of all its vectors.
+    A vector's verdicts and sums are made, and the error of its hull
+    raised, when its report is taken, so the error of a bad vector comes
+    after the reports before it.
     """
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
         # keep summing dyadic blocks well past the curve's smallest
