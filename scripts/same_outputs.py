@@ -35,7 +35,9 @@ from workloads import WORKLOADS, Inputs, Op, round_ops  # noqa: E402
 
 # the arc paths (p > 1) that the round leaves out, run after it on the same
 # input.  At p = 2 the powers ** p and ** (p - 1) take numpy's square and
-# copy loops; p = 2.5 and 3 take its general pow loop
+# copy loops; p = 2.5 and 3 take its general pow loop.  Then the corner-hull
+# oracle of the Monte Carlo sweep, which the round runs at one salt only:
+# l1 with --reps, and jaccard, which reads two hull blocks per item block
 EXTRA_OPS = {"analysis": [
     Op("analyze-rg2-inline", "analyze", function="rg:p=2", scheme="inline"),
     Op("analyze-rg2-file", "analyze", function="rg:p=2", scheme="file"),
@@ -45,6 +47,9 @@ EXTRA_OPS = {"analysis": [
     Op("voptimal-lpp-reps", "voptimal", query="lpp:p=2", estimator="voptimal-oracle", reps=1000),
     Op("voptimal-lpp25", "voptimal", query="lpp:p=2.5", estimator="voptimal-oracle"),
     Op("voptimal-lpp25-reps", "voptimal", query="lpp:p=2.5", estimator="voptimal-oracle", reps=1000),
+    Op("voptimal-l1-reps", "voptimal", query="l1", estimator="voptimal-oracle", reps=1000),
+    Op("voptimal-jaccard", "voptimal", query="jaccard", estimator="voptimal-oracle"),
+    Op("voptimal-jaccard-reps", "voptimal", query="jaccard", estimator="voptimal-oracle", reps=1000),
 ]}
 
 # one round of a workload's operations; argv: the plan file

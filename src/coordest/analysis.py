@@ -22,17 +22,14 @@ the optimum's square mass on a 3-fold cover of nearby seeds).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, block_hulls, dyadic_indices, j_piece_tables
-from .functions import (ItemFunction, LowerBoundFn, curve_values, evaluate, evaluate_many, lb_function, lb_functions,
-                        lower_bounds)
+from .estimators import DEPTH, _padded, block_hulls, dyadic_indices, j_piece_tables
+from .functions import ItemFunction, LowerBoundFn, evaluate, evaluate_many, lb_function, lb_functions, lower_bounds
 from .hull import FloatRangeError, scaled_squares
 from .model import TauScheme
 
@@ -201,8 +198,9 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     Each block of :func:`curve_blocks` also takes one
     :func:`j_piece_tables` call per dyadic depth of its vectors, the
     :func:`block_hulls` of its vectors of nonzero ``f(v)`` (the oracle's
-    and the ``--curves`` rows' hull step) with their square integrals, and
-    one :func:`curve_values` call for the tail seeds of all its vectors.
+    and the ``--curves`` rows' hull step) with all their square integrals
+    in one call, and one :func:`lower_bounds` call for the tail seeds of
+    all its vectors.
     A vector's verdicts and sums are made, and the error of its hull
     raised, when its report is taken, so the error of a bad vector comes
     after the reports before it.
@@ -218,19 +216,19 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         tables = {k: t for d, ks in groups.items() for k, t in zip(ks, j_piece_tables(block[ks], f, scheme, d))}
         # the report of a vector of f(v) = 0 reads no hull
         live = [k for k, fv in enumerate(fvs) if fv != 0.0]
-        hulls = block_hulls(f, block[live], [lbfs[k] for k in live], scheme)
-        row = {k: i for i, k in enumerate(live)}
-        tails = curve_values(f, block, [[2.0 ** (-d + 2)] for d in depths], scheme)
+        hulls, _, errors = block_hulls(f, block[live], [lbfs[k] for k in live], scheme)
+        sq_opts = dict(zip(live, zip(hulls.square_integral(np.arange(len(live))).tolist(), errors)))
+        tails = lower_bounds(f, block.T, True, np.ldexp(1.0, 2 - np.array(depths)), scheme).tolist()
         for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], float(tails[k][0]),
-                          partial(hulls.square_integral, row.get(k)))
+            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], tails[k], sq_opts.get(k))
 
 
 def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
     """The report of data ``v`` from its curve ``lbf`` and ``f`` value
     ``fv``: the dyadic values ``table`` down to ``depth`` at least, the
     curve at the tail seed (``tail_value``), and the optimal square integral
-    (``sq_opt()``, read only where ``fv`` is not 0)."""
+    with the error of its hull (``sq_opt``, read only where ``fv`` is not
+    0, where the error is raised)."""
     est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
     diagnostics: dict = {
         "f_value": fv,
@@ -260,7 +258,9 @@ def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisRep
     diagnostics["j_tail_bound"] = tail
     sq_j_total = sq_j + (tail or 0.0)
 
-    sq_opt = sq_opt()
+    sq_opt, error = sq_opt
+    if error is not None:
+        raise error
     if sq_opt <= 0.0:
         if sq_j_total > 0.0:
             raise AnalysisError(
@@ -336,24 +336,19 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
       column is linear through it;
     * the hull column at the rows kept: one ordered sum over the block.
     """
-    hulls = block_hulls(f, rows, lbfs, scheme)
-    n, error = len(lbfs), None
-    for k in range(len(lbfs)):
-        try:
-            hulls.check(k)
-        except ValueError as exc:
-            n, error = k, exc
-            break
+    block, anchors, errors = block_hulls(f, rows, lbfs, scheme)
+    n = next((k for k, error in enumerate(errors) if error is not None), len(lbfs))
+    error = errors[n] if n < len(lbfs) else None
     if not n:
         return np.empty((5, 0)), [], error
-    rows, lbfs, block = rows[:n], lbfs[:n], hulls.block
-    bps = _padded([lbf.breakpoints for lbf in lbfs])
+    rows, lbfs = rows[:n], lbfs[:n]
+    bps, _ = _padded([lbf.breakpoints for lbf in lbfs])
     after = np.where(bps < 1.0, np.nextafter(bps, np.inf), 1.0)
     j_ends = np.broadcast_to(np.ldexp(1.0, np.arange(-DEPTH - 1, 1)), (n, DEPTH + 2))
     # evenly spaced seeds inside each piece, from the hull's anchor (its
     # first vertex) through the breakpoints, of a curve that is neither
     # constant nor linear between them
-    edges = np.concatenate(([[xs[0]] for xs in hulls.xs[:n]], bps), axis=1)
+    edges = np.concatenate((anchors[:n, None], bps), axis=1)
     t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
     inside = (edges[:, :-1, None] + np.diff(edges, axis=1)[:, :, None] * t).reshape(n, -1)
     inside[[lbf.exponent in (None, 1.0) for lbf in lbfs]] = 1.0
@@ -375,14 +370,6 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     us, row = us[keep], row[keep]
     columns = np.stack((us, lb[keep], block.integral(row, us), j[keep], vopt[keep]))
     return columns, np.cumsum(np.bincount(row, minlength=n)).tolist(), error
-
-
-def _padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    """Float rows of any lengths as one array, padded with 1.0."""
-    lens = np.array([len(r) for r in rows], dtype=np.intp)
-    out = np.ones((len(rows), lens.max(initial=0)))
-    out[np.arange(out.shape[1]) < lens[:, None]] = list(itertools.chain.from_iterable(rows))
-    return out
 
 
 def _changing_rows(lb: np.ndarray, j: np.ndarray, vopt: np.ndarray) -> np.ndarray:

@@ -372,6 +372,16 @@ def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme):
         raise error
 
 
+def _check_finite(fields: dict, scope: str = "") -> None:
+    """Raise the error of the first float of ``fields``, or of a dict in
+    it, that is not finite, naming its field: strict JSON holds none."""
+    for name, x in fields.items():
+        if isinstance(x, dict):
+            _check_finite(x, f"{scope}{name}.")
+        elif isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{scope}{name} is {x!r}, and only finite values are written")
+
+
 def cmd_per_vector(args: argparse.Namespace) -> int:
     """``analyze`` and ``characterize``: one JSON record per vector of
     ``--items``, in order, and with ``--curves`` its rows of the curve CSV.
@@ -399,6 +409,7 @@ def cmd_per_vector(args: argparse.Namespace) -> int:
             # 1e-310 or 1e308) is not written
             with _error_source(f"item {item!r}"):
                 fields, ok, columns = next(records)
+                _check_finite(fields)
                 line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
                 curve_rows = None if columns is None else next(columns)
             fp.write(line + "\n")

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass, replace
-from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .functions import (
     ItemFunction,
     LowerBoundFn,
-    curve_values,
     evaluate_many,
     lb_functions,
     lower_bounds,
@@ -209,22 +207,12 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 
 def v_optimal_estimates(lb: LowerBoundFn) -> EstimateBlock:
     """Negated slopes of the lower hull of a full lower-bound curve: the
-    one-row :class:`HullEstimates` block of the curve read at its
-    :func:`hull_seeds`; the error of a hull that fails is raised."""
-    xs, at = hull_seeds(lb)
-    hulls = HullEstimates([lb], [xs], [lb.value(at)])
-    hulls.check(0)
-    return hulls.block
-
-
-def _convex_arcs(lb: LowerBoundFn) -> bool:
-    """Whether the pieces of ``lb`` are convex arcs ``(c + d*u)^p``, p > 1;
-    a curve of no known form (exponent ``math.inf``) is an error."""
-    if _corners(lb):
-        return False
-    if lb.pieces is None or math.isinf(lb.exponent):
-        raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
-    return True
+    one-row :func:`hull_block` of the curve; the error of a hull that
+    fails is raised."""
+    block, _, (error,) = hull_block([lb], lambda _, us: lb.value(us))
+    if error is not None:
+        raise error
+    return block
 
 
 def _corners(lb: LowerBoundFn) -> bool:
@@ -232,134 +220,93 @@ def _corners(lb: LowerBoundFn) -> bool:
     return lb.exponent is None or lb.exponent <= 1.0
 
 
-def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
-    """The u coordinates ``xs`` of the hull's input points, and the seeds
-    ``at`` to read the curve at for all of them but the last, ``(1, 0)``.
+def _padded(rows: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Float rows of any lengths as one array, padded with 1.0, and the
+    mask of the entries that are not padding."""
+    lens = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.ones((len(rows), lens.max(initial=0)))
+    real = np.arange(out.shape[1]) < lens[:, None]
+    out[real] = list(chain.from_iterable(rows))
+    return out, real
 
-    The points are the curve at every breakpoint and just right of it, a
-    left anchor just right of 0 carrying the curve's limit value, and
-    ``(1, 0)``: the cumulative estimate must vanish at seed 1, and
-    anchoring the hull there is what lets data that is revealed with
+
+def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.ndarray, list[Exception | None]]:
+    """The negated slopes of the lower hull of each full lower-bound curve
+    ``lbfs[k]`` as the rows of one :class:`EstimateBlock`, the hulls' left
+    anchors, and the error of each row whose hull failed (None where it did
+    not); a failed row reads 0.  ``read(rows, us)`` gives the value of the
+    curve ``lbfs[rows[i]]`` at seed ``us[i]``, for flat arrays.
+
+    The hull runs from a left anchor just right of 0, carrying the curve's
+    limit value, to ``(1, 0)``: the cumulative estimate must vanish at seed
+    1, and anchoring the hull there is what lets data that is revealed with
     certainty keep its full mass.  A curve with concave pieces (constant
     ones, or ``(c + d*u)^p`` with ``p <= 1``: every item function but
     ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull vertices only
-    at those corners.  A curve of convex arcs takes its hull from the
-    closed form of its pieces: ``xs`` is the anchor alone and ``at`` is
-    empty.
+    at its corners: its points are the curve at every breakpoint and just
+    right of it, taken for all rows from the padded breakpoints, read in
+    one ``read`` call, and hulled in one :func:`lower_hulls` call.  A curve
+    of convex arcs takes its hull from the closed form of its pieces
+    (:func:`arc_hull`, one Python stack per row); the curves of such a
+    block share one exponent, so it holds no corner curve.
     """
-    if lb.domain_left > HULL_LEFT_ANCHOR:
-        raise ValueError("need a lower-bound curve valid on all of (0, 1]")
+    for lb in lbfs:
+        if lb.domain_left > HULL_LEFT_ANCHOR:
+            raise ValueError("need a lower-bound curve valid on all of (0, 1]")
+        if not _corners(lb) and (lb.pieces is None or math.isinf(lb.exponent)):
+            raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
+    arcs = [not _corners(lb) for lb in lbfs]
+    if any(arcs) and len({lb.exponent for lb in lbfs}) > 1:
+        raise ValueError("the curves of a block of arc hulls share one exponent")
     # all the action sits at small seeds, and a curve whose first breakpoint
     # is tiny (values revealed only with tiny probability) keeps its mass
     # below the default anchor; scale the anchor under the curve's head.
     # Below a subnormal head the anchor may underflow to 0
-    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
-    if _convex_arcs(lb):
-        return np.array([anchor]), np.empty(0)
-    us = np.array(lb.breakpoints, dtype=float)
-    us = us[(us > anchor) & (us <= 1.0)]
-    # The curve is left-continuous and may jump down across a breakpoint; the
-    # cumulative estimate is continuous and capped at every seed beyond the
-    # jump as well, so the binding value AT a breakpoint is the right limit.
-    bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
-    xs = np.concatenate(([anchor], us, bs, [1.0]))
-    return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
-
-
-class HullEstimates:
-    """The negated slopes of the lower hull of each curve ``lbfs[k]`` from
-    its :func:`hull_seeds` ``xs[k]`` and its values ``ys[k]`` there, as
-    the rows of one :class:`EstimateBlock` (``block``), built when first
-    read.  A curve with concave pieces takes the hull of the points
-    ``(xs[k], ys[k])`` and ``(xs[k][-1], 0)``: the rows of all such curves
-    come from one :func:`lower_hulls` block.  A curve of convex arcs takes
-    the hull of its arcs from the anchor ``xs[k][0]`` (:func:`arc_hull`,
-    one Python stack per row), whose pieces are gathered into the block.
-    A row whose hull fails reads 0; :meth:`check` raises its error, and
-    every read of one row checks it first."""
-
-    def __init__(self, lbfs: Sequence[LowerBoundFn], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]):
-        self.lbfs, self.xs, self.ys = lbfs, xs, ys
-
-    @cached_property
-    def _rows(self) -> tuple[EstimateBlock, list[int], list[Exception | None]]:
-        """The block, each row's piece count (0 without a hull) and the
-        error of each curve of arcs whose hull failed."""
-        n = len(self.lbfs)
-        corners = [_corners(lb) for lb in self.lbfs]
-        arcs, errors = {}, [None] * n
-        for k, lb in enumerate(self.lbfs):
-            if corners[k]:
-                continue
+    anchors = np.maximum(np.minimum(HULL_LEFT_ANCHOR, 1e-3 * np.array([lb.head for lb in lbfs])), math.ulp(0.0))
+    errors: list[Exception | None] = [None] * len(lbfs)
+    if any(arcs):
+        rows = []
+        for k, (lb, anchor) in enumerate(zip(lbfs, anchors.tolist())):
             try:
-                if _convex_arcs(lb) and len(self.xs[k]):
-                    arcs[k] = arc_hull(lb.breakpoints, lb.pieces, lb.exponent, float(self.xs[k][0]))
+                rows.append(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor))
             except (ValueError, ArithmeticError) as exc:
+                rows.append([])
                 errors[k] = exc
-        sizes = [0] * n
-        edges, values = np.ones((n, 2)), np.zeros((n, 1))
-        if any(corners):
-            none = np.empty(0)
-            edges, ys, counts = lower_hulls([x if c else none for x, c in zip(self.xs, corners)],
-                                            [y if c else none for y, c in zip(self.ys, corners)])
-            # the negated slope of every piece, clamped at 0, and 0 on the
-            # padding: the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1))
-            # (fmax turns a NaN into 0.0, and adding +0.0 turns -0.0 into 0.0)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                values = np.fmax((ys[:, :-1] - ys[:, 1:]) / np.diff(edges, axis=1), 0.0) + 0.0
-            sizes = [max(count - 1, 0) for count in counts]
-        if not arcs:
-            return EstimateBlock(edges, values), sizes, errors
-        ks = list(arcs)
-        exponents = {self.lbfs[k].exponent for k in ks}
-        if len(exponents) > 1:
-            raise ValueError("the arc hulls of one block share one exponent")
-        for k in ks:
-            sizes[k] = len(arcs[k])
-        # every row padded to the widest with copies of its last edge, and
-        # the arc rows' pieces scattered into it (their rows are empty)
-        size = np.array([sizes[k] for k in ks])
-        width = max(values.shape[1], int(size.max()))
-        edges = edges[:, np.minimum(np.arange(width + 1), edges.shape[1] - 1)]
-        values = np.pad(values, ((0, 0), (0, width - values.shape[1])))
-        cs, ds = np.zeros(values.shape), np.zeros(values.shape)
-        lo, hi, mean, c, d = np.array([piece for k in ks for piece in arcs[k]]).T
-        first = np.cumsum(size) - size
-        edges[ks] = np.column_stack((lo[first], hi[first[:, None] + np.minimum(np.arange(width), size[:, None] - 1)]))
-        at = np.repeat(ks, size), np.arange(len(lo)) - np.repeat(first, size)
-        # as the corner hull takes its slopes: a NaN or -0.0 reads 0.0
-        values[at], cs[at], ds[at] = np.fmax(mean, 0.0) + 0.0, c, d
-        return EstimateBlock(edges, values, (cs, ds), exponents.pop()), sizes, errors
-
-    @property
-    def block(self) -> EstimateBlock:
-        return self._rows[0]
-
-    def check(self, k: int) -> None:
-        """Raise the error of row ``k``'s hull, if it failed."""
-        _, sizes, errors = self._rows
-        if errors[k] is not None:
-            raise errors[k]
-        if not sizes[k]:
-            raise ValueError(NO_HULL)
-
-    @cached_property
-    def square_integrals(self) -> np.ndarray:
-        """:func:`integrate_square` of every row, bit for bit, from one
-        :meth:`EstimateBlock.square_integral` pass."""
-        return self.block.square_integral(np.arange(len(self.lbfs)))
-
-    def square_integral(self, k: int) -> float:
-        self.check(k)
-        return float(self.square_integrals[k])
+        # each row padded with zero-width pieces at its last edge (seed 1
+        # without a hull); a NaN or -0.0 mean reads 0.0, as a corner slope
+        width = max(1, *map(len, rows))
+        pieces = np.array([r + [(r[-1][1] if r else 1.0,) * 2 + (0.0,) * 3] * (width - len(r)) for r in rows])
+        lo, hi, mean, c, d = np.moveaxis(pieces, -1, 0)
+        edges = np.concatenate((lo[:, :1], hi), axis=1)
+        return EstimateBlock(edges, np.fmax(mean, 0.0) + 0.0, (c, d), lbfs[0].exponent), anchors, errors
+    # the points: the anchor, each breakpoint past it, each breakpoint below
+    # 1 read just right of it (the curve is left-continuous and may jump
+    # down there; the cumulative estimate is continuous and capped at every
+    # seed beyond the jump as well, so the binding value AT a breakpoint is
+    # the right limit), and (1, 0)
+    n, a = len(lbfs), anchors[:, None]
+    bps, real = _padded([lb.breakpoints for lb in lbfs])
+    seen = np.concatenate((np.ones((n, 1), dtype=bool), real & (bps > a) & (bps <= 1.0), real & (bps < 1.0)), axis=1)
+    at = np.concatenate((a, bps, np.nextafter(bps, np.inf)), axis=1)
+    ys = np.zeros((n, at.shape[1] + 1))
+    ys[:, :-1][seen] = read(np.nonzero(seen)[0], at[seen])
+    xs = np.concatenate((a, bps, bps, np.ones((n, 1))), axis=1)
+    edges, ys, counts = lower_hulls(xs, ys, np.pad(seen, ((0, 0), (0, 1)), constant_values=True))
+    for k in np.flatnonzero(np.array(counts) < 2).tolist():
+        errors[k] = ValueError(NO_HULL)
+    # the negated slope of every piece, clamped at 0, and 0 on the padding:
+    # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)) (fmax turns a
+    # NaN into 0.0, and adding +0.0 turns -0.0 into 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.fmax((ys[:, :-1] - ys[:, 1:]) / np.diff(edges, axis=1), 0.0) + 0.0
+    return EstimateBlock(edges, values), anchors, errors
 
 
-def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme) -> HullEstimates:
-    """:class:`HullEstimates` of the curves ``lbfs`` of the data vectors
-    ``rows``, read at their hull seeds in one :func:`curve_values` call:
-    the one hull step of the oracle, ``analyze`` and the ``--curves`` rows."""
-    seeds = [hull_seeds(lb) for lb in lbfs]
-    return HullEstimates(lbfs, [xs for xs, _ in seeds], curve_values(f, rows, [at for _, at in seeds], scheme))
+def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme):
+    """:func:`hull_block` of the curves ``lbfs`` of the data vectors
+    ``rows``, read by :func:`lower_bounds`: the one hull step of the
+    oracle, ``analyze`` and the ``--curves`` rows."""
+    return hull_block(lbfs, lambda who, us: lower_bounds(f, rows.T[:, who], True, us, scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +453,10 @@ def sum_estimate(
         vectors, seeds, estimates = data.matrix[data.indices(ids)], samples.seeds[rows], []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             block = vectors[start:start + MC_ITEM_BLOCK]
-            hulls = block_hulls(f, block, lb_functions(f, block, samples.scheme), samples.scheme)
-            for k in range(len(block)):
-                hulls.check(k)
-            estimates += hulls.block.value_at(np.arange(len(block)), seeds[start:start + len(block)]).tolist()
+            hulls, _, errors = block_hulls(f, block, lb_functions(f, block, samples.scheme), samples.scheme)
+            for error in filter(None, errors):
+                raise error
+            estimates += hulls.value_at(np.arange(len(block)), seeds[start:start + len(block)]).tolist()
     return QueryResult(name, _sequential_sum(estimates), item_ids=ids, estimates=estimates)
 
 
@@ -654,11 +601,11 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            hulls = [block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs]
-            for k in range(len(block)):
-                for h in hulls:
-                    h.check(k)
-            live = np.stack([h.block.values.any(axis=1) for h in hulls], axis=1)
+            hulls, _, errors = zip(*(block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs))
+            # the first error of the first item whose hull failed
+            for error in filter(None, chain.from_iterable(zip(*errors))):
+                raise error
+            live = np.stack([h.values.any(axis=1) for h in hulls], axis=1)
         for k in np.flatnonzero(live.any(axis=1)).tolist():
             key = item_key(data.item_ids[block[k]])
             fk = np.flatnonzero(live[k]).tolist()
@@ -684,7 +631,7 @@ def _mc_sums(
                 else:
                     seeds = key_seeds(key, mixed[lo:hi])
                     for j in fk:
-                        totals[j, lo:hi] += hulls[j].block.value_at(k, seeds)
+                        totals[j, lo:hi] += hulls[j].value_at(k, seeds)
     return totals
 
 

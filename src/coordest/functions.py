@@ -414,14 +414,3 @@ def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> Lower
         raise ValueError("vector arity does not match scheme")
     return lb_functions(f, _column(v).T, scheme)[0]
 
-
-def curve_values(f: ItemFunction, rows: np.ndarray, seeds: Sequence[np.ndarray], scheme: TauScheme) -> list[np.ndarray]:
-    """The lower bound of each data vector ``rows[k]`` at its own seeds
-    ``seeds[k]``, from one :func:`lower_bounds` call over all of them: the
-    values of ``lb_functions(f, rows, scheme)[k].value(seeds[k])``, bit for
-    bit."""
-    if not len(seeds):
-        return []
-    counts = [len(s) for s in seeds]
-    values = lower_bounds(f, np.repeat(rows.T, counts, axis=1), True, np.concatenate(seeds), scheme)
-    return np.split(values, np.cumsum(counts[:-1]))

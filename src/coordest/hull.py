@@ -57,8 +57,8 @@ def lower_hull(points: Iterable[tuple[float, float]]) -> LowerHull:
     chain.  Requires at least two distinct u values.  ``points`` may be an
     (n, 2) array.
     """
-    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float).reshape(-1, 2)
-    us, ys, (n,) = lower_hulls([pts[:, 0]], [pts[:, 1]])
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float).reshape(1, -1, 2)
+    us, ys, (n,) = lower_hulls(pts[..., 0], pts[..., 1], np.ones(pts.shape[:2], dtype=bool))
     if n < 2:
         raise ValueError(NO_HULL)
     return LowerHull(tuple(zip(us[0, :n].tolist(), ys[0, :n].tolist())))
@@ -89,29 +89,22 @@ def _chain(us: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
 NO_HULL = "need at least two points with distinct u"
 
 
-def lower_hulls(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The monotone-chain lower hull of each row of points ``(xs[k][j],
-    ys[k][j])``; where ``ys[k]`` stops short of ``xs[k]`` the points past
-    its end lie at height 0 (a curve's closing point ``(1, 0)``).  Returns
-    ``(us, ys, counts)``: row ``k`` has ``counts[k]`` vertices ``(us[k, j],
-    ys[k, j])``, padded to the block's width with copies of its last
-    vertex.  A row of fewer than two distinct u has no hull and a count of
-    0, and leaves the other rows alone.
+def lower_hulls(us: np.ndarray, ys: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The monotone-chain lower hull of each row of points ``(us[k, j],
+    ys[k, j])`` of two (n, w) arrays, of those where ``live[k, j]``.
+    Returns ``(us, ys, counts)``: row ``k`` has ``counts[k]`` vertices
+    ``(us[k, j], ys[k, j])``, padded to the block's width with copies of
+    its last vertex.  A row of fewer than two distinct u has no hull and a
+    count of 0, and leaves the other rows alone.
 
-    The rows are padded into one block and sorted by one ``lexsort``, by u
-    and then y, with the padding last; the first point of each u stays.
-    Each row then runs :func:`_chain` over plain float lists, and the
-    vertices of all rows are gathered back into one padded block.
+    The rows are sorted by one ``lexsort``, by u and then y, with the
+    points that are not live last, and the mask with them; the first point
+    of each u stays.  Each row then runs :func:`_chain` over plain float
+    lists, and the vertices of all rows are gathered back into one padded
+    block.
     """
-    lens = np.array([len(x) for x in xs], dtype=np.intp)
-    cols = np.arange(lens.max(initial=0))
-    live = cols < lens[:, None]
-    us, hs = np.zeros(live.shape), np.zeros(live.shape)
-    if len(xs):
-        us[live] = np.concatenate(xs)
-        hs[cols < np.array([len(y) for y in ys])[:, None]] = np.concatenate(ys)
-    order = np.lexsort((hs, us, ~live), axis=-1)
-    us, hs = np.take_along_axis(us, order, -1), np.take_along_axis(hs, order, -1)
+    order = np.lexsort((ys, us, ~live), axis=-1)
+    us, hs, live = (np.take_along_axis(a, order, -1) for a in (us, ys, live))
     live[:, 1:] &= us[:, 1:] != us[:, :-1]
     # the cross products of a curve below about 1e-154 underflow to 0 and
     # would drop every vertex; a power-of-two scale up is exact

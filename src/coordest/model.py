@@ -213,11 +213,6 @@ class PiecewiseLinearMap:
     def joints(self) -> tuple[float, ...]:
         return tuple(u for u, _ in self.points if 0.0 < u < 1.0)
 
-    def crossings(self, level: float) -> tuple[float, ...]:
-        """The seeds in (0, 1) where the map crosses ``level``, ascending:
-        one level of :meth:`crossing_seeds`."""
-        return tuple(np.unique(self.crossing_seeds([level])[1]).tolist())
-
     def crossing_seeds(self, levels) -> tuple[np.ndarray, np.ndarray]:
         """The crossings of every level in ``levels``: the index of each
         crossed level and a seed in (0, 1), once per segment that crosses
@@ -467,10 +462,6 @@ class InstanceSet:
 
     def vector(self, item_id) -> tuple[float, ...]:
         return tuple(self.matrix[self._index(item_id)].tolist())
-
-    def rows(self) -> Iterable[tuple[str, tuple[float, ...]]]:
-        for i, item in enumerate(self.item_ids):
-            yield item, tuple(float(x) for x in self.matrix[i])
 
 
 # Rows parsed in one pass: the cell strings held at once stay flat in the

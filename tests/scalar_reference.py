@@ -22,13 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from coordest.analysis import CURVE_SEEDS, MAX_DEPTH, AnalysisReport, _curve_checks, clamped_variance
-from coordest.estimators import (
-    DEPTH,
-    HULL_LEFT_ANCHOR,
-    hull_seeds,
-    ht_blocks,
-    j_piece_values,
-)
+from coordest.estimators import DEPTH, HULL_LEFT_ANCHOR, ht_blocks, j_piece_values
 from coordest.functions import (
     RG,
     ItemFunction,
@@ -258,6 +252,32 @@ def scalar_lower_hull(points) -> LowerHull:
     return LowerHull(tuple(zip(cu, cy)))
 
 
+def hull_seeds(lb: LowerBoundFn) -> tuple[np.ndarray, np.ndarray]:
+    """The u coordinates ``xs`` of the hull's input points of one curve,
+    and the seeds ``at`` to read the curve at for all of them but the last,
+    ``(1, 0)``, as the package took them one curve at a time: the reference
+    of the points of ``estimators.hull_block``.
+
+    The points are the curve at the left anchor, at every breakpoint past
+    it and just right of every breakpoint below 1 (read at the breakpoint's
+    seed), and ``(1, 0)``.  A curve of convex arcs takes its hull from the
+    closed form of its pieces: ``xs`` is the anchor alone and ``at`` is
+    empty.
+    """
+    if lb.domain_left > HULL_LEFT_ANCHOR:
+        raise ValueError("need a lower-bound curve valid on all of (0, 1]")
+    anchor = max(min(HULL_LEFT_ANCHOR, 1e-3 * lb.head), math.ulp(0.0))
+    if lb.exponent is not None and lb.exponent > 1.0:
+        if lb.pieces is None or math.isinf(lb.exponent):
+            raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
+        return np.array([anchor]), np.empty(0)
+    us = np.array(lb.breakpoints, dtype=float)
+    us = us[(us > anchor) & (us <= 1.0)]
+    bs = np.array([b for b in lb.breakpoints if b < 1.0], dtype=float)
+    xs = np.concatenate(([anchor], us, bs, [1.0]))
+    return xs, np.concatenate(([anchor], us, np.nextafter(bs, np.inf)))
+
+
 def scalar_v_optimal(lb: LowerBoundFn) -> Pieces:
     """``v_optimal_estimates(lb)`` by the scalar chain: the hull of the
     curve at its hull seeds and ``(1, 0)``; a curve of convex arcs takes
@@ -271,7 +291,7 @@ def scalar_v_optimal(lb: LowerBoundFn) -> Pieces:
 def arc_estimate_fn(lb: LowerBoundFn, anchor: float) -> Pieces:
     """The pieces of ``arc_hull`` of a curve of convex arcs as one
     estimate, as the package took them one curve at a time: the reference
-    of the arc rows of ``HullEstimates``."""
+    of the arc rows of ``estimators.hull_block``."""
     los, his, values, cs, ds = np.array(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor)).T
     return Pieces(los, his, np.fmax(values, 0.0) + 0.0, np.column_stack((cs, ds)), lb.exponent)
 
@@ -366,7 +386,8 @@ def snap_crossing(value, u: float, level: float, lo: float, hi: float) -> float:
 
 
 def scalar_crossings(m, level: float) -> tuple[float, ...]:
-    """``m.crossings(level)`` by the per-segment loop with the scalar snap."""
+    """The seeds where ``m`` crosses ``level``, ``np.unique(m.crossing_seeds([level])[1])``, by the per-segment
+    loop with the scalar snap."""
     out = []
     pts = m.points
     for (ua, ta), (ub, tb) in zip(pts, pts[1:]):

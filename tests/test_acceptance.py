@@ -80,7 +80,7 @@ def test_criterion_01_golden_values_and_inclusion_probabilities(demo):
     ok = exact_query(demo, "lpp", ["1", "2", "3", "4"], p=2).value == 18.0
     ok &= exact_query(demo, "l1", ["1", "3"]).value == 5.0
     ok &= exact_query(demo, "maxsum", ["6", "7", "8"]).value == 7.0
-    for idx, (_, v) in enumerate(demo.rows()):
+    for idx, (_, v) in enumerate(zip(demo.item_ids, demo.matrix.tolist())):
         ok &= min(1.0, v[0] / 4.0) == DEMO_PROBS_1[idx]
         ok &= min(1.0, v[1] / 4.0) == DEMO_PROBS_2[idx]
     elapsed = time.perf_counter() - t0
@@ -291,7 +291,7 @@ def test_criterion_08_oracle_agreement():
 
 
 def test_criterion_09_bottomk_rank_conditioning(demo):
-    values = {item: v[0] for item, v in demo.rows()}  # first instance, 8 items
+    values = {item: v[0] for item, v in zip(demo.item_ids, demo.matrix.tolist())}  # first instance, 8 items
     redraws = seeds_for_salts("redraw-stream", np.arange(100_000, dtype=np.uint64))
     ok = True
     worst = 0.0

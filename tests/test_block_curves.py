@@ -179,7 +179,7 @@ def test_array_crossings_match_the_scalar_snap():
         for i, level in enumerate(levels.tolist()):
             want = scalar_crossings(m, level)
             assert tuple(np.unique(us[which == i]).tolist()) == want, (m, level)
-            assert m.crossings(level) == want, (m, level)
+            assert tuple(np.unique(m.crossing_seeds([level])[1]).tolist()) == want, (m, level)
         # how far each rising crossing lies from its interpolated seed
         for (ua, ta), (ub, tb) in zip(m.points, m.points[1:]):
             for level in levels[(ta <= levels) & (levels <= tb)].tolist():

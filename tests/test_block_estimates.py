@@ -6,9 +6,9 @@ equal rows and one gather, the integrals by one ordered sum.  Each read of
 each row must equal, bit for bit, the per-vector reads of
 ``scalar_reference`` (``ref_value_at``, ``ref_integral`` and
 ``ref_integrate_square``) of that row alone, on blocks that mix constant
-rows, arc rows and rows without a piece.  ``HullEstimates`` gathers the
-corner and arc hulls of real curves into such a block, and the commands
-read every hull through it: none calls the scalar API
+rows, arc rows and rows without a piece.  ``hull_block`` builds the corner
+hulls or the arc hulls of a block of real curves as such a block, and the
+commands read every hull through it: none calls the scalar API
 (``v_optimal_estimates``, ``integrate_square``, ``lower_hull``).
 """
 
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from coordest import analysis, cli, estimators, hull
-from coordest.estimators import HullEstimates, estimate_query, hull_seeds, mc_query_estimates, v_optimal_estimates
+from coordest.estimators import estimate_query, hull_block, mc_query_estimates, v_optimal_estimates
 from coordest.functions import lb_function, parse_function
-from coordest.hull import EstimateBlock
+from coordest.hull import EstimateBlock, FloatRangeError
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
@@ -147,50 +147,79 @@ def test_the_scalar_api_reads_row_0_of_a_block():
 SCHEME = TauScheme.pps(4.0, r=3)
 
 
-def _hull_inputs(lbfs):
-    seeds = [hull_seeds(lb) for lb in lbfs]
-    return [xs for xs, _ in seeds], [lb.value(at) for lb, (_, at) in zip(lbfs, seeds)]
+def _read(lbfs):
+    """A reader of the curves ``lbfs``: each curve's seeds in one
+    ``value`` call, as ``scalar_v_optimal`` reads them."""
+    def read(rows, us):
+        out = np.empty(len(us))
+        for k in np.unique(rows).tolist():
+            out[rows == k] = lbfs[k].value(us[rows == k])
+        return out
+    return read
 
 
-@pytest.mark.parametrize("arcs", ["rg:p=1.5", "rg:p=2", "rg:p=2.5", "one_sided_rg:p=3,hi=3,lo=1"])
-def test_hull_block_rows_match_the_hull_of_each_curve(arcs):
-    # corner rows, arc rows of one exponent and rows without a hull in one block
-    rng = np.random.default_rng(76)
-    specs = rng.choice(["max", "min", "rg:p=1", "rg:p=0.5", arcs, arcs], 24)
-    rows = rng.lognormal(0.0, 1.0, (24, 3)) * (rng.random((24, 3)) > 0.25) + np.array([[0.1, 0.0, 0.0]])
-    lbfs = [lb_function(parse_function(str(s), 3), v, SCHEME) for s, v in zip(specs, rows.tolist())]
-    xs, ys = _hull_inputs(lbfs)
-    empty = [3, 10, 17]
-    for k in empty:
-        xs[k], ys[k] = np.empty(0), np.empty(0)
-    hulls = HullEstimates(lbfs, xs, ys)
-    block = hulls.block
-    assert block.arcs is not None and {"max", "min", str(arcs)} <= set(specs.tolist())
+def _check_rows(block, errors, lbfs, rng):
+    """Each row of ``block`` whose hull did not fail against the scalar hull
+    of its curve: its pieces, then zero-width ones of value 0 and d = 0 at
+    its last edge, and its reads."""
     for k, lb in enumerate(lbfs):
-        if k in empty:
-            with pytest.raises(ValueError, match="two points with distinct u"):
-                hulls.check(k)
-            assert not block.values[k].any()
+        if errors[k] is not None:
             continue
         want = scalar_v_optimal(lb)
-        # the row's pieces, then zero-width ones of value 0 and d = 0 at its last edge
         got, m = row_pieces(block, k), len(want.los)
         assert [_bits(a[:m]) for a in (got.los, got.his, got.values)] == [_bits(a) for a in want[:3]]
         assert (got.los[m:] == want.his[-1]).all() and (got.his[m:] == want.his[-1]).all()
-        assert not got.values[m:].any() and not got.arcs[m:].any()
-        assert _bits(got.arcs[:m]) == _bits(want.arcs if want.arcs is not None else np.zeros((m, 2)))
+        assert not got.values[m:].any()
+        if block.arcs is not None:
+            assert not got.arcs[m:].any() and _bits(got.arcs[:m]) == _bits(want.arcs)
         us = _windows(rng, want)
         us = us[(us > 0.0) & (us <= 1.0)]
         assert _bits(block.value_at(k, us)) == _bits(ref_value_at(want, us))
         assert _bits(block.integral(k, us)) == _bits(ref_integral(want, lo=us))
-        assert _bits([hulls.square_integral(k)]) == _bits([ref_integrate_square(want)])
+        assert _bits(block.square_integral([k])) == _bits([ref_integrate_square(want)])
+
+
+def test_corner_hull_block_rows_match_the_hull_of_each_curve():
+    # corner rows of several functions in one block
+    rng = np.random.default_rng(76)
+    specs = rng.choice(["max", "min", "rg:p=1", "rg:p=0.5"], 24)
+    rows = rng.lognormal(0.0, 1.0, (24, 3)) * (rng.random((24, 3)) > 0.25) + np.array([[0.1, 0.0, 0.0]])
+    lbfs = [lb_function(parse_function(str(s), 3), v, SCHEME) for s, v in zip(specs, rows.tolist())]
+    block, _, errors = hull_block(lbfs, _read(lbfs))
+    assert block.arcs is None and errors == [None] * 24 and set(specs.tolist()) == {"max", "min", "rg:p=1", "rg:p=0.5"}
+    _check_rows(block, errors, lbfs, rng)
+
+
+@pytest.mark.parametrize("arcs", ["rg:p=1.5", "rg:p=2", "rg:p=2.5", "one_sided_rg:p=3,hi=3,lo=1"])
+def test_arc_hull_block_rows_match_the_hull_of_each_curve(arcs):
+    # arc rows of one exponent, and rows whose hull passes the largest float
+    rng = np.random.default_rng(76)
+    rows = rng.lognormal(0.0, 1.0, (24, 3)) * (rng.random((24, 3)) > 0.25) + np.array([[0.1, 0.0, 0.0]])
+    failed = [3, 10, 17]
+    rows[failed] = [[1e-300, 0.0, 1e308]]
+    lbfs = [lb_function(parse_function(arcs, 3), v, SCHEME) for v in rows.tolist()]
+    block, _, errors = hull_block(lbfs, _read(lbfs))
+    assert block.arcs is not None
+    for k in failed:
+        assert isinstance(errors[k], FloatRangeError)
+        assert not block.values[k].any() and (block.edges[k] == 1.0).all()
+    assert [k for k, error in enumerate(errors) if error is not None] == failed
+    _check_rows(block, errors, lbfs, rng)
 
 
 def test_the_arc_rows_of_a_block_share_one_exponent():
     rows = np.array([[1.0, 0.5, 0.25], [2.0, 0.0, 1.0]])
     lbfs = [lb_function(parse_function(s, 3), v, SCHEME) for s, v in zip(("rg:p=2", "rg:p=3"), rows.tolist())]
-    with pytest.raises(ValueError, match="one exponent"):
-        HullEstimates(lbfs, *_hull_inputs(lbfs)).block
+    with pytest.raises(ValueError, match="share one exponent"):
+        hull_block(lbfs, _read(lbfs))
+
+
+@pytest.mark.parametrize("specs", [("max", "rg:p=2"), ("rg:p=2.5", "rg:p=1")])
+def test_a_block_of_corner_and_arc_curves_is_an_error(specs):
+    rows = np.array([[1.0, 0.5, 0.25], [2.0, 0.0, 1.0]])
+    lbfs = [lb_function(parse_function(s, 3), v, SCHEME) for s, v in zip(specs, rows.tolist())]
+    with pytest.raises(ValueError, match="share one exponent"):
+        hull_block(lbfs, _read(lbfs))
 
 
 @pytest.fixture
@@ -232,30 +261,30 @@ def test_the_commands_read_no_hull_per_vector(tmp_path, per_vector_reads, functi
 
 def test_analyze_takes_its_hulls_from_the_one_block_step(monkeypatch):
     # 130 vectors are three blocks of CURVE_BLOCK; each takes one
-    # block_hulls, and no other HullEstimates is built
+    # block_hulls, and no other hull_block is built
     rng = np.random.default_rng(78)
     rows = rng.lognormal(0.0, 1.0, (130, 3)) * (rng.random((130, 3)) > 0.25)
     rows[7] = 0.0
-    calls = {"block_hulls": 0, "HullEstimates": 0}
-    real_step, real_class = estimators.block_hulls, estimators.HullEstimates
+    calls = {"block_hulls": 0, "hull_block": 0}
+    real_step, real_block = estimators.block_hulls, estimators.hull_block
 
     def step(*args):
         calls["block_hulls"] += 1
         return real_step(*args)
 
     def build(*args):
-        calls["HullEstimates"] += 1
-        return real_class(*args)
+        calls["hull_block"] += 1
+        return real_block(*args)
 
     monkeypatch.setattr(analysis, "block_hulls", step)
-    monkeypatch.setattr(estimators, "HullEstimates", build)
+    monkeypatch.setattr(estimators, "hull_block", build)
     for spec in ("max", "rg:p=2.5"):
         f = parse_function(spec, 3)
         got = [r.to_dict() for r in analysis.competitiveness_reports(rows, f, SCHEME)]
         assert got[7]["square_integral_opt"] == 0.0 and len(got) == 130
         assert [g["square_integral_opt"] for g in got[:3]] == \
             [ref_integrate_square(scalar_v_optimal(lb_function(f, v, SCHEME))) for v in rows[:3].tolist()]
-    assert calls == {"block_hulls": 6, "HullEstimates": 6}
+    assert calls == {"block_hulls": 6, "hull_block": 6}
 
 
 def test_the_oracle_sweep_sums_are_the_single_salt_sums_at_any_exponent(tmp_path):

@@ -755,8 +755,20 @@ class TestAnalyzeCommand:
         p.write_text("item,v1,v2\nb,1,2\na,1e-310,0\n")
         proc = _python("-m", "coordest", "analyze", "--input", str(p), "--function", "or")
         assert proc.returncode == 2 and proc.stdout.count("\n") == 1
-        assert proc.stderr.startswith("coordest: error: item 'a': Out of range float values")
+        assert proc.stderr == "coordest: error: item 'a': square_integral_j is inf, and only finite values are written\n"
         assert proc.stderr.count("\n") == 1
+
+    def test_subnormal_data_names_the_first_value_that_is_not_finite(self, tmp_path, capsys):
+        # the optimal estimate 1/p of a revelation probability near 2.5e-320
+        # passes the largest float, and so does the dyadic one before it
+        p = tmp_path / "tiny.csv"
+        p.write_text("item,v1,v2,v3\na,0.0,1e-310,3e-320\n")
+        assert console_main(["analyze", "--input", str(p), "--function", "or", "--scheme", "pps:tau=1.2"]) == 2
+        assert capsys.readouterr().err == \
+            "coordest: error: item 'a': square_integral_j is inf, and only finite values are written\n"
+        # a nested field is named by its path
+        with pytest.raises(ValueError, match=r"^diagnostics\.bounded_slope is nan, and only finite"):
+            cli._check_finite({"ratio": 1.0, "bounded": True, "diagnostics": {"f_value": 2, "bounded_slope": math.nan}})
 
     @pytest.mark.parametrize("command", ["analyze", "characterize"])
     def test_subnormal_data_gets_exact_verdicts(self, tmp_path, command):
@@ -863,7 +875,7 @@ class TestCharacterizeCommand:
         assert console_main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "coordest: error: item '4': Out of range float values are not JSON compliant\n"
+        assert err == "coordest: error: item '4': estimable_gap is nan, and only finite values are written\n"
 
 
 class TestValuesPastTheLargestFloat:
@@ -926,7 +938,7 @@ class TestDataNearTheEndsOfTheFloatRange:
 
     @pytest.mark.parametrize("argv, code, error", [
         (["analyze", "--function", "max"], 2,
-         "coordest: error: item 'a': Out of range float values are not JSON compliant\n"),
+         "coordest: error: item 'a': square_integral_j is inf, and only finite values are written\n"),
         (["characterize", "--function", "max", "--curves", "CURVES"], 2, CURVES_ERROR),
         (["estimate", "--query", "l1", "--estimator", "j"], 2, QUERY_ERROR.format("l1")),
         (["estimate", "--query", "maxsum", "--estimator", "ht", "--reps", "3"], 2, QUERY_ERROR.format("maxsum")),

@@ -165,7 +165,7 @@ def test_batch_kernels_match_per_item_reference(triple):
     data, scheme, salt = triple
     samples = sample_instances(data, scheme, salt)
     outcomes = [samples[item] for item in data.item_ids]
-    for (item, v), outcome in zip(data.rows(), outcomes):
+    for (item, v), outcome in zip(zip(data.item_ids, data.matrix.tolist()), outcomes):
         assert outcome == sample_item(v, hash_seed(item, salt), scheme)
     fns = builtin_functions(data.r)
     for f in fns:
@@ -306,10 +306,10 @@ def test_mc_oracle_sweep_matches_single_salt_queries(sweep, item_block, salt_chu
     # one hull per item and function, read at the item's seed for every salt
     data, scheme, ids, salts = sweep
     salts = salts[:4]
-    calls = mock.Mock(wraps=estimators.HullEstimates)
+    calls = mock.Mock(wraps=estimators.hull_block)
     with mock.patch.object(estimators, "MC_ITEM_BLOCK", item_block), \
             mock.patch.object(estimators, "MC_SALT_CHUNK", salt_chunk), \
-            mock.patch.object(estimators, "HullEstimates", calls):
+            mock.patch.object(estimators, "hull_block", calls):
         got = {q: mc_query_estimates(data, scheme, q, ids, salts, p=2.0, estimator="voptimal-oracle")
                for q in QUERY_KINDS}
     # the hulls of each block of items come from one call per function
@@ -473,7 +473,7 @@ def _ref_scheme_breakpoints(scheme, levels, left):
     pts = set()
     for m in scheme.maps:
         for lvl in levels:
-            pts.update(m.crossings(lvl))
+            pts.update(m.crossing_seeds([lvl])[1].tolist())
         pts.update(m.joints())
     for a, b in itertools.combinations(scheme.maps, 2):
         us = sorted({0.0, 1.0, *a.joints(), *b.joints()})

@@ -119,7 +119,7 @@ class TestBruteForceOracle:
             for f in builtin_functions():
                 bps = set(lb_function(f, v, scheme).breakpoints)
                 for m in scheme.maps:
-                    assert set(m.crossings(0.5)) <= bps
+                    assert set(m.crossing_seeds([0.5])[1].tolist()) <= bps
 
 
 def nonzero_domain_cases(rng, n: int = 60):

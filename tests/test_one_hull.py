@@ -51,15 +51,14 @@ def test_verdict_boundary_on_power_gaps(grid_n):
 
 
 def _count_hulls(monkeypatch) -> tuple[list, list]:
-    """The calls of the two halves of a hull: its input seeds, and the hulls
-    built from the curve's values there (a row of a corner-hull block) or
-    from its arcs."""
-    seeds, hulls = [], []
-    real_seeds, real_block, real_arcs = estimators.hull_seeds, estimators.lower_hulls, estimators.arc_hull
-    monkeypatch.setattr(estimators, "hull_seeds", lambda *a, **k: seeds.append(a) or real_seeds(*a, **k))
-    monkeypatch.setattr(estimators, "lower_hulls", lambda xs, ys: hulls.extend(xs) or real_block(xs, ys))
+    """The curves of every hull block, and the hulls built in them: the
+    rows of a corner-hull block, or one hull from a curve's arcs."""
+    curves, hulls = [], []
+    real_block, real_corners, real_arcs = estimators.hull_block, estimators.lower_hulls, estimators.arc_hull
+    monkeypatch.setattr(estimators, "hull_block", lambda lbfs, read: curves.extend(lbfs) or real_block(lbfs, read))
+    monkeypatch.setattr(estimators, "lower_hulls", lambda us, ys, live: hulls.extend(us) or real_corners(us, ys, live))
     monkeypatch.setattr(estimators, "arc_hull", lambda *a, **k: hulls.append(a) or real_arcs(*a, **k))
-    return seeds, hulls
+    return curves, hulls
 
 
 @pytest.mark.parametrize("spec", ["rg:p=1", "rg:p=2"])
@@ -70,9 +69,9 @@ def test_one_hull_per_vector(tmp_path, monkeypatch, command, spec):
     rows = rng.lognormal(0.0, 1.0, (6, 3)) * (rng.random((6, 3)) > 0.25)
     path.write_text("item,v1,v2,v3\n" + "".join(f"i{j}," + ",".join(map(repr, r)) + "\n"
                                                  for j, r in enumerate(rows.tolist())))
-    seeds, hulls = _count_hulls(monkeypatch)
+    curves, hulls = _count_hulls(monkeypatch)
     argv = [command, "--input", str(path), "--function", spec, "--out", str(tmp_path / "out.jsonl")]
     if command == "characterize":
         argv += ["--curves", str(tmp_path / "curves.csv")]
     assert main(argv) == 0
-    assert len(seeds) == len(hulls) == ingest(path).n_items
+    assert len(curves) == len(hulls) == ingest(path).n_items

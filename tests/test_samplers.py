@@ -72,7 +72,7 @@ class TestSampleItem:
 class TestSampleInstances:
     def test_inclusion_probabilities_monte_carlo(self, demo_data, scheme4):
         salts = np.arange(100_000, dtype=np.uint64)
-        for idx, (item, v) in enumerate(demo_data.rows()):
+        for idx, (item, v) in enumerate(zip(demo_data.item_ids, demo_data.matrix.tolist())):
             us = seeds_for_salts(item, salts)
             for inst, expected in ((0, DEMO_PROBS_1[idx]), (1, DEMO_PROBS_2[idx])):
                 freq = float((v[inst] >= 4.0 * us).mean())
@@ -81,7 +81,7 @@ class TestSampleInstances:
     def test_outcomes_keyed_by_item(self, demo_data, scheme4):
         outcomes = sample_instances(demo_data, scheme4, salt=3)
         assert set(outcomes) == set(demo_data.item_ids)
-        for item, v in demo_data.rows():
+        for item, v in zip(demo_data.item_ids, demo_data.matrix.tolist()):
             assert outcomes[item].seed == hash_seed(item, 3)
 
 

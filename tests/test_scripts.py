@@ -90,8 +90,10 @@ def test_same_outputs_runs_the_arc_paths_the_round_leaves_out():
         for kind in ("characterize", "analyze"):
             runs = [op for op in extra if op.kind == kind and op.function == f]
             assert sorted(op.scheme for op in runs) == ["file", "inline"], (kind, f)
-    for query in ("lpp:p=2", "lpp:p=2.5"):
+    # the oracle at one salt and in the Monte Carlo sweep: arc hulls, and
+    # corner hulls, one block (l1) or two (jaccard) per item block
+    for query in ("lpp:p=2", "lpp:p=2.5", "l1", "jaccard"):
         oracle = [op for op in ops if op.estimator == "voptimal-oracle" and op.query == query]
-        assert sorted(op.reps for op in oracle) == [1, 1000]
+        assert sorted(op.reps for op in oracle) == [1, 1000], query
     # the other workloads run their round alone
     assert same_outputs.plan_ops("single-salt", ids) == same_outputs.round_ops("single-salt", ids)
