@@ -255,17 +255,16 @@ def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.nd
             raise ValueError("need a lower-bound curve valid on all of (0, 1]")
         if not _corners(lb) and (lb.pieces is None or math.isinf(lb.exponent)):
             raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
-    arcs = [not _corners(lb) for lb in lbfs]
-    if any(arcs) and len({lb.exponent for lb in lbfs}) > 1:
+    arcs = any(not _corners(lb) for lb in lbfs)
+    if arcs and len({lb.exponent for lb in lbfs}) > 1:
         raise ValueError("the curves of a block of arc hulls share one exponent")
     # all the action sits at small seeds, and a curve whose first breakpoint
     # is tiny (values revealed only with tiny probability) keeps its mass
     # below the default anchor; scale the anchor under the curve's head.
     # Below a subnormal head the anchor may underflow to 0
     anchors = np.maximum(np.minimum(HULL_LEFT_ANCHOR, 1e-3 * np.array([lb.head for lb in lbfs])), math.ulp(0.0))
-    errors: list[Exception | None] = [None] * len(lbfs)
-    if any(arcs):
-        rows = []
+    if arcs:
+        rows, errors = [], [None] * len(lbfs)
         for k, (lb, anchor) in enumerate(zip(lbfs, anchors.tolist())):
             try:
                 rows.append(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor))
@@ -286,14 +285,14 @@ def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.nd
     # the right limit), and (1, 0)
     n, a = len(lbfs), anchors[:, None]
     bps, real = _padded([lb.breakpoints for lb in lbfs])
-    seen = np.concatenate((np.ones((n, 1), dtype=bool), real & (bps > a) & (bps <= 1.0), real & (bps < 1.0)), axis=1)
+    seen = np.concatenate((np.ones((n, 1), dtype=bool), real & (bps > a), real & (bps < 1.0)), axis=1)
     at = np.concatenate((a, bps, np.nextafter(bps, np.inf)), axis=1)
     ys = np.zeros((n, at.shape[1] + 1))
     ys[:, :-1][seen] = read(np.nonzero(seen)[0], at[seen])
     xs = np.concatenate((a, bps, bps, np.ones((n, 1))), axis=1)
     edges, ys, counts = lower_hulls(xs, ys, np.pad(seen, ((0, 0), (0, 1)), constant_values=True))
-    for k in np.flatnonzero(np.array(counts) < 2).tolist():
-        errors[k] = ValueError(NO_HULL)
+    # a row has two vertices or more, or none
+    errors = [None if count else ValueError(NO_HULL) for count in counts]
     # the negated slope of every piece, clamped at 0, and 0 on the padding:
     # the bits of the scalar max(0.0, (y1 - y2) / (u2 - u1)) (fmax turns a
     # NaN into 0.0, and adding +0.0 turns -0.0 into 0.0)
