@@ -386,8 +386,9 @@ def snap_crossing(value, u: float, level: float, lo: float, hi: float) -> float:
 
 
 def scalar_crossings(m, level: float) -> tuple[float, ...]:
-    """The seeds where ``m`` crosses ``level``, ``np.unique(m.crossing_seeds([level])[1])``, by the per-segment
-    loop with the scalar snap."""
+    """The seeds where ``m`` crosses ``level``, ascending, by the per-segment
+    loop with the scalar snap: the reference of
+    ``np.unique(m.crossing_seeds([level])[1])``."""
     out = []
     pts = m.points
     for (ua, ta), (ub, tb) in zip(pts, pts[1:]):

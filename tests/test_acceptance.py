@@ -80,7 +80,7 @@ def test_criterion_01_golden_values_and_inclusion_probabilities(demo):
     ok = exact_query(demo, "lpp", ["1", "2", "3", "4"], p=2).value == 18.0
     ok &= exact_query(demo, "l1", ["1", "3"]).value == 5.0
     ok &= exact_query(demo, "maxsum", ["6", "7", "8"]).value == 7.0
-    for idx, (_, v) in enumerate(zip(demo.item_ids, demo.matrix.tolist())):
+    for idx, v in enumerate(demo.matrix.tolist()):
         ok &= min(1.0, v[0] / 4.0) == DEMO_PROBS_1[idx]
         ok &= min(1.0, v[1] / 4.0) == DEMO_PROBS_2[idx]
     elapsed = time.perf_counter() - t0

@@ -165,7 +165,7 @@ def test_batch_kernels_match_per_item_reference(triple):
     data, scheme, salt = triple
     samples = sample_instances(data, scheme, salt)
     outcomes = [samples[item] for item in data.item_ids]
-    for (item, v), outcome in zip(zip(data.item_ids, data.matrix.tolist()), outcomes):
+    for item, v, outcome in zip(data.item_ids, data.matrix.tolist(), outcomes):
         assert outcome == sample_item(v, hash_seed(item, salt), scheme)
     fns = builtin_functions(data.r)
     for f in fns:
