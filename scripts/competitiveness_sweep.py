@@ -50,9 +50,9 @@ def main() -> None:
                     "v2": v[1],
                     "tau1": taus[0],
                     "tau2": taus[1],
-                    "ratio": rep.ratio,
-                    "sq_j": rep.square_integral_j,
-                    "sq_opt": rep.square_integral_opt,
+                    "ratio": rep["ratio"],
+                    "sq_j": rep["square_integral_j"],
+                    "sq_opt": rep["square_integral_opt"],
                 }
             )
 

@@ -3,7 +3,6 @@ multi-instance aggregates."""
 
 from .analysis import (
     AnalysisError,
-    AnalysisReport,
     CheckResult,
     RATIO_BOUND,
     check_bounded,

@@ -8,11 +8,8 @@ For a data vector ``v`` and function ``f`` the full lower-bound curve
 * ... + finite variance       <=>  the squared hull slopes are integrable
 * ... + bounded estimates     <=>  (f(v) - lb(u)) / u stays bounded
 
-Every curve the package builds follows one closed form below its head (its
-first breakpoint): the constant of ``max``, ``min`` and ``or``, or
-``(c + d*u)^p`` for the range kinds (``LowerBoundFn.head_piece``).  The
-three verdicts are read from that form exactly: the limit at 0+, the slope
-at 0+, and a bound on every slope of the hull.
+Every curve follows one closed form below its head (its first breakpoint),
+``LowerBoundFn.head_piece``, and the three verdicts are read from it exactly.
 
 Competitiveness compares the squared-estimate integral of the dyadic
 estimator against the hull optimum.  The certified bound for the dyadic
@@ -23,14 +20,14 @@ the optimum's square mass on a 3-fold cover of nearby seeds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .estimators import DEPTH, _padded, block_hulls, dyadic_indices, j_piece_tables
 from .functions import ItemFunction, LowerBoundFn, evaluate, evaluate_many, lb_function, lb_functions, lower_bounds
-from .hull import FloatRangeError, scaled_squares
+from .hull import FloatRangeError, scaled_rows
 from .model import TauScheme
 
 RATIO_BOUND = 84.0
@@ -64,20 +61,14 @@ class CheckResult:
 
 def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
     """The estimable, bounded and finite-variance verdicts of the curve
-    ``lbf`` of data ``v``, from its head piece; an infinite ``f_value`` is an error.
-
-    * estimable: the gap between ``f_value`` and the head piece at seed 0.
-      Every map starts at or below its domain low, so the gap is 0 unless
-      some entry is revealed at no positive float seed, which is an error.
-    * bounded: the head's slope at 0+, ``p * c^(p-1) * |d|`` (0 for a
-      constant head and for ``f_value = 0``).
-    * finite variance: a bound on every hull slope.  The hull starts at
-      ``(0, f_value)`` and is convex, so its steepest slope is the largest
-      ``(f_value - lb(u)) / u``: at most the slope at 0+ on a convex head,
-      at most ``f_value / head`` on a concave head and past it.  Its square
-      bounds the square integral; the verdict is that it is finite, which
-      it is exactly when the slope at 0+ is (the float quotient overflows
-      for heads below ``f_value / 1.8e308``, the real one does not).
+    ``lbf`` of data ``v``, from its head piece; an infinite ``f_value`` is an
+    error.  Estimable: the gap of ``f_value`` over the head at seed 0, which
+    is 0 unless an entry is revealed at no positive float seed, an error.
+    Bounded: the head's slope at 0+, ``p * c^(p-1) * |d|`` (0 for a constant
+    head and for ``f_value = 0``).  Finite variance: a bound on every slope
+    of the convex hull from ``(0, f_value)``, the slope at 0+ on a convex
+    head and ``f_value / head`` on a concave one; it is finite exactly when
+    the slope at 0+ is (the float quotient may overflow, the real one not).
     """
     c, d = lbf.head_piece
     p = lbf.exponent
@@ -118,69 +109,76 @@ def check_finite_variance(v: Sequence[float], f: ItemFunction, scheme: TauScheme
     return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[2]
 
 
-def implication_chain_ok(bounded: bool, finite_variance: bool, estimable: bool) -> bool:
-    """bounded => finite variance => estimable."""
-    return (not bounded or finite_variance) and (not finite_variance or estimable)
+def implication_chain_ok(bounded, finite_variance, estimable):
+    """bounded => finite variance => estimable; of bools, or elementwise of
+    bool arrays (``a => b`` is ``b >= a``)."""
+    return (finite_variance >= bounded) & (estimable >= finite_variance)
 
 
 # ---------------------------------------------------------------------------
 # variance and competitiveness
 
 
-@dataclass
-class AnalysisReport:
-    """Per-(data, function, scheme) analysis record."""
+def curve_verdicts(rows: np.ndarray, fvs: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme):
+    """The :func:`_curve_checks` verdicts of the data vectors ``rows[k]`` of
+    ``f`` values ``fvs[k]`` and curves ``lbfs[k]``, as arrays in the order
+    of a ``characterize`` record; the curves' heads; and the index and error
+    of the first vector whose checks fail (the vector count and None).
+    As in ``_curve_checks``, the values at seed 0 take an array power, and
+    the slopes at 0+ take ``c^(p-1)`` one float at a time: numpy's array
+    power differs from the scalar one in the last bit on some inputs."""
+    n, p = len(lbfs), lbfs[0].exponent
+    bps, _ = _padded([lbf.breakpoints for lbf in lbfs])
+    heads = bps[np.arange(n), np.argmax(bps > 0.0, axis=1)]
+    cs, ds = np.array([lbf.head_piece for lbf in lbfs]).T.copy()
+    slopes = np.zeros(n)
+    with np.errstate(over="ignore"):
+        at_zero = cs if p is None else cs**p
+        if p is not None:
+            steep = (cs > 0.0) & (ds != 0.0)
+            slopes[steep] = p * np.array([np.float64(c) ** (p - 1.0) for c in cs[steep].tolist()]) * -ds[steep]
+    bounded = np.isfinite(slopes)
+    verdicts = {"estimable": np.ones(n, dtype=bool), "estimable_gap": np.zeros(n), "bounded": bounded,
+                "bounded_slope": slopes, "finite_variance": bounded}
+    bad = np.flatnonzero(~np.isfinite(fvs) | (fvs != at_zero)).tolist()
+    if not bad:
+        return verdicts, heads, n, None
+    k = bad[0]
+    if not math.isfinite(fvs[k]):
+        return verdicts, heads, k, FloatRangeError(p)
+    return verdicts, heads, k, _unrevealed_error(rows[k].tolist(), scheme, fvs[k].item(), at_zero[k].item())
 
-    square_integral_j: float
-    square_integral_opt: float
-    ratio: float
-    variance_j: float
-    variance_opt: float
-    estimable: bool
-    finite_variance: bool
-    bounded: bool
-    diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def competitive_ok(self) -> bool:
-        return self.ratio <= RATIO_BOUND
-
-    @property
-    def chain_ok(self) -> bool:
-        return implication_chain_ok(self.bounded, self.finite_variance, self.estimable)
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "diagnostics": dict(self.diagnostics)}
+# the fields of a competitiveness report in the order of its record: its
+# own, then those of its diagnostics
+REPORT_FIELDS = ("square_integral_j", "square_integral_opt", "ratio", "variance_j", "variance_opt",
+                 "estimable", "finite_variance", "bounded")
+DIAGNOSTIC_FIELDS = ("f_value", "estimable_gap", "bounded_slope", "depth", "j_tail_bound")
 
 
-def clamped_variance(second_moment: float, f_value: float) -> float:
+def clamped_variance(second_moment, f_value):
     """Variance of an unbiased estimator from its square integral: the
     second moment minus ``f_value^2``, with a rounding deficit of at most
-    1e-9 clamped to 0."""
+    1e-9 clamped to 0; elementwise on arrays."""
     var = second_moment - f_value * f_value
-    return 0.0 if -1e-9 <= var < 0.0 else var
+    return np.where((-1e-9 <= var) & (var < 0.0), 0.0, var)
 
 
 def curve_blocks(rows, f: ItemFunction, scheme: TauScheme):
     """Each block of up to ``CURVE_BLOCK`` data vectors of the (n, r) array
-    ``rows``, in order, with their values under ``f`` (floats) and their
-    lower-bound curves: one :func:`evaluate_many` and one
-    :func:`lb_functions` call per block."""
+    ``rows``, in order, with their ``f`` values (one :func:`evaluate_many`
+    call) and lower-bound curves (one :func:`lb_functions` call)."""
     rows = np.asarray(rows, dtype=float)
     if rows.shape[1] != f.arity:
         raise ValueError(f"vector arity {rows.shape[1]} != function arity {f.arity}")
     for start in range(0, rows.shape[0], CURVE_BLOCK):
         block = rows[start:start + CURVE_BLOCK]
-        yield block, evaluate_many(f, block).tolist(), lb_functions(f, block, scheme)
+        yield block, evaluate_many(f, block), lb_functions(f, block, scheme)
 
 
-def _one_row(v: Sequence[float]) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(1, -1)
-
-
-def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> AnalysisReport:
-    """Squared-mass ratio of the dyadic estimator to the hull optimum: one
-    row of :func:`competitiveness_reports`.
+def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> dict:
+    """Squared-mass ratio of the dyadic estimator to the hull optimum: the
+    :func:`report_record` of a one-row :func:`competitiveness_reports` block.
 
     The dyadic side is summed to a depth of ``DEPTH`` or more and topped
     with a certified tail bound (each deep block's value is at most 16x the
@@ -188,122 +186,91 @@ def competitiveness_ratio(v: Sequence[float], f: ItemFunction, scheme: TauScheme
     2^-depth``); the optimal side is the truncated hull integral, a slight
     underestimate.  The reported ratio is therefore conservative.
     """
-    return next(competitiveness_reports(_one_row(v), f, scheme))
+    fields, error = next(competitiveness_reports(np.reshape(v, (1, -1)), f, scheme))
+    if error is not None:
+        raise error
+    return report_record(fields, 0)
+
+
+def report_record(fields: dict, k: int) -> dict:
+    """Row ``k`` of a :func:`competitiveness_reports` block as the dict of
+    its ``analyze`` record: ``DIAGNOSTIC_FIELDS`` under ``"diagnostics"``,
+    ``j_tail_bound`` None without a certified bound, absent at ``f(v) = 0``."""
+    report = {name: column.item(k) for name, column in fields.items()}
+    diagnostics = {name: report.pop(name) for name in DIAGNOSTIC_FIELDS}
+    if diagnostics["f_value"] == 0.0:
+        del diagnostics["j_tail_bound"]
+    elif not report["bounded"]:
+        diagnostics["j_tail_bound"] = None
+    return {**report, "diagnostics": diagnostics}
 
 
 def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
-    """The :func:`competitiveness_ratio` report of each data vector in the
-    rows of an (n, r) array, in order.
-
-    Each block of :func:`curve_blocks` also takes one
-    :func:`j_piece_tables` call per dyadic depth of its vectors, the
-    :func:`block_hulls` of its vectors of nonzero ``f(v)`` (the oracle's
-    and the ``--curves`` rows' hull step) with all their square integrals
-    in one call, and one :func:`lower_bounds` call for the tail seeds of
-    all its vectors.
-    A vector's verdicts and sums are made, and the error of its hull
-    raised, when its report is taken, so the error of a bad vector comes
-    after the reports before it.
+    """The :func:`competitiveness_ratio` reports of the data vectors in the
+    rows of an (n, r) array, per block of :func:`curve_blocks`: one array
+    per field of ``REPORT_FIELDS`` and ``DIAGNOSTIC_FIELDS`` (``j_tail_bound``
+    NaN where the record has none) over the vectors up to the first that
+    fails, and that vector's error (or None): its :func:`curve_verdicts`
+    error, else the error of its hull, else an :class:`AnalysisError`.
+    A block takes one :func:`j_piece_tables` call per dyadic depth, one
+    :func:`block_hulls` step (the oracle's) with one square integral call,
+    one :func:`lower_bounds` call for the tail seeds, and array passes.
     """
     for block, fvs, lbfs in curve_blocks(rows, f, scheme):
+        verdicts, heads, n, error = curve_verdicts(block, fvs, lbfs, scheme)
+        slopes, bounded = verdicts["bounded_slope"], verdicts["bounded"]
         # keep summing dyadic blocks well past the curve's smallest
         # breakpoint, otherwise the worst-case tail bound dwarfs the actual
         # deep mass for data revealed only at tiny seeds
-        depths = [max(DEPTH, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH)) for lbf in lbfs]
-        # one table call per depth (entry j of a table does not depend on
-        # the depth it is built to), so a vector of tiny data sends no other row deep
-        groups = {d: [k for k, x in enumerate(depths) if x == d] for d in set(depths)}
-        tables = {k: t for d, ks in groups.items() for k, t in zip(ks, j_piece_tables(block[ks], f, scheme, d))}
-        # the report of a vector of f(v) = 0 reads no hull
-        live = [k for k, fv in enumerate(fvs) if fv != 0.0]
-        hulls, _, errors = block_hulls(f, block[live], [lbfs[k] for k in live], scheme)
-        sq_opts = dict(zip(live, zip(hulls.square_integral(np.arange(len(live))).tolist(), errors)))
-        tails = lower_bounds(f, block.T, True, np.ldexp(1.0, 2 - np.array(depths)), scheme).tolist()
-        for k, v in enumerate(block.tolist()):
-            yield _report(lbfs[k], fvs[k], v, scheme, depths[k], tables[k], tails[k], sq_opts.get(k))
-
-
-def _report(lbf, fv, v, scheme, depth, table, tail_value, sq_opt) -> AnalysisReport:
-    """The report of data ``v`` from its curve ``lbf`` and ``f`` value
-    ``fv``: the dyadic values ``table`` down to ``depth`` at least, the
-    curve at the tail seed (``tail_value``), and the optimal square integral
-    with the error of its hull (``sq_opt``, read only where ``fv`` is not
-    0, where the error is raised)."""
-    est_check, bd_check, fv_check = _curve_checks(lbf, fv, v, scheme)
-    diagnostics: dict = {
-        "f_value": fv,
-        "estimable_gap": est_check.value,
-        "bounded_slope": bd_check.value,
-        "depth": DEPTH,
-    }
-    if fv == 0.0:
-        # the zero function on zero-valued data: both estimators vanish
-        return AnalysisReport(
-            square_integral_j=0.0, square_integral_opt=0.0, ratio=1.0, variance_j=0.0, variance_opt=0.0,
-            estimable=est_check.ok, finite_variance=fv_check.ok, bounded=bd_check.ok, diagnostics=diagnostics,
-        )
-    diagnostics["depth"] = depth
-    widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
-    squares, shift = scaled_squares(table[:depth + 1])
-    sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
-    if bd_check.ok:
-        # the larger of the slope at 0+ and the chord to the last summed
-        # block: on one power piece, the sup of (f(v) - lb(u)) / u there
-        u_tail = 2.0 ** (-depth + 2)
-        slope = (fv - tail_value) / u_tail
-        slope = max(slope, bd_check.value)
-        tail = 256.0 * slope * slope * 2.0**-depth
-    else:
-        tail = None  # no certified bound; written as JSON null
-    diagnostics["j_tail_bound"] = tail
-    sq_j_total = sq_j + (tail or 0.0)
-
-    sq_opt, error = sq_opt
-    if error is not None:
-        raise error
-    if sq_opt <= 0.0:
-        if sq_j_total > 0.0:
-            raise AnalysisError(
-                f"optimal square integral is 0 while the dyadic integral is {sq_j_total}; "
-                "the optimal mass lies below the smallest float, or the lower-bound curve is inconsistent"
-            )
-        ratio = 1.0
-    else:
-        ratio = sq_j_total / sq_opt
-    return AnalysisReport(
-        square_integral_j=sq_j_total,
-        square_integral_opt=sq_opt,
-        ratio=ratio,
-        variance_j=clamped_variance(sq_j_total, fv),
-        variance_opt=clamped_variance(sq_opt, fv),
-        estimable=est_check.ok,
-        finite_variance=fv_check.ok,
-        bounded=bd_check.ok,
-        diagnostics=diagnostics,
-    )
+        depths = np.array([max(DEPTH, min(math.ceil(-math.log2(h)) + 20, MAX_DEPTH)) for h in heads.tolist()])
+        # one table call per depth (entry j of a table does not depend on the
+        # depth), so a vector of tiny data sends no other row deep
+        sq_j = np.empty(len(block))
+        for depth in np.unique(depths).tolist():
+            values, shift = scaled_rows(j_piece_tables(block[depths == depth], f, scheme, depth))
+            with np.errstate(over="ignore"):  # scaled back past the largest float: inf
+                sq_j[depths == depth] = np.sum(2.0 ** -(np.arange(depth + 1.0) + 1.0) * (values * values), axis=1) \
+                    * np.ldexp(1.0, shift) * np.ldexp(1.0, shift)
+        live = fvs != 0.0  # the report at f(v) = 0 reads no hull; a failed one reads 0
+        hulls, _, errors = block_hulls(f, block[live], [lbf for lbf, x in zip(lbfs, live.tolist()) if x], scheme)
+        sq_opt, failed = np.zeros(len(block)), np.zeros(len(block), dtype=bool)
+        sq_opt[live], failed[live] = hulls.square_integral(np.arange(len(errors))), [e is not None for e in errors]
+        u_tail = np.ldexp(1.0, 2 - depths)
+        tails = lower_bounds(f, block.T, True, u_tail, scheme)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the larger of the slope at 0+ and the chord to the last summed
+            # block: on one power piece, the sup of (f(v) - lb(u)) / u there
+            chord = (fvs - tails) / u_tail
+            steepest = np.where(slopes > chord, slopes, chord)
+            tail = 256.0 * steepest * steepest * np.ldexp(1.0, -depths)
+            sq_j = np.where(live, sq_j + np.where(bounded, tail, 0.0), 0.0)
+            fields = dict(
+                square_integral_j=sq_j, square_integral_opt=sq_opt, ratio=np.where(sq_opt <= 0.0, 1.0, sq_j / sq_opt),
+                variance_j=clamped_variance(sq_j, fvs), variance_opt=clamped_variance(sq_opt, fvs),
+                estimable=verdicts["estimable"], finite_variance=verdicts["finite_variance"], bounded=bounded,
+                f_value=fvs, estimable_gap=verdicts["estimable_gap"], bounded_slope=slopes,
+                depth=np.where(live, depths, DEPTH), j_tail_bound=np.where(live & bounded, tail, math.nan))
+        massless = failed | (live & (sq_opt <= 0.0) & (sq_j > 0.0))
+        k = int(np.argmax(massless)) if massless[:n].any() else n
+        if k < n:
+            error = errors[np.count_nonzero(live[:k])] if failed[k] else AnalysisError(
+                f"optimal square integral is 0 while the dyadic integral is {sq_j[k].item()}; "
+                "the optimal mass lies below the smallest float, or the lower-bound curve is inconsistent")
+        yield {name: column[:k] for name, column in fields.items()}, error
 
 
 def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[tuple[float, float, float, float, float]]:
-    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)`` where
-    some column changes.  The rows are taken from every breakpoint and one
-    float right of it (a jump shows as two adjacent rows), the ends of
-    every hull and dyadic piece, and ``CURVE_SEEDS`` seeds inside each piece
-    of a curve that is neither constant nor linear there; of those, a row
-    whose lower bound, dyadic and optimal values equal both neighbours' is
-    dropped, save the first and the last.  Between adjacent rows the
-    dyadic and optimal columns and the lower bound of ``max``, ``min`` and
-    ``or`` are constant, and the hull column and the lower bound of the
-    ``p = 1`` range kinds are linear, so the table loses nothing of them.
-    One row of :func:`curve_block`.
-
-    The hull column is the cumulative optimal estimate (the integral of the
-    optimal column from u to 1): the lower hull of the curve
-    (:func:`v_optimal_estimates`), which stays on or below the lower bound
-    up to rounding.  A curve with concave pieces lies above the hull of its
-    corners; the hull of a curve of convex arcs (``rg`` and one-sided
-    ``rg`` with ``p > 1``) follows the arcs where it touches them.
+    """Plot-ready rows ``(u, lower_bound, hull, dyadic, optimal)``: one row
+    of :func:`curve_block`.  The rows are taken at every breakpoint and one
+    float right of it (a jump shows as two rows), at the ends of every hull
+    and dyadic piece, and at ``CURVE_SEEDS`` seeds inside each piece of a
+    curve neither constant nor linear there; a row whose lower bound,
+    dyadic and optimal values equal both neighbours' goes, save the first
+    and the last.  The hull column is the cumulative optimal estimate (the
+    integral of the optimal column from u to 1), on or below the lower
+    bound up to rounding.
     """
-    row = _one_row(v)
+    row = np.asarray(v, dtype=float).reshape(1, -1)
     columns, _, error = curve_block(row, lb_functions(f, row, scheme), f, scheme)
     if error is not None:
         raise error
@@ -315,26 +282,15 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     ``rows[k]`` with curves ``lbfs[k]``, up to the first whose hull fails:
     one (5, W) array ``columns``, in which vector ``k`` holds the columns
     ``ends[k - 1]:ends[k]``, and the error of that hull (or None).  Every
-    seed lies in (0, 1].
-
-    Each step runs once for the block, on padded or flat arrays:
-
-    * the hulls: one :func:`block_hulls` step, as the oracle's, read as one
-      :class:`~coordest.hull.EstimateBlock`;
-    * the rows: each vector's breakpoints and the seeds just right of them,
-      its hull's piece ends, the dyadic piece ends and its interior seeds,
-      padded with seed 1 (which every vector has), sorted along each row,
-      with each seed equal to the one before it masked out;
-    * the lower bound at every row from one :func:`lower_bounds` call, the
-      dyadic column from one gather in the vectors' dyadic tables (one
-      :func:`j_piece_tables` call) by the dyadic index of each row, and the
-      optimal column from one read of the hull block;
-    * the row drop: each row but each vector's first and last whose lower
-      bound, dyadic and optimal values equal those of the rows on both
-      sides of it goes.  The lower bound and the optimal column do not
-      increase with the seed, so they are constant across it, and the hull
-      column is linear through it;
-    * the hull column at the rows kept: one ordered sum over the block.
+    seed lies in (0, 1].  Each step runs once for the block: one
+    :func:`block_hulls` step, as the oracle's; the seeds of every vector,
+    padded with seed 1, sorted along each row and each one equal to the one
+    before it masked out; one :func:`lower_bounds` call at all rows, one
+    gather in the dyadic tables (one :func:`j_piece_tables` call) and one
+    read of the hull block; the row drop, in which a row (but a vector's
+    first and last) whose lower bound, dyadic and optimal values equal
+    those of the rows on both sides of it goes, the rows compared once, all
+    of them; and the hull column at the rows kept, one ordered sum.
     """
     block, anchors, errors = block_hulls(f, rows, lbfs, scheme)
     n = next((k for k, error in enumerate(errors) if error is not None), len(lbfs))
@@ -363,22 +319,12 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     table = j_piece_tables(rows, f, scheme, DEPTH)
     j = np.where(i <= DEPTH, np.take(table, row * (DEPTH + 1) + np.minimum(i, DEPTH)), 0.0)
     vopt = block.value_at(row, us)
-    keep = _changing_rows(lb, j, vopt)
+    change = (lb[1:] != lb[:-1]) | (j[1:] != j[:-1]) | (vopt[1:] != vopt[:-1])
+    keep = np.ones(len(us), dtype=bool)
+    keep[1:-1] = change[:-1] | change[1:]
     # every vector has a row at seed 1; its first and last rows stay
     last = np.cumsum(counts) - 1
     keep[last] = keep[last - counts + 1] = True
     us, row = us[keep], row[keep]
     columns = np.stack((us, lb[keep], block.integral(row, us), j[keep], vopt[keep]))
     return columns, np.cumsum(np.bincount(row, minlength=n)).tolist(), error
-
-
-def _changing_rows(lb: np.ndarray, j: np.ndarray, vopt: np.ndarray) -> np.ndarray:
-    """Which rows to keep: every row at which one of the three columns
-    differs from its value at the row before or the row after, and the
-    first and the last.  A row equal to both neighbours in all three is
-    dropped; the rows are compared once, all of them, and not again among
-    the rows kept."""
-    change = (lb[1:] != lb[:-1]) | (j[1:] != j[:-1]) | (vopt[1:] != vopt[:-1])
-    keep = np.ones(len(lb), dtype=bool)
-    keep[1:-1] = change[:-1] | change[1:]
-    return keep

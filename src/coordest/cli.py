@@ -26,12 +26,21 @@ import os
 import stat
 import sys
 from contextlib import ExitStack, contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .analysis import _curve_checks, competitiveness_reports, curve_block, curve_blocks, implication_chain_ok
+from .analysis import (
+    RATIO_BOUND,
+    REPORT_FIELDS,
+    competitiveness_reports,
+    curve_block,
+    curve_blocks,
+    curve_verdicts,
+    implication_chain_ok,
+)
 from .estimators import (
     BOTTOMK_ESTIMATORS,
     BOTTOMK_QUERIES,
@@ -336,86 +345,136 @@ def _curve_row_format(item: str) -> str:
     return buf.getvalue()[:-3].replace("%", "%%") + ",%r,%r,%r,%r,%r\r\n"
 
 
-def _verdicts(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, curves: bool):
-    """Per vector of ``rows``: its ``characterize`` fields, whether its chain
-    holds, and with ``curves`` its block's :func:`_curve_rows`, from which
-    it takes its own; one curve per vector serves the verdicts and the rows."""
-    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
-        columns = _curve_rows(block, lbfs, f, scheme) if curves else None
-        for v, fv, lbf in zip(block.tolist(), fvs, lbfs):
-            est, bd, fin = _curve_checks(lbf, fv, v, scheme)
-            chain = implication_chain_ok(bd.ok, fin.ok, est.ok)
-            yield ({"estimable": est.ok, "estimable_gap": est.value, "bounded": bd.ok, "bounded_slope": bd.value,
-                    "finite_variance": fin.ok, "chain_ok": chain}, chain, columns)
-
-
 CURVE_COLUMNS = ("u", "lower_bound", "hull", "j_estimate", "v_optimal")
 
 
-def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme):
-    """The ``--curves`` rows of each vector of a block, in order, as float
-    tuples, from one :func:`curve_block` and one ``tolist``; a value that
-    is not finite is an error of its vector, naming its column and seed,
-    and the error of a hull that fails comes after the vectors before it."""
+def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme, ids: Sequence[str]):
+    """The ``--curves`` text of each vector of a block, of items ``ids``, up
+    to the first that fails, from one :func:`curve_block`; and the index and
+    error of that vector (or None): a value that is not finite, named with
+    its column and seed, or else the error of its hull."""
     columns, ends, error = curve_block(rows, lbfs, f, scheme)
+    n, bad = len(ends), np.flatnonzero(~np.isfinite(columns).all(axis=0))
+    if len(bad):
+        n = int(np.searchsorted(ends, bad[0], side="right"))
+        block = columns[:, ends[n - 1] if n else 0:ends[n]]
+        col, row = np.argwhere(~np.isfinite(block))[0].tolist()
+        x, u = block[[col, 0], row].tolist()
+        error = ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, "
+                           "and only finite values are written")
     table = list(zip(*columns.tolist()))
-    bad = np.flatnonzero(~np.isfinite(columns).all(axis=0)).tolist()
-    for start, end in zip([0] + ends, ends):
-        if bad and bad[0] < end:
-            block = columns[:, start:end]
-            col, row = np.argwhere(~np.isfinite(block))[0].tolist()
-            x, u = block[[col, 0], row].tolist()
-            raise ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, "
-                             "and only finite values are written")
-        yield table[start:end]
-    if error is not None:
-        raise error
+    return ["".join(map(_curve_row_format(item).__mod__, table[a:b]))
+            for item, a, b in zip(ids, [0] + ends, ends[:n])], n, error
 
 
-def _check_finite(fields: dict, scope: str = "") -> None:
-    """Raise the error of the first float of ``fields``, or of a dict in
-    it, that is not finite, naming its field: strict JSON holds none."""
-    for name, x in fields.items():
-        if isinstance(x, dict):
-            _check_finite(x, f"{scope}{name}.")
-        elif isinstance(x, float) and not math.isfinite(x):
-            raise ValueError(f"{scope}{name} is {x!r}, and only finite values are written")
+def _first_not_finite(values: dict):
+    """The index of the first vector with a value not finite (strict JSON
+    holds none) in the columns ``values``, keyed by field in record order,
+    and the error naming its field; the vector count and None if none."""
+    bad = ~np.isfinite(np.stack(list(values.values())))
+    if not bad.any():
+        return bad.shape[1], None
+    k = int(np.argmax(bad.any(axis=0)))
+    name = list(values)[np.argmax(bad[:, k])]
+    return k, ValueError(f"{name} is {values[name][k].item()!r}, and only finite values are written")
+
+
+def _columns(fields: dict) -> list[list]:
+    """The values of each field of some records, bools as JSON words."""
+    return [np.where(c, "true", "false").tolist() if c.dtype == bool else c.tolist() for c in fields.values()]
+
+
+# an analyze and a characterize record after its function: %r writes a
+# number as json.dumps does, %s a word of JSON or the j_tail_bound field
+ANALYZE_FORMAT = (', "square_integral_j": %r, "square_integral_opt": %r, "ratio": %r, "variance_j": %r, '
+                  '"variance_opt": %r, "estimable": %s, "finite_variance": %s, "bounded": %s, "diagnostics": '
+                  '{"f_value": %r, "estimable_gap": %r, "bounded_slope": %r, "depth": %r%s}}\n')
+CHARACTERIZE_FORMAT = (', "estimable": %s, "estimable_gap": %r, "bounded": %s, "bounded_slope": %r, '
+                       '"finite_variance": %s, "chain_ok": %s}\n')
+ANALYZE_FLOATS = (*REPORT_FIELDS[:5], "diagnostics.f_value", "diagnostics.estimable_gap",
+                  "diagnostics.bounded_slope", "diagnostics.j_tail_bound")
+
+
+def _analyze_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme):
+    """Per block of :func:`competitiveness_reports`: the record columns of
+    its vectors up to the first that fails, whether each holds its ratio
+    bound and implication chain, no curve text, and the error of that vector
+    (or None); after its report's own, a value that is not finite is one."""
+    for fields, error in competitiveness_reports(rows, f, scheme):
+        live, bounded = fields["f_value"] != 0.0, fields["bounded"]
+        values = {name: fields[name.rpartition(".")[2]] for name in ANALYZE_FLOATS}
+        # a NaN bound is written as null, or not at all where f(v) is 0
+        values["diagnostics.j_tail_bound"] = np.where(live & bounded, fields["j_tail_bound"], 0.0)
+        n, not_finite = _first_not_finite(values)
+        if not_finite is not None:
+            fields, error, live, bounded = {k: c[:n] for k, c in fields.items()}, not_finite, live[:n], bounded[:n]
+        tails = np.array([repr(x) for x in fields["j_tail_bound"].tolist()], dtype=object)
+        tails = np.where(live, ', "j_tail_bound": ' + np.where(bounded, tails, "null"), "")
+        chain = implication_chain_ok(bounded, fields["finite_variance"], fields["estimable"])
+        yield _columns({**fields, "j_tail_bound": tails}), (fields["ratio"] <= RATIO_BOUND) & chain, "", error
+
+
+def _characterize_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, ids: Sequence[str] | None):
+    """Per block of :func:`curve_blocks`: the record columns of its vectors
+    up to the first that fails, whether each holds its implication chain,
+    with ``ids`` (the items of ``rows``) their :func:`_curve_rows` text, and
+    the error of that vector (or None): that of its verdicts, a value of
+    its record that is not finite, then one of its curve rows."""
+    done = 0
+    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
+        verdicts, _, n, error = curve_verdicts(block, fvs, lbfs, scheme)
+        m, not_finite = _first_not_finite({k: verdicts[k][:n] for k in ("estimable_gap", "bounded_slope")})
+        if not_finite is not None:
+            n, error = m, not_finite
+        texts = []
+        if ids is not None and n:
+            texts, m, curve_error = _curve_rows(block, lbfs, f, scheme, ids[done:done + len(block)])
+            if m < n:
+                n, error = m, curve_error
+        verdicts = {k: c[:n] for k, c in verdicts.items()}
+        chain = implication_chain_ok(verdicts["bounded"], verdicts["finite_variance"], verdicts["estimable"])
+        yield _columns({**verdicts, "chain_ok": chain}), chain, "".join(texts[:n]), error
+        done += len(block)
 
 
 def cmd_per_vector(args: argparse.Namespace) -> int:
     """``analyze`` and ``characterize``: one JSON record per vector of
-    ``--items``, in order, and with ``--curves`` its rows of the curve CSV.
-    Each vector's work runs inside its item's error scope, before its
-    writes, so a bad vector ends the run after the records of those before
-    it.  The exit code is 1 when any record fails its ratio bound or its
-    implication chain."""
+    ``--items``, in order, and with ``--curves`` its rows of the curve CSV,
+    each block made in its first item's error scope and written from one
+    ``%`` template; a vector's error comes after the records before it.
+    The exit code is 1 when a record fails its ratio bound or its chain."""
     data, scheme = load(args)
     with _error_source(f"--function {args.function!r}"):
         f = parse_function(args.function, data.r)
     ids, _ = resolve_items(args.items, data)
     rows = data.matrix[data.indices(ids)]
     curves = getattr(args, "curves", None)
+    # the item and the floats as json.dumps writes them, and the function
+    # description escaped once
+    head = ('{"item": %s, "vector": [' + ", ".join(["%r"] * data.r) + '], "function": '
+            + encode_basestring_ascii(f.describe()).replace("%", "%%"))
     if args.command == "analyze":
-        records = ((rep.to_dict(), rep.competitive_ok and rep.chain_ok, None)
-                   for rep in competitiveness_reports(rows, f, scheme))
+        template, blocks = head + ANALYZE_FORMAT, _analyze_blocks(rows, f, scheme)
     else:
-        records = _verdicts(rows, f, scheme, curves is not None)
-    failed = False
+        template = head + CHARACTERIZE_FORMAT
+        blocks = _characterize_blocks(rows, f, scheme, None if curves is None else ids)
+    failed, done = False, 0
     with _outputs((curves, None, ""), (args.out, sys.stdout, None)) as (curves_fp, fp):
         if curves_fp is not None:
             curves_fp.write(",".join(("item",) + CURVE_COLUMNS) + "\r\n")
-        for item, v in zip(ids, rows.tolist()):
+        while done < len(ids):
             # a record or curve value past the largest float (data near
             # 1e-310 or 1e308) is not written
-            with _error_source(f"item {item!r}"):
-                fields, ok, columns = next(records)
-                _check_finite(fields)
-                line = json.dumps({"item": item, "vector": v, "function": f.describe(), **fields}, allow_nan=False)
-                curve_rows = None if columns is None else next(columns)
-            fp.write(line + "\n")
-            if curve_rows is not None:
-                curves_fp.writelines(map(_curve_row_format(item).__mod__, curve_rows))
-            failed = failed or not ok
+            with _error_source(f"item {ids[done]!r}"):
+                columns, ok, curve_text, error = next(blocks)
+            items = map(encode_basestring_ascii, ids[done:done + len(ok)])
+            fp.write("".join(map(template.__mod__, zip(items, *rows[done:done + len(ok)].T.tolist(), *columns))))
+            if curve_text:
+                curves_fp.write(curve_text)
+            failed, done = failed or not ok.all(), done + len(ok)
+            if error is not None:
+                with _error_source(f"item {ids[done]!r}"):
+                    raise error
     return 1 if failed else 0
 
 

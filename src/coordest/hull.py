@@ -188,11 +188,9 @@ class EstimateBlock:
 
     def square_integral(self, rows, lo=0.0, hi=1.0) -> np.ndarray:
         """The integral of the squared row ``rows[i]`` over ``(lo[i], hi[i]]``
-        (see :func:`integrate_square`).  Each row's values are scaled as
-        :func:`scaled_squares` scales them, by a shift of its own."""
-        top = self.values.max(axis=1, initial=0.0)
-        shift = np.where((2.0**500 < top) & (top < math.inf), np.frexp(top)[1] - 500, 0)
-        values = np.ldexp(self.values, -shift[:, None])
+        (see :func:`integrate_square`), of the values scaled by
+        :func:`scaled_rows`."""
+        values, shift = scaled_rows(self.values)
         p = self.exponent
 
         def arc_drop(s, d, r):
@@ -242,17 +240,14 @@ class EstimateBlock:
         return total.reshape(shape)
 
 
-def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """The squares of ``values`` times ``2^(-2 * shift)``, and ``shift``: when
-    the largest value exceeds 2^500 (data below about 1e-150 under pps), all
-    are scaled by the exact power of two that brings it under 2^500, so no
-    square overflows; else ``shift`` is 0 and the squares are ``values**2``."""
-    top = values.max(initial=0.0)
-    if not 2.0**500 < top < math.inf:
-        return values * values, 0
-    shift = math.frexp(top)[1] - 500
-    values = np.ldexp(values, -shift)
-    return values * values, shift
+def scaled_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values`` times ``2^-shift[k]``, and ``shift``: where the
+    row's largest value exceeds 2^500 (data below about 1e-150 under pps),
+    the exact power of two that brings it under 2^500, so no square
+    overflows; else 0 (a row with an infinite or NaN value is not scaled)."""
+    top = values.max(axis=1, initial=0.0)
+    shift = np.where((2.0**500 < top) & (top < math.inf), np.frexp(top)[1] - 500, 0)
+    return np.ldexp(values, -shift[:, None]), shift
 
 
 def integrate_square(e: EstimateBlock, lo=0.0, hi=1.0) -> np.ndarray:
@@ -260,7 +255,7 @@ def integrate_square(e: EstimateBlock, lo=0.0, hi=1.0) -> np.ndarray:
     scalar or an array of windows: an array of their shape.
 
     Exact for the constant pieces, up to the rounding of the ordered sum
-    (of squares scaled by :func:`scaled_squares`, scaled back at the end),
+    (of squares scaled by :func:`scaled_rows`, scaled back at the end),
     and in closed form on an arc: ``p^2 |d| s^(2p-1) / (2p-1)`` taken
     between the ends of its window.  Any infinite piece value inside the
     window, or a true integral beyond the largest float, makes the result

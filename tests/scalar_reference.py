@@ -21,7 +21,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from coordest.analysis import CURVE_SEEDS, MAX_DEPTH, AnalysisReport, _curve_checks, clamped_variance
+from coordest.analysis import (
+    CURVE_SEEDS,
+    MAX_DEPTH,
+    _curve_checks,
+    clamped_variance,
+    competitiveness_reports,
+    report_record,
+)
 from coordest.estimators import DEPTH, HULL_LEFT_ANCHOR, ht_blocks, j_piece_values
 from coordest.functions import (
     RG,
@@ -35,7 +42,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import SUM_BLOCK, EstimateBlock, LowerHull, arc_hull, scaled_squares
+from coordest.hull import SUM_BLOCK, EstimateBlock, LowerHull, arc_hull
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -459,18 +466,42 @@ def scalar_lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -
                         f.p, curve_pieces(f, scheme, col[:, 0], bps))
 
 
-def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> AnalysisReport:
-    """The competitiveness report of data ``v`` built for that vector alone:
-    its own curve, dyadic values, hull and tail seed read one call each."""
+def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The squares of ``values`` times ``2^(-2 * shift)``, and ``shift``: when
+    the largest value exceeds 2^500 (data below about 1e-150 under pps), all
+    are scaled by the exact power of two that brings it under 2^500, so no
+    square overflows; else ``shift`` is 0 and the squares are ``values**2``."""
+    top = values.max(initial=0.0)
+    if not 2.0**500 < top < math.inf:
+        return values * values, 0
+    shift = math.frexp(top)[1] - 500
+    values = np.ldexp(values, -shift)
+    return values * values, shift
+
+
+def scalar_depth(lbf: LowerBoundFn, fv: float, depth: int = DEPTH) -> int:
+    """The dyadic depth of the report of a vector of ``f`` value ``fv``
+    and curve ``lbf``: ``depth``, or 20 past the curve's head where that
+    is deeper, up to ``MAX_DEPTH``; ``depth`` where ``fv`` is 0."""
+    if fv == 0.0:
+        return depth
+    return max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
+
+
+def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> dict:
+    """The competitiveness report of data ``v`` built for that vector alone,
+    as the dict of its record: its own curve, dyadic values, hull and tail
+    seed read one call each."""
     fv = evaluate(f, v)
     lbf = scalar_lb_function(f, v, scheme)
     est, bd, fin = _curve_checks(lbf, fv, v, scheme)
-    diagnostics = {"f_value": fv, "estimable_gap": est.value, "bounded_slope": bd.value,
-                   "depth": depth}
+    depth = scalar_depth(lbf, fv, depth)
+    diagnostics = {"f_value": fv, "estimable_gap": est.value, "bounded_slope": bd.value, "depth": depth}
+    report = {"square_integral_j": 0.0, "square_integral_opt": 0.0, "ratio": 1.0, "variance_j": 0.0,
+              "variance_opt": 0.0, "estimable": est.ok, "finite_variance": fin.ok, "bounded": bd.ok,
+              "diagnostics": diagnostics}
     if fv == 0.0:
-        return AnalysisReport(0.0, 0.0, 1.0, 0.0, 0.0, est.ok, fin.ok, bd.ok, diagnostics)
-    depth = max(depth, min(int(math.ceil(-math.log2(lbf.head))) + 20, MAX_DEPTH))
-    diagnostics["depth"] = depth
+        return report
     widths = 2.0 ** -(np.arange(depth + 1, dtype=float) + 1.0)
     squares, shift = scaled_squares(j_piece_values(v, f, scheme, depth))
     sq_j = float(np.sum(widths * squares)) * 2.0**shift * 2.0**shift
@@ -482,9 +513,30 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth:
     diagnostics["j_tail_bound"] = tail
     sq_j += tail or 0.0
     sq_opt = ref_integrate_square(scalar_v_optimal(lbf))
-    ratio = sq_j / sq_opt if sq_opt > 0.0 else 1.0
-    return AnalysisReport(sq_j, sq_opt, ratio, clamped_variance(sq_j, fv), clamped_variance(sq_opt, fv),
-                          est.ok, fin.ok, bd.ok, diagnostics)
+    report.update(square_integral_j=sq_j, square_integral_opt=sq_opt, ratio=sq_j / sq_opt if sq_opt > 0.0 else 1.0,
+                  variance_j=float(clamped_variance(sq_j, fv)), variance_opt=float(clamped_variance(sq_opt, fv)))
+    return report
+
+
+def report_text(make) -> str:
+    """The report ``make()`` returns as text (``repr`` tells every float
+    apart), or the error it raises."""
+    try:
+        return repr(make())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def block_report_texts(rows, f: ItemFunction, scheme: TauScheme) -> list[str]:
+    """The :func:`report_text` of each vector of ``rows`` from its
+    ``competitiveness_reports`` block, up to the first that fails, whose
+    error ends the list."""
+    texts = []
+    for fields, error in competitiveness_reports(rows, f, scheme):
+        texts += [repr(report_record(fields, k)) for k in range(len(fields["ratio"]))]
+        if error is not None:
+            return texts + [f"ValueError: {error}"]
+    return texts
 
 
 def scalar_curve_columns(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth: int = DEPTH) -> tuple:

@@ -172,8 +172,8 @@ def test_criterion_04_competitiveness_bound():
         v = random_vector(rng)
         scheme = random_scheme(rng)
         rep = competitiveness_ratio(v, f, scheme)
-        ratios.append(rep.ratio)
-        ok &= rep.ratio <= RATIO_BOUND
+        ratios.append(rep["ratio"])
+        ok &= rep["ratio"] <= RATIO_BOUND
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0
     report(

@@ -19,18 +19,20 @@ import numpy as np
 import pytest
 
 from coordest import analysis
-from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_table
+from coordest.analysis import competitiveness_ratio, curve_table
 from coordest.cli import console_main
 from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
 from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, snap_crossings
 
 from conftest import builtin_functions
 from scalar_reference import (
+    block_report_texts,
     lb_breakpoints,
     sample_item,
     scalar_crossings,
     scalar_curve_columns,
     scalar_lb_function,
+    report_text,
     scalar_report,
     scheme_breakpoints,
     snap_crossing,
@@ -104,15 +106,6 @@ def test_outcome_curves_match_the_scalar_breakpoints(kind):
             assert got.domain_left == out.seed and got.pieces is None
 
 
-def _report_text(make):
-    """The report's fields as text (``repr`` tells every float apart), or
-    the error it raises."""
-    try:
-        return repr(make().to_dict())
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_reports_match_the_per_vector_reports(monkeypatch, kind):
     # blocks of 5 put a block edge inside each input and leave a short last block
@@ -121,11 +114,11 @@ def test_block_reports_match_the_per_vector_reports(monkeypatch, kind):
     for k in range(4):
         scheme, rows = _block(rng, kind, k)
         for f in FUNCTIONS:
-            reports = competitiveness_reports(rows, f, scheme)
-            for v in rows.tolist():
-                got = _report_text(lambda: next(reports))
-                assert got == _report_text(lambda: scalar_report(v, f, scheme)), (v, f)
-                assert got == _report_text(lambda: competitiveness_ratio(v, f, scheme)), (v, f)
+            reports = block_report_texts(rows, f, scheme)
+            assert len(reports) == len(rows)
+            for v, got in zip(rows.tolist(), reports):
+                assert got == report_text(lambda: scalar_report(v, f, scheme)), (v, f)
+                assert got == report_text(lambda: competitiveness_ratio(v, f, scheme)), (v, f)
 
 
 @pytest.mark.parametrize("kind", KINDS)

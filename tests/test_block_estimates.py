@@ -280,7 +280,9 @@ def test_analyze_takes_its_hulls_from_the_one_block_step(monkeypatch):
     monkeypatch.setattr(estimators, "hull_block", build)
     for spec in ("max", "rg:p=2.5"):
         f = parse_function(spec, 3)
-        got = [r.to_dict() for r in analysis.competitiveness_reports(rows, f, SCHEME)]
+        blocks = list(analysis.competitiveness_reports(rows, f, SCHEME))
+        assert all(error is None for _, error in blocks)
+        got = [analysis.report_record(fields, k) for fields, _ in blocks for k in range(len(fields["ratio"]))]
         assert got[7]["square_integral_opt"] == 0.0 and len(got) == 130
         assert [g["square_integral_opt"] for g in got[:3]] == \
             [ref_integrate_square(scalar_v_optimal(lb_function(f, v, SCHEME))) for v in rows[:3].tolist()]

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,9 @@ from coordest.cli import (
     parse_scheme_file,
     resolve_items,
 )
-from coordest.model import PiecewiseLinearMap
+from coordest.analysis import RATIO_BOUND
+from coordest.functions import max_fn
+from coordest.model import PiecewiseLinearMap, TauScheme
 from coordest.samplers import read_samples
 
 DEMO_CSV = Path(__file__).resolve().parent.parent / "data" / "demo_two_instances.csv"
@@ -758,7 +759,7 @@ class TestAnalyzeCommand:
         assert proc.stderr == "coordest: error: item 'a': square_integral_j is inf, and only finite values are written\n"
         assert proc.stderr.count("\n") == 1
 
-    def test_subnormal_data_names_the_first_value_that_is_not_finite(self, tmp_path, capsys):
+    def test_subnormal_data_names_the_first_value_that_is_not_finite(self, tmp_path, capsys, monkeypatch):
         # the optimal estimate 1/p of a revelation probability near 2.5e-320
         # passes the largest float, and so does the dyadic one before it
         p = tmp_path / "tiny.csv"
@@ -766,9 +767,19 @@ class TestAnalyzeCommand:
         assert console_main(["analyze", "--input", str(p), "--function", "or", "--scheme", "pps:tau=1.2"]) == 2
         assert capsys.readouterr().err == \
             "coordest: error: item 'a': square_integral_j is inf, and only finite values are written\n"
-        # a nested field is named by its path
-        with pytest.raises(ValueError, match=r"^diagnostics\.bounded_slope is nan, and only finite"):
-            cli._check_finite({"ratio": 1.0, "bounded": True, "diagnostics": {"f_value": 2, "bounded_slope": math.nan}})
+        # a nested field is named by its path: no known input gives a NaN
+        # slope, so the block of item 4 is made to hold one
+        reports = cli.competitiveness_reports
+
+        def nan_slope(rows, f, scheme):
+            for fields, error in reports(rows, f, scheme):
+                fields["bounded_slope"][:] = math.nan
+                yield fields, error
+
+        monkeypatch.setattr(cli, "competitiveness_reports", nan_slope)
+        assert console_main(["analyze", "--input", str(DEMO_CSV), "--function", "max", "--items", "4"]) == 2
+        assert capsys.readouterr() == ("", "coordest: error: item '4': diagnostics.bounded_slope is nan, "
+                                           "and only finite values are written\n")
 
     @pytest.mark.parametrize("command", ["analyze", "characterize"])
     def test_subnormal_data_gets_exact_verdicts(self, tmp_path, command):
@@ -810,7 +821,7 @@ class TestAnalyzeCommand:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_schema_round_trip(self, tmp_path):
-        from coordest.analysis import AnalysisReport
+        from coordest.analysis import REPORT_FIELDS, competitiveness_ratio
 
         out = tmp_path / "reports.jsonl"
         argv = [
@@ -819,8 +830,11 @@ class TestAnalyzeCommand:
         ]
         assert main(argv) == 0
         rec = json.loads(out.read_text())
-        report = AnalysisReport(**{f.name: rec[f.name] for f in fields(AnalysisReport)})
-        assert report.competitive_ok
+        assert list(rec) == ["item", "vector", "function", *REPORT_FIELDS, "diagnostics"]
+        v = ingest(DEMO_CSV).vector("1")
+        assert rec == {"item": "1", "vector": list(v), "function": "max",
+                       **competitiveness_ratio(v, max_fn(len(v)), TauScheme.pps(4.0, r=len(v)))}
+        assert rec["ratio"] <= RATIO_BOUND
 
     def test_synthetic_sweep(self, tmp_path):
         # one-sided squared difference over v = (a, 0), a = 0.1 .. 1.0
@@ -858,19 +872,18 @@ class TestCharacterizeCommand:
         assert len(rows) > 10
 
     def test_record_that_is_not_json_names_the_item(self, monkeypatch, capsys):
-        # no known input gives a non-JSON verdict, so one check is made to
-        # return a NaN gap; the record of item 4 must then name it
-        from dataclasses import replace
-
+        # no known input gives a non-JSON verdict, so the verdicts of item
+        # 4's block are made to hold a NaN gap; its record must then name it
         from coordest import cli
 
-        checks = cli._curve_checks
+        verdicts = cli.curve_verdicts
 
-        def nan_gap(lbf, f_value, v, scheme):
-            est, bd, fv = checks(lbf, f_value, v, scheme)
-            return replace(est, value=math.nan), bd, fv
+        def nan_gap(rows, fvs, lbfs, scheme):
+            checks, heads, n, error = verdicts(rows, fvs, lbfs, scheme)
+            checks["estimable_gap"][:] = math.nan
+            return checks, heads, n, error
 
-        monkeypatch.setattr(cli, "_curve_checks", nan_gap)
+        monkeypatch.setattr(cli, "curve_verdicts", nan_gap)
         argv = ["characterize", "--input", str(DEMO_CSV), "--function", "max", "--items", "4"]
         assert console_main(argv) == 2
         out, err = capsys.readouterr()

@@ -696,10 +696,10 @@ def test_analysis_path_matches_per_row_reference(scheme_name, v, k):
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 check(v, f, scheme)
         return
-    assert report.estimable == check_estimable(v, f, scheme).ok
-    assert report.bounded == check_bounded(v, f, scheme).ok
-    assert report.finite_variance == check_finite_variance(v, f, scheme).ok
-    assert _bits([report.diagnostics["estimable_gap"], report.diagnostics["bounded_slope"]]) == _bits(
+    assert report["estimable"] == check_estimable(v, f, scheme).ok
+    assert report["bounded"] == check_bounded(v, f, scheme).ok
+    assert report["finite_variance"] == check_finite_variance(v, f, scheme).ok
+    assert _bits([report["diagnostics"]["estimable_gap"], report["diagnostics"]["bounded_slope"]]) == _bits(
         [check_estimable(v, f, scheme).value, check_bounded(v, f, scheme).value])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from coordest import analysis
-from coordest.analysis import competitiveness_ratio, competitiveness_reports, curve_block
+from coordest.analysis import competitiveness_ratio, curve_block
 from coordest.cli import _curve_rows, console_main
 from coordest.estimators import DEPTH
 from coordest.functions import lb_functions, rg_fn
@@ -28,7 +28,7 @@ from coordest.hull import FloatRangeError
 from coordest.model import TauScheme
 
 from conftest import builtin_functions
-from scalar_reference import j_estimate_fn, ref_value_at, scalar_report
+from scalar_reference import block_report_texts, j_estimate_fn, ref_value_at, report_text, scalar_report
 
 FUNCTIONS = builtin_functions(3) + [rg_fn(0.5, 3), rg_fn(3.0, 3)]
 SCHEMES = (TauScheme.pps(4.0, r=3), TauScheme.pps([0.5, 2.0, 8.0]))
@@ -40,9 +40,15 @@ def _bits(xs) -> list[int]:
 
 def block_columns(rows: np.ndarray, f, scheme):
     """The five columns of each vector of ``rows``, in order, as a (5, m)
-    array: the rows of its block's one split, ``cli._curve_rows``."""
-    for table in _curve_rows(rows, lb_functions(f, rows, scheme), f, scheme):
-        yield np.array(table).T
+    array: the rows of its block's one split, ``cli._curve_rows``, read
+    back from their CSV text (``repr`` writes every float to be read back
+    exactly); then the error of the vector that fails, raised."""
+    ids = [f"i{k}" for k in range(len(rows))]
+    texts, _, error = _curve_rows(rows, lb_functions(f, rows, scheme), f, scheme, ids)
+    for text in texts:
+        yield np.array([[float(x) for x in line.split(",")[1:]] for line in text.splitlines()]).T
+    if error is not None:
+        raise error
 
 
 def split_block(rows: np.ndarray, f, scheme) -> list[np.ndarray]:
@@ -114,13 +120,6 @@ def test_a_p600_vector_inside_a_block_ends_the_curves_after_the_rows_before_it(t
     assert characterize(rows[:1]) == (0, out, "", curves)
 
 
-def _report_text(make) -> str:
-    try:
-        return repr(make().to_dict())
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 @pytest.mark.parametrize("f", FUNCTIONS[:5], ids=lambda f: f.describe())
 def test_dyadic_tables_are_built_per_depth_group(monkeypatch, f):
     # one vector of tiny data needs depth 1019; the rest of its block stays at DEPTH
@@ -136,9 +135,10 @@ def test_dyadic_tables_are_built_per_depth_group(monkeypatch, f):
         return real(block, f, scheme, depth)
 
     monkeypatch.setattr(analysis, "j_piece_tables", record)
-    reports = [_report_text(lambda: r) for r in competitiveness_reports(rows, f, scheme)]
+    reports = block_report_texts(rows, f, scheme)
     assert sorted(calls) == [(DEPTH, len(rows) - 1), (1019, 1)]
     monkeypatch.undo()
+    assert len(reports) == len(rows)
     for v, got in zip(rows.tolist(), reports):
-        assert got == _report_text(lambda: scalar_report(v, f, scheme)), (v, f)
-        assert got == _report_text(lambda: competitiveness_ratio(v, f, scheme)), (v, f)
+        assert got == report_text(lambda: scalar_report(v, f, scheme)), (v, f)
+        assert got == report_text(lambda: competitiveness_ratio(v, f, scheme)), (v, f)

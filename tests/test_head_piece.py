@@ -162,5 +162,5 @@ def test_ratio_tail_uses_the_exact_slope():
     # it; the certified tail takes the larger, 256 * 4 * 2^-depth
     f = builtin_functions(2)[5]
     rep = competitiveness_ratio((1.0, 0.0), f, TauScheme.pps(1.0, r=2))
-    assert rep.diagnostics["bounded_slope"] == 2.0
-    assert rep.diagnostics["j_tail_bound"] == 256.0 * 4.0 * 2.0 ** -rep.diagnostics["depth"]
+    assert rep["diagnostics"]["bounded_slope"] == 2.0
+    assert rep["diagnostics"]["j_tail_bound"] == 256.0 * 4.0 * 2.0 ** -rep["diagnostics"]["depth"]

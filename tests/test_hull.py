@@ -145,7 +145,8 @@ class TestTinyValues:
         scheme = TauScheme.pps(4.0, r=3)
         for f in builtin_functions(3):
             rep = competitiveness_ratio((0.0, 0.0, x), f, scheme)
-            assert (rep.estimable, rep.bounded, rep.finite_variance, rep.chain_ok) == (True,) * 4, f.describe()
+            chain = implication_chain_ok(rep["bounded"], rep["finite_variance"], rep["estimable"])
+            assert (rep["estimable"], rep["bounded"], rep["finite_variance"], chain) == (True,) * 4, f.describe()
 
     def test_square_integral_of_values_whose_squares_overflow(self):
         # (2^600)^2 is past the largest float, its integral over a width of
@@ -228,28 +229,28 @@ class TestCompetitiveness:
         rep = competitiveness_ratio((1.0, 0.0), ONE_SIDED, scheme1)
         # dyadic mass 18/7 against optimal mass 4/3: the hull is the arc
         # (1 - u)^2 from the anchor at 1e-12, below which 4e-12 is not summed
-        assert rep.square_integral_j == pytest.approx(18.0 / 7.0, rel=1e-6)
-        assert rep.square_integral_opt == pytest.approx(4.0 / 3.0, rel=1e-11)
-        assert rep.ratio == pytest.approx(27.0 / 14.0, rel=1e-6)
-        assert rep.ratio <= RATIO_BOUND
-        assert rep.estimable and rep.finite_variance and rep.bounded
+        assert rep["square_integral_j"] == pytest.approx(18.0 / 7.0, rel=1e-6)
+        assert rep["square_integral_opt"] == pytest.approx(4.0 / 3.0, rel=1e-11)
+        assert rep["ratio"] == pytest.approx(27.0 / 14.0, rel=1e-6)
+        assert rep["ratio"] <= RATIO_BOUND
+        assert rep["estimable"] and rep["finite_variance"] and rep["bounded"]
 
     def test_zero_function_value(self, scheme1):
         rep = competitiveness_ratio((0.0, 1.0), ONE_SIDED, scheme1)
-        assert rep.ratio == 1.0
-        assert rep.square_integral_j == 0.0 and rep.square_integral_opt == 0.0
+        assert rep["ratio"] == 1.0
+        assert rep["square_integral_j"] == 0.0 and rep["square_integral_opt"] == 0.0
 
     def test_max_within_bound(self, scheme4):
         rep = competitiveness_ratio((1.0, 3.0), max_fn(2), scheme4)
-        assert rep.ratio <= RATIO_BOUND
-        assert rep.chain_ok
+        assert rep["ratio"] <= RATIO_BOUND
+        assert implication_chain_ok(rep["bounded"], rep["finite_variance"], rep["estimable"])
 
     def test_always_revealed_entry_stays_consistent(self, scheme4):
         # an entry at the threshold is revealed with certainty; the optimal
         # mass must stay positive so the ratio is well defined
         rep = competitiveness_ratio((4.0, 1.0), max_fn(2), scheme4)
-        assert rep.square_integral_opt > 0.0
-        assert rep.ratio <= RATIO_BOUND
+        assert rep["square_integral_opt"] > 0.0
+        assert rep["ratio"] <= RATIO_BOUND
 
     def test_valid_schemes_are_always_estimable(self):
         # schemes whose maps could leave a gap at seed 0 are rejected at
@@ -284,7 +285,7 @@ class TestCompetitiveness:
             v = random_vector(rng)
             scheme = random_scheme(rng)
             rep = competitiveness_ratio(v, ONE_SIDED, scheme)
-            assert rep.ratio >= 1.0 - 1e-6
+            assert rep["ratio"] >= 1.0 - 1e-6
 
     def test_extreme_scales_stay_classified_and_bounded(self):
         # revelation seeds down to ~1e-12 (huge thresholds over tiny values):
@@ -303,7 +304,7 @@ class TestCompetitiveness:
             assert est.ok
             assert implication_chain_ok(bd.ok, fv.ok, est.ok)
             rep = competitiveness_ratio(v, f, scheme)
-            assert 1.0 - 1e-6 <= rep.ratio <= RATIO_BOUND
+            assert 1.0 - 1e-6 <= rep["ratio"] <= RATIO_BOUND
 
     def test_inverse_probability_is_optimal_for_max_and_min(self):
         # under a shared PPS threshold the certifying event is a single seed
