@@ -226,7 +226,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
         # one table call per depth (entry j of a table does not depend on the
         # depth), so a vector of tiny data sends no other row deep
         sq_j = np.empty(len(block))
-        for depth in np.unique(depths).tolist():
+        for depth in sorted(set(depths.tolist())):
             values, shift = scaled_rows(j_piece_tables(block[depths == depth], f, scheme, depth))
             with np.errstate(over="ignore"):  # scaled back past the largest float: inf
                 sq_j[depths == depth] = np.sum(2.0 ** -(np.arange(depth + 1.0) + 1.0) * (values * values), axis=1) \

@@ -349,10 +349,10 @@ CURVE_COLUMNS = ("u", "lower_bound", "hull", "j_estimate", "v_optimal")
 
 
 def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme, ids: Sequence[str]):
-    """The ``--curves`` text of each vector of a block, of items ``ids``, up
-    to the first that fails, from one :func:`curve_block`; and the index and
-    error of that vector (or None): a value that is not finite, named with
-    its column and seed, or else the error of its hull."""
+    """The ``--curves`` lines of each vector of a block, of items ``ids``, up
+    to the first that fails, from one :func:`curve_block`, formatted as they
+    are read; and the index and error of that vector (or None): a value that
+    is not finite, named with its column and seed, or else its hull's."""
     columns, ends, error = curve_block(rows, lbfs, f, scheme)
     n, bad = len(ends), np.flatnonzero(~np.isfinite(columns).all(axis=0))
     if len(bad):
@@ -363,7 +363,7 @@ def _curve_rows(rows: np.ndarray, lbfs, f: ItemFunction, scheme: TauScheme, ids:
         error = ValueError(f"the --curves column {CURVE_COLUMNS[col]} is {x!r} at u = {u!r}, "
                            "and only finite values are written")
     table = list(zip(*columns.tolist()))
-    return ["".join(map(_curve_row_format(item).__mod__, table[a:b]))
+    return [map(_curve_row_format(item).__mod__, table[a:b])
             for item, a, b in zip(ids, [0] + ends, ends[:n])], n, error
 
 
@@ -398,7 +398,7 @@ ANALYZE_FLOATS = (*REPORT_FIELDS[:5], "diagnostics.f_value", "diagnostics.estima
 def _analyze_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme):
     """Per block of :func:`competitiveness_reports`: the record columns of
     its vectors up to the first that fails, whether each holds its ratio
-    bound and implication chain, no curve text, and the error of that vector
+    bound and implication chain, no curve lines, and the error of that vector
     (or None); after its report's own, a value that is not finite is one."""
     for fields, error in competitiveness_reports(rows, f, scheme):
         live, bounded = fields["f_value"] != 0.0, fields["bounded"]
@@ -411,13 +411,13 @@ def _analyze_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme):
         tails = np.array([repr(x) for x in fields["j_tail_bound"].tolist()], dtype=object)
         tails = np.where(live, ', "j_tail_bound": ' + np.where(bounded, tails, "null"), "")
         chain = implication_chain_ok(bounded, fields["finite_variance"], fields["estimable"])
-        yield _columns({**fields, "j_tail_bound": tails}), (fields["ratio"] <= RATIO_BOUND) & chain, "", error
+        yield _columns({**fields, "j_tail_bound": tails}), (fields["ratio"] <= RATIO_BOUND) & chain, (), error
 
 
 def _characterize_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, ids: Sequence[str] | None):
     """Per block of :func:`curve_blocks`: the record columns of its vectors
     up to the first that fails, whether each holds its implication chain,
-    with ``ids`` (the items of ``rows``) their :func:`_curve_rows` text, and
+    with ``ids`` (the items of ``rows``) their :func:`_curve_rows` lines, and
     the error of that vector (or None): that of its verdicts, a value of
     its record that is not finite, then one of its curve rows."""
     done = 0
@@ -426,14 +426,14 @@ def _characterize_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, i
         m, not_finite = _first_not_finite({k: verdicts[k][:n] for k in ("estimable_gap", "bounded_slope")})
         if not_finite is not None:
             n, error = m, not_finite
-        texts = []
+        curves = []
         if ids is not None and n:
-            texts, m, curve_error = _curve_rows(block, lbfs, f, scheme, ids[done:done + len(block)])
+            curves, m, curve_error = _curve_rows(block, lbfs, f, scheme, ids[done:done + len(block)])
             if m < n:
                 n, error = m, curve_error
         verdicts = {k: c[:n] for k, c in verdicts.items()}
         chain = implication_chain_ok(verdicts["bounded"], verdicts["finite_variance"], verdicts["estimable"])
-        yield _columns({**verdicts, "chain_ok": chain}), chain, "".join(texts[:n]), error
+        yield _columns({**verdicts, "chain_ok": chain}), chain, (line for rows in curves[:n] for line in rows), error
         done += len(block)
 
 
@@ -466,11 +466,11 @@ def cmd_per_vector(args: argparse.Namespace) -> int:
             # a record or curve value past the largest float (data near
             # 1e-310 or 1e308) is not written
             with _error_source(f"item {ids[done]!r}"):
-                columns, ok, curve_text, error = next(blocks)
+                columns, ok, curve_lines, error = next(blocks)
             items = map(encode_basestring_ascii, ids[done:done + len(ok)])
-            fp.write("".join(map(template.__mod__, zip(items, *rows[done:done + len(ok)].T.tolist(), *columns))))
-            if curve_text:
-                curves_fp.write(curve_text)
+            fp.writelines(map(template.__mod__, zip(items, *rows[done:done + len(ok)].T.tolist(), *columns)))
+            if curves_fp is not None:
+                curves_fp.writelines(curve_lines)
             failed, done = failed or not ok.all(), done + len(ok)
             if error is not None:
                 with _error_source(f"item {ids[done]!r}"):

@@ -41,12 +41,12 @@ def _bits(xs) -> list[int]:
 def block_columns(rows: np.ndarray, f, scheme):
     """The five columns of each vector of ``rows``, in order, as a (5, m)
     array: the rows of its block's one split, ``cli._curve_rows``, read
-    back from their CSV text (``repr`` writes every float to be read back
+    back from their CSV lines (``repr`` writes every float to be read back
     exactly); then the error of the vector that fails, raised."""
     ids = [f"i{k}" for k in range(len(rows))]
-    texts, _, error = _curve_rows(rows, lb_functions(f, rows, scheme), f, scheme, ids)
-    for text in texts:
-        yield np.array([[float(x) for x in line.split(",")[1:]] for line in text.splitlines()]).T
+    lines, _, error = _curve_rows(rows, lb_functions(f, rows, scheme), f, scheme, ids)
+    for vector in lines:
+        yield np.array([[float(x) for x in line.split(",")[1:]] for line in vector]).T
     if error is not None:
         raise error
 
