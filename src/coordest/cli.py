@@ -401,13 +401,13 @@ def _analyze_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme):
     bound and implication chain, no curve lines, and the error of that vector
     (or None); after its report's own, a value that is not finite is one."""
     for fields, error in competitiveness_reports(rows, f, scheme):
-        live, bounded = fields["f_value"] != 0.0, fields["bounded"]
         values = {name: fields[name.rpartition(".")[2]] for name in ANALYZE_FLOATS}
-        # a NaN bound is written as null, or not at all where f(v) is 0
-        values["diagnostics.j_tail_bound"] = np.where(live & bounded, fields["j_tail_bound"], 0.0)
+        written = (fields["f_value"] != 0.0) & fields["bounded"]  # else null, or no field at f(v) = 0
+        values["diagnostics.j_tail_bound"] = np.where(written, fields["j_tail_bound"], 0.0)
         n, not_finite = _first_not_finite(values)
         if not_finite is not None:
-            fields, error, live, bounded = {k: c[:n] for k, c in fields.items()}, not_finite, live[:n], bounded[:n]
+            fields, error = {k: c[:n] for k, c in fields.items()}, not_finite
+        live, bounded = fields["f_value"] != 0.0, fields["bounded"]
         tails = np.array([repr(x) for x in fields["j_tail_bound"].tolist()], dtype=object)
         tails = np.where(live, ', "j_tail_bound": ' + np.where(bounded, tails, "null"), "")
         chain = implication_chain_ok(bounded, fields["finite_variance"], fields["estimable"])
@@ -433,7 +433,7 @@ def _characterize_blocks(rows: np.ndarray, f: ItemFunction, scheme: TauScheme, i
                 n, error = m, curve_error
         verdicts = {k: c[:n] for k, c in verdicts.items()}
         chain = implication_chain_ok(verdicts["bounded"], verdicts["finite_variance"], verdicts["estimable"])
-        yield _columns({**verdicts, "chain_ok": chain}), chain, (line for rows in curves[:n] for line in rows), error
+        yield _columns({**verdicts, "chain_ok": chain}), chain, (line for lines in curves[:n] for line in lines), error
         done += len(block)
 
 
