@@ -35,10 +35,11 @@ from workloads import WORKLOADS, Inputs, Op, round_ops  # noqa: E402
 
 # the arc paths (p > 1) that the round leaves out, run after it on the same
 # input.  At p = 2 the powers ** p and ** (p - 1) take numpy's square and
-# copy loops; p = 2.5 and 3 take its general pow loop.  Then analyze of a
-# concave curve at a non-integer p, whose slope at 0+ takes c ** (p - 1) one
-# float at a time: numpy's array pow differs from it in the last bit on
-# some heads.  Then the corner-hull
+# copy loops; p = 2.5 and 3 take its general pow loop.  Then characterize
+# and analyze of a concave curve at a non-integer p, whose slope at 0+
+# takes c ** (p - 1) one float at a time (numpy's array pow differs from it
+# in the last bit on some heads) and whose --curves rows hold the seeds
+# inside its pieces, and of the one 0/1 function, or.  Then the corner-hull
 # oracle of the Monte Carlo sweep, which the round runs at one salt only:
 # l1 with --reps, and jaccard, which reads two hull blocks per item block
 EXTRA_OPS = {"analysis": [
@@ -46,7 +47,10 @@ EXTRA_OPS = {"analysis": [
     Op("analyze-rg2-file", "analyze", function="rg:p=2", scheme="file"),
     *(Op(f"{kind}-{tag}-{scheme}", kind, function=f, scheme=scheme) for kind in ("characterize", "analyze")
       for tag, f in (("rg25", "rg:p=2.5"), ("osrg3", "one_sided_rg:p=3,hi=3,lo=1")) for scheme in ("inline", "file")),
-    *(Op(f"analyze-rg05-{scheme}", "analyze", function="rg:p=0.5", scheme=scheme) for scheme in ("inline", "file")),
+    *(Op(f"{kind}-rg05-{scheme}", kind, function="rg:p=0.5", scheme=scheme) for kind in ("characterize", "analyze")
+      for scheme in ("inline", "file")),
+    *(Op(f"{kind}-or-{scheme}", kind, function="or", scheme=scheme) for kind in ("characterize", "analyze")
+      for scheme in ("inline", "file")),
     Op("voptimal-lpp", "voptimal", query="lpp:p=2", estimator="voptimal-oracle"),
     Op("voptimal-lpp-reps", "voptimal", query="lpp:p=2", estimator="voptimal-oracle", reps=1000),
     Op("voptimal-lpp25", "voptimal", query="lpp:p=2.5", estimator="voptimal-oracle"),

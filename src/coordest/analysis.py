@@ -9,7 +9,7 @@ For a data vector ``v`` and function ``f`` the full lower-bound curve
 * ... + bounded estimates     <=>  (f(v) - lb(u)) / u stays bounded
 
 Every curve follows one closed form below its head (its first breakpoint),
-``LowerBoundFn.head_piece``, and the three verdicts are read from it exactly.
+its head piece, and the three verdicts are read from it exactly.
 
 Competitiveness compares the squared-estimate integral of the dyadic
 estimator against the hull optimum.  The certified bound for the dyadic
@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import DEPTH, _padded, block_hulls, dyadic_indices, j_piece_tables
-from .functions import ItemFunction, LowerBoundFn, evaluate, evaluate_many, lb_function, lb_functions, lower_bounds
+from .estimators import DEPTH, dyadic_indices, hull_block, j_piece_tables
+from .functions import ItemFunction, LowerBoundFns, evaluate_many, lb_functions, lower_bounds
 from .hull import FloatRangeError, scaled_rows
 from .model import TauScheme
 
@@ -59,33 +59,6 @@ class CheckResult:
         return self.ok
 
 
-def _curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
-    """The estimable, bounded and finite-variance verdicts of the curve
-    ``lbf`` of data ``v``, from its head piece; an infinite ``f_value`` is an
-    error.  Estimable: the gap of ``f_value`` over the head at seed 0, which
-    is 0 unless an entry is revealed at no positive float seed, an error.
-    Bounded: the head's slope at 0+, ``p * c^(p-1) * |d|`` (0 for a constant
-    head and for ``f_value = 0``).  Finite variance: a bound on every slope
-    of the convex hull from ``(0, f_value)``, the slope at 0+ on a convex
-    head and ``f_value / head`` on a concave one; it is finite exactly when
-    the slope at 0+ is (the float quotient may overflow, the real one not).
-    """
-    c, d = lbf.head_piece
-    p = lbf.exponent
-    if not math.isfinite(f_value):
-        raise FloatRangeError(p)
-    at_zero = c if p is None else float((np.array([c]) ** p)[0])
-    if f_value != at_zero:
-        raise _unrevealed_error(v, scheme, f_value, at_zero)
-    slope = 0.0
-    if p is not None and c > 0.0 and d != 0.0:
-        with np.errstate(over="ignore"):
-            slope = float(p * np.float64(c) ** (p - 1.0) * -d)
-    steepest = max(slope, f_value / lbf.head)
-    return (CheckResult(True, 0.0), CheckResult(math.isfinite(slope), slope),
-            CheckResult(math.isfinite(slope), steepest))
-
-
 def _unrevealed_error(v: Sequence[float], scheme: TauScheme, f_value: float, at_zero: float) -> ValueError:
     """The error of data whose curve tends to ``at_zero``, not ``f_value``,
     toward seed 0: an entry above its domain low that is below its
@@ -97,16 +70,36 @@ def _unrevealed_error(v: Sequence[float], scheme: TauScheme, f_value: float, at_
     return ValueError(f"{where}the lower bound tends to {at_zero!r} toward seed 0, not to f(v) = {f_value!r}")
 
 
+def _one_row_verdicts(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> tuple[dict, float]:
+    """The :func:`curve_verdicts` of the one data vector ``v`` as numbers,
+    and ``f(v)`` over its curve's head; the error of checks that fail is
+    raised."""
+    row = np.asarray(v, dtype=float).reshape(1, -1)
+    curves = lb_functions(f, row, scheme)
+    fvs = evaluate_many(f, row)
+    verdicts, heads, _, error = curve_verdicts(row, fvs, curves, scheme)
+    if error is not None:
+        raise error
+    return {name: column.item(0) for name, column in verdicts.items()}, fvs.item(0) / heads.item(0)
+
+
 def check_estimable(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[0]
+    verdicts, _ = _one_row_verdicts(v, f, scheme)
+    return CheckResult(verdicts["estimable"], verdicts["estimable_gap"])
 
 
 def check_bounded(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[1]
+    verdicts, _ = _one_row_verdicts(v, f, scheme)
+    return CheckResult(verdicts["bounded"], verdicts["bounded_slope"])
 
 
 def check_finite_variance(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    return _curve_checks(lb_function(f, v, scheme), evaluate(f, v), v, scheme)[2]
+    """The verdict, with a bound on every slope of the convex hull from
+    ``(0, f(v))``: the slope at 0+ on a convex head and ``f(v) / head`` on
+    a concave one; it is finite exactly when the slope at 0+ is (the float
+    quotient may overflow, the real one not)."""
+    verdicts, quotient = _one_row_verdicts(v, f, scheme)
+    return CheckResult(verdicts["finite_variance"], max(verdicts["bounded_slope"], quotient))
 
 
 def implication_chain_ok(bounded, finite_variance, estimable):
@@ -119,18 +112,23 @@ def implication_chain_ok(bounded, finite_variance, estimable):
 # variance and competitiveness
 
 
-def curve_verdicts(rows: np.ndarray, fvs: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme):
-    """The :func:`_curve_checks` verdicts of the data vectors ``rows[k]`` of
-    ``f`` values ``fvs[k]`` and curves ``lbfs[k]``, as arrays in the order
-    of a ``characterize`` record; the curves' heads; and the index and error
-    of the first vector whose checks fail (the vector count and None).
-    As in ``_curve_checks``, the values at seed 0 take an array power, and
-    the slopes at 0+ take ``c^(p-1)`` one float at a time: numpy's array
-    power differs from the scalar one in the last bit on some inputs."""
-    n, p = len(lbfs), lbfs[0].exponent
-    bps, _ = _padded([lbf.breakpoints for lbf in lbfs])
-    heads = bps[np.arange(n), np.argmax(bps > 0.0, axis=1)]
-    cs, ds = np.array([lbf.head_piece for lbf in lbfs]).T.copy()
+def curve_verdicts(rows: np.ndarray, fvs: np.ndarray, curves: LowerBoundFns, scheme: TauScheme):
+    """The estimable, bounded and finite-variance verdicts of the data
+    vectors ``rows[k]`` of ``f`` values ``fvs[k]`` and curves ``curves``,
+    read from their head pieces, as arrays in the order of a
+    ``characterize`` record; the curves' heads; and the index and error of
+    the first vector whose checks fail (the vector count and None).
+
+    Estimable: the gap of ``f(v)`` over the head at seed 0, which is 0
+    unless an entry is revealed at no positive float seed, an error; an
+    infinite ``f(v)`` is one too.  Bounded, and of finite variance: the
+    head's slope at 0+, ``p * c^(p-1) * |d|``, is finite (0 for a constant
+    head and for ``f(v) = 0``).  The values at seed 0 take an array power,
+    and the slopes at 0+ take ``c^(p-1)`` one float at a time: numpy's
+    array power differs from the scalar one in the last bit on some inputs.
+    """
+    n, p, heads = len(curves), curves.exponent, curves.heads
+    cs, ds = curves.cs[:, 0].copy(), curves.ds[:, 0].copy()
     slopes = np.zeros(n)
     with np.errstate(over="ignore"):
         at_zero = cs if p is None else cs**p
@@ -213,11 +211,11 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
     fails, and that vector's error (or None): its :func:`curve_verdicts`
     error, else the error of its hull, else an :class:`AnalysisError`.
     A block takes one :func:`j_piece_tables` call per dyadic depth, one
-    :func:`block_hulls` step (the oracle's) with one square integral call,
+    :func:`hull_block` step (the oracle's) with one square integral call,
     one :func:`lower_bounds` call for the tail seeds, and array passes.
     """
-    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
-        verdicts, heads, n, error = curve_verdicts(block, fvs, lbfs, scheme)
+    for block, fvs, curves in curve_blocks(rows, f, scheme):
+        verdicts, heads, n, error = curve_verdicts(block, fvs, curves, scheme)
         slopes, bounded = verdicts["bounded_slope"], verdicts["bounded"]
         # keep summing dyadic blocks well past the curve's smallest
         # breakpoint, otherwise the worst-case tail bound dwarfs the actual
@@ -232,7 +230,7 @@ def competitiveness_reports(rows, f: ItemFunction, scheme: TauScheme):
                 sq_j[depths == depth] = np.sum(2.0 ** -(np.arange(depth + 1.0) + 1.0) * (values * values), axis=1) \
                     * np.ldexp(1.0, shift) * np.ldexp(1.0, shift)
         live = fvs != 0.0  # the report at f(v) = 0 reads no hull; a failed one reads 0
-        hulls, _, errors = block_hulls(f, block[live], [lbf for lbf, x in zip(lbfs, live.tolist()) if x], scheme)
+        hulls, _, errors = hull_block(curves.take(live))
         sq_opt, failed = np.zeros(len(block)), np.zeros(len(block), dtype=bool)
         sq_opt[live], failed[live] = hulls.square_integral(np.arange(len(errors))), [e is not None for e in errors]
         u_tail = np.ldexp(1.0, 2 - depths)
@@ -277,13 +275,13 @@ def curve_table(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> list[
     return list(zip(*columns.tolist()))
 
 
-def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction, scheme: TauScheme):
+def curve_block(rows: np.ndarray, curves: LowerBoundFns, f: ItemFunction, scheme: TauScheme):
     """The five columns of :func:`curve_table` of the data vectors
-    ``rows[k]`` with curves ``lbfs[k]``, up to the first whose hull fails:
+    ``rows[k]`` with curves ``curves``, up to the first whose hull fails:
     one (5, W) array ``columns``, in which vector ``k`` holds the columns
     ``ends[k - 1]:ends[k]``, and the error of that hull (or None).  Every
     seed lies in (0, 1].  Each step runs once for the block: one
-    :func:`block_hulls` step, as the oracle's; the seeds of every vector,
+    :func:`hull_block` step, as the oracle's; the seeds of every vector,
     padded with seed 1, sorted along each row and each one equal to the one
     before it masked out; one :func:`lower_bounds` call at all rows, one
     gather in the dyadic tables (one :func:`j_piece_tables` call) and one
@@ -292,23 +290,22 @@ def curve_block(rows: np.ndarray, lbfs: Sequence[LowerBoundFn], f: ItemFunction,
     those of the rows on both sides of it goes, the rows compared once, all
     of them; and the hull column at the rows kept, one ordered sum.
     """
-    block, anchors, errors = block_hulls(f, rows, lbfs, scheme)
-    n = next((k for k, error in enumerate(errors) if error is not None), len(lbfs))
-    error = errors[n] if n < len(lbfs) else None
+    block, anchors, errors = hull_block(curves)
+    n = next((k for k, error in enumerate(errors) if error is not None), len(curves))
+    error = errors[n] if n < len(curves) else None
     if not n:
         return np.empty((5, 0)), [], error
-    rows, lbfs = rows[:n], lbfs[:n]
-    bps, _ = _padded([lbf.breakpoints for lbf in lbfs])
+    rows, bps = rows[:n], curves.breakpoints[:n]
     after = np.where(bps < 1.0, np.nextafter(bps, np.inf), 1.0)
-    j_ends = np.broadcast_to(np.ldexp(1.0, np.arange(-DEPTH - 1, 1)), (n, DEPTH + 2))
-    # evenly spaced seeds inside each piece, from the hull's anchor (its
-    # first vertex) through the breakpoints, of a curve that is neither
-    # constant nor linear between them
-    edges = np.concatenate((anchors[:n, None], bps), axis=1)
-    t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
-    inside = (edges[:, :-1, None] + np.diff(edges, axis=1)[:, :, None] * t).reshape(n, -1)
-    inside[[lbf.exponent in (None, 1.0) for lbf in lbfs]] = 1.0
-    seeds = np.sort(np.concatenate((bps, after, block.edges[:n], j_ends, inside), axis=1), axis=1)
+    seeds = [bps, after, block.edges[:n], np.broadcast_to(np.ldexp(1.0, np.arange(-DEPTH - 1, 1)), (n, DEPTH + 2))]
+    if curves.exponent not in (None, 1.0):
+        # evenly spaced seeds inside each piece, from the hull's anchor (its
+        # first vertex) through the breakpoints, of a curve that is neither
+        # constant nor linear between them
+        edges = np.concatenate((anchors[:n, None], bps), axis=1)
+        t = np.arange(1, CURVE_SEEDS + 1) / (CURVE_SEEDS + 1)
+        seeds.append((edges[:, :-1, None] + np.diff(edges, axis=1)[:, :, None] * t).reshape(n, -1))
+    seeds = np.sort(np.concatenate(seeds, axis=1), axis=1)
     new = np.ones(seeds.shape, dtype=bool)
     new[:, 1:] = seeds[:, 1:] != seeds[:, :-1]
     us, counts = seeds[new], np.count_nonzero(new, axis=1)

@@ -30,6 +30,7 @@ import numpy as np
 from .functions import (
     ItemFunction,
     LowerBoundFn,
+    LowerBoundFns,
     evaluate_many,
     lb_functions,
     lower_bounds,
@@ -206,36 +207,28 @@ def ht_blocks(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> tuple[np.
 
 
 def v_optimal_estimates(lb: LowerBoundFn) -> EstimateBlock:
-    """Negated slopes of the lower hull of a full lower-bound curve: the
-    one-row :func:`hull_block` of the curve; the error of a hull that
-    fails is raised."""
-    block, _, (error,) = hull_block([lb], lambda _, us: lb.value(us))
+    """Negated slopes of the lower hull of a full lower-bound curve, one of
+    no known form too if its pieces are constant or concave: the one-row
+    :func:`hull_block` of the curve, read by its ``value``; the error of a
+    hull that fails is raised."""
+    if lb.domain_left > HULL_LEFT_ANCHOR:
+        raise ValueError("need a lower-bound curve valid on all of (0, 1]")
+    if not (lb.exponent is None or lb.exponent <= 1.0) and (lb.pieces is None or math.isinf(lb.exponent)):
+        raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
+    bps = np.array([lb.breakpoints], dtype=float)
+    cs, ds = np.zeros((2, *bps.shape)) if lb.pieces is None else np.array(lb.pieces, dtype=float).T[:, None]
+    curves = LowerBoundFns(bps, np.ones(bps.shape, dtype=bool), cs, ds, lb.exponent, lambda _, us: lb.value(us))
+    block, _, (error,) = hull_block(curves)
     if error is not None:
         raise error
     return block
 
 
-def _corners(lb: LowerBoundFn) -> bool:
-    """Whether the hull of ``lb`` has its vertices among the curve's corners."""
-    return lb.exponent is None or lb.exponent <= 1.0
-
-
-def _padded(rows: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Float rows of any lengths as one array, padded with 1.0, and the
-    mask of the entries that are not padding."""
-    lens = np.array([len(r) for r in rows], dtype=np.intp)
-    out = np.ones((len(rows), lens.max(initial=0)))
-    real = np.arange(out.shape[1]) < lens[:, None]
-    out[real] = list(chain.from_iterable(rows))
-    return out, real
-
-
-def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.ndarray, list[Exception | None]]:
+def hull_block(curves: LowerBoundFns) -> tuple[EstimateBlock, np.ndarray, list[Exception | None]]:
     """The negated slopes of the lower hull of each full lower-bound curve
-    ``lbfs[k]`` as the rows of one :class:`EstimateBlock`, the hulls' left
-    anchors, and the error of each row whose hull failed (None where it did
-    not); a failed row reads 0.  ``read(rows, us)`` gives the value of the
-    curve ``lbfs[rows[i]]`` at seed ``us[i]``, for flat arrays.
+    of the block ``curves`` as the rows of one :class:`EstimateBlock`, the
+    hulls' left anchors, and the error of each row whose hull failed (None
+    where it did not); a failed row reads 0.
 
     The hull runs from a left anchor just right of 0, carrying the curve's
     limit value, to ``(1, 0)``: the cumulative estimate must vanish at seed
@@ -245,50 +238,43 @@ def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.nd
     ``rg`` and one-sided ``rg`` with ``p > 1``) can have hull vertices only
     at its corners: its points are the curve at every breakpoint and just
     right of it, taken for all rows from the padded breakpoints, read in
-    one ``read`` call, and hulled in one :func:`lower_hulls` call.  A curve
-    of convex arcs takes its hull from the closed form of its pieces
-    (:func:`arc_hull`, one Python stack per row); the curves of such a
-    block share one exponent, so it holds no corner curve.
+    one ``curves.read`` call, and hulled in one :func:`lower_hulls` call.
+    A curve of convex arcs takes its hull from the closed form of its
+    pieces (:func:`arc_hull` on its padded row, one Python stack per row).
     """
-    for lb in lbfs:
-        if lb.domain_left > HULL_LEFT_ANCHOR:
-            raise ValueError("need a lower-bound curve valid on all of (0, 1]")
-        if not _corners(lb) and (lb.pieces is None or math.isinf(lb.exponent)):
-            raise ValueError("the hull needs a curve of known form: constant pieces, or (c + d*u)^p on each piece")
-    arcs = any(not _corners(lb) for lb in lbfs)
-    if arcs and len({lb.exponent for lb in lbfs}) > 1:
-        raise ValueError("the curves of a block of arc hulls share one exponent")
+    p = curves.exponent
     # all the action sits at small seeds, and a curve whose first breakpoint
     # is tiny (values revealed only with tiny probability) keeps its mass
     # below the default anchor; scale the anchor under the curve's head.
     # Below a subnormal head the anchor may underflow to 0
-    anchors = np.maximum(np.minimum(HULL_LEFT_ANCHOR, 1e-3 * np.array([lb.head for lb in lbfs])), math.ulp(0.0))
-    if arcs:
-        rows, errors = [], [None] * len(lbfs)
-        for k, (lb, anchor) in enumerate(zip(lbfs, anchors.tolist())):
+    anchors = np.maximum(np.minimum(HULL_LEFT_ANCHOR, 1e-3 * curves.heads), math.ulp(0.0))
+    if p is not None and p > 1.0:
+        rows, errors = [], [None] * len(curves)
+        lines = zip(curves.breakpoints.tolist(), curves.cs.tolist(), curves.ds.tolist(), anchors.tolist())
+        for k, (bps, cs, ds, anchor) in enumerate(lines):
             try:
-                rows.append(arc_hull(lb.breakpoints, lb.pieces, lb.exponent, anchor))
+                rows.append(arc_hull(bps, list(zip(cs, ds)), p, anchor))
             except (ValueError, ArithmeticError) as exc:
                 rows.append([])
                 errors[k] = exc
         # each row padded with zero-width pieces at its last edge (seed 1
         # without a hull); a NaN or -0.0 mean reads 0.0, as a corner slope
-        width = max(1, *map(len, rows))
+        width = max([1, *map(len, rows)])
         pieces = np.array([r + [(r[-1][1] if r else 1.0,) * 2 + (0.0,) * 3] * (width - len(r)) for r in rows])
-        lo, hi, mean, c, d = np.moveaxis(pieces, -1, 0)
+        lo, hi, mean, c, d = np.moveaxis(pieces.reshape(len(rows), width, 5), -1, 0)
         edges = np.concatenate((lo[:, :1], hi), axis=1)
-        return EstimateBlock(edges, np.fmax(mean, 0.0) + 0.0, (c, d), lbfs[0].exponent), anchors, errors
+        return EstimateBlock(edges, np.fmax(mean, 0.0) + 0.0, (c, d), p), anchors, errors
     # the points: the anchor, each breakpoint past it, each breakpoint below
     # 1 read just right of it (the curve is left-continuous and may jump
     # down there; the cumulative estimate is continuous and capped at every
     # seed beyond the jump as well, so the binding value AT a breakpoint is
     # the right limit), and (1, 0)
-    n, a = len(lbfs), anchors[:, None]
-    bps, real = _padded([lb.breakpoints for lb in lbfs])
+    n, a = len(curves), anchors[:, None]
+    bps, real = curves.breakpoints, curves.real
     seen = np.concatenate((np.ones((n, 1), dtype=bool), real & (bps > a), real & (bps < 1.0)), axis=1)
     at = np.concatenate((a, bps, np.nextafter(bps, np.inf)), axis=1)
     ys = np.zeros((n, at.shape[1] + 1))
-    ys[:, :-1][seen] = read(np.nonzero(seen)[0], at[seen])
+    ys[:, :-1][seen] = curves.read(np.nonzero(seen)[0], at[seen])
     xs = np.concatenate((a, bps, bps, np.ones((n, 1))), axis=1)
     edges, ys, counts = lower_hulls(xs, ys, np.pad(seen, ((0, 0), (0, 1)), constant_values=True))
     # a row has two vertices or more, or none
@@ -299,13 +285,6 @@ def hull_block(lbfs: Sequence[LowerBoundFn], read) -> tuple[EstimateBlock, np.nd
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = np.fmax((ys[:, :-1] - ys[:, 1:]) / np.diff(edges, axis=1), 0.0) + 0.0
     return EstimateBlock(edges, values), anchors, errors
-
-
-def block_hulls(f: ItemFunction, rows: np.ndarray, lbfs: Sequence[LowerBoundFn], scheme: TauScheme):
-    """:func:`hull_block` of the curves ``lbfs`` of the data vectors
-    ``rows``, read by :func:`lower_bounds`: the one hull step of the
-    oracle, ``analyze`` and the ``--curves`` rows."""
-    return hull_block(lbfs, lambda who, us: lower_bounds(f, rows.T[:, who], True, us, scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +431,7 @@ def sum_estimate(
         vectors, seeds, estimates = data.matrix[data.indices(ids)], samples.seeds[rows], []
         for start in range(0, len(ids), MC_ITEM_BLOCK):
             block = vectors[start:start + MC_ITEM_BLOCK]
-            hulls, _, errors = block_hulls(f, block, lb_functions(f, block, samples.scheme), samples.scheme)
+            hulls, _, errors = hull_block(lb_functions(f, block, samples.scheme))
             for error in filter(None, errors):
                 raise error
             estimates += hulls.value_at(np.arange(len(block)), seeds[start:start + len(block)]).tolist()
@@ -600,7 +579,7 @@ def _mc_sums(
             values, probs = np.stack([ht_blocks(f, vectors, scheme) for f in fs], axis=2)
             live = values > 0.0
         else:
-            hulls, _, errors = zip(*(block_hulls(f, vectors, lb_functions(f, vectors, scheme), scheme) for f in fs))
+            hulls, _, errors = zip(*(hull_block(lb_functions(f, vectors, scheme)) for f in fs))
             # the first error of the first item whose hull failed
             for error in filter(None, chain.from_iterable(zip(*errors))):
                 raise error

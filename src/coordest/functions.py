@@ -221,7 +221,9 @@ def lower_bound_from_vector(f: ItemFunction, v: Sequence[float], scheme: TauSche
     vector would produce; accepts a scalar or an array of seeds."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = lower_bounds(f, _column(v), True, xs, scheme)
+    col = _column(v)
+    _check_arity(f, col.T, scheme)
+    out = lower_bounds(f, col, True, xs, scheme)
     return float(out[0]) if scalar else out
 
 
@@ -306,14 +308,16 @@ def _scheme_points(scheme: TauScheme) -> np.ndarray:
 
 def _breakpoints(
     scheme: TauScheme, levels: np.ndarray, owners: np.ndarray, lefts: np.ndarray
-) -> list[tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The breakpoints of each of ``len(lefts)`` curves: the seeds past its
     ``lefts[k]`` where a map crosses one of its levels (``levels[i]`` is
     a level of curve ``owners[i]``) or a domain low, together with the
-    :func:`_scheme_points`, ascending and ending at 1.
+    :func:`_scheme_points`, ascending and ending at 1; row ``k`` of an
+    ``(n, w)`` array, padded with 1.0, and the mask of the entries that are
+    not padding.
 
     Each map crosses every level of every curve in one pass; the seeds of
-    all curves are then sorted and split in one pass more.
+    all curves are then sorted and laid into their rows in one pass more.
     """
     n = len(lefts)
     pts = _scheme_points(scheme)
@@ -330,15 +334,19 @@ def _breakpoints(
     who, us = who[order], us[order]
     new = np.ones(len(us), dtype=bool)
     new[1:] = (who[1:] != who[:-1]) | (us[1:] != us[:-1])
-    ends = np.cumsum(np.bincount(who[new], minlength=n)).tolist()
-    us = us[new].tolist()
-    return [tuple(us[a:b]) for a, b in zip([0, *ends], ends)]
+    counts = np.bincount(who[new], minlength=n)
+    real = np.arange(counts.max(initial=1)) < counts[:, None]
+    bps = np.ones(real.shape)
+    bps[real] = us[new]
+    return bps, real
 
 
-def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: list[tuple[float, ...]]) -> list[tuple]:
+def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: np.ndarray,
+            real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(c, d)`` of every piece of the curve of each data vector
-    ``rows[k]`` with breakpoints ``bps[k]``, from one box pass at the right
-    ends of all pieces.
+    ``rows[k]`` with the padded breakpoints ``bps[k]`` (``real[k]`` marks
+    those that are not padding), as two arrays of their shape, 0 on the
+    padding, from one box pass at the right ends of all pieces.
 
     No entry is revealed or hidden inside a piece, so its box is the box at
     its right end: constant lows, and highs that are either a revealed
@@ -347,13 +355,9 @@ def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: list[tupl
     the least at the piece's midpoint (at seed 0 for the first piece), the
     flattest among ties, the first among those.
     """
-    counts = [len(b) for b in bps]
-    owner = np.repeat(np.arange(len(bps)), counts)
-    his = np.concatenate([np.asarray(b, dtype=float) for b in bps])
-    first = np.cumsum([0, *counts[:-1]])
-    los = np.concatenate(([0.0], his[:-1]))
-    los[first] = 0.0
-    v = rows.T[:, owner]
+    his = bps[real]
+    los = np.concatenate((np.zeros((len(bps), 1)), bps[:, :-1]), axis=1)[real]
+    v = rows.T[:, np.nonzero(real)[0]]
     lows, highs = _box_bounds(v, True, his, scheme)
     if f.p is None:
         c, d = _lb_from_bounds(f, lows, highs), np.zeros(len(his))
@@ -376,13 +380,50 @@ def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: list[tupl
         c = top - starts[low, cols]
         c = np.where(c < 0.0, 0.0, c)
         d = -slopes[low, cols]
-    pairs = list(zip(c.tolist(), d.tolist()))
-    return [tuple(pairs[a:a + n]) for a, n in zip(first.tolist(), counts)]
+    cs, ds = np.zeros(bps.shape), np.zeros(bps.shape)
+    cs[real], ds[real] = c, d
+    return cs, ds
 
 
-def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> list[LowerBoundFn]:
+class LowerBoundFns:
+    """The lower-bound curves of a block of data vectors, as padded arrays.
+
+    Row ``k`` of ``breakpoints`` holds the breakpoints of curve ``k``,
+    ascending and ending at 1, padded with 1.0; ``real`` marks the entries
+    that are not padding.  ``cs`` and ``ds`` hold the ``(c, d)`` of each
+    piece as ``LowerBoundFn.pieces`` does, 0 on the padding, and
+    ``exponent`` is the one ``p`` of the block (None for constant pieces).
+    ``heads`` are the first breakpoints, and ``read(who, us)`` is the value
+    of curve ``who[i]`` at seed ``us[i]``, for flat arrays.  (A plain
+    class: a dataclass adds about 1 ms to the import of every command.)
+    """
+
+    def __init__(self, breakpoints: np.ndarray, real: np.ndarray, cs: np.ndarray, ds: np.ndarray,
+                 exponent: float | None, read: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.breakpoints, self.real, self.cs, self.ds = breakpoints, real, cs, ds
+        self.exponent, self.read, self.heads = exponent, read, breakpoints[:, 0]
+
+    def __len__(self) -> int:
+        return len(self.breakpoints)
+
+    def take(self, keep) -> LowerBoundFns:
+        """The block of the curves ``keep`` selects (a mask, indices or a
+        slice), read through this block's ``read``."""
+        rows = np.arange(len(self))[keep]
+        return LowerBoundFns(self.breakpoints[keep], self.real[keep], self.cs[keep], self.ds[keep], self.exponent,
+                             lambda who, us: self.read(rows[who], us))
+
+
+def _check_arity(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> None:
+    if rows.ndim != 2 or rows.shape[1] != scheme.r:
+        raise ValueError("vector arity does not match scheme")
+    if rows.shape[1] != f.arity:
+        raise ValueError(f"vector arity {rows.shape[1]} != function arity {f.arity}")
+
+
+def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> LowerBoundFns:
     """The full lower-bound curve, valid on all of (0, 1], of each data
-    vector in the rows of an (n, r) array.
+    vector in the rows of an (n, r) array, as one block.
 
     Breakpoints are the seeds where a value (or a domain low) crosses a
     threshold map, the points where the closed forms switch branch,
@@ -392,25 +433,22 @@ def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> list[LowerBoundFn]
     at a crossing of a level.  So the pieces of ``max``, ``min`` and ``or``
     are constant, and those of the range kinds are a power ``p`` of a
     linear function: concave when ``p <= 1``, convex when ``p > 1``.
-    Each curve also carries the closed form of every piece
-    (:func:`_pieces`).
+    The block also carries the closed form of every piece
+    (:func:`_pieces`), and reads its curves by :func:`lower_bounds`.
     """
     rows = np.array(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != scheme.r:
-        raise ValueError("vector arity does not match scheme")
+    _check_arity(f, rows, scheme)
     n = rows.shape[0]
-    bps = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
-    pieces = _pieces(f, scheme, rows, bps)
-    return [
-        LowerBoundFn(b, 0.0, partial(lower_bounds, f, v, True, scheme=scheme), f.p, cd)
-        for b, v, cd in zip(bps, rows[:, :, None], pieces)
-    ]
+    bps, real = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
+    cs, ds = _pieces(f, scheme, rows, bps, real)
+    return LowerBoundFns(bps, real, cs, ds, f.p, lambda who, us: lower_bounds(f, rows.T[:, who], True, us, scheme))
 
 
 def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
-    """Full lower-bound curve for a data vector, valid on all of (0, 1]: one
-    row of :func:`lb_functions`."""
-    if len(v) != scheme.r:
-        raise ValueError("vector arity does not match scheme")
-    return lb_functions(f, _column(v).T, scheme)[0]
+    """Full lower-bound curve for a data vector, valid on all of (0, 1]: the
+    one row of :func:`lb_functions`."""
+    col = _column(v)
+    curves = lb_functions(f, col.T, scheme)
+    return LowerBoundFn(tuple(curves.breakpoints[0].tolist()), 0.0, partial(lower_bounds, f, col, True, scheme=scheme),
+                        f.p, tuple(zip(curves.cs[0].tolist(), curves.ds[0].tolist())))
 

@@ -24,7 +24,8 @@ import numpy as np
 from coordest.analysis import (
     CURVE_SEEDS,
     MAX_DEPTH,
-    _curve_checks,
+    CheckResult,
+    _unrevealed_error,
     clamped_variance,
     competitiveness_reports,
     report_record,
@@ -34,6 +35,7 @@ from coordest.functions import (
     RG,
     ItemFunction,
     LowerBoundFn,
+    LowerBoundFns,
     _box_bounds,
     _breakpoints,
     _lb_from_bounds,
@@ -42,7 +44,7 @@ from coordest.functions import (
     lower_bound_from_vector,
     lower_bounds,
 )
-from coordest.hull import SUM_BLOCK, EstimateBlock, LowerHull, arc_hull
+from coordest.hull import SUM_BLOCK, EstimateBlock, FloatRangeError, LowerHull, arc_hull
 from coordest.model import (
     SNAP_ULPS,
     Known,
@@ -346,9 +348,9 @@ def lb_breakpoints(f: ItemFunction, outcome: Outcome) -> LowerBoundFn:
     carries no pieces."""
     _, revealed, values = outcome_columns([outcome])
     levels = values[revealed]
-    bps = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))[0]
+    bps, _ = _breakpoints(outcome.scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([outcome.seed]))
     value_fn = partial(lower_bounds, f, values.T, revealed.T, scheme=outcome.scheme)
-    return LowerBoundFn(bps, outcome.seed, value_fn, f.p)
+    return LowerBoundFn(tuple(bps[0].tolist()), outcome.seed, value_fn, f.p)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +468,58 @@ def scalar_lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -
                         f.p, curve_pieces(f, scheme, col[:, 0], bps))
 
 
+def curve_block_of(lbfs: Sequence[LowerBoundFn], read=None) -> LowerBoundFns:
+    """The curves ``lbfs`` as one block, padded as ``lb_functions`` pads
+    its own, with pieces of 0 for a curve without pieces and the exponent
+    of the first curve (the corner hulls of a block never read it, so its
+    corner curves may mix exponents); read by ``read(rows, us)``, or else
+    by each curve's ``value`` one curve at a time."""
+    lens = np.array([len(lb.breakpoints) for lb in lbfs])
+    real = np.arange(lens.max()) < lens[:, None]
+    bps, cs, ds = np.ones(real.shape), np.zeros(real.shape), np.zeros(real.shape)
+    bps[real] = [b for lb in lbfs for b in lb.breakpoints]
+    for k, lb in enumerate(lbfs):
+        if lb.pieces is not None:
+            cs[k, :lens[k]], ds[k, :lens[k]] = np.array(lb.pieces).T
+
+    def value(rows, us):
+        out = np.empty(len(us))
+        for k in np.unique(rows).tolist():
+            out[rows == k] = lbfs[k].value(us[rows == k])
+        return out
+
+    return LowerBoundFns(bps, real, cs, ds, lbfs[0].exponent, read or value)
+
+
+def curve_checks(lbf: LowerBoundFn, f_value: float, v: Sequence[float], scheme: TauScheme) -> tuple:
+    """The estimable, bounded and finite-variance verdicts of the curve
+    ``lbf`` of data ``v``, from its head piece, one curve at a time: the
+    reference of ``analysis.curve_verdicts`` and the ``check_*``
+    functions; an infinite ``f_value`` is an error.  Estimable: the gap of
+    ``f_value`` over the head at seed 0, which is 0 unless an entry is
+    revealed at no positive float seed, an error.  Bounded: the head's
+    slope at 0+, ``p * c^(p-1) * |d|`` (0 for a constant head and for
+    ``f_value = 0``).  Finite variance: a bound on every slope of the
+    convex hull from ``(0, f_value)``, the slope at 0+ on a convex head and
+    ``f_value / head`` on a concave one; it is finite exactly when the
+    slope at 0+ is (the float quotient may overflow, the real one not).
+    """
+    c, d = lbf.head_piece
+    p = lbf.exponent
+    if not math.isfinite(f_value):
+        raise FloatRangeError(p)
+    at_zero = c if p is None else float((np.array([c]) ** p)[0])
+    if f_value != at_zero:
+        raise _unrevealed_error(v, scheme, f_value, at_zero)
+    slope = 0.0
+    if p is not None and c > 0.0 and d != 0.0:
+        with np.errstate(over="ignore"):
+            slope = float(p * np.float64(c) ** (p - 1.0) * -d)
+    steepest = max(slope, f_value / lbf.head)
+    return (CheckResult(True, 0.0), CheckResult(math.isfinite(slope), slope),
+            CheckResult(math.isfinite(slope), steepest))
+
+
 def scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
     """The squares of ``values`` times ``2^(-2 * shift)``, and ``shift``: when
     the largest value exceeds 2^500 (data below about 1e-150 under pps), all
@@ -494,7 +548,7 @@ def scalar_report(v: Sequence[float], f: ItemFunction, scheme: TauScheme, depth:
     seed read one call each."""
     fv = evaluate(f, v)
     lbf = scalar_lb_function(f, v, scheme)
-    est, bd, fin = _curve_checks(lbf, fv, v, scheme)
+    est, bd, fin = curve_checks(lbf, fv, v, scheme)
     depth = scalar_depth(lbf, fv, depth)
     diagnostics = {"f_value": fv, "estimable_gap": est.value, "bounded_slope": bd.value, "depth": depth}
     report = {"square_integral_j": 0.0, "square_integral_opt": 0.0, "ratio": 1.0, "variance_j": 0.0,

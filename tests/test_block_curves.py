@@ -2,11 +2,13 @@
 
 ``lb_functions`` builds the curves of a block of data vectors in array
 passes: each map crosses every level of the block at once, and
-``snap_crossings`` steps and bisects all the crossings together.
+``snap_crossings`` steps and bisects all the crossings together.  The block
+holds them padded: breakpoints padded with exactly 1.0, pieces with 0.
 ``competitiveness_reports`` and ``curve_block`` then read the dyadic
 tables, hull inputs, tail seeds and curve rows of a block with one call
-each.  Every piece must equal, bit for bit, what the scalar code of
-``scalar_reference`` builds for each vector alone, and the one-row calls
+each.  Every row of the block (its breakpoints where real, its
+pieces, its head and its reads) must equal, bit for bit, what the scalar
+code of ``scalar_reference`` builds for each vector alone, and the one-row calls
 (``lb_function``, ``competitiveness_ratio``, ``curve_table``) must equal the
 block's rows.
 """
@@ -21,7 +23,7 @@ import pytest
 from coordest import analysis
 from coordest.analysis import competitiveness_ratio, curve_table
 from coordest.cli import console_main
-from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
+from coordest.functions import lb_function, lb_functions, max_fn, parse_function, rg_fn
 from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, snap_crossings
 
 from conftest import builtin_functions
@@ -37,6 +39,7 @@ from scalar_reference import (
     scheme_breakpoints,
     snap_crossing,
 )
+from test_corner_hulls import SCHEMES, analysis_vectors
 from test_curve_step import split_block
 from test_head_piece import LOWS, _scheme, _vector
 
@@ -73,6 +76,32 @@ def _same_curve(got, want, rng) -> None:
     assert _bits(got.value(us)) == _bits(want.value(us))
 
 
+def _same_rows(rows: np.ndarray, f, scheme, rng) -> int:
+    """Each row of the ``lb_functions`` block of ``rows`` against the
+    per-vector curve of its vector, and ``lb_function`` too; the width of
+    the block."""
+    curves = lb_functions(f, rows, scheme)
+    assert len(curves) == len(rows) and curves.exponent == f.p
+    width = curves.breakpoints.shape[1]
+    assert curves.real.shape == curves.cs.shape == curves.ds.shape == (len(rows), width)
+    for k, v in enumerate(rows.tolist()):
+        want = scalar_lb_function(f, v, scheme)
+        m = len(want.breakpoints)
+        assert curves.real[k].tolist() == [True] * m + [False] * (width - m)
+        assert _bits(curves.breakpoints[k, :m]) == _bits(want.breakpoints)
+        assert _bits(curves.breakpoints[k, m:]) == _bits([1.0] * (width - m))
+        cs, ds = np.transpose(want.pieces)
+        assert _bits(curves.cs[k]) == _bits(np.append(cs, [0.0] * (width - m)))
+        assert _bits(curves.ds[k]) == _bits(np.append(ds, [0.0] * (width - m)))
+        assert _bits([curves.heads[k]]) == _bits([want.head])
+        us = np.concatenate([rng.random(20), want.head * rng.random(5), want.breakpoints,
+                             np.nextafter(want.breakpoints, 2.0)])
+        us = us[(us > 0.0) & (us <= 1.0)]
+        assert _bits(curves.read(np.full(len(us), k), us)) == _bits(want.value(us))
+        _same_curve(lb_function(f, v, scheme), want, rng)
+    return width
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_curves_match_the_per_vector_curves(kind):
     rng = np.random.default_rng(KINDS.index(kind))
@@ -80,14 +109,19 @@ def test_block_curves_match_the_per_vector_curves(kind):
     for k in range(6):
         scheme, rows = _block(rng, kind, k)
         for f in FUNCTIONS:
-            curves = lb_functions(f, rows, scheme)
-            assert len(curves) == len(rows)
-            for v, got in zip(rows.tolist(), curves):
-                want = scalar_lb_function(f, v, scheme)
-                _same_curve(got, want, rng)
-                _same_curve(lb_function(f, v, scheme), want, rng)
-            crossings += len(curves[-1].breakpoints)
+            _same_rows(rows, f, scheme, rng)
+            crossings += len(lb_function(f, rows[-1], scheme).breakpoints)
     assert crossings > 6 * len(FUNCTIONS) * 2
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_block_curves_match_the_per_vector_curves_under_the_analysis_schemes(scheme):
+    # the benchmark's vectors, and a block of rows of unequal widths
+    rng = np.random.default_rng(sorted(SCHEMES).index(scheme))
+    rows = np.array(analysis_vectors(401)[:48])
+    for f in FUNCTIONS + [parse_function("rg:p=2.5", 3), parse_function("one_sided_rg:p=0.5,hi=3,lo=1", 3)]:
+        width = _same_rows(rows, f, SCHEMES[scheme], rng)
+        assert width > min(len(lb_function(f, v, SCHEMES[scheme]).breakpoints) for v in rows)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -22,13 +22,14 @@ import pytest
 
 from coordest import analysis, cli, estimators, hull
 from coordest.estimators import estimate_query, hull_block, mc_query_estimates, v_optimal_estimates
-from coordest.functions import lb_function, parse_function
+from coordest.functions import lb_function, lb_functions, parse_function
 from coordest.hull import EstimateBlock, FloatRangeError
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
 from scalar_reference import (
     Pieces,
+    curve_block_of,
     one_row,
     pieces,
     ref_integral,
@@ -147,17 +148,6 @@ def test_the_scalar_api_reads_row_0_of_a_block():
 SCHEME = TauScheme.pps(4.0, r=3)
 
 
-def _read(lbfs):
-    """A reader of the curves ``lbfs``: each curve's seeds in one
-    ``value`` call, as ``scalar_v_optimal`` reads them."""
-    def read(rows, us):
-        out = np.empty(len(us))
-        for k in np.unique(rows).tolist():
-            out[rows == k] = lbfs[k].value(us[rows == k])
-        return out
-    return read
-
-
 def _check_rows(block, errors, lbfs, rng):
     """Each row of ``block`` whose hull did not fail against the scalar hull
     of its curve: its pieces, then zero-width ones of value 0 and d = 0 at
@@ -185,7 +175,7 @@ def test_corner_hull_block_rows_match_the_hull_of_each_curve():
     specs = rng.choice(["max", "min", "rg:p=1", "rg:p=0.5"], 24)
     rows = rng.lognormal(0.0, 1.0, (24, 3)) * (rng.random((24, 3)) > 0.25) + np.array([[0.1, 0.0, 0.0]])
     lbfs = [lb_function(parse_function(str(s), 3), v, SCHEME) for s, v in zip(specs, rows.tolist())]
-    block, _, errors = hull_block(lbfs, _read(lbfs))
+    block, _, errors = hull_block(curve_block_of(lbfs))
     assert block.arcs is None and errors == [None] * 24 and set(specs.tolist()) == {"max", "min", "rg:p=1", "rg:p=0.5"}
     _check_rows(block, errors, lbfs, rng)
 
@@ -198,28 +188,13 @@ def test_arc_hull_block_rows_match_the_hull_of_each_curve(arcs):
     failed = [3, 10, 17]
     rows[failed] = [[1e-300, 0.0, 1e308]]
     lbfs = [lb_function(parse_function(arcs, 3), v, SCHEME) for v in rows.tolist()]
-    block, _, errors = hull_block(lbfs, _read(lbfs))
+    block, _, errors = hull_block(lb_functions(parse_function(arcs, 3), rows, SCHEME))
     assert block.arcs is not None
     for k in failed:
         assert isinstance(errors[k], FloatRangeError)
         assert not block.values[k].any() and (block.edges[k] == 1.0).all()
     assert [k for k, error in enumerate(errors) if error is not None] == failed
     _check_rows(block, errors, lbfs, rng)
-
-
-def test_the_arc_rows_of_a_block_share_one_exponent():
-    rows = np.array([[1.0, 0.5, 0.25], [2.0, 0.0, 1.0]])
-    lbfs = [lb_function(parse_function(s, 3), v, SCHEME) for s, v in zip(("rg:p=2", "rg:p=3"), rows.tolist())]
-    with pytest.raises(ValueError, match="share one exponent"):
-        hull_block(lbfs, _read(lbfs))
-
-
-@pytest.mark.parametrize("specs", [("max", "rg:p=2"), ("rg:p=2.5", "rg:p=1")])
-def test_a_block_of_corner_and_arc_curves_is_an_error(specs):
-    rows = np.array([[1.0, 0.5, 0.25], [2.0, 0.0, 1.0]])
-    lbfs = [lb_function(parse_function(s, 3), v, SCHEME) for s, v in zip(specs, rows.tolist())]
-    with pytest.raises(ValueError, match="share one exponent"):
-        hull_block(lbfs, _read(lbfs))
 
 
 @pytest.fixture
@@ -261,22 +236,18 @@ def test_the_commands_read_no_hull_per_vector(tmp_path, per_vector_reads, functi
 
 def test_analyze_takes_its_hulls_from_the_one_block_step(monkeypatch):
     # 130 vectors are three blocks of CURVE_BLOCK; each takes one
-    # block_hulls, and no other hull_block is built
+    # hull_block, and no other is built
     rng = np.random.default_rng(78)
     rows = rng.lognormal(0.0, 1.0, (130, 3)) * (rng.random((130, 3)) > 0.25)
     rows[7] = 0.0
-    calls = {"block_hulls": 0, "hull_block": 0}
-    real_step, real_block = estimators.block_hulls, estimators.hull_block
-
-    def step(*args):
-        calls["block_hulls"] += 1
-        return real_step(*args)
+    calls = {"hull_block": 0}
+    real_block = estimators.hull_block
 
     def build(*args):
         calls["hull_block"] += 1
         return real_block(*args)
 
-    monkeypatch.setattr(analysis, "block_hulls", step)
+    monkeypatch.setattr(analysis, "hull_block", build)
     monkeypatch.setattr(estimators, "hull_block", build)
     for spec in ("max", "rg:p=2.5"):
         f = parse_function(spec, 3)
@@ -286,7 +257,7 @@ def test_analyze_takes_its_hulls_from_the_one_block_step(monkeypatch):
         assert got[7]["square_integral_opt"] == 0.0 and len(got) == 130
         assert [g["square_integral_opt"] for g in got[:3]] == \
             [ref_integrate_square(scalar_v_optimal(lb_function(f, v, SCHEME))) for v in rows[:3].tolist()]
-    assert calls == {"block_hulls": 6, "hull_block": 6}
+    assert calls == {"hull_block": 6}
 
 
 def test_the_oracle_sweep_sums_are_the_single_salt_sums_at_any_exponent(tmp_path):

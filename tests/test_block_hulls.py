@@ -30,8 +30,8 @@ from coordest.hull import lower_hull, lower_hulls
 from coordest.model import TauScheme, ingest
 from coordest.samplers import sample_instances
 
-from scalar_reference import (hull_estimate_fn, hull_seeds, ref_integrate_square, ref_value_at, scalar_lower_hull,
-                              scalar_v_optimal)
+from scalar_reference import (curve_block_of, hull_estimate_fn, hull_seeds, ref_integrate_square, ref_value_at,
+                              scalar_lower_hull, scalar_v_optimal)
 
 
 def _bits(xs) -> list[int]:
@@ -155,7 +155,7 @@ def test_hull_block_rows_match_the_scalar_chain_over_the_per_vector_seeds():
     for n in (1, 2, 5, 16, 33):
         for _ in range(8):
             lbfs, read = _curves(rng, n)
-            block, anchors, errors = hull_block(lbfs, read)
+            block, anchors, errors = hull_block(curve_block_of(lbfs, read))
             squares = block.square_integral(np.arange(n))
             assert errors == [None] * n
             for k, lb in enumerate(lbfs):
@@ -216,7 +216,7 @@ def test_a_row_without_a_hull_fails_only_when_read(monkeypatch):
     # a row of hull_block without a hull: its error is returned, and it reads 0
     lbfs, read = _curves(rng, 6)
     monkeypatch.setattr(estimators, "lower_hulls", _one_point(2))
-    block, _, errors = hull_block(lbfs, read)
+    block, _, errors = hull_block(curve_block_of(lbfs, read))
     squares = block.square_integral(np.arange(6))
     for k, lb in enumerate(lbfs):
         if k == 2:

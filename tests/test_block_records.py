@@ -1,11 +1,14 @@
 """The records of ``analyze`` and ``characterize``, made a block at a time.
 
 ``analysis.curve_verdicts`` reads the verdicts of a block of curves from
-their head pieces and padded breakpoints, and ``competitiveness_reports``
-makes every field of a block's reports as one array.  The verdicts, slopes
-and depths must equal the scalar ``_curve_checks`` and depth rule bit for
-bit: numpy's array ``power`` differs from the scalar power in the last bit
-on some heads at non-integer ``p``, so the slopes at 0+ take the scalar one.
+their head pieces and heads, and ``competitiveness_reports`` makes every
+field of a block's reports as one array; ``check_estimable``,
+``check_bounded`` and ``check_finite_variance`` are one-row
+``curve_verdicts`` calls.  The verdicts, slopes, finite-variance values and
+depths must equal the scalar ``scalar_reference.curve_checks`` and depth
+rule bit for bit: numpy's array ``power`` differs from the scalar power in
+the last bit on some heads at non-integer ``p``, so the slopes at 0+ take
+the scalar one.
 
 ``cli.cmd_per_vector`` writes the records of a block from one ``%``
 template; each line must be what ``json.dumps`` writes for the record, for
@@ -23,7 +26,9 @@ import pytest
 
 from coordest import cli, functions
 from coordest.analysis import (
-    _curve_checks,
+    check_bounded,
+    check_estimable,
+    check_finite_variance,
     competitiveness_reports,
     curve_blocks,
     curve_verdicts,
@@ -33,7 +38,7 @@ from coordest.analysis import (
 from coordest.cli import main
 from coordest.functions import lb_function, parse_function
 
-from scalar_reference import scalar_depth
+from scalar_reference import curve_checks, scalar_depth
 from test_corner_hulls import SCHEMES, analysis_vectors
 
 SPECS = ("rg:p=0.5", "rg:p=1", "rg:p=1.5", "rg:p=2.5", "max", "min", "or")
@@ -57,22 +62,26 @@ def test_block_verdicts_and_depths_are_the_scalar_ones(spec, scheme):
     f, scheme = parse_function(spec, 3), SCHEMES[scheme]
     rows = _rows(401)
     slopes, depths = [], []
-    for block, fvs, lbfs in curve_blocks(rows, f, scheme):
-        verdicts, _, n, error = curve_verdicts(block, fvs, lbfs, scheme)
+    for block, fvs, curves in curve_blocks(rows, f, scheme):
+        verdicts, _, n, error = curve_verdicts(block, fvs, curves, scheme)
         assert (n, error) == (len(block), None)
-        for k, (v, fv, lbf) in enumerate(zip(block.tolist(), fvs.tolist(), lbfs)):
-            est, bd, fin = _curve_checks(lbf, fv, v, scheme)
+        for k, (v, fv) in enumerate(zip(block.tolist(), fvs.tolist())):
+            want = curve_checks(lb_function(f, v, scheme), fv, v, scheme)
             got = [verdicts[name][k] for name in ("estimable", "bounded", "finite_variance")]
-            assert got == [est.ok, bd.ok, fin.ok], (v, spec)
+            assert got == [c.ok for c in want], (v, spec)
             assert _bits([verdicts["estimable_gap"][k], verdicts["bounded_slope"][k]]) == \
-                _bits([est.value, bd.value]), (v, spec)
+                _bits([want[0].value, want[1].value]), (v, spec)
+            # the one-row calls, the finite-variance value included
+            got = [check(v, f, scheme) for check in (check_estimable, check_bounded, check_finite_variance)]
+            assert [c.ok for c in got] == [c.ok for c in want], (v, spec)
+            assert _bits([c.value for c in got]) == _bits([c.value for c in want]), (v, spec)
     for fields, error in competitiveness_reports(rows, f, scheme):
         assert error is None
         slopes += fields["bounded_slope"].tolist()
         depths += fields["depth"].tolist()
     for v, slope, depth in zip(rows.tolist(), slopes, depths):
         lbf, fv = lb_function(f, v, scheme), functions.evaluate(f, v)
-        assert _bits(slope) == _bits(_curve_checks(lbf, fv, v, scheme)[1].value), (v, spec)
+        assert _bits(slope) == _bits(curve_checks(lbf, fv, v, scheme)[1].value), (v, spec)
         assert depth == scalar_depth(lbf, fv), (v, spec)
 
 

@@ -725,5 +725,5 @@ def test_flat_head_gives_the_zero_gap_record():
 @settings(max_examples=200, deadline=None)
 def test_scheme_breakpoints_match_the_two_pair_loops(scheme, levels, left):
     levels = np.array(sorted(levels))
-    (got,) = _breakpoints(scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([left]))
-    assert list(got) == sorted(_ref_scheme_breakpoints(scheme, levels.tolist(), left) | {1.0})
+    (got,), _ = _breakpoints(scheme, levels, np.zeros(len(levels), dtype=np.intp), np.array([left]))
+    assert got.tolist() == sorted(_ref_scheme_breakpoints(scheme, levels.tolist(), left) | {1.0})

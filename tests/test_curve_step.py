@@ -1,7 +1,7 @@
 """The ``--curves`` rows read through the oracle's block step, and the
 dyadic tables of ``analyze`` built per depth.
 
-``curve_block`` takes a block's hulls from ``block_hulls``, the step the
+``curve_block`` takes a block's hulls from ``hull_block``, the step the
 oracle reads its estimates from, and reads each row's dyadic value from the
 vector's table by the row's dyadic index; ``cli._curve_rows`` splits the
 block's columns into each vector's rows.  The j column must equal the

@@ -25,10 +25,10 @@ import os
 import numpy as np
 import pytest
 
-from coordest.analysis import _curve_checks
+from coordest.analysis import check_bounded
 from coordest.cli import console_main, parse_scheme_file
 from coordest.estimators import HULL_LEFT_ANCHOR, v_optimal_estimates
-from coordest.functions import evaluate, lb_function, lb_functions, one_sided_rg_fn, parse_function, rg_fn
+from coordest.functions import evaluate, lb_function, one_sided_rg_fn, parse_function, rg_fn
 from coordest.hull import arc_hull, integrate_square, lower_hull
 
 from test_corner_hulls import SCHEMES, analysis_vectors
@@ -156,8 +156,8 @@ def _lstar_inputs():
                          ids=lambda x: x if isinstance(x, str) else getattr(x, "describe", lambda: "v")())
 def test_lstar_is_unbiased_and_within_4_of_the_optimum(name, f, vectors):
     scheme = SCHEMES[name]
-    for v, lbf in zip(vectors, lb_functions(f, np.array(vectors), scheme)):
-        fv = evaluate(f, v)
+    for v in vectors:
+        lbf, fv = lb_function(f, v, scheme), evaluate(f, v)
         if fv == 0.0:
             continue
         mean, sq_lstar = _lstar_moments(lbf)
@@ -165,7 +165,7 @@ def test_lstar_is_unbiased_and_within_4_of_the_optimum(name, f, vectors):
         opt = v_optimal_estimates(lbf)
         sq_opt = integrate_square(opt)
         # below the anchor the optimum is not summed: at most anchor * slope^2
-        slope = _curve_checks(lbf, fv, v, scheme)[1].value
+        slope = check_bounded(v, f, scheme).value
         missing = opt.edges[0, 0] * slope * slope
         assert sq_opt * (1.0 - LSTAR_TOL) <= sq_lstar, (v, f.describe(), sq_opt, sq_lstar)
         assert sq_lstar <= 4.0 * (sq_opt + missing) * (1.0 + LSTAR_TOL), (v, f.describe(), sq_opt, sq_lstar)
@@ -214,7 +214,8 @@ CONVERGENCE_STEP = 1 if os.environ.get("COORDEST_FULL_CONVERGENCE") else 20
 def test_exact_optimum_is_the_limit_of_grid_hulls(name, p):
     rows = np.array(analysis_vectors(401)[::CONVERGENCE_STEP])
     f = rg_fn(p, 3)
-    for v, lbf in zip(rows.tolist(), lb_functions(f, rows, SCHEMES[name])):
+    for v in rows.tolist():
+        lbf = lb_function(f, v, SCHEMES[name])
         exact = integrate_square(v_optimal_estimates(lbf))
         grid = _grid_square(lbf, 2**18)
         assert -1e-13 * grid <= exact - grid <= GRID_TOL[p] * grid, (v, p, exact, grid)
@@ -234,8 +235,8 @@ def test_hull_starts_at_the_anchor_on_the_head_arc(spec):
         scheme = SCHEMES[name]
         f = parse_function(spec, 3)
         rows = np.array(analysis_vectors(405)[:40])
-        for v, lbf in zip(rows.tolist(), lb_functions(f, rows, scheme)):
-            fv = evaluate(f, v)
+        for v in rows.tolist():
+            lbf, fv = lb_function(f, v, scheme), evaluate(f, v)
             if fv == 0.0:
                 continue
             est = v_optimal_estimates(lbf)
@@ -244,7 +245,7 @@ def test_hull_starts_at_the_anchor_on_the_head_arc(spec):
             c, d = lbf.head_piece
             p = lbf.exponent
             at_anchor = p * -d * (c + d * anchor) ** (p - 1.0)
-            at_zero = _curve_checks(lbf, fv, v, scheme)[1].value
+            at_zero = check_bounded(v, f, scheme).value
             lost = fv - est.integral(0)
             noise = 8.0 * np.spacing(fv)
             assert anchor * at_anchor * (1.0 - 1e-9) - noise <= lost <= anchor * at_zero * (1.0 + 1e-9) + noise, (

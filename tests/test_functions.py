@@ -3,10 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coordest.analysis import (
+    check_bounded,
+    check_estimable,
+    check_finite_variance,
+    competitiveness_ratio,
+    curve_table,
+)
 from coordest.functions import (
     domain_infimum,
     evaluate,
     lb_function,
+    lb_functions,
     lower_bound,
     lower_bound_from_vector,
     max_fn,
@@ -34,6 +42,24 @@ class TestEvaluate:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(max_fn(2), (1.0,))
+        # a vector of the scheme's arity but not the function's: every
+        # curve and check refuses it, a one-sided range whose hi or lo
+        # lies past the vector too
+        scheme, v = TauScheme.pps(4.0, r=2), [1.0, 0.5]
+        for f in (rg_fn(2.0, 3), max_fn(3), one_sided_rg_fn(2.0, 2, 0, 3), one_sided_rg_fn(2.0, 0, 2, 3)):
+            calls = [lambda: lb_function(f, v, scheme), lambda: lb_functions(f, [v], scheme),
+                     lambda: lower_bound_from_vector(f, v, scheme, 0.5), lambda: curve_table(v, f, scheme),
+                     lambda: competitiveness_ratio(v, f, scheme)]
+            calls += [lambda check=check: check(v, f, scheme)
+                      for check in (check_estimable, check_bounded, check_finite_variance)]
+            for call in calls:
+                with pytest.raises(ValueError, match=r"^vector arity 2 != function arity 3$"):
+                    call()
+        # a vector of neither arity names the scheme's first
+        with pytest.raises(ValueError, match="^vector arity does not match scheme$"):
+            lb_function(rg_fn(2.0, 3), [1.0], scheme)
+        with pytest.raises(ValueError, match="^vector arity does not match scheme$"):
+            lower_bound_from_vector(rg_fn(2.0, 3), [1.0, 0.5, 0.25], scheme, 0.5)
 
     def test_parse_round_trip(self):
         for spec in ("max", "min", "or", "rg:p=2", "one_sided_rg:p=2,hi=1,lo=2"):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from coordest.analysis import _curve_checks, check_bounded, competitiveness_ratio
+from coordest.analysis import check_bounded, check_estimable, check_finite_variance, competitiveness_ratio
 from coordest.functions import evaluate, lb_function, rg_fn
 from coordest.model import Domain, PiecewiseLinearMap, TauScheme
 
@@ -139,7 +139,7 @@ def test_exact_verdicts_equal_the_numeric_oracle(seed):
     for v, f, scheme in _triples(seed, 240):
         lbf = lb_function(f, v, scheme)
         fv = evaluate(f, v)
-        est, bd, fin = _curve_checks(lbf, fv, v, scheme)
+        est, bd, fin = (check(v, f, scheme) for check in (check_estimable, check_bounded, check_finite_variance))
         eps = 1e-3 * lbf.head
         o_est = check_estimable_curve(lbf, fv, eps)
         o_bd = check_bounded_curve(lbf, fv, eps)

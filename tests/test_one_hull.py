@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordest import estimators
+from coordest import analysis, estimators
 from coordest.cli import ingest, main
 from coordest.estimators import v_optimal_estimates
 from coordest.functions import LowerBoundFn, lb_function, rg_fn
@@ -51,11 +51,12 @@ def test_verdict_boundary_on_power_gaps(grid_n):
 
 
 def _count_hulls(monkeypatch) -> tuple[list, list]:
-    """The curves of every hull block, and the hulls built in them: the
-    rows of a corner-hull block, or one hull from a curve's arcs."""
+    """The heads of the curves of every hull block, and the hulls built in
+    them: the rows of a corner-hull block, or one hull from a curve's arcs."""
     curves, hulls = [], []
     real_block, real_corners, real_arcs = estimators.hull_block, estimators.lower_hulls, estimators.arc_hull
-    monkeypatch.setattr(estimators, "hull_block", lambda lbfs, read: curves.extend(lbfs) or real_block(lbfs, read))
+    for module in (analysis, estimators):
+        monkeypatch.setattr(module, "hull_block", lambda block: curves.extend(block.heads) or real_block(block))
     monkeypatch.setattr(estimators, "lower_hulls", lambda us, ys, live: hulls.extend(us) or real_corners(us, ys, live))
     monkeypatch.setattr(estimators, "arc_hull", lambda *a, **k: hulls.append(a) or real_arcs(*a, **k))
     return curves, hulls
