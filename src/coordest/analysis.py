@@ -70,36 +70,34 @@ def _unrevealed_error(v: Sequence[float], scheme: TauScheme, f_value: float, at_
     return ValueError(f"{where}the lower bound tends to {at_zero!r} toward seed 0, not to f(v) = {f_value!r}")
 
 
-def _one_row_verdicts(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> tuple[dict, float]:
-    """The :func:`curve_verdicts` of the one data vector ``v`` as numbers,
-    and ``f(v)`` over its curve's head; the error of checks that fail is
-    raised."""
-    row = np.asarray(v, dtype=float).reshape(1, -1)
+def _one_row_checks(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> tuple:
+    """The estimable, bounded and finite-variance verdicts of data ``v``:
+    a one-row :func:`curve_verdicts`, whose error is raised.  The
+    finite-variance value bounds every slope of the convex hull from
+    ``(0, f(v))``, the slope at 0+ on a convex head and ``f(v) / head`` on
+    a concave one: finite exactly when the slope at 0+ is (the float
+    quotient may overflow, the real one not)."""
+    row = np.array([v], dtype=float)
     curves = lb_functions(f, row, scheme)
     fvs = evaluate_many(f, row)
     verdicts, heads, _, error = curve_verdicts(row, fvs, curves, scheme)
     if error is not None:
         raise error
-    return {name: column.item(0) for name, column in verdicts.items()}, fvs.item(0) / heads.item(0)
+    ok, gap, bounded, slope, finite = (column.item(0) for column in verdicts.values())
+    steepest = max(slope, fvs.item(0) / heads.item(0))
+    return CheckResult(ok, gap), CheckResult(bounded, slope), CheckResult(finite, steepest)
 
 
 def check_estimable(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    verdicts, _ = _one_row_verdicts(v, f, scheme)
-    return CheckResult(verdicts["estimable"], verdicts["estimable_gap"])
+    return _one_row_checks(v, f, scheme)[0]
 
 
 def check_bounded(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    verdicts, _ = _one_row_verdicts(v, f, scheme)
-    return CheckResult(verdicts["bounded"], verdicts["bounded_slope"])
+    return _one_row_checks(v, f, scheme)[1]
 
 
 def check_finite_variance(v: Sequence[float], f: ItemFunction, scheme: TauScheme) -> CheckResult:
-    """The verdict, with a bound on every slope of the convex hull from
-    ``(0, f(v))``: the slope at 0+ on a convex head and ``f(v) / head`` on
-    a concave one; it is finite exactly when the slope at 0+ is (the float
-    quotient may overflow, the real one not)."""
-    verdicts, quotient = _one_row_verdicts(v, f, scheme)
-    return CheckResult(verdicts["finite_variance"], max(verdicts["bounded_slope"], quotient))
+    return _one_row_checks(v, f, scheme)[2]
 
 
 def implication_chain_ok(bounded, finite_variance, estimable):
@@ -114,19 +112,17 @@ def implication_chain_ok(bounded, finite_variance, estimable):
 
 def curve_verdicts(rows: np.ndarray, fvs: np.ndarray, curves: LowerBoundFns, scheme: TauScheme):
     """The estimable, bounded and finite-variance verdicts of the data
-    vectors ``rows[k]`` of ``f`` values ``fvs[k]`` and curves ``curves``,
-    read from their head pieces, as arrays in the order of a
-    ``characterize`` record; the curves' heads; and the index and error of
-    the first vector whose checks fail (the vector count and None).
-
-    Estimable: the gap of ``f(v)`` over the head at seed 0, which is 0
-    unless an entry is revealed at no positive float seed, an error; an
-    infinite ``f(v)`` is one too.  Bounded, and of finite variance: the
-    head's slope at 0+, ``p * c^(p-1) * |d|``, is finite (0 for a constant
-    head and for ``f(v) = 0``).  The values at seed 0 take an array power,
-    and the slopes at 0+ take ``c^(p-1)`` one float at a time: numpy's
-    array power differs from the scalar one in the last bit on some inputs.
-    """
+    vectors ``rows[k]`` of ``f`` values ``fvs[k]``, read from the head
+    pieces of their ``curves``, as arrays in the order of a
+    ``characterize`` record; the heads; and the index and error of the
+    first vector whose checks fail (the vector count and None).  The gap of
+    ``f(v)`` over the head at seed 0 is 0, or else an entry is revealed at
+    no positive float seed, an error (as is an infinite ``f(v)``).  Bounded
+    and finite variance: the head's slope at 0+, ``p * c^(p-1) * |d|``, is
+    finite (0 for a constant head and for ``f(v) = 0``).  The values at
+    seed 0 take an array power, and the slopes at 0+ take ``c^(p-1)`` one
+    float at a time: numpy's array power differs from the scalar one in the
+    last bit on some inputs."""
     n, p, heads = len(curves), curves.exponent, curves.heads
     cs, ds = curves.cs[:, 0].copy(), curves.ds[:, 0].copy()
     slopes = np.zeros(n)

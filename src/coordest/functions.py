@@ -212,18 +212,12 @@ def lower_bound(f: ItemFunction, outcome: Outcome, x: float) -> float:
     return float(lower_bounds(f, values.T, revealed.T, xs, outcome.scheme)[0])
 
 
-def _column(v: Sequence[float]) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(-1, 1)
-
-
 def lower_bound_from_vector(f: ItemFunction, v: Sequence[float], scheme: TauScheme, x):
     """Lower-bound value(s) at seed(s) ``x`` for the outcome a given data
     vector would produce; accepts a scalar or an array of seeds."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    col = _column(v)
-    _check_arity(f, col.T, scheme)
-    out = lower_bounds(f, col, True, xs, scheme)
+    out = lower_bounds(f, _vectors(f, [v], scheme).T, True, xs, scheme)
     return float(out[0]) if scalar else out
 
 
@@ -312,9 +306,8 @@ def _breakpoints(
     """The breakpoints of each of ``len(lefts)`` curves: the seeds past its
     ``lefts[k]`` where a map crosses one of its levels (``levels[i]`` is
     a level of curve ``owners[i]``) or a domain low, together with the
-    :func:`_scheme_points`, ascending and ending at 1; row ``k`` of an
-    ``(n, w)`` array, padded with 1.0, and the mask of the entries that are
-    not padding.
+    :func:`_scheme_points`, ascending and ending at 1: the rows of an
+    array padded with 1.0, and the mask of the entries that are not padding.
 
     Each map crosses every level of every curve in one pass; the seeds of
     all curves are then sorted and laid into their rows in one pass more.
@@ -344,9 +337,8 @@ def _breakpoints(
 def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: np.ndarray,
             real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(c, d)`` of every piece of the curve of each data vector
-    ``rows[k]`` with the padded breakpoints ``bps[k]`` (``real[k]`` marks
-    those that are not padding), as two arrays of their shape, 0 on the
-    padding, from one box pass at the right ends of all pieces.
+    ``rows[k]`` with the breakpoints ``bps[k]`` where ``real[k]``, as two
+    arrays padded with 0, from one box pass at the right ends of all pieces.
 
     No entry is revealed or hidden inside a piece, so its box is the box at
     its right end: constant lows, and highs that are either a revealed
@@ -386,20 +378,16 @@ def _pieces(f: ItemFunction, scheme: TauScheme, rows: np.ndarray, bps: np.ndarra
 
 
 class LowerBoundFns:
-    """The lower-bound curves of a block of data vectors, as padded arrays.
+    """The lower-bound curves of a block of data vectors as padded rows:
+    curve ``k`` has the breakpoints ``breakpoints[k]`` where ``real[k]``,
+    padded with 1.0, and the ``(c, d)`` of its pieces (as in
+    ``LowerBoundFn.pieces``) in ``cs[k]`` and ``ds[k]``, padded with 0.
+    ``exponent`` is the one ``p`` of the block, ``heads`` are the first
+    breakpoints, and ``read(who, us)`` is the value of curve ``who[i]`` at
+    seed ``us[i]``, for flat arrays.  (A plain class: a dataclass adds
+    about 1 ms to the import of every command.)"""
 
-    Row ``k`` of ``breakpoints`` holds the breakpoints of curve ``k``,
-    ascending and ending at 1, padded with 1.0; ``real`` marks the entries
-    that are not padding.  ``cs`` and ``ds`` hold the ``(c, d)`` of each
-    piece as ``LowerBoundFn.pieces`` does, 0 on the padding, and
-    ``exponent`` is the one ``p`` of the block (None for constant pieces).
-    ``heads`` are the first breakpoints, and ``read(who, us)`` is the value
-    of curve ``who[i]`` at seed ``us[i]``, for flat arrays.  (A plain
-    class: a dataclass adds about 1 ms to the import of every command.)
-    """
-
-    def __init__(self, breakpoints: np.ndarray, real: np.ndarray, cs: np.ndarray, ds: np.ndarray,
-                 exponent: float | None, read: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    def __init__(self, breakpoints: np.ndarray, real: np.ndarray, cs: np.ndarray, ds: np.ndarray, exponent, read):
         self.breakpoints, self.real, self.cs, self.ds = breakpoints, real, cs, ds
         self.exponent, self.read, self.heads = exponent, read, breakpoints[:, 0]
 
@@ -414,11 +402,14 @@ class LowerBoundFns:
                              lambda who, us: self.read(rows[who], us))
 
 
-def _check_arity(f: ItemFunction, rows: np.ndarray, scheme: TauScheme) -> None:
+def _vectors(f: ItemFunction, rows, scheme: TauScheme) -> np.ndarray:
+    """Data vectors as the rows of an (n, r) float array, checked."""
+    rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != scheme.r:
         raise ValueError("vector arity does not match scheme")
     if rows.shape[1] != f.arity:
         raise ValueError(f"vector arity {rows.shape[1]} != function arity {f.arity}")
+    return rows
 
 
 def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> LowerBoundFns:
@@ -436,8 +427,7 @@ def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> LowerBoundFns:
     The block also carries the closed form of every piece
     (:func:`_pieces`), and reads its curves by :func:`lower_bounds`.
     """
-    rows = np.array(rows, dtype=float)
-    _check_arity(f, rows, scheme)
+    rows = _vectors(f, rows, scheme)
     n = rows.shape[0]
     bps, real = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
     cs, ds = _pieces(f, scheme, rows, bps, real)
@@ -447,8 +437,7 @@ def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> LowerBoundFns:
 def lb_function(f: ItemFunction, v: Sequence[float], scheme: TauScheme) -> LowerBoundFn:
     """Full lower-bound curve for a data vector, valid on all of (0, 1]: the
     one row of :func:`lb_functions`."""
-    col = _column(v)
-    curves = lb_functions(f, col.T, scheme)
-    return LowerBoundFn(tuple(curves.breakpoints[0].tolist()), 0.0, partial(lower_bounds, f, col, True, scheme=scheme),
-                        f.p, tuple(zip(curves.cs[0].tolist(), curves.ds[0].tolist())))
+    curves = lb_functions(f, [v], scheme)
+    return LowerBoundFn(tuple(curves.breakpoints[0].tolist()), 0.0, partial(curves.read, [0]), f.p,
+                        tuple(zip(curves.cs[0].tolist(), curves.ds[0].tolist())))
 
