@@ -250,8 +250,8 @@ def hull_block(curves: LowerBoundFns) -> tuple[EstimateBlock, np.ndarray, list[E
     anchors = np.maximum(np.minimum(HULL_LEFT_ANCHOR, 1e-3 * curves.heads), math.ulp(0.0))
     if p is not None and p > 1.0:
         rows, errors = [], [None] * len(curves)
-        lines = zip(curves.breakpoints.tolist(), curves.cs.tolist(), curves.ds.tolist(), anchors.tolist())
-        for k, (bps, cs, ds, anchor) in enumerate(lines):
+        padded = zip(curves.breakpoints.tolist(), curves.cs.tolist(), curves.ds.tolist(), anchors.tolist())
+        for k, (bps, cs, ds, anchor) in enumerate(padded):
             try:
                 rows.append(arc_hull(bps, list(zip(cs, ds)), p, anchor))
             except (ValueError, ArithmeticError) as exc:

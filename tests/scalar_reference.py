@@ -4,11 +4,11 @@ The package works on columns and blocks: whole sample columns, whole blocks
 of data vectors.  These are the one-item forms the tests build outcomes
 with, and the scalar code the block kernels are checked against bit for
 bit: the float-by-float crossing snap, the per-map crossing loops, the
-per-vector lower-bound curve with its pieces, and the competitiveness
-report and curve rows of one vector built from that curve alone, with the
-scalar monotone chain of one point set at a time, and the reads of one
-estimate at a time (its value, integral and square integral).  The grid hull
-is the reference hull of a curve of no known form.
+per-vector lower-bound curve with its pieces and verdicts, and the
+competitiveness report and curve rows of one vector built from that curve
+alone, with the scalar monotone chain of one point set at a time, and the
+reads of one estimate at a time (its value, integral and square integral).
+The grid hull is the reference hull of a curve of no known form.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import pytest
 from coordest import analysis
 from coordest.analysis import competitiveness_ratio, curve_table
 from coordest.cli import console_main
-from coordest.functions import lb_function, lb_functions, max_fn, parse_function, rg_fn
+from coordest.functions import lb_function, lb_functions, max_fn, rg_fn
 from coordest.model import SNAP_ULPS, Known, PiecewiseLinearMap, snap_crossings
 
 from conftest import builtin_functions
@@ -76,10 +76,10 @@ def _same_curve(got, want, rng) -> None:
     assert _bits(got.value(us)) == _bits(want.value(us))
 
 
-def _same_rows(rows: np.ndarray, f, scheme, rng) -> int:
+def _same_rows(rows: np.ndarray, f, scheme, rng) -> np.ndarray:
     """Each row of the ``lb_functions`` block of ``rows`` against the
-    per-vector curve of its vector, and ``lb_function`` too; the width of
-    the block."""
+    per-vector curve of its vector, and ``lb_function`` too; the mask of
+    the block's real breakpoints."""
     curves = lb_functions(f, rows, scheme)
     assert len(curves) == len(rows) and curves.exponent == f.p
     width = curves.breakpoints.shape[1]
@@ -99,29 +99,25 @@ def _same_rows(rows: np.ndarray, f, scheme, rng) -> int:
         us = us[(us > 0.0) & (us <= 1.0)]
         assert _bits(curves.read(np.full(len(us), k), us)) == _bits(want.value(us))
         _same_curve(lb_function(f, v, scheme), want, rng)
-    return width
+    return curves.real
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + tuple(sorted(SCHEMES)))
 def test_block_curves_match_the_per_vector_curves(kind):
-    rng = np.random.default_rng(KINDS.index(kind))
-    crossings = 0
-    for k in range(6):
-        scheme, rows = _block(rng, kind, k)
+    # blocks under random schemes of each kind, and the benchmark's vectors
+    # under each analysis scheme
+    rng = np.random.default_rng((KINDS + tuple(sorted(SCHEMES))).index(kind))
+    if kind in SCHEMES:
+        blocks = [(SCHEMES[kind], np.array(analysis_vectors(401)[:48]))]
+    else:
+        blocks = [_block(rng, kind, k) for k in range(6)]
+    crossings = padded = 0
+    for scheme, rows in blocks:
         for f in FUNCTIONS:
-            _same_rows(rows, f, scheme, rng)
-            crossings += len(lb_function(f, rows[-1], scheme).breakpoints)
-    assert crossings > 6 * len(FUNCTIONS) * 2
-
-
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_block_curves_match_the_per_vector_curves_under_the_analysis_schemes(scheme):
-    # the benchmark's vectors, and a block of rows of unequal widths
-    rng = np.random.default_rng(sorted(SCHEMES).index(scheme))
-    rows = np.array(analysis_vectors(401)[:48])
-    for f in FUNCTIONS + [parse_function("rg:p=2.5", 3), parse_function("one_sided_rg:p=0.5,hi=3,lo=1", 3)]:
-        width = _same_rows(rows, f, SCHEMES[scheme], rng)
-        assert width > min(len(lb_function(f, v, SCHEMES[scheme]).breakpoints) for v in rows)
+            real = _same_rows(rows, f, scheme, rng)
+            crossings += np.count_nonzero(real) - len(rows)
+            padded += np.count_nonzero(~real)
+    assert crossings > len(blocks) * len(FUNCTIONS) * 20 and padded > 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
