@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import DEPTH, dyadic_indices, hull_block, j_piece_tables
-from .functions import ItemFunction, LowerBoundFns, evaluate_many, lb_functions, lower_bounds
+from .functions import ItemFunction, LowerBoundFns, checked_vectors, evaluate_many, lb_functions, lower_bounds
 from .hull import FloatRangeError, scaled_rows
 from .model import TauScheme
 
@@ -161,10 +161,9 @@ def clamped_variance(second_moment, f_value):
 def curve_blocks(rows, f: ItemFunction, scheme: TauScheme):
     """Each block of up to ``CURVE_BLOCK`` data vectors of the (n, r) array
     ``rows``, in order, with their ``f`` values (one :func:`evaluate_many`
-    call) and lower-bound curves (one :func:`lb_functions` call)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[1] != f.arity:
-        raise ValueError(f"vector arity {rows.shape[1]} != function arity {f.arity}")
+    call) and lower-bound curves (one :func:`lb_functions` call); the rows
+    are checked against the scheme's arity, then the function's."""
+    rows = checked_vectors(f, rows, scheme)
     for start in range(0, rows.shape[0], CURVE_BLOCK):
         block = rows[start:start + CURVE_BLOCK]
         yield block, evaluate_many(f, block), lb_functions(f, block, scheme)

@@ -217,7 +217,7 @@ def lower_bound_from_vector(f: ItemFunction, v: Sequence[float], scheme: TauSche
     vector would produce; accepts a scalar or an array of seeds."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = lower_bounds(f, _vectors(f, [v], scheme).T, True, xs, scheme)
+    out = lower_bounds(f, checked_vectors(f, [v], scheme).T, True, xs, scheme)
     return float(out[0]) if scalar else out
 
 
@@ -402,7 +402,7 @@ class LowerBoundFns:
                              lambda who, us: self.read(rows[who], us))
 
 
-def _vectors(f: ItemFunction, rows, scheme: TauScheme) -> np.ndarray:
+def checked_vectors(f: ItemFunction, rows, scheme: TauScheme) -> np.ndarray:
     """Data vectors as the rows of an (n, r) float array, checked."""
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != scheme.r:
@@ -427,7 +427,7 @@ def lb_functions(f: ItemFunction, rows, scheme: TauScheme) -> LowerBoundFns:
     The block also carries the closed form of every piece
     (:func:`_pieces`), and reads its curves by :func:`lower_bounds`.
     """
-    rows = _vectors(f, rows, scheme)
+    rows = checked_vectors(f, rows, scheme)
     n = rows.shape[0]
     bps, real = _breakpoints(scheme, rows.ravel(), np.repeat(np.arange(n), scheme.r), np.zeros(n))
     cs, ds = _pieces(f, scheme, rows, bps, real)

@@ -120,6 +120,28 @@ def test_block_curves_match_the_per_vector_curves(kind):
     assert crossings > len(blocks) * len(FUNCTIONS) * 20 and padded > 0
 
 
+@pytest.mark.parametrize("keep", ["mask", "indices", "slice"])
+def test_a_sub_block_holds_and_reads_the_rows_it_keeps(keep):
+    # take(keep) is the block of the kept curves, read at their own rows
+    rng = np.random.default_rng(("mask", "indices", "slice").index(keep) + 90)
+    scheme, rows = _block(rng, "mixed", 1)
+    picked = {"mask": rng.random(len(rows)) < 0.5, "indices": rng.permutation(len(rows))[:9],
+              "slice": slice(3, None, 4)}[keep]
+    at = np.arange(len(rows))[picked]
+    for f in FUNCTIONS:
+        curves = lb_functions(f, rows, scheme)
+        sub = curves.take(picked)
+        assert len(sub) == len(at) > 0 and sub.exponent == curves.exponent
+        assert sub.real.tolist() == curves.real[at].tolist()
+        for name in ("breakpoints", "cs", "ds", "heads"):
+            assert _bits(getattr(sub, name).ravel()) == _bits(getattr(curves, name)[at].ravel())
+        who = rng.integers(0, len(at), 40)
+        us = np.concatenate((rng.random(30), sub.breakpoints[who[30:], 0]))
+        assert _bits(sub.read(who, us)) == _bits(curves.read(at[who], us))
+        for k, v in zip(who[:3].tolist(), rows[at[who[:3]]].tolist()):
+            assert _bits(sub.read(np.full(len(us), k), us)) == _bits(scalar_lb_function(f, v, scheme).value(us))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_outcome_curves_match_the_scalar_breakpoints(kind):
     # an outcome's levels are its revealed values, and its breakpoints

@@ -8,6 +8,7 @@ from coordest.analysis import (
     check_estimable,
     check_finite_variance,
     competitiveness_ratio,
+    competitiveness_reports,
     curve_table,
 )
 from coordest.functions import (
@@ -60,6 +61,21 @@ class TestEvaluate:
             lb_function(rg_fn(2.0, 3), [1.0], scheme)
         with pytest.raises(ValueError, match="^vector arity does not match scheme$"):
             lower_bound_from_vector(rg_fn(2.0, 3), [1.0, 0.5, 0.25], scheme, 0.5)
+
+    def test_a_vector_of_neither_arity_names_the_scheme_first(self):
+        # every curve, check and report names the scheme's arity first, the
+        # analysis blocks as the curves do
+        scheme, f = TauScheme.pps(4.0, r=2), rg_fn(2.0, 3)
+        for v in ([1.0], [1.0, 0.5, 0.25, 0.125]):
+            calls = [lambda: lb_function(f, v, scheme), lambda: lb_functions(f, [v], scheme),
+                     lambda: lower_bound_from_vector(f, v, scheme, 0.5), lambda: curve_table(v, f, scheme),
+                     lambda: competitiveness_ratio(v, f, scheme),
+                     lambda: next(competitiveness_reports(np.array([v]), f, scheme))]
+            calls += [lambda check=check: check(v, f, scheme)
+                      for check in (check_estimable, check_bounded, check_finite_variance)]
+            for call in calls:
+                with pytest.raises(ValueError, match="^vector arity does not match scheme$"):
+                    call()
 
     def test_parse_round_trip(self):
         for spec in ("max", "min", "or", "rg:p=2", "one_sided_rg:p=2,hi=1,lo=2"):
